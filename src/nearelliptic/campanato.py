@@ -12,6 +12,12 @@ geometrically and the fixed point is unique in the zero-mean gauge.
 Stopping is on the equation residual ||F(., D^2 u) - f||_2 (step size alone
 can mask a bad certificate); persistent ratio > 1 over five consecutive
 iterations raises a divergence error pointing at the certificate.
+
+The iterate is kept as half-spectrum coefficients of the (tensor, grid)
+:class:`~nearelliptic.linear.SpectralPlan`.  One iteration costs one rfftn of
+alpha (F - f), one multiply each for the solve and the operator, and one
+irfftn of the n(n+1)/2 distinct hessian components; the metric d is taken by
+Plancherel, and u is transformed back only on exit.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ import numpy as np
 
 from .certify import EllipticityCertificate
 from .errors import DivergenceError, InputError
-from .fields import PHYSICAL, VectorField, l2_norm, spectral_hessian
-from .linear import solve_linear, apply_operator
+from .fields import PHYSICAL, HessianField, VectorField, l2_norm, spectral_hessian
+from .linear import solve_linear, spectral_plan  # noqa: F401  (solve_linear: perfbench wraps it here)
 from .nonlinearity import NonlinearitySpec, evaluate_field
 from .tensors import SymTensor4
 
@@ -119,38 +125,50 @@ def campanato_solve(
     g = f.grid
     if (spec.N, spec.n) != (g.N, g.n):
         raise InputError("spec dimensions do not match the grid")
+    f.require_finite("right-hand side")
+    if initial_guess is not None:
+        initial_guess.require_finite("initial guess")
+    plan = spectral_plan(A, g)
+    half = plan.half
     f_phys = f.to_physical()
     fnorm = l2_norm(f_phys)
     tol_abs = config.tol_residual * (fnorm if fnorm > 0 else 1.0)
 
-    u = initial_guess.to_physical() if initial_guess is not None else zero_field(g)
-    op_prev = apply_operator(A, u)
-    F_prev = evaluate_field(spec, spectral_hessian(u, PHYSICAL))
+    if initial_guess is None:
+        uhat = np.zeros((g.N,) + half.shape, dtype=complex)
+        hess = np.zeros((g.N, g.n, g.n) + g.shape)
+    else:
+        uhat = half.coefficients(initial_guess)
+        hess = half.hessian_data(uhat)
+    op_prev = plan.apply(uhat)
+    F_prev = evaluate_field(spec, HessianField(g, hess, PHYSICAL))
+
+    def solution() -> VectorField:
+        return VectorField(g, half.inverse(uhat), PHYSICAL)
 
     trace = IterationTrace()
     d_prev = float("nan")
     over_unity = 0
     for k in range(1, config.max_iters + 1):
-        rhs = op_prev - _alpha_times(alpha, F_prev - f_phys)
-        result = solve_linear(A, rhs, nu=certificate.nu)
-        u = result.u
-        op_u = apply_operator(A, u)
-        F_u = evaluate_field(spec, spectral_hessian(u, PHYSICAL))
+        rhs = op_prev - half.forward(_alpha_times(alpha, F_prev - f_phys).data)
+        uhat = plan.invert(rhs)
+        op_u = plan.apply(uhat)
+        F_u = evaluate_field(spec, HessianField(g, half.hessian_data(uhat), PHYSICAL))
         residual = l2_norm(F_u - f_phys)
-        d = l2_norm(op_u - op_prev)
+        d = half.norm(op_u - op_prev)
         ratio = d / d_prev if k >= 2 and d_prev > 0 else float("nan")
         trace.append(IterationRecord(index=k, metric=d, residual=residual, ratio=ratio))
 
         if residual <= tol_abs:
             trace.status = "converged"
-            return u, trace
+            return solution(), trace
 
-        noise_floor = STAGNATION_FLOOR * max(1.0, l2_norm(op_u), fnorm)
+        noise_floor = STAGNATION_FLOOR * max(1.0, half.norm(op_u), fnorm)
         if d <= noise_floor:
             # stalled at round-off (e.g. the rhs mean is not attainable in the
             # gauge) without meeting the residual tolerance
             trace.status = "max_iters"
-            return u, trace
+            return solution(), trace
 
         if np.isfinite(ratio) and ratio > 1.0:
             over_unity += 1
@@ -169,7 +187,7 @@ def campanato_solve(
         op_prev, F_prev, d_prev = op_u, F_u, d
 
     trace.status = "max_iters"
-    return u, trace
+    return solution(), trace
 
 
 def contraction_bound(certificate: EllipticityCertificate) -> float:

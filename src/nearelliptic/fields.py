@@ -13,15 +13,33 @@ coefficient sums agree exactly:
 
 and the hessian acts diagonally, c(k) -> c(k) (2 pi i k_i / L)(2 pi i k_j / L).
 The k = 0 coefficient is the spatial mean; second derivatives annihilate it,
-which is the gauge mode the solvers pin to zero.  M is even; the Nyquist row
-k_i = -M/2 needs no special casing because the hessian multiplier has even
-order.
+which is the gauge mode the solvers pin to zero.  M is even.
+
+Half spectrum.  The solvers work on real fields, whose coefficients satisfy
+c(-k) = conj(c(k)), so they keep only the ``rfftn`` half spectrum: the last
+axis holds k_n = 0, ..., M/2 (shape (M, ..., M, M/2 + 1)), with the same
+normalization as above (``norm="forward"``).  Norms follow from Plancherel
+with weight 1 on the k_n = 0 and k_n = M/2 planes, whose conjugate partners
+lie in the half spectrum, and weight 2 elsewhere.  :class:`HalfSpectrum`
+holds this layout for one grid, its |z|^2, gauge mask and weights, and the
+n(n+1)/2 distinct hessian multipliers; :func:`half_spectrum` memoizes it.
+
+Nyquist planes.  The mixed multiplier k_i k_j (i != j) is odd in k_i on the
+Nyquist plane k_i = -M/2, where -k mod M is k again, so the full-spectrum
+product is not conjugate-symmetric there and the physical field is its real
+part.  A real multiplier m is therefore applied to the half spectrum as its
+hermitian part (m(k) + m(kbar)) / 2, kbar = -k mod M in fft layout (the
+Nyquist value is -M/2 on every axis, the last rfft axis included); this is
+exactly what taking the real part of the full complex inverse transform
+does, so both paths solve the same discrete problem.  Away from the Nyquist
+planes m(kbar) = m(k) and the multiplier is unchanged.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,10 +70,11 @@ class GridSpec:
             raise InputError(f"points per axis must be even and >= 4, got {self.M}")
         if not self.L > 0:
             raise InputError(f"period must be positive, got {self.L}")
-        bytes_needed = 16 * self.N * self.M**self.n
+        # the largest array a solve allocates is the real physical hessian
+        bytes_needed = 8 * self.N * self.n**2 * self.M**self.n
         if bytes_needed > self.memory_budget:
             raise InputError(
-                f"field of {bytes_needed} bytes exceeds the memory budget {self.memory_budget}"
+                f"hessian of {bytes_needed} bytes exceeds the memory budget {self.memory_budget}"
             )
 
     @property
@@ -133,6 +152,12 @@ class VectorField:
 
     def is_physical(self) -> bool:
         return self.representation == PHYSICAL
+
+    def require_finite(self, what: str) -> "VectorField":
+        """Return the field; raise InputError naming ``what`` if any value is NaN or infinite."""
+        if not np.all(np.isfinite(self.data)):
+            raise InputError(f"{what} has non-finite values")
+        return self
 
     def to_physical(self) -> "VectorField":
         if self.is_physical():
@@ -222,6 +247,91 @@ class HessianField:
         return HessianField(self.grid, self.data - other.data, self.representation)
 
 
+HALF_SPECTRUM_CACHE_SIZE = 4
+
+
+@dataclass(frozen=True, eq=False)
+class HalfSpectrum:
+    """The rfftn half spectrum of one grid and its grid-only multipliers.
+
+    Arrays are read-only and shaped ``shape`` = (M, ..., M, M/2 + 1), except
+    ``hessian``, which stacks the multipliers of the n(n+1)/2 distinct pairs
+    (i, j), i <= j, and ``pair_index``, which maps (i, j) and (j, i) to the
+    pair's place in that stack.  Coefficients of an (N,)-component field have
+    shape (N,) + shape.
+    """
+
+    grid: GridSpec
+    shape: tuple[int, ...]
+    zsq: np.ndarray
+    gauge: np.ndarray
+    weights: np.ndarray
+    pair_index: np.ndarray
+    hessian: np.ndarray
+
+    @property
+    def axes(self) -> tuple[int, ...]:
+        return tuple(range(-self.grid.n, 0))
+
+    def restrict(self, full: np.ndarray) -> np.ndarray:
+        """Hermitian part of a real full-grid multiplier (..., M, ..., M) on the half spectrum."""
+        return _hermitian_half(full, self.grid)
+
+    def forward(self, data: np.ndarray) -> np.ndarray:
+        """Half-spectrum coefficients of real data (..., M, ..., M)."""
+        return np.fft.rfftn(data, axes=self.axes, norm="forward")
+
+    def inverse(self, coef: np.ndarray) -> np.ndarray:
+        """Real data (..., M, ..., M) of half-spectrum coefficients."""
+        return np.fft.irfftn(coef, s=self.grid.shape, axes=self.axes, norm="forward")
+
+    def coefficients(self, u: VectorField) -> np.ndarray:
+        """Half-spectrum coefficients of a field in either representation."""
+        return self.forward(u.to_physical().data)
+
+    def norm(self, coef: np.ndarray) -> float:
+        """L2 norm of the real field with these coefficients (Plancherel)."""
+        power = self.weights * (coef.real**2 + coef.imag**2)
+        return float(np.sqrt(self.grid.volume * power.sum()))
+
+    def hessian_data(self, coef: np.ndarray) -> np.ndarray:
+        """Physical hessian (N, n, n, M, ..., M) from coefficients (N,) + shape.
+
+        Only the distinct pairs are transformed; the (j, i) components are
+        copies of (i, j).
+        """
+        pairs = self.inverse(coef[:, None] * self.hessian)
+        return pairs[:, self.pair_index]
+
+
+def _hermitian_half(full: np.ndarray, grid: GridSpec) -> np.ndarray:
+    sym = 0.5 * (full + _conjugate_reflect(full, full.ndim - grid.n, grid.n))
+    out = np.ascontiguousarray(sym[..., : grid.M // 2 + 1])
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=HALF_SPECTRUM_CACHE_SIZE)
+def half_spectrum(grid: GridSpec) -> HalfSpectrum:
+    """The memoized :class:`HalfSpectrum` of ``grid``."""
+    n, M = grid.n, grid.M
+    shape = grid.shape[:-1] + (M // 2 + 1,)
+    freq = grid.freq_axes()
+    factor = -((2 * np.pi / grid.L) ** 2)
+    pairs = tuple((i, j) for i in range(n) for j in range(i, n))
+    pair_index = np.empty((n, n), dtype=np.intp)
+    for c, (i, j) in enumerate(pairs):
+        pair_index[i, j] = pair_index[j, i] = c
+    full = np.stack([np.broadcast_to(factor * freq[i] * freq[j], grid.shape) for i, j in pairs])
+    weights = np.full(shape, 2.0)
+    weights[..., 0] = weights[..., M // 2] = 1.0
+    zsq = np.ascontiguousarray(grid.zsq()[..., : M // 2 + 1])
+    gauge = zsq > 0
+    for arr in (pair_index, weights, zsq, gauge):
+        arr.setflags(write=False)
+    return HalfSpectrum(grid, shape, zsq, gauge, weights, pair_index, _hermitian_half(full, grid))
+
+
 def forward_transform(u: VectorField) -> VectorField:
     """Physical to spectral; errors if already spectral."""
     if not u.is_physical():
@@ -253,10 +363,16 @@ def spectral_hessian(u: VectorField, representation: str = PHYSICAL) -> HessianF
     """All second derivatives of ``u`` via the diagonal frequency multiplier.
 
     Component (alpha, i, j) has coefficients c_alpha(k) (2 pi i k_i / L)
-    (2 pi i k_j / L); the multiplier is real and even in k, so the physical
-    output is real and the Nyquist rows are unambiguous.
+    (2 pi i k_j / L).  A physical ``u`` with physical output takes the real
+    path: one rfftn of ``u`` and one irfftn of the n(n+1)/2 distinct
+    components, with the hermitian multipliers of :class:`HalfSpectrum`.
+    Otherwise the full complex spectrum is built; its physical form is the
+    real part, which agrees with the real path.
     """
     g = u.grid
+    if representation == PHYSICAL and u.is_physical():
+        half = half_spectrum(g)
+        return HessianField(g, half.hessian_data(half.forward(u.data)), PHYSICAL)
     coef = u.to_spectral().data
     freq = g.freq_axes()
     hess = np.empty((g.N, g.n, g.n) + g.shape, dtype=complex)

@@ -10,16 +10,36 @@ second derivatives annihilate constants, so the solver fixes mean(u) = 0 and
 records the dropped mean of f.  The regularized family replaces 1/|z|^2 by
 h(z) = 1/(|z|^2 + eps), whose multiplier h(z)|z|^2 stays in [0, 1] and tends
 to 1 as eps -> 0, giving a monotone approximation of the exact solve.
+
+Spectral plan.  Everything here that depends on the tensor and the grid is
+built once per (tensor, grid) into a :class:`SpectralPlan` and memoized by
+:func:`spectral_plan` in a small LRU keyed on the tensor entries and the
+grid.  The plan lives on the ``rfftn`` half spectrum of
+:class:`~nearelliptic.fields.HalfSpectrum` (gauge mask, |z|^2, hessian
+multipliers, Plancherel weights) and adds two (N, N) matrix multipliers:
+
+    solve     -cof(S)^T / (det(S) 4 pi^2 |z|^2)   (0 at k = 0)
+    operator  -4 pi^2 |z|^2 S = -4 pi^2 A : z (x) z
+
+with S = A : d (x) d.  Each is stored as its hermitian part
+(m(k) + m(kbar)) / 2, which differs from m only on the Nyquist planes (see
+the ``fields`` module docstring); this reproduces the real part of the full
+complex transform that defines the physical fields.  The degenerate-symbol
+check runs when the plan is built, over every nonzero frequency of the full
+grid in fft order, so a degenerate tensor raises the same error, at the same
+frequency, on every solve through the plan; applying the operator needs no
+inverse and works for any tensor.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateSymbolError, EstimateBreachError, InputError
-from .fields import SPECTRAL, GridSpec, VectorField, l2_norm, spectral_hessian
+from .fields import PHYSICAL, GridSpec, HalfSpectrum, VectorField, half_spectrum
 from .tensors import (
     DET_FLOOR_COEF,
     SymTensor4,
@@ -28,6 +48,7 @@ from .tensors import (
 )
 
 MEAN_TOLERANCE = 1e-8
+PLAN_CACHE_SIZE = 8
 
 
 def _flat_freqs(grid: GridSpec) -> np.ndarray:
@@ -52,40 +73,103 @@ def _unit_symbol_stack(A: SymTensor4, grid: GridSpec):
     return mask, zsq[mask], S
 
 
-def _inverse_symbols(A: SymTensor4, grid: GridSpec, S: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    det = np.linalg.det(S)
+def _degenerate_frequency(A: SymTensor4, grid: GridSpec, S: np.ndarray, mask: np.ndarray, det: np.ndarray):
+    """Integer frequency of the first degenerate symbol in fft order, or None."""
     scale = np.sqrt((S**2).sum(axis=(1, 2)))
     floor = DET_FLOOR_COEF * np.maximum(scale, np.finfo(float).tiny) ** A.N
     bad = np.abs(det) < floor
-    if np.any(bad):
-        flat_index = np.flatnonzero(mask)[int(np.argmax(bad))]
-        k = np.unravel_index(flat_index, grid.shape)
-        k_int = tuple(int(v) for v in np.asarray(grid.integer_freqs())[list(k)])
-        raise DegenerateSymbolError(
-            f"degenerate symbol at frequency k={k_int}", frequency=k_int
-        )
-    return cofactor_transpose(S) / det[:, None, None]
+    if not np.any(bad):
+        return None
+    flat_index = np.flatnonzero(mask)[int(np.argmax(bad))]
+    k = np.unravel_index(flat_index, grid.shape)
+    return tuple(int(v) for v in np.asarray(grid.integer_freqs())[list(k)])
+
+
+def _check_dims(A: SymTensor4, grid: GridSpec) -> None:
+    if (A.N, A.n) != (grid.N, grid.n):
+        raise InputError(f"tensor (N={A.N}, n={A.n}) does not match grid (N={grid.N}, n={grid.n})")
+
+
+def _matvec(m: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Pointwise (N, N) multiplier times (N,) coefficients on the half spectrum."""
+    out = m[:, 0] * coef[0]
+    for b in range(1, coef.shape[0]):
+        out += m[:, b] * coef[b]
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralPlan:
+    """Half-spectrum multipliers of one (tensor, grid); build with :func:`spectral_plan`.
+
+    ``solve`` and ``operator`` have shape (N, N) + ``half.shape`` and are
+    read-only, because cached plans are shared by every caller.  When the
+    symbol is singular at some frequency, ``degenerate`` holds that frequency
+    and ``solve`` is None: the operator still applies, but :meth:`invert`
+    raises DegenerateSymbolError.
+    """
+
+    half: HalfSpectrum
+    solve: np.ndarray | None
+    operator: np.ndarray
+    degenerate: tuple[int, ...] | None = None
+
+    def invert(self, coef: np.ndarray) -> np.ndarray:
+        """Coefficients of the zero-mean u with A : D^2 u = f - mean(f), from those of f."""
+        if self.degenerate is not None:
+            raise DegenerateSymbolError(
+                f"degenerate symbol at frequency k={self.degenerate}", frequency=self.degenerate
+            )
+        return _matvec(self.solve, coef)
+
+    def apply(self, coef: np.ndarray) -> np.ndarray:
+        """Coefficients of A : D^2 u from those of u."""
+        return _matvec(self.operator, coef)
+
+
+def _build_plan(A: SymTensor4, grid: GridSpec) -> SpectralPlan:
+    half = half_spectrum(grid)
+    N = grid.N
+    full = (N, N) + grid.shape
+    z = _flat_freqs(grid) / grid.L
+    operator = half.restrict((-4 * np.pi**2 * np.einsum("abij,ik,jk->abk", A.entries, z, z)).reshape(full))
+    mask, zsq, S = _unit_symbol_stack(A, grid)
+    det = np.linalg.det(S)
+    degenerate = _degenerate_frequency(A, grid, S, mask, det)
+    if degenerate is not None:
+        return SpectralPlan(half, None, operator, degenerate)
+    solve = np.zeros((N, N, grid.points))
+    solve[:, :, mask] = -np.moveaxis(cofactor_transpose(S), 0, -1) / (det * 4 * np.pi**2 * zsq)
+    return SpectralPlan(half, half.restrict(solve.reshape(full)), operator)
+
+
+_PLANS: OrderedDict = OrderedDict()
+
+
+def spectral_plan(A: SymTensor4, grid: GridSpec) -> SpectralPlan:
+    """The plan of (A, grid), from the LRU of the last ``PLAN_CACHE_SIZE`` plans or built now.
+
+    The degenerate-symbol check runs here, when a plan is built; a plan of
+    a singular symbol is cached too and raises on :meth:`SpectralPlan.invert`.
+    """
+    _check_dims(A, grid)
+    key = (A.entries.tobytes(), grid)
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _PLANS[key] = _build_plan(A, grid)
+        if len(_PLANS) > PLAN_CACHE_SIZE:
+            _PLANS.popitem(last=False)
+    else:
+        _PLANS.move_to_end(key)
+    return plan
 
 
 def apply_operator(A: SymTensor4, u: VectorField) -> VectorField:
     """A : D^2 u, evaluated diagonally in frequency; physical output."""
-    g = u.grid
-    if (A.N, A.n) != (g.N, g.n):
-        raise InputError(f"tensor (N={A.N}, n={A.n}) does not match grid (N={g.N}, n={g.n})")
-    coef = u.to_spectral().data.reshape(g.N, g.points)
-    freqs = _flat_freqs(g)
-    z = freqs / g.L
-    # A_{a b i j} z_i z_j c_b(k), times the second-derivative factor -4 pi^2
-    Sz = np.einsum("abij,ik,jk->abk", A.entries, z, z)
-    out = -4 * np.pi**2 * np.einsum("abk,bk->ak", Sz, coef)
-    field = VectorField(g, out.reshape((g.N,) + g.shape), SPECTRAL)
-    return field.to_physical()
-
-
-def _operator_coefficients(A: SymTensor4, uhat_flat: np.ndarray, zsq: np.ndarray, S: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Spectral coefficients of A : D^2 u on the nonzero-frequency mask."""
-    applied = np.einsum("kab,bk->ak", S, uhat_flat[:, mask])
-    return -4 * np.pi**2 * zsq * applied
+    u.require_finite("field")
+    plan = spectral_plan(A, u.grid)
+    half = plan.half
+    return VectorField(u.grid, half.inverse(plan.apply(half.coefficients(u))), PHYSICAL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,51 +221,43 @@ def solve_linear(
     the tensor.
     """
     g = f.grid
-    if (A.N, A.n) != (g.N, g.n):
-        raise InputError(f"tensor (N={A.N}, n={A.n}) does not match grid (N={g.N}, n={g.n})")
+    _check_dims(A, g)
     if epsilon is not None and epsilon <= 0:
         raise InputError(f"regularization epsilon must be positive, got {epsilon}")
+    f.require_finite("right-hand side")
     if nu is None:
         nu = ellipticity_constant(A).nu
         if nu <= 0:
             raise InputError(f"tensor is not rank-one positive: nu = {nu}")
 
-    fhat = f.to_spectral().data.reshape(g.N, g.points)
-    fnorm = float(np.sqrt(g.volume * (np.abs(fhat) ** 2).sum()))
-    dropped = fhat[:, 0].real.copy()
+    plan = spectral_plan(A, g)
+    half = plan.half
+    fhat = half.coefficients(f)
+    fnorm = half.norm(fhat)
+    dropped = fhat[(slice(None),) + (0,) * g.n].real.copy()
     mean_warning = bool(
         np.linalg.norm(dropped) > mean_tolerance * max(fnorm, np.finfo(float).tiny)
     )
 
-    mask, zsq, S = _unit_symbol_stack(A, g)
-    inv = _inverse_symbols(A, g, S, mask)
+    gauge = half.gauge
+    uhat = plan.invert(fhat)
     if epsilon is None:
-        weight = 1.0 / (4 * np.pi**2 * zsq)
-        multiplier = np.ones_like(zsq)
+        multiplier = gauge.astype(float)
         regularization = "exact"
     else:
-        weight = 1.0 / (4 * np.pi**2 * (zsq + epsilon))
-        multiplier = zsq / (zsq + epsilon)
+        multiplier = half.zsq / (half.zsq + epsilon)
+        uhat *= multiplier
         regularization = f"epsilon={epsilon:g}"
+    u = VectorField(g, half.inverse(uhat), PHYSICAL)
 
-    uhat = np.zeros_like(fhat)
-    uhat[:, mask] = -weight * np.einsum("kab,bk->ak", inv, fhat[:, mask])
-    u = VectorField(g, uhat.reshape((g.N,) + g.shape), SPECTRAL).to_physical()
-
-    op_coef = _operator_coefficients(A, uhat, zsq, S, mask)
-    target = multiplier * fhat[:, mask]
-    identity_error = float(np.abs(op_coef - target).max()) if op_coef.size else 0.0
-
-    residual_coef = op_coef - fhat[:, mask]
-    residual_l2 = float(np.sqrt(g.volume * (np.abs(residual_coef) ** 2).sum()))
-
-    hess_sq = g.volume * float(
-        (((4 * np.pi**2 * zsq) ** 2) * (np.abs(uhat[:, mask]) ** 2).sum(axis=0)).sum()
-    )
-    op_sq = g.volume * float((np.abs(op_coef) ** 2).sum())
-    hessian_l2 = float(np.sqrt(hess_sq))
-    operator_l2 = float(np.sqrt(op_sq))
+    # checks of the returned u, on the nonzero frequencies
+    op_coef = plan.apply(uhat)
+    identity_error = float(np.abs(op_coef - multiplier * fhat)[:, gauge].max())
+    residual_l2 = half.norm(np.where(gauge, op_coef - fhat, 0.0))
+    hessian_l2 = half.norm(4 * np.pi**2 * half.zsq * uhat)
+    operator_l2 = half.norm(op_coef)
     hessian_ratio = hessian_l2 / operator_l2 if operator_l2 > 0 else 0.0
+    bounds = multiplier[gauge]
 
     return LinearSolveResult(
         u=u,
@@ -193,7 +269,7 @@ def solve_linear(
         rhs_l2=fnorm,
         hessian_l2=hessian_l2,
         operator_l2=operator_l2,
-        multiplier_bounds=(float(multiplier.min()), float(multiplier.max())),
+        multiplier_bounds=(float(bounds.min()), float(bounds.max())),
         multiplier_identity_error=identity_error,
         mean_warning=mean_warning,
     )
@@ -202,14 +278,21 @@ def solve_linear(
 def hessian_estimate_check(A: SymTensor4, u: VectorField, nu: float | None = None) -> float:
     """nu ||D^2 u|| / ||A : D^2 u||; must come out <= 1 for a certified tensor.
 
-    Zero fields give 0 by convention.  A vanishing denominator with a
-    nonvanishing hessian would contradict the estimate and raises.
+    Both norms are taken by Plancherel on the half spectrum, with no inverse
+    transform: ||D^2 u|| is the full spectral hessian's norm, (4 pi^2 |z|^2)
+    |u^(k)| summed over all n^2 components, and ||A : D^2 u|| that of the
+    physical operator field.  Zero fields give 0 by convention.  A vanishing
+    denominator with a nonvanishing hessian would contradict the estimate
+    and raises.
     """
     if nu is None:
         nu = ellipticity_constant(A).nu
-    hess = spectral_hessian(u, SPECTRAL)
-    hnorm = l2_norm(hess)
-    opnorm = l2_norm(apply_operator(A, u))
+    u.require_finite("field")
+    plan = spectral_plan(A, u.grid)
+    half = plan.half
+    coef = half.coefficients(u)
+    hnorm = half.norm(4 * np.pi**2 * half.zsq * coef)
+    opnorm = half.norm(plan.apply(coef))
     if opnorm == 0.0:
         if hnorm == 0.0:
             return 0.0

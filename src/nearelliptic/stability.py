@@ -182,6 +182,9 @@ def solve_via_nearness(
     modulus of F.  Inner solves warm-start from the current outer iterate;
     the fixed point does not depend on that.
     """
+    g.require_finite("right-hand side")
+    if initial_guess is not None:
+        initial_guess.require_finite("initial guess")
     lower = nu_F_lower_bound(certificateF)
     estimate = nu_FG_estimate(specF, specG)
     grid = g.grid
@@ -211,27 +214,30 @@ def solve_via_nearness(
     )
 
     u = initial_guess.to_physical() if initial_guess is not None else zero_field(grid)
-    F_prev = evaluate_field(specF, spectral_hessian(u, PHYSICAL))
+    # F and G of the current iterate; the bottom of iteration k computes them
+    # for the top of iteration k + 1
+    hess = spectral_hessian(u, PHYSICAL)
+    F_u = evaluate_field(specF, hess)
+    G_u = evaluate_field(specG, hess)
+    F_prev = F_u
     trace = IterationTrace()
     d_prev = float("nan")
     for k in range(1, max_outer + 1):
-        hess = spectral_hessian(u, PHYSICAL)
-        F_u = evaluate_field(specF, hess)
-        G_u = evaluate_field(specG, hess)
         rhs = F_u - (G_u - g_phys)
         u, _ = campanato_solve(
             specF, alphaF, rhs, certificateF, config=inner_config, initial_guess=u
         )
-        hess_new = spectral_hessian(u, PHYSICAL)
-        F_new = evaluate_field(specF, hess_new)
-        residual = l2_norm(evaluate_field(specG, hess_new) - g_phys)
-        d = l2_norm(F_new - F_prev)
+        hess = spectral_hessian(u, PHYSICAL)
+        F_u = evaluate_field(specF, hess)
+        G_u = evaluate_field(specG, hess)
+        residual = l2_norm(G_u - g_phys)
+        d = l2_norm(F_u - F_prev)
         ratio = d / d_prev if k >= 2 and d_prev > 0 else float("nan")
         trace.append(IterationRecord(index=k, metric=d, residual=residual, ratio=ratio))
         if residual <= tol_abs:
             trace.status = "converged"
             break
-        F_prev, d_prev = F_new, d
+        F_prev, d_prev = F_u, d
     else:
         trace.status = "max_iters"
 

@@ -74,8 +74,15 @@ class SymTensor4:
         return self.entries.shape[2]
 
     def frobenius(self) -> float:
-        """Euclidean norm of the entries."""
-        return float(np.sqrt((self.entries**2).sum()))
+        """Euclidean norm of the entries.
+
+        The entries are scaled by the largest magnitude before squaring, so a
+        nonzero tensor with tiny entries (near 1e-181) does not underflow to 0.
+        """
+        scale = float(np.abs(self.entries).max())
+        if scale == 0.0:
+            return 0.0
+        return scale * float(np.sqrt(((self.entries / scale) ** 2).sum()))
 
     def operator_norm(self) -> float:
         """Operator norm of Z -> A:Z on symmetric arguments.

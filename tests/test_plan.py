@@ -1,0 +1,316 @@
+"""The half-spectrum plan path against a full-complex-FFT reference, and the plan's cache and guards.
+
+The reference functions below are private copies of the package's original
+full-spectrum code: every product is formed on the whole complex spectrum and
+the physical field is the real part of its inverse transform.  The plan path
+must reproduce them, Nyquist planes included, to round-off.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import nearelliptic.stability as stability
+from nearelliptic import (
+    GridSpec,
+    HessianField,
+    NonlinearitySpec,
+    SinePerturbation,
+    SolveConfig,
+    VectorField,
+    apply_operator,
+    campanato_solve,
+    example1_alpha,
+    example1_certificate,
+    hessian_estimate_check,
+    identity_tensor,
+    random_band_limited,
+    solve_linear,
+    solve_via_nearness,
+    spectral_hessian,
+)
+from nearelliptic.errors import DegenerateSymbolError, InputError
+from nearelliptic.fields import PHYSICAL
+from nearelliptic.linear import PLAN_CACHE_SIZE, spectral_plan
+from nearelliptic.nonlinearity import evaluate_field
+from nearelliptic.stability import nu_F_lower_bound
+from nearelliptic.tensors import DET_FLOOR_COEF, SymTensor4, random_rank_one_positive
+
+from conftest import random_sym_tensor
+
+TOL = 1e-12
+GRIDS = {2: 16, 3: 8}  # n -> M
+
+
+# --- reference: the full complex spectrum -----------------------------------
+
+
+def _axes(g):
+    return tuple(range(1, g.n + 1))
+
+
+def _flat_freqs(g):
+    return np.stack([np.broadcast_to(k, g.shape).ravel() for k in g.freq_axes()])
+
+
+def ref_hessian(u):
+    g = u.grid
+    coef = np.fft.fftn(u.data, axes=_axes(g)) / g.points
+    freq = g.freq_axes()
+    hess = np.empty((g.N, g.n, g.n) + g.shape, dtype=complex)
+    for i in range(g.n):
+        for j in range(g.n):
+            hess[:, i, j] = coef * (-((2 * np.pi / g.L) ** 2) * freq[i] * freq[j])
+    return hess
+
+
+def ref_physical(coef, g, lead):
+    axes = tuple(range(lead, lead + g.n))
+    return (np.fft.ifftn(coef, axes=axes) * g.points).real
+
+
+def ref_apply(A, u):
+    g = u.grid
+    coef = (np.fft.fftn(u.data, axes=_axes(g)) / g.points).reshape(g.N, g.points)
+    z = _flat_freqs(g) / g.L
+    out = -4 * np.pi**2 * np.einsum("abij,ik,jk,bk->ak", A.entries, z, z, coef)
+    return ref_physical(out.reshape((g.N,) + g.shape), g, 1)
+
+
+def ref_solve(A, f):
+    g = f.grid
+    fhat = (np.fft.fftn(f.data, axes=_axes(g)) / g.points).reshape(g.N, g.points)
+    freqs = _flat_freqs(g)
+    zsq = (freqs**2).sum(axis=0) / g.L**2
+    mask = zsq > 0
+    unit = freqs[:, mask] / g.L / np.sqrt(zsq[mask])
+    S = np.einsum("abij,ik,jk->kab", A.entries, unit, unit)
+    det = np.linalg.det(S)
+    floor = DET_FLOOR_COEF * np.maximum(np.sqrt((S**2).sum(axis=(1, 2))), np.finfo(float).tiny) ** A.N
+    bad = np.abs(det) < floor
+    if np.any(bad):
+        k = np.unravel_index(np.flatnonzero(mask)[int(np.argmax(bad))], g.shape)
+        k_int = tuple(int(v) for v in g.integer_freqs()[list(k)])
+        raise DegenerateSymbolError("reference", frequency=k_int)
+    uhat = np.zeros_like(fhat)
+    uhat[:, mask] = -np.einsum("kab,bk->ak", np.linalg.inv(S), fhat[:, mask]) / (4 * np.pi**2 * zsq[mask])
+    return ref_physical(uhat.reshape((g.N,) + g.shape), g, 1)
+
+
+def ref_campanato(spec, alpha, f, iterations):
+    """(metric, residual, ratio) records and final u of the near-operator iteration."""
+    g = f.grid
+    A = spec.tensor
+
+    def F(data):
+        return evaluate_field(spec, HessianField(g, ref_physical(ref_hessian(VectorField(g, data)), g, 3))).data
+
+    def norm(data):
+        return np.sqrt(g.cell_volume * (data**2).sum())
+
+    u = np.zeros((g.N,) + g.shape)
+    op_prev, F_prev, d_prev, records = np.zeros_like(u), F(u), np.nan, []
+    for k in range(1, iterations + 1):
+        u = ref_solve(A, VectorField(g, op_prev - alpha * (F_prev - f.data)))
+        op_u, F_u = ref_apply(A, VectorField(g, u)), F(u)
+        d = norm(op_u - op_prev)
+        records.append((d, norm(F_u - f.data), d / d_prev if k >= 2 else np.nan))
+        op_prev, F_prev, d_prev = op_u, F_u, d
+    return np.array(records), u
+
+
+def rel_error(got, want):
+    return np.abs(np.asarray(got) - want).max() / np.abs(want).max()
+
+
+def white_noise(grid, seed):
+    """Real field with content at every frequency, the Nyquist planes included."""
+    rng = np.random.default_rng(seed)
+    return VectorField(grid, rng.standard_normal((grid.N,) + grid.shape), PHYSICAL)
+
+
+tensor_cases = st.tuples(st.sampled_from(sorted(GRIDS)), st.integers(0, 2**16))
+
+
+def draw_case(case):
+    n, seed = case
+    A, cert = random_rank_one_positive(n, 2, seed=seed)
+    return A, cert.nu, GridSpec(n=n, N=2, M=GRIDS[n])
+
+
+# --- parity ------------------------------------------------------------------
+
+
+class TestParity:
+    @settings(max_examples=12, deadline=None)
+    @given(case=tensor_cases)
+    def test_linear_layer_matches_reference_on_white_noise(self, case):
+        A, nu, grid = draw_case(case)
+        u = white_noise(grid, case[1])
+        want_hess = ref_physical(ref_hessian(u), grid, 3)
+        assert rel_error(spectral_hessian(u, PHYSICAL).data, want_hess) <= TOL
+        assert rel_error(apply_operator(A, u).data, ref_apply(A, u)) <= TOL
+        assert rel_error(solve_linear(A, u, nu=nu).u.data, ref_solve(A, u)) <= TOL
+        want_ratio = nu * np.sqrt((np.abs(ref_hessian(u)) ** 2).sum()) / np.sqrt((ref_apply(A, u) ** 2).sum() / grid.points)
+        assert hessian_estimate_check(A, u, nu=nu) == pytest.approx(want_ratio, rel=TOL)
+
+    @settings(max_examples=6, deadline=None)
+    @given(case=tensor_cases)
+    def test_short_campanato_trace_matches_reference(self, case):
+        A, nu, grid = draw_case(case)
+        spec = NonlinearitySpec(tensor=A, perturbation=SinePerturbation(0.3 * nu))
+        cert = example1_certificate(spec, nu=nu)
+        alpha = example1_alpha(spec)
+        f = evaluate_field(spec, spectral_hessian(white_noise(grid, case[1]), PHYSICAL))
+        config = SolveConfig(tol_residual=1e-300, max_iters=4)
+        u, trace = campanato_solve(spec, alpha, f, cert, config)
+        want, want_u = ref_campanato(spec, alpha, f, 4)
+        got = np.array([(r.metric, r.residual, r.ratio) for r in trace.records])
+        assert got.shape == want.shape
+        # metric and residual are norms of differences of fields of the size
+        # of f, so their round-off is relative to the first step and to ||f||;
+        # the ratios of the shrinking metrics amplify it, up to 1e-9
+        np.testing.assert_allclose(got[:, 0], want[:, 0], rtol=0.0, atol=TOL * want[0, 0])
+        np.testing.assert_allclose(got[:, 1], want[:, 1], rtol=0.0, atol=TOL * np.sqrt(f.grid.cell_volume * (f.data**2).sum()))
+        np.testing.assert_allclose(got[1:, 2], want[1:, 2], rtol=1e-9, atol=0.0)
+        assert rel_error(u.data, want_u) <= TOL
+
+    @settings(max_examples=12, deadline=None)
+    @given(case=tensor_cases, band=st.integers(1, 7))
+    def test_operator_inverts_the_solve_below_nyquist(self, case, band):
+        # at the Nyquist planes the hermitian projections of the solve and
+        # operator multipliers are not inverse to each other, as in the
+        # full-spectrum reference, so the round trip holds only below M/2
+        A, nu, grid = draw_case(case)
+        f = random_band_limited(grid, min(band, grid.M // 2 - 1), seed=case[1])
+        shifted = VectorField(grid, f.data + 0.25, PHYSICAL)
+        back = apply_operator(A, solve_linear(A, shifted, nu=nu).u)
+        assert np.abs(back.data - f.data).max() <= TOL * np.abs(f.data).max()
+
+
+# --- the plan ----------------------------------------------------------------
+
+
+def degenerate_tensor():
+    entries = np.zeros((2, 2, 2, 2))
+    entries[0, 0] = np.eye(2)
+    entries[1, 1] = np.diag([0.0, 1.0])
+    return SymTensor4(entries)
+
+
+class TestPlan:
+    def test_degenerate_tensor_raises_at_the_reference_frequency(self, grid32):
+        A = degenerate_tensor()
+        f = random_band_limited(grid32, band=3, seed=8)
+        with pytest.raises(DegenerateSymbolError) as want:
+            ref_solve(A, f)
+        for _ in range(2):  # the second call uses the cached plan
+            with pytest.raises(DegenerateSymbolError) as err:
+                solve_linear(A, f, nu=1.0)
+            assert err.value.frequency == want.value.frequency
+        spec = NonlinearitySpec(tensor=A)
+        cert = example1_certificate(NonlinearitySpec(tensor=identity_tensor(2, 2)))
+        with pytest.raises(DegenerateSymbolError) as err:
+            campanato_solve(spec, 1.0, f, cert)
+        assert err.value.frequency == want.value.frequency
+
+    def test_equal_tensors_share_one_plan(self, grid32):
+        A = random_sym_tensor(2, 2, seed=21)
+        twin = SymTensor4(A.entries.copy())
+        assert spectral_plan(A, grid32) is spectral_plan(twin, grid32)
+        other = random_sym_tensor(2, 2, seed=22)
+        assert spectral_plan(other, grid32) is not spectral_plan(A, grid32)
+        assert spectral_plan(A, GridSpec(n=2, N=2, M=16)) is not spectral_plan(A, grid32)
+
+    def test_cache_keeps_only_the_most_recent_plans(self):
+        grid = GridSpec(n=2, N=2, M=8)
+        tensors = [random_sym_tensor(2, 2, seed=100 + k) for k in range(PLAN_CACHE_SIZE + 1)]
+        first = spectral_plan(tensors[0], grid)
+        for A in tensors[1:]:
+            spectral_plan(A, grid)
+        assert spectral_plan(tensors[0], grid) is not first
+
+    def test_plan_arrays_are_read_only(self, grid32, identity22):
+        plan = spectral_plan(identity22, grid32)
+        for arr in (plan.solve, plan.operator, plan.half.hessian, plan.half.weights, plan.half.zsq):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+
+    def test_tensor_grid_mismatch(self, grid32):
+        with pytest.raises(InputError):
+            spectral_plan(identity_tensor(3, 2), grid32)
+
+
+class TestMemoryGuard:
+    def test_counts_the_real_hessian(self):
+        # 8 N n^2 M^n bytes: 4096 here
+        GridSpec(n=2, N=2, M=8, memory_budget=4096)
+        with pytest.raises(InputError):
+            GridSpec(n=2, N=2, M=8, memory_budget=4095)
+
+    def test_refuses_a_hessian_beyond_the_default_budget(self):
+        # one complex vector field is 1.07 GB, but the hessian is 13.4 GB
+        with pytest.raises(InputError):
+            GridSpec(n=5, N=2, M=32)
+
+
+# --- non-finite input ----------------------------------------------------------
+
+
+def _stability_problem(grid):
+    A = identity_tensor(2, 2)
+    specF = NonlinearitySpec(tensor=A, perturbation=SinePerturbation(0.3))
+    certF = example1_certificate(specF)
+    specG = NonlinearitySpec(tensor=A, perturbation=SinePerturbation(0.3 + 0.1 * nu_F_lower_bound(certF)))
+    return specF, specG, example1_alpha(specF), certF
+
+
+def _with_bad_value(field, value):
+    data = field.data.copy()
+    data[(1,) + (3,) * field.grid.n] = value
+    return VectorField(field.grid, data, PHYSICAL)
+
+
+ENTRY_POINTS = {
+    "solve_linear": lambda A, bad, good: solve_linear(A, bad, nu=1.0),
+    "apply_operator": lambda A, bad, good: apply_operator(A, bad),
+    "hessian_estimate_check": lambda A, bad, good: hessian_estimate_check(A, bad, nu=1.0),
+    "campanato_solve": lambda A, bad, good: campanato_solve(
+        NonlinearitySpec(tensor=A), 1.0, bad, example1_certificate(NonlinearitySpec(tensor=A))
+    ),
+    "campanato_solve initial guess": lambda A, bad, good: campanato_solve(
+        NonlinearitySpec(tensor=A), 1.0, good, example1_certificate(NonlinearitySpec(tensor=A)), initial_guess=bad
+    ),
+    "solve_via_nearness": lambda A, bad, good: solve_via_nearness(*_stability_problem(bad.grid), bad),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_non_finite_input_is_refused(entry, value, grid32, identity22):
+    good = random_band_limited(grid32, band=3, seed=30)
+    with pytest.raises(InputError, match="non-finite"):
+        ENTRY_POINTS[entry](identity22, _with_bad_value(good, value), good)
+
+
+# --- stability loop ------------------------------------------------------------
+
+
+def test_stability_loop_computes_each_hessian_once(monkeypatch):
+    grid = GridSpec(n=2, N=2, M=16)
+    specF, specG, alphaF, certF = _stability_problem(grid)
+    g = evaluate_field(specG, spectral_hessian(random_band_limited(grid, band=3, seed=31), PHYSICAL))
+    calls = []
+
+    def counted(u, representation=PHYSICAL):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return spectral_hessian(u, representation)
+
+    monkeypatch.setattr(stability, "spectral_hessian", counted)
+    _, report = solve_via_nearness(specF, specG, alphaF, certF, g)
+    outer = report.outer_trace.iterations
+    assert report.outer_trace.status == "converged" and outer >= 2
+    assert calls.count("solve_via_nearness") == outer + 1

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -251,6 +251,12 @@ class TestHermitianForm:
         re=arrays(np.float64, (2,), elements=st.floats(-3, 3)),
         im=arrays(np.float64, (2,), elements=st.floats(-3, 3)),
         a=arrays(np.float64, (2,), elements=st.floats(-3, 3)),
+    )
+    @example(  # tiny entries: the tensor's norm used to underflow to 0
+        raw=np.arange(16.0).reshape(2, 2, 2, 2) * 1e-181,
+        re=np.array([0.3, -1.7]),
+        im=np.array([2.9, 0.1]),
+        a=np.array([1.1, 2.3]),
     )
     def test_always_real(self, raw, re, im, a):
         A = SymTensor4(0.5 * (raw + raw.transpose(1, 0, 3, 2)))
