@@ -17,7 +17,9 @@ The iterate is kept as half-spectrum coefficients of the (tensor, grid)
 :class:`~nearelliptic.linear.SpectralPlan`.  One iteration costs one rfftn of
 alpha (F - f), one multiply each for the solve and the operator, and one
 irfftn of the n(n+1)/2 distinct hessian components; the metric d is taken by
-Plancherel, and u is transformed back only on exit.
+Plancherel, and u is transformed back only on exit.  F is evaluated on that
+packed hessian (:class:`~nearelliptic.fields.HessianPairs`), so the n^2
+hessian is never built and no off-diagonal component is evaluated twice.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .certify import EllipticityCertificate
 from .errors import DivergenceError, InputError
-from .fields import PHYSICAL, HessianField, VectorField, l2_norm, spectral_hessian
+from .fields import PHYSICAL, HessianPairs, VectorField, l2_norm, spectral_hessian
 from .linear import solve_linear, spectral_plan  # noqa: F401  (solve_linear: perfbench wraps it here)
 from .nonlinearity import NonlinearitySpec, evaluate_field
 from .tensors import SymTensor4
@@ -136,12 +138,12 @@ def campanato_solve(
 
     if initial_guess is None:
         uhat = np.zeros((g.N,) + half.shape, dtype=complex)
-        hess = np.zeros((g.N, g.n, g.n) + g.shape)
+        hess = HessianPairs(g, np.zeros((g.N, g.n * (g.n + 1) // 2) + g.shape))
     else:
         uhat = half.coefficients(initial_guess)
-        hess = half.hessian_data(uhat)
+        hess = half.hessian_pairs(uhat)
     op_prev = plan.apply(uhat)
-    F_prev = evaluate_field(spec, HessianField(g, hess, PHYSICAL))
+    F_prev = evaluate_field(spec, hess)
 
     def solution() -> VectorField:
         return VectorField(g, half.inverse(uhat), PHYSICAL)
@@ -153,7 +155,7 @@ def campanato_solve(
         rhs = op_prev - half.forward(_alpha_times(alpha, F_prev - f_phys).data)
         uhat = plan.invert(rhs)
         op_u = plan.apply(uhat)
-        F_u = evaluate_field(spec, HessianField(g, half.hessian_data(uhat), PHYSICAL))
+        F_u = evaluate_field(spec, half.hessian_pairs(uhat))
         residual = l2_norm(F_u - f_phys)
         d = half.norm(op_u - op_prev)
         ratio = d / d_prev if k >= 2 and d_prev > 0 else float("nan")

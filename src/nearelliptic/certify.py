@@ -33,6 +33,8 @@ from .tensors import ellipticity_constant
 
 CONSTANT_FLOOR = 1e-6
 SIGMA_CAP = 1e9
+# bound on the round-off absorption steps of fit_k_condition
+ABSORB_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -274,10 +276,14 @@ def fit_k_condition(
     _, alpha, beta, gamma = best
     lhs = ((AZ - alpha * D) ** 2).sum(axis=1)
     worst = float((lhs - beta * nu**2 * zz - gamma * waz).max())
-    if worst > 0:
-        # round-off from recomputation; absorb it into beta so the returned
-        # pair certifies the drawn samples exactly
-        beta += worst / (nu**2 * float(zz.min()))
+    # round-off from recomputation; absorb it into beta so the returned pair
+    # certifies the drawn samples exactly.  One step can be lost to rounding
+    # (beta + step == beta, or the recomputed margin rounds back above 0), so
+    # repeat it, at least one ulp at a time.
+    for _ in range(ABSORB_STEPS):
+        if worst <= 0:
+            break
+        beta = max(beta + worst / (nu**2 * float(zz.min())), float(np.nextafter(beta, np.inf)))
         worst = float((lhs - beta * nu**2 * zz - gamma * waz).max())
     if beta > 0 and gamma > 0 and beta + gamma < 1:
         lam, kappa = def1_from_def2(beta, gamma)

@@ -23,6 +23,12 @@ with weight 1 on the k_n = 0 and k_n = M/2 planes, whose conjugate partners
 lie in the half spectrum, and weight 2 elsewhere.  :class:`HalfSpectrum`
 holds this layout for one grid, its |z|^2, gauge mask and weights, and the
 n(n+1)/2 distinct hessian multipliers; :func:`half_spectrum` memoizes it.
+The transforms are ``scipy.fft``'s, on one worker.
+
+Packed hessian.  The hessian is symmetric in (i, j), so the solvers keep only
+its n(n+1)/2 distinct components (i, j), i <= j, in row-major order: a
+:class:`HessianPairs` field has data (N, n(n+1)/2, M, ..., M).  A sum over
+all n^2 components counts each off-diagonal slot twice.
 
 Nyquist planes.  The mixed multiplier k_i k_j (i != j) is odd in k_i on the
 Nyquist plane k_i = -M/2, where -k mod M is k again, so the full-spectrum
@@ -37,11 +43,13 @@ planes m(kbar) = m(k) and the multiplier is unchanged.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
 from .errors import InputError
 
@@ -68,8 +76,8 @@ class GridSpec:
             raise InputError(f"target dimension must be >= 2, got {self.N}")
         if self.M < 4 or self.M % 2 != 0:
             raise InputError(f"points per axis must be even and >= 4, got {self.M}")
-        if not self.L > 0:
-            raise InputError(f"period must be positive, got {self.L}")
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise InputError(f"period must be finite and positive, got {self.L}")
         # the largest array a solve allocates is the real physical hessian
         bytes_needed = 8 * self.N * self.n**2 * self.M**self.n
         if bytes_needed > self.memory_budget:
@@ -247,6 +255,57 @@ class HessianField:
         return HessianField(self.grid, self.data - other.data, self.representation)
 
 
+@dataclass(frozen=True, eq=False)
+class HessianPairs:
+    """Physical hessian packed to its distinct components: data (N, n(n+1)/2, M, ..., M).
+
+    Slot p holds component (i, j) = (rows[p], cols[p]) of :meth:`components`;
+    the equal component (j, i) is not stored.
+    """
+
+    grid: GridSpec
+    data: np.ndarray
+
+    def __post_init__(self):
+        g = self.grid
+        expected = (g.N, g.n * (g.n + 1) // 2) + g.shape
+        data = np.asarray(self.data)
+        if data.shape != expected:
+            raise InputError(f"packed hessian data must have shape {expected}, got {data.shape}")
+        data = np.ascontiguousarray(data, dtype=float)
+        data.setflags(write=False)
+        object.__setattr__(self, "data", data)
+
+    @staticmethod
+    def components(n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and columns of the n(n+1)/2 distinct components (i <= j), in slot order."""
+        return np.triu_indices(n)
+
+    @staticmethod
+    def slot_index(n: int) -> np.ndarray:
+        """(n, n) map from component (i, j) to its slot, shared by (i, j) and (j, i)."""
+        rows, cols = HessianPairs.components(n)
+        index = np.empty((n, n), dtype=np.intp)
+        index[rows, cols] = index[cols, rows] = np.arange(len(rows))
+        return index
+
+    @staticmethod
+    def multiplicity(n: int) -> np.ndarray:
+        """Components per slot: 1 on the diagonal, 2 off it ((i, j) and (j, i))."""
+        rows, cols = HessianPairs.components(n)
+        return np.where(rows == cols, 1.0, 2.0)
+
+    @classmethod
+    def from_hessian(cls, hess: HessianField) -> "HessianPairs":
+        """The upper triangle of a hessian field in either representation."""
+        rows, cols = cls.components(hess.grid.n)
+        return cls(hess.grid, hess.to_physical().data[:, rows, cols])
+
+    def to_hessian(self) -> HessianField:
+        """The full physical hessian; component (j, i) is a copy of (i, j)."""
+        return HessianField(self.grid, self.data[:, self.slot_index(self.grid.n)], PHYSICAL)
+
+
 HALF_SPECTRUM_CACHE_SIZE = 4
 
 
@@ -256,9 +315,8 @@ class HalfSpectrum:
 
     Arrays are read-only and shaped ``shape`` = (M, ..., M, M/2 + 1), except
     ``hessian``, which stacks the multipliers of the n(n+1)/2 distinct pairs
-    (i, j), i <= j, and ``pair_index``, which maps (i, j) and (j, i) to the
-    pair's place in that stack.  Coefficients of an (N,)-component field have
-    shape (N,) + shape.
+    (i, j), i <= j, in the slot order of :class:`HessianPairs`.  Coefficients of
+    an (N,)-component field have shape (N,) + shape.
     """
 
     grid: GridSpec
@@ -266,7 +324,6 @@ class HalfSpectrum:
     zsq: np.ndarray
     gauge: np.ndarray
     weights: np.ndarray
-    pair_index: np.ndarray
     hessian: np.ndarray
 
     @property
@@ -279,11 +336,11 @@ class HalfSpectrum:
 
     def forward(self, data: np.ndarray) -> np.ndarray:
         """Half-spectrum coefficients of real data (..., M, ..., M)."""
-        return np.fft.rfftn(data, axes=self.axes, norm="forward")
+        return scipy.fft.rfftn(data, axes=self.axes, norm="forward")
 
     def inverse(self, coef: np.ndarray) -> np.ndarray:
         """Real data (..., M, ..., M) of half-spectrum coefficients."""
-        return np.fft.irfftn(coef, s=self.grid.shape, axes=self.axes, norm="forward")
+        return scipy.fft.irfftn(coef, s=self.grid.shape, axes=self.axes, norm="forward")
 
     def coefficients(self, u: VectorField) -> np.ndarray:
         """Half-spectrum coefficients of a field in either representation."""
@@ -294,14 +351,13 @@ class HalfSpectrum:
         power = self.weights * (coef.real**2 + coef.imag**2)
         return float(np.sqrt(self.grid.volume * power.sum()))
 
-    def hessian_data(self, coef: np.ndarray) -> np.ndarray:
-        """Physical hessian (N, n, n, M, ..., M) from coefficients (N,) + shape.
+    def hessian_pairs(self, coef: np.ndarray) -> HessianPairs:
+        """Packed physical hessian of the field with coefficients (N,) + shape.
 
-        Only the distinct pairs are transformed; the (j, i) components are
-        copies of (i, j).
+        One irfftn of the n(n+1)/2 distinct components, in packed order; the
+        (j, i) components are neither transformed nor stored.
         """
-        pairs = self.inverse(coef[:, None] * self.hessian)
-        return pairs[:, self.pair_index]
+        return HessianPairs(self.grid, self.inverse(coef[:, None] * self.hessian))
 
 
 def _hermitian_half(full: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -318,18 +374,16 @@ def half_spectrum(grid: GridSpec) -> HalfSpectrum:
     shape = grid.shape[:-1] + (M // 2 + 1,)
     freq = grid.freq_axes()
     factor = -((2 * np.pi / grid.L) ** 2)
-    pairs = tuple((i, j) for i in range(n) for j in range(i, n))
-    pair_index = np.empty((n, n), dtype=np.intp)
-    for c, (i, j) in enumerate(pairs):
-        pair_index[i, j] = pair_index[j, i] = c
-    full = np.stack([np.broadcast_to(factor * freq[i] * freq[j], grid.shape) for i, j in pairs])
+    full = np.stack(
+        [np.broadcast_to(factor * freq[i] * freq[j], grid.shape) for i, j in zip(*HessianPairs.components(n))]
+    )
     weights = np.full(shape, 2.0)
     weights[..., 0] = weights[..., M // 2] = 1.0
     zsq = np.ascontiguousarray(grid.zsq()[..., : M // 2 + 1])
     gauge = zsq > 0
-    for arr in (pair_index, weights, zsq, gauge):
+    for arr in (weights, zsq, gauge):
         arr.setflags(write=False)
-    return HalfSpectrum(grid, shape, zsq, gauge, weights, pair_index, _hermitian_half(full, grid))
+    return HalfSpectrum(grid, shape, zsq, gauge, weights, _hermitian_half(full, grid))
 
 
 def forward_transform(u: VectorField) -> VectorField:
@@ -372,7 +426,7 @@ def spectral_hessian(u: VectorField, representation: str = PHYSICAL) -> HessianF
     g = u.grid
     if representation == PHYSICAL and u.is_physical():
         half = half_spectrum(g)
-        return HessianField(g, half.hessian_data(half.forward(u.data)), PHYSICAL)
+        return half.hessian_pairs(half.forward(u.data)).to_hessian()
     coef = u.to_spectral().data
     freq = g.freq_axes()
     hess = np.empty((g.N, g.n, g.n) + g.shape, dtype=complex)
@@ -512,20 +566,38 @@ def save_field(path, field) -> None:
 
 
 def load_field(path):
-    """Read a field written by :func:`save_field`."""
+    """Read a field written by :func:`save_field`.
+
+    A short, truncated or padded file, an unknown code, a header that does
+    not fit the payload and a non-finite payload all raise InputError.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
+    if len(raw) < _HEADER.size:
+        raise InputError(f"not a field file: {len(raw)} bytes, shorter than the header")
     magic, n, N, M, L, rep_code, kind_code = _HEADER.unpack_from(raw, 0)
     if magic != _MAGIC:
         raise InputError(f"not a field file: bad magic {magic!r}")
-    rep = {v: k for k, v in _REPS.items()}[rep_code]
-    kind = {v: k for k, v in _KINDS.items()}[kind_code]
+    rep = {v: k for k, v in _REPS.items()}.get(rep_code)
+    kind = {v: k for k, v in _KINDS.items()}.get(kind_code)
+    if rep is None or kind is None:
+        raise InputError(f"unknown representation or kind code ({rep_code}, {kind_code})")
+    dtype = np.dtype(np.float64 if rep == PHYSICAL else np.complex128)
+    payload_bytes = len(raw) - _HEADER.size
+    # the payload holds at least M**n values, which bounds n before the grid
+    # computes M**n: a corrupt header can carry n near 2**31
+    if M >= 4 and n > math.log(max(payload_bytes // dtype.itemsize, 1)) / math.log(M):
+        raise InputError(f"header grid n={n}, M={M} does not fit a {payload_bytes}-byte payload")
     grid = GridSpec(n=n, N=N, M=M, L=L)
-    dtype = np.float64 if rep == PHYSICAL else np.complex128
-    payload = np.frombuffer(raw, dtype=dtype, offset=_HEADER.size)
-    if kind == "vector":
-        return VectorField(grid, payload.reshape((N,) + grid.shape).copy(), rep)
-    return HessianField(grid, payload.reshape((N, n, n) + grid.shape).copy(), rep)
+    shape = ((N,) if kind == "vector" else (N, n, n)) + grid.shape
+    expected = dtype.itemsize * math.prod(shape)
+    if payload_bytes != expected:
+        raise InputError(f"payload has {payload_bytes} bytes, the header needs {expected}")
+    payload = np.frombuffer(raw, dtype=dtype, offset=_HEADER.size).reshape(shape)
+    if not np.all(np.isfinite(payload)):
+        raise InputError("field file has non-finite values")
+    cls = VectorField if kind == "vector" else HessianField
+    return cls(grid, payload.copy(), rep)
 
 
 def csv_slice(field: VectorField, path, component: int = 0) -> None:

@@ -9,6 +9,14 @@ fixed-point solvers assume.
 The declared Lipschitz number of a spec is the bound used by the
 certificates: it controls |G(X+Z) - G(X)| / g^2(x) <= M |Z| for every x,
 i.e. the perturbation Lipschitz constant measured relative to the weight.
+
+Two layouts are evaluated.  :func:`evaluate_batch` and :func:`evaluate_F`
+take sample-major batches (..., N, n, n).  :func:`evaluate_field` works on the
+packed hessian of :class:`~nearelliptic.fields.HessianPairs`, component-major
+(N, n(n+1)/2, points), so each distinct component is evaluated once: the
+linear part is one matmul with the packed tensor, and the catalog
+perturbations weight each off-diagonal slot 2, the count of (i, j) and (j, i)
+in a sum over all n^2 components.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EvaluationError, InputError
-from .fields import HessianField, VectorField
+from .fields import PHYSICAL, HessianField, HessianPairs, VectorField
 from .tensors import SymTensor4, builtin_tensor
 
 _CUSTOM_REGISTRY: dict[str, "CustomPerturbation"] = {}
@@ -51,6 +59,10 @@ class SinePerturbation:
         n = X.shape[-1]
         return (self.amplitude / n) * np.sin(X).sum(axis=(-2, -1))
 
+    def delta_pairs(self, X: np.ndarray, n: int) -> np.ndarray:
+        # packed X: (N, n(n+1)/2, K) -> (N, K)
+        return (self.amplitude / n) * (HessianPairs.multiplicity(n) @ np.sin(X))
+
     def params(self) -> dict:
         return {"amplitude": self.amplitude}
 
@@ -78,6 +90,13 @@ class NormComboPerturbation:
     def delta(self, X: np.ndarray) -> np.ndarray:
         frob = np.sqrt((X**2).sum(axis=(-2, -1)))
         trace = np.trace(X, axis1=-2, axis2=-1)
+        return -self.b * frob - self.c * np.abs(trace)
+
+    def delta_pairs(self, X: np.ndarray, n: int) -> np.ndarray:
+        # packed X: (N, n(n+1)/2, K) -> (N, K); the diagonal slots have multiplicity 1
+        weights = HessianPairs.multiplicity(n)
+        frob = np.sqrt(weights @ X**2)
+        trace = X[:, weights == 1.0].sum(axis=1)
         return -self.b * frob - self.c * np.abs(trace)
 
     def params(self) -> dict:
@@ -112,6 +131,10 @@ class CustomPerturbation:
                 f"custom hook returned shape {out.shape}, expected {X.shape[:-2]}"
             )
         return out
+
+    def delta_pairs(self, X: np.ndarray, n: int) -> np.ndarray:
+        # unpack (N, n(n+1)/2, K) to the hook's batch (K, N, n, n)
+        return self.delta(np.moveaxis(X[:, HessianPairs.slot_index(n)], -1, 0)).T
 
     def params(self) -> dict:
         return {"name": self.name, "lipschitz": self.lipschitz}
@@ -190,7 +213,7 @@ class NonlinearitySpec:
             raise InputError(f"nonpositive ellipticity constant {nu}")
         return self.declared_lipschitz / nu
 
-    def f_lipschitz_bound(self, nu_unused: float | None = None) -> float:
+    def f_lipschitz_bound(self) -> float:
         """Global Lipschitz bound of X -> F(x, X), essentially uniform in x."""
         lin = self.weight_sup * self.tensor.operator_norm()
         pert = 0.0 if self.perturbation is None else self.perturbation.lipschitz_bound(self.n)
@@ -290,15 +313,39 @@ def evaluate_F(spec: NonlinearitySpec, X: np.ndarray, x: tuple | None = None) ->
     return evaluate_batch(spec, X, spec.weight_at(x))
 
 
-def evaluate_field(spec: NonlinearitySpec, hess: HessianField) -> VectorField:
-    """F(x, D^2 u(x)) over the grid: physical hessian in, physical vector field out."""
-    phys = hess.to_physical()
-    g = phys.grid
+def _packed_tensor(A: SymTensor4) -> np.ndarray:
+    """The (N, N n(n+1)/2) matrix of Z -> A : Z on packed symmetric Z.
+
+    Slot (i, j) holds A[..., i, j], plus A[..., j, i] when i < j.
+    """
+    rows, cols = HessianPairs.components(A.n)
+    e = A.entries
+    packed = e[:, :, rows, cols] + np.where(rows < cols, e[:, :, cols, rows], 0.0)
+    return packed.reshape(A.N, -1)
+
+
+def evaluate_field(spec: NonlinearitySpec, hess: HessianField | HessianPairs) -> VectorField:
+    """F(x, D^2 u(x)) over the grid: hessian in, physical vector field out.
+
+    ``hess`` is a full hessian field, whose upper triangle is packed here, or
+    an already packed :class:`HessianPairs`.
+    """
+    g = hess.grid
     if (spec.N, spec.n) != (g.N, g.n):
         raise InputError(
             f"spec dimensions (N={spec.N}, n={spec.n}) do not match grid (N={g.N}, n={g.n})"
         )
-    # move component axes last for the batch evaluator: (N, n, n, grid) -> (grid, N, n, n)
-    X = np.moveaxis(phys.data, (0, 1, 2), (-3, -2, -1))
-    values = evaluate_batch(spec, X, spec.weight)
-    return VectorField(g, np.moveaxis(values, -1, 0), "physical")
+    weight = spec.weight
+    if isinstance(weight, np.ndarray):
+        if weight.shape != g.shape:
+            raise InputError(f"weight field has shape {weight.shape}, the grid {g.shape}")
+        weight = weight.reshape(-1)
+    if isinstance(hess, HessianField):
+        hess = HessianPairs.from_hessian(hess)
+    X = hess.data.reshape(g.N, -1, g.points)
+    values = weight * (_packed_tensor(spec.tensor) @ X.reshape(-1, g.points))
+    if spec.perturbation is not None:
+        values = values + spec.perturbation.delta_pairs(X, g.n)
+    if not np.all(np.isfinite(values)):
+        raise EvaluationError("nonlinearity produced non-finite values")
+    return VectorField(g, values.reshape((g.N,) + g.shape), PHYSICAL)

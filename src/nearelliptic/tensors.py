@@ -110,12 +110,17 @@ class SymTensor4:
         lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
         if not lines or lines[0] != "symtensor4 v1":
             raise InputError("not a symtensor4 v1 document")
-        header = dict(ln.split() for ln in lines[1:3])
         try:
+            header = dict(ln.split() for ln in lines[1:3])
             n, N = int(header["n"]), int(header["N"])
         except (KeyError, ValueError) as exc:
             raise InputError("malformed tensor header") from exc
-        values = np.array([float(v) for v in lines[3:]])
+        if n < 2 or N < 2:
+            raise InputError(f"need N >= 2 and n >= 2, got N={N}, n={n}")
+        try:
+            values = np.array([float(v) for v in lines[3:]])
+        except ValueError as exc:
+            raise InputError(f"malformed tensor entry: {exc}") from exc
         if values.size != N * N * n * n:
             raise InputError(f"expected {N * N * n * n} entries, got {values.size}")
         return cls(values.reshape(N, N, n, n))

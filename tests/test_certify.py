@@ -19,6 +19,7 @@ from nearelliptic.certify import CONSTANT_FLOOR, example1_alpha
 from nearelliptic.counterexamples import saturating_witness, window_constants
 from nearelliptic.errors import InputError
 from nearelliptic.nonlinearity import evaluate_F
+from nearelliptic.tensors import ellipticity_constant, random_rank_one_positive
 
 
 class TestVerify:
@@ -124,6 +125,17 @@ class TestFit:
         assert cert.feasible
         assert cert.beta + cert.gamma <= analytic_sum + 0.05
         assert cert.worst_violation <= 0
+
+    def test_fitted_pair_certifies_its_own_samples(self):
+        # one absorption step of the round-off left this pair violated by 1.6e-21
+        A = random_rank_one_positive(3, 2, seed=2372138281)[0]
+        nu = ellipticity_constant(A).nu
+        spec = NonlinearitySpec(tensor=A, perturbation=SinePerturbation(0.3 * nu))
+        sampler = SamplerConfig(count=1500, seed=1273987060)
+        cert = fit_k_condition(spec, sampler, nu=nu)
+        assert cert.worst_violation <= 0
+        report = verify_k_condition(spec, cert.alpha, cert.beta, cert.gamma, sampler, nu=nu)
+        assert report.worst_violation <= 0
 
     def test_norm_combo_fit_feasible(self):
         # the scalar-template map in dimension nine admits a certificate

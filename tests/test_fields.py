@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearelliptic import (
     GridSpec,
@@ -13,8 +15,10 @@ from nearelliptic import (
 )
 from nearelliptic.errors import InputError
 from nearelliptic.fields import (
+    _HEADER,
     PHYSICAL,
     SPECTRAL,
+    HessianPairs,
     conjugate_symmetry_error,
     csv_slice,
     load_field,
@@ -38,6 +42,11 @@ class TestGridSpec:
     def test_rejects_tiny_m(self):
         with pytest.raises(InputError):
             GridSpec(n=2, N=2, M=2)
+
+    def test_rejects_non_finite_period(self):
+        for L in (np.inf, np.nan):
+            with pytest.raises(InputError):
+                GridSpec(n=2, N=2, M=4, L=L)
 
     def test_memory_budget(self):
         with pytest.raises(InputError):
@@ -247,3 +256,97 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         assert lines[0] == "x1,x2,value"
         assert len(lines) == 1 + 32 * 32
+
+
+def small_fields():
+    grid = GridSpec(n=2, N=2, M=4)
+    u = random_band_limited(grid, 1, seed=15)
+    return {
+        "vector-physical": u,
+        "vector-spectral": u.to_spectral(),
+        "hessian-physical": spectral_hessian(u),
+        "hessian-spectral": spectral_hessian(u, SPECTRAL),
+    }
+
+
+SMALL_FIELDS = small_fields()
+
+
+class TestCorruptFiles:
+    @pytest.mark.parametrize("name", sorted(SMALL_FIELDS))
+    def test_every_truncation_is_an_input_error(self, name, tmp_path):
+        path = tmp_path / "f.field"
+        save_field(path, SMALL_FIELDS[name])
+        raw = path.read_bytes()
+        for length in range(len(raw)):
+            path.write_bytes(raw[:length])
+            with pytest.raises(InputError):
+                load_field(path)
+
+    def test_padded_payload_is_an_input_error(self, tmp_path):
+        path = tmp_path / "f.field"
+        save_field(path, SMALL_FIELDS["vector-physical"])
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(InputError):
+            load_field(path)
+
+    @pytest.mark.parametrize("offset", [_HEADER.size - 2, _HEADER.size - 1])
+    def test_unknown_code_is_an_input_error(self, offset, tmp_path):
+        path = tmp_path / "f.field"
+        save_field(path, SMALL_FIELDS["vector-physical"])
+        raw = bytearray(path.read_bytes())
+        raw[offset] = 7
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InputError):
+            load_field(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_payload_is_an_input_error(self, value, tmp_path):
+        u = SMALL_FIELDS["vector-physical"]
+        data = u.data.copy()
+        data[1, 2, 3] = value
+        path = tmp_path / "f.field"
+        save_field(path, VectorField(u.grid, data))
+        with pytest.raises(InputError):
+            load_field(path)
+
+    @staticmethod
+    def load_flipped(path, field, bit):
+        """Load ``field`` saved with one bit flipped: a finite field or an InputError."""
+        save_field(path, field)
+        raw = bytearray(path.read_bytes())
+        raw[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(raw))
+        try:
+            loaded = load_field(path)
+        except InputError:
+            return
+        assert np.all(np.isfinite(loaded.data))
+
+    @pytest.mark.parametrize("name", sorted(SMALL_FIELDS))
+    def test_every_header_bit_flip_loads_or_is_an_input_error(self, name, tmp_path):
+        for bit in range(8 * _HEADER.size):
+            self.load_flipped(tmp_path / "f.field", SMALL_FIELDS[name], bit)
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(sorted(SMALL_FIELDS)), position=st.floats(0.0, 1.0, exclude_max=True))
+    def test_any_bit_flip_loads_or_is_an_input_error(self, tmp_path_factory, name, position):
+        field = SMALL_FIELDS[name]
+        bits = 8 * (_HEADER.size + field.data.nbytes)
+        self.load_flipped(tmp_path_factory.getbasetemp() / "flipped.field", field, int(position * bits))
+
+
+class TestHessianPairs:
+    def test_packs_the_upper_triangle_and_unpacks_it(self):
+        grid = GridSpec(n=3, N=2, M=4)
+        hess = spectral_hessian(random_band_limited(grid, 1, seed=16))
+        pairs = HessianPairs.from_hessian(hess)
+        assert pairs.data.shape == (2, 6) + grid.shape
+        for slot, (i, j) in enumerate([(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]):
+            np.testing.assert_array_equal(pairs.data[:, slot], hess.data[:, i, j])
+        np.testing.assert_array_equal(pairs.to_hessian().data, hess.data)
+        assert not pairs.data.flags.writeable
+
+    def test_rejects_a_wrong_shape(self, grid32):
+        with pytest.raises(InputError):
+            HessianPairs(grid32, np.zeros((2, 4) + grid32.shape))

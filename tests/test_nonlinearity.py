@@ -1,21 +1,63 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nearelliptic.campanato as campanato
 from nearelliptic import (
     CustomPerturbation,
+    GridSpec,
+    HessianField,
     NonlinearitySpec,
     NormComboPerturbation,
     SinePerturbation,
+    SolveConfig,
+    VectorField,
+    campanato_solve,
     evaluate_F,
     evaluate_field,
+    example1_certificate,
     identity_tensor,
     random_band_limited,
     spectral_hessian,
 )
 from nearelliptic.errors import EvaluationError, InputError
-from nearelliptic.nonlinearity import register_custom_perturbation
+from nearelliptic.fields import PHYSICAL, HessianPairs
+from nearelliptic.nonlinearity import evaluate_batch, register_custom_perturbation
 
-from conftest import random_symmetric_batch
+from conftest import random_sym_tensor, random_symmetric_batch
+
+# a hook that reads single components, so a wrong unpacking changes its value
+_COMPONENT_WEIGHTS = np.arange(1.0, 17.0).reshape(4, 4) / 16
+
+
+def _component_hook(X):
+    n = X.shape[-1]
+    return 0.1 * np.tanh((X * _COMPONENT_WEIGHTS[:n, :n]).sum(axis=(-2, -1)))
+
+
+COMPONENT_HOOK = CustomPerturbation(fn=_component_hook, lipschitz=0.2, name="component-tanh")
+register_custom_perturbation(COMPONENT_HOOK)
+PERTURBATIONS = {
+    "none": None,
+    "sine": SinePerturbation(0.7),
+    "norm_combo": NormComboPerturbation(0.2, 0.3),
+    "custom": COMPONENT_HOOK,
+}
+
+
+def unpacked_reference(spec, hess):
+    """F on the full n^2 hessian through the sample-major batch evaluator."""
+    if isinstance(hess, HessianPairs):
+        hess = hess.to_hessian()
+    X = np.moveaxis(hess.to_physical().data, (0, 1, 2), (-3, -2, -1))
+    values = evaluate_batch(spec, X, spec.weight)
+    return VectorField(hess.grid, np.moveaxis(values, -1, 0), PHYSICAL)
+
+
+def symmetric_hessian(grid, rng, scale=3.0):
+    raw = rng.standard_normal((grid.N, grid.n, grid.n) + grid.shape) * scale
+    return HessianField(grid, 0.5 * (raw + np.swapaxes(raw, 1, 2)))
 
 
 @pytest.fixture
@@ -150,3 +192,71 @@ class TestFieldEvaluation:
         spec = NonlinearitySpec(tensor=identity22, weight=np.ones((4, 4)) * 2)
         with pytest.raises(InputError):
             spec.to_text()
+
+
+class TestPackedKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3, 4]),
+        N=st.sampled_from([2, 3]),
+        kind=st.sampled_from(sorted(PERTURBATIONS)),
+        spatial=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_batch_evaluator(self, n, N, kind, spatial, seed):
+        grid = GridSpec(n=n, N=N, M=4)
+        rng = np.random.default_rng(seed)
+        weight = 0.5 + rng.random(grid.shape) if spatial else float(0.5 + rng.random())
+        spec = NonlinearitySpec(
+            tensor=random_sym_tensor(n, N, seed), weight=weight, perturbation=PERTURBATIONS[kind]
+        )
+        hess = symmetric_hessian(grid, rng)
+        want = unpacked_reference(spec, hess).data
+        for arg in (hess, HessianPairs.from_hessian(hess)):
+            got = evaluate_field(spec, arg).data
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("packed", [False, True])
+    @pytest.mark.parametrize("kind", sorted(PERTURBATIONS))
+    def test_non_finite_output_is_an_evaluation_error(self, kind, packed):
+        grid = GridSpec(n=3, N=2, M=4)
+        spec = NonlinearitySpec(tensor=identity_tensor(3, 2), perturbation=PERTURBATIONS[kind])
+        data = symmetric_hessian(grid, np.random.default_rng(7)).data.copy()
+        data[1, 0, 2, 1, 2, 3] = data[1, 2, 0, 1, 2, 3] = np.inf
+        hess = HessianField(grid, data)
+        with pytest.raises(EvaluationError):
+            evaluate_field(spec, HessianPairs.from_hessian(hess) if packed else hess)
+
+    def test_hook_returning_nan_is_an_evaluation_error(self):
+        hook = CustomPerturbation(
+            fn=lambda X: np.where((X**2).sum(axis=(-2, -1)) > 0, np.nan, 0.0), lipschitz=1.0, name="nan-off-zero"
+        )
+        grid = GridSpec(n=2, N=2, M=4)
+        spec = NonlinearitySpec(tensor=identity_tensor(2, 2), perturbation=hook)
+        with pytest.raises(EvaluationError):
+            evaluate_field(spec, symmetric_hessian(grid, np.random.default_rng(8)))
+
+    def test_weight_field_must_match_the_grid(self, identity22):
+        spec = NonlinearitySpec(tensor=identity22, weight=np.ones((8, 8)))
+        grid = GridSpec(n=2, N=2, M=4)
+        with pytest.raises(InputError):
+            evaluate_field(spec, symmetric_hessian(grid, np.random.default_rng(9)))
+
+    def test_campanato_trace_matches_the_unpacked_reference(self, monkeypatch):
+        grid = GridSpec(n=2, N=2, M=16)
+        spec = NonlinearitySpec(tensor=identity_tensor(2, 2), perturbation=COMPONENT_HOOK)
+        cert = example1_certificate(spec)
+        f = evaluate_field(spec, spectral_hessian(random_band_limited(grid, band=3, seed=11)))
+        config = SolveConfig(tol_residual=1e-10, max_iters=40)
+        u, trace = campanato_solve(spec, 1.0, f, cert, config)
+        monkeypatch.setattr(campanato, "evaluate_field", unpacked_reference)
+        u_ref, ref = campanato_solve(spec, 1.0, f, cert, config)
+        assert trace.status == ref.status == "converged"
+        assert trace.iterations == ref.iterations
+        got = np.array([(r.metric, r.residual) for r in trace.records])
+        want = np.array([(r.metric, r.residual) for r in ref.records])
+        scale = np.array([want[0, 0], np.sqrt(grid.volume) * np.abs(f.data).max()])
+        assert (np.abs(got - want) <= 1e-12 * scale).all()
+        np.testing.assert_allclose(trace.ratios, ref.ratios, rtol=1e-9)
+        assert np.abs(u.data - u_ref.data).max() <= 1e-12 * np.abs(u_ref.data).max()

@@ -57,6 +57,21 @@ class TestConstruction:
         B = SymTensor4.from_text(A.to_text())
         np.testing.assert_array_equal(A.entries, B.entries)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            ("N 2\n", "N 2\nN 2\n"),  # extra header line
+            ("n 2\n", "n 2 3\n"),
+            ("n 2\nN 2\n", "n -2\nN -2\n"),
+            ("\n1.0\n", "\none\n"),
+        ],
+    )
+    def test_malformed_text_is_an_input_error(self, edit):
+        text = identity_tensor(2, 2).to_text()
+        assert edit[0] in text
+        with pytest.raises(InputError):
+            SymTensor4.from_text(text.replace(edit[0], edit[1], 1))
+
     def test_identity_operator_norm(self):
         # contraction of the monotone tensor is the trace map, norm sqrt(n)
         assert identity_tensor(3, 2).operator_norm() == pytest.approx(np.sqrt(3))
