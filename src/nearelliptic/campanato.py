@@ -11,7 +11,9 @@ geometrically and the fixed point is unique in the zero-mean gauge.
 
 Stopping is on the equation residual ||F(., D^2 u) - f||_2 (step size alone
 can mask a bad certificate); persistent ratio > 1 over five consecutive
-iterations raises a divergence error pointing at the certificate.
+iterations raises a divergence error pointing at the certificate.  The rule
+lives in :meth:`IterationTrace.advance`, which the stability loop of
+:mod:`nearelliptic.stability` shares.
 
 The iterate is kept as half-spectrum coefficients of the (tensor, grid)
 :class:`~nearelliptic.linear.SpectralPlan`.  One iteration costs one rfftn of
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 import numpy as np
 
@@ -46,7 +49,6 @@ class SolveConfig:
 
     tol_residual: float = 1e-8
     max_iters: int = 200
-    ratio_slack: float = 0.05
 
     def __post_init__(self):
         if self.tol_residual <= 0:
@@ -70,8 +72,37 @@ class IterationTrace:
     records: list[IterationRecord] = field(default_factory=list)
     status: str = "running"
 
-    def append(self, record: IterationRecord) -> None:
-        self.records.append(record)
+    def advance(self, metric: float, residual: float, tol_abs: float, floor: float) -> bool:
+        """Record one step; True when the loop must stop.
+
+        It stops as ``converged`` when the residual passes ``tol_abs``, else as
+        ``max_iters`` when the step is at the round-off ``floor`` (a stall),
+        else as ``diverged`` after DIVERGENCE_PATIENCE ratios above 1 in a
+        row; an undefined ratio neither counts nor breaks the row.
+        """
+        prev = self.records[-1].metric if self.records else float("nan")
+        ratio = metric / prev if prev > 0 else float("nan")
+        self.records.append(IterationRecord(len(self.records) + 1, metric, residual, ratio))
+        if residual <= tol_abs:
+            self.status = "converged"
+        elif metric <= floor:
+            self.status = "max_iters"
+        elif len(list(takewhile(lambda r: r > 1.0, reversed(self.ratios)))) >= DIVERGENCE_PATIENCE:
+            self.status = "diverged"
+        return self.status != "running"
+
+    def finish(self, certificate: EllipticityCertificate) -> None:
+        """Close the trace after the loop: out of iterations, or raise on divergence."""
+        if self.status == "running":
+            self.status = "max_iters"
+        if self.status == "diverged":
+            raise DivergenceError(
+                f"contraction ratio exceeded 1 for {DIVERGENCE_PATIENCE} consecutive "
+                f"iterations; the certificate (beta={certificate.beta:g}, "
+                f"gamma={certificate.gamma:g}) looks invalid for this problem",
+                trace=self,
+                certificate=certificate,
+            )
 
     @property
     def iterations(self) -> int:
@@ -145,51 +176,18 @@ def campanato_solve(
     op_prev = plan.apply(uhat)
     F_prev = evaluate_field(spec, hess)
 
-    def solution() -> VectorField:
-        return VectorField(g, half.inverse(uhat), PHYSICAL)
-
     trace = IterationTrace()
-    d_prev = float("nan")
-    over_unity = 0
-    for k in range(1, config.max_iters + 1):
+    for _ in range(config.max_iters):
         rhs = op_prev - half.forward(_alpha_times(alpha, F_prev - f_phys).data)
         uhat = plan.invert(rhs)
         op_u = plan.apply(uhat)
         F_u = evaluate_field(spec, half.hessian_pairs(uhat))
-        residual = l2_norm(F_u - f_phys)
-        d = half.norm(op_u - op_prev)
-        ratio = d / d_prev if k >= 2 and d_prev > 0 else float("nan")
-        trace.append(IterationRecord(index=k, metric=d, residual=residual, ratio=ratio))
-
-        if residual <= tol_abs:
-            trace.status = "converged"
-            return solution(), trace
-
-        noise_floor = STAGNATION_FLOOR * max(1.0, half.norm(op_u), fnorm)
-        if d <= noise_floor:
-            # stalled at round-off (e.g. the rhs mean is not attainable in the
-            # gauge) without meeting the residual tolerance
-            trace.status = "max_iters"
-            return solution(), trace
-
-        if np.isfinite(ratio) and ratio > 1.0:
-            over_unity += 1
-        elif np.isfinite(ratio):
-            over_unity = 0
-        if over_unity >= DIVERGENCE_PATIENCE:
-            trace.status = "diverged"
-            raise DivergenceError(
-                f"contraction ratio exceeded 1 for {DIVERGENCE_PATIENCE} consecutive "
-                f"iterations; the certificate (beta={certificate.beta:g}, "
-                f"gamma={certificate.gamma:g}) looks invalid for this problem",
-                trace=trace,
-                certificate=certificate,
-            )
-
-        op_prev, F_prev, d_prev = op_u, F_u, d
-
-    trace.status = "max_iters"
-    return solution(), trace
+        floor = STAGNATION_FLOOR * max(1.0, half.norm(op_u), fnorm)
+        if trace.advance(half.norm(op_u - op_prev), l2_norm(F_u - f_phys), tol_abs, floor):
+            break
+        op_prev, F_prev = op_u, F_u
+    trace.finish(certificate)
+    return VectorField(g, half.inverse(uhat), PHYSICAL), trace
 
 
 def contraction_bound(certificate: EllipticityCertificate) -> float:

@@ -9,24 +9,22 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .campanato import SolveConfig
-from .certify import fit_k_condition, verify_k_condition
+from .certify import example1_alpha, example1_certificate, fit_k_condition, verify_k_condition
 from .errors import NearEllipticError, NearnessConditionError
 from .fields import save_field
 from .harness import (
-    build_grid,
+    build_problem,
     build_rhs,
+    build_solve_config,
     build_spec,
-    build_tensor,
     example_suite,
     resolve_config,
     run_convergence_study,
     run_manufactured,
+    solve_linear_spec,
     study_csv,
 )
-from .linear import solve_linear
 from .stability import solve_via_nearness
-from .tensors import ellipticity_constant
 
 
 def _load_config(path: str | None, overrides: dict) -> dict:
@@ -67,10 +65,7 @@ def certify(config_path, seed, out_dir):
     """Fit the two-constant ellipticity certificate for the configured nonlinearity."""
     try:
         cfg = resolve_config(_load_config(config_path, {"seed": seed}))
-        grid = build_grid(cfg)
-        tensor = build_tensor(cfg, grid)
-        spec = build_spec(cfg, tensor)
-        nu = ellipticity_constant(tensor).nu
+        _, _, spec, nu = build_problem(cfg)
         cert = fit_k_condition(spec, nu=nu)
         check = verify_k_condition(spec, cert.alpha, cert.beta, cert.gamma, nu=nu)
         out = _out_dir(out_dir)
@@ -103,13 +98,9 @@ def solve_linear_cmd(config_path, epsilon, grid_m, seed, out_dir):
                 {"solver.epsilon": epsilon, "grid.M": grid_m, "rhs.seed": seed},
             )
         )
-        grid = build_grid(cfg)
-        tensor = build_tensor(cfg, grid)
-        spec = build_spec(cfg, tensor)
-        if not spec.is_linear:
-            raise NearEllipticError("solve-linear needs a linear spec (no perturbation)")
+        grid, _, spec, nu = build_problem(cfg)
         f, _ = build_rhs(cfg, grid, spec)
-        result = solve_linear(tensor, f, epsilon=cfg["solver"]["epsilon"])
+        result = solve_linear_spec(cfg, spec, f, nu)
         out = _out_dir(out_dir)
         save_field(out / "solution.field", result.u)
         (out / "report.json").write_text(json.dumps(result.report(), indent=2, sort_keys=True))
@@ -156,13 +147,8 @@ def solve_stability(config_path, seed, out_dir):
         base = resolve_config(doc)
         pert_g = doc.get("spec_g", {}).get("perturbation")
         cfg_g = dict(base, spec=dict(base["spec"], perturbation=pert_g))
-        grid = build_grid(base)
-        tensor = build_tensor(base, grid)
-        spec_f = build_spec(base, tensor)
+        grid, tensor, spec_f, nu = build_problem(base)
         spec_g = build_spec(cfg_g, tensor)
-        from .certify import example1_alpha, example1_certificate
-
-        nu = ellipticity_constant(tensor).nu
         cert = example1_certificate(spec_f, nu=nu)
         g_field, _ = build_rhs(cfg_g, grid, spec_g)
         u, rep = solve_via_nearness(
@@ -171,7 +157,7 @@ def solve_stability(config_path, seed, out_dir):
             example1_alpha(spec_f),
             cert,
             g_field,
-            config=SolveConfig(tol_residual=base["solver"]["tol_residual"]),
+            config=build_solve_config(base),
         )
         out = _out_dir(out_dir)
         save_field(out / "solution.field", u)

@@ -44,8 +44,8 @@ from .fields import (
     save_field,
     spectral_hessian,
 )
-from .linear import hessian_estimate_check, solve_linear
-from .nonlinearity import NonlinearitySpec, SinePerturbation, NormComboPerturbation, evaluate_field
+from .linear import LinearSolveResult, hessian_estimate_check, solve_linear
+from .nonlinearity import NonlinearitySpec, evaluate_field, perturbation_from_dict
 from .tensors import SymTensor4, builtin_tensor, ellipticity_constant, example2_tensor, identity_tensor
 
 _DEFAULTS = {
@@ -58,7 +58,6 @@ _DEFAULTS = {
         "mode": "campanato",
         "tol_residual": 1e-8,
         "max_iters": 200,
-        "ratio_slack": 0.05,
         "epsilon": None,
     },
     "certificate": "analytic",
@@ -111,16 +110,32 @@ def build_spec(cfg: dict, tensor: SymTensor4) -> NonlinearitySpec:
     if isinstance(weight, str):
         weight = load_field(weight).to_physical().data[0]
     pert_doc = s.get("perturbation")
-    pert = None
-    if pert_doc is not None:
-        kind = pert_doc["kind"]
-        if kind == "scaled_sine":
-            pert = SinePerturbation(amplitude=pert_doc["amplitude"])
-        elif kind == "norm_combo":
-            pert = NormComboPerturbation(b=pert_doc["b"], c=pert_doc["c"])
-        else:
-            raise InputError(f"config cannot carry perturbation kind {kind!r}")
+    pert = None if pert_doc is None else perturbation_from_dict(pert_doc)
     return NonlinearitySpec(tensor=tensor, weight=weight, perturbation=pert)
+
+
+def build_problem(cfg: dict) -> tuple[GridSpec, SymTensor4, NonlinearitySpec, float]:
+    """Grid, tensor, spec and the tensor's nu(A), which must be positive."""
+    grid = build_grid(cfg)
+    tensor = build_tensor(cfg, grid)
+    spec = build_spec(cfg, tensor)
+    nu = ellipticity_constant(tensor).nu
+    if nu <= 0:
+        raise InputError(f"tensor is not rank-one positive: nu = {nu}")
+    return grid, tensor, spec, nu
+
+
+def build_solve_config(cfg: dict) -> SolveConfig:
+    solver = cfg["solver"]
+    return SolveConfig(tol_residual=solver["tol_residual"], max_iters=solver["max_iters"])
+
+
+def solve_linear_spec(cfg: dict, spec: NonlinearitySpec, f: VectorField, nu: float) -> LinearSolveResult:
+    """Solve weight * (A : D^2 u) = f for a linear spec with a constant weight."""
+    if not spec.is_linear or spec.weight_sup != spec.weight_inf:
+        raise InputError("the linear solve needs a linear spec with a constant weight")
+    rhs = f if spec.weight_sup == 1.0 else f * (1.0 / spec.weight_sup)
+    return solve_linear(spec.tensor, rhs, epsilon=cfg["solver"]["epsilon"], nu=nu)
 
 
 @dataclass(frozen=True)
@@ -258,23 +273,13 @@ def run_manufactured(config: dict, out_dir: str | Path | None = None) -> RunRepo
     """Build the exact solution, feed F(., D^2 u*) to the solver, report errors."""
     cfg = resolve_config(config)
     started = time.monotonic()
-    grid = build_grid(cfg)
-    tensor = build_tensor(cfg, grid)
-    spec = build_spec(cfg, tensor)
-    nu = ellipticity_constant(tensor).nu
-    if nu <= 0:
-        raise InputError(f"tensor is not rank-one positive: nu = {nu}")
+    grid, _, spec, nu = build_problem(cfg)
     f, exact = build_rhs(cfg, grid, spec)
 
-    solver = cfg["solver"]
     outputs: dict = {}
     cert_dict = None
-    if solver["mode"] == "linear":
-        if not spec.is_linear or spec.weight_sup != spec.weight_inf:
-            raise InputError("linear solver mode requires a linear, constant-weight spec")
-        # constant weight g^2: F(D^2 u) = f is A : D^2 u = f / g^2
-        rhs = f if spec.weight_sup == 1.0 else f * (1.0 / spec.weight_sup)
-        result = solve_linear(tensor, rhs, epsilon=solver["epsilon"], nu=nu)
+    if cfg["solver"]["mode"] == "linear":
+        result = solve_linear_spec(cfg, spec, f, nu)
         u = result.u
         residual = result.residual_l2
         iterations = 1
@@ -282,12 +287,7 @@ def run_manufactured(config: dict, out_dir: str | Path | None = None) -> RunRepo
         certificate = build_certificate(cfg, spec, nu)
         cert_dict = certificate.as_dict()
         alpha = cfg["alpha"] if not isinstance(cfg["alpha"], str) else example1_alpha(spec)
-        solve_cfg = SolveConfig(
-            tol_residual=solver["tol_residual"],
-            max_iters=solver["max_iters"],
-            ratio_slack=solver["ratio_slack"],
-        )
-        u, trace = campanato_solve(spec, alpha, f, certificate, config=solve_cfg)
+        u, trace = campanato_solve(spec, alpha, f, certificate, config=build_solve_config(cfg))
         residual = trace.final_residual
         iterations = trace.iterations
         if out_dir is not None:

@@ -22,7 +22,8 @@ in a sum over all n^2 components.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -148,6 +149,31 @@ def register_custom_perturbation(pert: CustomPerturbation) -> None:
 Perturbation = SinePerturbation | NormComboPerturbation | CustomPerturbation
 
 
+def perturbation_from_dict(doc) -> Perturbation:
+    """Parse ``{"kind": ..., <params>}``, the inverse of ``{"kind": p.kind, **p.params()}``.
+
+    A custom hook is looked up by name in the registry.  A document that is
+    not a mapping, or lacks the kind or a parameter, or carries a parameter
+    that is not a finite number, is an :class:`InputError`.
+    """
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise InputError(f"perturbation needs a 'kind', got {doc!r}")
+    kind = doc["kind"]
+    if kind == CustomPerturbation.kind:
+        name = doc.get("name")
+        if not isinstance(name, str) or name not in _CUSTOM_REGISTRY:
+            raise InputError(f"custom perturbation {name!r} not registered")
+        return _CUSTOM_REGISTRY[name]
+    for cls in (SinePerturbation, NormComboPerturbation):
+        if kind == cls.kind:
+            params = {param.name: doc.get(param.name) for param in fields(cls)}
+            for name, value in params.items():
+                if not (isinstance(value, Real) and np.isfinite(value)):
+                    raise InputError(f"{kind} perturbation needs a finite number {name!r}, got {value!r}")
+            return cls(**params)
+    raise InputError(f"unknown perturbation kind {kind!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class NonlinearitySpec:
     """F(x, X) = weight(x) * (A : X) + G(X) with G from the catalog (or absent)."""
@@ -263,20 +289,7 @@ class NonlinearitySpec:
                 raise InputError(f"weight reference {weight!r} given but no loader supplied")
             weight_name, weight = weight, weight_loader(weight)
         pert_doc = doc.get("perturbation")
-        pert: Perturbation | None = None
-        if pert_doc is not None:
-            kind = pert_doc["kind"]
-            if kind == "scaled_sine":
-                pert = SinePerturbation(amplitude=pert_doc["amplitude"])
-            elif kind == "norm_combo":
-                pert = NormComboPerturbation(b=pert_doc["b"], c=pert_doc["c"])
-            elif kind == "custom_lipschitz":
-                name = pert_doc["name"]
-                if name not in _CUSTOM_REGISTRY:
-                    raise InputError(f"custom perturbation {name!r} not registered")
-                pert = _CUSTOM_REGISTRY[name]
-            else:
-                raise InputError(f"unknown perturbation kind {kind!r}")
+        pert = None if pert_doc is None else perturbation_from_dict(pert_doc)
         return cls(tensor=tensor, weight=weight, perturbation=pert, weight_name=weight_name)
 
     @classmethod

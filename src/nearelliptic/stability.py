@@ -21,11 +21,11 @@ diagnostic next to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .campanato import IterationRecord, IterationTrace, SolveConfig, campanato_solve, zero_field
+from .campanato import STAGNATION_FLOOR, IterationTrace, SolveConfig, campanato_solve, zero_field
 from .certify import EllipticityCertificate, SamplerConfig
 from .errors import InputError, NearnessConditionError
 from .fields import PHYSICAL, GridSpec, VectorField, l2_norm, random_band_limited, spectral_hessian
@@ -180,7 +180,11 @@ def solve_via_nearness(
     Refuses (with the report attached to the exception) when the estimated
     increment distance does not fall below the certified lower bound on the
     modulus of F.  Inner solves warm-start from the current outer iterate;
-    the fixed point does not depend on that.
+    the fixed point does not depend on that.  The outer loop stops by the
+    rule of the inner one (:meth:`IterationTrace.advance`) in the metric
+    ||F(., D^2 u_k) - F(., D^2 u_{k-1})||: on the residual, on a stall at
+    round-off, or with a ``DivergenceError`` citing ``certificateF`` once it
+    stops contracting.
     """
     g.require_finite("right-hand side")
     if initial_guess is not None:
@@ -207,11 +211,7 @@ def solve_via_nearness(
     g_phys = g.to_physical()
     gnorm = l2_norm(g_phys)
     tol_abs = config.tol_residual * (gnorm if gnorm > 0 else 1.0)
-    inner_config = SolveConfig(
-        tol_residual=config.tol_residual * 0.1,
-        max_iters=config.max_iters,
-        ratio_slack=config.ratio_slack,
-    )
+    inner_config = replace(config, tol_residual=0.1 * config.tol_residual)
 
     u = initial_guess.to_physical() if initial_guess is not None else zero_field(grid)
     # F and G of the current iterate; the bottom of iteration k computes them
@@ -221,8 +221,7 @@ def solve_via_nearness(
     G_u = evaluate_field(specG, hess)
     F_prev = F_u
     trace = IterationTrace()
-    d_prev = float("nan")
-    for k in range(1, max_outer + 1):
+    for _ in range(max_outer):
         rhs = F_u - (G_u - g_phys)
         u, _ = campanato_solve(
             specF, alphaF, rhs, certificateF, config=inner_config, initial_guess=u
@@ -230,16 +229,11 @@ def solve_via_nearness(
         hess = spectral_hessian(u, PHYSICAL)
         F_u = evaluate_field(specF, hess)
         G_u = evaluate_field(specG, hess)
-        residual = l2_norm(G_u - g_phys)
-        d = l2_norm(F_u - F_prev)
-        ratio = d / d_prev if k >= 2 and d_prev > 0 else float("nan")
-        trace.append(IterationRecord(index=k, metric=d, residual=residual, ratio=ratio))
-        if residual <= tol_abs:
-            trace.status = "converged"
+        floor = STAGNATION_FLOOR * max(1.0, l2_norm(F_u), gnorm)
+        if trace.advance(l2_norm(F_u - F_prev), l2_norm(G_u - g_phys), tol_abs, floor):
             break
-        F_prev, d_prev = F_u, d
-    else:
-        trace.status = "max_iters"
+        F_prev = F_u
+    trace.finish(certificateF)
 
     report = StabilityReport(
         nu_F_lower=lower,

@@ -398,8 +398,14 @@ def ellipticity_constant(A: SymTensor4, search: SphereSearchConfig = SphereSearc
     the attaining direction and eigenvector.  The result may be <= 0; the
     caller decides what to do with a non-elliptic tensor.
     """
+    return _sphere_search(A, search)[0]
+
+
+def _sphere_search(A: SymTensor4, search: SphereSearchConfig):
+    """nu(A), with the symbol stack and its smallest eigenvalues at the sampled directions."""
     dirs = _sphere_directions(A.n, search)
-    eigs = np.linalg.eigvalsh(symbol_stack(A, dirs))[:, 0]
+    stack = symbol_stack(A, dirs)
+    eigs = np.linalg.eigvalsh(stack)[:, 0]
     order = np.argsort(eigs)
     best = order[: max(1, search.polish_seeds)]
     candidates = [(float(eigs[k]), dirs[k]) for k in best]
@@ -410,12 +416,13 @@ def ellipticity_constant(A: SymTensor4, search: SphereSearchConfig = SphereSearc
     resolution = (
         f"directions={len(dirs)} (n={A.n}), polish=nelder-mead x{len(best)}, tol={search.polish_tol:g}"
     )
-    return EllipticityConstant(
+    constant = EllipticityConstant(
         nu=float(nu),
         witness_a=np.asarray(witness_a, dtype=float),
         witness_eta=np.asarray(V[:, 0], dtype=float),
         resolution=resolution,
     )
+    return constant, stack, eigs
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,10 +452,7 @@ def check_rank_one_positive(
     so disagreeing sample directions are counted and reported rather than
     silently accepted.
     """
-    constant = ellipticity_constant(A, search)
-    dirs = _sphere_directions(A.n, search)
-    stack = symbol_stack(A, dirs)
-    eig_min = np.linalg.eigvalsh(stack)[:, 0]
+    constant, stack, eig_min = _sphere_search(A, search)
     dets = np.linalg.det(stack)
     disagreements = int(np.count_nonzero((eig_min > tol) != (dets > 0.0)))
     return RankOneCheck(
@@ -456,7 +460,7 @@ def check_rank_one_positive(
         constant=constant,
         det_min=float(dets.min()),
         disagreements=disagreements,
-        sample_count=len(dirs),
+        sample_count=len(stack),
     )
 
 

@@ -17,7 +17,7 @@ from nearelliptic import (
     uniqueness_constant,
     verify_comparison,
 )
-from nearelliptic.campanato import zero_field
+from nearelliptic.campanato import IterationTrace, zero_field
 from nearelliptic.errors import DivergenceError, InputError
 from nearelliptic.fields import PHYSICAL, VectorField
 from nearelliptic.nonlinearity import evaluate_field
@@ -179,3 +179,64 @@ class TestComparison:
             margin = verify_comparison(spec, cert, w, v)
             scale = l2_norm(spectral_hessian(w, PHYSICAL)) + l2_norm(spectral_hessian(v, PHYSICAL))
             assert margin <= 1e-9 * scale
+
+
+class TestStoppingRule:
+    """IterationTrace.advance, the stopping rule of both fixed-point loops."""
+
+    @staticmethod
+    def run(metrics, residual=1.0, tol_abs=0.0, floor=0.0):
+        """Advance a fresh trace through ``metrics``; the stop flag of each call."""
+        trace = IterationTrace()
+        return trace, [trace.advance(m, residual, tol_abs, floor) for m in metrics]
+
+    def test_records_index_and_ratio(self):
+        trace, stops = self.run([4.0, 2.0, 0.5])
+        assert stops == [False, False, False]
+        assert [r.index for r in trace.records] == [1, 2, 3]
+        assert np.isnan(trace.records[0].ratio)
+        assert trace.ratios == [0.5, 0.25]
+        assert trace.status == "running"
+
+    def test_converged_wins_over_the_floor(self):
+        trace, stops = self.run([1e-20], residual=1e-10, tol_abs=1e-8, floor=1e-13)
+        assert stops == [True]
+        assert trace.status == "converged"
+
+    def test_floor_stops_a_stall(self):
+        trace, stops = self.run([1.0, 1e-14], residual=1e-3, tol_abs=1e-8, floor=1e-13)
+        assert stops == [False, True]
+        assert trace.status == "max_iters"
+
+    def test_nan_first_ratio_does_not_reset_the_count(self):
+        # ratios nan, 2, 2, 2, 2, 2: the fifth ratio above 1 stops the loop
+        trace, stops = self.run([1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
+        assert stops == [False] * 5 + [True]
+        assert trace.status == "diverged"
+
+    def test_undefined_ratio_inside_a_run_is_skipped(self):
+        # a zero step leaves the next ratio undefined: 0 resets, nan does not
+        # (a negative floor keeps the zero step from counting as a stall)
+        trace, stops = self.run([1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0], floor=-1.0)
+        assert np.isnan(trace.records[2].ratio)
+        assert stops == [False] * 7 + [True]
+
+    def test_ratio_at_most_one_resets_the_count(self):
+        # four rises, a ratio of exactly 1, then five more rises
+        metrics = [1.0, 2.0, 4.0, 8.0, 16.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0]
+        trace, stops = self.run(metrics)
+        assert stops == [False] * 10 + [True]
+        assert trace.records[5].ratio == 1.0
+
+    def test_finish_marks_an_exhausted_loop(self):
+        trace, _ = self.run([1.0, 0.5])
+        trace.finish(fake_certificate())
+        assert trace.status == "max_iters"
+
+    def test_finish_raises_on_divergence(self):
+        trace, _ = self.run([1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
+        cert = fake_certificate()
+        with pytest.raises(DivergenceError) as err:
+            trace.finish(cert)
+        assert err.value.trace is trace
+        assert err.value.certificate is cert

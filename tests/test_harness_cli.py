@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import nearelliptic.cli as cli
 from nearelliptic.cli import main
 from nearelliptic.errors import InputError
 from nearelliptic.harness import (
@@ -15,7 +16,8 @@ from nearelliptic.harness import (
     run_manufactured,
     study_csv,
 )
-from nearelliptic.fields import GridSpec, load_field, spectral_hessian, l2_norm
+from nearelliptic.fields import PHYSICAL, GridSpec, VectorField, load_field, random_band_limited, save_field
+from nearelliptic.fields import spectral_hessian, l2_norm
 
 
 class TestConfig:
@@ -264,3 +266,63 @@ class TestCli:
         )
         assert result.exit_code == 0, result.output
         assert (tmp_path / "study.csv").read_text().startswith("M,")
+
+
+MALFORMED_PERTURBATIONS = [
+    {"amplitude": 0.3},
+    {"kind": "scaled_sine"},
+    {"kind": "scaled_sine", "amplitude": "x"},
+]
+
+
+class TestConfigPaths:
+    """Every CLI command turns its config into a solve the way run_manufactured does."""
+
+    @staticmethod
+    def invoke(tmp_path, command, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        return CliRunner().invoke(main, [command, "--config", str(cfg), "--out-dir", str(tmp_path)])
+
+    def test_solve_linear_divides_by_the_weight(self, tmp_path):
+        doc = {"grid": {"M": 16}, "spec": {"weight": 2.0}, "rhs": {"kind": "random", "band": 3, "seed": 1}}
+        result = self.invoke(tmp_path, "solve-linear", doc)
+        assert result.exit_code == 0, result.output
+        ustar = random_band_limited(GridSpec(n=2, N=2, M=16), band=3, seed=1)
+        u = load_field(tmp_path / "solution.field")
+        assert np.abs(u.data - ustar.data).max() <= 1e-10
+
+    def test_solve_linear_refuses_a_spatial_weight(self, tmp_path):
+        grid = GridSpec(n=2, N=2, M=16)
+        weight = 1.5 + 0.5 * np.sin(2 * np.pi * np.arange(16) / 16)[:, None] * np.ones((16, 16))
+        save_field(tmp_path / "weight.field", VectorField(grid, np.stack([weight, weight]), PHYSICAL))
+        doc = {"grid": {"M": 16}, "spec": {"weight": str(tmp_path / "weight.field")}}
+        result = self.invoke(tmp_path, "solve-linear", doc)
+        assert result.exit_code == 1
+        assert "FAIL [solve-linear]" in result.output
+
+    @pytest.mark.parametrize("pert", MALFORMED_PERTURBATIONS)
+    def test_solve_fails_on_a_malformed_perturbation(self, tmp_path, pert):
+        result = self.invoke(tmp_path, "solve", {"grid": {"M": 16}, "spec": {"perturbation": pert}})
+        assert result.exit_code == 1
+        assert "FAIL [solve]" in result.output
+
+    def test_solve_stability_passes_max_iters(self, tmp_path, monkeypatch):
+        seen = []
+        solve = cli.solve_via_nearness
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["config"])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_via_nearness", spy)
+        doc = {
+            "grid": {"M": 16},
+            "spec": {"perturbation": {"kind": "scaled_sine", "amplitude": 0.3}},
+            "spec_g": {"perturbation": {"kind": "scaled_sine", "amplitude": 0.31}},
+            "rhs": {"kind": "random", "band": 3, "seed": 5},
+            "solver": {"tol_residual": 1e-7, "max_iters": 17},
+        }
+        result = self.invoke(tmp_path, "solve-stability", doc)
+        assert result.exit_code == 0, result.output
+        assert [(c.tol_residual, c.max_iters) for c in seen] == [(1e-7, 17)]

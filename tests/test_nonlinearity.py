@@ -188,6 +188,23 @@ class TestFieldEvaluation:
         assert again.perturbation == spec.perturbation
         np.testing.assert_array_equal(again.tensor.entries, spec.tensor.entries)
 
+    @pytest.mark.parametrize(
+        "pert",
+        [
+            {"amplitude": 0.3},
+            {"kind": "scaled_sine"},
+            {"kind": "scaled_sine", "amplitude": "x"},
+            {"kind": "scaled_sine", "amplitude": float("nan")},
+            {"kind": "norm_combo", "b": 0.1},
+            {"kind": "custom_lipschitz"},
+            "scaled_sine",
+        ],
+    )
+    def test_malformed_perturbation_is_an_input_error(self, identity22, pert):
+        doc = dict(NonlinearitySpec(tensor=identity22).to_dict(), perturbation=pert)
+        with pytest.raises(InputError):
+            NonlinearitySpec.from_dict(doc)
+
     def test_weight_field_needs_reference(self, identity22):
         spec = NonlinearitySpec(tensor=identity22, weight=np.ones((4, 4)) * 2)
         with pytest.raises(InputError):

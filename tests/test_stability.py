@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import nearelliptic.stability as stability
 from nearelliptic import (
     EllipticityCertificate,
+    GridSpec,
     NonlinearitySpec,
     SinePerturbation,
     apply_operator,
@@ -15,10 +17,10 @@ from nearelliptic import (
     solve_via_nearness,
     spectral_hessian,
 )
-from nearelliptic.errors import NearnessConditionError
+from nearelliptic.errors import DivergenceError, NearnessConditionError
 from nearelliptic.fields import PHYSICAL
 from nearelliptic.nonlinearity import evaluate_field
-from nearelliptic.stability import empirical_nu_F
+from nearelliptic.stability import NuFGEstimate, empirical_nu_F
 from nearelliptic.tensors import SymTensor4, identity_tensor
 
 
@@ -136,3 +138,42 @@ class TestSolveViaNearness:
         nu_emp = min(dF / dh for _, dF, dh in pairs)
         for gap, dF, _ in pairs:
             assert gap <= (est.effective / nu_emp) * dF + 1e-9
+
+
+class TestOuterStoppingRule:
+    """The outer loop stops by the inner loop's rule: residual, round-off stall, divergence."""
+
+    def test_admitted_divergence_raises(self, identity22, monkeypatch):
+        # G = 3 A:X makes the outer map expand by 2; a forged admission lets it in
+        grid = GridSpec(n=2, N=2, M=16)
+        specF = NonlinearitySpec(tensor=identity22, perturbation=SinePerturbation(amplitude=0.3))
+        certF = example1_certificate(specF, nu=1.0)
+        specG = NonlinearitySpec(tensor=identity22, weight=3.0)
+        monkeypatch.setattr(stability, "nu_FG_estimate", lambda F, G: NuFGEstimate(sampled=0.0, analytic=0.0))
+        g = evaluate_field(specG, spectral_hessian(random_band_limited(grid, band=3, seed=5), PHYSICAL))
+        with pytest.raises(DivergenceError) as err:
+            solve_via_nearness(specF, specG, 1.0, certF, g)
+        trace = err.value.trace
+        assert trace.status == "diverged"
+        assert trace.iterations == 6
+        assert all(r > 1 for r in trace.ratios)
+        assert err.value.certificate is certF
+
+    def test_stall_stops_at_round_off(self):
+        # the rhs is F(D^2 u*), not G(D^2 u*): its mean is out of G's reach in
+        # the zero-mean gauge, so the residual stalls near 3.9e-4 and the step
+        # reaches the round-off floor at outer iteration 5
+        grid = GridSpec(3, 2, 16)
+        A = identity_tensor(3, 2)
+        specF = NonlinearitySpec(tensor=A, perturbation=SinePerturbation(amplitude=0.3))
+        certF = example1_certificate(specF)
+        lower = nu_F_lower_bound(certF)
+        specG = NonlinearitySpec(tensor=A, perturbation=SinePerturbation(amplitude=0.3 + 0.05 * lower))
+        ustar = random_band_limited(grid, 4, 7)
+        g = evaluate_field(specF, spectral_hessian(ustar, PHYSICAL))
+        _, report = solve_via_nearness(specF, specG, 1.0, certF, g)
+        trace = report.outer_trace
+        assert trace.status == "max_iters"
+        assert trace.iterations == 5
+        # the residual that 60 outer iterations reach
+        assert trace.final_residual == pytest.approx(3.9162646243407834e-4, rel=1e-9)
