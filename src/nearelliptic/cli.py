@@ -9,7 +9,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .certify import example1_alpha, example1_certificate, fit_k_condition, verify_k_condition
+from .certify import SamplerConfig, example1_alpha, example1_certificate, fit_k_condition, verify_k_condition
 from .errors import NearEllipticError, NearnessConditionError
 from .fields import save_field
 from .harness import (
@@ -66,8 +66,9 @@ def certify(config_path, seed, out_dir):
     try:
         cfg = resolve_config(_load_config(config_path, {"seed": seed}))
         _, _, spec, nu = build_problem(cfg)
-        cert = fit_k_condition(spec, nu=nu)
-        check = verify_k_condition(spec, cert.alpha, cert.beta, cert.gamma, nu=nu)
+        sampler = SamplerConfig(seed=cfg["seed"])
+        cert = fit_k_condition(spec, sampler, nu=nu)
+        check = verify_k_condition(spec, cert.alpha, cert.beta, cert.gamma, sampler, nu=nu)
         out = _out_dir(out_dir)
         (out / "certificate.json").write_text(cert.to_text())
         (out / "violations.csv").write_text(check.violations_csv())

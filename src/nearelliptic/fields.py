@@ -25,10 +25,14 @@ holds this layout for one grid, its |z|^2, gauge mask and weights, and the
 n(n+1)/2 distinct hessian multipliers; :func:`half_spectrum` memoizes it.
 The transforms are ``scipy.fft``'s, on one worker.
 
+Every hessian multiplier, here and in the linear solver's plan, comes from
+the one frequency table :func:`hessian_multipliers`.
+
 Packed hessian.  The hessian is symmetric in (i, j), so the solvers keep only
 its n(n+1)/2 distinct components (i, j), i <= j, in row-major order: a
 :class:`HessianPairs` field has data (N, n(n+1)/2, M, ..., M).  A sum over
-all n^2 components counts each off-diagonal slot twice.
+all n^2 components counts each off-diagonal slot twice, and
+:meth:`HessianPairs.contraction` folds a tensor A into the packed slots.
 
 Nyquist planes.  The mixed multiplier k_i k_j (i != j) is odd in k_i on the
 Nyquist plane k_i = -M/2, where -k mod M is k again, so the full-spectrum
@@ -305,6 +309,15 @@ class HessianPairs:
         """The full physical hessian; component (j, i) is a copy of (i, j)."""
         return HessianField(self.grid, self.data[:, self.slot_index(self.grid.n)], PHYSICAL)
 
+    @classmethod
+    def contraction(cls, entries: np.ndarray) -> np.ndarray:
+        """The (N, N, n(n+1)/2) matrix of Z -> A : Z on packed symmetric Z, from entries (N, N, n, n).
+
+        Slot (i, j) holds A[..., i, j], plus A[..., j, i] when i < j.
+        """
+        rows, cols = cls.components(entries.shape[-1])
+        return entries[:, :, rows, cols] + np.where(rows < cols, entries[:, :, cols, rows], 0.0)
+
 
 HALF_SPECTRUM_CACHE_SIZE = 4
 
@@ -367,23 +380,27 @@ def _hermitian_half(full: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
+def hessian_multipliers(grid: GridSpec) -> np.ndarray:
+    """Full-grid hessian multipliers -(2 pi / L)^2 k_i k_j, (n(n+1)/2, M, ..., M) in packed slot order."""
+    freq = grid.freq_axes()
+    factor = -((2 * np.pi / grid.L) ** 2)
+    return np.stack(
+        [np.broadcast_to(factor * freq[i] * freq[j], grid.shape) for i, j in zip(*HessianPairs.components(grid.n))]
+    )
+
+
 @lru_cache(maxsize=HALF_SPECTRUM_CACHE_SIZE)
 def half_spectrum(grid: GridSpec) -> HalfSpectrum:
     """The memoized :class:`HalfSpectrum` of ``grid``."""
-    n, M = grid.n, grid.M
+    M = grid.M
     shape = grid.shape[:-1] + (M // 2 + 1,)
-    freq = grid.freq_axes()
-    factor = -((2 * np.pi / grid.L) ** 2)
-    full = np.stack(
-        [np.broadcast_to(factor * freq[i] * freq[j], grid.shape) for i, j in zip(*HessianPairs.components(n))]
-    )
     weights = np.full(shape, 2.0)
     weights[..., 0] = weights[..., M // 2] = 1.0
     zsq = np.ascontiguousarray(grid.zsq()[..., : M // 2 + 1])
     gauge = zsq > 0
     for arr in (weights, zsq, gauge):
         arr.setflags(write=False)
-    return HalfSpectrum(grid, shape, zsq, gauge, weights, _hermitian_half(full, grid))
+    return HalfSpectrum(grid, shape, zsq, gauge, weights, _hermitian_half(hessian_multipliers(grid), grid))
 
 
 def forward_transform(u: VectorField) -> VectorField:
@@ -403,14 +420,10 @@ def inverse_transform(u: VectorField) -> VectorField:
 def conjugate_symmetry_error(u: VectorField) -> float:
     """Relative deviation from c(-k) = conj(c(k)); zero for transforms of real fields."""
     coef = u.to_spectral().data
-    axes = _spatial_axes(1, u.grid.n)
-    reflected = coef
-    for ax in axes:
-        reflected = np.roll(np.flip(reflected, axis=ax), 1, axis=ax)
     scale = np.abs(coef).max()
     if scale == 0.0:
         return 0.0
-    return float(np.abs(coef - np.conj(reflected)).max() / scale)
+    return float(np.abs(coef - _conjugate_reflect(coef, 1, u.grid.n)).max() / scale)
 
 
 def spectral_hessian(u: VectorField, representation: str = PHYSICAL) -> HessianField:
@@ -427,18 +440,8 @@ def spectral_hessian(u: VectorField, representation: str = PHYSICAL) -> HessianF
     if representation == PHYSICAL and u.is_physical():
         half = half_spectrum(g)
         return half.hessian_pairs(half.forward(u.data)).to_hessian()
-    coef = u.to_spectral().data
-    freq = g.freq_axes()
-    hess = np.empty((g.N, g.n, g.n) + g.shape, dtype=complex)
-    factor = -((2 * np.pi / g.L) ** 2)
-    for i in range(g.n):
-        for j in range(i, g.n):
-            mult = factor * freq[i] * freq[j]
-            block = coef * mult
-            hess[:, i, j] = block
-            if i != j:
-                hess[:, j, i] = block
-    out = HessianField(g, hess, SPECTRAL)
+    packed = u.to_spectral().data[:, None] * hessian_multipliers(g)
+    out = HessianField(g, packed[:, HessianPairs.slot_index(g.n)], SPECTRAL)
     if representation == SPECTRAL:
         return out
     return out.to_physical()
@@ -568,11 +571,15 @@ def save_field(path, field) -> None:
 def load_field(path):
     """Read a field written by :func:`save_field`.
 
-    A short, truncated or padded file, an unknown code, a header that does
-    not fit the payload and a non-finite payload all raise InputError.
+    A missing or unreadable file, a short, truncated or padded one, an
+    unknown code, a header that does not fit the payload and a non-finite
+    payload all raise InputError.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read the field file: {exc}") from exc
     if len(raw) < _HEADER.size:
         raise InputError(f"not a field file: {len(raw)} bytes, shorter than the header")
     magic, n, N, M, L, rep_code, kind_code = _HEADER.unpack_from(raw, 0)

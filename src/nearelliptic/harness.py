@@ -16,8 +16,10 @@ come from three families:
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +64,6 @@ _DEFAULTS = {
     },
     "certificate": "analytic",
     "seed": 0,
-    "outputs": {"dir": ".", "formats": ["json", "csv", "field"]},
 }
 
 
@@ -75,9 +76,32 @@ def _merge(defaults, given):
     return given if given is not None else defaults
 
 
+def _check_types(cfg: dict) -> None:
+    """Raise InputError on a config section that is not a mapping or a number of the wrong kind.
+
+    A numeric value is None only where its default is None, meaning unset.
+    """
+    for section, default in _DEFAULTS.items():
+        if isinstance(default, dict) and not isinstance(cfg[section], dict):
+            raise InputError(f"config {section!r} must be a mapping, got {cfg[section]!r}")
+    integers = ("grid.n", "grid.N", "grid.M", "rhs.band", "rhs.seed", "solver.max_iters", "seed")
+    reals = ("grid.L", "rhs.analytic_scale", "solver.tol_residual", "solver.epsilon")
+    for name in integers + reals:
+        kind, what = (Integral, "an integer") if name in integers else (Real, "a finite number")
+        section, _, key = name.rpartition(".")
+        value = (cfg[section] if section else cfg)[key]
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+            raise InputError(f"config {name!r} must be {what}, got {value!r}")
+        if kind is Integral and value < 0:
+            raise InputError(f"config {name!r} must not be negative, got {value}")
+
+
 def resolve_config(doc: dict) -> dict:
     """Fill every default in, so the result is a complete, re-parseable echo."""
     cfg = _merge(_DEFAULTS, doc or {})
+    _check_types(cfg)
     grid = cfg["grid"]
     if cfg["rhs"]["kind"] == "random":
         band = cfg["rhs"].get("band")
@@ -100,7 +124,11 @@ def build_tensor(cfg: dict, grid: GridSpec) -> SymTensor4:
     if isinstance(t, str):
         return builtin_tensor(t, n=grid.n, N=grid.N)
     if isinstance(t, dict) and "path" in t:
-        return SymTensor4.from_text(Path(t["path"]).read_text())
+        try:
+            text = Path(t["path"]).read_text()
+        except OSError as exc:
+            raise InputError(f"cannot read the tensor file: {exc}") from exc
+        return SymTensor4.from_text(text)
     raise InputError(f"cannot interpret tensor config {t!r}")
 
 

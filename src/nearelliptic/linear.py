@@ -12,77 +12,40 @@ h(z) = 1/(|z|^2 + eps), whose multiplier h(z)|z|^2 stays in [0, 1] and tends
 to 1 as eps -> 0, giving a monotone approximation of the exact solve.
 
 Spectral plan.  Everything here that depends on the tensor and the grid is
-built once per (tensor, grid) into a :class:`SpectralPlan` and memoized by
-:func:`spectral_plan` in a small LRU keyed on the tensor entries and the
-grid.  The plan lives on the ``rfftn`` half spectrum of
-:class:`~nearelliptic.fields.HalfSpectrum` (gauge mask, |z|^2, hessian
-multipliers, Plancherel weights) and adds two (N, N) matrix multipliers:
+built once per (tensor, grid) into a :class:`SpectralPlan`, memoized by
+:func:`spectral_plan` in one ``functools.lru_cache`` keyed on the tensor
+entries and the grid.  The plan holds two (N, N) matrix multipliers:
 
-    solve     -cof(S)^T / (det(S) 4 pi^2 |z|^2)   (0 at k = 0)
-    operator  -4 pi^2 |z|^2 S = -4 pi^2 A : z (x) z
+    operator  O(k) = -4 pi^2 A : z (x) z, the symbol of A : D^2
+    solve     cof(O)^T / det(O), its pointwise inverse (0 at k = 0)
 
-with S = A : d (x) d.  Each is stored as its hermitian part
+O is the packed tensor of :meth:`~nearelliptic.fields.HessianPairs.contraction`
+times :func:`~nearelliptic.fields.hessian_multipliers` on the full grid.
+Both are stored on the ``rfftn`` half spectrum of
+:class:`~nearelliptic.fields.HalfSpectrum` as their hermitian part
 (m(k) + m(kbar)) / 2, which differs from m only on the Nyquist planes (see
 the ``fields`` module docstring); this reproduces the real part of the full
-complex transform that defines the physical fields.  The degenerate-symbol
-check runs when the plan is built, over every nonzero frequency of the full
-grid in fft order, so a degenerate tensor raises the same error, at the same
-frequency, on every solve through the plan; applying the operator needs no
-inverse and works for any tensor.
+complex transform that defines the physical fields.  The scale-invariant
+degeneracy rule of :func:`~nearelliptic.tensors.symbol_determinants` runs
+when the plan is built, over every nonzero frequency in fft order, so a
+degenerate tensor raises the same error, at the same frequency, on every
+solve through the plan; applying the operator needs no inverse and works
+for any tensor.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateSymbolError, EstimateBreachError, InputError
-from .fields import PHYSICAL, GridSpec, HalfSpectrum, VectorField, half_spectrum
-from .tensors import (
-    DET_FLOOR_COEF,
-    SymTensor4,
-    cofactor_transpose,
-    ellipticity_constant,
-)
+from .fields import PHYSICAL, GridSpec, HalfSpectrum, HessianPairs, VectorField, half_spectrum, hessian_multipliers
+from .tensors import SymTensor4, cofactor_transpose, ellipticity_constant, symbol_determinants
 
 MEAN_TOLERANCE = 1e-8
 PLAN_CACHE_SIZE = 8
-
-
-def _flat_freqs(grid: GridSpec) -> np.ndarray:
-    """Integer frequency components flattened to (n, M^n) in C order."""
-    out = np.empty((grid.n, grid.points))
-    for i, ka in enumerate(grid.freq_axes()):
-        out[i] = np.broadcast_to(ka, grid.shape).ravel()
-    return out
-
-
-def _unit_symbol_stack(A: SymTensor4, grid: GridSpec):
-    """Unit-direction symbols at every nonzero frequency.
-
-    Returns (mask of k != 0, |z|^2 on the mask, stacked symbols (K, N, N)).
-    """
-    freqs = _flat_freqs(grid)
-    zsq = (freqs**2).sum(axis=0) / grid.L**2
-    mask = zsq > 0
-    z = freqs[:, mask] / grid.L
-    unit = z / np.sqrt(zsq[mask])
-    S = np.einsum("abij,ik,jk->kab", A.entries, unit, unit)
-    return mask, zsq[mask], S
-
-
-def _degenerate_frequency(A: SymTensor4, grid: GridSpec, S: np.ndarray, mask: np.ndarray, det: np.ndarray):
-    """Integer frequency of the first degenerate symbol in fft order, or None."""
-    scale = np.sqrt((S**2).sum(axis=(1, 2)))
-    floor = DET_FLOOR_COEF * np.maximum(scale, np.finfo(float).tiny) ** A.N
-    bad = np.abs(det) < floor
-    if not np.any(bad):
-        return None
-    flat_index = np.flatnonzero(mask)[int(np.argmax(bad))]
-    k = np.unravel_index(flat_index, grid.shape)
-    return tuple(int(v) for v in np.asarray(grid.integer_freqs())[list(k)])
 
 
 def _check_dims(A: SymTensor4, grid: GridSpec) -> None:
@@ -127,25 +90,6 @@ class SpectralPlan:
         return _matvec(self.operator, coef)
 
 
-def _build_plan(A: SymTensor4, grid: GridSpec) -> SpectralPlan:
-    half = half_spectrum(grid)
-    N = grid.N
-    full = (N, N) + grid.shape
-    z = _flat_freqs(grid) / grid.L
-    operator = half.restrict((-4 * np.pi**2 * np.einsum("abij,ik,jk->abk", A.entries, z, z)).reshape(full))
-    mask, zsq, S = _unit_symbol_stack(A, grid)
-    det = np.linalg.det(S)
-    degenerate = _degenerate_frequency(A, grid, S, mask, det)
-    if degenerate is not None:
-        return SpectralPlan(half, None, operator, degenerate)
-    solve = np.zeros((N, N, grid.points))
-    solve[:, :, mask] = -np.moveaxis(cofactor_transpose(S), 0, -1) / (det * 4 * np.pi**2 * zsq)
-    return SpectralPlan(half, half.restrict(solve.reshape(full)), operator)
-
-
-_PLANS: OrderedDict = OrderedDict()
-
-
 def spectral_plan(A: SymTensor4, grid: GridSpec) -> SpectralPlan:
     """The plan of (A, grid), from the LRU of the last ``PLAN_CACHE_SIZE`` plans or built now.
 
@@ -153,15 +97,27 @@ def spectral_plan(A: SymTensor4, grid: GridSpec) -> SpectralPlan:
     a singular symbol is cached too and raises on :meth:`SpectralPlan.invert`.
     """
     _check_dims(A, grid)
-    key = (A.entries.tobytes(), grid)
-    plan = _PLANS.get(key)
-    if plan is None:
-        plan = _PLANS[key] = _build_plan(A, grid)
-        if len(_PLANS) > PLAN_CACHE_SIZE:
-            _PLANS.popitem(last=False)
-    else:
-        _PLANS.move_to_end(key)
-    return plan
+    return _plan(A.entries.tobytes(), grid)
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(entries: bytes, grid: GridSpec) -> SpectralPlan:
+    """Build the plan of the tensor with these raw (N, N, n, n) entries."""
+    N, n = grid.N, grid.n
+    contraction = HessianPairs.contraction(np.frombuffer(entries).reshape(N, N, n, n))
+    symbol = np.tensordot(contraction, hessian_multipliers(grid), axes=1)
+    half = half_spectrum(grid)
+    operator = half.restrict(symbol)
+    # moving the (N, N) axes last lets the grid mask pick the (K, N, N) stack, in fft order
+    nonzero = grid.zsq() > 0
+    O = np.moveaxis(symbol, (0, 1), (-2, -1))[nonzero]
+    det, _, degenerate = symbol_determinants(O)
+    if np.any(degenerate):
+        k = np.argwhere(nonzero)[np.argmax(degenerate)]
+        return SpectralPlan(half, None, operator, tuple(int(v) for v in grid.integer_freqs()[k]))
+    solve = np.zeros_like(symbol)
+    np.moveaxis(solve, (0, 1), (-2, -1))[nonzero] = cofactor_transpose(O) / det[:, None, None]
+    return SpectralPlan(half, half.restrict(solve), operator)
 
 
 def apply_operator(A: SymTensor4, u: VectorField) -> VectorField:
@@ -311,6 +267,5 @@ def pairing_spectrum(u: VectorField, f: VectorField) -> np.ndarray:
     g = u.grid
     uhat = u.to_spectral().data.reshape(g.N, g.points)
     fhat = f.to_spectral().data.reshape(g.N, g.points)
-    freqs = _flat_freqs(g)
-    mask = (freqs**2).sum(axis=0) > 0
+    mask = g.zsq().ravel() > 0
     return -(fhat[:, mask] * np.conj(uhat[:, mask])).sum(axis=0)

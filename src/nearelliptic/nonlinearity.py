@@ -192,6 +192,8 @@ class NonlinearitySpec:
             w.setflags(write=False)
             object.__setattr__(self, "weight", w)
         else:
+            if isinstance(w, bool) or not isinstance(w, Real):
+                raise InputError(f"weight must be a number or a grid field, got {w!r}")
             w = float(w)
             if not (np.isfinite(w) and w > 0):
                 raise InputError("constant weight must be finite and strictly positive")
@@ -326,17 +328,6 @@ def evaluate_F(spec: NonlinearitySpec, X: np.ndarray, x: tuple | None = None) ->
     return evaluate_batch(spec, X, spec.weight_at(x))
 
 
-def _packed_tensor(A: SymTensor4) -> np.ndarray:
-    """The (N, N n(n+1)/2) matrix of Z -> A : Z on packed symmetric Z.
-
-    Slot (i, j) holds A[..., i, j], plus A[..., j, i] when i < j.
-    """
-    rows, cols = HessianPairs.components(A.n)
-    e = A.entries
-    packed = e[:, :, rows, cols] + np.where(rows < cols, e[:, :, cols, rows], 0.0)
-    return packed.reshape(A.N, -1)
-
-
 def evaluate_field(spec: NonlinearitySpec, hess: HessianField | HessianPairs) -> VectorField:
     """F(x, D^2 u(x)) over the grid: hessian in, physical vector field out.
 
@@ -356,7 +347,7 @@ def evaluate_field(spec: NonlinearitySpec, hess: HessianField | HessianPairs) ->
     if isinstance(hess, HessianField):
         hess = HessianPairs.from_hessian(hess)
     X = hess.data.reshape(g.N, -1, g.points)
-    values = weight * (_packed_tensor(spec.tensor) @ X.reshape(-1, g.points))
+    values = weight * (HessianPairs.contraction(spec.tensor.entries).reshape(g.N, -1) @ X.reshape(-1, g.points))
     if spec.perturbation is not None:
         values = values + spec.perturbation.delta_pairs(X, g.n)
     if not np.all(np.isfinite(values)):

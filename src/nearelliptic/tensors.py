@@ -27,7 +27,7 @@ from .errors import DegenerateSymbolError, EstimateBreachError, InputError
 # Constructor tolerance: asymmetry up to round-off is repaired, more is an error.
 SYMMETRY_TOL = 1e-12
 
-# |det S| below DET_FLOOR_COEF * ||S||_F^N counts as a degenerate symbol.
+# Relative determinant floor of a degenerate symbol; see symbol_determinants.
 DET_FLOOR_COEF = 1e-12
 
 
@@ -254,14 +254,23 @@ def cofactor_transpose(S: np.ndarray) -> np.ndarray:
     return np.swapaxes(cof, -1, -2)
 
 
-def symbol_inverse(A: SymTensor4, z: np.ndarray, det_floor_coef: float = DET_FLOOR_COEF) -> np.ndarray:
+def symbol_determinants(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Determinants of stacked symbols (..., N, N), their floors, and the degenerate mask.
+
+    S is degenerate when it is zero or |det S| < DET_FLOOR_COEF ||S||_F^N; c S gets the
+    same verdict for any c != 0.
+    """
+    det = np.linalg.det(S)
+    scale = np.sqrt((S**2).sum(axis=(-2, -1)))
+    floor = DET_FLOOR_COEF * np.maximum(scale, np.finfo(float).tiny) ** S.shape[-1]
+    return det, floor, (np.abs(det) < floor) | (scale == 0.0)
+
+
+def symbol_inverse(A: SymTensor4, z: np.ndarray) -> np.ndarray:
     """Inverse symbol cof(S)^T / det(S) at direction z; errors when det is below the scaled floor."""
-    sym = symbol_matrix(A, z)
-    S = sym.values
-    det = float(np.linalg.det(S))
-    scale = float(np.sqrt((S**2).sum()))
-    floor = det_floor_coef * max(scale, np.finfo(float).tiny) ** A.N
-    if abs(det) < floor:
+    S = symbol_matrix(A, z).values
+    det, floor, degenerate = symbol_determinants(S)
+    if degenerate:
         raise DegenerateSymbolError(
             f"symbol determinant {det:.3e} below floor {floor:.3e} at direction {np.asarray(z)!r}",
             direction=np.asarray(z, dtype=float),

@@ -275,6 +275,18 @@ MALFORMED_PERTURBATIONS = [
 ]
 
 
+MISTYPED_CONFIGS = [
+    {"grid": {"M": "x"}},
+    {"solver": {"max_iters": "x"}},
+    {"rhs": {"kind": "random", "band": "3"}},
+    {"spec": {"weight": [1, 2]}},
+    {"spec": {"weight": "missing.field"}},
+    {"tensor": {"path": "missing.txt"}},
+    {"rhs": {"seed": -1}},
+    {"spec": 5},
+]
+
+
 class TestConfigPaths:
     """Every CLI command turns its config into a solve the way run_manufactured does."""
 
@@ -306,6 +318,32 @@ class TestConfigPaths:
         result = self.invoke(tmp_path, "solve", {"grid": {"M": 16}, "spec": {"perturbation": pert}})
         assert result.exit_code == 1
         assert "FAIL [solve]" in result.output
+
+    @pytest.mark.parametrize("doc", MISTYPED_CONFIGS)
+    def test_solve_fails_on_a_mistyped_value(self, tmp_path, monkeypatch, doc):
+        monkeypatch.chdir(tmp_path)
+        result = self.invoke(tmp_path, "solve", doc)
+        assert result.exit_code == 1
+        assert "FAIL [solve]" in result.output
+
+    def test_outputs_key_is_gone_but_tolerated(self, tmp_path):
+        assert "outputs" not in resolve_config({})
+        doc = {"grid": {"M": 16}, "solver": {"mode": "linear"}, "outputs": {"dir": "x", "formats": ["json"]}}
+        result = self.invoke(tmp_path, "solve", doc)
+        assert result.exit_code == 0, result.output
+
+    def test_certify_seed_picks_the_samples(self, tmp_path):
+        doc = {"grid": {"M": 16}, "spec": {"perturbation": {"kind": "scaled_sine", "amplitude": 0.4}}}
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        samples = []
+        for run, seed in enumerate(([], ["--seed", "1"], ["--seed", "2"], ["--seed", "1"])):
+            out = tmp_path / str(run)
+            args = ["certify", "--config", str(tmp_path / "cfg.json"), "--out-dir", str(out)] + seed
+            assert CliRunner().invoke(main, args).exit_code == 0
+            samples.append((out / "violations.csv").read_bytes())
+        default, one, two, one_again = samples
+        assert one != two and one != default
+        assert one == one_again
 
     def test_solve_stability_passes_max_iters(self, tmp_path, monkeypatch):
         seen = []

@@ -33,11 +33,11 @@ from nearelliptic import (
     spectral_hessian,
 )
 from nearelliptic.errors import DegenerateSymbolError, InputError
-from nearelliptic.fields import PHYSICAL
+from nearelliptic.fields import PHYSICAL, SPECTRAL
 from nearelliptic.linear import PLAN_CACHE_SIZE, spectral_plan
 from nearelliptic.nonlinearity import evaluate_field
 from nearelliptic.stability import nu_F_lower_bound
-from nearelliptic.tensors import DET_FLOOR_COEF, SymTensor4, random_rank_one_positive
+from nearelliptic.tensors import DET_FLOOR_COEF, SymTensor4, random_rank_one_positive, symbol_inverse
 
 from conftest import random_sym_tensor
 
@@ -152,6 +152,7 @@ class TestParity:
         u = white_noise(grid, case[1])
         want_hess = ref_physical(ref_hessian(u), grid, 3)
         assert rel_error(spectral_hessian(u, PHYSICAL).data, want_hess) <= TOL
+        assert rel_error(spectral_hessian(u, SPECTRAL).data, ref_hessian(u)) <= TOL
         assert rel_error(apply_operator(A, u).data, ref_apply(A, u)) <= TOL
         assert rel_error(solve_linear(A, u, nu=nu).u.data, ref_solve(A, u)) <= TOL
         want_ratio = nu * np.sqrt((np.abs(ref_hessian(u)) ** 2).sum()) / np.sqrt((ref_apply(A, u) ** 2).sum() / grid.points)
@@ -194,10 +195,11 @@ class TestParity:
 # --- the plan ----------------------------------------------------------------
 
 
-def degenerate_tensor():
+def degenerate_tensor(eps=0.0):
+    """Symbol diag(1, eps) along the first axis."""
     entries = np.zeros((2, 2, 2, 2))
     entries[0, 0] = np.eye(2)
-    entries[1, 1] = np.diag([0.0, 1.0])
+    entries[1, 1] = np.diag([eps, 1.0])
     return SymTensor4(entries)
 
 
@@ -216,6 +218,24 @@ class TestPlan:
         with pytest.raises(DegenerateSymbolError) as err:
             campanato_solve(spec, 1.0, f, cert)
         assert err.value.frequency == want.value.frequency
+
+    def test_degeneracy_boundary(self, grid32):
+        # |det S| = eps against the floor DET_FLOOR_COEF ||S||_F^N = 1e-12:
+        # the unit symbol and the plan's scaled symbol get the same verdict
+        A = degenerate_tensor(1e-10)
+        np.testing.assert_allclose(symbol_inverse(A, np.array([1.0, 0.0])), np.diag([1.0, 1e10]), rtol=1e-14)
+        assert spectral_plan(A, grid32).degenerate is None
+        A = degenerate_tensor(1e-14)
+        with pytest.raises(DegenerateSymbolError) as err:
+            symbol_inverse(A, np.array([1.0, 0.0]))
+        np.testing.assert_array_equal(err.value.direction, [1.0, 0.0])
+        assert spectral_plan(A, grid32).degenerate == (1, 0)
+        # a symbol that vanishes has det 0 and floor 0, and is degenerate too
+        entries = np.zeros((2, 2, 2, 2))
+        entries[:, :, 1, 1] = np.eye(2)
+        with pytest.raises(DegenerateSymbolError):
+            symbol_inverse(SymTensor4(entries), np.array([1.0, 0.0]))
+        assert spectral_plan(SymTensor4(entries), grid32).degenerate == (1, 0)
 
     def test_equal_tensors_share_one_plan(self, grid32):
         A = random_sym_tensor(2, 2, seed=21)
