@@ -139,24 +139,33 @@ class KConditionReport:
         return "\n".join(lines) + "\n"
 
 
-def _symmetrize_batch(X: np.ndarray) -> np.ndarray:
+def symmetric_gaussian(rng: np.random.Generator, count: int, N: int, n: int) -> np.ndarray:
+    """A standard Gaussian batch (count, N, n, n), symmetrized in (i, j)."""
+    X = rng.standard_normal((count, N, n, n))
     return 0.5 * (X + np.swapaxes(X, -1, -2))
+
+
+def sample_weights(rng: np.random.Generator, count: int, *specs: NonlinearitySpec):
+    """Flat grid indices drawn for the first spatially varying weight, and each spec's weights there.
+
+    The indices are None when every weight is constant.
+    """
+    size = next((s.weight.size for s in specs if isinstance(s.weight, np.ndarray)), None)
+    flat = None if size is None else rng.integers(0, size, size=count)
+    weights = [
+        s.weight.ravel()[flat] if isinstance(s.weight, np.ndarray) else np.full(count, s.weight) for s in specs
+    ]
+    return flat, weights
 
 
 def _draw_pairs(spec: NonlinearitySpec, sampler: SamplerConfig):
     """Sampled (x index, weight value, alpha slot, X, Z) batches under the scale sweep."""
     rng = np.random.default_rng(sampler.seed)
     per_scale = []
-    shape = (sampler.count, spec.N, spec.n, spec.n)
     for scale in sampler.scales:
-        X = _symmetrize_batch(rng.standard_normal(shape))
-        Z = _symmetrize_batch(rng.standard_normal(shape)) * scale
-        if isinstance(spec.weight, np.ndarray):
-            flat = rng.integers(0, spec.weight.size, size=sampler.count)
-            w = spec.weight.ravel()[flat]
-        else:
-            flat = None
-            w = np.full(sampler.count, spec.weight)
+        X = symmetric_gaussian(rng, sampler.count, spec.N, spec.n)
+        Z = symmetric_gaussian(rng, sampler.count, spec.N, spec.n) * scale
+        flat, (w,) = sample_weights(rng, sampler.count, spec)
         per_scale.append((scale, flat, w, X, Z))
     return per_scale
 
@@ -409,15 +418,11 @@ def lemma1_check(
         nu = ellipticity_constant(spec.tensor).nu
     alpha_sup, _ = alpha_bounds_of(alpha)
     rng = np.random.default_rng(seed)
-    X = _symmetrize_batch(rng.standard_normal((count, spec.N, spec.n, spec.n)))
+    X = symmetric_gaussian(rng, count, spec.N, spec.n)
     eta = rng.standard_normal((count, spec.N))
     a = rng.standard_normal((count, spec.n))
     Z = np.einsum("ka,ki,kj->kaij", eta, a, a)
-    if isinstance(spec.weight, np.ndarray):
-        flat = rng.integers(0, spec.weight.size, size=count)
-        w = spec.weight.ravel()[flat]
-    else:
-        w = np.full(count, spec.weight)
+    _, (w,) = sample_weights(rng, count, spec)
     diff = evaluate_batch(spec, X + Z, w) - evaluate_batch(spec, X, w)
     AZ = linear_part(spec, Z)
     lhs = (diff * AZ).sum(axis=1)

@@ -146,8 +146,7 @@ def solve_stability(config_path, seed, out_dir):
         if seed is not None:
             doc.setdefault("rhs", {})["seed"] = seed
         base = resolve_config(doc)
-        pert_g = doc.get("spec_g", {}).get("perturbation")
-        cfg_g = dict(base, spec=dict(base["spec"], perturbation=pert_g))
+        cfg_g = dict(base, spec=dict(base["spec"], perturbation=base["spec_g"]["perturbation"]))
         grid, tensor, spec_f, nu = build_problem(base)
         spec_g = build_spec(cfg_g, tensor)
         cert = example1_certificate(spec_f, nu=nu)

@@ -54,6 +54,7 @@ _DEFAULTS = {
     "grid": {"n": 2, "N": 2, "M": 64, "L": 1.0},
     "tensor": "identity",
     "spec": {"perturbation": None, "weight": 1.0},
+    "spec_g": {"perturbation": None},
     "alpha": 1.0,
     "rhs": {"kind": "random", "band": None, "seed": 1, "modes": None, "path": None, "analytic_scale": 3.0},
     "solver": {
@@ -84,6 +85,10 @@ def _check_types(cfg: dict) -> None:
     for section, default in _DEFAULTS.items():
         if isinstance(default, dict) and not isinstance(cfg[section], dict):
             raise InputError(f"config {section!r} must be a mapping, got {cfg[section]!r}")
+    for section in ("spec", "spec_g"):
+        pert = cfg[section]["perturbation"]
+        if pert is not None and not isinstance(pert, dict):
+            raise InputError(f"config '{section}.perturbation' must be a mapping, got {pert!r}")
     integers = ("grid.n", "grid.N", "grid.M", "rhs.band", "rhs.seed", "solver.max_iters", "seed")
     reals = ("grid.L", "rhs.analytic_scale", "solver.tol_residual", "solver.epsilon")
     for name in integers + reals:

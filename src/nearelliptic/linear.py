@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DegenerateSymbolError, EstimateBreachError, InputError
 from .fields import PHYSICAL, GridSpec, HalfSpectrum, HessianPairs, VectorField, half_spectrum, hessian_multipliers
-from .tensors import SymTensor4, cofactor_transpose, ellipticity_constant, symbol_determinants
+from .tensors import SymTensor4, cofactor_transpose, ellipticity_constant, power_of_two_scale, symbol_determinants
 
 MEAN_TOLERANCE = 1e-8
 PLAN_CACHE_SIZE = 8
@@ -108,15 +108,18 @@ def _plan(entries: bytes, grid: GridSpec) -> SpectralPlan:
     symbol = np.tensordot(contraction, hessian_multipliers(grid), axes=1)
     half = half_spectrum(grid)
     operator = half.restrict(symbol)
-    # moving the (N, N) axes last lets the grid mask pick the (K, N, N) stack, in fft order
+    # moving the (N, N) axes last lets the grid mask pick the (K, N, N) stack, in fft order;
+    # the stack is inverted divided by a power of two, exactly, so tiny entries cannot underflow
     nonzero = grid.zsq() > 0
+    scale = power_of_two_scale(contraction)
     O = np.moveaxis(symbol, (0, 1), (-2, -1))[nonzero]
+    O /= scale
     det, _, degenerate = symbol_determinants(O)
     if np.any(degenerate):
         k = np.argwhere(nonzero)[np.argmax(degenerate)]
         return SpectralPlan(half, None, operator, tuple(int(v) for v in grid.integer_freqs()[k]))
     solve = np.zeros_like(symbol)
-    np.moveaxis(solve, (0, 1), (-2, -1))[nonzero] = cofactor_transpose(O) / det[:, None, None]
+    np.moveaxis(solve, (0, 1), (-2, -1))[nonzero] = cofactor_transpose(O) / (det * scale)[:, None, None]
     return SpectralPlan(half, half.restrict(solve), operator)
 
 

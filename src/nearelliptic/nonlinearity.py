@@ -16,7 +16,8 @@ packed hessian of :class:`~nearelliptic.fields.HessianPairs`, component-major
 (N, n(n+1)/2, points), so each distinct component is evaluated once: the
 linear part is one matmul with the packed tensor, and the catalog
 perturbations weight each off-diagonal slot 2, the count of (i, j) and (j, i)
-in a sum over all n^2 components.
+in a sum over all n^2 components.  Each catalog formula is stated once, as
+``delta_pairs``; ``delta`` packs a symmetric batch and calls it.
 """
 
 from __future__ import annotations
@@ -30,13 +31,24 @@ import numpy as np
 
 from .errors import EvaluationError, InputError
 from .fields import PHYSICAL, HessianField, HessianPairs, VectorField
-from .tensors import SymTensor4, builtin_tensor
+from .tensors import SymTensor4, builtin_tensor, check_hessian_arg
 
 _CUSTOM_REGISTRY: dict[str, "CustomPerturbation"] = {}
 
 
+class _PackedFormula:
+    """A catalog perturbation whose formula is stated once, on packed X, as ``delta_pairs``."""
+
+    def delta(self, X: np.ndarray) -> np.ndarray:
+        """G over a symmetric batch (..., N, n, n) -> (..., N), through its n(n+1)/2 distinct slots."""
+        n = X.shape[-1]
+        rows, cols = HessianPairs.components(n)
+        packed = X[..., rows, cols].reshape(-1, X.shape[-3], len(rows))
+        return self.delta_pairs(packed.transpose(1, 2, 0), n).T.reshape(X.shape[:-2])
+
+
 @dataclass(frozen=True)
-class SinePerturbation:
+class SinePerturbation(_PackedFormula):
     """G(X)_alpha = (amplitude / n) * sum_ij sin(X[alpha, i, j]).
 
     The uniform 1/n weighting makes the exact Lipschitz constant equal to the
@@ -55,11 +67,6 @@ class SinePerturbation:
     def lipschitz_bound(self, n: int) -> float:
         return self.amplitude
 
-    def delta(self, X: np.ndarray) -> np.ndarray:
-        # X: (..., N, n, n) -> (..., N)
-        n = X.shape[-1]
-        return (self.amplitude / n) * np.sin(X).sum(axis=(-2, -1))
-
     def delta_pairs(self, X: np.ndarray, n: int) -> np.ndarray:
         # packed X: (N, n(n+1)/2, K) -> (N, K)
         return (self.amplitude / n) * (HessianPairs.multiplicity(n) @ np.sin(X))
@@ -69,7 +76,7 @@ class SinePerturbation:
 
 
 @dataclass(frozen=True)
-class NormComboPerturbation:
+class NormComboPerturbation(_PackedFormula):
     """G(X)_alpha = -b |X_alpha| - c |trace(X_alpha)|, per component.
 
     The scalar template behind the two-constant optimality analysis, lifted
@@ -87,11 +94,6 @@ class NormComboPerturbation:
 
     def lipschitz_bound(self, n: int) -> float:
         return self.b + self.c * np.sqrt(n)
-
-    def delta(self, X: np.ndarray) -> np.ndarray:
-        frob = np.sqrt((X**2).sum(axis=(-2, -1)))
-        trace = np.trace(X, axis1=-2, axis2=-1)
-        return -self.b * frob - self.c * np.abs(trace)
 
     def delta_pairs(self, X: np.ndarray, n: int) -> np.ndarray:
         # packed X: (N, n(n+1)/2, K) -> (N, K); the diagonal slots have multiplicity 1
@@ -319,13 +321,7 @@ def evaluate_batch(spec: NonlinearitySpec, X: np.ndarray, weight) -> np.ndarray:
 
 def evaluate_F(spec: NonlinearitySpec, X: np.ndarray, x: tuple | None = None) -> np.ndarray:
     """Pointwise value F(x, X) for a single symmetric X of shape (N, n, n)."""
-    X = np.asarray(X, dtype=float)
-    if X.shape != (spec.N, spec.n, spec.n):
-        raise InputError(f"X must have shape {(spec.N, spec.n, spec.n)}, got {X.shape}")
-    asym = np.abs(X - X.transpose(0, 2, 1)).max()
-    if asym > 1e-12 * max(1.0, np.abs(X).max()):
-        raise InputError(f"X asymmetric in (i, j) by {asym:.3e}")
-    return evaluate_batch(spec, X, spec.weight_at(x))
+    return evaluate_batch(spec, check_hessian_arg(spec.tensor, X), spec.weight_at(x))
 
 
 def evaluate_field(spec: NonlinearitySpec, hess: HessianField | HessianPairs) -> VectorField:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .campanato import STAGNATION_FLOOR, IterationTrace, SolveConfig, campanato_solve, zero_field
-from .certify import EllipticityCertificate, SamplerConfig
+from .certify import EllipticityCertificate, SamplerConfig, sample_weights, symmetric_gaussian
 from .errors import InputError, NearnessConditionError
 from .fields import PHYSICAL, GridSpec, VectorField, l2_norm, random_band_limited, spectral_hessian
 from .nonlinearity import (
@@ -97,25 +97,13 @@ def nu_FG_estimate(
         raise InputError("specs must share dimensions")
     rng = np.random.default_rng(sampler.seed)
     worst = 0.0
-    shape = (sampler.count, specF.N, specF.n, specF.n)
-
-    def weights(spec, idx):
-        if isinstance(spec.weight, np.ndarray):
-            return spec.weight.ravel()[idx]
-        return np.full(sampler.count, spec.weight)
-
     for scale in sampler.scales:
-        X = rng.standard_normal(shape)
-        X = 0.5 * (X + np.swapaxes(X, -1, -2))
-        step = rng.standard_normal(shape)
-        step = 0.5 * (step + np.swapaxes(step, -1, -2)) * scale
+        X = symmetric_gaussian(rng, sampler.count, specF.N, specF.n)
+        step = symmetric_gaussian(rng, sampler.count, specF.N, specF.n) * scale
         Y = X + step
-        size = specF.weight.size if isinstance(specF.weight, np.ndarray) else (
-            specG.weight.size if isinstance(specG.weight, np.ndarray) else 1
-        )
-        idx = rng.integers(0, size, size=sampler.count)
-        dF = evaluate_batch(specF, Y, weights(specF, idx)) - evaluate_batch(specF, X, weights(specF, idx))
-        dG = evaluate_batch(specG, Y, weights(specG, idx)) - evaluate_batch(specG, X, weights(specG, idx))
+        _, (wF, wG) = sample_weights(rng, sampler.count, specF, specG)
+        dF = evaluate_batch(specF, Y, wF) - evaluate_batch(specF, X, wF)
+        dG = evaluate_batch(specG, Y, wG) - evaluate_batch(specG, X, wG)
         num = np.sqrt(((dF - dG) ** 2).sum(axis=1))
         den = np.sqrt((step**2).sum(axis=(1, 2, 3)))
         good = den > 0

@@ -284,6 +284,8 @@ MISTYPED_CONFIGS = [
     {"tensor": {"path": "missing.txt"}},
     {"rhs": {"seed": -1}},
     {"spec": 5},
+    {"spec_g": 5},
+    {"spec_g": {"perturbation": 5}},
 ]
 
 
@@ -322,9 +324,10 @@ class TestConfigPaths:
     @pytest.mark.parametrize("doc", MISTYPED_CONFIGS)
     def test_solve_fails_on_a_mistyped_value(self, tmp_path, monkeypatch, doc):
         monkeypatch.chdir(tmp_path)
-        result = self.invoke(tmp_path, "solve", doc)
-        assert result.exit_code == 1
-        assert "FAIL [solve]" in result.output
+        for command in ("solve", "solve-stability"):
+            result = self.invoke(tmp_path, command, doc)
+            assert result.exit_code == 1, result.output
+            assert f"FAIL [{command}]" in result.output
 
     def test_outputs_key_is_gone_but_tolerated(self, tmp_path):
         assert "outputs" not in resolve_config({})

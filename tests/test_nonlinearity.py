@@ -233,6 +233,33 @@ class TestPackedKernel:
             got = evaluate_field(spec, arg).data
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3, 4]),
+        N=st.sampled_from([2, 3]),
+        lead=st.sampled_from([(), (1,), (5,), (2, 3)]),
+        log_scale=st.floats(-8, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_catalog_delta_matches_the_full_formula(self, n, N, lead, log_scale, seed):
+        # the n^2 formulas, independent of the packed slots that delta goes through
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal(lead + (N, n, n)) * 10.0**log_scale
+        X = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+        amplitude, b, c = rng.uniform(0.0, 2.0, 3)
+        sines = (amplitude / n) * np.sin(X)
+        frob = np.sqrt((X**2).sum(axis=(-2, -1)))
+        diag = np.diagonal(X, axis1=-2, axis2=-1)
+        trace = diag.sum(axis=-1)
+        cases = [
+            (SinePerturbation(amplitude), sines.sum(axis=(-2, -1)), np.abs(sines).sum(axis=(-2, -1))),
+            (NormComboPerturbation(b, c), -b * frob - c * np.abs(trace), b * frob + c * np.abs(diag).sum(axis=-1)),
+        ]
+        for pert, want, magnitude in cases:
+            got = pert.delta(X)
+            assert got.shape == X.shape[:-2]
+            assert np.all(np.abs(got - want) <= 1e-15 * magnitude)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("packed", [False, True])
     @pytest.mark.parametrize("kind", sorted(PERTURBATIONS))

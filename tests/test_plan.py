@@ -10,8 +10,9 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import nearelliptic.stability as stability
 from nearelliptic import (
@@ -37,7 +38,13 @@ from nearelliptic.fields import PHYSICAL, SPECTRAL
 from nearelliptic.linear import PLAN_CACHE_SIZE, spectral_plan
 from nearelliptic.nonlinearity import evaluate_field
 from nearelliptic.stability import nu_F_lower_bound
-from nearelliptic.tensors import DET_FLOOR_COEF, SymTensor4, random_rank_one_positive, symbol_inverse
+from nearelliptic.tensors import (
+    DET_FLOOR_COEF,
+    SymTensor4,
+    random_rank_one_positive,
+    symbol_determinants,
+    symbol_inverse,
+)
 
 from conftest import random_sym_tensor
 
@@ -236,6 +243,22 @@ class TestPlan:
         with pytest.raises(DegenerateSymbolError):
             symbol_inverse(SymTensor4(entries), np.array([1.0, 0.0]))
         assert spectral_plan(SymTensor4(entries), grid32).degenerate == (1, 0)
+        # entries near 1e-170 square to 0: the verdict and the inverse are taken on S scaled to O(1)
+        A = SymTensor4(identity_tensor(2, 2).entries * 1e-170)
+        np.testing.assert_allclose(symbol_inverse(A, np.array([1.0, 0.0])), 1e170 * np.eye(2), rtol=1e-14)
+        assert spectral_plan(A, grid32).degenerate is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        S=st.integers(2, 3).flatmap(lambda N: arrays(np.float64, (N, N), elements=st.integers(-4, 4).map(float))),
+        c=st.floats(1e-300, 1e300) | st.floats(-1e300, -1e-300),
+    )
+    @example(S=np.eye(2), c=1e-170)  # S^2 underflows to 0 unless S is scaled first
+    @example(S=np.diag([1.0, 0.0]), c=1e-170)
+    def test_scaled_symbol_gets_the_same_verdict(self, S, c):
+        # integer S has det 0 or |det| >= 1, far from the floor, so round-off in c S cannot flip the verdict
+        S = S + S.T
+        assert symbol_determinants(c * S)[2] == symbol_determinants(S)[2] == (round(np.linalg.det(S)) == 0)
 
     def test_equal_tensors_share_one_plan(self, grid32):
         A = random_sym_tensor(2, 2, seed=21)

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import nearelliptic
 from nearelliptic import (
     SymTensor4,
     bilinear_form,
@@ -17,7 +22,7 @@ from nearelliptic import (
     symbol_matrix,
 )
 from nearelliptic.errors import DegenerateSymbolError, InputError
-from nearelliptic.tensors import SphereSearchConfig, random_rank_one_positive
+from nearelliptic.tensors import POLISH_MAX_STEPS, SphereSearchConfig, _sphere_search, random_rank_one_positive
 
 from conftest import random_sym_tensor, random_symmetric_batch
 
@@ -182,6 +187,58 @@ class TestEllipticityConstant:
             S = np.einsum("abij,i,j->ab", A.entries, a, a)
             best = min(best, np.linalg.eigvalsh(S)[0])
         assert cert.nu == pytest.approx(best, abs=1e-8)
+
+    @pytest.mark.parametrize("positive", [True, False], ids=["positive", "indefinite"])
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_three_dimensional_brute_force_oracle(self, positive, N):
+        # independent scan of the symbol spectrum: a dense (theta, phi) grid on
+        # the half sphere, then 14 zooms around its best point
+        A = random_rank_one_positive(3, N, seed=N)[0] if positive else random_sym_tensor(3, N, seed=N)
+
+        def smallest(theta, phi):
+            d = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1)
+            return np.linalg.eigvalsh(np.einsum("abij,...i,...j->...ab", A.entries, d, d))[..., 0]
+
+        theta, phi = np.meshgrid(
+            np.linspace(0, np.pi, 301), np.linspace(0, np.pi, 300, endpoint=False), indexing="ij"
+        )
+        values = smallest(theta, phi)
+        k = np.argmin(values)
+        t0, p0, best, width = theta.flat[k], phi.flat[k], values.flat[k], np.pi / 300
+        for _ in range(14):
+            offsets = np.linspace(-width, width, 41)
+            t, p = np.meshgrid(t0 + offsets, p0 + offsets, indexing="ij")
+            values = smallest(t, p)
+            k = np.argmin(values)
+            t0, p0, best, width = t.flat[k], p.flat[k], min(best, values.flat[k]), width / 4
+        assert ellipticity_constant(A).nu == pytest.approx(best, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_zero_constant_returns_within_the_cap(self, n):
+        # A : (a x eta)(a x eta) = |a|^2 (|eta|^2 - eta_0^2) vanishes along eta = e_0
+        entries = identity_tensor(n, 2).entries.copy()
+        entries[:, :, 0, 0] = 0.0
+        cert = ellipticity_constant(SymTensor4(entries))
+        assert cert.nu == pytest.approx(0.0, abs=1e-14)
+        steps = int(cert.resolution.split("steps=")[1].split(",")[0])
+        assert 1 <= steps < POLISH_MAX_STEPS
+        assert "alternating-eigh" in cert.resolution
+
+    @pytest.mark.parametrize("n, N, seed", [(2, 2, 31), (2, 3, 32), (3, 2, 33), (3, 3, 34), (4, 2, 35)])
+    def test_never_above_a_sampled_eigenvalue(self, n, N, seed):
+        for A in (random_sym_tensor(n, N, seed), random_rank_one_positive(n, N, seed)[0]):
+            cert, _, eigs = _sphere_search(A, SphereSearchConfig(samples=4096))
+            assert cert.nu <= eigs.min()
+            S_w = symbol_matrix(A, cert.witness_a).values
+            assert np.linalg.eigvalsh(S_w)[0] <= cert.nu + 1e-12 * A.frobenius()
+
+    def test_import_does_not_load_scipy_optimize(self):
+        # the nu polish needs only numpy; scipy.optimize costs import time and memory
+        src = os.path.dirname(os.path.dirname(nearelliptic.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, nearelliptic; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_eigen_lower_bound_at_samples(self, block_m8):
         cert = ellipticity_constant(block_m8)
