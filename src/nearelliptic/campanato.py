@@ -27,6 +27,7 @@ hessian is never built and no off-diagonal component is evaluated twice.
 from __future__ import annotations
 
 import io
+import time
 from dataclasses import dataclass, field
 from itertools import takewhile
 
@@ -63,6 +64,7 @@ class IterationRecord:
     metric: float
     residual: float
     ratio: float  # nan for the first record
+    seconds: float  # wall time of the step, by time.perf_counter
 
 
 @dataclass
@@ -71,6 +73,8 @@ class IterationTrace:
 
     records: list[IterationRecord] = field(default_factory=list)
     status: str = "running"
+    # perf_counter at the end of the last step, or at creation before the first
+    clock: float = field(default_factory=time.perf_counter, init=False, repr=False, compare=False)
 
     def advance(self, metric: float, residual: float, tol_abs: float, floor: float) -> bool:
         """Record one step; True when the loop must stop.
@@ -78,11 +82,14 @@ class IterationTrace:
         It stops as ``converged`` when the residual passes ``tol_abs``, else as
         ``max_iters`` when the step is at the round-off ``floor`` (a stall),
         else as ``diverged`` after DIVERGENCE_PATIENCE ratios above 1 in a
-        row; an undefined ratio neither counts nor breaks the row.
+        row; an undefined ratio neither counts nor breaks the row.  The step's
+        ``seconds`` run from the previous call, or from the trace's creation.
         """
+        now = time.perf_counter()
         prev = self.records[-1].metric if self.records else float("nan")
         ratio = metric / prev if prev > 0 else float("nan")
-        self.records.append(IterationRecord(len(self.records) + 1, metric, residual, ratio))
+        self.records.append(IterationRecord(len(self.records) + 1, metric, residual, ratio, now - self.clock))
+        self.clock = now
         if residual <= tol_abs:
             self.status = "converged"
         elif metric <= floor:

@@ -146,12 +146,17 @@ def symmetric_gaussian(rng: np.random.Generator, count: int, N: int, n: int) -> 
 
 
 def sample_weights(rng: np.random.Generator, count: int, *specs: NonlinearitySpec):
-    """Flat grid indices drawn for the first spatially varying weight, and each spec's weights there.
+    """Flat grid indices drawn for the spatially varying weights, and each spec's weights there.
 
-    The indices are None when every weight is constant.
+    The indices are None when every weight is constant.  Varying weights share
+    the indices, so they must lie on one grid: fields of different shapes are
+    an :class:`InputError`.
     """
-    size = next((s.weight.size for s in specs if isinstance(s.weight, np.ndarray)), None)
-    flat = None if size is None else rng.integers(0, size, size=count)
+    varying = [s.weight for s in specs if isinstance(s.weight, np.ndarray)]
+    shapes = sorted({w.shape for w in varying})
+    if len(shapes) > 1:
+        raise InputError(f"weight fields on different grids cannot be sampled together: shapes {shapes}")
+    flat = rng.integers(0, varying[0].size, size=count) if varying else None
     weights = [
         s.weight.ravel()[flat] if isinstance(s.weight, np.ndarray) else np.full(count, s.weight) for s in specs
     ]

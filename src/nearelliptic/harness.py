@@ -276,6 +276,7 @@ class RunReport:
     wall_time_s: float
     n_ge_5: bool
     outputs: dict
+    iteration_seconds: list[float] | None  # per fixed-point step; None for a linear solve
 
     def as_dict(self) -> dict:
         return {
@@ -288,6 +289,7 @@ class RunReport:
             "wall_time_s": self.wall_time_s,
             "n_ge_5": self.n_ge_5,
             "outputs": self.outputs,
+            "iteration_seconds": self.iteration_seconds,
         }
 
 
@@ -310,7 +312,7 @@ def run_manufactured(config: dict, out_dir: str | Path | None = None) -> RunRepo
     f, exact = build_rhs(cfg, grid, spec)
 
     outputs: dict = {}
-    cert_dict = None
+    cert_dict = seconds = None
     if cfg["solver"]["mode"] == "linear":
         result = solve_linear_spec(cfg, spec, f, nu)
         u = result.u
@@ -323,6 +325,7 @@ def run_manufactured(config: dict, out_dir: str | Path | None = None) -> RunRepo
         u, trace = campanato_solve(spec, alpha, f, certificate, config=build_solve_config(cfg))
         residual = trace.final_residual
         iterations = trace.iterations
+        seconds = [r.seconds for r in trace.records]
         if out_dir is not None:
             trace_path = Path(out_dir) / "trace.csv"
             trace_path.write_text(trace.to_csv())
@@ -347,6 +350,7 @@ def run_manufactured(config: dict, out_dir: str | Path | None = None) -> RunRepo
         wall_time_s=time.monotonic() - started,
         n_ge_5=grid.n >= 5,
         outputs=outputs,
+        iteration_seconds=seconds,
     )
     if out_dir is not None:
         (Path(out_dir) / "report.json").write_text(

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,16 @@ class TestStoppingRule:
         assert np.isnan(trace.records[0].ratio)
         assert trace.ratios == [0.5, 0.25]
         assert trace.status == "running"
+
+    def test_records_the_wall_time_of_each_step(self):
+        before = time.perf_counter()
+        trace = IterationTrace()
+        for metric in (4.0, 2.0):
+            time.sleep(0.01)
+            trace.advance(metric, 1.0, 0.0, 0.0)
+        seconds = [r.seconds for r in trace.records]
+        assert all(s >= 0.01 for s in seconds)
+        assert sum(seconds) <= time.perf_counter() - before
 
     def test_converged_wins_over_the_floor(self):
         trace, stops = self.run([1e-20], residual=1e-10, tol_abs=1e-8, floor=1e-13)

@@ -68,7 +68,7 @@ class TestRunManufactured:
         )
         assert report.error_l2 <= 1e-12
         assert (tmp_path / "solution.field").exists()
-        assert (tmp_path / "report.json").exists()
+        assert json.loads((tmp_path / "report.json").read_text())["iteration_seconds"] is None
 
     def test_nonlinear_run_writes_trace(self, tmp_path):
         report = run_manufactured(
@@ -84,6 +84,9 @@ class TestRunManufactured:
         trace = (tmp_path / "trace.csv").read_text().splitlines()
         assert trace[0] == "iter,metric,residual,ratio"
         assert len(trace) == 1 + report.iterations
+        seconds = json.loads((tmp_path / "report.json").read_text())["iteration_seconds"]
+        assert len(seconds) == report.iterations
+        assert all(0 < s <= report.wall_time_s for s in seconds)
 
     def test_nonlinear_single_mode_tight(self):
         # small-scale manufactured mode at a tight tolerance: the recovered

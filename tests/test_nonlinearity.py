@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nearelliptic.campanato as campanato
@@ -259,6 +261,36 @@ class TestPackedKernel:
             got = pert.delta(X)
             assert got.shape == X.shape[:-2]
             assert np.all(np.abs(got - want) <= 1e-15 * magnitude)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        xs=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=8),
+        n=st.sampled_from([2, 3, 4]),
+        slot=st.integers(0, 9),
+        amplitude=st.floats(0.0, 2.0),
+    )
+    @example(xs=[0.0, -0.0, 5e-324, np.pi, 3 * np.pi, 1e300, -1e300], n=3, slot=0, amplitude=0.7)
+    @example(xs=[0.0, -0.0, 5e-324, np.pi, 3 * np.pi, 1e300, -1e300], n=3, slot=1, amplitude=2.0)
+    def test_sine_is_within_4_ulp_of_np_sin(self, xs, n, slot, amplitude):
+        # one non-zero slot, so each output is (amplitude / n) * multiplicity * sin x
+        slot %= n * (n + 1) // 2
+        X = np.zeros((1, n * (n + 1) // 2, len(xs)))
+        X[0, slot] = xs
+        want = (amplitude / n) * HessianPairs.multiplicity(n)[slot] * np.sin(xs)
+        with np.errstate(all="raise"):
+            got = SinePerturbation(amplitude).delta_pairs(X, n)
+        assert got.shape == (1, len(xs))
+        assert np.all(np.abs(got[0] - want) <= 4 * np.spacing(np.abs(want)))
+
+    def test_sine_allocates_no_full_size_temporary(self):
+        X = np.random.default_rng(12).standard_normal((2, 6, 32**3))
+        tracemalloc.start()
+        try:
+            SinePerturbation(0.7).delta_pairs(X, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("packed", [False, True])

@@ -17,7 +17,7 @@ from nearelliptic import (
     solve_via_nearness,
     spectral_hessian,
 )
-from nearelliptic.errors import DivergenceError, NearnessConditionError
+from nearelliptic.errors import DivergenceError, InputError, NearnessConditionError
 from nearelliptic.fields import PHYSICAL
 from nearelliptic.nonlinearity import evaluate_field
 from nearelliptic.stability import NuFGEstimate, empirical_nu_F
@@ -69,6 +69,14 @@ class TestIncrementDistance:
         est = nu_FG_estimate(specF, specG)
         assert est.analytic is None
         assert c <= est.sampled <= c * np.sqrt(2) + 1e-9
+
+    @pytest.mark.parametrize("mF, mG", [(16, 8), (8, 16)])
+    def test_weight_fields_on_different_grids_are_an_input_error(self, identity22, mF, mG):
+        # the sampled grid points are shared, so F's and G's weights must lie on one grid
+        specF = NonlinearitySpec(tensor=identity22, weight=np.ones((mF, mF)))
+        specG = NonlinearitySpec(tensor=identity22, weight=np.full((mG, mG), 2.0))
+        with pytest.raises(InputError, match="different grids"):
+            nu_FG_estimate(specF, specG)
 
     def test_empirical_at_least_certified(self, grid32, identity22):
         spec = NonlinearitySpec(tensor=identity22, perturbation=SinePerturbation(amplitude=0.3))
