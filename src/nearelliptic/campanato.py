@@ -38,7 +38,6 @@ from .errors import DivergenceError, InputError
 from .fields import PHYSICAL, HessianPairs, VectorField, l2_norm, spectral_hessian
 from .linear import solve_linear, spectral_plan  # noqa: F401  (solve_linear: perfbench wraps it here)
 from .nonlinearity import NonlinearitySpec, evaluate_field
-from .tensors import SymTensor4
 
 DIVERGENCE_PATIENCE = 5
 STAGNATION_FLOOR = 1e-13
@@ -151,7 +150,6 @@ def campanato_solve(
     f: VectorField,
     certificate: EllipticityCertificate,
     config: SolveConfig = SolveConfig(),
-    tensor: SymTensor4 | None = None,
     initial_guess: VectorField | None = None,
 ) -> tuple[VectorField, IterationTrace]:
     """Iterate the near-operator contraction until the equation residual passes.
@@ -161,14 +159,13 @@ def campanato_solve(
     linear solver.  Returns the final field and the full trace.
     """
     certificate.require_feasible()
-    A = tensor if tensor is not None else spec.tensor
     g = f.grid
     if (spec.N, spec.n) != (g.N, g.n):
         raise InputError("spec dimensions do not match the grid")
     f.require_finite("right-hand side")
     if initial_guess is not None:
         initial_guess.require_finite("initial guess")
-    plan = spectral_plan(A, g)
+    plan = spectral_plan(spec.tensor, g)
     half = plan.half
     f_phys = f.to_physical()
     fnorm = l2_norm(f_phys)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, finite_number
 from .nonlinearity import NonlinearitySpec, evaluate_batch, linear_part
 from .tensors import ellipticity_constant
 
@@ -101,6 +101,22 @@ class EllipticityCertificate:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EllipticityCertificate":
+        """The inverse of :meth:`as_dict`.
+
+        ``nu``, ``beta``, ``gamma``, ``lambda``, ``kappa``, ``lipschitz_M`` and
+        the pair ``alpha_bounds`` must be finite numbers, and ``alpha`` and
+        ``worst_violation`` too when given; anything else is an InputError.
+        """
+        if not isinstance(doc, dict):
+            raise InputError(f"certificate must be a mapping, got {doc!r}")
+        bounds = doc.get("alpha_bounds")
+        if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
+            raise InputError(f"certificate 'alpha_bounds' must be a pair, got {bounds!r}")
+        for value in bounds:
+            finite_number(value, "certificate 'alpha_bounds'")
+        given = tuple(key for key in ("alpha", "worst_violation") if doc.get(key) is not None)
+        for key in ("nu", "beta", "gamma", "lambda", "kappa", "lipschitz_M") + given:
+            finite_number(doc.get(key), f"certificate {key!r}")
         return cls(
             nu=doc["nu"],
             beta=doc["beta"],
@@ -108,7 +124,7 @@ class EllipticityCertificate:
             lam=doc["lambda"],
             kappa=doc["kappa"],
             alpha=doc.get("alpha"),
-            alpha_bounds=tuple(doc["alpha_bounds"]),
+            alpha_bounds=tuple(bounds),
             lipschitz_M=doc["lipschitz_M"],
             sample_count=doc.get("sample_count", 0),
             worst_violation=doc.get("worst_violation"),
@@ -163,15 +179,19 @@ def sample_weights(rng: np.random.Generator, count: int, *specs: NonlinearitySpe
     return flat, weights
 
 
-def _draw_pairs(spec: NonlinearitySpec, sampler: SamplerConfig):
-    """Sampled (x index, weight value, alpha slot, X, Z) batches under the scale sweep."""
+def _draw_pairs(sampler: SamplerConfig, *specs: NonlinearitySpec):
+    """(scale, x indices, each spec's weights there, X, Z) per scale, drawn in that order: X, Z, x.
+
+    The specs share their dimensions; the samplers of verify, fit and nu(F, G) all draw here.
+    """
+    N, n = specs[0].N, specs[0].n
     rng = np.random.default_rng(sampler.seed)
     per_scale = []
     for scale in sampler.scales:
-        X = symmetric_gaussian(rng, sampler.count, spec.N, spec.n)
-        Z = symmetric_gaussian(rng, sampler.count, spec.N, spec.n) * scale
-        flat, (w,) = sample_weights(rng, sampler.count, spec)
-        per_scale.append((scale, flat, w, X, Z))
+        X = symmetric_gaussian(rng, sampler.count, N, n)
+        Z = symmetric_gaussian(rng, sampler.count, N, n) * scale
+        flat, weights = sample_weights(rng, sampler.count, *specs)
+        per_scale.append((scale, flat, weights, X, Z))
     return per_scale
 
 
@@ -212,7 +232,7 @@ def verify_k_condition(
     worst_sample = None
     all_violations = []
     all_scales = []
-    for scale, flat, w, X, Z in _draw_pairs(spec, sampler):
+    for scale, flat, (w,), X, Z in _draw_pairs(sampler, spec):
         AZ = linear_part(spec, Z)
         F1 = evaluate_batch(spec, X + Z, w)
         F0 = evaluate_batch(spec, X, w)
@@ -241,14 +261,13 @@ def fit_k_condition(
     spec: NonlinearitySpec,
     sampler: SamplerConfig = SamplerConfig(),
     nu: float | None = None,
-    alpha_grid: np.ndarray | None = None,
-    gamma_grid: np.ndarray | None = None,
 ) -> EllipticityCertificate:
     """Search constant alpha and the (beta, gamma) pair minimizing beta + gamma on samples.
 
-    For each candidate alpha (log-spaced around the reciprocal median weight)
-    the smallest admissible beta is a max-ratio over samples once gamma is
-    fixed, so a 1-D gamma sweep suffices.  Constants are floored at 1e-6;
+    For each of 41 candidate alphas (log-spaced over two decades around the
+    reciprocal median weight) the smallest admissible beta is a max-ratio
+    over samples once gamma is fixed, so a 1-D sweep over 109 gammas in
+    [1e-6, 0.99] suffices.  Constants are floored at 1e-6;
     a linear nonlinearity therefore comes back with the floor pair.
     Infeasibility (best beta + gamma >= 1) is returned, not raised.
     """
@@ -256,21 +275,13 @@ def fit_k_condition(
         nu = ellipticity_constant(spec.tensor).nu
     if nu <= 0:
         raise InputError(f"anchor tensor is not rank-one positive (nu = {nu})")
-    if alpha_grid is None:
-        if isinstance(spec.weight, np.ndarray):
-            center = 1.0 / float(np.median(spec.weight))
-        else:
-            center = 1.0 / spec.weight
-        alpha_grid = center * np.geomspace(0.1, 10.0, 41)
-    if gamma_grid is None:
-        gamma_grid = np.unique(
-            np.concatenate([np.geomspace(CONSTANT_FLOOR, 0.99, 60), np.linspace(0.01, 0.99, 50)])
-        )
+    alpha_grid = (1.0 / float(np.median(spec.weight))) * np.geomspace(0.1, 10.0, 41)
+    gamma_grid = np.unique(np.concatenate([np.geomspace(CONSTANT_FLOOR, 0.99, 60), np.linspace(0.01, 0.99, 50)]))
 
-    batches = _draw_pairs(spec, sampler)
+    batches = _draw_pairs(sampler, spec)
     AZ = np.concatenate([linear_part(spec, Z) for _, _, _, _, Z in batches])
     D = np.concatenate(
-        [evaluate_batch(spec, X + Z, w) - evaluate_batch(spec, X, w) for _, _, w, X, Z in batches]
+        [evaluate_batch(spec, X + Z, w) - evaluate_batch(spec, X, w) for _, _, (w,), X, Z in batches]
     )
     zz = np.concatenate([(Z**2).sum(axis=(1, 2, 3)) for _, _, _, _, Z in batches])
     waz = (AZ**2).sum(axis=1)
@@ -435,16 +446,12 @@ def lemma1_check(
     return float((lhs - rhs).min())
 
 
-def example1_certificate(
-    spec: NonlinearitySpec,
-    nu: float | None = None,
-    gamma: float | None = None,
-) -> EllipticityCertificate:
+def example1_certificate(spec: NonlinearitySpec, nu: float | None = None) -> EllipticityCertificate:
     """Analytic certificate for weighted-anchor-plus-Lipschitz-perturbation specs.
 
     With alpha = 1/weight the linear parts cancel exactly and the gap is the
     perturbation difference, so beta = rho^2 with rho the declared Lipschitz
-    ratio, and any gamma in (0, 1 - beta) works; default gamma = (1 - beta)/2.
+    ratio, and any gamma in (0, 1 - beta) works; this takes gamma = (1 - beta)/2.
     """
     if nu is None:
         nu = ellipticity_constant(spec.tensor).nu
@@ -452,8 +459,7 @@ def example1_certificate(
     if rho >= 1:
         raise InputError(f"declared Lipschitz ratio {rho} is not below 1; no certificate")
     beta = max(rho**2, CONSTANT_FLOOR)
-    if gamma is None:
-        gamma = (1.0 - beta) / 2.0
+    gamma = (1.0 - beta) / 2.0
     lam, kappa = def1_from_def2(beta, gamma)
     alpha_const = None if isinstance(spec.weight, np.ndarray) else 1.0 / spec.weight
     return EllipticityCertificate(

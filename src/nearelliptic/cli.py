@@ -10,13 +10,12 @@ import click
 import numpy as np
 
 from .certify import SamplerConfig, example1_alpha, example1_certificate, fit_k_condition, verify_k_condition
-from .errors import NearEllipticError, NearnessConditionError
+from .errors import InputError, NearEllipticError, NearnessConditionError
 from .fields import save_field
 from .harness import (
     build_problem,
     build_rhs,
     build_solve_config,
-    build_spec,
     example_suite,
     resolve_config,
     run_convergence_study,
@@ -24,18 +23,25 @@ from .harness import (
     solve_linear_spec,
     study_csv,
 )
+from .nonlinearity import NonlinearitySpec
 from .stability import solve_via_nearness
 
 
 def _load_config(path: str | None, overrides: dict) -> dict:
-    doc = json.loads(Path(path).read_text()) if path else {}
+    try:
+        doc = json.loads(Path(path).read_text()) if path else {}
+    except ValueError as exc:
+        raise InputError(f"config file is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"config must be a mapping, got {doc!r}")
     for key, value in overrides.items():
         if value is None:
             continue
         section, _, leaf = key.partition(".")
         if leaf:
-            doc.setdefault(section, {})
-            doc[section][leaf] = value
+            # a section that is not a mapping is refused by resolve_config
+            if isinstance(doc.setdefault(section, {}), dict):
+                doc[section][leaf] = value
         else:
             doc[section] = value
     return doc
@@ -65,7 +71,7 @@ def certify(config_path, seed, out_dir):
     """Fit the two-constant ellipticity certificate for the configured nonlinearity."""
     try:
         cfg = resolve_config(_load_config(config_path, {"seed": seed}))
-        _, _, spec, nu = build_problem(cfg)
+        _, spec, nu = build_problem(cfg)
         sampler = SamplerConfig(seed=cfg["seed"])
         cert = fit_k_condition(spec, sampler, nu=nu)
         check = verify_k_condition(spec, cert.alpha, cert.beta, cert.gamma, sampler, nu=nu)
@@ -99,7 +105,7 @@ def solve_linear_cmd(config_path, epsilon, grid_m, seed, out_dir):
                 {"solver.epsilon": epsilon, "grid.M": grid_m, "rhs.seed": seed},
             )
         )
-        grid, _, spec, nu = build_problem(cfg)
+        grid, spec, nu = build_problem(cfg)
         f, _ = build_rhs(cfg, grid, spec)
         result = solve_linear_spec(cfg, spec, f, nu)
         out = _out_dir(out_dir)
@@ -142,22 +148,19 @@ def solve(config_path, tol, grid_m, seed, out_dir):
 def solve_stability(config_path, seed, out_dir):
     """Solve G(., D^2 u) = g through the certified F solver (two specs in one config)."""
     try:
-        doc = json.loads(Path(config_path).read_text())
-        if seed is not None:
-            doc.setdefault("rhs", {})["seed"] = seed
-        base = resolve_config(doc)
-        cfg_g = dict(base, spec=dict(base["spec"], perturbation=base["spec_g"]["perturbation"]))
-        grid, tensor, spec_f, nu = build_problem(base)
-        spec_g = build_spec(cfg_g, tensor)
+        cfg = resolve_config(_load_config(config_path, {"rhs.seed": seed}))
+        grid, spec_f, nu = build_problem(cfg)
+        g_doc = dict(cfg["spec"], tensor=cfg["tensor"], perturbation=cfg["spec_g"]["perturbation"])
+        spec_g = NonlinearitySpec.from_dict(g_doc, grid)
         cert = example1_certificate(spec_f, nu=nu)
-        g_field, _ = build_rhs(cfg_g, grid, spec_g)
+        g_field, _ = build_rhs(cfg, grid, spec_g)
         u, rep = solve_via_nearness(
             spec_f,
             spec_g,
             example1_alpha(spec_f),
             cert,
             g_field,
-            config=build_solve_config(base),
+            config=build_solve_config(cfg),
         )
         out = _out_dir(out_dir)
         save_field(out / "solution.field", u)
@@ -184,7 +187,10 @@ def study(config_path, m_list, seed, out_dir):
     """Grid-refinement convergence study against an analytic manufactured solution."""
     try:
         cfg = _load_config(config_path, {"rhs.seed": seed})
-        m_values = [int(tok) for tok in m_list.split(",")]
+        try:
+            m_values = [int(tok) for tok in m_list.split(",")]
+        except ValueError:
+            raise InputError(f"--m-list must be comma-separated integers, got {m_list!r}") from None
         rows = run_convergence_study(cfg, m_values)
         out = _out_dir(out_dir)
         (out / "study.csv").write_text(study_csv(rows))

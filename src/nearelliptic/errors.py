@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of a number read from input."""
+
+import math
+from numbers import Integral, Real
 
 
 class NearEllipticError(Exception):
@@ -41,3 +44,15 @@ class NearnessConditionError(NearEllipticError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+
+def finite_number(value, what: str, integer: bool = False):
+    """``value`` if it is a finite number, or a non-negative integer when ``integer``; else InputError.
+
+    A bool is neither.
+    """
+    kind, wanted = (Integral, "a non-negative integer") if integer else (Real, "a finite number")
+    bad = isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value)
+    if bad or (integer and value < 0):
+        raise InputError(f"{what} must be {wanted}, got {value!r}")
+    return value

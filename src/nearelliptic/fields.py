@@ -607,11 +607,11 @@ def load_field(path):
     return cls(grid, payload.copy(), rep)
 
 
-def csv_slice(field: VectorField, path, component: int = 0) -> None:
-    """Write a plotting slice as CSV: the (x1, x2) plane of one component at zero in the other axes."""
+def csv_slice(field: VectorField, path) -> None:
+    """Write a plotting slice as CSV: the (x1, x2) plane of component 0 at zero in the other axes."""
     phys = field.to_physical()
     g = field.grid
-    block = phys.data[(component,) + (slice(None), slice(None)) + (0,) * (g.n - 2)]
+    block = phys.data[(0,) + (slice(None), slice(None)) + (0,) * (g.n - 2)]
     x = np.arange(g.M) * g.spacing
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x1,x2,value\n")

@@ -11,15 +11,21 @@ come from three families:
 * ``analytic``— a separable product of exp(s sin(2 pi x_i / L)) factors whose
                 hessian is evaluated in closed form on the grid; it is not
                 band-limited, which is what a refinement study needs.
+
+Each concept has one reader: ``tensor`` and ``spec`` go to
+:meth:`~nearelliptic.nonlinearity.NonlinearitySpec.from_dict` with the grid,
+a declared ``certificate`` to
+:meth:`~nearelliptic.certify.EllipticityCertificate.from_dict`.
+:func:`resolve_config` also checks the sections only some commands read
+(``spec_g``, ``solver.mode``, ``certificate``), so a malformed config is an
+InputError in every command.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import time
-from dataclasses import dataclass
-from numbers import Integral, Real
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +40,7 @@ from .certify import (
     fit_k_condition,
 )
 from .counterexamples import example2_analysis, example3_analysis
-from .errors import InputError
+from .errors import InputError, finite_number
 from .fields import (
     PHYSICAL,
     GridSpec,
@@ -48,7 +54,7 @@ from .fields import (
 )
 from .linear import LinearSolveResult, hessian_estimate_check, solve_linear
 from .nonlinearity import NonlinearitySpec, evaluate_field, perturbation_from_dict
-from .tensors import SymTensor4, builtin_tensor, ellipticity_constant, example2_tensor, identity_tensor
+from .tensors import ellipticity_constant, example2_tensor, identity_tensor
 
 _DEFAULTS = {
     "grid": {"n": 2, "N": 2, "M": 64, "L": 1.0},
@@ -78,29 +84,32 @@ def _merge(defaults, given):
 
 
 def _check_types(cfg: dict) -> None:
-    """Raise InputError on a config section that is not a mapping or a number of the wrong kind.
+    """Raise InputError on a config section that is not a mapping or a value of the wrong kind.
 
     A numeric value is None only where its default is None, meaning unset.
     """
     for section, default in _DEFAULTS.items():
         if isinstance(default, dict) and not isinstance(cfg[section], dict):
             raise InputError(f"config {section!r} must be a mapping, got {cfg[section]!r}")
-    for section in ("spec", "spec_g"):
-        pert = cfg[section]["perturbation"]
-        if pert is not None and not isinstance(pert, dict):
-            raise InputError(f"config '{section}.perturbation' must be a mapping, got {pert!r}")
     integers = ("grid.n", "grid.N", "grid.M", "rhs.band", "rhs.seed", "solver.max_iters", "seed")
     reals = ("grid.L", "rhs.analytic_scale", "solver.tol_residual", "solver.epsilon")
+    if not isinstance(cfg["alpha"], str):  # a string asks for the matching alpha = 1/weight
+        reals += ("alpha",)
     for name in integers + reals:
-        kind, what = (Integral, "an integer") if name in integers else (Real, "a finite number")
         section, _, key = name.rpartition(".")
         value = (cfg[section] if section else cfg)[key]
-        if value is None:
-            continue
-        if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
-            raise InputError(f"config {name!r} must be {what}, got {value!r}")
-        if kind is Integral and value < 0:
-            raise InputError(f"config {name!r} must not be negative, got {value}")
+        if value is not None:
+            finite_number(value, f"config {name!r}", integer=name in integers)
+    # sections that only some commands read: every command refuses them malformed
+    if cfg["spec_g"]["perturbation"] is not None:
+        perturbation_from_dict(cfg["spec_g"]["perturbation"])
+    if cfg["solver"]["mode"] not in ("campanato", "linear"):
+        raise InputError(f"config 'solver.mode' must be 'campanato' or 'linear', got {cfg['solver']['mode']!r}")
+    certificate = cfg["certificate"]
+    if isinstance(certificate, dict):
+        EllipticityCertificate.from_dict(certificate)
+    elif certificate not in ("analytic", "fitted"):
+        raise InputError(f"config 'certificate' must be 'analytic', 'fitted' or a mapping, got {certificate!r}")
 
 
 def resolve_config(doc: dict) -> dict:
@@ -124,38 +133,14 @@ def build_grid(cfg: dict) -> GridSpec:
     return GridSpec(n=g["n"], N=g["N"], M=g["M"], L=g["L"])
 
 
-def build_tensor(cfg: dict, grid: GridSpec) -> SymTensor4:
-    t = cfg["tensor"]
-    if isinstance(t, str):
-        return builtin_tensor(t, n=grid.n, N=grid.N)
-    if isinstance(t, dict) and "path" in t:
-        try:
-            text = Path(t["path"]).read_text()
-        except OSError as exc:
-            raise InputError(f"cannot read the tensor file: {exc}") from exc
-        return SymTensor4.from_text(text)
-    raise InputError(f"cannot interpret tensor config {t!r}")
-
-
-def build_spec(cfg: dict, tensor: SymTensor4) -> NonlinearitySpec:
-    s = cfg["spec"]
-    weight = s.get("weight", 1.0)
-    if isinstance(weight, str):
-        weight = load_field(weight).to_physical().data[0]
-    pert_doc = s.get("perturbation")
-    pert = None if pert_doc is None else perturbation_from_dict(pert_doc)
-    return NonlinearitySpec(tensor=tensor, weight=weight, perturbation=pert)
-
-
-def build_problem(cfg: dict) -> tuple[GridSpec, SymTensor4, NonlinearitySpec, float]:
-    """Grid, tensor, spec and the tensor's nu(A), which must be positive."""
+def build_problem(cfg: dict) -> tuple[GridSpec, NonlinearitySpec, float]:
+    """Grid, the spec of ``tensor`` and ``spec``, and the tensor's nu(A), which must be positive."""
     grid = build_grid(cfg)
-    tensor = build_tensor(cfg, grid)
-    spec = build_spec(cfg, tensor)
-    nu = ellipticity_constant(tensor).nu
+    spec = NonlinearitySpec.from_dict(dict(cfg["spec"], tensor=cfg["tensor"]), grid)
+    nu = ellipticity_constant(spec.tensor).nu
     if nu <= 0:
         raise InputError(f"tensor is not rank-one positive: nu = {nu}")
-    return grid, tensor, spec, nu
+    return grid, spec, nu
 
 
 def build_solve_config(cfg: dict) -> SolveConfig:
@@ -180,18 +165,31 @@ class ManufacturedSolution:
 
 
 def modes_solution(grid: GridSpec, modes: list[dict]) -> ManufacturedSolution:
-    """Sum of sin/cos lattice modes; the hessian multiplier is exact."""
-    x = grid.axes()[0]
+    """Sum of sin/cos lattice modes; the hessian multiplier is exact.
+
+    Each mode is ``{"k": [...], "component": 0, "amplitude": 1.0, "kind":
+    "sin"}``, only ``k`` required; a malformed one is an InputError.
+    """
+    if not isinstance(modes, list):
+        raise InputError(f"rhs kind 'modes' needs a list of modes, got {modes!r}")
     coords = np.meshgrid(*grid.axes(), indexing="ij")
     u = np.zeros((grid.N,) + grid.shape)
     hess = np.zeros((grid.N, grid.n, grid.n) + grid.shape)
     for mode in modes:
-        comp = int(mode.get("component", 0))
-        k = np.asarray(mode["k"], dtype=float)
-        if k.shape != (grid.n,) or not np.any(k):
-            raise InputError(f"mode frequency must be a nonzero {grid.n}-vector, got {mode['k']}")
-        amp = float(mode.get("amplitude", 1.0))
+        if not isinstance(mode, dict) or "k" not in mode:
+            raise InputError(f"a mode needs a frequency 'k', got {mode!r}")
+        comp = finite_number(mode.get("component", 0), "mode component", integer=True)
+        amp = finite_number(mode.get("amplitude", 1.0), "mode amplitude")
         kind = mode.get("kind", "sin")
+        try:
+            k = np.asarray(mode["k"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"mode frequency must be numbers: {exc}") from exc
+        if comp >= grid.N or kind not in ("sin", "cos") or k.shape != (grid.n,) or not np.any(k):
+            raise InputError(
+                f"a mode needs a component below {grid.N}, kind 'sin' or 'cos' and a nonzero "
+                f"{grid.n}-vector k, got {mode!r}"
+            )
         phase = 2 * np.pi * sum(k[i] * coords[i] for i in range(grid.n)) / grid.L
         wave = np.sin(phase) if kind == "sin" else np.cos(phase)
         u[comp] += amp * wave
@@ -240,6 +238,8 @@ def build_rhs(cfg: dict, grid: GridSpec, spec: NonlinearitySpec):
     r = cfg["rhs"]
     kind = r["kind"]
     if kind == "file":
+        if not isinstance(r["path"], str):
+            raise InputError(f"rhs kind 'file' needs a 'path', got {r['path']!r}")
         return load_field(r["path"]), None
     if kind == "random":
         ustar = random_band_limited(grid, int(r["band"]), int(r["seed"]))
@@ -247,7 +247,7 @@ def build_rhs(cfg: dict, grid: GridSpec, spec: NonlinearitySpec):
     elif kind == "modes":
         exact = modes_solution(grid, r["modes"])
     elif kind == "analytic":
-        exact = analytic_solution(grid, float(r.get("analytic_scale", 3.0)))
+        exact = analytic_solution(grid, r["analytic_scale"])
     else:
         raise InputError(f"unknown rhs kind {kind!r}")
     f = evaluate_field(spec, exact.hessian)
@@ -260,9 +260,7 @@ def build_certificate(cfg: dict, spec: NonlinearitySpec, nu: float) -> Elliptici
         return example1_certificate(spec, nu=nu)
     if c == "fitted":
         return fit_k_condition(spec, nu=nu)
-    if isinstance(c, dict):
-        return EllipticityCertificate.from_dict(c)
-    raise InputError(f"cannot interpret certificate config {c!r}")
+    return EllipticityCertificate.from_dict(c)
 
 
 @dataclass(frozen=True)
@@ -279,18 +277,7 @@ class RunReport:
     iteration_seconds: list[float] | None  # per fixed-point step; None for a linear solve
 
     def as_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "certificate": self.certificate,
-            "error_l2": self.error_l2,
-            "error_hessian_rel": self.error_hessian_rel,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "wall_time_s": self.wall_time_s,
-            "n_ge_5": self.n_ge_5,
-            "outputs": self.outputs,
-            "iteration_seconds": self.iteration_seconds,
-        }
+        return asdict(self)
 
 
 def _gauge_comparison(u: VectorField, exact: ManufacturedSolution):
@@ -308,7 +295,7 @@ def run_manufactured(config: dict, out_dir: str | Path | None = None) -> RunRepo
     """Build the exact solution, feed F(., D^2 u*) to the solver, report errors."""
     cfg = resolve_config(config)
     started = time.monotonic()
-    grid, _, spec, nu = build_problem(cfg)
+    grid, spec, nu = build_problem(cfg)
     f, exact = build_rhs(cfg, grid, spec)
 
     outputs: dict = {}
@@ -363,11 +350,12 @@ def run_convergence_study(config: dict, m_values: list[int]) -> list[dict]:
     """Fixed analytic exact solution, increasing M; spectral decay of the recovery error."""
     if sorted(m_values) != list(m_values):
         raise InputError("M list must be increasing")
+    grid, rhs = (config or {}).get("grid", {}), (config or {}).get("rhs", {})
+    if not (isinstance(grid, dict) and isinstance(rhs, dict)):
+        raise InputError(f"config 'grid' and 'rhs' must be mappings, got {grid!r} and {rhs!r}")
     rows = []
     for M in m_values:
-        doc = dict(config or {})
-        doc["grid"] = dict(doc.get("grid", {}), M=M)
-        doc["rhs"] = dict(doc.get("rhs", {}), kind=doc.get("rhs", {}).get("kind", "analytic"))
+        doc = dict(config or {}, grid=dict(grid, M=M), rhs=dict(rhs, kind=rhs.get("kind", "analytic")))
         report = run_manufactured(doc)
         rows.append(
             {

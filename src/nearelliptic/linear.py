@@ -169,12 +169,11 @@ def solve_linear(
     f: VectorField,
     epsilon: float | None = None,
     nu: float | None = None,
-    mean_tolerance: float = MEAN_TOLERANCE,
 ) -> LinearSolveResult:
     """Invert A : D^2 u = f on the torus, exactly or with the eps-regularized multiplier.
 
     The k = 0 part of f cannot be matched and is dropped into
-    ``dropped_mean`` (with a warning flag when it is large relative to
+    ``dropped_mean`` (with a warning flag when it exceeds MEAN_TOLERANCE
     ``||f||``); the solution is returned with zero mean.  ``nu`` may be
     passed to skip the ellipticity search when the caller already certified
     the tensor.
@@ -195,7 +194,7 @@ def solve_linear(
     fnorm = half.norm(fhat)
     dropped = fhat[(slice(None),) + (0,) * g.n].real.copy()
     mean_warning = bool(
-        np.linalg.norm(dropped) > mean_tolerance * max(fnorm, np.finfo(float).tiny)
+        np.linalg.norm(dropped) > MEAN_TOLERANCE * max(fnorm, np.finfo(float).tiny)
     )
 
     gauge = half.gauge

@@ -25,20 +25,25 @@ SIMD code on common x86 CPUs but not ``sin``, and the identity stays within
 2 ulp of ``np.sin`` from 1e-8 to 1e300.  It walks the packed slots one at a
 time and accumulates into the (N, points) output in place, so no temporary
 is larger than one slot.
+
+:meth:`NonlinearitySpec.from_dict` is the one reader of a spec, for configs
+and for :meth:`~NonlinearitySpec.to_dict` alike: the tensor in any form of
+:func:`~nearelliptic.tensors.read_tensor`, the weight as a number or a
+field-file path, the perturbation by :func:`perturbation_from_dict`.  A
+weight field cannot be written back; its config keeps the path.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from numbers import Real
 from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationError, InputError
-from .fields import PHYSICAL, HessianField, HessianPairs, VectorField
-from .tensors import SymTensor4, builtin_tensor, check_hessian_arg
+from .errors import EvaluationError, InputError, finite_number
+from .fields import PHYSICAL, GridSpec, HessianField, HessianPairs, VectorField, load_field
+from .tensors import SymTensor4, check_hessian_arg, read_tensor
 
 _CUSTOM_REGISTRY: dict[str, "CustomPerturbation"] = {}
 
@@ -196,8 +201,7 @@ def perturbation_from_dict(doc) -> Perturbation:
         if kind == cls.kind:
             params = {param.name: doc.get(param.name) for param in fields(cls)}
             for name, value in params.items():
-                if not (isinstance(value, Real) and np.isfinite(value)):
-                    raise InputError(f"{kind} perturbation needs a finite number {name!r}, got {value!r}")
+                finite_number(value, f"{kind} perturbation {name!r}")
             return cls(**params)
     raise InputError(f"unknown perturbation kind {kind!r}")
 
@@ -209,7 +213,6 @@ class NonlinearitySpec:
     tensor: SymTensor4
     weight: float | np.ndarray = 1.0
     perturbation: Perturbation | None = None
-    weight_name: str = ""
 
     def __post_init__(self):
         w = self.weight
@@ -220,11 +223,9 @@ class NonlinearitySpec:
             w.setflags(write=False)
             object.__setattr__(self, "weight", w)
         else:
-            if isinstance(w, bool) or not isinstance(w, Real):
-                raise InputError(f"weight must be a number or a grid field, got {w!r}")
-            w = float(w)
-            if not (np.isfinite(w) and w > 0):
-                raise InputError("constant weight must be finite and strictly positive")
+            w = float(finite_number(w, "a weight that is not a grid field"))
+            if not w > 0:
+                raise InputError(f"constant weight must be strictly positive, got {w}")
             object.__setattr__(self, "weight", w)
         if self.perturbation is not None:
             zero = np.zeros((self.tensor.N, self.tensor.n, self.tensor.n))
@@ -286,16 +287,11 @@ class NonlinearitySpec:
         pert = None
         if self.perturbation is not None:
             pert = {"kind": self.perturbation.kind, **self.perturbation.params()}
-        weight: float | str
         if isinstance(self.weight, np.ndarray):
-            if not self.weight_name:
-                raise InputError("cannot serialize an inline weight field without a name/reference")
-            weight = self.weight_name
-        else:
-            weight = self.weight
+            raise InputError("cannot serialize a weight field; give the config its field-file path instead")
         return {
             "tensor": {"n": self.n, "N": self.N, "entries": self.tensor.entries.ravel().tolist()},
-            "weight": weight,
+            "weight": self.weight,
             "perturbation": pert,
         }
 
@@ -303,28 +299,28 @@ class NonlinearitySpec:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
-    def from_dict(cls, doc: dict, weight_loader=None) -> "NonlinearitySpec":
-        tdoc = doc["tensor"]
-        if isinstance(tdoc, str):
-            tensor = builtin_tensor(tdoc)
-        else:
-            entries = np.asarray(tdoc["entries"]).reshape(
-                tdoc["N"], tdoc["N"], tdoc["n"], tdoc["n"]
-            )
-            tensor = SymTensor4(entries)
-        weight = doc.get("weight", 1.0)
-        weight_name = ""
-        if isinstance(weight, str):
-            if weight_loader is None:
-                raise InputError(f"weight reference {weight!r} given but no loader supplied")
-            weight_name, weight = weight, weight_loader(weight)
-        pert_doc = doc.get("perturbation")
-        pert = None if pert_doc is None else perturbation_from_dict(pert_doc)
-        return cls(tensor=tensor, weight=weight, perturbation=pert, weight_name=weight_name)
+    def from_dict(cls, doc: dict, grid: GridSpec | None = None) -> "NonlinearitySpec":
+        """The spec of ``{"tensor", "weight", "perturbation"}``: the one reader of configs and of :meth:`to_dict`.
+
+        The tensor is read by :func:`~nearelliptic.tensors.read_tensor`, a
+        named ``identity`` taking the dimensions of ``grid``.  The weight is a
+        number (1 by default) or the path of a field file whose component 0
+        is the weight; the perturbation is absent or read by
+        :func:`perturbation_from_dict`.
+        """
+        if not isinstance(doc, dict) or "tensor" not in doc:
+            raise InputError(f"spec needs a 'tensor', got {doc!r}")
+        weight, pert_doc = doc.get("weight", 1.0), doc.get("perturbation")
+        return cls(
+            tensor=read_tensor(doc["tensor"], grid),
+            weight=load_field(weight).to_physical().data[0] if isinstance(weight, str) else weight,
+            perturbation=None if pert_doc is None else perturbation_from_dict(pert_doc),
+        )
 
     @classmethod
-    def from_text(cls, text: str, weight_loader=None) -> "NonlinearitySpec":
-        return cls.from_dict(json.loads(text), weight_loader=weight_loader)
+    def from_text(cls, text: str) -> "NonlinearitySpec":
+        return cls.from_dict(json.loads(text))
+
 
 
 def linear_part(spec: NonlinearitySpec, X: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .campanato import STAGNATION_FLOOR, IterationTrace, SolveConfig, campanato_solve, zero_field
-from .certify import EllipticityCertificate, SamplerConfig, sample_weights, symmetric_gaussian
+from .certify import EllipticityCertificate, SamplerConfig, _draw_pairs
 from .errors import InputError, NearnessConditionError
 from .fields import PHYSICAL, GridSpec, VectorField, l2_norm, random_band_limited, spectral_hessian
 from .nonlinearity import (
@@ -81,27 +81,20 @@ def _perturbation_distance_bound(specF: NonlinearitySpec, specG: NonlinearitySpe
     return None
 
 
-def nu_FG_estimate(
-    specF: NonlinearitySpec,
-    specG: NonlinearitySpec,
-    sampler: SamplerConfig = SamplerConfig(count=2000, seed=3),
-) -> NuFGEstimate:
+def nu_FG_estimate(specF: NonlinearitySpec, specG: NonlinearitySpec) -> NuFGEstimate:
     """Maximum sampled increment-distance ratio between two nonlinearities.
 
-    Gaussian (X, Y) pairs under the scale sweep; weights are sampled from the
-    grid when spatially varying.  The sample maximum is a lower estimate of
-    the true supremum, which is why the analytic catalog bound, when known,
-    is the one used for admission decisions.
+    Gaussian (X, Y) pairs, 2000 per scale of the default sweep at seed 3,
+    drawn by the certificate sampler; weights are sampled from the grid when
+    spatially varying.  The sample maximum is a lower estimate of the true
+    supremum, which is why the analytic catalog bound, when known, is the
+    one used for admission decisions.
     """
     if (specF.N, specF.n) != (specG.N, specG.n):
         raise InputError("specs must share dimensions")
-    rng = np.random.default_rng(sampler.seed)
     worst = 0.0
-    for scale in sampler.scales:
-        X = symmetric_gaussian(rng, sampler.count, specF.N, specF.n)
-        step = symmetric_gaussian(rng, sampler.count, specF.N, specF.n) * scale
+    for _, _, (wF, wG), X, step in _draw_pairs(SamplerConfig(count=2000, seed=3), specF, specG):
         Y = X + step
-        _, (wF, wG) = sample_weights(rng, sampler.count, specF, specG)
         dF = evaluate_batch(specF, Y, wF) - evaluate_batch(specF, X, wF)
         dG = evaluate_batch(specG, Y, wG) - evaluate_batch(specG, X, wG)
         num = np.sqrt(((dF - dG) ** 2).sum(axis=1))
@@ -112,19 +105,16 @@ def nu_FG_estimate(
     return NuFGEstimate(sampled=worst, analytic=_perturbation_distance_bound(specF, specG))
 
 
-def empirical_nu_F(
-    spec: NonlinearitySpec,
-    grid: GridSpec,
-    pairs: int = 8,
-    band: int | None = None,
-    seed: int = 11,
-) -> float:
-    """Diagnostic minimum of ||F(., D^2 w) - F(., D^2 v)|| / ||D^2(w - v)|| over random field pairs."""
-    band = band if band is not None else max(1, grid.M // 4)
+def empirical_nu_F(spec: NonlinearitySpec, grid: GridSpec) -> float:
+    """Diagnostic minimum of ||F(., D^2 w) - F(., D^2 v)|| / ||D^2(w - v)|| over random field pairs.
+
+    The 8 pairs are band-limited to max(1, M/4), at seeds 11 + 2j and 12 + 2j.
+    """
+    band = max(1, grid.M // 4)
     best = np.inf
-    for j in range(pairs):
-        w = random_band_limited(grid, band, seed + 2 * j)
-        v = random_band_limited(grid, band, seed + 2 * j + 1)
+    for j in range(8):
+        w = random_band_limited(grid, band, 11 + 2 * j)
+        v = random_band_limited(grid, band, 12 + 2 * j)
         hw = spectral_hessian(w, PHYSICAL)
         hv = spectral_hessian(v, PHYSICAL)
         num = l2_norm(evaluate_field(spec, hw) - evaluate_field(spec, hv))
@@ -160,7 +150,6 @@ def solve_via_nearness(
     certificateF: EllipticityCertificate,
     g: VectorField,
     config: SolveConfig = SolveConfig(),
-    max_outer: int = 60,
     initial_guess: VectorField | None = None,
 ) -> tuple[VectorField, StabilityReport]:
     """Solve G(., D^2 u) = g through the certified F solver.
@@ -172,7 +161,7 @@ def solve_via_nearness(
     rule of the inner one (:meth:`IterationTrace.advance`) in the metric
     ||F(., D^2 u_k) - F(., D^2 u_{k-1})||: on the residual, on a stall at
     round-off, or with a ``DivergenceError`` citing ``certificateF`` once it
-    stops contracting.
+    stops contracting; it takes at most 60 outer steps.
     """
     g.require_finite("right-hand side")
     if initial_guess is not None:
@@ -209,7 +198,7 @@ def solve_via_nearness(
     G_u = evaluate_field(specG, hess)
     F_prev = F_u
     trace = IterationTrace()
-    for _ in range(max_outer):
+    for _ in range(60):
         rhs = F_u - (G_u - g_phys)
         u, _ = campanato_solve(
             specF, alphaF, rhs, certificateF, config=inner_config, initial_guess=u

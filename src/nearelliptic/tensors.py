@@ -11,15 +11,20 @@ symbol inversion, and the rank-one ellipticity constant
 
     nu(A) = min over unit eta, a of  A : eta (x) a (x) eta (x) a,
 
-computed by dense direction sampling plus a batched polish of the best
-samples by alternating eigen-steps, the standard method for the smallest
-M-eigenvalue of an elasticity-type tensor (Qi, Dai and Han, 2009).
+computed by dense direction sampling (an angle grid for n <= 3, seeded
+normal draws above) plus a batched polish of the best samples by
+alternating eigen-steps, the standard method for the smallest M-eigenvalue
+of an elasticity-type tensor (Qi, Dai and Han, 2009).
+
+:func:`read_tensor` is the one reader of a tensor in a config or spec
+document: a built-in name, a tensor file, or inline entries.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -150,25 +155,43 @@ def example2_tensor(m: float) -> SymTensor4:
     return SymTensor4(entries)
 
 
-_BUILTIN_TENSORS = {"identity": identity_tensor, "example2": example2_tensor}
+def read_tensor(doc, grid=None) -> SymTensor4:
+    """The tensor of a config or spec document: the one reader of every form.
 
-
-def builtin_tensor(name: str, *, n: int | None = None, N: int | None = None) -> SymTensor4:
-    """Resolve a named built-in: ``identity`` (needs n, N) or ``example2:m=<value>``."""
-    if name == "identity":
-        if n is None or N is None:
-            raise InputError("identity tensor needs explicit n and N")
-        return identity_tensor(n, N)
-    if name.startswith("example2"):
-        m = 8.0
-        if ":" in name:
-            _, _, arg = name.partition(":")
-            key, _, val = arg.partition("=")
-            if key != "m":
+    A built-in name, ``identity`` (of the dimensions of ``grid``) or
+    ``example2[:m=<value>]`` (m = 8 by default); ``{"path": <file>}``, a
+    :meth:`SymTensor4.to_text` file; or ``{"n", "N", "entries"}``, the inline
+    form of :meth:`~nearelliptic.nonlinearity.NonlinearitySpec.to_dict`.
+    Anything else, an unreadable file or a malformed value is an InputError.
+    """
+    if isinstance(doc, str):
+        name, _, arg = doc.partition(":")
+        if name == "identity" and not arg:
+            if grid is None:
+                raise InputError("identity tensor needs the grid's n and N")
+            return identity_tensor(grid.n, grid.N)
+        if name == "example2":
+            key, _, value = arg.partition("=")
+            if arg and key != "m":
                 raise InputError(f"unknown example2 parameter {key!r}")
-            m = float(val)
-        return example2_tensor(m)
-    raise InputError(f"unknown built-in tensor {name!r}")
+            try:
+                return example2_tensor(float(value) if arg else 8.0)
+            except ValueError as exc:
+                raise InputError(f"example2 parameter m must be a number, got {value!r}") from exc
+        raise InputError(f"unknown built-in tensor {doc!r}")
+    if isinstance(doc, dict) and "path" in doc:
+        try:
+            text = Path(doc["path"]).read_text()
+        except (OSError, TypeError) as exc:
+            raise InputError(f"cannot read the tensor file: {exc}") from exc
+        return SymTensor4.from_text(text)
+    if isinstance(doc, dict) and {"n", "N", "entries"} <= set(doc):
+        try:
+            entries = np.asarray(doc["entries"], dtype=float).reshape(doc["N"], doc["N"], doc["n"], doc["n"])
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"inline tensor needs integer n, N and N*N*n*n numeric entries: {exc}") from exc
+        return SymTensor4(entries)
+    raise InputError(f"cannot interpret tensor {doc!r}")
 
 
 def check_hessian_arg(A: SymTensor4, Z: np.ndarray) -> np.ndarray:
@@ -319,9 +342,6 @@ class SphereSearchConfig:
     """Direction-sampling plan for the ellipticity-constant search."""
 
     samples: int = 20000
-    polish_seeds: int = 10
-    seed: int = 7
-    polish_tol: float = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,9 +358,9 @@ def _sphere_directions(n: int, cfg: SphereSearchConfig) -> np.ndarray:
     """Unit directions covering the sphere.
 
     The symbol is even in the direction, so half the sphere suffices.  For
-    n <= 3 a product-of-angles grid is dense enough; in higher dimension a
-    Sobol sequence pushed through the normal quantile gives quasi-uniform
-    points.
+    n <= 3 a product-of-angles grid is dense enough; in higher dimension the
+    2^m >= samples directions are seeded standard normal draws, normalised,
+    which are uniform on the sphere.
     """
     if n == 2:
         theta = np.linspace(0.0, np.pi, cfg.samples, endpoint=False)
@@ -359,17 +379,9 @@ def _sphere_directions(n: int, cfg: SphereSearchConfig) -> np.ndarray:
         keep = np.ones(len(dirs), dtype=bool)
         keep[1:n_phi] = False
         return dirs[keep]
-    from scipy.stats import qmc
-
     m = int(np.ceil(np.log2(max(cfg.samples, 16))))
-    sob = qmc.Sobol(d=n, scramble=True, seed=cfg.seed)
-    raw = sob.random_base2(m)
-    from scipy.special import ndtri
-
-    pts = ndtri(np.clip(raw, 1e-12, 1 - 1e-12))
-    norms = np.linalg.norm(pts, axis=1)
-    good = norms > 1e-8
-    return pts[good] / norms[good, None]
+    pts = np.random.default_rng(7).standard_normal((2**m, n))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
 def _polish(A: SymTensor4, dirs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
@@ -396,7 +408,7 @@ def ellipticity_constant(A: SymTensor4, search: SphereSearchConfig = SphereSearc
     """Minimum over unit directions of the smallest symbol eigenvalue.
 
     Dense direction sampling followed by the alternating eigen-step polish
-    from the best seeds; the minimum of the sampled and polished values is
+    from the 10 best samples, to a relative change of 1e-13; the minimum of the sampled and polished values is
     reported together with the attaining direction and eigenvector.  The
     result may be <= 0; the caller decides what to do with a non-elliptic
     tensor.
@@ -410,15 +422,15 @@ def _sphere_search(A: SymTensor4, search: SphereSearchConfig):
     stack = symbol_stack(A, dirs)
     eigs = np.linalg.eigvalsh(stack)[:, 0]
     order = np.argsort(eigs)
-    best = order[: max(1, search.polish_seeds)]
-    values, polished, steps = _polish(A, dirs[best], search.polish_tol)
+    best = order[:10]
+    values, polished, steps = _polish(A, dirs[best], 1e-13)
     candidates = [(float(eigs[k]), dirs[k]) for k in best] + list(zip(values.tolist(), polished))
     nu, witness_a = min(candidates, key=lambda item: item[0])
     S = symbol_matrix(A, witness_a).values
     w, V = np.linalg.eigh(S)
     resolution = (
         f"directions={len(dirs)} (n={A.n}), polish=alternating-eigh x{len(best)}, "
-        f"steps={steps}, tol={search.polish_tol:g}"
+        f"steps={steps}, tol=1e-13"
     )
     constant = EllipticityConstant(
         nu=float(nu),
@@ -443,12 +455,8 @@ class RankOneCheck:
         return self.positive
 
 
-def check_rank_one_positive(
-    A: SymTensor4,
-    tol: float = 0.0,
-    search: SphereSearchConfig = SphereSearchConfig(),
-) -> RankOneCheck:
-    """True when nu(A) > tol; cross-checks the determinant criterion at all sampled directions.
+def check_rank_one_positive(A: SymTensor4) -> RankOneCheck:
+    """True when nu(A) > 0; cross-checks the determinant criterion at all sampled directions.
 
     Positivity of the smallest symbol eigenvalue and positivity of the symbol
     determinant agree globally for symmetric tensors; pointwise the
@@ -456,11 +464,11 @@ def check_rank_one_positive(
     so disagreeing sample directions are counted and reported rather than
     silently accepted.
     """
-    constant, stack, eig_min = _sphere_search(A, search)
+    constant, stack, eig_min = _sphere_search(A, SphereSearchConfig())
     dets = np.linalg.det(stack)
-    disagreements = int(np.count_nonzero((eig_min > tol) != (dets > 0.0)))
+    disagreements = int(np.count_nonzero((eig_min > 0.0) != (dets > 0.0)))
     return RankOneCheck(
-        positive=bool(constant.nu > tol),
+        positive=bool(constant.nu > 0.0),
         constant=constant,
         det_min=float(dets.min()),
         disagreements=disagreements,
@@ -468,22 +476,15 @@ def check_rank_one_positive(
     )
 
 
-def random_rank_one_positive(
-    n: int,
-    N: int,
-    seed: int,
-    nu_min: float = 0.05,
-    spread: float = 0.25,
-    max_tries: int = 50,
-) -> tuple[SymTensor4, EllipticityConstant]:
-    """Seeded random tensor certified rank-one positive, built as identity plus a bounded perturbation."""
+def random_rank_one_positive(n: int, N: int, seed: int) -> tuple[SymTensor4, EllipticityConstant]:
+    """Seeded random tensor with nu >= 0.05: the identity plus noise of spread 0.25 / (n N), up to 50 draws."""
     rng = np.random.default_rng(seed)
     base = identity_tensor(n, N).entries
-    for _ in range(max_tries):
-        noise = rng.standard_normal((N, N, n, n)) * spread / (n * N)
+    for _ in range(50):
+        noise = rng.standard_normal((N, N, n, n)) * 0.25 / (n * N)
         entries = base + 0.5 * (noise + _sym_pair_transpose(noise))
         tensor = SymTensor4(entries)
         cert = ellipticity_constant(tensor)
-        if cert.nu >= nu_min:
+        if cert.nu >= 0.05:
             return tensor, cert
-    raise RuntimeError(f"could not draw a tensor with nu >= {nu_min} in {max_tries} tries")
+    raise RuntimeError("could not draw a tensor with nu >= 0.05 in 50 tries")

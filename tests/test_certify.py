@@ -21,6 +21,8 @@ from nearelliptic.errors import InputError
 from nearelliptic.nonlinearity import evaluate_F
 from nearelliptic.tensors import ellipticity_constant, random_rank_one_positive
 
+MISSING = object()
+
 
 class TestVerify:
     def test_linear_always_certifies(self, identity22):
@@ -176,6 +178,32 @@ class TestFit:
         cert = fit_k_condition(spec, nu=1.0, sampler=SamplerConfig(count=300, seed=3))
         again = EllipticityCertificate.from_dict(cert.as_dict())
         assert again.beta == cert.beta and again.gamma == cert.gamma and again.nu == cert.nu
+
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"beta": MISSING},
+            {"beta": "x"},
+            {"beta": True},
+            {"nu": float("nan")},
+            {"lambda": float("inf")},
+            {"alpha": "x"},
+            {"alpha_bounds": 5},
+            {"alpha_bounds": [1.0]},
+            {"alpha_bounds": [1.0, "x"]},
+            {"worst_violation": "x"},
+        ],
+    )
+    def test_malformed_certificate_is_an_input_error(self, identity22, edit):
+        doc = dict(example1_certificate(NonlinearitySpec(tensor=identity22)).as_dict(), **edit)
+        doc = {key: value for key, value in doc.items() if value is not MISSING}
+        with pytest.raises(InputError):
+            EllipticityCertificate.from_dict(doc)
+
+    def test_certificate_document_must_be_a_mapping(self):
+        with pytest.raises(InputError):
+            EllipticityCertificate.from_dict([0.1, 0.2])
 
 
 class TestConversions:

@@ -18,6 +18,7 @@ from nearelliptic.harness import (
 )
 from nearelliptic.fields import PHYSICAL, GridSpec, VectorField, load_field, random_band_limited, save_field
 from nearelliptic.fields import spectral_hessian, l2_norm
+from nearelliptic.tensors import SymTensor4, identity_tensor
 
 
 class TestConfig:
@@ -271,6 +272,13 @@ class TestCli:
         assert (tmp_path / "study.csv").read_text().startswith("M,")
 
 
+# a well-formed declared certificate, as EllipticityCertificate.as_dict writes it
+CERTIFICATE = {
+    "nu": 1.0, "beta": 0.09, "gamma": 0.455, "lambda": 0.2725, "kappa": 0.045,
+    "alpha": 1.0, "alpha_bounds": [1.0, 1.0], "lipschitz_M": 1.3,
+}
+
+
 MALFORMED_PERTURBATIONS = [
     {"amplitude": 0.3},
     {"kind": "scaled_sine"},
@@ -289,6 +297,16 @@ MISTYPED_CONFIGS = [
     {"spec": 5},
     {"spec_g": 5},
     {"spec_g": {"perturbation": 5}},
+    {"certificate": {"nu": 1}},
+    {"certificate": dict(CERTIFICATE, alpha_bounds=5)},
+    {"certificate": dict(CERTIFICATE, beta="x")},
+    {"tensor": "example2:m=x"},
+    {"rhs": {"kind": "modes"}},
+    {"rhs": {"kind": "modes", "modes": [{"component": 0}]}},
+    {"rhs": {"kind": "modes", "modes": [{"k": [1, 0], "component": 5}]}},
+    {"rhs": {"kind": "file", "path": None}},
+    {"solver": {"mode": "bogus"}},
+    {"alpha": {}},
 ]
 
 
@@ -331,6 +349,54 @@ class TestConfigPaths:
             result = self.invoke(tmp_path, command, doc)
             assert result.exit_code == 1, result.output
             assert f"FAIL [{command}]" in result.output
+
+    def test_study_fails_on_a_malformed_m_list(self, tmp_path):
+        args = ["study", "--m-list", "a,b", "--out-dir", str(tmp_path)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert "FAIL [study]" in result.output
+
+    @pytest.mark.parametrize("text", ['{"grid": ', "[1]", '{"grid": 5, "rhs": 5}'])
+    @pytest.mark.parametrize("command", ["certify", "solve-linear", "solve", "solve-stability", "study"])
+    def test_every_command_fails_on_a_malformed_config_file(self, tmp_path, command, text):
+        # not JSON, not a mapping, and sections that a --seed override cannot enter
+        (tmp_path / "cfg.json").write_text(text)
+        args = [command, "--config", str(tmp_path / "cfg.json"), "--seed", "3", "--out-dir", str(tmp_path)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert f"FAIL [{command}]" in result.output
+
+    def test_declared_certificate_is_read(self, tmp_path):
+        doc = {"grid": {"M": 16}, "certificate": CERTIFICATE, "rhs": {"kind": "random", "band": 3, "seed": 1}}
+        result = self.invoke(tmp_path, "solve", doc)
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["certificate"] == dict(CERTIFICATE, sample_count=0, worst_violation=None)
+
+    @pytest.mark.parametrize("command", ["solve", "solve-linear", "solve-stability", "certify"])
+    def test_every_command_reads_the_tensor_and_weight_files(self, tmp_path, command):
+        # the tensor file holds 2 * identity and the weight file 0.5: F is the plain Laplacian again
+        grid = GridSpec(n=2, N=2, M=16)
+        (tmp_path / "tensor.txt").write_text(SymTensor4(2.0 * identity_tensor(2, 2).entries).to_text())
+        save_field(tmp_path / "weight.field", VectorField(grid, np.full((2, 16, 16), 0.5), PHYSICAL))
+        spec = {"weight": str(tmp_path / "weight.field"), "perturbation": None}
+        doc = {
+            "grid": {"M": 16},
+            "tensor": {"path": str(tmp_path / "tensor.txt")},
+            "spec": spec,
+            "spec_g": {"perturbation": None},
+            "rhs": {"kind": "random", "band": 3, "seed": 1},
+        }
+        if command == "solve-linear":
+            # a weight field is refused by the linear solve; the constant 0.5 is the same weight
+            doc["spec"] = dict(spec, weight=0.5)
+        result = self.invoke(tmp_path, command, doc)
+        assert result.exit_code == 0, result.output
+        if command != "certify":
+            u = load_field(tmp_path / "solution.field")
+            ustar = random_band_limited(grid, band=3, seed=1)
+            # the nonlinear solves stop at the residual tolerance 1e-8 of the default solver
+            assert np.abs(u.data - ustar.data).max() <= 1e-6 * np.abs(ustar.data).max()
 
     def test_outputs_key_is_gone_but_tolerated(self, tmp_path):
         assert "outputs" not in resolve_config({})

@@ -24,8 +24,9 @@ from nearelliptic import (
     spectral_hessian,
 )
 from nearelliptic.errors import EvaluationError, InputError
-from nearelliptic.fields import PHYSICAL, HessianPairs
+from nearelliptic.fields import PHYSICAL, HessianPairs, save_field
 from nearelliptic.nonlinearity import evaluate_batch, register_custom_perturbation
+from nearelliptic.tensors import read_tensor
 
 from conftest import random_sym_tensor, random_symmetric_batch
 
@@ -204,6 +205,59 @@ class TestFieldEvaluation:
     )
     def test_malformed_perturbation_is_an_input_error(self, identity22, pert):
         doc = dict(NonlinearitySpec(tensor=identity22).to_dict(), perturbation=pert)
+        with pytest.raises(InputError):
+            NonlinearitySpec.from_dict(doc)
+
+    # the inline entries are 3 * identity_tensor(2, 2), in C order of (alpha, beta, i, j)
+    @pytest.mark.parametrize(
+        "tensor",
+        ["example2:m=3", "example2", {"n": 2, "N": 2, "entries": [3.0, 0, 0, 3.0] + [0] * 8 + [3.0, 0, 0, 3.0]}],
+    )
+    def test_spec_reads_every_tensor_form(self, tmp_path, tensor):
+        (tmp_path / "tensor.txt").write_text(read_tensor(tensor).to_text())
+        want = read_tensor(tensor).entries
+        for doc in (tensor, {"path": str(tmp_path / "tensor.txt")}):
+            spec = NonlinearitySpec.from_dict({"tensor": doc, "weight": 0.5})
+            np.testing.assert_array_equal(spec.tensor.entries, want)
+            assert spec.weight == 0.5 and spec.perturbation is None
+            again = NonlinearitySpec.from_text(spec.to_text())
+            np.testing.assert_array_equal(again.tensor.entries, want)
+
+    def test_identity_takes_the_grid_dimensions(self):
+        with pytest.raises(InputError):
+            NonlinearitySpec.from_dict({"tensor": "identity"})
+        spec = NonlinearitySpec.from_dict({"tensor": "identity"}, GridSpec(n=3, N=2, M=8))
+        np.testing.assert_array_equal(spec.tensor.entries, identity_tensor(3, 2).entries)
+
+    def test_weight_path_reads_component_zero(self, tmp_path, identity22):
+        grid = GridSpec(n=2, N=2, M=8)
+        data = np.stack([np.full(grid.shape, 2.0), np.full(grid.shape, 5.0)])
+        save_field(tmp_path / "w.field", VectorField(grid, data, PHYSICAL))
+        doc = dict(NonlinearitySpec(tensor=identity22).to_dict(), weight=str(tmp_path / "w.field"))
+        spec = NonlinearitySpec.from_dict(doc)
+        np.testing.assert_array_equal(spec.weight, np.full(grid.shape, 2.0))
+
+    @pytest.mark.parametrize(
+        "tensor",
+        [
+            "example2:m=x",
+            "example2:k=3",
+            "example3",
+            "identity:n=2",
+            {"path": None},
+            {"n": 2, "N": 2, "entries": [1.0] * 15},
+            {"n": 2, "N": 2, "entries": ["x"] * 16},
+            {"n": "2", "N": 2, "entries": [1.0] * 16},
+            {"n": 2, "N": 2},
+            [1.0] * 16,
+        ],
+    )
+    def test_malformed_tensor_is_an_input_error(self, tensor):
+        with pytest.raises(InputError):
+            NonlinearitySpec.from_dict({"tensor": tensor}, GridSpec(n=2, N=2, M=8))
+
+    @pytest.mark.parametrize("doc", [5, {}, {"weight": 1.0}])
+    def test_spec_without_a_tensor_is_an_input_error(self, doc):
         with pytest.raises(InputError):
             NonlinearitySpec.from_dict(doc)
 

@@ -17,6 +17,7 @@ from nearelliptic import (
     solve_via_nearness,
     spectral_hessian,
 )
+from nearelliptic.certify import SamplerConfig, _draw_pairs
 from nearelliptic.errors import DivergenceError, InputError, NearnessConditionError
 from nearelliptic.fields import PHYSICAL
 from nearelliptic.nonlinearity import evaluate_field
@@ -77,6 +78,22 @@ class TestIncrementDistance:
         specG = NonlinearitySpec(tensor=identity22, weight=np.full((mG, mG), 2.0))
         with pytest.raises(InputError, match="different grids"):
             nu_FG_estimate(specF, specG)
+
+    def test_pairs_of_two_specs_share_the_draws_of_one(self, identity22):
+        # the admission sampler is the certificate sampler: X, then Z, then the grid points
+        rng = np.random.default_rng(5)
+        weightF, weightG = 1.0 + rng.random((8, 8)), 2.0 + rng.random((8, 8))
+        specF = NonlinearitySpec(tensor=identity22, weight=weightF)
+        specG = NonlinearitySpec(tensor=identity22, weight=weightG)
+        sampler = SamplerConfig(count=50, seed=3)
+        for one, two in zip(_draw_pairs(sampler, specF), _draw_pairs(sampler, specF, specG)):
+            scale, flat, (wF,), X, Z = one
+            assert two[0] == scale
+            np.testing.assert_array_equal(two[1], flat)
+            np.testing.assert_array_equal(two[3], X)
+            np.testing.assert_array_equal(two[4], Z)
+            np.testing.assert_array_equal(two[2][0], wF)
+            np.testing.assert_array_equal(two[2][1], weightG.ravel()[flat])
 
     def test_empirical_at_least_certified(self, grid32, identity22):
         spec = NonlinearitySpec(tensor=identity22, perturbation=SinePerturbation(amplitude=0.3))

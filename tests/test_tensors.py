@@ -240,6 +240,18 @@ class TestEllipticityConstant:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_high_dimensional_search_does_not_load_scipy_stats(self):
+        # the n >= 4 directions are numpy normal draws; scipy.stats would also load scipy.optimize
+        src = os.path.dirname(os.path.dirname(nearelliptic.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys; from nearelliptic import ellipticity_constant, identity_tensor; "
+            "ellipticity_constant(identity_tensor(5, 2)); "
+            "print(sorted({'scipy.optimize', 'scipy.stats'} & set(sys.modules)))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
     def test_eigen_lower_bound_at_samples(self, block_m8):
         cert = ellipticity_constant(block_m8)
         rng = np.random.default_rng(4)
