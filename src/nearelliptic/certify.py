@@ -22,12 +22,11 @@ never a proof.  beta and gamma are global; only alpha may vary with x.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, finite_number
+from .errors import InputError, finite_number, report_json
 from .nonlinearity import NonlinearitySpec, evaluate_batch, linear_part
 from .tensors import ellipticity_constant
 
@@ -97,7 +96,8 @@ class EllipticityCertificate:
         }
 
     def to_text(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
+        """JSON of :meth:`as_dict`; the NaN constants of an infeasible fit are written as null."""
+        return report_json(self.as_dict())
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EllipticityCertificate":

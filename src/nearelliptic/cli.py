@@ -10,7 +10,7 @@ import click
 import numpy as np
 
 from .certify import SamplerConfig, example1_alpha, example1_certificate, fit_k_condition, verify_k_condition
-from .errors import InputError, NearEllipticError, NearnessConditionError
+from .errors import InputError, NearEllipticError, NearnessConditionError, report_json
 from .fields import save_field
 from .harness import (
     build_problem,
@@ -110,7 +110,7 @@ def solve_linear_cmd(config_path, epsilon, grid_m, seed, out_dir):
         result = solve_linear_spec(cfg, spec, f, nu)
         out = _out_dir(out_dir)
         save_field(out / "solution.field", result.u)
-        (out / "report.json").write_text(json.dumps(result.report(), indent=2, sort_keys=True))
+        (out / "report.json").write_text(report_json(result.report()))
         click.echo(
             f"residual={result.residual_l2:.3e} hessian_ratio={result.hessian_ratio:.6f} "
             f"dropped_mean={np.linalg.norm(result.dropped_mean):.3e} reg={result.regularization}"
@@ -164,9 +164,7 @@ def solve_stability(config_path, seed, out_dir):
         )
         out = _out_dir(out_dir)
         save_field(out / "solution.field", u)
-        (out / "stability_report.json").write_text(
-            json.dumps(rep.as_dict(), indent=2, sort_keys=True)
-        )
+        (out / "stability_report.json").write_text(report_json(rep.as_dict()))
         click.echo(
             f"condition_met={rep.condition_met} nu_F_lower={rep.nu_F_lower:.6g} "
             f"nu_FG={rep.nu_FG.effective:.6g} outer_iters={rep.outer_trace.iterations}"
@@ -213,12 +211,8 @@ def example_suite_cmd(seed, out_dir):
             from .counterexamples import example2_analysis, example3_analysis
 
             out = _out_dir(out_dir)
-            (out / "block_tensor_report.json").write_text(
-                json.dumps(example2_analysis(8.0).as_dict(), indent=2, sort_keys=True)
-            )
-            (out / "window_report.json").write_text(
-                json.dumps(example3_analysis(n=9).as_dict(), indent=2, sort_keys=True)
-            )
+            (out / "block_tensor_report.json").write_text(report_json(example2_analysis(8.0).as_dict()))
+            (out / "window_report.json").write_text(report_json(example3_analysis(n=9).as_dict()))
     except NearEllipticError as exc:
         _fail("example-suite", exc)
         return

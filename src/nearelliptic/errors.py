@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the check of a number read from input."""
+"""Exception types shared across the package, the check of a number read from input, and the report writer."""
 
+import json
 import math
 from numbers import Integral, Real
 
@@ -55,4 +56,23 @@ def finite_number(value, what: str, integer: bool = False):
     bad = isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value)
     if bad or (integer and value < 0):
         raise InputError(f"{what} must be {wanted}, got {value!r}")
+    return value
+
+
+def report_json(doc) -> str:
+    """JSON text of a report; a NaN or infinite number is written as null.
+
+    RFC 8259 JSON has no NaN or infinity, and ``allow_nan=False`` keeps any
+    from being written.
+    """
+    return json.dumps(_finite_or_null(doc), indent=2, sort_keys=True, allow_nan=False)
+
+
+def _finite_or_null(value):
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value

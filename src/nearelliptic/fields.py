@@ -28,6 +28,12 @@ The transforms are ``scipy.fft``'s, on one worker.
 Every hessian multiplier, here and in the linear solver's plan, comes from
 the one frequency table :func:`hessian_multipliers`.
 
+Random fields.  :func:`band_limited_coefficients` builds the exactly
+hermitian coefficients of a seeded band-limited field, and
+:func:`random_band_limited` is their physical field.  A caller that only
+needs derivatives, such as the stability admission, slices the coefficients
+to the half spectrum and skips the transforms to physical space and back.
+
 Packed hessian.  The hessian is symmetric in (i, j), so the solvers keep only
 its n(n+1)/2 distinct components (i, j), i <= j, in row-major order: a
 :class:`HessianPairs` field has data (N, n(n+1)/2, M, ..., M).  A sum over
@@ -50,7 +56,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 import scipy.fft
@@ -281,9 +287,16 @@ class HessianPairs:
         object.__setattr__(self, "data", data)
 
     @staticmethod
+    @cache
     def components(n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows and columns of the n(n+1)/2 distinct components (i <= j), in slot order."""
-        return np.triu_indices(n)
+        """Rows and columns of the n(n+1)/2 distinct components (i <= j), in slot order.
+
+        Built once per n; the arrays are read-only.
+        """
+        rows, cols = np.triu_indices(n)
+        for arr in (rows, cols):
+            arr.setflags(write=False)
+        return rows, cols
 
     @staticmethod
     def slot_index(n: int) -> np.ndarray:
@@ -298,6 +311,12 @@ class HessianPairs:
         """Components per slot: 1 on the diagonal, 2 off it ((i, j) and (j, i))."""
         rows, cols = HessianPairs.components(n)
         return np.where(rows == cols, 1.0, 2.0)
+
+    def norm(self) -> float:
+        """L2 norm of the full hessian: each off-diagonal slot counts for (i, j) and (j, i)."""
+        g = self.grid
+        power = self.multiplicity(g.n) @ (self.data**2).reshape(g.N, -1, g.points)
+        return float(np.sqrt(g.cell_volume * power.sum()))
 
     @classmethod
     def from_hessian(cls, hess: HessianField) -> "HessianPairs":
@@ -533,8 +552,13 @@ def _conjugate_reflect(coef: np.ndarray, n_axes_offset: int, n: int) -> np.ndarr
     return out
 
 
-def random_band_limited(grid: GridSpec, band: int, seed: int) -> VectorField:
-    """Seeded real zero-mean field with spectral support in max_i |k_i| <= band."""
+def band_limited_coefficients(grid: GridSpec, band: int, seed: int) -> np.ndarray:
+    """Full-grid coefficients (N, M, ..., M) of :func:`random_band_limited`.
+
+    They are exactly hermitian, c(-k) = conj(c(k)), and vanish at k = 0 and
+    outside max_i |k_i| <= band < M/2, so ``[..., :M//2 + 1]`` is the field's
+    half spectrum, Nyquist planes included.
+    """
     if band < 0 or band >= grid.M // 2:
         raise InputError(f"band must satisfy 0 <= band < M/2 = {grid.M // 2}, got {band}")
     rng = np.random.default_rng(seed)
@@ -547,7 +571,12 @@ def random_band_limited(grid: GridSpec, band: int, seed: int) -> VectorField:
     coef = 0.5 * (coef + _conjugate_reflect(coef, 1, grid.n))
     zero = (slice(None),) + (0,) * grid.n
     coef[zero] = 0.0
-    return VectorField(grid, coef, SPECTRAL).to_physical()
+    return coef
+
+
+def random_band_limited(grid: GridSpec, band: int, seed: int) -> VectorField:
+    """Seeded real zero-mean field with spectral support in max_i |k_i| <= band."""
+    return VectorField(grid, band_limited_coefficients(grid, band, seed), SPECTRAL).to_physical()
 
 
 _MAGIC = b"NEFIELD1"

@@ -23,7 +23,6 @@ InputError in every command.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -40,7 +39,7 @@ from .certify import (
     fit_k_condition,
 )
 from .counterexamples import example2_analysis, example3_analysis
-from .errors import InputError, finite_number
+from .errors import InputError, finite_number, report_json
 from .fields import (
     PHYSICAL,
     GridSpec,
@@ -340,9 +339,7 @@ def run_manufactured(config: dict, out_dir: str | Path | None = None) -> RunRepo
         iteration_seconds=seconds,
     )
     if out_dir is not None:
-        (Path(out_dir) / "report.json").write_text(
-            json.dumps(report.as_dict(), indent=2, sort_keys=True)
-        )
+        (Path(out_dir) / "report.json").write_text(report_json(report.as_dict()))
     return report
 
 

@@ -17,6 +17,11 @@ not computable; the certificate-derived lower bound
 
 is the sound admission gate, and a sampled empirical minimum is reported as a
 diagnostic next to it.
+
+The admission runs on the half spectrum: :func:`empirical_nu_F` slices the
+coefficients of its band-limited fields to the ``rfftn`` half and takes
+their packed hessians with one irfftn each, so it makes no full complex
+transform, no forward transform and no n^2 hessian.
 """
 
 from __future__ import annotations
@@ -28,7 +33,16 @@ import numpy as np
 from .campanato import STAGNATION_FLOOR, IterationTrace, SolveConfig, campanato_solve, zero_field
 from .certify import EllipticityCertificate, SamplerConfig, _draw_pairs
 from .errors import InputError, NearnessConditionError
-from .fields import PHYSICAL, GridSpec, VectorField, l2_norm, random_band_limited, spectral_hessian
+from .fields import (
+    PHYSICAL,
+    GridSpec,
+    HessianPairs,
+    VectorField,
+    band_limited_coefficients,
+    half_spectrum,
+    l2_norm,
+    spectral_hessian,
+)
 from .nonlinearity import (
     NonlinearitySpec,
     NormComboPerturbation,
@@ -108,17 +122,25 @@ def nu_FG_estimate(specF: NonlinearitySpec, specG: NonlinearitySpec) -> NuFGEsti
 def empirical_nu_F(spec: NonlinearitySpec, grid: GridSpec) -> float:
     """Diagnostic minimum of ||F(., D^2 w) - F(., D^2 v)|| / ||D^2(w - v)|| over random field pairs.
 
-    The 8 pairs are band-limited to max(1, M/4), at seeds 11 + 2j and 12 + 2j.
+    The 8 pairs are the fields of :func:`~nearelliptic.fields.random_band_limited`
+    with band max(1, M/4), at seeds 11 + 2j and 12 + 2j.  Each is taken from
+    its coefficients on the half spectrum straight to the packed hessian (one
+    irfftn of its n(n+1)/2 distinct components), F is evaluated on those
+    slots, and ||D^2(w - v)|| is the packed norm
+    :meth:`~nearelliptic.fields.HessianPairs.norm`; no field is transformed
+    to physical space first and no n^2 hessian is built.
     """
+    half = half_spectrum(grid)
     band = max(1, grid.M // 4)
+
+    def hessian(seed: int) -> HessianPairs:
+        return half.hessian_pairs(band_limited_coefficients(grid, band, seed)[..., : half.shape[-1]])
+
     best = np.inf
     for j in range(8):
-        w = random_band_limited(grid, band, 11 + 2 * j)
-        v = random_band_limited(grid, band, 12 + 2 * j)
-        hw = spectral_hessian(w, PHYSICAL)
-        hv = spectral_hessian(v, PHYSICAL)
+        hw, hv = hessian(11 + 2 * j), hessian(12 + 2 * j)
         num = l2_norm(evaluate_field(spec, hw) - evaluate_field(spec, hv))
-        den = l2_norm(hw - hv)
+        den = HessianPairs(grid, hw.data - hv.data).norm()
         if den > 0:
             best = min(best, num / den)
     return float(best)

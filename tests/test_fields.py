@@ -19,8 +19,11 @@ from nearelliptic.fields import (
     PHYSICAL,
     SPECTRAL,
     HessianPairs,
+    _conjugate_reflect,
+    band_limited_coefficients,
     conjugate_symmetry_error,
     csv_slice,
+    half_spectrum,
     load_field,
     save_field,
 )
@@ -233,6 +236,33 @@ class TestRandomBandLimited:
     def test_band_out_of_range(self, grid32):
         with pytest.raises(InputError):
             random_band_limited(grid32, 16, seed=0)
+        with pytest.raises(InputError):
+            band_limited_coefficients(grid32, 16, seed=0)
+
+    @pytest.mark.parametrize("n, M, band, seed", [(2, 32, 8, 11), (3, 8, 2, 12), (2, 16, 0, 3)])
+    def test_field_is_the_one_built_from_its_coefficients(self, n, M, band, seed):
+        # reference: the draws, band mask and hermitian average written out, to pin both bit for bit
+        grid = GridSpec(n=n, N=2, M=M)
+        rng = np.random.default_rng(seed)
+        shape = (grid.N,) + grid.shape
+        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        mask = np.ones(grid.shape, dtype=bool)
+        for ka in grid.freq_axes():
+            mask &= np.abs(ka) <= band
+        coef = np.where(mask, raw, 0.0)
+        coef = 0.5 * (coef + _conjugate_reflect(coef, 1, grid.n))
+        coef[(slice(None),) + (0,) * grid.n] = 0.0
+        expected = VectorField(grid, coef, SPECTRAL).to_physical().data
+        np.testing.assert_array_equal(band_limited_coefficients(grid, band, seed), coef)
+        np.testing.assert_array_equal(random_band_limited(grid, band, seed).data, expected)
+
+    def test_coefficients_restrict_to_the_half_spectrum(self, grid32):
+        # exactly hermitian, so the first M/2 + 1 planes of the last axis are the rfftn of the field
+        coef = band_limited_coefficients(grid32, 7, seed=14)
+        np.testing.assert_array_equal(coef, _conjugate_reflect(coef, 1, grid32.n))
+        half = half_spectrum(grid32)
+        field = random_band_limited(grid32, 7, seed=14)
+        np.testing.assert_allclose(coef[..., : half.shape[-1]], half.coefficients(field), rtol=0, atol=1e-15)
 
 
 class TestSerialization:
@@ -350,3 +380,27 @@ class TestHessianPairs:
     def test_rejects_a_wrong_shape(self, grid32):
         with pytest.raises(InputError):
             HessianPairs(grid32, np.zeros((2, 4) + grid32.shape))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_layout_is_built_once_and_read_only(self, n):
+        rows, cols = HessianPairs.components(n)
+        again = HessianPairs.components(n)
+        assert again[0] is rows and again[1] is cols
+        expected_rows, expected_cols = np.triu_indices(n)
+        np.testing.assert_array_equal(rows, expected_rows)
+        np.testing.assert_array_equal(cols, expected_cols)
+        for arr in (rows, cols):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        # slot_index and multiplicity as they were computed from a fresh triu_indices
+        index = np.empty((n, n), dtype=np.intp)
+        index[expected_rows, expected_cols] = index[expected_cols, expected_rows] = np.arange(len(expected_rows))
+        np.testing.assert_array_equal(HessianPairs.slot_index(n), index)
+        np.testing.assert_array_equal(
+            HessianPairs.multiplicity(n), np.where(expected_rows == expected_cols, 1.0, 2.0)
+        )
+
+    def test_norm_is_the_norm_of_the_full_hessian(self):
+        grid = GridSpec(n=3, N=2, M=8)
+        pairs = HessianPairs.from_hessian(spectral_hessian(random_band_limited(grid, 2, seed=17)))
+        assert pairs.norm() == pytest.approx(l2_norm(pairs.to_hessian()), rel=1e-14)

@@ -5,8 +5,9 @@ import pytest
 from click.testing import CliRunner
 
 import nearelliptic.cli as cli
+from nearelliptic.certify import EllipticityCertificate
 from nearelliptic.cli import main
-from nearelliptic.errors import InputError
+from nearelliptic.errors import InputError, report_json
 from nearelliptic.harness import (
     analytic_solution,
     example_suite,
@@ -226,6 +227,19 @@ class TestCli:
         )
         result = CliRunner().invoke(main, ["certify", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert result.exit_code == 2
+
+        # an infeasible fit has no lambda or kappa: the file is strict JSON, with null for them
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads((tmp_path / "certificate.json").read_text(), parse_constant=refuse)
+        assert doc["lambda"] is None and doc["kappa"] is None
+        with pytest.raises(InputError):
+            EllipticityCertificate.from_dict(doc)
+
+    def test_report_writer_writes_non_finite_numbers_as_null(self):
+        doc = {"a": float("nan"), "b": [1.5, float("inf"), (np.float64(-np.inf), 2)], "c": {"d": None, "e": 0}}
+        assert json.loads(report_json(doc)) == {"a": None, "b": [1.5, None, [None, 2]], "c": {"d": None, "e": 0}}
 
     def test_stability_command(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 import nearelliptic.stability as stability
 from nearelliptic import (
     EllipticityCertificate,
     GridSpec,
     NonlinearitySpec,
+    NormComboPerturbation,
     SinePerturbation,
     apply_operator,
     campanato_solve,
@@ -19,7 +21,7 @@ from nearelliptic import (
 )
 from nearelliptic.certify import SamplerConfig, _draw_pairs
 from nearelliptic.errors import DivergenceError, InputError, NearnessConditionError
-from nearelliptic.fields import PHYSICAL
+from nearelliptic.fields import PHYSICAL, HessianField, half_spectrum
 from nearelliptic.nonlinearity import evaluate_field
 from nearelliptic.stability import NuFGEstimate, empirical_nu_F
 from nearelliptic.tensors import SymTensor4, identity_tensor
@@ -100,6 +102,59 @@ class TestIncrementDistance:
         cert = example1_certificate(spec, nu=1.0)
         lower = nu_F_lower_bound(cert)
         assert empirical_nu_F(spec, grid32) >= lower - 1e-9
+
+
+def reference_empirical_nu_F(spec, grid):
+    """empirical_nu_F through physical fields and the full n^2 hessian, as it was first written."""
+    band = max(1, grid.M // 4)
+    best = np.inf
+    for j in range(8):
+        w = random_band_limited(grid, band, 11 + 2 * j)
+        v = random_band_limited(grid, band, 12 + 2 * j)
+        hw = spectral_hessian(w, PHYSICAL)
+        hv = spectral_hessian(v, PHYSICAL)
+        num = l2_norm(evaluate_field(spec, hw) - evaluate_field(spec, hv))
+        den = l2_norm(hw - hv)
+        if den > 0:
+            best = min(best, num / den)
+    return float(best)
+
+
+def admission_specs(n, M):
+    A = identity_tensor(n, 2)
+    weight = 1.0 + 0.5 * np.random.default_rng(40 + n).random((M,) * n)
+    return {
+        "sine": NonlinearitySpec(tensor=A, perturbation=SinePerturbation(amplitude=0.4)),
+        "norm_combo": NonlinearitySpec(tensor=A, perturbation=NormComboPerturbation(b=0.2, c=0.1)),
+        "weight_field": NonlinearitySpec(tensor=A, weight=weight, perturbation=SinePerturbation(amplitude=0.3)),
+    }
+
+
+class TestEmpiricalModulus:
+    @pytest.mark.parametrize("n, M", [(2, 32), (3, 8)])
+    @pytest.mark.parametrize("kind", ["sine", "norm_combo", "weight_field"])
+    def test_half_spectrum_value_is_the_full_hessian_value(self, n, M, kind):
+        grid = GridSpec(n=n, N=2, M=M)
+        spec = admission_specs(n, M)[kind]
+        expected = reference_empirical_nu_F(spec, grid)
+        assert empirical_nu_F(spec, grid) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n, M", [(2, 32), (3, 8)])
+    def test_admission_builds_no_full_hessian(self, monkeypatch, n, M):
+        grid = GridSpec(n=n, N=2, M=M)
+        spec = admission_specs(n, M)["weight_field"]
+        expected = reference_empirical_nu_F(spec, grid)
+        half_spectrum(grid)  # its multiplier table is built once per grid, outside the guarded call
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the admission took a full-grid transform or hessian")
+
+        monkeypatch.setattr(stability, "spectral_hessian", refuse)
+        for name in ("fftn", "ifftn", "rfftn"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        monkeypatch.setattr(scipy.fft, "rfftn", refuse)
+        monkeypatch.setattr(HessianField, "__post_init__", refuse)
+        assert empirical_nu_F(spec, grid) == pytest.approx(expected, rel=1e-12)
 
 
 class TestSolveViaNearness:
