@@ -22,6 +22,17 @@ irfftn of the n(n+1)/2 distinct hessian components; the metric d is taken by
 Plancherel, and u is transformed back only on exit.  F is evaluated on that
 packed hessian (:class:`~nearelliptic.fields.HessianPairs`), so the n^2
 hessian is never built and no off-diagonal component is evaluated twice.
+
+Memory.  The largest array, the complex hessian product (N, n(n+1)/2) +
+half shape, is one work buffer per solve, allocated before the loop and
+reused by every irfftn (:meth:`~nearelliptic.fields.HalfSpectrum.hessian_pairs`).
+One iteration allocates the packed real hessian (N, n(n+1)/2, M, ..., M)
+that the irfftn returns and F reads, plus arrays of the size of one field:
+alpha (F - f) and its coefficients, the right-hand side, the new
+coefficients, their operator image and its step, F, F - f, and the
+temporaries of evaluating F and of the norms.  F - f is formed once per
+iteration: its norm is the residual, and it is the right-hand side of the
+next step.
 """
 
 from __future__ import annotations
@@ -171,25 +182,28 @@ def campanato_solve(
     fnorm = l2_norm(f_phys)
     tol_abs = config.tol_residual * (fnorm if fnorm > 0 else 1.0)
 
+    work = half.work_buffer()
     if initial_guess is None:
         uhat = np.zeros((g.N,) + half.shape, dtype=complex)
         hess = HessianPairs(g, np.zeros((g.N, g.n * (g.n + 1) // 2) + g.shape))
     else:
         uhat = half.coefficients(initial_guess)
-        hess = half.hessian_pairs(uhat)
+        hess = half.hessian_pairs(uhat, work)
     op_prev = plan.apply(uhat)
-    F_prev = evaluate_field(spec, hess)
+    # F - f of the current iterate: its norm is the residual of one step and
+    # it is the right-hand side of the next
+    misfit = evaluate_field(spec, hess) - f_phys
 
     trace = IterationTrace()
     for _ in range(config.max_iters):
-        rhs = op_prev - half.forward(_alpha_times(alpha, F_prev - f_phys).data)
+        rhs = op_prev - half.forward(_alpha_times(alpha, misfit).data)
         uhat = plan.invert(rhs)
         op_u = plan.apply(uhat)
-        F_u = evaluate_field(spec, half.hessian_pairs(uhat))
+        misfit = evaluate_field(spec, half.hessian_pairs(uhat, work)) - f_phys
         floor = STAGNATION_FLOOR * max(1.0, half.norm(op_u), fnorm)
-        if trace.advance(half.norm(op_u - op_prev), l2_norm(F_u - f_phys), tol_abs, floor):
+        if trace.advance(half.norm(op_u - op_prev), l2_norm(misfit), tol_abs, floor):
             break
-        op_prev, F_prev = op_u, F_u
+        op_prev = op_u
     trace.finish(certificate)
     return VectorField(g, half.inverse(uhat), PHYSICAL), trace
 

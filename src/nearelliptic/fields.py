@@ -23,7 +23,16 @@ with weight 1 on the k_n = 0 and k_n = M/2 planes, whose conjugate partners
 lie in the half spectrum, and weight 2 elsewhere.  :class:`HalfSpectrum`
 holds this layout for one grid, its |z|^2, gauge mask and weights, and the
 n(n+1)/2 distinct hessian multipliers; :func:`half_spectrum` memoizes it.
-The transforms are ``scipy.fft``'s, on one worker.
+The transforms are ``scipy.fft``'s, on one worker.  A loop that takes many
+hessians of one grid gives :meth:`HalfSpectrum.hessian_pairs` one work
+buffer (:meth:`HalfSpectrum.work_buffer`, complex (N, n(n+1)/2) + shape):
+each call overwrites it with the product of the coefficients and the
+multipliers and transforms it from there, so the loop allocates that
+product once, not once per hessian.  The buffer is the only array a call
+overwrites; the caller's coefficients and the inputs of ``forward`` and
+``inverse`` are left as they were.  (The irfftn still allocates its own
+complex intermediate: ``scipy.fft``'s multi-axis inverse real transform
+does not transform in place.)
 
 Every hessian multiplier, here and in the linear solver's plan, comes from
 the one frequency table :func:`hessian_multipliers`.
@@ -383,13 +392,28 @@ class HalfSpectrum:
         power = self.weights * (coef.real**2 + coef.imag**2)
         return float(np.sqrt(self.grid.volume * power.sum()))
 
-    def hessian_pairs(self, coef: np.ndarray) -> HessianPairs:
+    def work_buffer(self) -> np.ndarray:
+        """A fresh complex (N, n(n+1)/2) + shape buffer for :meth:`hessian_pairs`."""
+        return np.empty((self.grid.N, len(self.hessian)) + self.shape, dtype=complex)
+
+    def hessian_pairs(self, coef: np.ndarray, work: np.ndarray | None = None) -> HessianPairs:
         """Packed physical hessian of the field with coefficients (N,) + shape.
 
         One irfftn of the n(n+1)/2 distinct components, in packed order; the
-        (j, i) components are neither transformed nor stored.
+        (j, i) components are neither transformed nor stored.  The product of
+        ``coef`` and the multipliers is written into ``work``, a buffer from
+        :meth:`work_buffer` (a fresh one when none is given), and transformed
+        from there, so a loop that passes the same buffer on every call
+        allocates no product.  The buffer is the only array written; ``coef``
+        is not.
         """
-        return HessianPairs(self.grid, self.inverse(coef[:, None] * self.hessian))
+        if work is None:
+            work = self.work_buffer()
+        expected = (self.grid.N, len(self.hessian)) + self.shape
+        if work.shape != expected or work.dtype != complex:
+            raise InputError(f"hessian work buffer must be complex {expected}, got {work.dtype} {work.shape}")
+        np.multiply(coef[:, None], self.hessian, out=work)
+        return HessianPairs(self.grid, self.inverse(work))
 
 
 def _hermitian_half(full: np.ndarray, grid: GridSpec) -> np.ndarray:

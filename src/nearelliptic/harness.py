@@ -274,6 +274,8 @@ class RunReport:
     n_ge_5: bool
     outputs: dict
     iteration_seconds: list[float] | None  # per fixed-point step; None for a linear solve
+    contraction_bound: float | None  # certified K = sqrt(beta + gamma); None for a linear solve
+    max_ratio: float | None  # largest finite contraction ratio of the trace; None when there is none
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -298,7 +300,7 @@ def run_manufactured(config: dict, out_dir: str | Path | None = None) -> RunRepo
     f, exact = build_rhs(cfg, grid, spec)
 
     outputs: dict = {}
-    cert_dict = seconds = None
+    cert_dict = seconds = bound = max_ratio = None
     if cfg["solver"]["mode"] == "linear":
         result = solve_linear_spec(cfg, spec, f, nu)
         u = result.u
@@ -312,6 +314,8 @@ def run_manufactured(config: dict, out_dir: str | Path | None = None) -> RunRepo
         residual = trace.final_residual
         iterations = trace.iterations
         seconds = [r.seconds for r in trace.records]
+        bound = certificate.contraction
+        max_ratio = max(trace.ratios, default=None)
         if out_dir is not None:
             trace_path = Path(out_dir) / "trace.csv"
             trace_path.write_text(trace.to_csv())
@@ -337,6 +341,8 @@ def run_manufactured(config: dict, out_dir: str | Path | None = None) -> RunRepo
         n_ge_5=grid.n >= 5,
         outputs=outputs,
         iteration_seconds=seconds,
+        contraction_bound=bound,
+        max_ratio=max_ratio,
     )
     if out_dir is not None:
         (Path(out_dir) / "report.json").write_text(report_json(report.as_dict()))

@@ -128,13 +128,15 @@ def empirical_nu_F(spec: NonlinearitySpec, grid: GridSpec) -> float:
     irfftn of its n(n+1)/2 distinct components), F is evaluated on those
     slots, and ||D^2(w - v)|| is the packed norm
     :meth:`~nearelliptic.fields.HessianPairs.norm`; no field is transformed
-    to physical space first and no n^2 hessian is built.
+    to physical space first and no n^2 hessian is built.  The 16 hessians
+    share one work buffer.
     """
     half = half_spectrum(grid)
     band = max(1, grid.M // 4)
+    work = half.work_buffer()
 
     def hessian(seed: int) -> HessianPairs:
-        return half.hessian_pairs(band_limited_coefficients(grid, band, seed)[..., : half.shape[-1]])
+        return half.hessian_pairs(band_limited_coefficients(grid, band, seed)[..., : half.shape[-1]], work)
 
     best = np.inf
     for j in range(8):
@@ -154,6 +156,11 @@ class StabilityReport:
     condition_met: bool
     outer_trace: IterationTrace | None
 
+    @property
+    def admission_margin(self) -> float:
+        """nu_F_lower - nu_FG.effective: positive when admitted, <= 0 when refused."""
+        return self.nu_F_lower - self.nu_FG.effective
+
     def as_dict(self) -> dict:
         return {
             "nu_F_lower": self.nu_F_lower,
@@ -161,6 +168,7 @@ class StabilityReport:
             "nu_FG_sampled": self.nu_FG.sampled,
             "nu_FG_analytic": self.nu_FG.analytic,
             "condition_met": self.condition_met,
+            "admission_margin": self.admission_margin,
             "outer_iterations": None if self.outer_trace is None else self.outer_trace.iterations,
         }
 

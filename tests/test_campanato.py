@@ -3,8 +3,11 @@ import time
 import numpy as np
 import pytest
 
+import nearelliptic.fields as fields_module
+
 from nearelliptic import (
     EllipticityCertificate,
+    GridSpec,
     NonlinearitySpec,
     SinePerturbation,
     SolveConfig,
@@ -12,6 +15,7 @@ from nearelliptic import (
     campanato_solve,
     contraction_bound,
     example1_certificate,
+    identity_tensor,
     l2_norm,
     random_band_limited,
     solve_linear,
@@ -21,7 +25,8 @@ from nearelliptic import (
 )
 from nearelliptic.campanato import IterationTrace, zero_field
 from nearelliptic.errors import DivergenceError, InputError
-from nearelliptic.fields import PHYSICAL, VectorField
+from nearelliptic.fields import PHYSICAL, HalfSpectrum, VectorField
+from nearelliptic.linear import spectral_plan
 from nearelliptic.nonlinearity import evaluate_field
 
 
@@ -132,6 +137,53 @@ class TestCampanatoSolve:
         lines = trace.to_csv().splitlines()
         assert lines[0] == "iter,metric,residual,ratio"
         assert len(lines) == 1 + trace.iterations
+
+    def test_the_loop_transforms_one_work_buffer_and_repeats_bit_for_bit(self, monkeypatch):
+        grid = GridSpec(n=3, N=2, M=8)
+        spec = sine_spec(identity_tensor(3, 2), 0.5)
+        cert = example1_certificate(spec, nu=1.0)
+        _, f = manufactured(spec, grid, band=2, seed=8)
+        plan = spectral_plan(spec.tensor, grid)
+        transformed, coefs, fields = [], [], []
+        in_hessian = []
+        irfftn = fields_module.scipy.fft.irfftn
+        hessian_pairs = HalfSpectrum.hessian_pairs
+        post_init = VectorField.__post_init__
+
+        def record_irfftn(x, *args, **kwargs):
+            if in_hessian:
+                transformed.append(x)
+            return irfftn(x, *args, **kwargs)
+
+        def record_hessian_pairs(self, coef, *args, **kwargs):
+            coefs.append(coef)
+            in_hessian.append(True)
+            try:
+                return hessian_pairs(self, coef, *args, **kwargs)
+            finally:
+                in_hessian.pop()
+
+        def record_field(self):
+            post_init(self)
+            fields.append(self.data)
+
+        monkeypatch.setattr(fields_module.scipy.fft, "irfftn", record_irfftn)
+        monkeypatch.setattr(HalfSpectrum, "hessian_pairs", record_hessian_pairs)
+        monkeypatch.setattr(VectorField, "__post_init__", record_field)
+        u, trace = campanato_solve(spec, 1.0, f, cert)
+        assert trace.status == "converged" and trace.iterations >= 3
+        # one hessian transform per iteration, each of the one work buffer
+        assert len(transformed) == len(coefs) == trace.iterations
+        work = transformed[0]
+        assert all(x.__array_interface__["data"][0] == work.__array_interface__["data"][0] for x in transformed)
+        half = plan.half
+        shared = [f.data, u.data, half.zsq, half.gauge, half.weights, half.hessian, plan.solve, plan.operator]
+        for arr in shared + coefs + fields:
+            assert not np.shares_memory(work, arr)
+        # a second solve on the same grid starts from a fresh buffer
+        u_again, trace_again = campanato_solve(spec, 1.0, f, cert)
+        assert u_again.data.tobytes() == u.data.tobytes()
+        assert trace_again.to_csv() == trace.to_csv()
 
 
 class TestConstants:

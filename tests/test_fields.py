@@ -400,6 +400,36 @@ class TestHessianPairs:
             HessianPairs.multiplicity(n), np.where(expected_rows == expected_cols, 1.0, 2.0)
         )
 
+    @pytest.mark.parametrize("n, M", [(2, 16), (3, 8)])
+    def test_a_reused_work_buffer_gives_the_bytes_of_a_fresh_product(self, n, M):
+        grid = GridSpec(n=n, N=2, M=M)
+        half = half_spectrum(grid)
+        work = half.work_buffer()
+        for seed in (18, 19):
+            coef = half.coefficients(random_band_limited(grid, M // 4, seed=seed))
+            kept = coef.copy()
+            expected = half.hessian_pairs(coef).data.tobytes()
+            for _ in range(2):
+                assert half.hessian_pairs(coef, work).data.tobytes() == expected
+            assert coef.tobytes() == kept.tobytes()
+            half.inverse(coef)
+            assert coef.tobytes() == kept.tobytes()
+
+    def test_a_work_buffer_of_the_wrong_shape_or_dtype_is_an_input_error(self):
+        grid = GridSpec(n=2, N=2, M=16)
+        half = half_spectrum(grid)
+        coef = half.coefficients(random_band_limited(grid, 4, seed=20))
+        good = half.work_buffer()
+        for work in (
+            np.empty((2, 2) + half.shape, dtype=complex),
+            np.empty((2, 3) + grid.shape, dtype=complex),
+            np.empty((3, 3) + half.shape, dtype=complex),
+            np.empty(good.shape),
+            np.empty(good.shape, dtype=np.complex64),
+        ):
+            with pytest.raises(InputError):
+                half.hessian_pairs(coef, work)
+
     def test_norm_is_the_norm_of_the_full_hessian(self):
         grid = GridSpec(n=3, N=2, M=8)
         pairs = HessianPairs.from_hessian(spectral_hessian(random_band_limited(grid, 2, seed=17)))

@@ -70,7 +70,8 @@ class TestRunManufactured:
         )
         assert report.error_l2 <= 1e-12
         assert (tmp_path / "solution.field").exists()
-        assert json.loads((tmp_path / "report.json").read_text())["iteration_seconds"] is None
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["iteration_seconds"] is doc["contraction_bound"] is doc["max_ratio"] is None
 
     def test_nonlinear_run_writes_trace(self, tmp_path):
         report = run_manufactured(
@@ -86,9 +87,15 @@ class TestRunManufactured:
         trace = (tmp_path / "trace.csv").read_text().splitlines()
         assert trace[0] == "iter,metric,residual,ratio"
         assert len(trace) == 1 + report.iterations
-        seconds = json.loads((tmp_path / "report.json").read_text())["iteration_seconds"]
+        doc = json.loads((tmp_path / "report.json").read_text())
+        seconds = doc["iteration_seconds"]
         assert len(seconds) == report.iterations
         assert all(0 < s <= report.wall_time_s for s in seconds)
+        cert = report.certificate
+        assert doc["contraction_bound"] == report.contraction_bound == np.sqrt(cert["beta"] + cert["gamma"])
+        ratios = [float(line.split(",")[3]) for line in trace[1:]]
+        assert doc["max_ratio"] == report.max_ratio == max(r for r in ratios if np.isfinite(r))
+        assert report.max_ratio < report.contraction_bound
 
     def test_nonlinear_single_mode_tight(self):
         # small-scale manufactured mode at a tight tolerance: the recovered

@@ -170,6 +170,14 @@ class TestSolveViaNearness:
         g = evaluate_field(specG, spectral_hessian(ustar, PHYSICAL))
         u, report = solve_via_nearness(specF, specG, 1.0, certF, g)
         assert report.condition_met
+        assert report.admission_margin == lower - report.nu_FG.effective > 0
+        doc = report.as_dict()
+        assert set(doc) == {
+            "nu_F_lower", "nu_F_empirical", "nu_FG_sampled", "nu_FG_analytic",
+            "condition_met", "outer_iterations", "admission_margin",
+        }
+        assert doc["admission_margin"] == report.admission_margin
+        assert doc["nu_F_lower"] == lower and doc["condition_met"] is True
         assert report.outer_trace.status == "converged"
         hs = spectral_hessian(ustar, PHYSICAL)
         rel = l2_norm(spectral_hessian(u, PHYSICAL) - hs) / l2_norm(hs)
@@ -200,6 +208,9 @@ class TestSolveViaNearness:
             solve_via_nearness(specF, specG, 1.0, certF, g)
         assert err.value.report.condition_met is False
         assert err.value.report.outer_trace is None
+        doc = err.value.report.as_dict()
+        assert doc["admission_margin"] == lower - err.value.report.nu_FG.effective <= 0
+        assert doc["nu_F_lower"] == lower and doc["condition_met"] is False
 
     def test_increment_inequality_on_fields(self, grid32, identity22):
         # the operator-distance bound transfers to field pairs with the
