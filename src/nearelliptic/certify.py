@@ -18,6 +18,11 @@ Quantifying over all (x, X, Z) is not decidable at desk scale; the verifier
 and the fitter sample Gaussian (X, Z) pairs under a scale sweep and report
 the worst violation, so every certificate means "certified on samples",
 never a proof.  beta and gamma are global; only alpha may vary with x.
+
+The samples are packed, component-major (N, n(n+1)/2, count), and F is
+evaluated on them by the solvers' one evaluator,
+:func:`~nearelliptic.nonlinearity.evaluate_pairs`; verify, fit and the
+stability admission's nu(F, G) read their increments from one helper.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, finite_number, report_json
-from .nonlinearity import NonlinearitySpec, evaluate_batch, linear_part
+from .fields import HessianPairs
+from .nonlinearity import NonlinearitySpec, contract_pairs, evaluate_pairs
 from .tensors import ellipticity_constant
 
 CONSTANT_FLOOR = 1e-6
@@ -136,10 +142,10 @@ class KConditionReport:
     """Sampled verification outcome: worst LHS - RHS gap and where it occurred."""
 
     worst_violation: float
-    worst_sample: tuple | None
+    worst_sample: tuple  # (scale, X, Z, alpha) of the worst sample
     sample_count: int
-    violations: np.ndarray | None = None  # (scale, LHS - RHS) per sample
-    scales: np.ndarray | None = None
+    violations: np.ndarray  # LHS - RHS per sample
+    scales: np.ndarray  # the scale of each sample
 
     @property
     def certified(self) -> bool:
@@ -147,8 +153,6 @@ class KConditionReport:
 
     def violations_csv(self) -> str:
         """Per-sample gaps for plotting; one row per drawn (x, X, Z)."""
-        if self.violations is None:
-            raise InputError("report carries no per-sample record")
         lines = ["scale,violation"]
         for s, v in zip(self.scales, self.violations):
             lines.append(f"{float(s)!r},{float(v)!r}")
@@ -156,9 +160,12 @@ class KConditionReport:
 
 
 def symmetric_gaussian(rng: np.random.Generator, count: int, N: int, n: int) -> np.ndarray:
-    """A standard Gaussian batch (count, N, n, n), symmetrized in (i, j)."""
+    """A standard Gaussian draw (count, N, n, n) symmetrized in (i, j), packed to (N, n(n+1)/2, count).
+
+    Slot (i, j) holds 0.5 (X[i, j] + X[j, i]), the bits of that entry of 0.5 (X + X^T).
+    """
     X = rng.standard_normal((count, N, n, n))
-    return 0.5 * (X + np.swapaxes(X, -1, -2))
+    return np.ascontiguousarray(0.5 * (HessianPairs.pack(X) + HessianPairs.pack(np.swapaxes(X, -1, -2))))
 
 
 def sample_weights(rng: np.random.Generator, count: int, *specs: NonlinearitySpec):
@@ -195,6 +202,16 @@ def _draw_pairs(sampler: SamplerConfig, *specs: NonlinearitySpec):
     return per_scale
 
 
+def _increments(sampler: SamplerConfig, *specs: NonlinearitySpec):
+    """(scale, x indices, X, Z, A:Z, each spec's F(X+Z) - F(X), |Z|^2, |A:Z|^2) per scale; A of the first spec."""
+    for scale, flat, weights, X, Z in _draw_pairs(sampler, *specs):
+        AZ = contract_pairs(specs[0].tensor, Z)
+        Y = X + Z
+        D = [evaluate_pairs(spec, Y, w) - evaluate_pairs(spec, X, w) for spec, w in zip(specs, weights)]
+        zz = (HessianPairs.multiplicity(specs[0].n) @ Z**2).sum(axis=0)  # off-diagonal slots count twice
+        yield scale, flat, X, Z, AZ, D, zz, (AZ**2).sum(axis=0)
+
+
 def _alpha_values(alpha, flat_idx, count):
     if isinstance(alpha, np.ndarray):
         if flat_idx is None:
@@ -222,38 +239,28 @@ def verify_k_condition(
     """Sample the quadratic bound and report the maximum of LHS - RHS.
 
     A nonpositive worst violation certifies the pair (beta, gamma) on the
-    drawn samples.  The argmax sample is returned for diagnosis.
+    drawn samples.  The argmax sample is returned for diagnosis, X and Z unpacked.
     """
     if beta <= 0 or gamma <= 0:
         raise InputError("beta and gamma must be positive")
     if nu is None:
         nu = ellipticity_constant(spec.tensor).nu
-    worst = -np.inf
-    worst_sample = None
-    all_violations = []
-    all_scales = []
-    for scale, flat, (w,), X, Z in _draw_pairs(sampler, spec):
-        AZ = linear_part(spec, Z)
-        F1 = evaluate_batch(spec, X + Z, w)
-        F0 = evaluate_batch(spec, X, w)
-        al = _alpha_values(alpha, flat, len(w))
-        lhs = ((AZ - al[:, None] * (F1 - F0)) ** 2).sum(axis=1)
-        zz = (Z**2).sum(axis=(1, 2, 3))
-        waz = (AZ**2).sum(axis=1)
-        violation = lhs - beta * nu**2 * zz - gamma * waz
-        k = int(np.argmax(violation))
-        if violation[k] > worst:
-            worst = float(violation[k])
-            worst_sample = (scale, X[k], Z[k], float(al[k]))
-        all_violations.append(violation)
-        all_scales.append(np.full(len(w), scale))
-    violations = np.concatenate(all_violations)
+    draws, violations = [], []
+    for scale, flat, X, Z, AZ, (D,), zz, waz in _increments(sampler, spec):
+        al = _alpha_values(alpha, flat, sampler.count)
+        lhs = ((AZ - al * D) ** 2).sum(axis=0)
+        violations.append(lhs - beta * nu**2 * zz - gamma * waz)
+        draws.append((scale, X, Z, al))
+    violations = np.concatenate(violations)
+    worst = int(np.argmax(violations))
+    scale, X, Z, al = draws[worst // sampler.count]
+    k, index = worst % sampler.count, HessianPairs.slot_index(spec.n)
     return KConditionReport(
-        worst_violation=worst,
-        worst_sample=worst_sample,
+        worst_violation=float(violations[worst]),
+        worst_sample=(scale, X[:, index, k], Z[:, index, k], float(al[k])),
         sample_count=len(violations),
         violations=violations,
-        scales=np.concatenate(all_scales),
+        scales=np.repeat(np.asarray(sampler.scales, dtype=float), sampler.count),
     )
 
 
@@ -278,18 +285,12 @@ def fit_k_condition(
     alpha_grid = (1.0 / float(np.median(spec.weight))) * np.geomspace(0.1, 10.0, 41)
     gamma_grid = np.unique(np.concatenate([np.geomspace(CONSTANT_FLOOR, 0.99, 60), np.linspace(0.01, 0.99, 50)]))
 
-    batches = _draw_pairs(sampler, spec)
-    AZ = np.concatenate([linear_part(spec, Z) for _, _, _, _, Z in batches])
-    D = np.concatenate(
-        [evaluate_batch(spec, X + Z, w) - evaluate_batch(spec, X, w) for _, _, (w,), X, Z in batches]
-    )
-    zz = np.concatenate([(Z**2).sum(axis=(1, 2, 3)) for _, _, _, _, Z in batches])
-    waz = (AZ**2).sum(axis=1)
-    total = len(zz)
+    batches = [(AZ, D, zz, waz) for _, _, _, _, AZ, (D,), zz, waz in _increments(sampler, spec)]
+    AZ, D, zz, waz = (np.concatenate(part, axis=-1) for part in zip(*batches))
 
     best = None
     for alpha in alpha_grid:
-        lhs = ((AZ - alpha * D) ** 2).sum(axis=1)
+        lhs = ((AZ - alpha * D) ** 2).sum(axis=0)
         # beta required for each gamma: worst sample ratio after gamma absorbs |A:Z|^2
         needed = (lhs[:, None] - gamma_grid[None, :] * waz[:, None]) / (nu**2 * zz[:, None])
         beta_req = np.maximum(needed.max(axis=0), CONSTANT_FLOOR)
@@ -299,17 +300,19 @@ def fit_k_condition(
             best = (float(sums[k]), float(alpha), float(beta_req[k]), float(gamma_grid[k]))
 
     _, alpha, beta, gamma = best
-    lhs = ((AZ - alpha * D) ** 2).sum(axis=1)
-    worst = float((lhs - beta * nu**2 * zz - gamma * waz).max())
+    lhs = ((AZ - alpha * D) ** 2).sum(axis=0)
     # round-off from recomputation; absorb it into beta so the returned pair
-    # certifies the drawn samples exactly.  One step can be lost to rounding
-    # (beta + step == beta, or the recomputed margin rounds back above 0), so
-    # repeat it, at least one ulp at a time.
+    # certifies the drawn samples exactly, by the worst sample's own shortfall.
+    # A step can be lost to rounding (beta + step == beta, or the recomputed
+    # margin rounds back above 0), so repeat it, at least one ulp at a time.
+    margin = lhs - beta * nu**2 * zz - gamma * waz
     for _ in range(ABSORB_STEPS):
-        if worst <= 0:
+        k = int(np.argmax(margin))
+        if margin[k] <= 0:
             break
-        beta = max(beta + worst / (nu**2 * float(zz.min())), float(np.nextafter(beta, np.inf)))
-        worst = float((lhs - beta * nu**2 * zz - gamma * waz).max())
+        beta = max(beta + float(margin[k]) / (nu**2 * float(zz[k])), float(np.nextafter(beta, np.inf)))
+        margin = lhs - beta * nu**2 * zz - gamma * waz
+    worst = float(margin.max())
     if beta > 0 and gamma > 0 and beta + gamma < 1:
         lam, kappa = def1_from_def2(beta, gamma)
     else:
@@ -323,7 +326,7 @@ def fit_k_condition(
         alpha=alpha,
         alpha_bounds=(alpha, 1.0 / alpha),
         lipschitz_M=spec.f_lipschitz_bound(),
-        sample_count=total,
+        sample_count=len(zz),
         worst_violation=worst,
     )
 
@@ -437,11 +440,11 @@ def lemma1_check(
     X = symmetric_gaussian(rng, count, spec.N, spec.n)
     eta = rng.standard_normal((count, spec.N))
     a = rng.standard_normal((count, spec.n))
-    Z = np.einsum("ka,ki,kj->kaij", eta, a, a)
+    rows, cols = HessianPairs.components(spec.n)
+    Z = np.ascontiguousarray(eta.T[:, None] * a.T[rows] * a.T[cols])
     _, (w,) = sample_weights(rng, count, spec)
-    diff = evaluate_batch(spec, X + Z, w) - evaluate_batch(spec, X, w)
-    AZ = linear_part(spec, Z)
-    lhs = (diff * AZ).sum(axis=1)
+    diff = evaluate_pairs(spec, X + Z, w) - evaluate_pairs(spec, X, w)
+    lhs = (diff * contract_pairs(spec.tensor, Z)).sum(axis=0)
     rhs = (lam - kappa) * nu**2 / alpha_sup * (eta**2).sum(axis=1) * ((a**2).sum(axis=1)) ** 2
     return float((lhs - rhs).min())
 

@@ -328,6 +328,12 @@ class HessianPairs:
         return float(np.sqrt(g.cell_volume * power.sum()))
 
     @classmethod
+    def pack(cls, X: np.ndarray) -> np.ndarray:
+        """The upper triangle of a batch (..., N, n, n) as packed values (N, n(n+1)/2, K), K the batch size."""
+        rows, cols = cls.components(X.shape[-1])
+        return X[..., rows, cols].reshape(-1, X.shape[-3], len(rows)).transpose(1, 2, 0)
+
+    @classmethod
     def from_hessian(cls, hess: HessianField) -> "HessianPairs":
         """The upper triangle of a hessian field in either representation."""
         rows, cols = cls.components(hess.grid.n)

@@ -60,7 +60,7 @@ _DEFAULTS = {
     "tensor": "identity",
     "spec": {"perturbation": None, "weight": 1.0},
     "spec_g": {"perturbation": None},
-    "alpha": 1.0,
+    "alpha": None,
     "rhs": {"kind": "random", "band": None, "seed": 1, "modes": None, "path": None, "analytic_scale": 3.0},
     "solver": {
         "mode": "campanato",
@@ -309,7 +309,13 @@ def run_manufactured(config: dict, out_dir: str | Path | None = None) -> RunRepo
     else:
         certificate = build_certificate(cfg, spec, nu)
         cert_dict = certificate.as_dict()
-        alpha = cfg["alpha"] if not isinstance(cfg["alpha"], str) else example1_alpha(spec)
+        alpha = cfg["alpha"]
+        if alpha is None:  # the certificate's own; the analytic one of a weight field has 1/weight
+            alpha = certificate.alpha
+            if alpha is None:
+                alpha = "matching" if cfg["certificate"] == "analytic" else 1.0
+        if isinstance(alpha, str):  # a string asks for the matching alpha = 1/weight
+            alpha = example1_alpha(spec)
         u, trace = campanato_solve(spec, alpha, f, certificate, config=build_solve_config(cfg))
         residual = trace.final_residual
         iterations = trace.iterations

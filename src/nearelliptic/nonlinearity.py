@@ -10,14 +10,14 @@ The declared Lipschitz number of a spec is the bound used by the
 certificates: it controls |G(X+Z) - G(X)| / g^2(x) <= M |Z| for every x,
 i.e. the perturbation Lipschitz constant measured relative to the weight.
 
-Two layouts are evaluated.  :func:`evaluate_batch` and :func:`evaluate_F`
-take sample-major batches (..., N, n, n).  :func:`evaluate_field` works on the
-packed hessian of :class:`~nearelliptic.fields.HessianPairs`, component-major
-(N, n(n+1)/2, points), so each distinct component is evaluated once: the
-linear part is one matmul with the packed tensor, and the catalog
-perturbations weight each off-diagonal slot 2, the count of (i, j) and (j, i)
-in a sum over all n^2 components.  Each catalog formula is stated once, as
-``delta_pairs``; ``delta`` packs a symmetric batch and calls it.
+One function, :func:`evaluate_pairs`, evaluates F, for grids, the certificate
+samplers and :func:`evaluate_F` alike, on the packed layout of
+:class:`~nearelliptic.fields.HessianPairs`, component-major (N, n(n+1)/2, K),
+so each distinct component is evaluated once: the linear part is one matmul
+with the packed tensor, and the catalog perturbations weight each off-diagonal
+slot 2, the count of (i, j) and (j, i) in a sum over all n^2 components.  Each
+catalog formula is stated once, as ``delta_pairs``; ``delta`` packs a symmetric
+batch (..., N, n, n) and calls it.  A custom hook is handed full batches.
 
 The sine perturbation takes its sine through the half-angle identity
 sin x = 2t / (1 + t^2), t = tan(x/2): numpy dispatches float64 ``tan`` to
@@ -53,10 +53,7 @@ class _PackedFormula:
 
     def delta(self, X: np.ndarray) -> np.ndarray:
         """G over a symmetric batch (..., N, n, n) -> (..., N), through its n(n+1)/2 distinct slots."""
-        n = X.shape[-1]
-        rows, cols = HessianPairs.components(n)
-        packed = X[..., rows, cols].reshape(-1, X.shape[-3], len(rows))
-        return self.delta_pairs(packed.transpose(1, 2, 0), n).T.reshape(X.shape[:-2])
+        return self.delta_pairs(HessianPairs.pack(X), X.shape[-1]).T.reshape(X.shape[:-2])
 
 
 @dataclass(frozen=True)
@@ -322,28 +319,24 @@ class NonlinearitySpec:
         return cls.from_dict(json.loads(text))
 
 
+def contract_pairs(tensor: SymTensor4, X: np.ndarray) -> np.ndarray:
+    """A : X on packed values X (N, n(n+1)/2, K) -> (N, K); a C-contiguous X is read in place."""
+    return HessianPairs.contraction(tensor.entries).reshape(tensor.N, -1) @ X.reshape(-1, X.shape[-1])
 
-def linear_part(spec: NonlinearitySpec, X: np.ndarray) -> np.ndarray:
-    """A : X over a batch (..., N, n, n) -> (..., N), without the weight."""
-    return np.einsum("abij,...bij->...a", spec.tensor.entries, X)
 
-
-def evaluate_batch(spec: NonlinearitySpec, X: np.ndarray, weight) -> np.ndarray:
-    """F over a batch of hessian values; ``weight`` is a scalar or an array over the batch."""
-    w = np.asarray(weight, dtype=float)
-    if w.ndim > 0:
-        w = w[..., None]
-    out = w * linear_part(spec, X)
+def evaluate_pairs(spec: NonlinearitySpec, X: np.ndarray, weight) -> np.ndarray:
+    """F = weight * (A : X) + G(X) on packed values X (N, n(n+1)/2, K) -> (N, K), weight a scalar or (K,)."""
+    values = weight * contract_pairs(spec.tensor, X)
     if spec.perturbation is not None:
-        out = out + spec.perturbation.delta(X)
-    if not np.all(np.isfinite(out)):
+        values = values + spec.perturbation.delta_pairs(X, spec.n)
+    if not np.all(np.isfinite(values)):
         raise EvaluationError("nonlinearity produced non-finite values")
-    return out
+    return values
 
 
 def evaluate_F(spec: NonlinearitySpec, X: np.ndarray, x: tuple | None = None) -> np.ndarray:
     """Pointwise value F(x, X) for a single symmetric X of shape (N, n, n)."""
-    return evaluate_batch(spec, check_hessian_arg(spec.tensor, X), spec.weight_at(x))
+    return evaluate_pairs(spec, HessianPairs.pack(check_hessian_arg(spec.tensor, X)), spec.weight_at(x))[:, 0]
 
 
 def evaluate_field(spec: NonlinearitySpec, hess: HessianField | HessianPairs) -> VectorField:
@@ -364,10 +357,5 @@ def evaluate_field(spec: NonlinearitySpec, hess: HessianField | HessianPairs) ->
         weight = weight.reshape(-1)
     if isinstance(hess, HessianField):
         hess = HessianPairs.from_hessian(hess)
-    X = hess.data.reshape(g.N, -1, g.points)
-    values = weight * (HessianPairs.contraction(spec.tensor.entries).reshape(g.N, -1) @ X.reshape(-1, g.points))
-    if spec.perturbation is not None:
-        values = values + spec.perturbation.delta_pairs(X, g.n)
-    if not np.all(np.isfinite(values)):
-        raise EvaluationError("nonlinearity produced non-finite values")
+    values = evaluate_pairs(spec, hess.data.reshape(g.N, -1, g.points), weight)
     return VectorField(g, values.reshape((g.N,) + g.shape), PHYSICAL)

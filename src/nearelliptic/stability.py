@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .campanato import STAGNATION_FLOOR, IterationTrace, SolveConfig, campanato_solve, zero_field
-from .certify import EllipticityCertificate, SamplerConfig, _draw_pairs
+from .certify import EllipticityCertificate, SamplerConfig, _increments
 from .errors import InputError, NearnessConditionError
 from .fields import (
     PHYSICAL,
@@ -47,7 +47,6 @@ from .nonlinearity import (
     NonlinearitySpec,
     NormComboPerturbation,
     SinePerturbation,
-    evaluate_batch,
     evaluate_field,
 )
 
@@ -107,12 +106,9 @@ def nu_FG_estimate(specF: NonlinearitySpec, specG: NonlinearitySpec) -> NuFGEsti
     if (specF.N, specF.n) != (specG.N, specG.n):
         raise InputError("specs must share dimensions")
     worst = 0.0
-    for _, _, (wF, wG), X, step in _draw_pairs(SamplerConfig(count=2000, seed=3), specF, specG):
-        Y = X + step
-        dF = evaluate_batch(specF, Y, wF) - evaluate_batch(specF, X, wF)
-        dG = evaluate_batch(specG, Y, wG) - evaluate_batch(specG, X, wG)
-        num = np.sqrt(((dF - dG) ** 2).sum(axis=1))
-        den = np.sqrt((step**2).sum(axis=(1, 2, 3)))
+    for _, _, _, _, _, (dF, dG), zz, _ in _increments(SamplerConfig(count=2000, seed=3), specF, specG):
+        num = np.sqrt(((dF - dG) ** 2).sum(axis=0))
+        den = np.sqrt(zz)
         good = den > 0
         if np.any(good):
             worst = max(worst, float((num[good] / den[good]).max()))

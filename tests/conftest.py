@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nearelliptic import GridSpec, example2_tensor, identity_tensor
 from nearelliptic.tensors import SymTensor4, _sym_pair_transpose
+
+# every run draws the same examples, so a tier-1 result repeats; for fresh
+# examples, run with --hypothesis-profile=explore
+settings.register_profile("pinned", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("pinned")
 
 
 @pytest.fixture(scope="session")

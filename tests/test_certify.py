@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearelliptic import (
     EllipticityCertificate,
@@ -15,7 +17,7 @@ from nearelliptic import (
     lemma1_check,
     verify_k_condition,
 )
-from nearelliptic.certify import CONSTANT_FLOOR, example1_alpha
+from nearelliptic.certify import CONSTANT_FLOOR, example1_alpha, symmetric_gaussian
 from nearelliptic.counterexamples import saturating_witness, window_constants
 from nearelliptic.errors import InputError
 from nearelliptic.nonlinearity import evaluate_F
@@ -108,6 +110,37 @@ class TestVerify:
         spec = NonlinearitySpec(tensor=identity22)
         with pytest.raises(InputError):
             verify_k_condition(spec, 1.0, beta=0.0, gamma=0.5, nu=1.0)
+
+
+class TestSampler:
+    @pytest.mark.parametrize("n, N", [(2, 2), (3, 2), (4, 3)])
+    def test_packed_draw_is_the_upper_triangle_of_the_symmetrized_draw(self, n, N):
+        rng, ref = np.random.default_rng(23), np.random.default_rng(23)
+        got = symmetric_gaussian(rng, 40, N, n)
+        raw = ref.standard_normal((40, N, n, n))
+        full = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+        rows, cols = np.triu_indices(n)
+        want = np.ascontiguousarray(np.moveaxis(full[..., rows, cols], 0, -1))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # the stream goes on where the full draw left it
+        assert rng.standard_normal() == ref.standard_normal()
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([2, 3]),
+        norm_combo=st.booleans(),
+    )
+    def test_fitted_constants_pass_verify_on_the_fitted_samples(self, seed, n, norm_combo):
+        A = random_rank_one_positive(n, 2, seed=seed)[0]
+        nu = ellipticity_constant(A).nu
+        pert = NormComboPerturbation(0.2 * nu, 0.1 * nu) if norm_combo else SinePerturbation(0.3 * nu)
+        spec = NonlinearitySpec(tensor=A, perturbation=pert)
+        sampler = SamplerConfig(count=200, seed=seed)
+        cert = fit_k_condition(spec, sampler, nu=nu)
+        report = verify_k_condition(spec, cert.alpha, cert.beta, cert.gamma, sampler, nu=nu)
+        # fit and verify read one set of sampled increments, so they see the same worst sample
+        assert report.worst_violation == cert.worst_violation <= 0
 
 
 class TestFit:

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nearelliptic import (
@@ -16,6 +18,7 @@ from nearelliptic import (
 from nearelliptic.errors import InputError
 from nearelliptic.fields import (
     _HEADER,
+    _MAGIC,
     PHYSICAL,
     SPECTRAL,
     HessianPairs,
@@ -364,6 +367,63 @@ class TestCorruptFiles:
         field = SMALL_FIELDS[name]
         bits = 8 * (_HEADER.size + field.data.nbytes)
         self.load_flipped(tmp_path_factory.getbasetemp() / "flipped.field", field, int(position * bits))
+
+    @staticmethod
+    def load_bytes(path, raw):
+        """Load ``raw`` as a field file: the field, or None when it is an InputError.
+
+        Any other exception (struct, numpy, OverflowError) escapes and fails the test.
+        """
+        path.write_bytes(raw)
+        try:
+            return load_field(path)
+        except InputError:
+            return None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(SMALL_FIELDS)),
+        keep=st.floats(0.0, 1.0),
+        flips=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=4),
+    )
+    def test_a_truncated_and_flipped_file_loads_or_is_an_input_error(self, tmp_path_factory, name, keep, flips):
+        path = tmp_path_factory.getbasetemp() / "cut.field"
+        save_field(path, SMALL_FIELDS[name])
+        raw = bytearray(path.read_bytes()[: int(keep * (path.stat().st_size + 1))])
+        for position in flips if raw else []:
+            bit = int(position * 8 * len(raw))
+            raw[bit // 8] ^= 1 << (bit % 8)
+        loaded = self.load_bytes(path, bytes(raw))
+        if loaded is not None:
+            assert loaded.data.nbytes == len(raw) - _HEADER.size and np.all(np.isfinite(loaded.data))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        header=st.tuples(
+            st.one_of(st.integers(-2, 6), st.integers(-(2**31), 2**31 - 1)),
+            st.one_of(st.integers(-2, 5), st.integers(-(2**31), 2**31 - 1)),
+            st.one_of(st.integers(-2, 12), st.integers(-(2**31), 2**31 - 1)),
+            st.floats(),
+            st.integers(0, 1),
+            st.integers(0, 1),
+        ),
+        matching=st.booleans(),
+        extra=st.integers(-17, 17),
+    )
+    @example(header=(2, 3, 4, 0.5, 1, 1), matching=True, extra=0)
+    def test_a_mis_sized_file_loads_or_is_an_input_error(self, tmp_path_factory, header, matching, extra):
+        # any header over a zero payload: of the size the header needs, give or take extra bytes, or of extra bytes
+        n, N, M, L, rep, kind = header
+        values = N * (n * n if kind else 1) * M**n if 0 <= n <= 6 and 0 <= N <= 5 and 0 <= M <= 12 else 0
+        size = values * (8 if rep == 0 else 16) + extra if matching and values <= 10**5 else abs(extra)
+        raw = _HEADER.pack(_MAGIC, n, N, M, L, rep, kind) + bytes(max(size, 0))
+        loaded = self.load_bytes(tmp_path_factory.getbasetemp() / "sized.field", raw)
+        well_formed = n >= 2 and N >= 2 and M >= 4 and M % 2 == 0 and math.isfinite(L) and L > 0
+        if well_formed and matching and extra == 0 and 0 < values <= 10**5:
+            assert loaded is not None
+        if loaded is not None:
+            assert (loaded.grid.n, loaded.grid.N, loaded.grid.M, loaded.grid.L) == (n, N, M, L)
+            assert loaded.data.nbytes == len(raw) - _HEADER.size
 
 
 class TestHessianPairs:

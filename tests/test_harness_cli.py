@@ -300,6 +300,10 @@ CERTIFICATE = {
 }
 
 
+# the analytic certificate of this spec is built for alpha = 1/weight = 1/2
+WEIGHTED_SINE = {"grid": {"M": 16}, "spec": {"weight": 2.0, "perturbation": {"kind": "scaled_sine", "amplitude": 0.3}}}
+
+
 MALFORMED_PERTURBATIONS = [
     {"amplitude": 0.3},
     {"kind": "scaled_sine"},
@@ -393,6 +397,19 @@ class TestConfigPaths:
         assert result.exit_code == 0, result.output
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["certificate"] == dict(CERTIFICATE, sample_count=0, worst_violation=None)
+
+    @pytest.mark.parametrize("doc", [WEIGHTED_SINE, {"spec": {"weight": 3.0}, "certificate": "fitted"}])
+    def test_solve_takes_the_alpha_of_its_certificate_by_default(self, tmp_path, doc):
+        # the analytic certificate is built for alpha = 1/weight, the fitted one for its own alpha
+        result = self.invoke(tmp_path, "solve", doc)
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["config"]["alpha"] is None
+
+    def test_an_explicit_alpha_overrides_the_certificate(self, tmp_path):
+        result = self.invoke(tmp_path, "solve", dict(WEIGHTED_SINE, alpha=1.0))
+        assert result.exit_code == 1
+        assert "FAIL [solve]" in result.output and "looks invalid" in result.output
 
     @pytest.mark.parametrize("command", ["solve", "solve-linear", "solve-stability", "certify"])
     def test_every_command_reads_the_tensor_and_weight_files(self, tmp_path, command):

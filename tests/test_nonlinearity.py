@@ -25,7 +25,7 @@ from nearelliptic import (
 )
 from nearelliptic.errors import EvaluationError, InputError
 from nearelliptic.fields import PHYSICAL, HessianPairs, save_field
-from nearelliptic.nonlinearity import evaluate_batch, register_custom_perturbation
+from nearelliptic.nonlinearity import register_custom_perturbation
 from nearelliptic.tensors import read_tensor
 
 from conftest import random_sym_tensor, random_symmetric_batch
@@ -49,13 +49,28 @@ PERTURBATIONS = {
 }
 
 
+def full_delta(pert, X):
+    """G over a full symmetric batch (..., N, n, n) by its n^2 formula, with no packed slot."""
+    n = X.shape[-1]
+    if isinstance(pert, SinePerturbation):
+        return (pert.amplitude / n) * np.sin(X).sum(axis=(-2, -1))
+    if isinstance(pert, NormComboPerturbation):
+        frob = np.sqrt((X**2).sum(axis=(-2, -1)))
+        trace = np.diagonal(X, axis1=-2, axis2=-1).sum(axis=-1)
+        return -pert.b * frob - pert.c * np.abs(trace)
+    return pert.fn(X)
+
+
 def unpacked_reference(spec, hess):
-    """F on the full n^2 hessian through the sample-major batch evaluator."""
+    """F on the full n^2 hessian: A : X by einsum over all n^2 components, G by full_delta."""
     if isinstance(hess, HessianPairs):
         hess = hess.to_hessian()
-    X = np.moveaxis(hess.to_physical().data, (0, 1, 2), (-3, -2, -1))
-    values = evaluate_batch(spec, X, spec.weight)
-    return VectorField(hess.grid, np.moveaxis(values, -1, 0), PHYSICAL)
+    X = hess.to_physical().data
+    values = spec.weight * np.einsum("abij,bij...->a...", spec.tensor.entries, X)
+    if spec.perturbation is not None:
+        batch = np.moveaxis(X, (0, 1, 2), (-3, -2, -1))
+        values = values + np.moveaxis(full_delta(spec.perturbation, batch), -1, 0)
+    return VectorField(hess.grid, values, PHYSICAL)
 
 
 def symmetric_hessian(grid, rng, scale=3.0):
