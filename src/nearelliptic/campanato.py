@@ -38,6 +38,7 @@ next step.
 from __future__ import annotations
 
 import io
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import takewhile
@@ -166,10 +167,15 @@ def campanato_solve(
     """Iterate the near-operator contraction until the equation residual passes.
 
     ``alpha`` is the scaling of the certificate (constant or a positive grid
-    field); every iterate carries the zero-mean gauge inherited from the
-    linear solver.  Returns the final field and the full trace.
+    field); a constant that differs from the certificate's own ``alpha`` by
+    more than 1e-12 relative is an InputError.  Every iterate carries the
+    zero-mean gauge inherited from the linear solver.  Returns the final
+    field and the full trace.
     """
     certificate.require_feasible()
+    own = certificate.alpha
+    if own is not None and np.ndim(alpha) == 0 and not math.isclose(float(alpha), own, rel_tol=1e-12):
+        raise InputError(f"alpha={float(alpha):g} is not the alpha={own:g} the certificate holds for")
     g = f.grid
     if (spec.N, spec.n) != (g.N, g.n):
         raise InputError("spec dimensions do not match the grid")

@@ -50,6 +50,12 @@ class SamplerConfig:
     seed: int = 0
     scales: tuple[float, ...] = (1e-2, 1.0, 1e2)
 
+    def __post_init__(self):
+        if finite_number(self.count, "sampler count", integer=True) < 1:
+            raise InputError(f"sampler count must be >= 1, got {self.count}")
+        if not self.scales or not all(finite_number(s, "sampler scale") > 0 for s in self.scales):
+            raise InputError(f"sampler scales must be positive numbers, at least one, got {self.scales!r}")
+
 
 @dataclass(frozen=True, eq=False)
 class EllipticityCertificate:

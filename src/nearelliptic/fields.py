@@ -5,7 +5,7 @@ representation stores Fourier-series coefficients
 
     u(x) = sum_k c(k) exp(2 pi i k . x / L),      c(k) = fftn(u) / M^n,
 
-with integer frequencies k in {-M/2, ..., M/2 - 1}^n (numpy fft layout) and
+with integer frequencies k in {-M/2, ..., M/2 - 1}^n (fft layout) and
 physical frequency z = k / L.  With this normalization the quadrature and the
 coefficient sums agree exactly:
 
@@ -15,15 +15,19 @@ and the hessian acts diagonally, c(k) -> c(k) (2 pi i k_i / L)(2 pi i k_j / L).
 The k = 0 coefficient is the spatial mean; second derivatives annihilate it,
 which is the gauge mode the solvers pin to zero.  M is even.
 
+Every transform is a ``scipy.fft`` call with ``norm="forward"``, on one
+worker: it divides the forward transform by M^n and leaves the inverse
+unscaled, so that one normalization holds on the full grid (``fftn`` and
+the real part of ``ifftn``) and on the half spectrum alike.
+
 Half spectrum.  The solvers work on real fields, whose coefficients satisfy
 c(-k) = conj(c(k)), so they keep only the ``rfftn`` half spectrum: the last
-axis holds k_n = 0, ..., M/2 (shape (M, ..., M, M/2 + 1)), with the same
-normalization as above (``norm="forward"``).  Norms follow from Plancherel
-with weight 1 on the k_n = 0 and k_n = M/2 planes, whose conjugate partners
-lie in the half spectrum, and weight 2 elsewhere.  :class:`HalfSpectrum`
-holds this layout for one grid, its |z|^2, gauge mask and weights, and the
-n(n+1)/2 distinct hessian multipliers; :func:`half_spectrum` memoizes it.
-The transforms are ``scipy.fft``'s, on one worker.  A loop that takes many
+axis holds k_n = 0, ..., M/2 (shape (M, ..., M, M/2 + 1)).  Norms follow
+from Plancherel with weight 1 on the k_n = 0 and k_n = M/2 planes, whose
+conjugate partners lie in the half spectrum, and weight 2 elsewhere.
+:class:`HalfSpectrum` holds this layout for one grid, its |z|^2, gauge mask
+and weights, and the n(n+1)/2 distinct hessian multipliers;
+:func:`half_spectrum` memoizes it.  A loop that takes many
 hessians of one grid gives :meth:`HalfSpectrum.hessian_pairs` one work
 buffer (:meth:`HalfSpectrum.work_buffer`, complex (N, n(n+1)/2) + shape):
 each call overwrites it with the product of the coefficients and the
@@ -151,8 +155,38 @@ class GridSpec:
         return total
 
 
-def _spatial_axes(offset: int, n: int) -> tuple[int, ...]:
-    return tuple(range(offset, offset + n))
+def _grid_axes(grid: GridSpec) -> tuple[int, ...]:
+    """The trailing grid axes of a field's data, after its component axes."""
+    return tuple(range(-grid.n, 0))
+
+
+def _frozen_data(data, expected: tuple[int, ...], representation: str, what: str) -> np.ndarray:
+    """``data`` checked for shape and representation, as a read-only contiguous float or complex array."""
+    data = np.asarray(data)
+    if data.shape != expected:
+        raise InputError(f"{what} data must have shape {expected}, got {data.shape}")
+    if representation not in (PHYSICAL, SPECTRAL):
+        raise InputError(f"unknown representation {representation!r}")
+    data = np.ascontiguousarray(data, dtype=float if representation == PHYSICAL else complex)
+    data.setflags(write=False)
+    return data
+
+
+def _transformed(field):
+    """The field in its other representation: c(k) = fftn(u) / M^n, or the real part of the inverse."""
+    axes = _grid_axes(field.grid)
+    if field.is_physical():
+        return type(field)(field.grid, scipy.fft.fftn(field.data, axes=axes, norm="forward"), SPECTRAL)
+    return type(field)(field.grid, scipy.fft.ifftn(field.data, axes=axes, norm="forward").real, PHYSICAL)
+
+
+def _combined(field, other, op):
+    """``op`` of the data of two fields of one class, grid and representation."""
+    if not isinstance(other, type(field)):
+        return NotImplemented
+    if other.grid != field.grid or other.representation != field.representation:
+        raise InputError("field operands must share grid and representation")
+    return type(field)(field.grid, op(field.data, other.data), field.representation)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,17 +199,7 @@ class VectorField:
 
     def __post_init__(self):
         expected = (self.grid.N,) + self.grid.shape
-        data = np.asarray(self.data)
-        if data.shape != expected:
-            raise InputError(f"vector field data must have shape {expected}, got {data.shape}")
-        if self.representation == PHYSICAL:
-            data = np.ascontiguousarray(data, dtype=float)
-        elif self.representation == SPECTRAL:
-            data = np.ascontiguousarray(data, dtype=complex)
-        else:
-            raise InputError(f"unknown representation {self.representation!r}")
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", _frozen_data(self.data, expected, self.representation, "vector field"))
 
     def is_physical(self) -> bool:
         return self.representation == PHYSICAL
@@ -187,38 +211,23 @@ class VectorField:
         return self
 
     def to_physical(self) -> "VectorField":
-        if self.is_physical():
-            return self
-        axes = _spatial_axes(1, self.grid.n)
-        values = np.fft.ifftn(self.data, axes=axes) * self.grid.points
-        return VectorField(self.grid, values.real, PHYSICAL)
+        return self if self.is_physical() else _transformed(self)
 
     def to_spectral(self) -> "VectorField":
-        if not self.is_physical():
-            return self
-        axes = _spatial_axes(1, self.grid.n)
-        coef = np.fft.fftn(self.data, axes=axes) / self.grid.points
-        return VectorField(self.grid, coef, SPECTRAL)
+        return _transformed(self) if self.is_physical() else self
 
     def mean(self) -> np.ndarray:
         """Component means; equals the k = 0 coefficient."""
         if self.is_physical():
-            return self.data.mean(axis=_spatial_axes(1, self.grid.n))
+            return self.data.mean(axis=_grid_axes(self.grid))
         zero = (slice(None),) + (0,) * self.grid.n
         return self.data[zero].real.copy()
 
-    def _binary_op(self, other, op):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        if other.grid != self.grid or other.representation != self.representation:
-            raise InputError("field operands must share grid and representation")
-        return VectorField(self.grid, op(self.data, other.data), self.representation)
-
     def __add__(self, other):
-        return self._binary_op(other, np.add)
+        return _combined(self, other, np.add)
 
     def __sub__(self, other):
-        return self._binary_op(other, np.subtract)
+        return _combined(self, other, np.subtract)
 
     def __mul__(self, scalar):
         return VectorField(self.grid, self.data * float(scalar), self.representation)
@@ -237,41 +246,19 @@ class HessianField:
     def __post_init__(self):
         g = self.grid
         expected = (g.N, g.n, g.n) + g.shape
-        data = np.asarray(self.data)
-        if data.shape != expected:
-            raise InputError(f"hessian field data must have shape {expected}, got {data.shape}")
-        if self.representation == PHYSICAL:
-            data = np.ascontiguousarray(data, dtype=float)
-        elif self.representation == SPECTRAL:
-            data = np.ascontiguousarray(data, dtype=complex)
-        else:
-            raise InputError(f"unknown representation {self.representation!r}")
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", _frozen_data(self.data, expected, self.representation, "hessian field"))
 
     def is_physical(self) -> bool:
         return self.representation == PHYSICAL
 
     def to_physical(self) -> "HessianField":
-        if self.is_physical():
-            return self
-        axes = _spatial_axes(3, self.grid.n)
-        values = np.fft.ifftn(self.data, axes=axes) * self.grid.points
-        return HessianField(self.grid, values.real, PHYSICAL)
+        return self if self.is_physical() else _transformed(self)
 
     def to_spectral(self) -> "HessianField":
-        if not self.is_physical():
-            return self
-        axes = _spatial_axes(3, self.grid.n)
-        coef = np.fft.fftn(self.data, axes=axes) / self.grid.points
-        return HessianField(self.grid, coef, SPECTRAL)
+        return _transformed(self) if self.is_physical() else self
 
     def __sub__(self, other):
-        if not isinstance(other, HessianField):
-            return NotImplemented
-        if other.grid != self.grid or other.representation != self.representation:
-            raise InputError("field operands must share grid and representation")
-        return HessianField(self.grid, self.data - other.data, self.representation)
+        return _combined(self, other, np.subtract)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,12 +275,7 @@ class HessianPairs:
     def __post_init__(self):
         g = self.grid
         expected = (g.N, g.n * (g.n + 1) // 2) + g.shape
-        data = np.asarray(self.data)
-        if data.shape != expected:
-            raise InputError(f"packed hessian data must have shape {expected}, got {data.shape}")
-        data = np.ascontiguousarray(data, dtype=float)
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", _frozen_data(self.data, expected, PHYSICAL, "packed hessian"))
 
     @staticmethod
     @cache
@@ -375,7 +357,7 @@ class HalfSpectrum:
 
     @property
     def axes(self) -> tuple[int, ...]:
-        return tuple(range(-self.grid.n, 0))
+        return _grid_axes(self.grid)
 
     def restrict(self, full: np.ndarray) -> np.ndarray:
         """Hermitian part of a real full-grid multiplier (..., M, ..., M) on the half spectrum."""
@@ -479,34 +461,28 @@ def spectral_hessian(u: VectorField, representation: str = PHYSICAL) -> HessianF
     """All second derivatives of ``u`` via the diagonal frequency multiplier.
 
     Component (alpha, i, j) has coefficients c_alpha(k) (2 pi i k_i / L)
-    (2 pi i k_j / L).  A physical ``u`` with physical output takes the real
-    path: one rfftn of ``u`` and one irfftn of the n(n+1)/2 distinct
-    components, with the hermitian multipliers of :class:`HalfSpectrum`.
-    Otherwise the full complex spectrum is built; its physical form is the
-    real part, which agrees with the real path.
+    (2 pi i k_j / L).  A physical output takes the real path: one rfftn of the
+    physical ``u`` and one irfftn of the n(n+1)/2 distinct components, with
+    the hermitian multipliers of :class:`HalfSpectrum`.  A spectral output is
+    the full complex product, whose physical form is the real part and agrees
+    with the real path.
     """
     g = u.grid
-    if representation == PHYSICAL and u.is_physical():
+    if representation == PHYSICAL:
         half = half_spectrum(g)
-        return half.hessian_pairs(half.forward(u.data)).to_hessian()
+        return half.hessian_pairs(half.coefficients(u)).to_hessian()
+    if representation != SPECTRAL:
+        raise InputError(f"unknown representation {representation!r}")
     packed = u.to_spectral().data[:, None] * hessian_multipliers(g)
-    out = HessianField(g, packed[:, HessianPairs.slot_index(g.n)], SPECTRAL)
-    if representation == SPECTRAL:
-        return out
-    return out.to_physical()
+    return HessianField(g, packed[:, HessianPairs.slot_index(g.n)], SPECTRAL)
 
 
 def apply_gradient(u: VectorField) -> np.ndarray:
     """Physical gradient array of shape (N, n, M, ..., M); diagnostic use only."""
     g = u.grid
-    coef = u.to_spectral().data
-    freq = g.freq_axes()
-    out = np.empty((g.N, g.n) + g.shape)
-    axes = _spatial_axes(1, g.n)
-    for i in range(g.n):
-        mult = 2j * np.pi * freq[i] / g.L
-        out[:, i] = (np.fft.ifftn(coef * mult, axes=axes) * g.points).real
-    return out
+    freq = np.stack(np.broadcast_arrays(*g.freq_axes()))
+    coef = u.to_spectral().data[:, None] * ((2j * np.pi / g.L) * freq)
+    return scipy.fft.ifftn(coef, axes=_grid_axes(g), norm="forward", overwrite_x=True).real
 
 
 def l2_norm(field) -> float:

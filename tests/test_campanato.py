@@ -129,6 +129,15 @@ class TestCampanatoSolve:
         with pytest.raises(InputError):
             campanato_solve(spec, 1.0, f, bad)
 
+    def test_an_alpha_other_than_the_certificates_is_refused(self, grid32, identity22):
+        spec = NonlinearitySpec(tensor=identity22, weight=2.0)
+        cert = example1_certificate(spec, nu=1.0)  # holds for alpha = 1/weight only
+        _, f = manufactured(spec, grid32, band=4, seed=5)
+        with pytest.raises(InputError, match="alpha=1 is not the alpha=0.5"):
+            campanato_solve(spec, 1.0, f, cert)
+        _, trace = campanato_solve(spec, 0.5 * (1 + 1e-13), f, cert)
+        assert trace.status == "converged"
+
     def test_trace_csv(self, grid32, identity22):
         spec = sine_spec(identity22, 0.3)
         cert = example1_certificate(spec, nu=1.0)

@@ -113,6 +113,15 @@ class TestVerify:
 
 
 class TestSampler:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"count": 0}, {"count": -3}, {"count": 2.5}, {"count": True}, {"scales": ()}, {"scales": (1.0, 0.0)},
+         {"scales": (-1.0,)}, {"scales": (float("nan"),)}, {"scales": (1.0, float("inf"))}],
+    )
+    def test_a_malformed_plan_is_an_input_error(self, kwargs):
+        with pytest.raises(InputError, match="sampler"):
+            SamplerConfig(**kwargs)
+
     @pytest.mark.parametrize("n, N", [(2, 2), (3, 2), (4, 3)])
     def test_packed_draw_is_the_upper_triangle_of_the_symmetrized_draw(self, n, N):
         rng, ref = np.random.default_rng(23), np.random.default_rng(23)

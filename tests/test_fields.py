@@ -30,7 +30,12 @@ from nearelliptic.fields import (
     load_field,
     save_field,
 )
+from nearelliptic.linear import pairing_spectrum, solve_linear
 from nearelliptic.tensors import random_rank_one_positive
+
+NUMPY_TRANSFORMS = (
+    "fft", "ifft", "rfft", "irfft", "hfft", "ihfft", "fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"
+)
 
 
 def single_mode_field(grid, component=0, axis=0):
@@ -111,7 +116,53 @@ class TestTransforms:
             assert abs(phys**2 - spec**2) <= 1e-11 * phys**2
 
 
+class TestOneTransformLibrary:
+    def test_the_package_takes_no_numpy_transform(self, monkeypatch, identity22):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the package called a numpy.fft transform")
+
+        for name in NUMPY_TRANSFORMS:
+            monkeypatch.setattr(np.fft, name, refuse)
+        grid = GridSpec(n=2, N=2, M=16)
+        u = random_band_limited(grid, 4, seed=23)
+        coef = forward_transform(u)
+        inverse_transform(coef)
+        for field in (u, coef):
+            for representation in (PHYSICAL, SPECTRAL):
+                spectral_hessian(field, representation)
+        spectral_hessian(u).to_spectral().to_physical()
+        conjugate_symmetry_error(u)
+        w22star_norms(random_band_limited(GridSpec(n=5, N=2, M=4), 1, seed=24))
+        pairing_spectrum(solve_linear(identity22, u).u, u)
+
+    @pytest.mark.parametrize("n, M", [(2, 32), (3, 8)])
+    def test_full_grid_transforms_keep_the_numpy_normalization(self, n, M):
+        grid = GridSpec(n=n, N=2, M=M)
+        data = np.random.default_rng(25).standard_normal((2,) + grid.shape)
+        axes = tuple(range(1, n + 1))
+        coef = VectorField(grid, data, PHYSICAL).to_spectral().data
+        reference = np.fft.fftn(data, axes=axes) / grid.points
+        assert np.abs(coef - reference).max() <= 1e-15 * np.abs(reference).max()
+        back = VectorField(grid, reference, SPECTRAL).to_physical().data
+        np.testing.assert_allclose(back, (np.fft.ifftn(reference, axes=axes) * grid.points).real, rtol=0, atol=1e-14)
+
+
 class TestSpectralHessian:
+    def test_an_unknown_representation_is_an_input_error(self, grid32):
+        with pytest.raises(InputError, match="bogus"):
+            spectral_hessian(single_mode_field(grid32), "bogus")
+
+    @pytest.mark.parametrize("n, M", [(2, 16), (3, 8)])
+    def test_a_spectral_input_gives_the_hessian_of_its_physical_field(self, n, M):
+        # white noise, so that every mode and the Nyquist planes carry data
+        grid = GridSpec(n=n, N=2, M=M)
+        u = VectorField(grid, np.random.default_rng(26).standard_normal((2,) + grid.shape), PHYSICAL)
+        expected = spectral_hessian(u).data
+        scale = np.abs(expected).max()
+        assert np.abs(spectral_hessian(u.to_spectral()).data - expected).max() <= 1e-12 * scale
+        for field in (u, u.to_spectral()):
+            assert np.abs(spectral_hessian(field, SPECTRAL).to_physical().data - expected).max() <= 1e-12 * scale
+
     def test_single_mode_analytic(self, grid32):
         u = single_mode_field(grid32)
         hess = spectral_hessian(u)

@@ -409,7 +409,8 @@ class TestConfigPaths:
     def test_an_explicit_alpha_overrides_the_certificate(self, tmp_path):
         result = self.invoke(tmp_path, "solve", dict(WEIGHTED_SINE, alpha=1.0))
         assert result.exit_code == 1
-        assert "FAIL [solve]" in result.output and "looks invalid" in result.output
+        # the certificate of weight 2 holds for alpha = 1/2 only, and the solve says so before iterating
+        assert "FAIL [solve]" in result.output and "alpha=1 is not the alpha=0.5" in result.output
 
     @pytest.mark.parametrize("command", ["solve", "solve-linear", "solve-stability", "certify"])
     def test_every_command_reads_the_tensor_and_weight_files(self, tmp_path, command):

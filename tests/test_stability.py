@@ -152,7 +152,8 @@ class TestEmpiricalModulus:
         monkeypatch.setattr(stability, "spectral_hessian", refuse)
         for name in ("fftn", "ifftn", "rfftn"):
             monkeypatch.setattr(np.fft, name, refuse)
-        monkeypatch.setattr(scipy.fft, "rfftn", refuse)
+        for name in ("fftn", "ifftn", "rfftn"):
+            monkeypatch.setattr(scipy.fft, name, refuse)
         monkeypatch.setattr(HessianField, "__post_init__", refuse)
         assert empirical_nu_F(spec, grid) == pytest.approx(expected, rel=1e-12)
 
