@@ -19,10 +19,14 @@ and the fitter sample Gaussian (X, Z) pairs under a scale sweep and report
 the worst violation, so every certificate means "certified on samples",
 never a proof.  beta and gamma are global; only alpha may vary with x.
 
-The samples are packed, component-major (N, n(n+1)/2, count), and F is
-evaluated on them by the solvers' one evaluator,
-:func:`~nearelliptic.nonlinearity.evaluate_pairs`; verify, fit and the
-stability admission's nu(F, G) read their increments from one helper.
+The samples are packed, component-major (N, n(n+1)/2, count).  X and Z are
+symmetric Gaussian matrices, and only their n(n+1)/2 distinct entries are
+drawn: the diagonal ones N(0, 1), the off-diagonal ones N(0, 1/2), all
+independent, which is the law of 0.5 (X + X^T) for a standard Gaussian X
+(:func:`symmetric_gaussian`).  F is evaluated on them by the solvers' one
+evaluator, :func:`~nearelliptic.nonlinearity.evaluate_pairs`; verify, fit
+and the stability admission's nu(F, G) read their increments from one
+helper.
 """
 
 from __future__ import annotations
@@ -166,12 +170,17 @@ class KConditionReport:
 
 
 def symmetric_gaussian(rng: np.random.Generator, count: int, N: int, n: int) -> np.ndarray:
-    """A standard Gaussian draw (count, N, n, n) symmetrized in (i, j), packed to (N, n(n+1)/2, count).
+    """``count`` symmetric Gaussian (N, n, n) matrices, packed (N, n(n+1)/2, count), C-contiguous float64.
 
-    Slot (i, j) holds 0.5 (X[i, j] + X[j, i]), the bits of that entry of 0.5 (X + X^T).
+    One draw ``rng.standard_normal((N, n(n+1)/2, count))`` fills the packed
+    slots, and each off-diagonal slot is scaled in place by sqrt(1/2).  That
+    is the law of the upper triangle of 0.5 (X + X^T) for a standard Gaussian
+    X: diagonal entries N(0, 1), off-diagonal entries N(0, 1/2), all
+    independent.
     """
-    X = rng.standard_normal((count, N, n, n))
-    return np.ascontiguousarray(0.5 * (HessianPairs.pack(X) + HessianPairs.pack(np.swapaxes(X, -1, -2))))
+    X = rng.standard_normal((N, n * (n + 1) // 2, count))
+    X *= np.sqrt(1.0 / HessianPairs.multiplicity(n))[:, None]  # exactly 1 on the diagonal
+    return X
 
 
 def sample_weights(rng: np.random.Generator, count: int, *specs: NonlinearitySpec):
@@ -196,16 +205,16 @@ def _draw_pairs(sampler: SamplerConfig, *specs: NonlinearitySpec):
     """(scale, x indices, each spec's weights there, X, Z) per scale, drawn in that order: X, Z, x.
 
     The specs share their dimensions; the samplers of verify, fit and nu(F, G) all draw here.
+    A scale is drawn when it is reached, so a caller that drops its draws holds one scale's at a time.
     """
     N, n = specs[0].N, specs[0].n
     rng = np.random.default_rng(sampler.seed)
-    per_scale = []
     for scale in sampler.scales:
         X = symmetric_gaussian(rng, sampler.count, N, n)
-        Z = symmetric_gaussian(rng, sampler.count, N, n) * scale
+        Z = symmetric_gaussian(rng, sampler.count, N, n)
+        Z *= scale
         flat, weights = sample_weights(rng, sampler.count, *specs)
-        per_scale.append((scale, flat, weights, X, Z))
-    return per_scale
+        yield scale, flat, weights, X, Z
 
 
 def _increments(sampler: SamplerConfig, *specs: NonlinearitySpec):
@@ -251,19 +260,20 @@ def verify_k_condition(
         raise InputError("beta and gamma must be positive")
     if nu is None:
         nu = ellipticity_constant(spec.tensor).nu
-    draws, violations = [], []
+    index = HessianPairs.slot_index(spec.n)
+    # each scale keeps only its own worst sample, the first argmax like the global one
+    candidates, violations = [], []
     for scale, flat, X, Z, AZ, (D,), zz, waz in _increments(sampler, spec):
         al = _alpha_values(alpha, flat, sampler.count)
         lhs = ((AZ - al * D) ** 2).sum(axis=0)
         violations.append(lhs - beta * nu**2 * zz - gamma * waz)
-        draws.append((scale, X, Z, al))
+        k = int(np.argmax(violations[-1]))
+        candidates.append((scale, X[:, index, k], Z[:, index, k], float(al[k])))
     violations = np.concatenate(violations)
     worst = int(np.argmax(violations))
-    scale, X, Z, al = draws[worst // sampler.count]
-    k, index = worst % sampler.count, HessianPairs.slot_index(spec.n)
     return KConditionReport(
         worst_violation=float(violations[worst]),
-        worst_sample=(scale, X[:, index, k], Z[:, index, k], float(al[k])),
+        worst_sample=candidates[worst // sampler.count],
         sample_count=len(violations),
         violations=violations,
         scales=np.repeat(np.asarray(sampler.scales, dtype=float), sampler.count),
@@ -294,12 +304,24 @@ def fit_k_condition(
     batches = [(AZ, D, zz, waz) for _, _, _, _, AZ, (D,), zz, waz in _increments(sampler, spec)]
     AZ, D, zz, waz = (np.concatenate(part, axis=-1) for part in zip(*batches))
 
+    # beta required for each gamma: worst sample ratio after gamma absorbs |A:Z|^2,
+    # (lhs - gamma |A:Z|^2) / (nu^2 |Z|^2), maximised block by block of samples
+    # in one (block, gammas) work array; a max is exact, so the blocks change no bit
+    block = 1024
+    work = np.empty((min(block, len(zz)), len(gamma_grid)))
+    scaled_zz = nu**2 * zz
     best = None
     for alpha in alpha_grid:
         lhs = ((AZ - alpha * D) ** 2).sum(axis=0)
-        # beta required for each gamma: worst sample ratio after gamma absorbs |A:Z|^2
-        needed = (lhs[:, None] - gamma_grid[None, :] * waz[:, None]) / (nu**2 * zz[:, None])
-        beta_req = np.maximum(needed.max(axis=0), CONSTANT_FLOOR)
+        beta_req = np.full(len(gamma_grid), -np.inf)
+        for start in range(0, len(zz), block):
+            part = slice(start, start + block)
+            needed = work[: len(zz[part])]
+            np.multiply(gamma_grid, waz[part, None], out=needed)
+            np.subtract(lhs[part, None], needed, out=needed)
+            needed /= scaled_zz[part, None]
+            np.maximum(beta_req, needed.max(axis=0), out=beta_req)
+        beta_req = np.maximum(beta_req, CONSTANT_FLOOR)
         sums = beta_req + gamma_grid
         k = int(np.argmin(sums))
         if best is None or sums[k] < best[0]:
@@ -438,7 +460,10 @@ def lemma1_check(
     Samples (x, X, eta, a), forms Z = eta (x) a (x) a and returns the minimum
     of (F(x, X+Z) - F(x, X)) . (A:Z) - (lambda - kappa) nu^2 / sup(alpha)
     |eta|^2 |a|^4; nonnegative when the signed-form constants are valid.
+    ``count`` must be an integer >= 1.
     """
+    if finite_number(count, "lemma-1 sample count", integer=True) < 1:
+        raise InputError(f"lemma-1 sample count must be >= 1, got {count!r}")
     if nu is None:
         nu = ellipticity_constant(spec.tensor).nu
     alpha_sup, _ = alpha_bounds_of(alpha)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from nearelliptic import (
     lemma1_check,
     verify_k_condition,
 )
-from nearelliptic.certify import CONSTANT_FLOOR, example1_alpha, symmetric_gaussian
+from nearelliptic.certify import ABSORB_STEPS, CONSTANT_FLOOR, _increments, example1_alpha, symmetric_gaussian
 from nearelliptic.counterexamples import saturating_witness, window_constants
 from nearelliptic.errors import InputError
 from nearelliptic.nonlinearity import evaluate_F
@@ -32,6 +34,21 @@ class TestVerify:
         report = verify_k_condition(spec, 1.0, beta=0.01, gamma=0.01, nu=1.0)
         assert report.certified
         assert report.worst_violation < 0
+
+    def test_worst_sample_is_where_the_worst_violation_occurred(self, identity22):
+        # a pair too small for the perturbation, so the worst sample is a real violation
+        spec = NonlinearitySpec(tensor=identity22, perturbation=SinePerturbation(amplitude=0.5))
+        beta, gamma = 0.01, 0.01
+        report = verify_k_condition(spec, 1.0, beta, gamma, SamplerConfig(count=300, seed=2), nu=1.0)
+        scale, X, Z, al = report.worst_sample
+        worst = int(np.argmax(report.violations))
+        assert report.worst_violation == report.violations[worst] > 0
+        assert scale == report.scales[worst]
+        assert X.shape == Z.shape == (2, 2, 2)
+        AZ = np.trace(Z, axis1=1, axis2=2)
+        diff = evaluate_F(spec, X + Z) - evaluate_F(spec, X)
+        gap = ((AZ - al * diff) ** 2).sum() - beta * (Z**2).sum() - gamma * (AZ**2).sum()
+        assert gap == pytest.approx(report.worst_violation, rel=1e-9)
 
     def test_lipschitz_class_with_weight_field(self, identity22):
         # alpha = 1/g^2 cancels the weighted linear part exactly
@@ -123,16 +140,26 @@ class TestSampler:
             SamplerConfig(**kwargs)
 
     @pytest.mark.parametrize("n, N", [(2, 2), (3, 2), (4, 3)])
-    def test_packed_draw_is_the_upper_triangle_of_the_symmetrized_draw(self, n, N):
+    def test_packed_draw_is_the_distinct_entries_with_off_diagonal_slots_scaled(self, n, N):
         rng, ref = np.random.default_rng(23), np.random.default_rng(23)
         got = symmetric_gaussian(rng, 40, N, n)
-        raw = ref.standard_normal((40, N, n, n))
-        full = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+        want = ref.standard_normal((N, n * (n + 1) // 2, 40))
         rows, cols = np.triu_indices(n)
-        want = np.ascontiguousarray(np.moveaxis(full[..., rows, cols], 0, -1))
+        want[:, rows != cols] *= np.sqrt(0.5)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        # the stream goes on where the full draw left it
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        # the stream goes on where the packed draw left it
         assert rng.standard_normal() == ref.standard_normal()
+
+    def test_packed_draw_has_the_law_of_the_symmetrized_draw(self):
+        # upper triangle of 0.5 (X + X^T): diagonal N(0, 1), off-diagonal N(0, 1/2), independent
+        X = symmetric_gaussian(np.random.default_rng(2024), 200_000, 2, 3).reshape(12, -1)
+        rows, cols = np.triu_indices(3)
+        variance = np.tile(np.where(rows == cols, 1.0, 0.5), 2)
+        assert np.abs(X.mean(axis=1)).max() < 0.01
+        np.testing.assert_allclose(X.var(axis=1), variance, rtol=0.01)
+        correlation = np.corrcoef(X)
+        assert np.abs(correlation[~np.eye(12, dtype=bool)]).max() < 0.01
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -152,7 +179,63 @@ class TestSampler:
         assert report.worst_violation == cert.worst_violation <= 0
 
 
+GAMMA_GRID = np.unique(np.concatenate([np.geomspace(CONSTANT_FLOOR, 0.99, 60), np.linspace(0.01, 0.99, 50)]))
+
+
+def fit_with_full_matrix(spec, sampler, nu):
+    """(alpha, beta, gamma, worst_violation) of fit_k_condition, its search forming the whole (samples x gammas) matrix."""
+    alpha_grid = (1.0 / float(np.median(spec.weight))) * np.geomspace(0.1, 10.0, 41)
+    batches = [(AZ, D, zz, waz) for _, _, _, _, AZ, (D,), zz, waz in _increments(sampler, spec)]
+    AZ, D, zz, waz = (np.concatenate(part, axis=-1) for part in zip(*batches))
+    best = None
+    for alpha in alpha_grid:
+        lhs = ((AZ - alpha * D) ** 2).sum(axis=0)
+        needed = (lhs[:, None] - GAMMA_GRID[None, :] * waz[:, None]) / (nu**2 * zz[:, None])
+        beta_req = np.maximum(needed.max(axis=0), CONSTANT_FLOOR)
+        sums = beta_req + GAMMA_GRID
+        k = int(np.argmin(sums))
+        if best is None or sums[k] < best[0]:
+            best = (float(sums[k]), float(alpha), float(beta_req[k]), float(GAMMA_GRID[k]))
+    _, alpha, beta, gamma = best
+    lhs = ((AZ - alpha * D) ** 2).sum(axis=0)
+    margin = lhs - beta * nu**2 * zz - gamma * waz
+    for _ in range(ABSORB_STEPS):
+        k = int(np.argmax(margin))
+        if margin[k] <= 0:
+            break
+        beta = max(beta + float(margin[k]) / (nu**2 * float(zz[k])), float(np.nextafter(beta, np.inf)))
+        margin = lhs - beta * nu**2 * zz - gamma * waz
+    return alpha, beta, gamma, float(margin.max())
+
+
 class TestFit:
+    @pytest.mark.parametrize("norm_combo", [False, True])
+    def test_blocked_search_matches_the_full_matrix_bit_for_bit(self, norm_combo):
+        A = random_rank_one_positive(3, 2, seed=7)[0]
+        nu = ellipticity_constant(A).nu
+        pert = NormComboPerturbation(0.2 * nu, 0.1 * nu) if norm_combo else SinePerturbation(0.3 * nu)
+        spec = NonlinearitySpec(tensor=A, perturbation=pert)
+        # 3 x 1500 samples: several whole blocks and a partial one
+        sampler = SamplerConfig(count=1500, seed=4)
+        cert = fit_k_condition(spec, sampler, nu=nu)
+        got = (cert.alpha, cert.beta, cert.gamma, cert.worst_violation)
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in fit_with_full_matrix(spec, sampler, nu)]
+
+    def test_fit_does_not_hold_the_samples_by_gammas_matrix(self):
+        A = random_rank_one_positive(3, 2, seed=7)[0]
+        nu = ellipticity_constant(A).nu
+        spec = NonlinearitySpec(tensor=A, perturbation=SinePerturbation(0.3 * nu))
+        sampler = SamplerConfig(count=5000, seed=1)
+        fit_k_condition(spec, sampler, nu=nu)
+        tracemalloc.start()
+        try:
+            fit_k_condition(spec, sampler, nu=nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix_bytes = len(sampler.scales) * sampler.count * len(GAMMA_GRID) * 8
+        assert peak < matrix_bytes / 2
+
     def test_linear_returns_floor_pair(self, identity22):
         spec = NonlinearitySpec(tensor=identity22)
         cert = fit_k_condition(spec, nu=1.0)
@@ -303,6 +386,12 @@ class TestConversions:
 
 
 class TestLemma1:
+    @pytest.mark.parametrize("count", [0, -2, 2.5, True, float("nan")])
+    def test_a_malformed_count_is_an_input_error(self, identity22, count):
+        spec = NonlinearitySpec(tensor=identity22)
+        with pytest.raises(InputError, match="lemma-1 sample count"):
+            lemma1_check(spec, lam=0.4, kappa=0.1, alpha=1.0, count=count, nu=1.0)
+
     def test_linear_identity_margin(self, identity22):
         spec = NonlinearitySpec(tensor=identity22)
         margin = lemma1_check(spec, lam=0.4, kappa=0.1, alpha=1.0, count=2000, seed=5, nu=1.0)
