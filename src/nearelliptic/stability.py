@@ -217,9 +217,9 @@ def solve_via_nearness(
     inner_config = replace(config, tol_residual=0.1 * config.tol_residual)
 
     u = initial_guess.to_physical() if initial_guess is not None else zero_field(grid)
-    # F and G of the current iterate; the bottom of iteration k computes them
-    # for the top of iteration k + 1
-    hess = spectral_hessian(u, PHYSICAL)
+    # F and G of the current iterate, on one packed hessian; the bottom of
+    # iteration k computes them for the top of iteration k + 1
+    hess = HessianPairs.from_hessian(spectral_hessian(u, PHYSICAL))
     F_u = evaluate_field(specF, hess)
     G_u = evaluate_field(specG, hess)
     F_prev = F_u
@@ -229,7 +229,7 @@ def solve_via_nearness(
         u, _ = campanato_solve(
             specF, alphaF, rhs, certificateF, config=inner_config, initial_guess=u
         )
-        hess = spectral_hessian(u, PHYSICAL)
+        hess = HessianPairs.from_hessian(spectral_hessian(u, PHYSICAL))
         F_u = evaluate_field(specF, hess)
         G_u = evaluate_field(specG, hess)
         floor = STAGNATION_FLOOR * max(1.0, l2_norm(F_u), gnorm)

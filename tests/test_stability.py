@@ -21,7 +21,7 @@ from nearelliptic import (
 )
 from nearelliptic.certify import SamplerConfig, _draw_pairs
 from nearelliptic.errors import DivergenceError, InputError, NearnessConditionError
-from nearelliptic.fields import PHYSICAL, HessianField, half_spectrum
+from nearelliptic.fields import PHYSICAL, HessianField, HessianPairs, half_spectrum
 from nearelliptic.nonlinearity import evaluate_field
 from nearelliptic.stability import NuFGEstimate, empirical_nu_F
 from nearelliptic.tensors import SymTensor4, identity_tensor
@@ -184,6 +184,26 @@ class TestSolveViaNearness:
         rel = l2_norm(spectral_hessian(u, PHYSICAL) - hs) / l2_norm(hs)
         assert rel <= 1e-7
         assert all(r <= 0.15 for r in report.outer_trace.ratios)
+
+    def test_outer_loop_packs_each_hessian_once(self, monkeypatch, grid32, identity22):
+        # F and G of an outer iterate are evaluated on one packed hessian
+        specF = NonlinearitySpec(tensor=identity22, perturbation=SinePerturbation(amplitude=0.3))
+        certF = example1_certificate(specF, nu=1.0)
+        amplitude = 0.3 + 0.1 * nu_F_lower_bound(certF)
+        specG = NonlinearitySpec(tensor=identity22, perturbation=SinePerturbation(amplitude=amplitude))
+        g = evaluate_field(specG, spectral_hessian(random_band_limited(grid32, band=5, seed=0), PHYSICAL))
+        seen = []
+
+        def spy(spec, hess):
+            seen.append(hess)
+            return evaluate_field(spec, hess)
+
+        monkeypatch.setattr(stability, "evaluate_field", spy)
+        _, report = solve_via_nearness(specF, specG, 1.0, certF, g)
+        outer = seen[16:]  # after the admission's 8 field pairs
+        assert all(isinstance(hess, HessianPairs) for hess in seen)
+        assert len(outer) == 2 * (report.outer_trace.iterations + 1)
+        assert all(first is second for first, second in zip(outer[::2], outer[1::2]))
 
     def test_consistency_with_direct_solver(self, grid32, identity22):
         specF = NonlinearitySpec(tensor=identity22, perturbation=SinePerturbation(amplitude=0.3))

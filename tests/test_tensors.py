@@ -21,8 +21,19 @@ from nearelliptic import (
     symbol_inverse,
     symbol_matrix,
 )
+from nearelliptic import tensors
 from nearelliptic.errors import DegenerateSymbolError, InputError
-from nearelliptic.tensors import POLISH_MAX_STEPS, SphereSearchConfig, _sphere_search, random_rank_one_positive
+from nearelliptic.tensors import (
+    POLISH_MAX_STEPS,
+    SphereSearchConfig,
+    _sphere_search,
+    direction_products,
+    lowest_eigenvalues,
+    packed_symbol_matrix,
+    random_rank_one_positive,
+    symbol_stack,
+    unpack_symbols,
+)
 
 from conftest import random_sym_tensor, random_symmetric_batch
 
@@ -269,6 +280,118 @@ class TestEllipticityConstant:
     def test_high_dimensional_search(self):
         cert = ellipticity_constant(identity_tensor(5, 2), SphereSearchConfig(samples=4096))
         assert cert.nu == pytest.approx(1.0, abs=1e-8)
+
+
+def einsum_symbols(entries, directions):
+    """The symbol stack as one three-operand einsum: the reference the packed product replaced."""
+    return np.einsum("abij,ki,kj->kab", entries, directions, directions)
+
+
+class TestPackedSymbols:
+    @pytest.mark.parametrize("n, N", [(2, 1), (2, 2), (3, 2), (3, 3), (5, 2)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_einsum_and_is_exactly_symmetric(self, n, N, seed):
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((N, N, n, n))
+        entries = 0.5 * (raw + raw.transpose(1, 0, 3, 2))
+        directions = rng.standard_normal((257, n))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        stack = unpack_symbols(packed_symbol_matrix(entries) @ direction_products(directions.T), N)
+        assert stack.shape == (257, N, N)
+        assert np.array_equal(stack, stack.transpose(0, 2, 1))
+        frobenius = np.sqrt((entries**2).sum())
+        assert np.abs(stack - einsum_symbols(entries, directions)).max() <= 1e-15 * frobenius
+        if N >= 2:
+            assert np.array_equal(symbol_stack(SymTensor4(entries), directions), stack)
+
+
+class TestLowestEigenvalues:
+    entry = st.floats(-1.0, 1.0, allow_nan=False)
+    scale = st.sampled_from([1.0, 1e150, 1e-150, 3.0e149, 7.0e-151])
+
+    @staticmethod
+    def check(packed, N):
+        # 4 ulp of each matrix's largest entry; a matrix whose entries are all
+        # subnormal is held to 4 ulp of the smallest normal number instead
+        with np.errstate(over="raise", invalid="raise"):
+            low = lowest_eigenvalues(packed, N)
+        reference = np.linalg.eigvalsh(unpack_symbols(packed, N))[:, 0]
+        assert np.all(np.isfinite(low))
+        finfo = np.finfo(float)
+        tol = 4 * finfo.eps * np.maximum(np.abs(packed).max(axis=0), finfo.tiny)
+        assert np.all(np.abs(low - reference) <= tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scale=scale, values=st.lists(st.tuples(entry, entry, entry), min_size=1, max_size=40))
+    def test_random_stacks(self, scale, values):
+        self.check(scale * np.array(values).T, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scale=scale,
+        a=st.floats(0.5, 1.0) | st.floats(-1.0, -0.5),
+        gap=st.integers(-8, 8),
+        b=st.integers(-8, 8),
+    )
+    def test_near_degenerate_stacks(self, scale, a, gap, b):
+        # a = c and b = 0 up to a few ulp: the two eigenvalues nearly coincide
+        eps = np.finfo(float).eps
+        self.check(scale * np.array([[a], [b * eps * a], [a + gap * eps * a]]), 2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(scale=scale, values=st.lists(entry, min_size=1, max_size=40))
+    def test_one_by_one_is_the_entry(self, scale, values):
+        packed = scale * np.array([values])
+        assert np.array_equal(lowest_eigenvalues(packed, 1), packed[0])
+
+    def test_three_by_three_is_lapack(self):
+        packed = np.random.default_rng(5).standard_normal((6, 50))
+        assert np.array_equal(lowest_eigenvalues(packed, 3), np.linalg.eigvalsh(unpack_symbols(packed, 3))[:, 0])
+
+
+class TestSphereSearchCost:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_two_component_search_takes_no_large_eigen_batch(self, monkeypatch, n):
+        A = random_rank_one_positive(n, 2, seed=n)[0]
+        expected = ellipticity_constant(A)
+        batches = []
+
+        def counted(fn):
+            def wrapper(a, *args, **kwargs):
+                batches.append(int(np.prod(np.shape(a)[:-2])))
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+        cert = ellipticity_constant(A)
+        assert batches and max(batches) <= 16
+        assert cert.nu == expected.nu
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_direction_table_is_built_once_and_read_only(self, n):
+        search = SphereSearchConfig(samples=3000 + n)
+        A = random_sym_tensor(n, 2, seed=n)
+        tensors._sphere_directions.cache_clear()
+        first = ellipticity_constant(A, search)
+        second = ellipticity_constant(A, search)
+        info = tensors._sphere_directions.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert second.nu == first.nu
+        table = tensors._sphere_directions(n, search.samples)
+        assert table is tensors._sphere_directions(n, search.samples)
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+    @pytest.mark.parametrize("samples", [0, -3, 2.5, True, float("nan"), "100", None])
+    def test_config_refuses_a_sample_count_that_is_not_a_positive_integer(self, samples):
+        with pytest.raises(InputError, match="samples"):
+            SphereSearchConfig(samples=samples)
+
+    def test_config_takes_a_single_sample(self):
+        cert = ellipticity_constant(identity_tensor(2, 2), SphereSearchConfig(samples=1))
+        assert cert.nu == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSymbolInverse:
