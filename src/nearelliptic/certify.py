@@ -15,9 +15,12 @@ relative to its anchor tensor A with rank-one constant nu:
           >= lambda/alpha(x) |A:Z|^2 - kappa/alpha(x) nu^2 |Z|^2.
 
 Quantifying over all (x, X, Z) is not decidable at desk scale; the verifier
-and the fitter sample Gaussian (X, Z) pairs under a scale sweep and report
-the worst violation, so every certificate means "certified on samples",
-never a proof.  beta and gamma are global; only alpha may vary with x.
+and the fitter sample Gaussian (x, X, Z) triples and report the worst
+violation, so every certificate means "certified on samples", never a
+proof.  beta and gamma are global; only alpha may vary with x.  The scale
+sweep probes non-homogeneity: each sample is one ray, (x, X) and a Gaussian
+direction Z0, read at Z = scale * Z0 for every scale, so F(x, X) is
+evaluated once per sample and F(x, X+Z) once per scale.
 
 The samples are packed, component-major (N, n(n+1)/2, count).  X and Z are
 symmetric Gaussian matrices, and only their n(n+1)/2 distinct entries are
@@ -48,7 +51,7 @@ ABSORB_STEPS = 64
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Gaussian sampling plan: ``count`` triples per scale, sweep to probe non-homogeneity."""
+    """Gaussian sampling plan: ``count`` rays (x, X, Z0), each read at Z = scale * Z0 for every scale."""
 
     count: int = 1500
     seed: int = 0
@@ -162,7 +165,11 @@ class KConditionReport:
         return self.worst_violation <= 0.0
 
     def violations_csv(self) -> str:
-        """Per-sample gaps for plotting; one row per drawn (x, X, Z)."""
+        """Per-sample gaps for plotting, one row per (scale, sample).
+
+        Rows k of the scales are one ray: they share (x, X), and their Z are
+        the scales times one Gaussian Z0.
+        """
         lines = ["scale,violation"]
         for s, v in zip(self.scales, self.violations):
             lines.append(f"{float(s)!r},{float(v)!r}")
@@ -202,27 +209,36 @@ def sample_weights(rng: np.random.Generator, count: int, *specs: NonlinearitySpe
 
 
 def _draw_pairs(sampler: SamplerConfig, *specs: NonlinearitySpec):
-    """(scale, x indices, each spec's weights there, X, Z) per scale, drawn in that order: X, Z, x.
+    """(scale, x indices, each spec's weights there, X, Z) per scale: one (X, Z0) ray read at every scale.
 
-    The specs share their dimensions; the samplers of verify, fit and nu(F, G) all draw here.
-    A scale is drawn when it is reached, so a caller that drops its draws holds one scale's at a time.
+    X, then one Gaussian Z0, then the grid points x are drawn once, in that
+    order; each scale yields the same x, weights and X, and Z = scale * Z0.
+    Z0 is not normalised, so each scale's samples keep the law of an
+    independent draw; only the scales are coupled.  The specs share their
+    dimensions; the samplers of verify, fit and nu(F, G) all draw here.
     """
     N, n = specs[0].N, specs[0].n
     rng = np.random.default_rng(sampler.seed)
+    X = symmetric_gaussian(rng, sampler.count, N, n)
+    Z0 = symmetric_gaussian(rng, sampler.count, N, n)
+    flat, weights = sample_weights(rng, sampler.count, *specs)
     for scale in sampler.scales:
-        X = symmetric_gaussian(rng, sampler.count, N, n)
-        Z = symmetric_gaussian(rng, sampler.count, N, n)
-        Z *= scale
-        flat, weights = sample_weights(rng, sampler.count, *specs)
-        yield scale, flat, weights, X, Z
+        yield scale, flat, weights, X, scale * Z0
 
 
 def _increments(sampler: SamplerConfig, *specs: NonlinearitySpec):
-    """(scale, x indices, X, Z, A:Z, each spec's F(X+Z) - F(X), |Z|^2, |A:Z|^2) per scale; A of the first spec."""
+    """(scale, x indices, X, Z, A:Z, each spec's F(X+Z) - F(X), |Z|^2, |A:Z|^2) per scale; A of the first spec.
+
+    X is the same at every scale, so each spec's F(X) is evaluated once and
+    only F(X+Z) per scale.
+    """
+    FX = None
     for scale, flat, weights, X, Z in _draw_pairs(sampler, *specs):
+        if FX is None:
+            FX = [evaluate_pairs(spec, X, w) for spec, w in zip(specs, weights)]
         AZ = contract_pairs(specs[0].tensor, Z)
         Y = X + Z
-        D = [evaluate_pairs(spec, Y, w) - evaluate_pairs(spec, X, w) for spec, w in zip(specs, weights)]
+        D = [evaluate_pairs(spec, Y, w) - fx for spec, w, fx in zip(specs, weights, FX)]
         zz = (HessianPairs.multiplicity(specs[0].n) @ Z**2).sum(axis=0)  # off-diagonal slots count twice
         yield scale, flat, X, Z, AZ, D, zz, (AZ**2).sum(axis=0)
 

@@ -97,8 +97,9 @@ def _perturbation_distance_bound(specF: NonlinearitySpec, specG: NonlinearitySpe
 def nu_FG_estimate(specF: NonlinearitySpec, specG: NonlinearitySpec) -> NuFGEstimate:
     """Maximum sampled increment-distance ratio between two nonlinearities.
 
-    Gaussian (X, Y) pairs, 2000 per scale of the default sweep at seed 3,
-    drawn by the certificate sampler; weights are sampled from the grid when
+    2000 Gaussian rays read at the three lengths of the default sweep, at
+    seed 3, drawn by the certificate sampler: each ray is one (x, X) and a
+    direction Z0, with Z = scale * Z0.  Weights are sampled from the grid when
     spatially varying.  The sample maximum is a lower estimate of the true
     supremum, which is why the analytic catalog bound, when known, is the
     one used for admission decisions.

@@ -446,7 +446,7 @@ def _sphere_directions(n: int, samples: int) -> np.ndarray:
     return dirs
 
 
-def _polish(A: SymTensor4, dirs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+def _polish(A: SymTensor4, matrix: np.ndarray, dirs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
     """Alternating eigen-steps from (K, n) directions eta; returns values, directions and steps.
 
     With eta fixed the best a is the lowest eigenvector of S(eta); with a fixed
@@ -454,14 +454,15 @@ def _polish(A: SymTensor4, dirs: np.ndarray, tol: float) -> tuple[np.ndarray, np
     a_alpha a_beta.  Neither step raises A : (a (x) eta)(a (x) eta), so the
     values fall until each changes by at most ``tol`` relative, or for at most
     POLISH_MAX_STEPS steps.  B(a) is the symbol at a of the tensor with its
-    index pairs swapped.
+    index pairs swapped.  ``matrix`` is :func:`packed_symbol_matrix` of A; the
+    swapped one is formed once here, so a step is two matmuls and two ``eigh``.
     """
-    swapped = SymTensor4(A.entries.transpose(2, 3, 0, 1))
-    w, V = np.linalg.eigh(symbol_stack(A, dirs))
+    swapped = packed_symbol_matrix(A.entries.transpose(2, 3, 0, 1))
+    w, V = np.linalg.eigh(unpack_symbols(matrix @ direction_products(dirs.T), A.N))
     for step in range(1, POLISH_MAX_STEPS + 1):
-        dirs = np.linalg.eigh(symbol_stack(swapped, V[..., 0]))[1][..., 0]
+        dirs = np.linalg.eigh(unpack_symbols(swapped @ direction_products(V[..., 0].T), A.n))[1][..., 0]
         prev = w[:, 0]
-        w, V = np.linalg.eigh(symbol_stack(A, dirs))
+        w, V = np.linalg.eigh(unpack_symbols(matrix @ direction_products(dirs.T), A.N))
         if np.all(np.abs(prev - w[:, 0]) <= tol * np.abs(prev)):
             break
     return w[:, 0], dirs, step
@@ -484,12 +485,13 @@ def ellipticity_constant(A: SymTensor4, search: SphereSearchConfig = SphereSearc
 def _sphere_search(A: SymTensor4, search: SphereSearchConfig):
     """nu(A), with the symbol stack and its smallest eigenvalues at the sampled directions."""
     table = _sphere_directions(A.n, search.samples)
-    packed = packed_symbol_matrix(A.entries) @ direction_products(table)
+    matrix = packed_symbol_matrix(A.entries)
+    packed = matrix @ direction_products(table)
     eigs = lowest_eigenvalues(packed, A.N)
     count = min(10, len(eigs))
     best = np.argpartition(eigs, count - 1)[:count]
     best = best[np.argsort(eigs[best], kind="stable")]
-    values, polished, steps = _polish(A, table[:, best].T, 1e-13)
+    values, polished, steps = _polish(A, matrix, table[:, best].T, 1e-13)
     candidates = [(float(eigs[k]), table[:, k]) for k in best] + list(zip(values.tolist(), polished))
     nu, witness_a = min(candidates, key=lambda item: item[0])
     S = symbol_matrix(A, witness_a).values

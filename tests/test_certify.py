@@ -19,10 +19,18 @@ from nearelliptic import (
     lemma1_check,
     verify_k_condition,
 )
-from nearelliptic.certify import ABSORB_STEPS, CONSTANT_FLOOR, _increments, example1_alpha, symmetric_gaussian
+from nearelliptic import certify
+from nearelliptic.certify import (
+    ABSORB_STEPS,
+    CONSTANT_FLOOR,
+    _draw_pairs,
+    _increments,
+    example1_alpha,
+    symmetric_gaussian,
+)
 from nearelliptic.counterexamples import saturating_witness, window_constants
 from nearelliptic.errors import InputError
-from nearelliptic.nonlinearity import evaluate_F
+from nearelliptic.nonlinearity import evaluate_F, evaluate_pairs
 from nearelliptic.tensors import ellipticity_constant, random_rank_one_positive
 
 MISSING = object()
@@ -160,6 +168,36 @@ class TestSampler:
         np.testing.assert_allclose(X.var(axis=1), variance, rtol=0.01)
         correlation = np.corrcoef(X)
         assert np.abs(correlation[~np.eye(12, dtype=bool)]).max() < 0.01
+
+    def test_every_scale_reads_one_ray(self, identity22):
+        # X, then Z0, then the grid points, each drawn once; scale s yields s * Z0
+        weight = 1.0 + np.random.default_rng(4).random((6, 6))
+        spec = NonlinearitySpec(tensor=identity22, weight=weight)
+        sampler = SamplerConfig(count=64, seed=9, scales=(1e-2, 1.0, 1e2))
+        rng = np.random.default_rng(9)
+        X0 = symmetric_gaussian(rng, 64, 2, 2)
+        Z0 = symmetric_gaussian(rng, 64, 2, 2)
+        flat0 = rng.integers(0, weight.size, size=64)
+        draws = list(_draw_pairs(sampler, spec))
+        assert [draw[0] for draw in draws] == list(sampler.scales)
+        for scale, flat, (w,), X, Z in draws:
+            np.testing.assert_array_equal(X, X0)
+            np.testing.assert_array_equal(flat, flat0)
+            np.testing.assert_array_equal(w, weight.ravel()[flat0])
+            assert Z.tobytes() == (scale * Z0).tobytes()
+
+    def test_a_verify_evaluates_F_once_at_X_and_once_per_scale(self, identity22, monkeypatch):
+        calls = []
+
+        def counted(spec, X, weight):
+            calls.append(X.shape)
+            return evaluate_pairs(spec, X, weight)
+
+        monkeypatch.setattr(certify, "evaluate_pairs", counted)
+        spec = NonlinearitySpec(tensor=identity22, perturbation=SinePerturbation(amplitude=0.3))
+        sampler = SamplerConfig(count=50, seed=4, scales=(1e-2, 1.0, 1e2, 1e3))
+        verify_k_condition(spec, 1.0, 0.09, 0.455, sampler, nu=1.0)
+        assert calls == [(2, 3, 50)] * (1 + len(sampler.scales))
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -329,6 +367,23 @@ class TestFit:
     def test_certificate_document_must_be_a_mapping(self):
         with pytest.raises(InputError):
             EllipticityCertificate.from_dict([0.1, 0.2])
+
+
+class TestForgedCertificate:
+    # beta = rho^2 is tight for the sine perturbation (its Lipschitz constant is
+    # reached at X = 0), so every beta below it is false; the verifier at 15000
+    # samples must catch these, and may only get better at it
+    @pytest.mark.parametrize("n, factor", [(2, 0.5), (3, 0.3)])
+    def test_a_forged_beta_is_caught(self, n, factor):
+        A, constant = random_rank_one_positive(n, 2, seed=5)
+        nu = constant.nu
+        spec = NonlinearitySpec(tensor=A, perturbation=SinePerturbation(0.3 * nu))
+        cert = example1_certificate(spec, nu=nu)
+        alpha = example1_alpha(spec)
+        sampler = SamplerConfig(count=15000, seed=1)
+        assert verify_k_condition(spec, alpha, cert.beta, cert.gamma, sampler, nu=nu).certified
+        forged = verify_k_condition(spec, alpha, factor * cert.beta, cert.gamma, sampler, nu=nu)
+        assert not forged.certified
 
 
 class TestConversions:

@@ -282,6 +282,33 @@ class TestEllipticityConstant:
         assert cert.nu == pytest.approx(1.0, abs=1e-8)
 
 
+def polish_rebuilding_symbols(A, dirs, tol):
+    """The reference polish: a swapped SymTensor4, and two symbol_stack calls per step."""
+    swapped = SymTensor4(A.entries.transpose(2, 3, 0, 1))
+    w, V = np.linalg.eigh(symbol_stack(A, dirs))
+    for step in range(1, POLISH_MAX_STEPS + 1):
+        dirs = np.linalg.eigh(symbol_stack(swapped, V[..., 0]))[1][..., 0]
+        prev = w[:, 0]
+        w, V = np.linalg.eigh(symbol_stack(A, dirs))
+        if np.all(np.abs(prev - w[:, 0]) <= tol * np.abs(prev)):
+            break
+    return w[:, 0], dirs, step
+
+
+class TestPolish:
+    @pytest.mark.parametrize("n, N", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_matches_the_polish_that_rebuilt_its_symbols_bit_for_bit(self, n, N, monkeypatch):
+        As = [random_sym_tensor(n, N, seed) for seed in (40, 41, 42)]
+        As += [random_rank_one_positive(n, N, seed)[0] for seed in (40, 41, 42)]
+        got = [ellipticity_constant(A) for A in As]
+        monkeypatch.setattr(tensors, "_polish", lambda A, matrix, dirs, tol: polish_rebuilding_symbols(A, dirs, tol))
+        for mine, ref in zip(got, map(ellipticity_constant, As)):
+            assert mine.nu.hex() == ref.nu.hex()
+            assert list(map(float.hex, mine.witness_a)) == list(map(float.hex, ref.witness_a))
+            assert list(map(float.hex, mine.witness_eta)) == list(map(float.hex, ref.witness_eta))
+            assert mine.resolution == ref.resolution
+
+
 def einsum_symbols(entries, directions):
     """The symbol stack as one three-operand einsum: the reference the packed product replaced."""
     return np.einsum("abij,ki,kj->kab", entries, directions, directions)
