@@ -3,12 +3,12 @@
 Run from the repository root:
 
     python3 bench_record.py --parent <rev> --out BENCH_<pr>.json \
-        [--pairs certify=10] [--pairs-default 1] [--seed 901] [--seconds 20]
+        [--pairs certify=10] [--pairs-default 1] [--seed 901]
 
 The parent tree is ``git archive <rev>`` unpacked into a temporary directory
 (or ``--workdir``); the change is this checkout's working tree.  For every
-workload of ``perfbench/workloads.py`` the two trees run
-``perfbench/run.py --trace 0`` in interleaved pairs, the side that goes first
+workload of ``BENCHMARK.json`` the two trees run ``perfbench/run.py`` (untraced)
+for its ``run_seconds`` in interleaved pairs, the side that goes first
 alternating from pair to pair, pair k of every workload at seed ``seed + k``.
 Each run keeps its ``env:`` and ``speed factor`` lines and its final JSON
 line; the summary gives each side's median and quartiles of every
@@ -27,7 +27,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent
-WORKLOADS = ("solve-3d", "linear-sweep", "stability", "certify")
 
 
 def unpack(rev: str, into: Path) -> Path:
@@ -82,27 +81,29 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", action="append", default=[], metavar="WORKLOAD=K", help="pairs for one workload")
     parser.add_argument("--pairs-default", type=int, default=1, help="pairs for every other workload, 0 to skip them")
     parser.add_argument("--seed", type=int, default=901, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--workdir", type=Path, default=None, help="where to unpack the parent (default: a temp dir)")
     args = parser.parse_args(argv)
 
-    counts = dict.fromkeys(WORKLOADS, args.pairs_default)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = float(benchmark["run_seconds"])
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    counts = dict.fromkeys(workloads, args.pairs_default)
     for item in args.pairs:
         name, _, k = item.partition("=")
         if name not in counts or not k.isdigit() or int(k) < 1:
-            parser.error(f"--pairs wants WORKLOAD=K with K >= 1 and WORKLOAD one of {WORKLOADS}, got {item!r}")
+            parser.error(f"--pairs wants WORKLOAD=K with K >= 1 and WORKLOAD one of {workloads}, got {item!r}")
         counts[name] = int(k)
 
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         sides = {"parent": unpack(args.parent, Path(tmp)), "change": ROOT}
-        record = {"parent": args.parent, "seconds": args.seconds, "workloads": {}}
+        record = {"parent": args.parent, "seconds": seconds, "workloads": {}}
         for workload, k in counts.items():
             if k < 1:
                 continue
             pairs = []
             for i in range(k):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                pair = {side: run(sides[side], workload, args.seed + i, args.seconds) for side in order}
+                pair = {side: run(sides[side], workload, args.seed + i, seconds) for side in order}
                 pairs.append(pair)
                 print(workload, args.seed + i, {s: pair[s]["result"]["metrics"]["op_p50_ms"]["value"] for s in order})
             record["workloads"][workload] = {"summary": summary(pairs), "pairs": pairs}

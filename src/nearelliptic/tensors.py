@@ -294,9 +294,12 @@ def unpack_symbols(packed: np.ndarray, N: int) -> np.ndarray:
     return packed.T[:, HessianPairs.slot_index(N)]
 
 
-def symbol_stack(A: SymTensor4, directions: np.ndarray) -> np.ndarray:
-    """Symbols at many directions at once: (K, n) unit directions -> (K, N, N), exactly symmetric."""
-    return unpack_symbols(packed_symbol_matrix(A.entries) @ direction_products(directions.T), A.N)
+def symbol_stack(matrix: np.ndarray, directions: np.ndarray, N: int) -> np.ndarray:
+    """Symbols at many directions at once: (K, n) unit directions -> (K, N, N), exactly symmetric.
+
+    ``matrix`` is the :func:`packed_symbol_matrix` of the tensor.
+    """
+    return unpack_symbols(matrix @ direction_products(directions.T), N)
 
 
 def lowest_eigenvalues(packed: np.ndarray, N: int) -> np.ndarray:
@@ -458,11 +461,11 @@ def _polish(A: SymTensor4, matrix: np.ndarray, dirs: np.ndarray, tol: float) -> 
     swapped one is formed once here, so a step is two matmuls and two ``eigh``.
     """
     swapped = packed_symbol_matrix(A.entries.transpose(2, 3, 0, 1))
-    w, V = np.linalg.eigh(unpack_symbols(matrix @ direction_products(dirs.T), A.N))
+    w, V = np.linalg.eigh(symbol_stack(matrix, dirs, A.N))
     for step in range(1, POLISH_MAX_STEPS + 1):
-        dirs = np.linalg.eigh(unpack_symbols(swapped @ direction_products(V[..., 0].T), A.n))[1][..., 0]
+        dirs = np.linalg.eigh(symbol_stack(swapped, V[..., 0], A.n))[1][..., 0]
         prev = w[:, 0]
-        w, V = np.linalg.eigh(unpack_symbols(matrix @ direction_products(dirs.T), A.N))
+        w, V = np.linalg.eigh(symbol_stack(matrix, dirs, A.N))
         if np.all(np.abs(prev - w[:, 0]) <= tol * np.abs(prev)):
             break
     return w[:, 0], dirs, step

@@ -283,13 +283,17 @@ class TestEllipticityConstant:
 
 
 def polish_rebuilding_symbols(A, dirs, tol):
-    """The reference polish: a swapped SymTensor4, and two symbol_stack calls per step."""
+    """The reference polish: a swapped SymTensor4, and both packed symbol matrices rebuilt at every step."""
     swapped = SymTensor4(A.entries.transpose(2, 3, 0, 1))
-    w, V = np.linalg.eigh(symbol_stack(A, dirs))
+
+    def rebuilt(T, directions):
+        return symbol_stack(packed_symbol_matrix(T.entries), directions, T.N)
+
+    w, V = np.linalg.eigh(rebuilt(A, dirs))
     for step in range(1, POLISH_MAX_STEPS + 1):
-        dirs = np.linalg.eigh(symbol_stack(swapped, V[..., 0]))[1][..., 0]
+        dirs = np.linalg.eigh(rebuilt(swapped, V[..., 0]))[1][..., 0]
         prev = w[:, 0]
-        w, V = np.linalg.eigh(symbol_stack(A, dirs))
+        w, V = np.linalg.eigh(rebuilt(A, dirs))
         if np.all(np.abs(prev - w[:, 0]) <= tol * np.abs(prev)):
             break
     return w[:, 0], dirs, step
@@ -329,7 +333,7 @@ class TestPackedSymbols:
         frobenius = np.sqrt((entries**2).sum())
         assert np.abs(stack - einsum_symbols(entries, directions)).max() <= 1e-15 * frobenius
         if N >= 2:
-            assert np.array_equal(symbol_stack(SymTensor4(entries), directions), stack)
+            assert np.array_equal(symbol_stack(packed_symbol_matrix(entries), directions, N), stack)
 
 
 class TestLowestEigenvalues:
