@@ -43,9 +43,13 @@ the one frequency table :func:`hessian_multipliers`.
 
 Random fields.  :func:`band_limited_coefficients` builds the exactly
 hermitian coefficients of a seeded band-limited field, and
-:func:`random_band_limited` is their physical field.  A caller that only
-needs derivatives, such as the stability admission, slices the coefficients
-to the half spectrum and skips the transforms to physical space and back.
+:func:`random_band_limited` is their physical field; both draw over the
+whole grid and mask the band.  A caller that needs many fields only through
+their derivatives, such as the stability admission, uses
+:func:`_band_half_spectra` instead: one seeded generator draws only the
+band's half spectrum of every field, folded to the same law, and each field
+is scattered into one reused half-spectrum buffer, so no draw falls outside
+the band and nothing is transformed to physical space and back.
 
 Packed hessian.  The hessian is symmetric in (i, j), so the solvers keep only
 its n(n+1)/2 distinct components (i, j), i <= j, in row-major order: a
@@ -558,6 +562,11 @@ def _conjugate_reflect(coef: np.ndarray, n_axes_offset: int, n: int) -> np.ndarr
     return out
 
 
+def _check_band(grid: GridSpec, band: int) -> None:
+    if band < 0 or band >= grid.M // 2:
+        raise InputError(f"band must satisfy 0 <= band < M/2 = {grid.M // 2}, got {band}")
+
+
 def band_limited_coefficients(grid: GridSpec, band: int, seed: int) -> np.ndarray:
     """Full-grid coefficients (N, M, ..., M) of :func:`random_band_limited`.
 
@@ -565,8 +574,7 @@ def band_limited_coefficients(grid: GridSpec, band: int, seed: int) -> np.ndarra
     outside max_i |k_i| <= band < M/2, so ``[..., :M//2 + 1]`` is the field's
     half spectrum, Nyquist planes included.
     """
-    if band < 0 or band >= grid.M // 2:
-        raise InputError(f"band must satisfy 0 <= band < M/2 = {grid.M // 2}, got {band}")
+    _check_band(grid, band)
     rng = np.random.default_rng(seed)
     shape = (grid.N,) + grid.shape
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -583,6 +591,47 @@ def band_limited_coefficients(grid: GridSpec, band: int, seed: int) -> np.ndarra
 def random_band_limited(grid: GridSpec, band: int, seed: int) -> VectorField:
     """Seeded real zero-mean field with spectral support in max_i |k_i| <= band."""
     return VectorField(grid, band_limited_coefficients(grid, band, seed), SPECTRAL).to_physical()
+
+
+def _band_half_spectra(grid: GridSpec, band: int, count: int, seed: int):
+    """Half-spectrum coefficients (N,) + ``half_spectrum(grid).shape`` of ``count`` seeded band-limited fields.
+
+    The law is that of :func:`band_limited_coefficients`: zero mean, support
+    in max_i |k_i| <= band < M/2, and, for k != 0, real and imaginary parts
+    of variance 1/2 each, independent up to c(-k) = conj(c(k)).  Only the
+    band is drawn: for each field in turn, one generator draws an (N,) +
+    (2 band + 1,)^(n-1) + (band + 1,) block of complex normals, real parts
+    then imaginary; its leading axes hold k_i in fft order (0, ..., band,
+    -band, ..., -1), the last k_n = 0, ..., band.  The k_n = 0 plane is
+    folded to its exactly hermitian part (r(k) + conj(r(-k)))/2, the rest
+    scaled by sqrt(1/2).  The fields are different samples from those of
+    :func:`band_limited_coefficients` at any seed.
+
+    The band is checked at the call.  The returned iterator draws each field
+    when it is reached and scatters it into one buffer, zero outside the
+    band, that it yields for every field and overwrites with the next one;
+    so only one field's draws are held at a time, which keeps every
+    allocation small.
+    """
+    _check_band(grid, band)
+    rng = np.random.default_rng(seed)
+    n, M = grid.n, grid.M
+    shape = (grid.N,) + (2 * band + 1,) * (n - 1) + (band + 1,)
+    k = np.r_[0 : band + 1, M - band : M]
+    band_index = (slice(None),) + np.ix_(*[k] * (n - 1)) + (slice(0, band + 1),)
+    out = np.zeros((grid.N,) + half_spectrum(grid).shape, dtype=complex)
+
+    def scattered():
+        for _ in range(count):
+            coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            plane = coef[..., 0]
+            plane[...] = 0.5 * (plane + _conjugate_reflect(plane, 1, n - 1))
+            coef[..., 1:] *= math.sqrt(0.5)
+            coef[(slice(None),) + (0,) * n] = 0.0
+            out[band_index] = coef
+            yield out
+
+    return scattered()
 
 
 _MAGIC = b"NEFIELD1"

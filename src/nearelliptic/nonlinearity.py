@@ -273,6 +273,21 @@ class NonlinearitySpec:
         pert = 0.0 if self.perturbation is None else self.perturbation.lipschitz_bound(self.n)
         return lin + pert
 
+    def grid_weight(self, grid: GridSpec) -> float | np.ndarray:
+        """The weight at the points of ``grid``, as :func:`evaluate_pairs` takes it: a constant, or flat (M^n,).
+
+        Raises ``InputError`` when the spec's dimensions or its weight field do not fit the grid.
+        """
+        if (self.N, self.n) != (grid.N, grid.n):
+            raise InputError(
+                f"spec dimensions (N={self.N}, n={self.n}) do not match grid (N={grid.N}, n={grid.n})"
+            )
+        if isinstance(self.weight, np.ndarray):
+            if self.weight.shape != grid.shape:
+                raise InputError(f"weight field has shape {self.weight.shape}, the grid {grid.shape}")
+            return self.weight.reshape(-1)
+        return self.weight
+
     def weight_at(self, x: tuple | None) -> float:
         if isinstance(self.weight, np.ndarray):
             if x is None:
@@ -346,15 +361,7 @@ def evaluate_field(spec: NonlinearitySpec, hess: HessianField | HessianPairs) ->
     an already packed :class:`HessianPairs`.
     """
     g = hess.grid
-    if (spec.N, spec.n) != (g.N, g.n):
-        raise InputError(
-            f"spec dimensions (N={spec.N}, n={spec.n}) do not match grid (N={g.N}, n={g.n})"
-        )
-    weight = spec.weight
-    if isinstance(weight, np.ndarray):
-        if weight.shape != g.shape:
-            raise InputError(f"weight field has shape {weight.shape}, the grid {g.shape}")
-        weight = weight.reshape(-1)
+    weight = spec.grid_weight(g)
     if isinstance(hess, HessianField):
         hess = HessianPairs.from_hessian(hess)
     values = evaluate_pairs(spec, hess.data.reshape(g.N, -1, g.points), weight)

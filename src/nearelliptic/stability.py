@@ -15,12 +15,14 @@ not computable; the certificate-derived lower bound
 
     nu(A) (1 - sqrt(beta + gamma)) / sup(alpha)
 
-is the sound admission gate, and a sampled empirical minimum is reported as a
-diagnostic next to it.
+is the sound admission gate.  A sampled empirical minimum is reported next
+to it and checks it: the bound is a lower bound on the very ratio sampled,
+so a sample below it (``certificate_suspect``) means the certificate of F,
+or the code, is wrong.
 
-The admission runs on the half spectrum: :func:`empirical_nu_F` slices the
-coefficients of its band-limited fields to the ``rfftn`` half and takes
-their packed hessians with one irfftn each, so it makes no full complex
+The admission runs on the half spectrum: :func:`empirical_nu_F` draws only
+the band of its band-limited fields, from one generator, and takes their
+packed hessians with one irfftn each, so it makes no full complex
 transform, no forward transform and no n^2 hessian.
 """
 
@@ -38,7 +40,7 @@ from .fields import (
     GridSpec,
     HessianPairs,
     VectorField,
-    band_limited_coefficients,
+    _band_half_spectra,
     half_spectrum,
     l2_norm,
     spectral_hessian,
@@ -48,7 +50,13 @@ from .nonlinearity import (
     NormComboPerturbation,
     SinePerturbation,
     evaluate_field,
+    evaluate_pairs,
 )
+
+# relative slack of the empirical check, as for round-off in the sampled ratio
+SUSPECT_SLACK = 1e-9
+EMPIRICAL_PAIRS = 8
+EMPIRICAL_SEED = 11
 
 
 def nu_F_lower_bound(certificate: EllipticityCertificate) -> float:
@@ -117,28 +125,31 @@ def nu_FG_estimate(specF: NonlinearitySpec, specG: NonlinearitySpec) -> NuFGEsti
 
 
 def empirical_nu_F(spec: NonlinearitySpec, grid: GridSpec) -> float:
-    """Diagnostic minimum of ||F(., D^2 w) - F(., D^2 v)|| / ||D^2(w - v)|| over random field pairs.
+    """Minimum of ||F(., D^2 w) - F(., D^2 v)|| / ||D^2(w - v)|| over random field pairs.
 
-    The 8 pairs are the fields of :func:`~nearelliptic.fields.random_band_limited`
-    with band max(1, M/4), at seeds 11 + 2j and 12 + 2j.  Each is taken from
-    its coefficients on the half spectrum straight to the packed hessian (one
-    irfftn of its n(n+1)/2 distinct components), F is evaluated on those
-    slots, and ||D^2(w - v)|| is the packed norm
-    :meth:`~nearelliptic.fields.HessianPairs.norm`; no field is transformed
-    to physical space first and no n^2 hessian is built.  The 16 hessians
-    share one work buffer.
+    The 8 pairs are 16 band-limited fields with band max(1, M/4), consecutive
+    fields forming a pair, drawn by one generator at seed 11 with the law of
+    :func:`~nearelliptic.fields.band_limited_coefficients` but only over the
+    band (``fields._band_half_spectra``).  Each field goes from its
+    half-spectrum coefficients straight to the packed hessian (one irfftn of
+    its n(n+1)/2 distinct components, into one shared work buffer), F is
+    evaluated on those slots, and ||D^2(w - v)|| is the packed norm
+    :meth:`~nearelliptic.fields.HessianPairs.norm`; no field is transformed to
+    physical space first and no n^2 hessian is built.  Nothing is cached:
+    every call draws and evaluates afresh.
     """
+    weight = spec.grid_weight(grid)
     half = half_spectrum(grid)
-    band = max(1, grid.M // 4)
     work = half.work_buffer()
+    fields = _band_half_spectra(grid, max(1, grid.M // 4), 2 * EMPIRICAL_PAIRS, EMPIRICAL_SEED)
+    hessians = (half.hessian_pairs(coef, work) for coef in fields)
 
-    def hessian(seed: int) -> HessianPairs:
-        return half.hessian_pairs(band_limited_coefficients(grid, band, seed)[..., : half.shape[-1]], work)
+    def F(hess: HessianPairs) -> np.ndarray:
+        return evaluate_pairs(spec, hess.data.reshape(grid.N, -1, grid.points), weight)
 
     best = np.inf
-    for j in range(8):
-        hw, hv = hessian(11 + 2 * j), hessian(12 + 2 * j)
-        num = l2_norm(evaluate_field(spec, hw) - evaluate_field(spec, hv))
+    for hw, hv in zip(hessians, hessians):
+        num = np.sqrt(grid.cell_volume * ((F(hw) - F(hv)) ** 2).sum())
         den = HessianPairs(grid, hw.data - hv.data).norm()
         if den > 0:
             best = min(best, num / den)
@@ -154,6 +165,11 @@ class StabilityReport:
     outer_trace: IterationTrace | None
 
     @property
+    def certificate_suspect(self) -> bool:
+        """True when the sampled modulus is below the certified bound on it: F's certificate, or the code, is wrong."""
+        return self.nu_F_empirical < self.nu_F_lower * (1.0 - SUSPECT_SLACK)
+
+    @property
     def admission_margin(self) -> float:
         """nu_F_lower - nu_FG.effective: positive when admitted, <= 0 when refused."""
         return self.nu_F_lower - self.nu_FG.effective
@@ -166,6 +182,7 @@ class StabilityReport:
             "nu_FG_analytic": self.nu_FG.analytic,
             "condition_met": self.condition_met,
             "admission_margin": self.admission_margin,
+            "certificate_suspect": self.certificate_suspect,
             "outer_iterations": None if self.outer_trace is None else self.outer_trace.iterations,
         }
 

@@ -22,6 +22,7 @@ from nearelliptic.fields import (
     PHYSICAL,
     SPECTRAL,
     HessianPairs,
+    _band_half_spectra,
     _conjugate_reflect,
     band_limited_coefficients,
     conjugate_symmetry_error,
@@ -317,6 +318,72 @@ class TestRandomBandLimited:
         half = half_spectrum(grid32)
         field = random_band_limited(grid32, 7, seed=14)
         np.testing.assert_allclose(coef[..., : half.shape[-1]], half.coefficients(field), rtol=0, atol=1e-15)
+
+
+def nonzero_band(grid, band):
+    """The modes 0 < max_i |k_i| <= band of the half spectrum."""
+    sizes = half_spectrum(grid).shape
+    inside = np.ones(sizes, dtype=bool)
+    for axis, size in enumerate(sizes):
+        shape = [1] * grid.n
+        shape[axis] = size
+        inside &= np.abs(grid.integer_freqs()[:size]).reshape(shape) <= band
+    inside[(0,) * grid.n] = False
+    return inside
+
+
+class TestBandHalfSpectra:
+    """The stability admission's fields: the band's half spectrum, drawn alone, with the law of the full draw."""
+
+    CASES = [(2, 32), (3, 8)]
+
+    @staticmethod
+    def draw(grid, count=6, seed=5):
+        return np.array([coef.copy() for coef in _band_half_spectra(grid, grid.M // 4, count, seed)])
+
+    @pytest.mark.parametrize("n, M", CASES)
+    def test_plane_is_hermitian_and_mean_zero(self, n, M):
+        grid = GridSpec(n=n, N=2, M=M)
+        coefs = self.draw(grid)
+        plane = coefs[..., 0]
+        np.testing.assert_array_equal(plane, _conjugate_reflect(plane, 2, n - 1))
+        assert np.all(coefs[(slice(None), slice(None)) + (0,) * n] == 0.0)
+        assert np.abs(coefs).max() > 0
+
+    @pytest.mark.parametrize("n, M", CASES)
+    def test_support_is_the_band(self, n, M):
+        grid = GridSpec(n=n, N=2, M=M)
+        band = M // 4
+        coefs = self.draw(grid)
+        inside = nonzero_band(grid, band)
+        assert np.all(coefs[..., ~inside] == 0.0)
+        assert np.all(coefs[..., inside] != 0.0)
+
+    @pytest.mark.parametrize("n, M", CASES)
+    def test_round_trip_through_physical_space(self, n, M):
+        grid = GridSpec(n=n, N=2, M=M)
+        half = half_spectrum(grid)
+        for coef in self.draw(grid):
+            np.testing.assert_allclose(half.forward(half.inverse(coef)), coef, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n, M", CASES)
+    def test_law_is_that_of_the_full_draw(self, n, M):
+        # real and imaginary parts of variance 1/2 at every k != 0 of the band, as for band_limited_coefficients
+        grid = GridSpec(n=n, N=2, M=M)
+        band = M // 4
+        count = 200
+        full = np.array([band_limited_coefficients(grid, band, seed)[..., : M // 2 + 1] for seed in range(count)])
+        inside = nonzero_band(grid, band)
+        for coefs in (self.draw(grid, count=count), full):
+            modes = coefs[..., inside]
+            assert modes.real.var() == pytest.approx(0.5, abs=0.02)
+            assert modes.imag.var() == pytest.approx(0.5, abs=0.02)
+
+    @pytest.mark.parametrize("n, M", CASES)
+    def test_band_out_of_range(self, n, M):
+        grid = GridSpec(n=n, N=2, M=M)
+        with pytest.raises(InputError):
+            _band_half_spectra(grid, M // 2, 2, seed=0)
 
 
 class TestSerialization:

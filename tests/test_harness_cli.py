@@ -266,6 +266,7 @@ class TestCli:
         assert result.exit_code == 0, result.output
         report = json.loads((tmp_path / "stability_report.json").read_text())
         assert report["condition_met"] is True
+        assert report["certificate_suspect"] is False
 
     def test_stability_refusal_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.json"

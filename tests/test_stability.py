@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -21,9 +23,17 @@ from nearelliptic import (
 )
 from nearelliptic.certify import SamplerConfig, _draw_pairs
 from nearelliptic.errors import DivergenceError, InputError, NearnessConditionError
-from nearelliptic.fields import PHYSICAL, HessianField, HessianPairs, half_spectrum
+from nearelliptic.fields import (
+    PHYSICAL,
+    SPECTRAL,
+    HessianField,
+    HessianPairs,
+    VectorField,
+    _band_half_spectra,
+    half_spectrum,
+)
 from nearelliptic.nonlinearity import evaluate_field
-from nearelliptic.stability import NuFGEstimate, empirical_nu_F
+from nearelliptic.stability import EMPIRICAL_PAIRS, EMPIRICAL_SEED, NuFGEstimate, empirical_nu_F
 from nearelliptic.tensors import SymTensor4, identity_tensor
 
 
@@ -104,13 +114,25 @@ class TestIncrementDistance:
         assert empirical_nu_F(spec, grid32) >= lower - 1e-9
 
 
+def hermitian_extension(half, grid):
+    """Full-grid coefficients (N, M, ..., M) of half-spectrum ones: c(-k) = conj(c(k)) fills k_n > M/2."""
+    cut = grid.M // 2 + 1
+    full = np.zeros((grid.N,) + grid.shape, dtype=complex)
+    full[..., :cut] = half
+    mirror = np.conj(full)
+    for axis in range(1, grid.n + 1):
+        mirror = np.roll(np.flip(mirror, axis=axis), 1, axis=axis)
+    full[..., cut:] = mirror[..., cut:]
+    return full
+
+
 def reference_empirical_nu_F(spec, grid):
-    """empirical_nu_F through physical fields and the full n^2 hessian, as it was first written."""
+    """empirical_nu_F on its own 16 fields, through physical fields and the full n^2 hessian, as first written."""
     band = max(1, grid.M // 4)
+    coefs = [coef.copy() for coef in _band_half_spectra(grid, band, 2 * EMPIRICAL_PAIRS, EMPIRICAL_SEED)]
+    fields = [VectorField(grid, hermitian_extension(coef, grid), SPECTRAL).to_physical() for coef in coefs]
     best = np.inf
-    for j in range(8):
-        w = random_band_limited(grid, band, 11 + 2 * j)
-        v = random_band_limited(grid, band, 12 + 2 * j)
+    for w, v in zip(fields[::2], fields[1::2]):
         hw = spectral_hessian(w, PHYSICAL)
         hv = spectral_hessian(v, PHYSICAL)
         num = l2_norm(evaluate_field(spec, hw) - evaluate_field(spec, hv))
@@ -157,6 +179,61 @@ class TestEmpiricalModulus:
         monkeypatch.setattr(HessianField, "__post_init__", refuse)
         assert empirical_nu_F(spec, grid) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("n, M", [(2, 32), (3, 8)])
+    def test_every_call_draws_only_the_band(self, monkeypatch, n, M):
+        grid = GridSpec(n=n, N=2, M=M)
+        spec = admission_specs(n, M)["sine"]
+        drawn = []
+        default_rng = np.random.default_rng
+
+        class Counting:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, shape):
+                drawn.append(np.prod(shape))
+                return self.rng.standard_normal(shape)
+
+        monkeypatch.setattr(np.random, "default_rng", Counting)
+        first, second = empirical_nu_F(spec, grid), empirical_nu_F(spec, grid)
+        assert first == second
+        band = M // 4
+        per_call = 2 * 2 * EMPIRICAL_PAIRS * grid.N * (2 * band + 1) ** (n - 1) * (band + 1)
+        assert sum(drawn) == 2 * per_call
+
+
+class TestCertificateSuspect:
+    """The sampled modulus of F may not fall below the certified bound on it."""
+
+    def problem(self, grid32, identity22, distance):
+        specF = NonlinearitySpec(tensor=identity22, perturbation=SinePerturbation(amplitude=0.3))
+        certF = example1_certificate(specF, nu=1.0)
+        empirical = empirical_nu_F(specF, grid32)
+        # nu forged upward until the certified bound is twice the sampled modulus
+        forged = replace(certF, nu=certF.nu * 2 * empirical / nu_F_lower_bound(certF))
+        specG = NonlinearitySpec(
+            tensor=identity22, perturbation=SinePerturbation(amplitude=0.3 + distance * nu_F_lower_bound(forged))
+        )
+        g = evaluate_field(specG, spectral_hessian(random_band_limited(grid32, band=5, seed=0), PHYSICAL))
+        return specF, specG, certF, forged, g, empirical
+
+    def test_forged_certificate_is_flagged(self, grid32, identity22):
+        specF, specG, certF, forged, g, empirical = self.problem(grid32, identity22, 0.01)
+        _, report = solve_via_nearness(specF, specG, 1.0, forged, g)
+        assert report.condition_met
+        assert report.nu_F_empirical == empirical < report.nu_F_lower
+        assert report.certificate_suspect is True
+        assert report.as_dict()["certificate_suspect"] is True
+        _, true_report = solve_via_nearness(specF, specG, 1.0, certF, g)
+        assert true_report.certificate_suspect is False
+
+    def test_refusal_report_flags_it_too(self, grid32, identity22):
+        specF, specG, _, forged, g, _ = self.problem(grid32, identity22, 2.0)
+        with pytest.raises(NearnessConditionError) as err:
+            solve_via_nearness(specF, specG, 1.0, forged, g)
+        assert err.value.report.condition_met is False
+        assert err.value.report.as_dict()["certificate_suspect"] is True
+
 
 class TestSolveViaNearness:
     def test_manufactured_perturbed(self, grid32, identity22):
@@ -175,8 +252,9 @@ class TestSolveViaNearness:
         doc = report.as_dict()
         assert set(doc) == {
             "nu_F_lower", "nu_F_empirical", "nu_FG_sampled", "nu_FG_analytic",
-            "condition_met", "outer_iterations", "admission_margin",
+            "condition_met", "outer_iterations", "admission_margin", "certificate_suspect",
         }
+        assert doc["certificate_suspect"] is False
         assert doc["admission_margin"] == report.admission_margin
         assert doc["nu_F_lower"] == lower and doc["condition_met"] is True
         assert report.outer_trace.status == "converged"
@@ -200,7 +278,7 @@ class TestSolveViaNearness:
 
         monkeypatch.setattr(stability, "evaluate_field", spy)
         _, report = solve_via_nearness(specF, specG, 1.0, certF, g)
-        outer = seen[16:]  # after the admission's 8 field pairs
+        outer = seen  # the admission evaluates F on packed values, not through evaluate_field
         assert all(isinstance(hess, HessianPairs) for hess in seen)
         assert len(outer) == 2 * (report.outer_trace.iterations + 1)
         assert all(first is second for first, second in zip(outer[::2], outer[1::2]))
@@ -232,6 +310,7 @@ class TestSolveViaNearness:
         doc = err.value.report.as_dict()
         assert doc["admission_margin"] == lower - err.value.report.nu_FG.effective <= 0
         assert doc["nu_F_lower"] == lower and doc["condition_met"] is False
+        assert doc["certificate_suspect"] is False
 
     def test_increment_inequality_on_fields(self, grid32, identity22):
         # the operator-distance bound transfers to field pairs with the
