@@ -12,7 +12,10 @@ for its ``run_seconds`` in interleaved pairs, the side that goes first
 alternating from pair to pair, pair k of every workload at seed ``seed + k``.
 Each run keeps its ``env:`` and ``speed factor`` lines and its final JSON
 line; the summary gives each side's median and quartiles of every
-end-to-end metric and, for ``op_p50_ms``, how many pairs the change won.
+end-to-end metric, the change's relative move of the median in the metric's
+worse direction (``worse_by``, negative when it is better) and whether that
+move exceeds the metric's bound in ``BENCHMARK.json`` (``over_bound``), and,
+for ``op_p50_ms``, how many pairs the change won.
 """
 
 from __future__ import annotations
@@ -61,12 +64,19 @@ def spread(values: list[float]) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def summary(pairs: list[dict]) -> dict:
+def summary(pairs: list[dict], end_to_end: list[dict]) -> dict:
+    """Spread of every metric on both sides; ``end_to_end`` is ``BENCHMARK.json``'s list of metrics and bounds."""
+
     def metric(side, name):
         return [p[side]["result"]["metrics"][name]["value"] for p in pairs]
 
     names = pairs[0]["parent"]["result"]["metrics"]
     out = {name: {side: spread(metric(side, name)) for side in ("parent", "change")} for name in names}
+    for m in end_to_end:
+        row = out[m["name"]]
+        parent, change = row["parent"]["median"], row["change"]["median"]
+        row["worse_by"] = (change - parent) / parent * (1 if m["better"] == "lower" else -1)
+        row["over_bound"] = row["worse_by"] > m["bound"]
     parent, change = metric("parent", "op_p50_ms"), metric("change", "op_p50_ms")
     out["op_p50_ms"]["change_wins"] = sum(c < p for p, c in zip(parent, change))
     out["op_p50_ms"]["pairs"] = len(pairs)
@@ -106,7 +116,7 @@ def main(argv=None) -> int:
                 pair = {side: run(sides[side], workload, args.seed + i, seconds) for side in order}
                 pairs.append(pair)
                 print(workload, args.seed + i, {s: pair[s]["result"]["metrics"]["op_p50_ms"]["value"] for s in order})
-            record["workloads"][workload] = {"summary": summary(pairs), "pairs": pairs}
+            record["workloads"][workload] = {"summary": summary(pairs, benchmark["end_to_end"]), "pairs": pairs}
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -47,9 +47,9 @@ import numpy as np
 
 from .certify import EllipticityCertificate
 from .errors import DivergenceError, InputError
-from .fields import PHYSICAL, HessianPairs, VectorField, l2_norm, spectral_hessian
+from .fields import PHYSICAL, HessianPairs, VectorField, half_spectrum, l2_norm
 from .linear import solve_linear, spectral_plan  # noqa: F401  (solve_linear: perfbench wraps it here)
-from .nonlinearity import NonlinearitySpec, evaluate_field
+from .nonlinearity import NonlinearitySpec, evaluate_field, evaluate_pairs
 
 DIVERGENCE_PATIENCE = 5
 STAGNATION_FLOOR = 1e-13
@@ -231,6 +231,14 @@ def uniqueness_constant(certificate: EllipticityCertificate) -> float:
     return certificate.alpha_sup / (certificate.nu * (1.0 - K))
 
 
+def _increment_norms(spec: NonlinearitySpec, hw: HessianPairs, hv: HessianPairs) -> tuple[float, float]:
+    """(||D^2 w - D^2 v||, ||F(., D^2 w) - F(., D^2 v)||) of two packed hessians of one grid."""
+    g = hw.grid
+    weight = spec.grid_weight(g)
+    Fw, Fv = (evaluate_pairs(spec, h.data.reshape(g.N, -1, g.points), weight) for h in (hw, hv))
+    return HessianPairs(g, hw.data - hv.data).norm(), float(np.sqrt(g.cell_volume * ((Fw - Fv) ** 2).sum()))
+
+
 def verify_comparison(
     spec: NonlinearitySpec,
     certificate: EllipticityCertificate,
@@ -239,8 +247,8 @@ def verify_comparison(
 ) -> float:
     """Margin ||D^2(w - v)|| - C ||F(., D^2 w) - F(., D^2 v)||; <= 0 up to round-off."""
     C = uniqueness_constant(certificate)
-    hw = spectral_hessian(w, PHYSICAL)
-    hv = spectral_hessian(v, PHYSICAL)
-    hess_diff = l2_norm(hw - hv)
-    f_diff = l2_norm(evaluate_field(spec, hw) - evaluate_field(spec, hv))
+    if v.grid != w.grid:
+        raise InputError("w and v must share a grid")
+    half = half_spectrum(w.grid)
+    hess_diff, f_diff = _increment_norms(spec, *(half.hessian_pairs(half.coefficients(x)) for x in (w, v)))
     return float(hess_diff - C * f_diff)

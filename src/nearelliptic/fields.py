@@ -51,11 +51,13 @@ band's half spectrum of every field, folded to the same law, and each field
 is scattered into one reused half-spectrum buffer, so no draw falls outside
 the band and nothing is transformed to physical space and back.
 
-Packed hessian.  The hessian is symmetric in (i, j), so the solvers keep only
+Packed hessian.  The hessian is symmetric in (i, j), so the package keeps only
 its n(n+1)/2 distinct components (i, j), i <= j, in row-major order: a
 :class:`HessianPairs` field has data (N, n(n+1)/2, M, ..., M).  A sum over
 all n^2 components counts each off-diagonal slot twice, and
 :meth:`HessianPairs.contraction` folds a tensor A into the packed slots.
+The n^2 :class:`HessianField` is the view for users (:func:`spectral_hessian`,
+field files); inside the package only the stability outer loop still builds it.
 
 Nyquist planes.  The mixed multiplier k_i k_j (i != j) is odd in k_i on the
 Nyquist plane k_i = -M/2, where -k mod M is k again, so the full-spectrum
@@ -452,15 +454,6 @@ def inverse_transform(u: VectorField) -> VectorField:
     return u.to_physical()
 
 
-def conjugate_symmetry_error(u: VectorField) -> float:
-    """Relative deviation from c(-k) = conj(c(k)); zero for transforms of real fields."""
-    coef = u.to_spectral().data
-    scale = np.abs(coef).max()
-    if scale == 0.0:
-        return 0.0
-    return float(np.abs(coef - _conjugate_reflect(coef, 1, u.grid.n)).max() / scale)
-
-
 def spectral_hessian(u: VectorField, representation: str = PHYSICAL) -> HessianField:
     """All second derivatives of ``u`` via the diagonal frequency multiplier.
 
@@ -534,8 +527,8 @@ def w22star_norms(u: VectorField) -> NormReport:
     """Norm report for a vector field: L2, and for n >= 5 the mixed-exponent surrogates."""
     g = u.grid
     phys = u.to_physical()
-    hess = spectral_hessian(u, PHYSICAL)
-    hess_l2 = l2_norm(hess)
+    half = half_spectrum(g)
+    hess_l2 = half.hessian_pairs(half.forward(phys.data)).norm()
     if g.n < 5:
         return NormReport(
             l2=l2_norm(phys),
@@ -689,16 +682,3 @@ def load_field(path):
         raise InputError("field file has non-finite values")
     cls = VectorField if kind == "vector" else HessianField
     return cls(grid, payload.copy(), rep)
-
-
-def csv_slice(field: VectorField, path) -> None:
-    """Write a plotting slice as CSV: the (x1, x2) plane of component 0 at zero in the other axes."""
-    phys = field.to_physical()
-    g = field.grid
-    block = phys.data[(0,) + (slice(None), slice(None)) + (0,) * (g.n - 2)]
-    x = np.arange(g.M) * g.spacing
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x1,x2,value\n")
-        for i in range(g.M):
-            for j in range(g.M):
-                fh.write(f"{float(x[i])!r},{float(x[j])!r},{float(block[i, j])!r}\n")

@@ -12,6 +12,10 @@ come from three families:
                 hessian is evaluated in closed form on the grid; it is not
                 band-limited, which is what a refinement study needs.
 
+Exact hessians are packed (:class:`~nearelliptic.fields.HessianPairs`): the
+closed forms fill the n(n+1)/2 distinct slots directly, and the recovery
+error is a packed norm; the full n^2 view is for users.
+
 Each concept has one reader: ``tensor`` and ``spec`` go to
 :meth:`~nearelliptic.nonlinearity.NonlinearitySpec.from_dict` with the grid,
 a declared ``certificate`` to
@@ -43,13 +47,13 @@ from .errors import InputError, finite_number, report_json
 from .fields import (
     PHYSICAL,
     GridSpec,
-    HessianField,
+    HessianPairs,
     VectorField,
+    half_spectrum,
     l2_norm,
     load_field,
     random_band_limited,
     save_field,
-    spectral_hessian,
 )
 from .linear import LinearSolveResult, hessian_estimate_check, solve_linear
 from .nonlinearity import NonlinearitySpec, evaluate_field, perturbation_from_dict
@@ -157,10 +161,10 @@ def solve_linear_spec(cfg: dict, spec: NonlinearitySpec, f: VectorField, nu: flo
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
-    """Exact field (physical) with its closed-form hessian on the grid."""
+    """Exact field (physical) with its closed-form hessian on the grid, packed."""
 
     u: VectorField
-    hessian: HessianField
+    hessian: HessianPairs
 
 
 def modes_solution(grid: GridSpec, modes: list[dict]) -> ManufacturedSolution:
@@ -172,8 +176,9 @@ def modes_solution(grid: GridSpec, modes: list[dict]) -> ManufacturedSolution:
     if not isinstance(modes, list):
         raise InputError(f"rhs kind 'modes' needs a list of modes, got {modes!r}")
     coords = np.meshgrid(*grid.axes(), indexing="ij")
+    rows, cols = HessianPairs.components(grid.n)
     u = np.zeros((grid.N,) + grid.shape)
-    hess = np.zeros((grid.N, grid.n, grid.n) + grid.shape)
+    hess = np.zeros((grid.N, len(rows)) + grid.shape)
     for mode in modes:
         if not isinstance(mode, dict) or "k" not in mode:
             raise InputError(f"a mode needs a frequency 'k', got {mode!r}")
@@ -193,13 +198,8 @@ def modes_solution(grid: GridSpec, modes: list[dict]) -> ManufacturedSolution:
         wave = np.sin(phase) if kind == "sin" else np.cos(phase)
         u[comp] += amp * wave
         factor = -((2 * np.pi / grid.L) ** 2)
-        for i in range(grid.n):
-            for j in range(grid.n):
-                hess[comp, i, j] += amp * factor * k[i] * k[j] * wave
-    return ManufacturedSolution(
-        u=VectorField(grid, u, PHYSICAL),
-        hessian=HessianField(grid, hess, PHYSICAL),
-    )
+        hess[comp] += (amp * factor * k[rows] * k[cols]).reshape((-1,) + (1,) * grid.n) * wave
+    return ManufacturedSolution(u=VectorField(grid, u, PHYSICAL), hessian=HessianPairs(grid, hess))
 
 
 def analytic_solution(grid: GridSpec, scale: float = 3.0) -> ManufacturedSolution:
@@ -210,8 +210,9 @@ def analytic_solution(grid: GridSpec, scale: float = 3.0) -> ManufacturedSolutio
     """
     coords = np.meshgrid(*grid.axes(), indexing="ij")
     two_pi = 2 * np.pi / grid.L
+    rows, cols = HessianPairs.components(grid.n)
     u = np.zeros((grid.N,) + grid.shape)
-    hess = np.zeros((grid.N, grid.n, grid.n) + grid.shape)
+    hess = np.zeros((grid.N, len(rows)) + grid.shape)
     for a in range(grid.N):
         s = scale * (1.0 + 0.2 * a + 0.05 * np.arange(grid.n))
         value = np.ones(grid.shape)
@@ -222,14 +223,11 @@ def analytic_solution(grid: GridSpec, scale: float = 3.0) -> ManufacturedSolutio
             g.append(s[i] * two_pi * np.cos(two_pi * coords[i]))
             gp.append(-s[i] * two_pi**2 * np.sin(two_pi * coords[i]))
         u[a] = value
-        for i in range(grid.n):
-            for j in range(grid.n):
-                hess[a, i, j] = value * g[i] * g[j]
-            hess[a, i, i] += value * gp[i]
-    return ManufacturedSolution(
-        u=VectorField(grid, u, PHYSICAL),
-        hessian=HessianField(grid, hess, PHYSICAL),
-    )
+        for p, (i, j) in enumerate(zip(rows, cols)):
+            hess[a, p] = value * g[i] * g[j]
+            if i == j:
+                hess[a, p] += value * gp[i]
+    return ManufacturedSolution(u=VectorField(grid, u, PHYSICAL), hessian=HessianPairs(grid, hess))
 
 
 def build_rhs(cfg: dict, grid: GridSpec, spec: NonlinearitySpec):
@@ -242,7 +240,8 @@ def build_rhs(cfg: dict, grid: GridSpec, spec: NonlinearitySpec):
         return load_field(r["path"]), None
     if kind == "random":
         ustar = random_band_limited(grid, int(r["band"]), int(r["seed"]))
-        exact = ManufacturedSolution(u=ustar, hessian=spectral_hessian(ustar, PHYSICAL))
+        half = half_spectrum(grid)
+        exact = ManufacturedSolution(u=ustar, hessian=half.hessian_pairs(half.coefficients(ustar)))
     elif kind == "modes":
         exact = modes_solution(grid, r["modes"])
     elif kind == "analytic":
@@ -287,9 +286,10 @@ def _gauge_comparison(u: VectorField, exact: ManufacturedSolution):
     mean = exact.u.mean()
     shift = exact.u.data - mean.reshape((grid.N,) + (1,) * grid.n)
     err = VectorField(grid, u.to_physical().data - shift, PHYSICAL)
-    hess_diff = spectral_hessian(u, PHYSICAL) - exact.hessian
-    denom = l2_norm(exact.hessian)
-    return l2_norm(err), (l2_norm(hess_diff) / denom if denom > 0 else l2_norm(hess_diff))
+    half = half_spectrum(grid)
+    hess_diff = HessianPairs(grid, half.hessian_pairs(half.coefficients(u)).data - exact.hessian.data).norm()
+    denom = exact.hessian.norm()
+    return l2_norm(err), (hess_diff / denom if denom > 0 else hess_diff)
 
 
 def run_manufactured(config: dict, out_dir: str | Path | None = None) -> RunReport:

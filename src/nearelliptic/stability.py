@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .campanato import STAGNATION_FLOOR, IterationTrace, SolveConfig, campanato_solve, zero_field
+from .campanato import STAGNATION_FLOOR, IterationTrace, SolveConfig, _increment_norms, campanato_solve, zero_field
 from .certify import EllipticityCertificate, SamplerConfig, _increments
 from .errors import InputError, NearnessConditionError
 from .fields import (
@@ -45,13 +45,7 @@ from .fields import (
     l2_norm,
     spectral_hessian,
 )
-from .nonlinearity import (
-    NonlinearitySpec,
-    NormComboPerturbation,
-    SinePerturbation,
-    evaluate_field,
-    evaluate_pairs,
-)
+from .nonlinearity import NonlinearitySpec, NormComboPerturbation, SinePerturbation, evaluate_field
 
 # relative slack of the empirical check, as for round-off in the sampled ratio
 SUSPECT_SLACK = 1e-9
@@ -132,25 +126,18 @@ def empirical_nu_F(spec: NonlinearitySpec, grid: GridSpec) -> float:
     :func:`~nearelliptic.fields.band_limited_coefficients` but only over the
     band (``fields._band_half_spectra``).  Each field goes from its
     half-spectrum coefficients straight to the packed hessian (one irfftn of
-    its n(n+1)/2 distinct components, into one shared work buffer), F is
-    evaluated on those slots, and ||D^2(w - v)|| is the packed norm
-    :meth:`~nearelliptic.fields.HessianPairs.norm`; no field is transformed to
-    physical space first and no n^2 hessian is built.  Nothing is cached:
-    every call draws and evaluates afresh.
+    its n(n+1)/2 distinct components, into one shared work buffer), and F
+    and both norms are taken on those slots as in ``verify_comparison``; no
+    field is transformed to physical space first and no n^2 hessian is
+    built.  Nothing is cached: every call draws and evaluates afresh.
     """
-    weight = spec.grid_weight(grid)
     half = half_spectrum(grid)
     work = half.work_buffer()
     fields = _band_half_spectra(grid, max(1, grid.M // 4), 2 * EMPIRICAL_PAIRS, EMPIRICAL_SEED)
     hessians = (half.hessian_pairs(coef, work) for coef in fields)
-
-    def F(hess: HessianPairs) -> np.ndarray:
-        return evaluate_pairs(spec, hess.data.reshape(grid.N, -1, grid.points), weight)
-
     best = np.inf
     for hw, hv in zip(hessians, hessians):
-        num = np.sqrt(grid.cell_volume * ((F(hw) - F(hv)) ** 2).sum())
-        den = HessianPairs(grid, hw.data - hv.data).norm()
+        den, num = _increment_norms(spec, hw, hv)
         if den > 0:
             best = min(best, num / den)
     return float(best)
@@ -166,7 +153,12 @@ class StabilityReport:
 
     @property
     def certificate_suspect(self) -> bool:
-        """True when the sampled modulus is below the certified bound on it: F's certificate, or the code, is wrong."""
+        """True when the sampled modulus is below the certified bound on it: F's certificate, or the code, is wrong.
+
+        It catches a forged nu or alpha; a forged beta or gamma almost never,
+        since ``nu_F_lower`` = nu (1 - sqrt(beta + gamma))/alpha_sup stays
+        below the sampled modulus, which sits near nu/alpha_sup.
+        """
         return self.nu_F_empirical < self.nu_F_lower * (1.0 - SUSPECT_SLACK)
 
     @property

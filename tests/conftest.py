@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from nearelliptic import GridSpec, example2_tensor, identity_tensor
+from nearelliptic import GridSpec, HessianField, example2_tensor, identity_tensor
 from nearelliptic.tensors import SymTensor4, _sym_pair_transpose
 
 # every run draws the same examples, so a tier-1 result repeats; for fresh
@@ -37,3 +37,12 @@ def random_sym_tensor(n: int, N: int, seed: int, scale: float = 1.0) -> SymTenso
 def random_symmetric_batch(rng, count: int, N: int, n: int) -> np.ndarray:
     raw = rng.standard_normal((count, N, n, n))
     return 0.5 * (raw + np.swapaxes(raw, -1, -2))
+
+
+def refuse_full_hessian(monkeypatch) -> None:
+    """Make building any n^2 HessianField fail the test from here on."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an n^2 HessianField was built")
+
+    monkeypatch.setattr(HessianField, "__post_init__", refuse)

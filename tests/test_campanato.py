@@ -28,6 +28,7 @@ from nearelliptic.errors import DivergenceError, InputError
 from nearelliptic.fields import PHYSICAL, HalfSpectrum, VectorField
 from nearelliptic.linear import spectral_plan
 from nearelliptic.nonlinearity import evaluate_field
+from conftest import refuse_full_hessian
 
 
 def sine_spec(tensor, rho):
@@ -222,6 +223,22 @@ class TestComparison:
         cert = example1_certificate(spec, nu=1.0)
         w = random_band_limited(grid32, band=5, seed=8)
         assert verify_comparison(spec, cert, w, w) == pytest.approx(0.0, abs=1e-15)
+
+    def test_builds_no_full_hessian(self, monkeypatch, grid32, identity22):
+        spec = sine_spec(identity22, 0.3)
+        cert = example1_certificate(spec, nu=1.0)
+        w, v = (random_band_limited(grid32, band=6, seed=seed) for seed in (9, 10))
+        expected = verify_comparison(spec, cert, w, v)
+        refuse_full_hessian(monkeypatch)
+        assert verify_comparison(spec, cert, w, v) == expected
+
+    def test_fields_of_two_grids_are_an_input_error(self, grid32, identity22):
+        spec = sine_spec(identity22, 0.3)
+        cert = example1_certificate(spec, nu=1.0)
+        w = random_band_limited(grid32, band=6, seed=9)
+        v = random_band_limited(GridSpec(n=2, N=2, M=16), band=3, seed=10)
+        with pytest.raises(InputError, match="share a grid"):
+            verify_comparison(spec, cert, w, v)
 
     def test_linear_pairs(self, grid32, identity22):
         spec = NonlinearitySpec(tensor=identity22)

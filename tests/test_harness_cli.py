@@ -17,9 +17,10 @@ from nearelliptic.harness import (
     run_manufactured,
     study_csv,
 )
-from nearelliptic.fields import PHYSICAL, GridSpec, VectorField, load_field, random_band_limited, save_field
+from nearelliptic.fields import PHYSICAL, GridSpec, HessianPairs, VectorField, load_field, random_band_limited, save_field
 from nearelliptic.fields import spectral_hessian, l2_norm
 from nearelliptic.tensors import SymTensor4, identity_tensor
+from conftest import refuse_full_hessian
 
 
 class TestConfig:
@@ -42,13 +43,13 @@ class TestManufacturedSolutions:
     def test_modes_hessian_matches_spectral(self):
         grid = GridSpec(n=2, N=2, M=32)
         exact = modes_solution(grid, [{"component": 0, "k": [1, 0], "amplitude": 1.0}])
-        spectral = spectral_hessian(exact.u)
+        spectral = HessianPairs.from_hessian(spectral_hessian(exact.u))
         assert np.abs(exact.hessian.data - spectral.data).max() <= 1e-9
 
     def test_analytic_hessian_matches_spectral(self):
         grid = GridSpec(n=2, N=2, M=64)
         exact = analytic_solution(grid, scale=1.0)
-        spectral = spectral_hessian(exact.u)
+        spectral = HessianPairs.from_hessian(spectral_hessian(exact.u))
         rel = np.abs(exact.hessian.data - spectral.data).max() / np.abs(exact.hessian.data).max()
         assert rel <= 1e-9  # closed form vs spectral differentiation
 
@@ -59,6 +60,21 @@ class TestManufacturedSolutions:
 
 
 class TestRunManufactured:
+    @pytest.mark.parametrize("mode", ["campanato", "linear"])
+    @pytest.mark.parametrize(
+        "rhs",
+        [
+            {"kind": "random", "band": 3},
+            {"kind": "modes", "modes": [{"k": [1, 2]}, {"k": [2, -1], "component": 1, "kind": "cos"}]},
+            {"kind": "analytic"},
+        ],
+    )
+    def test_builds_no_full_hessian(self, monkeypatch, mode, rhs):
+        spec = {"perturbation": {"kind": "scaled_sine", "amplitude": 0.3} if mode == "campanato" else None}
+        refuse_full_hessian(monkeypatch)
+        report = run_manufactured({"grid": {"M": 16}, "spec": spec, "rhs": rhs, "solver": {"mode": mode}})
+        assert np.isfinite(report.error_l2) and np.isfinite(report.error_hessian_rel)
+
     def test_linear_single_mode(self, tmp_path):
         report = run_manufactured(
             {
