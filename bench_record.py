@@ -11,11 +11,16 @@ workload of ``BENCHMARK.json`` the two trees run ``perfbench/run.py`` (untraced)
 for its ``run_seconds`` in interleaved pairs, the side that goes first
 alternating from pair to pair, pair k of every workload at seed ``seed + k``.
 Each run keeps its ``env:`` and ``speed factor`` lines and its final JSON
-line; the summary gives each side's median and quartiles of every
+line; a run that exits non-zero keeps its exit code and the last lines of
+its stderr instead.  The summary leaves a pair with a failed run out and
+counts it (``failed_pairs``, and ``all_correct`` is then false); over the
+other pairs it gives each side's median and quartiles of every
 end-to-end metric, the change's relative move of the median in the metric's
 worse direction (``worse_by``, negative when it is better) and whether that
 move exceeds the metric's bound in ``BENCHMARK.json`` (``over_bound``), and,
-for ``op_p50_ms``, how many pairs the change won.
+for ``op_p50_ms``, how many pairs the change won.  The record is rewritten
+after every workload, so an interrupted invocation keeps the workloads it
+finished.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent
+SIDES = ("parent", "change")
+STDERR_LINES = 20
 
 
 def unpack(rev: str, into: Path) -> Path:
@@ -45,9 +52,12 @@ def unpack(rev: str, into: Path) -> Path:
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run: its env and speed-factor lines and its final JSON line."""
+    """One perfbench run: its env and speed-factor lines and its final JSON line, or its exit code and last stderr lines."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True).stdout.splitlines()
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if done.returncode != 0:
+        return {"seed": seed, "exit_code": done.returncode, "stderr": done.stderr.splitlines()[-STDERR_LINES:]}
+    out = done.stdout.splitlines()
     return {
         "seed": seed,
         "env": next(line for line in out if line.startswith("env:")),
@@ -65,13 +75,20 @@ def spread(values: list[float]) -> dict:
 
 
 def summary(pairs: list[dict], end_to_end: list[dict]) -> dict:
-    """Spread of every metric on both sides; ``end_to_end`` is ``BENCHMARK.json``'s list of metrics and bounds."""
+    """Spread of every metric on both sides over the pairs whose runs both finished.
+
+    ``end_to_end`` is ``BENCHMARK.json``'s list of metrics and bounds.
+    """
+    finished = [p for p in pairs if all("result" in p[side] for side in SIDES)]
+    failed, pairs = len(pairs) - len(finished), finished
+    if not pairs:
+        return {"failed_pairs": failed, "all_correct": False}
 
     def metric(side, name):
         return [p[side]["result"]["metrics"][name]["value"] for p in pairs]
 
     names = pairs[0]["parent"]["result"]["metrics"]
-    out = {name: {side: spread(metric(side, name)) for side in ("parent", "change")} for name in names}
+    out = {name: {side: spread(metric(side, name)) for side in SIDES} for name in names}
     for m in end_to_end:
         row = out[m["name"]]
         parent, change = row["parent"]["median"], row["change"]["median"]
@@ -80,8 +97,14 @@ def summary(pairs: list[dict], end_to_end: list[dict]) -> dict:
     parent, change = metric("parent", "op_p50_ms"), metric("change", "op_p50_ms")
     out["op_p50_ms"]["change_wins"] = sum(c < p for p, c in zip(parent, change))
     out["op_p50_ms"]["pairs"] = len(pairs)
-    out["all_correct"] = all(p[side]["result"]["correct"] for p in pairs for side in ("parent", "change"))
+    out["failed_pairs"] = failed
+    out["all_correct"] = not failed and all(p[side]["result"]["correct"] for p in pairs for side in SIDES)
     return out
+
+
+def op_p50(one: dict):
+    """A run's ``op_p50_ms``, or its exit code when it failed."""
+    return one["result"]["metrics"]["op_p50_ms"]["value"] if "result" in one else f"exit {one['exit_code']}"
 
 
 def main(argv=None) -> int:
@@ -115,9 +138,9 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {side: run(sides[side], workload, args.seed + i, seconds) for side in order}
                 pairs.append(pair)
-                print(workload, args.seed + i, {s: pair[s]["result"]["metrics"]["op_p50_ms"]["value"] for s in order})
+                print(workload, args.seed + i, {s: op_p50(pair[s]) for s in order})
             record["workloads"][workload] = {"summary": summary(pairs, benchmark["end_to_end"]), "pairs": pairs}
-    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+            args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

@@ -40,8 +40,8 @@ import numpy as np
 
 from .errors import InputError, finite_number, report_json
 from .fields import HessianPairs
-from .nonlinearity import NonlinearitySpec, contract_pairs, evaluate_pairs
-from .tensors import ellipticity_constant
+from .nonlinearity import NonlinearitySpec, evaluate_pairs
+from .tensors import contract_pairs, ellipticity_constant
 
 CONSTANT_FLOOR = 1e-6
 SIGMA_CAP = 1e9
@@ -123,16 +123,18 @@ class EllipticityCertificate:
         """The inverse of :meth:`as_dict`.
 
         ``nu``, ``beta``, ``gamma``, ``lambda``, ``kappa``, ``lipschitz_M`` and
-        the pair ``alpha_bounds`` must be finite numbers, and ``alpha`` and
-        ``worst_violation`` too when given; anything else is an InputError.
+        the pair ``alpha_bounds`` must be finite numbers, the pair positive,
+        and ``alpha`` and ``worst_violation`` finite too when given; anything
+        else is an InputError.
         """
         if not isinstance(doc, dict):
             raise InputError(f"certificate must be a mapping, got {doc!r}")
         bounds = doc.get("alpha_bounds")
         if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
             raise InputError(f"certificate 'alpha_bounds' must be a pair, got {bounds!r}")
-        for value in bounds:
-            finite_number(value, "certificate 'alpha_bounds'")
+        for value in bounds:  # sup alpha and sup 1/alpha
+            if finite_number(value, "certificate 'alpha_bounds'") <= 0:
+                raise InputError(f"certificate 'alpha_bounds' must be positive, got {bounds!r}")
         given = tuple(key for key in ("alpha", "worst_violation") if doc.get(key) is not None)
         for key in ("nu", "beta", "gamma", "lambda", "kappa", "lipschitz_M") + given:
             finite_number(doc.get(key), f"certificate {key!r}")

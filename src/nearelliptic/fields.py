@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, lru_cache
 
 import numpy as np
@@ -87,16 +87,24 @@ SPECTRAL = "spectral"
 
 _DEFAULT_BUDGET = 2 * 1024**3  # bytes
 
+# decades a grid's volumes and hessian multipliers may span on either side of 1
+SCALE_DECADES = 100
+
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic grid: n axes, M points each, period L, N field components."""
+    """Uniform periodic grid: n axes, M points each, period L, N field components.
+
+    ``memory_budget`` bounds the n^2 physical hessian, ``8 N n^2 M^n`` bytes,
+    that :func:`spectral_hessian` and the stability outer loop build.  It is
+    a guard, not part of the grid: two grids that differ only in it are equal.
+    """
 
     n: int
     N: int
     M: int
     L: float = 1.0
-    memory_budget: int = _DEFAULT_BUDGET
+    memory_budget: int = field(default=_DEFAULT_BUDGET, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -107,11 +115,22 @@ class GridSpec:
             raise InputError(f"points per axis must be even and >= 4, got {self.M}")
         if not (math.isfinite(self.L) and self.L > 0):
             raise InputError(f"period must be finite and positive, got {self.L}")
-        # the largest array a solve allocates is the real physical hessian
-        bytes_needed = 8 * self.N * self.n**2 * self.M**self.n
-        if bytes_needed > self.memory_budget:
+        # logarithms first: past the budget, M^n may be too large to form, and its byte count to print
+        over = self.n > math.log(max(self.memory_budget, 1), self.M)
+        if over or 8 * self.N * self.n**2 * self.M**self.n > self.memory_budget:
             raise InputError(
-                f"hessian of {bytes_needed} bytes exceeds the memory budget {self.memory_budget}"
+                f"the hessian of a grid with n={self.n}, N={self.N}, M={self.M} exceeds the memory budget "
+                f"{self.memory_budget} bytes"
+            )
+        # norms weigh by the volumes L^n and (L/M)^n, and the solvers by the hessian multipliers
+        # (2 pi k / L)^2, 1 <= |k| <= M/2: each stays within 1e+-SCALE_DECADES, so their products stay finite
+        log_L, log_M = math.log10(self.L), math.log10(self.M)
+        log_k = math.log10(2 * math.pi) - log_L
+        decades = (self.n * log_L, self.n * (log_L - log_M), 2 * log_k, 2 * (log_k + log_M))
+        if max(map(abs, decades)) > SCALE_DECADES:
+            raise InputError(
+                f"period L={self.L} with n={self.n}, M={self.M} puts a grid volume or hessian multiplier "
+                f"beyond 1e+-{SCALE_DECADES}"
             )
 
     @property

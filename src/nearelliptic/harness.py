@@ -18,8 +18,9 @@ error is a packed norm; the full n^2 view is for users.
 
 Each concept has one reader: ``tensor`` and ``spec`` go to
 :meth:`~nearelliptic.nonlinearity.NonlinearitySpec.from_dict` with the grid,
-a declared ``certificate`` to
-:meth:`~nearelliptic.certify.EllipticityCertificate.from_dict`.
+and ``certificate``, ``alpha`` and the fit ``seed`` to
+:func:`build_certificate`, which ``solve``, ``study`` and
+``solve-stability`` share.
 :func:`resolve_config` also checks the sections only some commands read
 (``spec_g``, ``solver.mode``, ``certificate``), so a malformed config is an
 InputError in every command.
@@ -36,6 +37,7 @@ import numpy as np
 from .campanato import SolveConfig, campanato_solve
 from .certify import (
     EllipticityCertificate,
+    SamplerConfig,
     def1_from_def2,
     def2_from_def1,
     example1_alpha,
@@ -252,13 +254,27 @@ def build_rhs(cfg: dict, grid: GridSpec, spec: NonlinearitySpec):
     return f, exact
 
 
-def build_certificate(cfg: dict, spec: NonlinearitySpec, nu: float) -> EllipticityCertificate:
+def build_certificate(cfg: dict, spec: NonlinearitySpec, nu: float):
+    """The certificate of ``certificate`` and the alpha it is solved with: the one reader of both.
+
+    ``"fitted"`` is fitted at the config's ``seed``, as ``certify`` fits it.
+    An unset ``alpha`` is the certificate's own; failing that, 1/weight for
+    the analytic certificate (of a weight field) and 1 for a declared one.  A
+    string asks for the matching alpha = 1/weight.
+    """
     c = cfg["certificate"]
     if c == "analytic":
-        return example1_certificate(spec, nu=nu)
-    if c == "fitted":
-        return fit_k_condition(spec, nu=nu)
-    return EllipticityCertificate.from_dict(c)
+        certificate = example1_certificate(spec, nu=nu)
+    elif c == "fitted":
+        certificate = fit_k_condition(spec, SamplerConfig(seed=cfg["seed"]), nu=nu)
+    else:
+        certificate = EllipticityCertificate.from_dict(c)
+    alpha = cfg["alpha"]
+    if alpha is None:
+        alpha = certificate.alpha if certificate.alpha is not None else ("matching" if c == "analytic" else 1.0)
+    if isinstance(alpha, str):
+        alpha = example1_alpha(spec)
+    return certificate, alpha
 
 
 @dataclass(frozen=True)
@@ -307,15 +323,8 @@ def run_manufactured(config: dict, out_dir: str | Path | None = None) -> RunRepo
         residual = result.residual_l2
         iterations = 1
     else:
-        certificate = build_certificate(cfg, spec, nu)
+        certificate, alpha = build_certificate(cfg, spec, nu)
         cert_dict = certificate.as_dict()
-        alpha = cfg["alpha"]
-        if alpha is None:  # the certificate's own; the analytic one of a weight field has 1/weight
-            alpha = certificate.alpha
-            if alpha is None:
-                alpha = "matching" if cfg["certificate"] == "analytic" else 1.0
-        if isinstance(alpha, str):  # a string asks for the matching alpha = 1/weight
-            alpha = example1_alpha(spec)
         u, trace = campanato_solve(spec, alpha, f, certificate, config=build_solve_config(cfg))
         residual = trace.final_residual
         iterations = trace.iterations
@@ -394,7 +403,11 @@ class SuiteCheck:
 
 
 def example_suite(seed: int = 0) -> list[SuiteCheck]:
-    """Built-in verification bundle: counterexample analyses, hessian estimate, conversions."""
+    """Built-in verification bundle: counterexample analyses, hessian estimate, conversions.
+
+    ``seed`` must be a non-negative integer.
+    """
+    finite_number(seed, "example-suite seed", integer=True)
     checks: list[SuiteCheck] = []
 
     for m in (8.0, 16.0, 100.0):

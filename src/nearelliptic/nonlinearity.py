@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import EvaluationError, InputError, finite_number
 from .fields import PHYSICAL, GridSpec, HessianField, HessianPairs, VectorField, load_field
-from .tensors import SymTensor4, check_hessian_arg, read_tensor
+from .tensors import SymTensor4, check_hessian_arg, contract_pairs, read_tensor
 
 _CUSTOM_REGISTRY: dict[str, "CustomPerturbation"] = {}
 
@@ -332,11 +332,6 @@ class NonlinearitySpec:
     @classmethod
     def from_text(cls, text: str) -> "NonlinearitySpec":
         return cls.from_dict(json.loads(text))
-
-
-def contract_pairs(tensor: SymTensor4, X: np.ndarray) -> np.ndarray:
-    """A : X on packed values X (N, n(n+1)/2, K) -> (N, K); a C-contiguous X is read in place."""
-    return HessianPairs.contraction(tensor.entries).reshape(tensor.N, -1) @ X.reshape(-1, X.shape[-1])
 
 
 def evaluate_pairs(spec: NonlinearitySpec, X: np.ndarray, weight) -> np.ndarray:

@@ -5,7 +5,8 @@ arrays.  Entries are indexed ``A[alpha, beta, i, j]`` with Greek indices
 running over the target dimension ``N`` and Latin ones over the spatial
 dimension ``n``; the defining symmetry is ``A[a, b, i, j] == A[b, a, j, i]``.
 
-The module provides the contractions used throughout the package, symbol
+The module provides the contractions used throughout the package (A : X on
+packed hessians, :func:`contract_pairs`, is written once, here), symbol
 matrices ``(A[a,b,i,j] d_i d_j)`` along spatial directions, cofactor-based
 symbol inversion, and the rank-one ellipticity constant
 
@@ -16,10 +17,10 @@ normal draws above) plus a batched polish of the best samples by
 alternating eigen-steps, the standard method for the smallest M-eigenvalue
 of an elasticity-type tensor (Qi, Dai and Han, 2009).  The sampled symbols
 are one matmul: the packed contraction of ``A`` (the packing rule of F's
-linear part) times the packed direction products ``d_i d_j``, i <= j.  Their
-smallest eigenvalues have a closed form for N <= 2, and LAPACK is called
-only for N >= 3.  The sample directions of each (n, samples) are built once
-and kept, read-only, in a small LRU cache.
+linear part) times the packed direction products ``d_i d_j``, i <= j, and
+stay packed.  Their smallest eigenvalues have a closed form for N = 2, and
+LAPACK is called only for N >= 3.  The sample directions of each (n,
+samples) are built once and kept, read-only, in a small LRU cache.
 
 :func:`read_tensor` is the one reader of a tensor in a config or spec
 document: a built-in name, a tensor file, or inline entries.
@@ -215,10 +216,14 @@ def check_hessian_arg(A: SymTensor4, Z: np.ndarray) -> np.ndarray:
     return Z
 
 
+def contract_pairs(A: SymTensor4, X: np.ndarray) -> np.ndarray:
+    """A : X on packed values X (N, n(n+1)/2, K) -> (N, K); a C-contiguous X is read in place."""
+    return HessianPairs.contraction(A.entries).reshape(A.N, -1) @ X.reshape(-1, X.shape[-1])
+
+
 def contract_hessian(A: SymTensor4, Z: np.ndarray) -> np.ndarray:
     """Contraction (A:Z)_alpha = A[alpha, beta, i, j] Z[beta, i, j] for symmetric Z."""
-    Z = check_hessian_arg(A, Z)
-    return np.einsum("abij,bij->a", A.entries, Z)
+    return contract_pairs(A, HessianPairs.pack(check_hessian_arg(A, Z)))[:, 0]
 
 
 def bilinear_form(A: SymTensor4, P: np.ndarray, Q: np.ndarray) -> float:
@@ -260,8 +265,7 @@ def symbol_matrix(A: SymTensor4, a: np.ndarray) -> SymbolMatrix:
     if norm == 0.0:
         raise InputError("direction must be nonzero")
     unit = a / norm
-    values = np.einsum("abij,i,j->ab", A.entries, unit, unit)
-    return SymbolMatrix(values=values, direction=unit)
+    return SymbolMatrix(values=symbol_stack(packed_symbol_matrix(A.entries), unit[None], A.N)[0], direction=unit)
 
 
 def packed_symbol_matrix(entries: np.ndarray) -> np.ndarray:
@@ -305,13 +309,11 @@ def symbol_stack(matrix: np.ndarray, directions: np.ndarray, N: int) -> np.ndarr
 def lowest_eigenvalues(packed: np.ndarray, N: int) -> np.ndarray:
     """Smallest eigenvalue of each symmetric N x N matrix, from packed upper triangles (N(N+1)/2, K).
 
-    For N = 1 it is the entry; for N = 2, with entries (a, b, c), it is
-    0.5 a + 0.5 c - hypot(0.5 a - 0.5 c, b), which squares nothing, so it
-    neither overflows nor underflows; :func:`cofactor_transpose` special-cases
-    N <= 2 the same way.  LAPACK ``eigvalsh`` is called only for N >= 3.
+    For N = 2, with entries (a, b, c), it is 0.5 a + 0.5 c - hypot(0.5 a -
+    0.5 c, b), which squares nothing, so it neither overflows nor underflows;
+    :func:`cofactor_transpose` special-cases N = 2 the same way.  LAPACK
+    ``eigvalsh`` is called for every other N.
     """
-    if N == 1:
-        return packed[0].copy()
     if N == 2:
         a, b, c = packed
         return 0.5 * a + 0.5 * c - np.hypot(0.5 * a - 0.5 * c, b)
@@ -322,8 +324,6 @@ def cofactor_transpose(S: np.ndarray) -> np.ndarray:
     """Transposed cofactor matrix of stacked square matrices ``(..., N, N)``."""
     S = np.asarray(S, dtype=float)
     N = S.shape[-1]
-    if N == 1:
-        return np.ones_like(S)
     if N == 2:
         cof_t = np.empty_like(S)
         cof_t[..., 0, 0] = S[..., 1, 1]
@@ -478,7 +478,7 @@ def ellipticity_constant(A: SymTensor4, search: SphereSearchConfig = SphereSearc
     from the 10 best samples, to a relative change of 1e-13; the minimum of the sampled and polished values is
     reported together with the attaining direction and eigenvector.  The
     sampled symbols are one packed matmul; their smallest eigenvalues are in
-    closed form for N <= 2 (:func:`lowest_eigenvalues`), and the directions
+    closed form for N = 2 (:func:`lowest_eigenvalues`), and the directions
     of each (n, samples) are built once and cached.  The result may be <= 0;
     the caller decides what to do with a non-elliptic tensor.
     """
@@ -486,7 +486,7 @@ def ellipticity_constant(A: SymTensor4, search: SphereSearchConfig = SphereSearc
 
 
 def _sphere_search(A: SymTensor4, search: SphereSearchConfig):
-    """nu(A), with the symbol stack and its smallest eigenvalues at the sampled directions."""
+    """nu(A), with the packed symbols (N(N+1)/2, K) and their smallest eigenvalues at the sampled directions."""
     table = _sphere_directions(A.n, search.samples)
     matrix = packed_symbol_matrix(A.entries)
     packed = matrix @ direction_products(table)
@@ -509,7 +509,7 @@ def _sphere_search(A: SymTensor4, search: SphereSearchConfig):
         witness_eta=np.asarray(V[:, 0], dtype=float),
         resolution=resolution,
     )
-    return constant, unpack_symbols(packed, A.N), eigs
+    return constant, packed, eigs
 
 
 @dataclass(frozen=True, eq=False)
@@ -535,7 +535,8 @@ def check_rank_one_positive(A: SymTensor4) -> RankOneCheck:
     so disagreeing sample directions are counted and reported rather than
     silently accepted.
     """
-    constant, stack, eig_min = _sphere_search(A, SphereSearchConfig())
+    constant, packed, eig_min = _sphere_search(A, SphereSearchConfig())
+    stack = unpack_symbols(packed, A.N)
     dets = np.linalg.det(stack)
     disagreements = int(np.count_nonzero((eig_min > 0.0) != (dets > 0.0)))
     return RankOneCheck(

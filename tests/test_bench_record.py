@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -44,3 +45,37 @@ class TestSummary:
         assert out["ops_per_s"]["worse_by"] == pytest.approx(-0.25)
         assert not out["op_p50_ms"]["over_bound"] and not out["ops_per_s"]["over_bound"]
         assert out["op_p50_ms"]["change_wins"] == 2 and out["all_correct"] is False
+
+
+def perfbench_run(tree, workload, seed, seconds):
+    """A stand-in for one perfbench run: the change fails its linear-sweep run at seed 902, stability is cut off."""
+    if workload == "stability":
+        raise KeyboardInterrupt
+    if tree == bench_record.ROOT and workload == "linear-sweep" and seed == 902:
+        return {"seed": seed, "exit_code": 1, "stderr": ["Traceback (most recent call last):", "ValueError: boom"]}
+    metrics = {m["name"]: {"value": 100.0} for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics["op_p50_ms"] = {"value": 10.0 + seed - 901}
+    return {"seed": seed, "env": "env: stub", "speed_factor": "speed factor 1", "result": {"correct": True, "metrics": metrics}}
+
+
+class TestRecord:
+    def test_keeps_failed_runs_and_finished_workloads(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bench_record, "unpack", lambda rev, into: into / "parent")
+        monkeypatch.setattr(bench_record, "run", perfbench_run)
+        out = tmp_path / "bench.json"
+        args = ["--parent", "HEAD", "--out", str(out), "--pairs-default", "0", "--workdir", str(tmp_path)]
+        with pytest.raises(KeyboardInterrupt):
+            bench_record.main(args + ["--pairs", "linear-sweep=3", "--pairs", "stability=1"])
+        record = json.loads(out.read_text())
+        assert list(record["workloads"]) == ["linear-sweep"]
+        sweep = record["workloads"]["linear-sweep"]
+        assert sweep["pairs"][1]["change"] == {"seed": 902, "exit_code": 1, "stderr": ["Traceback (most recent call last):", "ValueError: boom"]}
+        summary = sweep["summary"]
+        assert (summary["failed_pairs"], summary["all_correct"], summary["op_p50_ms"]["pairs"]) == (1, False, 2)
+        # the medians are over the two finished pairs, seeds 901 and 903
+        assert summary["op_p50_ms"]["parent"]["median"] == 11.0
+
+    def test_a_workload_with_no_finished_pair(self):
+        failed = {"seed": 1, "exit_code": 2, "stderr": []}
+        out = bench_record.summary([{"parent": failed, "change": run(1.0, 1.0)}], END_TO_END)
+        assert out == {"failed_pairs": 1, "all_correct": False}

@@ -355,6 +355,8 @@ class TestFit:
             {"alpha_bounds": 5},
             {"alpha_bounds": [1.0]},
             {"alpha_bounds": [1.0, "x"]},
+            {"alpha_bounds": [0.0, 1.0]},
+            {"alpha_bounds": [-2, 1]},
             {"worst_violation": "x"},
         ],
     )

@@ -29,8 +29,8 @@ from nearelliptic.fields import (
     load_field,
     save_field,
 )
-from nearelliptic.linear import pairing_spectrum, solve_linear
-from nearelliptic.tensors import random_rank_one_positive
+from nearelliptic.linear import apply_operator, pairing_spectrum, solve_linear
+from nearelliptic.tensors import identity_tensor, random_rank_one_positive
 from conftest import refuse_full_hessian
 
 NUMPY_TRANSFORMS = (
@@ -66,6 +66,33 @@ class TestGridSpec:
     def test_volumes(self, grid32):
         assert grid32.cell_volume == pytest.approx((1.0 / 32) ** 2)
         assert grid32.volume == 1.0
+
+    def test_the_budget_is_not_part_of_the_grid(self):
+        plain, roomy = GridSpec(n=2, N=2, M=8), GridSpec(n=2, N=2, M=8, memory_budget=10**6)
+        assert plain == roomy and hash(plain) == hash(roomy)
+        assert half_spectrum(plain) is half_spectrum(roomy)
+        u = single_mode_field(plain)
+        total = u + single_mode_field(roomy)
+        np.testing.assert_array_equal(total.data, 2 * u.data)
+
+    @pytest.mark.parametrize("n, M", [(10**6, 64), (2, 10**4000), (10**4000, 4)])
+    def test_a_grid_too_large_to_count_is_refused_naming_n_and_m(self, n, M):
+        with pytest.raises(InputError, match=f"n={n}, N=2, M={M}"):
+            GridSpec(n=n, N=2, M=M)
+
+    @pytest.mark.parametrize("n, L", [(2, 1e-300), (2, 1e-160), (2, 1e160), (2, 1e300), (2, 1e-52), (3, 1e34)])
+    def test_a_period_beyond_the_float_range_is_refused(self, n, L):
+        # the volume L^n, the cell volume (L/M)^n or a multiplier (2 pi k / L)^2 passes 1e+-100
+        with pytest.raises(InputError, match="period"):
+            GridSpec(n=n, N=2, M=8, L=L)
+
+    @pytest.mark.parametrize("n, L", [(2, 1e-45), (2, 1e45), (3, 1e-31), (3, 1e32)])
+    def test_a_period_inside_the_float_range_solves(self, n, L):
+        grid = GridSpec(n=n, N=2, M=8, L=L)
+        u = random_band_limited(grid, band=2, seed=1)
+        A = identity_tensor(n, 2)
+        v = solve_linear(A, apply_operator(A, u)).u
+        assert l2_norm(v - u) <= 1e-10 * l2_norm(u)
 
 
 class TestTransforms:

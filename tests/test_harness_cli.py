@@ -398,10 +398,13 @@ class TestConfigPaths:
         assert result.exit_code == 1, result.output
         assert "FAIL [study]" in result.output
 
-    @pytest.mark.parametrize("text", ['{"grid": ', "[1]", '{"grid": 5, "rhs": 5}'])
+    @pytest.mark.parametrize(
+        "text", ['{"grid": ', "[1]", '{"grid": 5, "rhs": 5}', '{"grid": {"n": 1000000}}', '{"grid": {"M": 8, "L": 1e-300}}']
+    )
     @pytest.mark.parametrize("command", ["certify", "solve-linear", "solve", "solve-stability", "study"])
     def test_every_command_fails_on_a_malformed_config_file(self, tmp_path, command, text):
-        # not JSON, not a mapping, and sections that a --seed override cannot enter
+        # not JSON, not a mapping, sections that a --seed override cannot enter, and grids
+        # too large to count or with a period that leaves the float range
         (tmp_path / "cfg.json").write_text(text)
         args = [command, "--config", str(tmp_path / "cfg.json"), "--seed", "3", "--out-dir", str(tmp_path)]
         result = CliRunner().invoke(main, args)
@@ -492,3 +495,81 @@ class TestConfigPaths:
         result = self.invoke(tmp_path, "solve-stability", doc)
         assert result.exit_code == 0, result.output
         assert [(c.tol_residual, c.max_iters) for c in seen] == [(1e-7, 17)]
+
+
+def declared(beta, gamma):
+    """A declared certificate of the identity tensor (nu = 1) with alpha = 1 and these constants."""
+    return dict(CERTIFICATE, beta=beta, gamma=gamma, **{"lambda": (1.0 - gamma) / 2, "kappa": beta / 2})
+
+
+# nu(F, G) = |0.32 - 0.3| = 0.02, the analytic bound of two sine perturbations
+STABILITY = {
+    "grid": {"M": 16},
+    "spec": {"perturbation": {"kind": "scaled_sine", "amplitude": 0.3}},
+    "spec_g": {"perturbation": {"kind": "scaled_sine", "amplitude": 0.32}},
+    "rhs": {"kind": "random", "band": 3, "seed": 5},
+}
+
+
+class TestOneCertificateReader:
+    """solve, study and solve-stability read certificate, alpha and the fit seed the same way."""
+
+    invoke = staticmethod(TestConfigPaths.invoke)
+
+    def test_solve_stability_refuses_by_a_declared_certificate(self, tmp_path):
+        # nu(F) >= nu (1 - sqrt(0.99)) / sup alpha ~ 0.0050 is below nu(F, G) = 0.02
+        result = self.invoke(tmp_path, "solve-stability", dict(STABILITY, certificate=declared(0.5, 0.49)))
+        assert result.exit_code == 3, result.output
+        assert "REFUSED [solve-stability]" in result.output
+
+    def test_solve_stability_admits_by_a_declared_certificate(self, tmp_path):
+        result = self.invoke(tmp_path, "solve-stability", dict(STABILITY, certificate=declared(0.5, 0.45)))
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "stability_report.json").read_text())
+        assert report["nu_F_lower"] == pytest.approx(1.0 - np.sqrt(0.95), rel=1e-12)
+
+    def test_solve_stability_takes_the_alpha_of_the_config(self, tmp_path):
+        # the analytic certificate of weight 2 holds for alpha = 1/2 only
+        doc = dict(STABILITY, spec=dict(STABILITY["spec"], weight=2.0), alpha=1.0)
+        result = self.invoke(tmp_path, "solve-stability", doc)
+        assert result.exit_code == 1
+        assert "FAIL [solve-stability]" in result.output and "alpha=1 is not the alpha=0.5" in result.output
+
+    def test_a_fitted_certificate_is_fitted_at_the_config_seed(self, tmp_path):
+        doc = dict(STABILITY, certificate="fitted", seed=1)
+        (tmp_path / "cfg.json").write_text(json.dumps(STABILITY))
+        args = ["certify", "--config", str(tmp_path / "cfg.json"), "--seed", "1", "--out-dir", str(tmp_path / "c")]
+        assert CliRunner().invoke(main, args).exit_code == 0
+        fitted = json.loads((tmp_path / "c" / "certificate.json").read_text())
+        result = self.invoke(tmp_path, "solve", doc)
+        assert result.exit_code == 0, result.output
+        assert json.loads((tmp_path / "report.json").read_text())["certificate"] == fitted
+        result = self.invoke(tmp_path, "solve-stability", doc)
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "stability_report.json").read_text())
+        bound = fitted["nu"] * (1.0 - np.sqrt(fitted["beta"] + fitted["gamma"])) / fitted["alpha_bounds"][0]
+        assert report["nu_F_lower"] == pytest.approx(bound, rel=1e-12)
+
+
+class TestStageHandler:
+    """Every command ends a failure in FAIL [<command>] with exit 1, never in a traceback."""
+
+    def test_arithmetic_out_of_the_float_range_fails(self, tmp_path):
+        doc = {"grid": {"M": 8}, "spec": {"weight": 1e300, "perturbation": {"kind": "scaled_sine", "amplitude": 0.3}}}
+        result = TestConfigPaths.invoke(tmp_path, "solve", doc)
+        assert result.exit_code == 1, result.output
+        assert "FAIL [solve]" in result.output and "float range" in result.output
+
+    @pytest.mark.parametrize("command", ["certify", "solve-linear", "solve", "solve-stability", "study"])
+    def test_a_config_that_is_a_directory_or_an_output_that_is_a_file_fails(self, tmp_path, command):
+        (tmp_path / "cfg.json").write_text("{}")
+        for config, out in ((tmp_path, tmp_path / "out"), (tmp_path / "cfg.json", tmp_path / "cfg.json")):
+            args = [command, "--config", str(config), "--out-dir", str(out)] + (["--m-list", "8"] if command == "study" else [])
+            result = CliRunner().invoke(main, args)
+            assert result.exit_code == 1, result.output
+            assert f"FAIL [{command}]" in result.output
+
+    def test_example_suite_refuses_a_negative_seed(self):
+        result = CliRunner().invoke(main, ["example-suite", "--seed", "-1"])
+        assert result.exit_code == 1, result.output
+        assert "FAIL [example-suite]" in result.output
