@@ -17,22 +17,29 @@ lives in :meth:`IterationTrace.advance`, which the stability loop of
 
 The iterate is kept as half-spectrum coefficients of the (tensor, grid)
 :class:`~nearelliptic.linear.SpectralPlan`.  One iteration costs one rfftn of
-alpha (F - f), one multiply each for the solve and the operator, and one
-irfftn of the n(n+1)/2 distinct hessian components; the metric d is taken by
-Plancherel, and u is transformed back only on exit.  F is evaluated on that
-packed hessian (:class:`~nearelliptic.fields.HessianPairs`), so the n^2
-hessian is never built and no off-diagonal component is evaluated twice.
+alpha (F - f), one multiply each for the solve and the operator, and the
+inverse transform of the n(n+1)/2 distinct hessian components, made in the
+work buffer (:meth:`~nearelliptic.fields.HalfSpectrum.hessian_pairs`); the
+metric d and the residual are one ``vdot`` each, d by Plancherel, and u is
+transformed back only on exit.  F is evaluated on that packed hessian
+(:class:`~nearelliptic.fields.HessianPairs`), so the n^2 hessian is never
+built and no off-diagonal component is evaluated twice.
+
+Cold start.  Without an initial guess the iteration starts at u = 0, whose
+hessian is 0: A : 0 = 0 and G does not depend on x, so F(x, 0) = G(0) at
+every point.  F is evaluated once, at one zero packed point, and broadcast;
+no hessian is built or transformed and F is not evaluated over the grid.
+The iterates are those of a start from :func:`zero_field`, bit for bit.
 
 Memory.  The largest array, the complex hessian product (N, n(n+1)/2) +
-half shape, is one work buffer per solve, allocated before the loop and
-reused by every irfftn (:meth:`~nearelliptic.fields.HalfSpectrum.hessian_pairs`).
-One iteration allocates the packed real hessian (N, n(n+1)/2, M, ..., M)
-that the irfftn returns and F reads, plus arrays of the size of one field:
-alpha (F - f) and its coefficients, the right-hand side, the new
+half shape, is one work buffer per solve, allocated before the loop; every
+hessian is transformed in it in place, with no complex intermediate.  One
+iteration allocates the packed real hessian (N, n(n+1)/2, M, ..., M) that
+the last-axis ``irfft`` returns and F reads, plus arrays of the size of one
+field: alpha (F - f) and its coefficients, the right-hand side, the new
 coefficients, their operator image and its step, F, F - f, and the
-temporaries of evaluating F and of the norms.  F - f is formed once per
-iteration: its norm is the residual, and it is the right-hand side of the
-next step.
+temporaries of evaluating F.  F - f is formed once per iteration: its norm
+is the residual, and it is the right-hand side of the next step.
 """
 
 from __future__ import annotations
@@ -169,8 +176,9 @@ def campanato_solve(
     ``alpha`` is the scaling of the certificate (constant or a positive grid
     field); a constant that differs from the certificate's own ``alpha`` by
     more than 1e-12 relative is an InputError.  Every iterate carries the
-    zero-mean gauge inherited from the linear solver.  Returns the final
-    field and the full trace.
+    zero-mean gauge inherited from the linear solver.  Without
+    ``initial_guess`` it starts from zero, F(., 0) taken at one point (see
+    the module notes).  Returns the final field and the full trace.
     """
     certificate.require_feasible()
     own = certificate.alpha
@@ -191,14 +199,16 @@ def campanato_solve(
     work = half.work_buffer()
     if initial_guess is None:
         uhat = np.zeros((g.N,) + half.shape, dtype=complex)
-        hess = HessianPairs(g, np.zeros((g.N, g.n * (g.n + 1) // 2) + g.shape))
+        # A : 0 = 0 and G does not depend on x, so F(x, 0) = G(0) at every point
+        weight = np.ravel(spec.grid_weight(g))[:1]
+        F = evaluate_pairs(spec, np.zeros((g.N, len(half.hessian), 1)), weight).reshape((g.N,) + (1,) * g.n)
     else:
         uhat = half.coefficients(initial_guess)
-        hess = half.hessian_pairs(uhat, work)
+        F = evaluate_field(spec, half.hessian_pairs(uhat, work)).data
     op_prev = plan.apply(uhat)
     # F - f of the current iterate: its norm is the residual of one step and
     # it is the right-hand side of the next
-    misfit = evaluate_field(spec, hess) - f_phys
+    misfit = VectorField(g, F - f_phys.data, PHYSICAL)
 
     trace = IterationTrace()
     for _ in range(config.max_iters):

@@ -31,12 +31,14 @@ and weights, and the n(n+1)/2 distinct hessian multipliers;
 hessians of one grid gives :meth:`HalfSpectrum.hessian_pairs` one work
 buffer (:meth:`HalfSpectrum.work_buffer`, complex (N, n(n+1)/2) + shape):
 each call overwrites it with the product of the coefficients and the
-multipliers and transforms it from there, so the loop allocates that
-product once, not once per hessian.  The buffer is the only array a call
-overwrites; the caller's coefficients and the inputs of ``forward`` and
-``inverse`` are left as they were.  (The irfftn still allocates its own
-complex intermediate: ``scipy.fft``'s multi-axis inverse real transform
-does not transform in place.)
+multipliers, transforms its leading axes in place, one ``ifft`` per axis,
+and makes one ``irfft`` of the last axis from there, so the loop allocates
+that product once, not once per hessian, and no complex intermediate
+(``scipy.fft``'s multi-axis ``irfftn`` would allocate one as large as the
+buffer).  The steps are those of ``irfftn``, and the result is the same
+bit for bit.  The buffer is the only array a call overwrites; the caller's
+coefficients and the inputs of ``forward`` and ``inverse`` are left as
+they were.
 
 Every hessian multiplier, here and in the linear solver's plan, comes from
 the one frequency table :func:`hessian_multipliers`.
@@ -393,7 +395,7 @@ class HalfSpectrum:
         return scipy.fft.rfftn(data, axes=self.axes, norm="forward")
 
     def inverse(self, coef: np.ndarray) -> np.ndarray:
-        """Real data (..., M, ..., M) of half-spectrum coefficients."""
+        """Real data (..., M, ..., M) of half-spectrum coefficients, by ``irfftn``, which leaves them as they were."""
         return scipy.fft.irfftn(coef, s=self.grid.shape, axes=self.axes, norm="forward")
 
     def coefficients(self, u: VectorField) -> np.ndarray:
@@ -401,9 +403,20 @@ class HalfSpectrum:
         return self.forward(u.to_physical().data)
 
     def norm(self, coef: np.ndarray) -> float:
-        """L2 norm of the real field with these coefficients (Plancherel)."""
-        power = self.weights * (coef.real**2 + coef.imag**2)
-        return float(np.sqrt(self.grid.volume * power.sum()))
+        """L2 norm of the real field with these coefficients (Plancherel).
+
+        Twice the power of every coefficient, less that of the two weight-1
+        planes k_n = 0 and k_n = M/2: one ``vdot`` over the whole spectrum.
+        A power past the float range is summed again elementwise, where
+        numpy's floating-point error state sees the overflow.
+        """
+        total = np.vdot(coef, coef).real
+        if np.isfinite(total):
+            ends = coef[..., :: self.grid.M // 2]
+            power = 2.0 * total - np.vdot(ends, ends).real
+        else:
+            power = (self.weights * (coef.real**2 + coef.imag**2)).sum()
+        return float(np.sqrt(self.grid.volume * power))
 
     def work_buffer(self) -> np.ndarray:
         """A fresh complex (N, n(n+1)/2) + shape buffer for :meth:`hessian_pairs`."""
@@ -412,13 +425,15 @@ class HalfSpectrum:
     def hessian_pairs(self, coef: np.ndarray, work: np.ndarray | None = None) -> HessianPairs:
         """Packed physical hessian of the field with coefficients (N,) + shape.
 
-        One irfftn of the n(n+1)/2 distinct components, in packed order; the
-        (j, i) components are neither transformed nor stored.  The product of
-        ``coef`` and the multipliers is written into ``work``, a buffer from
-        :meth:`work_buffer` (a fresh one when none is given), and transformed
-        from there, so a loop that passes the same buffer on every call
-        allocates no product.  The buffer is the only array written; ``coef``
-        is not.
+        The inverse transform of the n(n+1)/2 distinct components, in packed
+        order; the (j, i) components are neither transformed nor stored.  The
+        product of ``coef`` and the multipliers is written into ``work``, a
+        buffer from :meth:`work_buffer` (a fresh one when none is given); its
+        leading grid axes are transformed there in place, one ``ifft`` per
+        axis, and one ``irfft`` of the last axis gives the real hessian.  This
+        is ``irfftn(work)`` bit for bit, without its complex intermediate, so
+        a loop that passes the same buffer on every call allocates only the
+        real result.  The buffer is the only array written; ``coef`` is not.
         """
         if work is None:
             work = self.work_buffer()
@@ -426,7 +441,9 @@ class HalfSpectrum:
         if work.shape != expected or work.dtype != complex:
             raise InputError(f"hessian work buffer must be complex {expected}, got {work.dtype} {work.shape}")
         np.multiply(coef[:, None], self.hessian, out=work)
-        return HessianPairs(self.grid, self.inverse(work))
+        for axis in self.axes[:-1]:
+            work = scipy.fft.ifft(work, axis=axis, norm="forward", overwrite_x=True)
+        return HessianPairs(self.grid, scipy.fft.irfft(work, n=self.grid.M, axis=-1, norm="forward"))
 
 
 def _hermitian_half(full: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -478,10 +495,11 @@ def spectral_hessian(u: VectorField, representation: str = PHYSICAL) -> HessianF
 
     Component (alpha, i, j) has coefficients c_alpha(k) (2 pi i k_i / L)
     (2 pi i k_j / L).  A physical output takes the real path: one rfftn of the
-    physical ``u`` and one irfftn of the n(n+1)/2 distinct components, with
-    the hermitian multipliers of :class:`HalfSpectrum`.  A spectral output is
-    the full complex product, whose physical form is the real part and agrees
-    with the real path.
+    physical ``u`` and the inverse transform of the n(n+1)/2 distinct
+    components (:meth:`HalfSpectrum.hessian_pairs`), with the hermitian
+    multipliers of :class:`HalfSpectrum`.  A spectral output is the full
+    complex product, whose physical form is the real part and agrees with the
+    real path.
     """
     g = u.grid
     if representation == PHYSICAL:
@@ -502,11 +520,16 @@ def apply_gradient(u: VectorField) -> np.ndarray:
 
 
 def l2_norm(field) -> float:
-    """Discrete L2 norm; identical value in either representation (Plancherel)."""
+    """Discrete L2 norm; identical value in either representation (Plancherel).
+
+    The power is one ``vdot``; past the float range it is summed again
+    elementwise, where numpy's floating-point error state sees the overflow.
+    """
     g = field.grid
-    if field.is_physical():
-        return float(np.sqrt(g.cell_volume * (field.data**2).sum()))
-    return float(np.sqrt(g.volume * (np.abs(field.data) ** 2).sum()))
+    power = np.vdot(field.data, field.data).real
+    if not np.isfinite(power):
+        power = (np.abs(field.data) ** 2).sum()
+    return float(np.sqrt((g.cell_volume if field.is_physical() else g.volume) * power))
 
 
 def lp_norm(values: np.ndarray, grid: GridSpec, p: float, component_axes: int) -> float:

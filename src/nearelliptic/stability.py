@@ -22,8 +22,9 @@ or the code, is wrong.
 
 The admission runs on the half spectrum: :func:`empirical_nu_F` draws only
 the band of its band-limited fields, from one generator, and takes their
-packed hessians with one irfftn each, so it makes no full complex
-transform, no forward transform and no n^2 hessian.
+packed hessians by one inverse real transform each, made in place in one
+work buffer, so it makes no full complex transform, no forward transform
+and no n^2 hessian.
 """
 
 from __future__ import annotations
@@ -125,8 +126,9 @@ def empirical_nu_F(spec: NonlinearitySpec, grid: GridSpec) -> float:
     fields forming a pair, drawn by one generator at seed 11 with the law of
     :func:`~nearelliptic.fields.band_limited_coefficients` but only over the
     band (``fields._band_half_spectra``).  Each field goes from its
-    half-spectrum coefficients straight to the packed hessian (one irfftn of
-    its n(n+1)/2 distinct components, into one shared work buffer), and F
+    half-spectrum coefficients straight to the packed hessian (the inverse
+    transform of its n(n+1)/2 distinct components, made in one shared work
+    buffer: :meth:`~nearelliptic.fields.HalfSpectrum.hessian_pairs`), and F
     and both norms are taken on those slots as in ``verify_comparison``; no
     field is transformed to physical space first and no n^2 hessian is
     built.  Nothing is cached: every call draws and evaluates afresh.

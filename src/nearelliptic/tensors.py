@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import fields
 from .errors import DegenerateSymbolError, EstimateBreachError, InputError, finite_number
 from .fields import HessianPairs
 
@@ -417,6 +418,16 @@ class EllipticityConstant:
     resolution: str
 
 
+def _direction_count(n: int, samples: int) -> int:
+    """The number of directions in :func:`_sphere_directions`, without building them."""
+    if n == 2:
+        return samples
+    if n == 3:
+        n_theta = max(8, int(np.sqrt(samples / 4.0)))
+        return (n_theta - 1) * 4 * n_theta + 1
+    return 2 ** int(np.ceil(np.log2(max(samples, 16))))
+
+
 @lru_cache(maxsize=DIRECTION_CACHE_SIZE)
 def _sphere_directions(n: int, samples: int) -> np.ndarray:
     """Unit directions covering the sphere, one per column of a read-only (n, K) table.
@@ -442,8 +453,7 @@ def _sphere_directions(n: int, samples: int) -> np.ndarray:
         # the theta = 0 row collapses to the pole; keep one copy
         dirs = np.delete(dirs, np.s_[1:n_phi], axis=1)
     else:
-        m = int(np.ceil(np.log2(max(samples, 16))))
-        pts = np.ascontiguousarray(np.random.default_rng(7).standard_normal((2**m, n)).T)
+        pts = np.ascontiguousarray(np.random.default_rng(7).standard_normal((_direction_count(n, samples), n)).T)
         dirs = pts / np.linalg.norm(pts, axis=0)
     dirs.setflags(write=False)
     return dirs
@@ -486,7 +496,20 @@ def ellipticity_constant(A: SymTensor4, search: SphereSearchConfig = SphereSearc
 
 
 def _sphere_search(A: SymTensor4, search: SphereSearchConfig):
-    """nu(A), with the packed symbols (N(N+1)/2, K) and their smallest eigenvalues at the sampled directions."""
+    """nu(A), with the packed symbols (N(N+1)/2, K) and their smallest eigenvalues at the sampled directions.
+
+    The packed stack and its unpacked (K, N, N) form, the stack of
+    ``eigvalsh`` and of the determinant check, must fit in the memory budget
+    of a grid, ``fields._DEFAULT_BUDGET``; a search past it is refused
+    before it allocates anything.
+    """
+    count = _direction_count(A.n, search.samples)
+    stacks = 8 * count * (A.N * (A.N + 1) // 2 + A.N**2)
+    if stacks > fields._DEFAULT_BUDGET:
+        raise InputError(
+            f"the nu search over {count} directions stacks {stacks} bytes of N={A.N} symbols, "
+            f"over the memory budget {fields._DEFAULT_BUDGET} bytes"
+        )
     table = _sphere_directions(A.n, search.samples)
     matrix = packed_symbol_matrix(A.entries)
     packed = matrix @ direction_products(table)

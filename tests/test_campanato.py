@@ -9,6 +9,7 @@ from nearelliptic import (
     EllipticityCertificate,
     GridSpec,
     NonlinearitySpec,
+    CustomPerturbation,
     SinePerturbation,
     SolveConfig,
     apply_operator,
@@ -23,6 +24,7 @@ from nearelliptic import (
     uniqueness_constant,
     verify_comparison,
 )
+import nearelliptic.campanato as campanato_module
 from nearelliptic.campanato import IterationTrace, zero_field
 from nearelliptic.errors import DivergenceError, InputError
 from nearelliptic.fields import PHYSICAL, HalfSpectrum, VectorField
@@ -92,6 +94,53 @@ class TestCampanatoSolve:
         d = l2_norm(apply_operator(identity22, u_a - u_b))
         assert d <= 10 * tol_abs
 
+    @staticmethod
+    def cold_start_cases(grid):
+        A = identity_tensor(grid.n, grid.N)
+        weight = 1.0 + 0.5 * np.random.default_rng(41).random(grid.shape)
+        hook = CustomPerturbation(
+            fn=lambda X: 1e-15 + 0.1 * np.sin(X).sum(axis=(-2, -1)), lipschitz=0.2, name="offset-sine"
+        )
+        # (spec, alpha, scale of the right-hand side); on the last, f is small enough
+        # that G(0) shows in the bits of alpha (F(., 0) - f), and the solve stalls at round-off
+        return {
+            "sine": (sine_spec(A, 0.4), 1.0, 1.0),
+            "weight_field": (
+                NonlinearitySpec(tensor=A, weight=weight, perturbation=SinePerturbation(0.3)), 1.0 / weight, 1.0
+            ),
+            "offset_hook": (NonlinearitySpec(tensor=A, perturbation=hook), 1.0, 1.0),
+            "offset_hook_small_rhs": (NonlinearitySpec(tensor=A, weight=weight, perturbation=hook), 1.0 / weight, 1e-3),
+        }
+
+    @pytest.mark.parametrize("case", ["sine", "weight_field", "offset_hook", "offset_hook_small_rhs"])
+    def test_a_cold_start_is_a_start_from_zero_bit_for_bit(self, monkeypatch, case):
+        grid = GridSpec(n=2, N=2, M=16)
+        spec, alpha, scale = self.cold_start_cases(grid)[case]
+        cert = example1_certificate(spec, nu=1.0)
+        f = manufactured(spec, grid, band=3, seed=21)[1] * scale
+        u_zero, trace_zero = campanato_solve(spec, alpha, f, cert, initial_guess=zero_field(grid))
+        points = []
+        evaluate_pairs = campanato_module.evaluate_pairs
+
+        def record(spec, X, weight):
+            points.append(X.shape[-1])
+            return evaluate_pairs(spec, X, weight)
+
+        monkeypatch.setattr(campanato_module, "evaluate_pairs", record)
+        u, trace = campanato_solve(spec, alpha, f, cert)
+        assert trace.status == trace_zero.status == ("converged" if scale == 1.0 else "max_iters")
+        assert u.data.tobytes() == u_zero.data.tobytes()
+        assert trace.to_csv() == trace_zero.to_csv()
+        # F(., 0) is taken at one point, not over the grid
+        assert points == [1]
+
+    def test_a_cold_start_checks_the_weight_field_against_the_grid(self):
+        spec = self.cold_start_cases(GridSpec(n=2, N=2, M=16))["weight_field"][0]
+        grid = GridSpec(n=2, N=2, M=8)
+        _, f = manufactured(sine_spec(identity_tensor(2, 2), 0.3), grid, band=2, seed=22)
+        with pytest.raises(InputError, match="weight field has shape"):
+            campanato_solve(spec, 1.0, f, fake_certificate())
+
     def test_gauge_preserved(self, grid32, identity22):
         spec = sine_spec(identity22, 0.3)
         cert = example1_certificate(spec, nu=1.0)
@@ -154,19 +203,23 @@ class TestCampanatoSolve:
         cert = example1_certificate(spec, nu=1.0)
         _, f = manufactured(spec, grid, band=2, seed=8)
         plan = spectral_plan(spec.tensor, grid)
+        # the inputs of the transforms made inside each hessian_pairs call, one list per call
         transformed, coefs, fields = [], [], []
         in_hessian = []
-        irfftn = fields_module.scipy.fft.irfftn
         hessian_pairs = HalfSpectrum.hessian_pairs
         post_init = VectorField.__post_init__
 
-        def record_irfftn(x, *args, **kwargs):
-            if in_hessian:
-                transformed.append(x)
-            return irfftn(x, *args, **kwargs)
+        def recording(transform):
+            def record(x, *args, **kwargs):
+                if in_hessian:
+                    transformed[-1].append((transform.__name__, x))
+                return transform(x, *args, **kwargs)
+
+            return record
 
         def record_hessian_pairs(self, coef, *args, **kwargs):
             coefs.append(coef)
+            transformed.append([])
             in_hessian.append(True)
             try:
                 return hessian_pairs(self, coef, *args, **kwargs)
@@ -177,15 +230,19 @@ class TestCampanatoSolve:
             post_init(self)
             fields.append(self.data)
 
-        monkeypatch.setattr(fields_module.scipy.fft, "irfftn", record_irfftn)
+        for name in ("ifft", "irfft", "irfftn"):
+            monkeypatch.setattr(fields_module.scipy.fft, name, recording(getattr(fields_module.scipy.fft, name)))
         monkeypatch.setattr(HalfSpectrum, "hessian_pairs", record_hessian_pairs)
         monkeypatch.setattr(VectorField, "__post_init__", record_field)
         u, trace = campanato_solve(spec, 1.0, f, cert)
         assert trace.status == "converged" and trace.iterations >= 3
-        # one hessian transform per iteration, each of the one work buffer
+        # one hessian transform per iteration, each of the one work buffer: an
+        # ifft of each leading grid axis in place, then one irfft of the last
         assert len(transformed) == len(coefs) == trace.iterations
-        work = transformed[0]
-        assert all(x.__array_interface__["data"][0] == work.__array_interface__["data"][0] for x in transformed)
+        assert all([name for name, _ in calls] == ["ifft"] * (grid.n - 1) + ["irfft"] for calls in transformed)
+        work = transformed[0][0][1]
+        address = work.__array_interface__["data"][0]
+        assert all(x.__array_interface__["data"][0] == address for calls in transformed for _, x in calls)
         half = plan.half
         shared = [f.data, u.data, half.zsq, half.gauge, half.weights, half.hessian, plan.solve, plan.operator]
         for arr in shared + coefs + fields:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -285,6 +286,49 @@ class TestNorms:
         report = w22star_norms(u)
         surrogates = (report.u_l2starstar_surrogate or 0.0) + (report.grad_l2star_surrogate or 0.0)
         assert report.w22star - surrogates == pytest.approx(hess_l2, rel=1e-12)
+
+    @staticmethod
+    def plancherel(grid, coef):
+        """sqrt(L^n sum w |c|^2) over the half spectrum, weight 1 on k_n = 0 and M/2, 2 elsewhere."""
+        weights = np.full(coef.shape[-1], 2.0)
+        weights[0] = weights[-1] = 1.0
+        return math.sqrt(grid.volume * (weights * np.abs(coef) ** 2).sum())
+
+    @pytest.mark.parametrize("n, M", [(2, 16), (3, 8)])
+    @pytest.mark.parametrize("planes_only", [False, True])
+    def test_one_pass_norms_are_the_weighted_plancherel_sum(self, n, M, planes_only):
+        grid = GridSpec(n=n, N=2, M=M, L=0.7)
+        rng = np.random.default_rng(23)
+        half = half_spectrum(grid)
+        if planes_only:
+            # a + (-1)^j b along the last axis: power on k_n = 0 and k_n = M/2 only
+            edge = grid.shape[:-1] + (1,)
+            data = rng.standard_normal((2,) + edge) + rng.standard_normal((2,) + edge) * (-1.0) ** np.arange(M)
+        else:
+            data = rng.standard_normal((2,) + grid.shape)
+        coef = half.forward(data)
+        if planes_only:
+            assert np.abs(coef[..., 1:-1]).max() <= 1e-15 * np.abs(coef).max()
+        expected = self.plancherel(grid, coef)
+        u = VectorField(grid, data, PHYSICAL)
+        for value in (half.norm(coef), l2_norm(u), l2_norm(u.to_spectral())):
+            assert value == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("n, M", [(2, 16), (3, 8)])
+    def test_one_pass_norms_of_zero_are_zero(self, n, M):
+        grid = GridSpec(n=n, N=2, M=M)
+        half = half_spectrum(grid)
+        u = VectorField(grid, np.zeros((2,) + grid.shape), PHYSICAL)
+        assert half.norm(half.coefficients(u)) == 0.0
+        assert l2_norm(u) == 0.0 and l2_norm(u.to_spectral()) == 0.0
+
+    def test_a_power_past_the_float_range_still_overflows(self):
+        grid = GridSpec(n=2, N=2, M=8)
+        half = half_spectrum(grid)
+        u = VectorField(grid, np.full((2,) + grid.shape, 1e200), PHYSICAL)
+        for norm in (lambda: l2_norm(u), lambda: l2_norm(u.to_spectral()), lambda: half.norm(half.coefficients(u))):
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                norm()
 
     def test_high_dimension_surrogates(self):
         grid = GridSpec(n=5, N=2, M=6)
@@ -614,6 +658,16 @@ class TestHessianPairs:
             assert coef.tobytes() == kept.tobytes()
             half.inverse(coef)
             assert coef.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("n, M", [(2, 16), (2, 64), (3, 8), (3, 32), (4, 8)])
+    def test_the_in_place_transform_is_irfftn_bit_for_bit(self, n, M):
+        grid = GridSpec(n=n, N=2, M=M)
+        half = half_spectrum(grid)
+        coef = half.coefficients(random_band_limited(grid, M // 4, seed=24))
+        kept = coef.copy()
+        expected = scipy.fft.irfftn(coef[:, None] * half.hessian, s=grid.shape, axes=half.axes, norm="forward")
+        assert half.hessian_pairs(coef).data.tobytes() == expected.tobytes()
+        assert coef.tobytes() == kept.tobytes()
 
     def test_a_work_buffer_of_the_wrong_shape_or_dtype_is_an_input_error(self):
         grid = GridSpec(n=2, N=2, M=16)

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 import nearelliptic.cli as cli
+import nearelliptic.fields as fields_module
 from nearelliptic.certify import EllipticityCertificate
 from nearelliptic.cli import main
 from nearelliptic.errors import InputError, report_json
@@ -559,6 +560,12 @@ class TestStageHandler:
         result = TestConfigPaths.invoke(tmp_path, "solve", doc)
         assert result.exit_code == 1, result.output
         assert "FAIL [solve]" in result.output and "float range" in result.output
+
+    def test_a_nu_search_past_the_memory_budget_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fields_module, "_DEFAULT_BUDGET", 1024**2)
+        result = TestConfigPaths.invoke(tmp_path, "solve", {"grid": {"M": 8, "N": 16}})
+        assert result.exit_code == 1, result.output
+        assert "FAIL [solve]" in result.output and "memory budget" in result.output
 
     @pytest.mark.parametrize("command", ["certify", "solve-linear", "solve", "solve-stability", "study"])
     def test_a_config_that_is_a_directory_or_an_output_that_is_a_file_fails(self, tmp_path, command):

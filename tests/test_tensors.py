@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from nearelliptic import (
     symbol_inverse,
     symbol_matrix,
 )
-from nearelliptic import tensors
+from nearelliptic import fields, tensors
 from nearelliptic.errors import DegenerateSymbolError, InputError
 from nearelliptic.tensors import (
     POLISH_MAX_STEPS,
@@ -424,6 +425,36 @@ class TestSphereSearchCost:
         cert = ellipticity_constant(identity_tensor(2, 2), SphereSearchConfig(samples=1))
         assert cert.nu == pytest.approx(1.0, abs=1e-12)
 
+
+    @pytest.mark.parametrize("n, samples", [(2, 1), (2, 3001), (3, 1), (3, 3001), (3, 20000), (4, 1), (4, 3001)])
+    def test_direction_count_is_the_size_of_the_table(self, n, samples):
+        assert tensors._direction_count(n, samples) == tensors._sphere_directions(n, samples).shape[1]
+
+    def test_search_stacks_exactly_the_counted_bytes(self, monkeypatch):
+        A = identity_tensor(2, 3)
+        count = tensors._direction_count(2, SphereSearchConfig().samples)
+        _, packed, _ = _sphere_search(A, SphereSearchConfig())
+        stacks = packed.nbytes + unpack_symbols(packed, A.N).nbytes
+        assert stacks == 8 * count * (6 + 9)
+        monkeypatch.setattr(fields, "_DEFAULT_BUDGET", stacks)
+        assert ellipticity_constant(A).nu == pytest.approx(1.0, abs=1e-12)
+        monkeypatch.setattr(fields, "_DEFAULT_BUDGET", stacks - 1)
+        with pytest.raises(InputError, match="memory budget"):
+            ellipticity_constant(A)
+
+    def test_search_past_the_budget_is_refused_before_it_allocates(self, monkeypatch):
+        # at N = 16 the stacks need 63 MB; a guard that let them through would cost 41 MB for eigvalsh
+        monkeypatch.setattr(fields, "_DEFAULT_BUDGET", 1024**2)
+        A = identity_tensor(2, 16)
+        tracemalloc.start()
+        try:
+            for search in (ellipticity_constant, check_rank_one_positive):
+                with pytest.raises(InputError, match="memory budget"):
+                    search(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
 class TestSymbolInverse:
     def test_identity(self, identity22):
