@@ -25,11 +25,22 @@ c(-k) = conj(c(k)), so they keep only the ``rfftn`` half spectrum: the last
 axis holds k_n = 0, ..., M/2 (shape (M, ..., M, M/2 + 1)).  Norms follow
 from Plancherel with weight 1 on the k_n = 0 and k_n = M/2 planes, whose
 conjugate partners lie in the half spectrum, and weight 2 elsewhere.
-:class:`HalfSpectrum` holds this layout for one grid, its |z|^2, gauge mask
-and weights, and the n(n+1)/2 distinct hessian multipliers;
-:func:`half_spectrum` memoizes it.  A loop that takes many
-hessians of one grid gives :meth:`HalfSpectrum.hessian_pairs` one work
-buffer (:meth:`HalfSpectrum.work_buffer`, complex (N, n(n+1)/2) + shape):
+:class:`HalfSpectrum` holds this layout for one grid, its |z|^2 and
+4 pi^2 |z|^2, its weights, and the n(n+1)/2 distinct hessian multipliers;
+:func:`half_spectrum` memoizes it.
+
+:meth:`HalfSpectrum.coefficients` returns read-only coefficients.  A field
+asked for twice keeps them: the second request transforms the field and
+stores the result on it, and every later request returns that array with
+no transform.  The first request keeps nothing, so a field transformed once
+costs no memory, and a reused field costs about one more copy of its data
+(the complex half spectrum).  Only a field whose ``data`` owns its memory
+keeps its spectrum: a field built on a view may alias a buffer that its
+caller can still write.
+
+A loop that takes many hessians of one grid gives
+:meth:`HalfSpectrum.hessian_pairs` one work buffer
+(:meth:`HalfSpectrum.work_buffer`, complex (N, n(n+1)/2) + shape):
 each call overwrites it with the product of the coefficients and the
 multipliers, transforms its leading axes in place, one ``ifft`` per axis,
 and makes one ``irfft`` of the last axis from there, so the loop allocates
@@ -364,6 +375,9 @@ class HessianPairs:
 
 HALF_SPECTRUM_CACHE_SIZE = 4
 
+# the attribute of a VectorField that holds its kept half spectrum (None after one request)
+_KEPT_SPECTRUM = "_half_spectrum"
+
 
 @dataclass(frozen=True, eq=False)
 class HalfSpectrum:
@@ -371,14 +385,17 @@ class HalfSpectrum:
 
     Arrays are read-only and shaped ``shape`` = (M, ..., M, M/2 + 1), except
     ``hessian``, which stacks the multipliers of the n(n+1)/2 distinct pairs
-    (i, j), i <= j, in the slot order of :class:`HessianPairs`.  Coefficients of
-    an (N,)-component field have shape (N,) + shape.
+    (i, j), i <= j, in the slot order of :class:`HessianPairs`.  ``laplacian``
+    is 4 pi^2 |z|^2, the symbol of -Delta and the Frobenius norm of the
+    hessian multiplier at each frequency.  The gauge mode k = 0 is flat
+    index 0.  Coefficients of an (N,)-component field have shape (N,) +
+    shape.
     """
 
     grid: GridSpec
     shape: tuple[int, ...]
     zsq: np.ndarray
-    gauge: np.ndarray
+    laplacian: np.ndarray
     weights: np.ndarray
     hessian: np.ndarray
 
@@ -399,8 +416,24 @@ class HalfSpectrum:
         return scipy.fft.irfftn(coef, s=self.grid.shape, axes=self.axes, norm="forward")
 
     def coefficients(self, u: VectorField) -> np.ndarray:
-        """Half-spectrum coefficients of a field in either representation."""
-        return self.forward(u.to_physical().data)
+        """Read-only half-spectrum coefficients of a field of this grid, in either representation.
+
+        From the second request for the same field on, the coefficients are
+        kept on the field, so later requests make no transform; the first
+        keeps nothing.  A field whose ``data`` does not own its memory (a
+        view, whose base its caller may still write) keeps nothing ever.
+        """
+        if u.grid != self.grid:
+            raise InputError(f"field grid {u.grid} does not match the half spectrum's grid {self.grid}")
+        kept = vars(u).get(_KEPT_SPECTRUM)
+        if kept is not None:
+            return kept
+        coef = self.forward(u.to_physical().data)
+        coef.setflags(write=False)
+        if u.data.flags.owndata:
+            # the first request leaves a mark (None), the second keeps the coefficients
+            object.__setattr__(u, _KEPT_SPECTRUM, coef if _KEPT_SPECTRUM in vars(u) else None)
+        return coef
 
     def norm(self, coef: np.ndarray) -> float:
         """L2 norm of the real field with these coefficients (Plancherel).
@@ -470,10 +503,10 @@ def half_spectrum(grid: GridSpec) -> HalfSpectrum:
     weights = np.full(shape, 2.0)
     weights[..., 0] = weights[..., M // 2] = 1.0
     zsq = np.ascontiguousarray(grid.zsq()[..., : M // 2 + 1])
-    gauge = zsq > 0
-    for arr in (weights, zsq, gauge):
+    laplacian = 4 * np.pi**2 * zsq
+    for arr in (weights, zsq, laplacian):
         arr.setflags(write=False)
-    return HalfSpectrum(grid, shape, zsq, gauge, weights, _hermitian_half(hessian_multipliers(grid), grid))
+    return HalfSpectrum(grid, shape, zsq, laplacian, weights, _hermitian_half(hessian_multipliers(grid), grid))
 
 
 def forward_transform(u: VectorField) -> VectorField:

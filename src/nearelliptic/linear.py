@@ -31,10 +31,23 @@ when the plan is built, over every nonzero frequency in fft order, so a
 degenerate tensor raises the same error, at the same frequency, on every
 solve through the plan; applying the operator needs no inverse and works
 for any tensor.
+
+Checks.  :func:`solve_linear` checks the u it returns on the half
+spectrum, in place: it forms A : D^2 u - f once, zeroes its k = 0 entry
+(flat index 0 of each component) and takes the residual and, for the exact
+solve, the multiplier-identity error from that one array; the
+eps-regularized solve measures its identity against h(z)|z|^2 f^ instead.
+The hessian norms of both :func:`solve_linear` and
+:func:`hessian_estimate_check` weigh the coefficients by the half
+spectrum's 4 pi^2 |z|^2 table, built once per grid.  The field being
+checked is usually asked for its coefficients more than once (operator,
+solve, estimate), and from the second request on it keeps them (see
+:meth:`~nearelliptic.fields.HalfSpectrum.coefficients`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,6 +64,28 @@ PLAN_CACHE_SIZE = 8
 def _check_dims(A: SymTensor4, grid: GridSpec) -> None:
     if (A.N, A.n) != (grid.N, grid.n):
         raise InputError(f"tensor (N={A.N}, n={A.n}) does not match grid (N={grid.N}, n={grid.n})")
+
+
+def _require_positive(value: float, what: str) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise InputError(f"{what} must be finite and positive, got {value}")
+
+
+def _certified_nu(A: SymTensor4, nu: float | None) -> float:
+    """``nu`` as passed, which must be finite and positive, or nu(A) searched now, which must be positive."""
+    if nu is not None:
+        _require_positive(nu, "nu")
+        return nu
+    nu = ellipticity_constant(A).nu
+    if nu <= 0:
+        raise InputError(f"tensor is not rank-one positive: nu = {nu}")
+    return nu
+
+
+def _zero_gauge(coef: np.ndarray) -> np.ndarray:
+    """``coef`` (N,) + half shape with its k = 0 entry, flat index 0 of each component, set to zero in place."""
+    coef.reshape(coef.shape[0], -1)[:, 0] = 0.0
+    return coef
 
 
 def _matvec(m: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -176,17 +211,14 @@ def solve_linear(
     ``dropped_mean`` (with a warning flag when it exceeds MEAN_TOLERANCE
     ``||f||``); the solution is returned with zero mean.  ``nu`` may be
     passed to skip the ellipticity search when the caller already certified
-    the tensor.
+    the tensor; it must be finite and positive, as must ``epsilon``.
     """
     g = f.grid
     _check_dims(A, g)
-    if epsilon is not None and epsilon <= 0:
-        raise InputError(f"regularization epsilon must be positive, got {epsilon}")
+    if epsilon is not None:
+        _require_positive(epsilon, "regularization epsilon")
     f.require_finite("right-hand side")
-    if nu is None:
-        nu = ellipticity_constant(A).nu
-        if nu <= 0:
-            raise InputError(f"tensor is not rank-one positive: nu = {nu}")
+    nu = _certified_nu(A, nu)
 
     plan = spectral_plan(A, g)
     half = plan.half
@@ -197,10 +229,8 @@ def solve_linear(
         np.linalg.norm(dropped) > MEAN_TOLERANCE * max(fnorm, np.finfo(float).tiny)
     )
 
-    gauge = half.gauge
     uhat = plan.invert(fhat)
     if epsilon is None:
-        multiplier = gauge.astype(float)
         regularization = "exact"
     else:
         multiplier = half.zsq / (half.zsq + epsilon)
@@ -210,12 +240,19 @@ def solve_linear(
 
     # checks of the returned u, on the nonzero frequencies
     op_coef = plan.apply(uhat)
-    identity_error = float(np.abs(op_coef - multiplier * fhat)[:, gauge].max())
-    residual_l2 = half.norm(np.where(gauge, op_coef - fhat, 0.0))
-    hessian_l2 = half.norm(4 * np.pi**2 * half.zsq * uhat)
+    residual = _zero_gauge(op_coef - fhat)
+    if epsilon is None:
+        # the exact multiplier is 1 off k = 0, so its identity error is the residual's
+        mismatch, bounds = residual, (1.0, 1.0)
+    else:
+        mismatch = _zero_gauge(op_coef - multiplier * fhat)
+        nonzero = multiplier.reshape(-1)[1:]
+        bounds = (float(nonzero.min()), float(nonzero.max()))
+    identity_error = float(np.abs(mismatch).max())
+    residual_l2 = half.norm(residual)
+    hessian_l2 = half.norm(half.laplacian * uhat)
     operator_l2 = half.norm(op_coef)
     hessian_ratio = hessian_l2 / operator_l2 if operator_l2 > 0 else 0.0
-    bounds = multiplier[gauge]
 
     return LinearSolveResult(
         u=u,
@@ -227,7 +264,7 @@ def solve_linear(
         rhs_l2=fnorm,
         hessian_l2=hessian_l2,
         operator_l2=operator_l2,
-        multiplier_bounds=(float(bounds.min()), float(bounds.max())),
+        multiplier_bounds=bounds,
         multiplier_identity_error=identity_error,
         mean_warning=mean_warning,
     )
@@ -241,15 +278,15 @@ def hessian_estimate_check(A: SymTensor4, u: VectorField, nu: float | None = Non
     |u^(k)| summed over all n^2 components, and ||A : D^2 u|| that of the
     physical operator field.  Zero fields give 0 by convention.  A vanishing
     denominator with a nonvanishing hessian would contradict the estimate
-    and raises.
+    and raises.  A passed ``nu`` that is not finite and positive, or a
+    tensor whose searched nu is not positive, is an InputError.
     """
-    if nu is None:
-        nu = ellipticity_constant(A).nu
+    nu = _certified_nu(A, nu)
     u.require_finite("field")
     plan = spectral_plan(A, u.grid)
     half = plan.half
     coef = half.coefficients(u)
-    hnorm = half.norm(4 * np.pi**2 * half.zsq * coef)
+    hnorm = half.norm(half.laplacian * coef)
     opnorm = half.norm(plan.apply(coef))
     if opnorm == 0.0:
         if hnorm == 0.0:
@@ -267,6 +304,8 @@ def pairing_spectrum(u: VectorField, f: VectorField) -> np.ndarray:
     form scaled by 4 pi^2 |z|^2, hence is real and nonnegative mode by mode.
     """
     g = u.grid
+    if f.grid != g:
+        raise InputError("u and f must share a grid")
     uhat = u.to_spectral().data.reshape(g.N, g.points)
     fhat = f.to_spectral().data.reshape(g.N, g.points)
     mask = g.zsq().ravel() > 0

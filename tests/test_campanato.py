@@ -244,7 +244,7 @@ class TestCampanatoSolve:
         address = work.__array_interface__["data"][0]
         assert all(x.__array_interface__["data"][0] == address for calls in transformed for _, x in calls)
         half = plan.half
-        shared = [f.data, u.data, half.zsq, half.gauge, half.weights, half.hessian, plan.solve, plan.operator]
+        shared = [f.data, u.data, half.zsq, half.laplacian, half.weights, half.hessian, plan.solve, plan.operator]
         for arr in shared + coefs + fields:
             assert not np.shares_memory(work, arr)
         # a second solve on the same grid starts from a fresh buffer

@@ -688,3 +688,76 @@ class TestHessianPairs:
         grid = GridSpec(n=3, N=2, M=8)
         pairs = HessianPairs.from_hessian(spectral_hessian(random_band_limited(grid, 2, seed=17)))
         assert pairs.norm() == pytest.approx(l2_norm(pairs.to_hessian()), rel=1e-14)
+
+
+def count_forward_transforms(monkeypatch) -> list:
+    """Record every ``scipy.fft.rfftn`` call from here on; returns the list of calls."""
+    calls = []
+    rfftn = scipy.fft.rfftn
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return rfftn(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "rfftn", counted)
+    return calls
+
+
+class TestKeptHalfSpectrum:
+    @pytest.mark.parametrize("representation", [PHYSICAL, SPECTRAL])
+    def test_a_field_keeps_its_spectrum_from_the_second_request_on(self, monkeypatch, representation):
+        grid = GridSpec(n=2, N=2, M=16)
+        half = half_spectrum(grid)
+        u = random_band_limited(grid, 4, seed=30)
+        u = u if representation == PHYSICAL else u.to_spectral()
+        expected = half.forward(u.to_physical().data)
+        calls = count_forward_transforms(monkeypatch)
+        first = half.coefficients(u)
+        assert len(calls) == 1
+        second = half.coefficients(u)
+        assert len(calls) == 2
+        assert second is not first
+        for _ in range(3):
+            assert half.coefficients(u) is second
+        assert len(calls) == 2
+        for coef in (first, second):
+            assert coef.tobytes() == expected.tobytes()
+
+    def test_coefficients_are_read_only(self):
+        grid = GridSpec(n=2, N=2, M=16)
+        half = half_spectrum(grid)
+        u = random_band_limited(grid, 4, seed=31)
+        for _ in range(3):
+            coef = half.coefficients(u)
+            assert not coef.flags.writeable
+            with pytest.raises(ValueError):
+                coef[0, 1, 1] = 1.0
+
+    def test_a_field_on_a_view_keeps_nothing(self, monkeypatch):
+        grid = GridSpec(n=2, N=2, M=16)
+        half = half_spectrum(grid)
+        buffer = np.array(random_band_limited(GridSpec(n=2, N=3, M=16), 4, seed=32).data)
+        u = VectorField(grid, buffer[:2], PHYSICAL)
+        assert not u.data.flags.owndata and buffer.flags.writeable
+        calls = count_forward_transforms(monkeypatch)
+        for _ in range(3):
+            half.coefficients(u)
+        assert len(calls) == 3
+        buffer[:2] *= 2.0
+        coef = half.coefficients(u)
+        assert coef.tobytes() == half.forward(buffer[:2]).tobytes()
+
+    @pytest.mark.parametrize("other", [dict(n=2, N=2, M=8), dict(n=2, N=3, M=16), dict(n=3, N=2, M=16)])
+    def test_a_field_of_another_grid_is_an_input_error(self, other):
+        half = half_spectrum(GridSpec(n=2, N=2, M=16))
+        u = random_band_limited(GridSpec(**other), 2, seed=33)
+        for _ in range(2):
+            with pytest.raises(InputError):
+                half.coefficients(u)
+        assert "_half_spectrum" not in vars(u)
+
+    def test_the_laplacian_table_is_four_pi_squared_zsq_exactly(self):
+        for grid in (GridSpec(n=2, N=2, M=16), GridSpec(n=3, N=2, M=8, L=2.5)):
+            half = half_spectrum(grid)
+            assert half.laplacian.tobytes() == (4 * np.pi**2 * half.zsq).tobytes()
+            assert not half.laplacian.flags.writeable

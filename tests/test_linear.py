@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from nearelliptic import (
     GridSpec,
@@ -12,8 +13,8 @@ from nearelliptic import (
     spectral_hessian,
 )
 from nearelliptic.errors import DegenerateSymbolError, EstimateBreachError, InputError
-from nearelliptic.fields import PHYSICAL
-from nearelliptic.linear import pairing_spectrum
+from nearelliptic.fields import PHYSICAL, half_spectrum
+from nearelliptic.linear import MEAN_TOLERANCE, pairing_spectrum, spectral_plan
 from nearelliptic.tensors import SymTensor4, random_rank_one_positive
 
 from conftest import random_sym_tensor
@@ -160,9 +161,30 @@ class TestRegularization:
         result = solve_linear(identity22, f, epsilon=1e-3, nu=1.0)
         assert result.multiplier_identity_error <= 1e-10 * result.rhs_l2
 
-    def test_bad_epsilon(self, grid32, identity22):
-        with pytest.raises(InputError):
-            solve_linear(identity22, random_band_limited(grid32, 2, seed=12), epsilon=-1.0)
+    @pytest.mark.parametrize("epsilon", [-1.0, 0.0, np.nan, np.inf, -np.inf])
+    def test_bad_epsilon(self, grid32, identity22, epsilon):
+        with pytest.raises(InputError, match="epsilon"):
+            solve_linear(identity22, random_band_limited(grid32, 2, seed=12), epsilon=epsilon, nu=1.0)
+
+
+BAD_NU = [-1.0, 0.0, np.nan, np.inf, -np.inf]
+
+
+class TestCallerNu:
+    @pytest.mark.parametrize("nu", BAD_NU)
+    def test_solve_linear_refuses_a_nu_that_is_not_finite_and_positive(self, grid32, identity22, nu):
+        with pytest.raises(InputError, match="nu"):
+            solve_linear(identity22, random_band_limited(grid32, 2, seed=12), nu=nu)
+
+    @pytest.mark.parametrize("nu", BAD_NU)
+    def test_hessian_estimate_refuses_a_nu_that_is_not_finite_and_positive(self, grid32, identity22, nu):
+        with pytest.raises(InputError, match="nu"):
+            hessian_estimate_check(identity22, random_band_limited(grid32, 2, seed=12), nu=nu)
+
+    def test_hessian_estimate_refuses_a_tensor_that_is_not_positive(self, grid32):
+        A = SymTensor4(-np.einsum("ab,ij->abij", np.eye(2), np.eye(2)))
+        with pytest.raises(InputError, match="not rank-one positive"):
+            hessian_estimate_check(A, random_band_limited(grid32, 2, seed=9))
 
 
 class TestHessianEstimate:
@@ -202,3 +224,102 @@ class TestPairingSpectrum:
         scale = np.abs(values).max()
         assert np.abs(values.imag).max() <= 1e-9 * scale
         assert values.real.min() >= -1e-9 * scale
+
+    def test_fields_of_two_grids_are_an_input_error(self, grid32):
+        u = random_band_limited(grid32, 4, seed=14)
+        f = random_band_limited(GridSpec(n=2, N=2, M=16), 4, seed=15)
+        for a, b in ((u, f), (f, u)):
+            with pytest.raises(InputError):
+                pairing_spectrum(a, b)
+
+
+def reference_report(A, f, epsilon, nu):
+    """The report of ``solve_linear`` and the bytes of its u, by the formulas of its first release.
+
+    These build every check from full-array temporaries and boolean masks,
+    and rebuild 4 pi^2 |z|^2 on every call.
+    """
+    g = f.grid
+    plan = spectral_plan(A, g)
+    half = plan.half
+    fhat = scipy.fft.rfftn(f.data, axes=half.axes, norm="forward")
+    fnorm = half.norm(fhat)
+    dropped = fhat[(slice(None),) + (0,) * g.n].real.copy()
+    mean_warning = bool(np.linalg.norm(dropped) > MEAN_TOLERANCE * max(fnorm, np.finfo(float).tiny))
+    gauge = half.zsq > 0
+    uhat = plan.invert(fhat)
+    if epsilon is None:
+        multiplier = gauge.astype(float)
+        regularization = "exact"
+    else:
+        multiplier = half.zsq / (half.zsq + epsilon)
+        uhat *= multiplier
+        regularization = f"epsilon={epsilon:g}"
+    u = scipy.fft.irfftn(uhat, s=g.shape, axes=half.axes, norm="forward")
+    op_coef = plan.apply(uhat)
+    hessian_l2 = half.norm(4 * np.pi**2 * half.zsq * uhat)
+    operator_l2 = half.norm(op_coef)
+    bounds = multiplier[gauge]
+    report = {
+        "residual_l2": half.norm(np.where(gauge, op_coef - fhat, 0.0)),
+        "hessian_ratio": hessian_l2 / operator_l2 if operator_l2 > 0 else 0.0,
+        "regularization": regularization,
+        "dropped_mean": dropped.tolist(),
+        "nu": nu,
+        "rhs_l2": fnorm,
+        "hessian_l2": hessian_l2,
+        "operator_l2": operator_l2,
+        "multiplier_bounds": [float(bounds.min()), float(bounds.max())],
+        "multiplier_identity_error": float(np.abs(op_coef - multiplier * fhat)[:, gauge].max()),
+        "mean_warning": mean_warning,
+    }
+    return report, u.tobytes()
+
+
+def reference_ratio(A, u, nu):
+    """``hessian_estimate_check`` by the formulas of its first release."""
+    plan = spectral_plan(A, u.grid)
+    half = plan.half
+    coef = scipy.fft.rfftn(u.data, axes=half.axes, norm="forward")
+    return float(nu * half.norm(4 * np.pi**2 * half.zsq * coef) / half.norm(plan.apply(coef)))
+
+
+class TestChecksInPlace:
+    @pytest.mark.parametrize("n, M", [(2, 16), (2, 32), (3, 8), (3, 16)])
+    @pytest.mark.parametrize("epsilon", [None, 1e-3, 0.5])
+    def test_reports_and_ratios_are_those_of_the_first_formulas_bit_for_bit(self, n, M, epsilon):
+        grid = GridSpec(n=n, N=2, M=M)
+        for seed in range(3):
+            A, cert = random_rank_one_positive(n, 2, seed=40 + seed)
+            u = random_band_limited(grid, M // 4, seed=50 + seed)
+            # a mean in f, so that the gauge entry the checks drop is not zero
+            f = VectorField(grid, apply_operator(A, u).data + 0.25 * (seed - 1), PHYSICAL)
+            result = solve_linear(A, f, epsilon=epsilon, nu=cert.nu)
+            report, u_bytes = reference_report(A, f, epsilon, cert.nu)
+            assert result.report() == report
+            assert result.u.data.tobytes() == u_bytes
+            # the first, second (kept) and later requests for u's spectrum
+            expected = reference_ratio(A, u, cert.nu)
+            for _ in range(3):
+                assert hessian_estimate_check(A, u, nu=cert.nu) == expected
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_a_sweep_transforms_a_reused_field_twice(self, monkeypatch, k):
+        grid = GridSpec(n=2, N=2, M=16)
+        sweep = [random_rank_one_positive(2, 2, seed=60 + j) for j in range(k)]
+        u = random_band_limited(grid, 4, seed=61)
+        counts = {"rfftn": 0, "irfftn": 0}
+        for name in counts:
+            transform = getattr(scipy.fft, name)
+
+            def counted(*args, _transform=transform, _name=name, **kwargs):
+                counts[_name] += 1
+                return _transform(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.fft, name, counted)
+        for A, cert in sweep:
+            f = apply_operator(A, u)
+            solve_linear(A, f, nu=cert.nu)
+            hessian_estimate_check(A, u, nu=cert.nu)
+        # u twice (apply, then the estimate, which keeps it), each f once; u and A : D^2 u back per tensor
+        assert counts == {"rfftn": k + 2, "irfftn": 2 * k}
