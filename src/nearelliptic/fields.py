@@ -51,8 +51,9 @@ bit for bit.  The buffer is the only array a call overwrites; the caller's
 coefficients and the inputs of ``forward`` and ``inverse`` are left as
 they were.
 
-Every hessian multiplier, here and in the linear solver's plan, comes from
-the one frequency table :func:`hessian_multipliers`.
+Every hessian multiplier comes from the one frequency table
+:func:`hessian_multipliers`: the half spectrum's ``hessian`` is its
+hermitian part, and the linear solver's plan is built from that alone.
 
 Random fields.  :func:`band_limited_coefficients` builds the exactly
 hermitian coefficients of a seeded band-limited field, and
@@ -80,7 +81,9 @@ hermitian part (m(k) + m(kbar)) / 2, kbar = -k mod M in fft layout (the
 Nyquist value is -M/2 on every axis, the last rfft axis included); this is
 exactly what taking the real part of the full complex inverse transform
 does, so both paths solve the same discrete problem.  Away from the Nyquist
-planes m(kbar) = m(k) and the multiplier is unchanged.
+planes m(kbar) = m(k) and the multiplier is unchanged.  The linear
+solver's plan builds its operator from these hermitian parts and inverts
+that operator, so its solve inverts exactly what its ``apply`` applies.
 """
 
 from __future__ import annotations
@@ -403,10 +406,6 @@ class HalfSpectrum:
     def axes(self) -> tuple[int, ...]:
         return _grid_axes(self.grid)
 
-    def restrict(self, full: np.ndarray) -> np.ndarray:
-        """Hermitian part of a real full-grid multiplier (..., M, ..., M) on the half spectrum."""
-        return _hermitian_half(full, self.grid)
-
     def forward(self, data: np.ndarray) -> np.ndarray:
         """Half-spectrum coefficients of real data (..., M, ..., M)."""
         return scipy.fft.rfftn(data, axes=self.axes, norm="forward")
@@ -479,13 +478,6 @@ class HalfSpectrum:
         return HessianPairs(self.grid, scipy.fft.irfft(work, n=self.grid.M, axis=-1, norm="forward"))
 
 
-def _hermitian_half(full: np.ndarray, grid: GridSpec) -> np.ndarray:
-    sym = 0.5 * (full + _conjugate_reflect(full, full.ndim - grid.n, grid.n))
-    out = np.ascontiguousarray(sym[..., : grid.M // 2 + 1])
-    out.setflags(write=False)
-    return out
-
-
 def hessian_multipliers(grid: GridSpec) -> np.ndarray:
     """Full-grid hessian multipliers -(2 pi / L)^2 k_i k_j, (n(n+1)/2, M, ..., M) in packed slot order."""
     freq = grid.freq_axes()
@@ -504,9 +496,12 @@ def half_spectrum(grid: GridSpec) -> HalfSpectrum:
     weights[..., 0] = weights[..., M // 2] = 1.0
     zsq = np.ascontiguousarray(grid.zsq()[..., : M // 2 + 1])
     laplacian = 4 * np.pi**2 * zsq
-    for arr in (weights, zsq, laplacian):
+    # the hermitian part (m(k) + m(kbar)) / 2 of each full-grid multiplier
+    full = hessian_multipliers(grid)
+    hessian = np.ascontiguousarray((0.5 * (full + _conjugate_reflect(full, 1, grid.n)))[..., : M // 2 + 1])
+    for arr in (weights, zsq, laplacian, hessian):
         arr.setflags(write=False)
-    return HalfSpectrum(grid, shape, zsq, laplacian, weights, _hermitian_half(hessian_multipliers(grid), grid))
+    return HalfSpectrum(grid, shape, zsq, laplacian, weights, hessian)
 
 
 def forward_transform(u: VectorField) -> VectorField:

@@ -20,17 +20,18 @@ entries and the grid.  The plan holds two (N, N) matrix multipliers:
     solve     cof(O)^T / det(O), its pointwise inverse (0 at k = 0)
 
 O is the packed tensor of :meth:`~nearelliptic.fields.HessianPairs.contraction`
-times :func:`~nearelliptic.fields.hessian_multipliers` on the full grid.
-Both are stored on the ``rfftn`` half spectrum of
-:class:`~nearelliptic.fields.HalfSpectrum` as their hermitian part
-(m(k) + m(kbar)) / 2, which differs from m only on the Nyquist planes (see
-the ``fields`` module docstring); this reproduces the real part of the full
-complex transform that defines the physical fields.  The scale-invariant
-degeneracy rule of :func:`~nearelliptic.tensors.symbol_determinants` runs
-when the plan is built, over every nonzero frequency in fft order, so a
-degenerate tensor raises the same error, at the same frequency, on every
-solve through the plan; applying the operator needs no inverse and works
-for any tensor.
+contracted with the hessian multipliers of
+:class:`~nearelliptic.fields.HalfSpectrum`, the hermitian parts
+(m(k) + m(kbar)) / 2 of the full-grid ones (see the ``fields`` module
+docstring), which reproduce the real part of the full complex transform
+that defines the physical fields.  ``solve`` inverts that same O at every
+half-spectrum frequency but k = 0, so it is the exact inverse of what the
+plan applies, Nyquist planes included, and no full-grid array is built.
+The scale-invariant degeneracy rule of
+:func:`~nearelliptic.tensors.symbol_determinants` runs on O when the plan
+is built, in the half spectrum's C order, so a degenerate tensor raises
+the same error, at the same frequency, on every solve through the plan;
+applying the operator needs no inverse and works for any tensor.
 
 Checks.  :func:`solve_linear` checks the u it returns on the half
 spectrum, in place: it forms A : D^2 u - f once, zeroes its k = 0 entry
@@ -54,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateSymbolError, EstimateBreachError, InputError
-from .fields import PHYSICAL, GridSpec, HalfSpectrum, HessianPairs, VectorField, half_spectrum, hessian_multipliers
+from .fields import PHYSICAL, GridSpec, HalfSpectrum, HessianPairs, VectorField, half_spectrum
 from .tensors import SymTensor4, cofactor_transpose, ellipticity_constant, power_of_two_scale, symbol_determinants
 
 MEAN_TOLERANCE = 1e-8
@@ -102,9 +103,10 @@ class SpectralPlan:
 
     ``solve`` and ``operator`` have shape (N, N) + ``half.shape`` and are
     read-only, because cached plans are shared by every caller.  When the
-    symbol is singular at some frequency, ``degenerate`` holds that frequency
-    and ``solve`` is None: the operator still applies, but :meth:`invert`
-    raises DegenerateSymbolError.
+    operator is singular at some frequency, ``degenerate`` holds the first
+    such frequency in the half spectrum's C order and ``solve`` is None:
+    the operator still applies, but :meth:`invert` raises
+    DegenerateSymbolError.
     """
 
     half: HalfSpectrum
@@ -128,8 +130,10 @@ class SpectralPlan:
 def spectral_plan(A: SymTensor4, grid: GridSpec) -> SpectralPlan:
     """The plan of (A, grid), from the LRU of the last ``PLAN_CACHE_SIZE`` plans or built now.
 
-    The degenerate-symbol check runs here, when a plan is built; a plan of
-    a singular symbol is cached too and raises on :meth:`SpectralPlan.invert`.
+    The degenerate-symbol check runs here, when a plan is built, on the
+    half spectrum: the frequency it names may be the conjugate partner of
+    the first singular one in the full grid's fft order.  A plan of a
+    singular symbol is cached too and raises on :meth:`SpectralPlan.invert`.
     """
     _check_dims(A, grid)
     return _plan(A.entries.tobytes(), grid)
@@ -140,22 +144,21 @@ def _plan(entries: bytes, grid: GridSpec) -> SpectralPlan:
     """Build the plan of the tensor with these raw (N, N, n, n) entries."""
     N, n = grid.N, grid.n
     contraction = HessianPairs.contraction(np.frombuffer(entries).reshape(N, N, n, n))
-    symbol = np.tensordot(contraction, hessian_multipliers(grid), axes=1)
     half = half_spectrum(grid)
-    operator = half.restrict(symbol)
-    # moving the (N, N) axes last lets the grid mask pick the (K, N, N) stack, in fft order;
-    # the stack is inverted divided by a power of two, exactly, so tiny entries cannot underflow
-    nonzero = grid.zsq() > 0
+    operator = np.tensordot(contraction, half.hessian, axes=1)
+    operator.setflags(write=False)
+    # the (K, N, N) stack of every frequency but the gauge, flat index 0, in the half spectrum's C order;
+    # it is inverted divided by a power of two, exactly, so tiny entries cannot underflow
     scale = power_of_two_scale(contraction)
-    O = np.moveaxis(symbol, (0, 1), (-2, -1))[nonzero]
-    O /= scale
+    O = np.moveaxis(operator.reshape(N, N, -1)[:, :, 1:], -1, 0) / scale
     det, _, degenerate = symbol_determinants(O)
     if np.any(degenerate):
-        k = np.argwhere(nonzero)[np.argmax(degenerate)]
-        return SpectralPlan(half, None, operator, tuple(int(v) for v in grid.integer_freqs()[k]))
-    solve = np.zeros_like(symbol)
-    np.moveaxis(solve, (0, 1), (-2, -1))[nonzero] = cofactor_transpose(O) / (det * scale)[:, None, None]
-    return SpectralPlan(half, half.restrict(solve), operator)
+        k = np.unravel_index(1 + np.argmax(degenerate), half.shape)
+        return SpectralPlan(half, None, operator, tuple(int(v) for v in grid.integer_freqs()[list(k)]))
+    solve = np.zeros_like(operator)
+    np.moveaxis(solve.reshape(N, N, -1), -1, 0)[1:] = cofactor_transpose(O) / (det * scale)[:, None, None]
+    solve.setflags(write=False)
+    return SpectralPlan(half, solve, operator)
 
 
 def apply_operator(A: SymTensor4, u: VectorField) -> VectorField:

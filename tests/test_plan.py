@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import nearelliptic.fields as fields
 import nearelliptic.stability as stability
 from nearelliptic import (
     GridSpec,
@@ -34,7 +35,7 @@ from nearelliptic import (
     spectral_hessian,
 )
 from nearelliptic.errors import DegenerateSymbolError, InputError
-from nearelliptic.fields import PHYSICAL, SPECTRAL
+from nearelliptic.fields import PHYSICAL, SPECTRAL, half_spectrum
 from nearelliptic.linear import PLAN_CACHE_SIZE, spectral_plan
 from nearelliptic.nonlinearity import evaluate_field
 from nearelliptic.stability import nu_F_lower_bound
@@ -88,13 +89,18 @@ def ref_apply(A, u):
 
 
 def ref_solve(A, f):
+    """Inverts (S(k) + S(kbar)) / 2, kbar = -k mod M, the symbol whose real part ``ref_apply`` applies."""
     g = f.grid
     fhat = (np.fft.fftn(f.data, axes=_axes(g)) / g.points).reshape(g.N, g.points)
     freqs = _flat_freqs(g)
     zsq = (freqs**2).sum(axis=0) / g.L**2
     mask = zsq > 0
     unit = freqs[:, mask] / g.L / np.sqrt(zsq[mask])
-    S = np.einsum("abij,ik,jk->kab", A.entries, unit, unit)
+    # -k mod M in fft layout: the Nyquist value -M/2 is its own partner; |kbar| = |k|
+    unit_bar = np.where(freqs[:, mask] == -g.M // 2, unit, -unit)
+    S = 0.5 * (
+        np.einsum("abij,ik,jk->kab", A.entries, unit, unit) + np.einsum("abij,ik,jk->kab", A.entries, unit_bar, unit_bar)
+    )
     det = np.linalg.det(S)
     floor = DET_FLOOR_COEF * np.maximum(np.sqrt((S**2).sum(axis=(1, 2))), np.finfo(float).tiny) ** A.N
     bad = np.abs(det) < floor
@@ -186,17 +192,30 @@ class TestParity:
         np.testing.assert_allclose(got[1:, 2], want[1:, 2], rtol=1e-9, atol=0.0)
         assert rel_error(u.data, want_u) <= TOL
 
-    @settings(max_examples=12, deadline=None)
-    @given(case=tensor_cases, band=st.integers(1, 7))
-    def test_operator_inverts_the_solve_below_nyquist(self, case, band):
-        # at the Nyquist planes the hermitian projections of the solve and
-        # operator multipliers are not inverse to each other, as in the
-        # full-spectrum reference, so the round trip holds only below M/2
-        A, nu, grid = draw_case(case)
-        f = random_band_limited(grid, min(band, grid.M // 2 - 1), seed=case[1])
-        shifted = VectorField(grid, f.data + 0.25, PHYSICAL)
-        back = apply_operator(A, solve_linear(A, shifted, nu=nu).u)
-        assert np.abs(back.data - f.data).max() <= TOL * np.abs(f.data).max()
+    @pytest.mark.parametrize(("n", "M"), [(2, 16), (2, 64), (3, 8)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_operator_inverts_the_solve_on_white_noise(self, n, M, seed):
+        # every frequency but k = 0 is inverted, the Nyquist planes included
+        A, cert = random_rank_one_positive(n, 2, seed=seed)
+        grid = GridSpec(n=n, N=2, M=M)
+        f = white_noise(grid, seed)
+        want = f.data - f.data.mean(axis=_axes(grid), keepdims=True)
+        back = apply_operator(A, solve_linear(A, f, nu=cert.nu).u)
+        assert np.abs(back.data - want).max() <= TOL * np.abs(want).max()
+        ref_back = ref_apply(A, VectorField(grid, ref_solve(A, f), PHYSICAL))
+        assert np.abs(ref_back - want).max() <= TOL * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", sorted(GRIDS))
+    @pytest.mark.parametrize("seed", [5, 11])
+    def test_white_noise_solve_converges(self, n, seed):
+        A, cert = random_rank_one_positive(n, 2, seed=seed)
+        grid = GridSpec(n=n, N=2, M=GRIDS[n])
+        spec = NonlinearitySpec(tensor=A, perturbation=SinePerturbation(0.3 * cert.nu))
+        certificate = example1_certificate(spec, nu=cert.nu)
+        f = evaluate_field(spec, spectral_hessian(white_noise(grid, seed), PHYSICAL))
+        _, trace = campanato_solve(spec, example1_alpha(spec), f, certificate, SolveConfig(tol_residual=TOL))
+        assert trace.status == "converged"
+        assert all(r <= certificate.contraction for r in trace.ratios)
 
 
 # --- the plan ----------------------------------------------------------------
@@ -247,6 +266,44 @@ class TestPlan:
         A = SymTensor4(identity_tensor(2, 2).entries * 1e-170)
         np.testing.assert_allclose(symbol_inverse(A, np.array([1.0, 0.0])), 1e170 * np.eye(2), rtol=1e-14)
         assert spectral_plan(A, grid32).degenerate is None
+
+    def test_degenerate_direction_off_the_axes_is_named_in_the_half_spectrum(self):
+        # S = diag(|z|^2, (z_1 + z_2)^2) is singular along (1, -1); the check runs in the
+        # half spectrum's C order, so it names the first such frequency stored there
+        grid = GridSpec(n=2, N=2, M=16)
+        entries = np.zeros((2, 2, 2, 2))
+        entries[0, 0] = np.eye(2)
+        entries[1, 1] = np.ones((2, 2))
+        A = SymTensor4(entries)
+        k = spectral_plan(A, grid).degenerate
+        assert k is not None and k[-1] % grid.M <= grid.M // 2
+        with pytest.raises(DegenerateSymbolError):
+            symbol_inverse(A, np.array(k, dtype=float))
+        f = white_noise(grid, 3)
+        with pytest.raises(DegenerateSymbolError) as err:
+            solve_linear(A, f, nu=1.0)
+        assert err.value.frequency == k
+        cert = example1_certificate(NonlinearitySpec(tensor=identity_tensor(2, 2)))
+        with pytest.raises(DegenerateSymbolError) as err:
+            campanato_solve(NonlinearitySpec(tensor=A), 1.0, f, cert)
+        assert err.value.frequency == k
+
+    @pytest.mark.parametrize("n", sorted(GRIDS))
+    def test_plan_is_built_on_the_half_spectrum_alone(self, n, monkeypatch):
+        grid = GridSpec(n=n, N=2, M=GRIDS[n])
+        half_spectrum(grid)
+
+        def full_grid_table(*args):
+            raise AssertionError("the plan built a full-grid table")
+
+        monkeypatch.setattr(GridSpec, "zsq", full_grid_table)
+        monkeypatch.setattr(fields, "hessian_multipliers", full_grid_table)
+        A, _ = random_rank_one_positive(n, 2, seed=4321)
+        plan = spectral_plan(A, grid)
+        stacks = [np.moveaxis(m.reshape(2, 2, -1), -1, 0) for m in (plan.operator, plan.solve)]
+        assert not stacks[1][0].any()
+        product = stacks[0][1:] @ stacks[1][1:]
+        np.testing.assert_allclose(product, np.broadcast_to(np.eye(2), product.shape), rtol=0.0, atol=TOL)
 
     @settings(max_examples=40, deadline=None)
     @given(
