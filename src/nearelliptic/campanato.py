@@ -21,7 +21,13 @@ alpha (F - f), one multiply each for the solve and the operator, and the
 inverse transform of the n(n+1)/2 distinct hessian components, made in the
 work buffer (:meth:`~nearelliptic.fields.HalfSpectrum.hessian_pairs`); the
 metric d and the residual are one ``vdot`` each, d by Plancherel, and u is
-transformed back only on exit.  F is evaluated on that packed hessian
+transformed back only on exit, into a field that keeps its half spectrum
+from birth (:meth:`~nearelliptic.fields.HalfSpectrum.physical_field`): a
+later solve warm-started from it, or its hessian, transforms nothing
+forward.  A field transformed on request keeps its spectrum from the
+second request, and an input that passed its finiteness check is not
+scanned again; both marks trust the field's frozen data (see the
+``fields`` module notes).  F is evaluated on that packed hessian
 (:class:`~nearelliptic.fields.HessianPairs`), so the n^2 hessian is never
 built and no off-diagonal component is evaluated twice.
 
@@ -30,6 +36,7 @@ hessian is 0: A : 0 = 0 and G does not depend on x, so F(x, 0) = G(0) at
 every point.  F is evaluated once, at one zero packed point, and broadcast;
 no hessian is built or transformed and F is not evaluated over the grid.
 The iterates are those of a start from :func:`zero_field`, bit for bit.
+The stability outer loop starts cold the same way.
 
 Memory.  The largest array, the complex hessian product (N, n(n+1)/2) +
 half shape, is one work buffer per solve, allocated before the loop; every
@@ -48,7 +55,6 @@ import io
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import takewhile
 
 import numpy as np
 
@@ -93,6 +99,8 @@ class IterationTrace:
     status: str = "running"
     # perf_counter at the end of the last step, or at creation before the first
     clock: float = field(default_factory=time.perf_counter, init=False, repr=False, compare=False)
+    # finite ratios above 1 since the last finite ratio at or below 1
+    rising: int = field(default=0, init=False, repr=False, compare=False)
 
     def advance(self, metric: float, residual: float, tol_abs: float, floor: float) -> bool:
         """Record one step; True when the loop must stop.
@@ -108,11 +116,13 @@ class IterationTrace:
         ratio = metric / prev if prev > 0 else float("nan")
         self.records.append(IterationRecord(len(self.records) + 1, metric, residual, ratio, now - self.clock))
         self.clock = now
+        if math.isfinite(ratio):
+            self.rising = self.rising + 1 if ratio > 1.0 else 0
         if residual <= tol_abs:
             self.status = "converged"
         elif metric <= floor:
             self.status = "max_iters"
-        elif len(list(takewhile(lambda r: r > 1.0, reversed(self.ratios)))) >= DIVERGENCE_PATIENCE:
+        elif self.rising >= DIVERGENCE_PATIENCE:
             self.status = "diverged"
         return self.status != "running"
 
@@ -159,6 +169,18 @@ def _alpha_times(alpha, field_: VectorField) -> VectorField:
     return VectorField(field_.grid, arr[None] * data, PHYSICAL)
 
 
+def _at_zero_hessian(spec: NonlinearitySpec, grid) -> np.ndarray:
+    """F(., 0) over the grid as an (N, 1, ..., 1) array, from one evaluation at a zero packed point.
+
+    A : 0 = 0 and G does not depend on x, so F(x, 0) = G(0) at every point;
+    ``spec.grid_weight`` checks the weight field, if any, first.  The value
+    is that of evaluating F on the zero hessian of every point, bit for bit.
+    """
+    weight = np.ravel(spec.grid_weight(grid))[:1]
+    slots = len(HessianPairs.components(grid.n)[0])
+    return evaluate_pairs(spec, np.zeros((grid.N, slots, 1)), weight).reshape((grid.N,) + (1,) * grid.n)
+
+
 def zero_field(grid) -> VectorField:
     return VectorField(grid, np.zeros((grid.N,) + grid.shape), PHYSICAL)
 
@@ -199,9 +221,7 @@ def campanato_solve(
     work = half.work_buffer()
     if initial_guess is None:
         uhat = np.zeros((g.N,) + half.shape, dtype=complex)
-        # A : 0 = 0 and G does not depend on x, so F(x, 0) = G(0) at every point
-        weight = np.ravel(spec.grid_weight(g))[:1]
-        F = evaluate_pairs(spec, np.zeros((g.N, len(half.hessian), 1)), weight).reshape((g.N,) + (1,) * g.n)
+        F = _at_zero_hessian(spec, g)
     else:
         uhat = half.coefficients(initial_guess)
         F = evaluate_field(spec, half.hessian_pairs(uhat, work)).data
@@ -221,7 +241,7 @@ def campanato_solve(
             break
         op_prev = op_u
     trace.finish(certificate)
-    return VectorField(g, half.inverse(uhat), PHYSICAL), trace
+    return half.physical_field(uhat), trace
 
 
 def contraction_bound(certificate: EllipticityCertificate) -> float:

@@ -490,11 +490,13 @@ def lemma1_check(
     eta = rng.standard_normal((count, spec.N))
     a = rng.standard_normal((count, spec.n))
     rows, cols = HessianPairs.components(spec.n)
-    Z = np.ascontiguousarray(eta.T[:, None] * a.T[rows] * a.T[cols])
+    # component-major copies, so every product below runs over contiguous rows
+    eta, a = np.ascontiguousarray(eta.T), np.ascontiguousarray(a.T)
+    Z = eta[:, None] * a[rows] * a[cols]
     _, (w,) = sample_weights(rng, count, spec)
     diff = evaluate_pairs(spec, X + Z, w) - evaluate_pairs(spec, X, w)
     lhs = (diff * contract_pairs(spec.tensor, Z)).sum(axis=0)
-    rhs = (lam - kappa) * nu**2 / alpha_sup * (eta**2).sum(axis=1) * ((a**2).sum(axis=1)) ** 2
+    rhs = (lam - kappa) * nu**2 / alpha_sup * (eta**2).sum(axis=0) * ((a**2).sum(axis=0)) ** 2
     return float((lhs - rhs).min())
 
 

@@ -30,13 +30,22 @@ conjugate partners lie in the half spectrum, and weight 2 elsewhere.
 :func:`half_spectrum` memoizes it.
 
 :meth:`HalfSpectrum.coefficients` returns read-only coefficients.  A field
-asked for twice keeps them: the second request transforms the field and
-stores the result on it, and every later request returns that array with
-no transform.  The first request keeps nothing, so a field transformed once
-costs no memory, and a reused field costs about one more copy of its data
-(the complex half spectrum).  Only a field whose ``data`` owns its memory
-keeps its spectrum: a field built on a view may alias a buffer that its
-caller can still write.
+made from its half spectrum (:meth:`HalfSpectrum.physical_field`, which
+builds the outputs of ``apply_operator``, ``solve_linear`` and
+``campanato_solve``) keeps that spectrum from birth, so no request for it
+makes a transform.  A field transformed on request keeps its coefficients
+from the second request: that request transforms the field and stores the
+result on it, and every later one returns that array with no transform.
+The first request keeps nothing, so a field transformed once costs no
+memory, and a reused field costs about one more copy of its data (the
+complex half spectrum).  :meth:`VectorField.require_finite` scans a field
+once: a field that passes is marked, and later checks skip the scan; one
+that fails is scanned again on every call.  Only a field whose ``data``
+owns its memory keeps a spectrum or a finite mark: a field built on a view
+may alias a buffer that its caller can still write.  Both marks trust the
+field's frozen data.  A field built on its caller's own contiguous array
+freezes that array in place; a caller who makes it writable again and
+writes into it voids both marks.
 
 A loop that takes many hessians of one grid gives
 :meth:`HalfSpectrum.hessian_pairs` one work buffer
@@ -213,6 +222,10 @@ def _frozen_data(data, expected: tuple[int, ...], representation: str, what: str
     return data
 
 
+# the attribute of a VectorField set once its data passed require_finite
+_FINITE_MARK = "_finite"
+
+
 def _transformed(field):
     """The field in its other representation: c(k) = fftn(u) / M^n, or the real part of the inverse."""
     axes = _grid_axes(field.grid)
@@ -246,9 +259,18 @@ class VectorField:
         return self.representation == PHYSICAL
 
     def require_finite(self, what: str) -> "VectorField":
-        """Return the field; raise InputError naming ``what`` if any value is NaN or infinite."""
+        """Return the field; raise InputError naming ``what`` if any value is NaN or infinite.
+
+        A field whose ``data`` owns its memory is marked when it passes, and
+        later calls return it without a scan; a field that fails, or whose
+        data is a view, is scanned on every call.
+        """
+        if _FINITE_MARK in vars(self):
+            return self
         if not np.all(np.isfinite(self.data)):
             raise InputError(f"{what} has non-finite values")
+        if self.data.flags.owndata:
+            object.__setattr__(self, _FINITE_MARK, True)
         return self
 
     def to_physical(self) -> "VectorField":
@@ -378,7 +400,7 @@ class HessianPairs:
 
 HALF_SPECTRUM_CACHE_SIZE = 4
 
-# the attribute of a VectorField that holds its kept half spectrum (None after one request)
+# the attribute of a VectorField that holds its kept half spectrum (None after one transform on request)
 _KEPT_SPECTRUM = "_half_spectrum"
 
 
@@ -417,10 +439,12 @@ class HalfSpectrum:
     def coefficients(self, u: VectorField) -> np.ndarray:
         """Read-only half-spectrum coefficients of a field of this grid, in either representation.
 
-        From the second request for the same field on, the coefficients are
-        kept on the field, so later requests make no transform; the first
-        keeps nothing.  A field whose ``data`` does not own its memory (a
-        view, whose base its caller may still write) keeps nothing ever.
+        A field made by :meth:`physical_field` keeps its coefficients from
+        birth.  Any other field keeps them from the second request on, so
+        later requests make no transform; the first keeps nothing.  A field
+        whose ``data`` does not own its memory (a view, whose base its caller
+        may still write) keeps nothing ever.  The kept coefficients trust
+        the field's frozen data (see the module notes).
         """
         if u.grid != self.grid:
             raise InputError(f"field grid {u.grid} does not match the half spectrum's grid {self.grid}")
@@ -433,6 +457,24 @@ class HalfSpectrum:
             # the first request leaves a mark (None), the second keeps the coefficients
             object.__setattr__(u, _KEPT_SPECTRUM, coef if _KEPT_SPECTRUM in vars(u) else None)
         return coef
+
+    def physical_field(self, coef: np.ndarray) -> VectorField:
+        """The physical field of half-spectrum coefficients (N,) + ``shape``, keeping them from birth.
+
+        The field's data is ``inverse(coef)``, and :meth:`coefficients`
+        returns ``coef`` for it with no transform.  The field takes ``coef``
+        over: it is made read-only in place (copied first when it is a view),
+        so the caller must not write it again.
+        """
+        expected = (self.grid.N,) + self.shape
+        if coef.shape != expected or coef.dtype != complex:
+            raise InputError(f"half-spectrum coefficients must be complex {expected}, got {coef.dtype} {coef.shape}")
+        if not coef.flags.owndata:
+            coef = coef.copy()
+        coef.setflags(write=False)
+        u = VectorField(self.grid, self.inverse(coef), PHYSICAL)
+        object.__setattr__(u, _KEPT_SPECTRUM, coef)
+        return u
 
     def norm(self, coef: np.ndarray) -> float:
         """L2 norm of the real field with these coefficients (Plancherel).

@@ -40,10 +40,17 @@ solve, the multiplier-identity error from that one array; the
 eps-regularized solve measures its identity against h(z)|z|^2 f^ instead.
 The hessian norms of both :func:`solve_linear` and
 :func:`hessian_estimate_check` weigh the coefficients by the half
-spectrum's 4 pi^2 |z|^2 table, built once per grid.  The field being
-checked is usually asked for its coefficients more than once (operator,
-solve, estimate), and from the second request on it keeps them (see
-:meth:`~nearelliptic.fields.HalfSpectrum.coefficients`).
+spectrum's 4 pi^2 |z|^2 table, built once per grid.  The outputs of
+:func:`apply_operator` and :func:`solve_linear` are made from their half
+spectrum by :meth:`~nearelliptic.fields.HalfSpectrum.physical_field` and
+keep it from birth, so ``solve_linear(A, apply_operator(A, u))``
+transforms nothing forward; a field transformed on request, such as the
+``u`` of a sweep over tensors, keeps its coefficients from the second
+request (see :meth:`~nearelliptic.fields.HalfSpectrum.coefficients`).
+Each input is checked for finiteness once: a field that passes
+:meth:`~nearelliptic.fields.VectorField.require_finite` is not scanned
+again.  Both marks trust the field's frozen data (see the ``fields``
+module notes).
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateSymbolError, EstimateBreachError, InputError
-from .fields import PHYSICAL, GridSpec, HalfSpectrum, HessianPairs, VectorField, half_spectrum
+from .fields import GridSpec, HalfSpectrum, HessianPairs, VectorField, half_spectrum
 from .tensors import SymTensor4, cofactor_transpose, ellipticity_constant, power_of_two_scale, symbol_determinants
 
 MEAN_TOLERANCE = 1e-8
@@ -166,7 +173,7 @@ def apply_operator(A: SymTensor4, u: VectorField) -> VectorField:
     u.require_finite("field")
     plan = spectral_plan(A, u.grid)
     half = plan.half
-    return VectorField(u.grid, half.inverse(plan.apply(half.coefficients(u))), PHYSICAL)
+    return half.physical_field(plan.apply(half.coefficients(u)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,7 +246,7 @@ def solve_linear(
         multiplier = half.zsq / (half.zsq + epsilon)
         uhat *= multiplier
         regularization = f"epsilon={epsilon:g}"
-    u = VectorField(g, half.inverse(uhat), PHYSICAL)
+    u = half.physical_field(uhat)
 
     # checks of the returned u, on the nonzero frequencies
     op_coef = plan.apply(uhat)

@@ -33,7 +33,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .campanato import STAGNATION_FLOOR, IterationTrace, SolveConfig, _increment_norms, campanato_solve, zero_field
+from .campanato import (
+    STAGNATION_FLOOR,
+    IterationTrace,
+    SolveConfig,
+    _at_zero_hessian,
+    _increment_norms,
+    campanato_solve,
+)
 from .certify import EllipticityCertificate, SamplerConfig, _increments
 from .errors import InputError, NearnessConditionError
 from .fields import (
@@ -195,11 +202,16 @@ def solve_via_nearness(
     Refuses (with the report attached to the exception) when the estimated
     increment distance does not fall below the certified lower bound on the
     modulus of F.  Inner solves warm-start from the current outer iterate;
-    the fixed point does not depend on that.  The outer loop stops by the
-    rule of the inner one (:meth:`IterationTrace.advance`) in the metric
-    ||F(., D^2 u_k) - F(., D^2 u_{k-1})||: on the residual, on a stall at
-    round-off, or with a ``DivergenceError`` citing ``certificateF`` once it
-    stops contracting; it takes at most 60 outer steps.
+    the fixed point does not depend on that.  Without ``initial_guess`` the
+    outer loop starts at u = 0: F(., 0) and G(., 0) are each taken at one
+    point and broadcast, and the first inner solve starts cold, so no
+    hessian of zero is built; the result is that of a start from
+    :func:`~nearelliptic.campanato.zero_field`, bit for bit.  The outer
+    loop stops by the rule of the inner one (:meth:`IterationTrace.advance`)
+    in the metric ||F(., D^2 u_k) - F(., D^2 u_{k-1})||: on the residual, on
+    a stall at round-off, or with a ``DivergenceError`` citing
+    ``certificateF`` once it stops contracting; it takes at most 60 outer
+    steps.
     """
     g.require_finite("right-hand side")
     if initial_guess is not None:
@@ -228,12 +240,17 @@ def solve_via_nearness(
     tol_abs = config.tol_residual * (gnorm if gnorm > 0 else 1.0)
     inner_config = replace(config, tol_residual=0.1 * config.tol_residual)
 
-    u = initial_guess.to_physical() if initial_guess is not None else zero_field(grid)
     # F and G of the current iterate, on one packed hessian; the bottom of
     # iteration k computes them for the top of iteration k + 1
-    hess = HessianPairs.from_hessian(spectral_hessian(u, PHYSICAL))
-    F_u = evaluate_field(specF, hess)
-    G_u = evaluate_field(specG, hess)
+    if initial_guess is None:
+        u = None  # the first inner solve starts cold
+        shape = (grid.N,) + grid.shape
+        F_u, G_u = (VectorField(grid, np.broadcast_to(_at_zero_hessian(s, grid), shape)) for s in (specF, specG))
+    else:
+        u = initial_guess.to_physical()
+        hess = HessianPairs.from_hessian(spectral_hessian(u, PHYSICAL))
+        F_u = evaluate_field(specF, hess)
+        G_u = evaluate_field(specG, hess)
     F_prev = F_u
     trace = IterationTrace()
     for _ in range(60):

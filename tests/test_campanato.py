@@ -1,7 +1,11 @@
+import math
 import time
+from itertools import takewhile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nearelliptic.fields as fields_module
 
@@ -25,7 +29,7 @@ from nearelliptic import (
     verify_comparison,
 )
 import nearelliptic.campanato as campanato_module
-from nearelliptic.campanato import IterationTrace, zero_field
+from nearelliptic.campanato import DIVERGENCE_PATIENCE, IterationTrace, zero_field
 from nearelliptic.errors import DivergenceError, InputError
 from nearelliptic.fields import PHYSICAL, HalfSpectrum, VectorField
 from nearelliptic.linear import spectral_plan
@@ -374,6 +378,41 @@ class TestStoppingRule:
         trace, stops = self.run(metrics)
         assert stops == [False] * 10 + [True]
         assert trace.records[5].ratio == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        events=st.lists(
+            st.tuples(st.sampled_from([0.5, 1.0, 2.0, 3.0, 3.0, 0.0, math.inf, math.nan]), st.integers(0, 9)),
+            min_size=1,
+            max_size=40,
+        ),
+        floor=st.sampled_from([-1.0, 0.1]),
+    )
+    # four rises, then an inf ratio, which does not make the fifth; four rises, two nan ratios, one more rise
+    @example(events=[(1.0, 1)] + [(2.0, 1)] * 4 + [(math.inf, 1)], floor=-1.0)
+    @example(events=[(1.0, 1)] + [(2.0, 1)] * 4 + [(math.nan, 1), (1.0, 1), (2.0, 1)], floor=-1.0)
+    def test_the_run_count_is_the_takewhile_rule(self, events, floor):
+        # each finite positive event is the ratio to the last metric (exactly 1 repeats it), 0, inf and
+        # nan are the metric itself, so ratios come out nan, inf, exactly 1, above and below 1; a step
+        # whose draw is 0 passes the tolerance.  The rule as first written: the trailing run of finite
+        # ratios above 1, by takewhile over the finite ratios so far
+        trace = IterationTrace()
+        prev, finite, status = math.nan, [], "running"
+        for event, draw in events:
+            grows = 0.0 < event < math.inf and 0.0 < prev < math.inf
+            metric = prev * event if grows else event
+            stop = trace.advance(metric, 1.0 if draw else 0.0, 0.5, floor)
+            ratio = metric / prev if prev > 0 else math.nan
+            if np.isfinite(ratio):
+                finite.append(ratio)
+            if not draw:
+                status = "converged"
+            elif metric <= floor:
+                status = "max_iters"
+            elif len(list(takewhile(lambda r: r > 1.0, reversed(finite)))) >= DIVERGENCE_PATIENCE:
+                status = "diverged"
+            assert (trace.status, stop) == (status, status != "running")
+            prev = metric
 
     def test_finish_marks_an_exhausted_loop(self):
         trace, _ = self.run([1.0, 0.5])

@@ -8,6 +8,11 @@ from hypothesis import strategies as st
 
 from nearelliptic import (
     GridSpec,
+    NonlinearitySpec,
+    SinePerturbation,
+    SolveConfig,
+    campanato_solve,
+    example1_certificate,
     VectorField,
     forward_transform,
     inverse_transform,
@@ -756,8 +761,111 @@ class TestKeptHalfSpectrum:
                 half.coefficients(u)
         assert "_half_spectrum" not in vars(u)
 
+    def test_a_field_made_from_a_view_of_coefficients_keeps_a_copy(self, monkeypatch):
+        grid = GridSpec(n=2, N=2, M=16)
+        half = half_spectrum(grid)
+        buffer = np.array(half.forward(np.random.default_rng(34).standard_normal((3,) + grid.shape)))
+        u = half.physical_field(buffer[:2])
+        calls = count_forward_transforms(monkeypatch)
+        kept = half.coefficients(u)
+        assert calls == [] and kept is half.coefficients(u)
+        assert buffer.flags.writeable and not kept.flags.writeable
+        buffer[:2] *= 2.0
+        assert half.norm(kept - half.forward(u.data)) <= 1e-14 * half.norm(kept)
+
+    @pytest.mark.parametrize("shape, dtype", [((3, 16, 9), complex), ((2, 16, 16), complex), ((2, 16, 9), float)])
+    def test_coefficients_of_another_layout_are_an_input_error(self, shape, dtype):
+        half = half_spectrum(GridSpec(n=2, N=2, M=16))
+        with pytest.raises(InputError):
+            half.physical_field(np.zeros(shape, dtype=dtype))
+
     def test_the_laplacian_table_is_four_pi_squared_zsq_exactly(self):
         for grid in (GridSpec(n=2, N=2, M=16), GridSpec(n=3, N=2, M=8, L=2.5)):
             half = half_spectrum(grid)
             assert half.laplacian.tobytes() == (4 * np.pi**2 * half.zsq).tobytes()
             assert not half.laplacian.flags.writeable
+
+
+def white_noise(grid, seed):
+    """A physical field of independent normals: every frequency, the Nyquist planes included."""
+    return VectorField(grid, np.random.default_rng(seed).standard_normal((grid.N,) + grid.shape), PHYSICAL)
+
+
+class TestBornWithItsSpectrum:
+    """Fields made from their half spectrum keep it; a field passes its finiteness scan once."""
+
+    @staticmethod
+    def outputs(grid, seed):
+        A, cert = random_rank_one_positive(grid.n, grid.N, seed=seed)
+        u, f = white_noise(grid, seed), white_noise(grid, seed + 1)
+        spec = NonlinearitySpec(tensor=A, perturbation=SinePerturbation(0.3 * cert.nu))
+        solved, _ = campanato_solve(
+            spec, 1.0, f, example1_certificate(spec, nu=cert.nu), SolveConfig(tol_residual=1e-10, max_iters=30)
+        )
+        return {
+            "apply_operator": apply_operator(A, u),
+            "solve_linear": solve_linear(A, f, nu=cert.nu).u,
+            "solve_linear_eps": solve_linear(A, f, epsilon=1e-3, nu=cert.nu).u,
+            "campanato_solve": solved,
+        }
+
+    @pytest.mark.parametrize("n, M", [(2, 16), (2, 64), (3, 8)])
+    def test_outputs_keep_a_read_only_spectrum_of_their_data(self, monkeypatch, n, M):
+        grid = GridSpec(n=n, N=2, M=M)
+        half = half_spectrum(grid)
+        for name, out in self.outputs(grid, seed=70 + n).items():
+            calls = count_forward_transforms(monkeypatch)
+            kept = half.coefficients(out)
+            assert calls == [] and half.coefficients(out) is kept, name
+            assert not kept.flags.writeable, name
+            with pytest.raises(ValueError):
+                kept[0, 1, 1] = 1.0
+            monkeypatch.undo()
+            expected = half.forward(out.data)
+            assert half.norm(kept - expected) <= 1e-14 * half.norm(expected), name
+            assert half.norm(kept) == pytest.approx(l2_norm(out), rel=1e-14), name
+
+    def count_scans(self, monkeypatch) -> list:
+        """Record every ``np.isfinite`` call from here on; returns the list of calls."""
+        calls = []
+        isfinite = np.isfinite
+
+        def counted(x, *args, **kwargs):
+            calls.append(x)
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        return calls
+
+    def test_a_field_that_passes_is_scanned_once(self, monkeypatch):
+        u = white_noise(GridSpec(n=2, N=2, M=16), seed=80)
+        calls = self.count_scans(monkeypatch)
+        for _ in range(3):
+            assert u.require_finite("field") is u
+        assert len(calls) == 1
+
+    def test_a_non_finite_field_raises_on_every_call(self, monkeypatch):
+        grid = GridSpec(n=2, N=2, M=16)
+        for bad in (np.nan, np.inf):
+            data = white_noise(grid, seed=81).data.copy()
+            data[1, 3, 4] = bad
+            u = VectorField(grid, data, PHYSICAL)
+            calls = self.count_scans(monkeypatch)
+            for k in range(3):
+                with pytest.raises(InputError, match="field has non-finite values"):
+                    u.require_finite("field")
+                assert len(calls) == k + 1
+            monkeypatch.undo()
+
+    def test_a_field_on_a_view_is_scanned_on_every_call(self, monkeypatch):
+        grid = GridSpec(n=2, N=2, M=16)
+        buffer = np.array(white_noise(GridSpec(n=2, N=3, M=16), seed=82).data)
+        u = VectorField(grid, buffer[:2], PHYSICAL)
+        assert not u.data.flags.owndata and buffer.flags.writeable
+        calls = self.count_scans(monkeypatch)
+        for _ in range(3):
+            u.require_finite("field")
+        assert len(calls) == 3
+        buffer[1, 3, 4] = np.nan
+        with pytest.raises(InputError):
+            u.require_finite("field")

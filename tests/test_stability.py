@@ -21,6 +21,7 @@ from nearelliptic import (
     solve_via_nearness,
     spectral_hessian,
 )
+from nearelliptic.campanato import zero_field
 from nearelliptic.certify import SamplerConfig, _draw_pairs
 from nearelliptic.errors import DivergenceError, InputError, NearnessConditionError
 from nearelliptic.fields import (
@@ -263,6 +264,33 @@ class TestSolveViaNearness:
         assert rel <= 1e-7
         assert all(r <= 0.15 for r in report.outer_trace.ratios)
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_a_cold_start_is_a_start_from_zero_bit_for_bit(self, monkeypatch, weighted):
+        grid = GridSpec(n=2, N=2, M=16)
+        A = identity_tensor(2, 2)
+        weight = 1.0 + 0.5 * np.random.default_rng(42).random(grid.shape) if weighted else 1.0
+        specF = NonlinearitySpec(tensor=A, weight=weight, perturbation=SinePerturbation(amplitude=0.3))
+        certF = example1_certificate(specF, nu=1.0)
+        amplitude = 0.3 + 0.1 * nu_F_lower_bound(certF)
+        specG = NonlinearitySpec(tensor=A, weight=weight, perturbation=SinePerturbation(amplitude=amplitude))
+        g = evaluate_field(specG, spectral_hessian(random_band_limited(grid, band=3, seed=43), PHYSICAL))
+        alphaF = 1.0 / weight
+        u_zero, report_zero = solve_via_nearness(specF, specG, alphaF, certF, g, initial_guess=zero_field(grid))
+        hessians = []
+
+        def counted(u, representation=PHYSICAL):
+            hessians.append(u)
+            return spectral_hessian(u, representation)
+
+        monkeypatch.setattr(stability, "spectral_hessian", counted)
+        u, report = solve_via_nearness(specF, specG, alphaF, certF, g)
+        assert report.outer_trace.status == "converged"
+        assert u.data.tobytes() == u_zero.data.tobytes()
+        assert report.outer_trace.to_csv() == report_zero.outer_trace.to_csv()
+        assert report.as_dict() == report_zero.as_dict()
+        # no hessian of zero: one per outer step, of that step's inner solution
+        assert len(hessians) == report.outer_trace.iterations
+
     def test_outer_loop_packs_each_hessian_once(self, monkeypatch, grid32, identity22):
         # F and G of an outer iterate are evaluated on one packed hessian
         specF = NonlinearitySpec(tensor=identity22, perturbation=SinePerturbation(amplitude=0.3))
@@ -277,11 +305,14 @@ class TestSolveViaNearness:
             return evaluate_field(spec, hess)
 
         monkeypatch.setattr(stability, "evaluate_field", spy)
-        _, report = solve_via_nearness(specF, specG, 1.0, certF, g)
-        outer = seen  # the admission evaluates F on packed values, not through evaluate_field
-        assert all(isinstance(hess, HessianPairs) for hess in seen)
-        assert len(outer) == 2 * (report.outer_trace.iterations + 1)
-        assert all(first is second for first, second in zip(outer[::2], outer[1::2]))
+        # the admission evaluates F on packed values, not through evaluate_field, and a cold start
+        # takes F(., 0) and G(., 0) at one point; a passed initial guess costs one more hessian
+        for initial_guess, extra in ((None, 0), (zero_field(grid32), 1)):
+            seen.clear()
+            _, report = solve_via_nearness(specF, specG, 1.0, certF, g, initial_guess=initial_guess)
+            assert all(isinstance(hess, HessianPairs) for hess in seen)
+            assert len(seen) == 2 * (report.outer_trace.iterations + extra)
+            assert all(first is second for first, second in zip(seen[::2], seen[1::2]))
 
     def test_consistency_with_direct_solver(self, grid32, identity22):
         specF = NonlinearitySpec(tensor=identity22, perturbation=SinePerturbation(amplitude=0.3))
