@@ -205,7 +205,12 @@ def perturbation_from_dict(doc) -> Perturbation:
 
 @dataclass(frozen=True, eq=False)
 class NonlinearitySpec:
-    """F(x, X) = weight(x) * (A : X) + G(X) with G from the catalog (or absent)."""
+    """F(x, X) = weight(x) * (A : X) + G(X) with G from the catalog (or absent).
+
+    A weight field is checked finite and positive, then kept as the spec's
+    own read-only copy, so the caller's array stays writable and later
+    writes to it change neither the spec nor anything computed from it.
+    """
 
     tensor: SymTensor4
     weight: float | np.ndarray = 1.0
@@ -216,7 +221,7 @@ class NonlinearitySpec:
         if isinstance(w, np.ndarray):
             if not np.all(np.isfinite(w)) or not np.all(w > 0):
                 raise InputError("weight field must be finite and strictly positive")
-            w = np.ascontiguousarray(w, dtype=float)
+            w = np.array(w, dtype=float, order="C")
             w.setflags(write=False)
             object.__setattr__(self, "weight", w)
         else:

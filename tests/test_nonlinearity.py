@@ -281,6 +281,14 @@ class TestFieldEvaluation:
         with pytest.raises(InputError):
             spec.to_text()
 
+    def test_weight_field_is_the_specs_own_copy(self, identity22):
+        w = np.ones((16, 16))
+        spec = NonlinearitySpec(tensor=identity22, weight=w)
+        assert spec.weight is not w and not np.shares_memory(spec.weight, w)
+        assert w.flags.writeable and not spec.weight.flags.writeable
+        w[3, 5] = 7.0
+        np.testing.assert_array_equal(spec.weight, np.ones((16, 16)))
+
 
 class TestPackedKernel:
     @settings(max_examples=60, deadline=None)

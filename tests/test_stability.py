@@ -6,6 +6,7 @@ import scipy.fft
 
 import nearelliptic.stability as stability
 from nearelliptic import (
+    CustomPerturbation,
     EllipticityCertificate,
     GridSpec,
     NonlinearitySpec,
@@ -23,7 +24,7 @@ from nearelliptic import (
 )
 from nearelliptic.campanato import zero_field
 from nearelliptic.certify import SamplerConfig, _draw_pairs
-from nearelliptic.errors import DivergenceError, InputError, NearnessConditionError
+from nearelliptic.errors import DivergenceError, EvaluationError, InputError, NearnessConditionError
 from nearelliptic.fields import (
     PHYSICAL,
     SPECTRAL,
@@ -36,6 +37,34 @@ from nearelliptic.fields import (
 from nearelliptic.nonlinearity import evaluate_field
 from nearelliptic.stability import EMPIRICAL_PAIRS, EMPIRICAL_SEED, NuFGEstimate, empirical_nu_F
 from nearelliptic.tensors import SymTensor4, identity_tensor
+
+
+@pytest.fixture(autouse=True)
+def fresh_admission():
+    """Each test starts with empty admission memos, so the calls it guards or counts compute."""
+    nu_FG_estimate.cache_clear()
+    empirical_nu_F.cache_clear()
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """Sizes of the standard normal draws of every generator made from here on."""
+    sizes = []
+    default_rng = np.random.default_rng
+
+    class Counting:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, shape):
+            sizes.append(np.prod(shape))
+            return self.rng.standard_normal(shape)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    return sizes
 
 
 def cert_with(beta, gamma, nu=1.0, alpha_sup=1.0):
@@ -181,26 +210,125 @@ class TestEmpiricalModulus:
         assert empirical_nu_F(spec, grid) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("n, M", [(2, 32), (3, 8)])
-    def test_every_call_draws_only_the_band(self, monkeypatch, n, M):
+    def test_a_first_call_draws_only_the_band_and_a_repeat_draws_nothing(self, drawn, n, M):
         grid = GridSpec(n=n, N=2, M=M)
-        spec = admission_specs(n, M)["sine"]
-        drawn = []
-        default_rng = np.random.default_rng
-
-        class Counting:
-            def __init__(self, seed):
-                self.rng = default_rng(seed)
-
-            def standard_normal(self, shape):
-                drawn.append(np.prod(shape))
-                return self.rng.standard_normal(shape)
-
-        monkeypatch.setattr(np.random, "default_rng", Counting)
-        first, second = empirical_nu_F(spec, grid), empirical_nu_F(spec, grid)
-        assert first == second
+        first = empirical_nu_F(admission_specs(n, M)["sine"], grid)
         band = M // 4
         per_call = 2 * 2 * EMPIRICAL_PAIRS * grid.N * (2 * band + 1) ** (n - 1) * (band + 1)
-        assert sum(drawn) == 2 * per_call
+        assert sum(drawn) == per_call
+        # equal content in new objects: the memo answers, with no draw
+        assert empirical_nu_F(admission_specs(n, M)["sine"], GridSpec(n=n, N=2, M=M)) == first
+        assert sum(drawn) == per_call
+
+
+def nan_off_zero(X):
+    return np.where((X**2).sum(axis=(-2, -1)) > 0, np.nan, 0.0)
+
+
+def weight_field(at_3_5=1.5):
+    w = np.full((16, 16), 1.5)
+    w[3, 5] = at_3_5
+    return w
+
+
+def tanh_hook(X):
+    return 0.1 * np.tanh(X.sum(axis=(-2, -1)))
+
+
+class TestAdmissionMemo:
+    """One computation per (F, G) and per (F, grid), keyed on content."""
+
+    grid = GridSpec(n=2, N=2, M=16)
+    G = NonlinearitySpec(tensor=identity_tensor(2, 2), perturbation=SinePerturbation(amplitude=0.35))
+
+    @staticmethod
+    def spec(tensor=None, weight=1.0, perturbation=SinePerturbation(amplitude=0.3)):
+        return NonlinearitySpec(tensor=tensor or identity_tensor(2, 2), weight=weight, perturbation=perturbation)
+
+    @pytest.mark.parametrize("kind", ["sine", "norm_combo", "weight_field"])
+    def test_equal_content_is_computed_once(self, drawn, kind):
+        estimate = nu_FG_estimate(admission_specs(2, 16)[kind], self.G)
+        empirical = empirical_nu_F(admission_specs(2, 16)[kind], GridSpec(n=2, N=2, M=16))
+        assert sum(drawn) > 0
+        drawn.clear()
+        again = admission_specs(2, 16)[kind]
+        assert nu_FG_estimate(again, self.G) is estimate
+        assert empirical_nu_F(again, GridSpec(n=2, N=2, M=16)) == empirical
+        assert drawn == []
+
+    @pytest.mark.parametrize(
+        "base, changed",
+        [
+            ({}, {"tensor": SymTensor4(1.25 * identity_tensor(2, 2).entries)}),
+            ({}, {"weight": 1.5}),
+            ({"weight": weight_field()}, {"weight": weight_field(at_3_5=2.5)}),
+            ({}, {"perturbation": SinePerturbation(amplitude=0.31)}),
+            ({}, {"perturbation": NormComboPerturbation(b=0.2, c=0.1)}),
+            (
+                {"perturbation": CustomPerturbation(fn=tanh_hook, lipschitz=0.2, name="tanh")},
+                {"perturbation": CustomPerturbation(fn=lambda X: 0.5 * tanh_hook(X), lipschitz=0.1, name="tanh")},
+            ),
+        ],
+        ids=["tensor", "constant-weight", "weight-field-value", "sine-amplitude", "kind", "custom-hook"],
+    )
+    def test_changing_one_part_of_a_spec_recomputes(self, drawn, base, changed):
+        first, second = self.spec(**base), self.spec(**{**base, **changed})
+        for compute in (lambda s: nu_FG_estimate(s, self.G), lambda s: empirical_nu_F(s, self.grid)):
+            compute(first)
+            drawn.clear()
+            compute(second)
+            assert drawn, "the changed spec is computed"
+            drawn.clear()
+            compute(first)
+            compute(second)
+            assert drawn == [], "both values are kept"
+
+    @pytest.mark.parametrize("grid", [GridSpec(n=2, N=2, M=32), GridSpec(n=2, N=2, M=16, L=2.0)], ids=["M", "L"])
+    def test_changing_the_grid_recomputes(self, drawn, grid):
+        spec = self.spec()
+        empirical_nu_F(spec, self.grid)
+        drawn.clear()
+        empirical_nu_F(spec, grid)
+        assert drawn, "the changed grid is computed"
+        drawn.clear()
+        empirical_nu_F(spec, self.grid)
+        empirical_nu_F(spec, grid)
+        assert drawn == [], "both values are kept"
+
+    def test_a_kept_value_is_the_value_after_cache_clear_bit_for_bit(self):
+        spec = admission_specs(2, 16)["sine"]
+        first = nu_FG_estimate(spec, self.G), empirical_nu_F(spec, self.grid)
+        kept = nu_FG_estimate(spec, self.G), empirical_nu_F(spec, self.grid)
+        assert kept[0] is first[0]
+        nu_FG_estimate.cache_clear()
+        empirical_nu_F.cache_clear()
+        fresh = nu_FG_estimate(spec, self.G), empirical_nu_F(spec, self.grid)
+        assert fresh[0] is not kept[0]
+        assert fresh[0].sampled.hex() == kept[0].sampled.hex()
+        assert fresh[0].analytic.hex() == kept[0].analytic.hex()
+        assert fresh[1].hex() == kept[1].hex()
+
+    def test_a_hook_returning_nan_raises_on_every_call(self, drawn):
+        spec = self.spec(perturbation=CustomPerturbation(fn=nan_off_zero, lipschitz=0.1, name="nan-off-zero"))
+        for _ in range(2):
+            drawn.clear()
+            with pytest.raises(EvaluationError):
+                nu_FG_estimate(spec, self.G)
+            with pytest.raises(EvaluationError):
+                empirical_nu_F(spec, self.grid)
+            assert len(drawn) > 2, "each call draws again"
+
+    def test_a_write_to_the_callers_weight_changes_no_kept_value(self):
+        w = 1.0 + 0.5 * np.random.default_rng(41).random((16, 16))
+        spec = self.spec(weight=w)
+        before = nu_FG_estimate(spec, self.G), empirical_nu_F(spec, self.grid)
+        w *= 3.0
+        assert not np.shares_memory(spec.weight, w)
+        assert (nu_FG_estimate(spec, self.G), empirical_nu_F(spec, self.grid)) == before
+        nu_FG_estimate.cache_clear()
+        empirical_nu_F.cache_clear()
+        assert (nu_FG_estimate(spec, self.G), empirical_nu_F(spec, self.grid)) == before
+        assert empirical_nu_F(self.spec(weight=w), self.grid) != before[1]
 
 
 class TestCertificateSuspect:
