@@ -138,8 +138,13 @@ class NormComboPerturbation(_PackedFormula):
 class CustomPerturbation:
     """User hook with a declared Lipschitz bound.
 
-    ``fn`` maps a batch (..., N, n, n) to (..., N) and must vanish at 0.
-    Named instances can be registered for config-file round trips.
+    ``fn`` maps a batch (..., N, n, n) to (..., N), must vanish at 0 and must
+    be a pure function of X: the stability admission keeps its estimates for
+    a spec for the life of the spec object, so a hook whose output follows
+    other state would be admitted on stale values.  ``nu_FG_estimate`` and
+    ``empirical_nu_F`` (in :mod:`nearelliptic.stability`) have
+    ``cache_clear()`` to drop them.  Named instances can be registered for
+    config-file round trips.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -210,6 +215,8 @@ class NonlinearitySpec:
     A weight field is checked finite and positive, then kept as the spec's
     own read-only copy, so the caller's array stays writable and later
     writes to it change neither the spec nor anything computed from it.
+    A spec compares and hashes by identity, which is what lets the stability
+    admission keep its estimates per spec object.
     """
 
     tensor: SymTensor4

@@ -29,20 +29,19 @@ and no n^2 hessian.
 The admission belongs to the operator pair and the grid, not to the data g,
 and both of its sampled estimates are seeded, so each is computed once per
 (F, G) and per (F, grid): :func:`nu_FG_estimate` and :func:`empirical_nu_F`
-keep their values in bounded LRUs of the last ``_ADMISSION_CACHE_SIZE``,
-keyed on content.  A spec's key is its tensor's entries, its weight (a
-constant, or a weight field's shape and blake2b digest, so no field is
-copied) and its perturbation (a catalog one by value, any other object by
-identity); the modulus adds the grid.  A miss computes as before, and an
-exception is not stored.  Each function has ``cache_clear()``.
+are ``functools.lru_cache`` functions of the last ``_ADMISSION_CACHE_SIZE``
+calls.  A spec is keyed by identity (``NonlinearitySpec`` compares by
+identity and owns read-only copies of its tensor entries and weight field),
+the grid by value.  A caller that solves for many right-hand sides reuses
+its spec objects; an equal spec built anew is computed again.  A miss
+computes as before, and an exception is not stored.  Each function has
+``cache_clear()``.
 """
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass, replace
-from functools import wraps
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,67 +72,6 @@ SUSPECT_SLACK = 1e-9
 EMPIRICAL_PAIRS = 8
 EMPIRICAL_SEED = 11
 _ADMISSION_CACHE_SIZE = 32
-
-
-class _Identity:
-    """Key part of an object compared by identity; holding the object keeps its id from being reused."""
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj):
-        self.obj = obj
-
-    def __hash__(self) -> int:
-        return id(self.obj)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Identity) and other.obj is self.obj
-
-
-def _perturbation_key(pert) -> object:
-    """A catalog perturbation (a frozen dataclass of numbers) by value; anything else, a custom hook, by identity."""
-    if pert is None or isinstance(pert, (SinePerturbation, NormComboPerturbation)):
-        try:
-            hash(pert)
-            return pert
-        except TypeError:  # a parameter that does not hash, such as a 0-d array
-            pass
-    return _Identity(pert)
-
-
-def _spec_key(spec: NonlinearitySpec) -> tuple:
-    """Content key of a spec: tensor entries, weight (a field by shape and digest), perturbation."""
-    entries, weight = spec.tensor.entries, spec.weight
-    if isinstance(weight, np.ndarray):
-        weight = (weight.shape, hashlib.blake2b(weight).digest())
-    return entries.shape, entries.tobytes(), weight, _perturbation_key(spec.perturbation)
-
-
-def _memoized(key):
-    """Keep a function's values in an LRU of the last ``_ADMISSION_CACHE_SIZE``, by ``key(*args)``.
-
-    A miss calls the function; what it raises is not stored.  The wrapper
-    has ``cache_clear()``, as a ``functools.lru_cache`` has.
-    """
-
-    def decorate(fn):
-        values: OrderedDict = OrderedDict()
-
-        @wraps(fn)
-        def memo(*args, **kwargs):
-            k = key(*args, **kwargs)
-            if k in values:
-                values.move_to_end(k)
-                return values[k]
-            value = values[k] = fn(*args, **kwargs)
-            if len(values) > _ADMISSION_CACHE_SIZE:
-                values.popitem(last=False)
-            return value
-
-        memo.cache_clear = values.clear
-        return memo
-
-    return decorate
 
 
 def nu_F_lower_bound(certificate: EllipticityCertificate) -> float:
@@ -179,7 +117,7 @@ def _perturbation_distance_bound(specF: NonlinearitySpec, specG: NonlinearitySpe
     return None
 
 
-@_memoized(lambda specF, specG: (_spec_key(specF), _spec_key(specG)))
+@lru_cache(maxsize=_ADMISSION_CACHE_SIZE)
 def nu_FG_estimate(specF: NonlinearitySpec, specG: NonlinearitySpec) -> NuFGEstimate:
     """Maximum sampled increment-distance ratio between two nonlinearities.
 
@@ -189,9 +127,9 @@ def nu_FG_estimate(specF: NonlinearitySpec, specG: NonlinearitySpec) -> NuFGEsti
     spatially varying.  The sample maximum is a lower estimate of the true
     supremum, which is why the analytic catalog bound, when known, is the
     one used for admission decisions.  The estimate is computed once per
-    (F, G): it is kept in a bounded LRU keyed on the content of both specs
-    (see the module docstring), and a later call with equal specs returns
-    the same :class:`NuFGEstimate`.
+    (F, G): it is kept in a bounded LRU keyed on the two spec objects (see
+    the module docstring), and a later call with the same specs returns the
+    same :class:`NuFGEstimate`.
     """
     if (specF.N, specF.n) != (specG.N, specG.n):
         raise InputError("specs must share dimensions")
@@ -205,7 +143,7 @@ def nu_FG_estimate(specF: NonlinearitySpec, specG: NonlinearitySpec) -> NuFGEsti
     return NuFGEstimate(sampled=worst, analytic=_perturbation_distance_bound(specF, specG))
 
 
-@_memoized(lambda spec, grid: (_spec_key(spec), grid))
+@lru_cache(maxsize=_ADMISSION_CACHE_SIZE)
 def empirical_nu_F(spec: NonlinearitySpec, grid: GridSpec) -> float:
     """Minimum of ||F(., D^2 w) - F(., D^2 v)|| / ||D^2(w - v)|| over random field pairs.
 
@@ -219,7 +157,7 @@ def empirical_nu_F(spec: NonlinearitySpec, grid: GridSpec) -> float:
     and both norms are taken on those slots as in ``verify_comparison``; no
     field is transformed to physical space first and no n^2 hessian is
     built.  The value is computed once per (F, grid): it is kept in a
-    bounded LRU keyed on the content of the spec and on the grid (see the
+    bounded LRU keyed on the spec object and the grid's value (see the
     module docstring), so only a call with a new (F, grid) draws and
     evaluates.
     """

@@ -212,12 +212,13 @@ class TestEmpiricalModulus:
     @pytest.mark.parametrize("n, M", [(2, 32), (3, 8)])
     def test_a_first_call_draws_only_the_band_and_a_repeat_draws_nothing(self, drawn, n, M):
         grid = GridSpec(n=n, N=2, M=M)
-        first = empirical_nu_F(admission_specs(n, M)["sine"], grid)
+        spec = admission_specs(n, M)["sine"]
+        first = empirical_nu_F(spec, grid)
         band = M // 4
         per_call = 2 * 2 * EMPIRICAL_PAIRS * grid.N * (2 * band + 1) ** (n - 1) * (band + 1)
         assert sum(drawn) == per_call
-        # equal content in new objects: the memo answers, with no draw
-        assert empirical_nu_F(admission_specs(n, M)["sine"], GridSpec(n=n, N=2, M=M)) == first
+        # the same spec on an equal grid: the memo answers, with no draw
+        assert empirical_nu_F(spec, GridSpec(n=n, N=2, M=M)) == first
         assert sum(drawn) == per_call
 
 
@@ -236,7 +237,7 @@ def tanh_hook(X):
 
 
 class TestAdmissionMemo:
-    """One computation per (F, G) and per (F, grid), keyed on content."""
+    """One computation per (F, G) and per (F, grid): specs keyed by identity, grids by value."""
 
     grid = GridSpec(n=2, N=2, M=16)
     G = NonlinearitySpec(tensor=identity_tensor(2, 2), perturbation=SinePerturbation(amplitude=0.35))
@@ -246,19 +247,20 @@ class TestAdmissionMemo:
         return NonlinearitySpec(tensor=tensor or identity_tensor(2, 2), weight=weight, perturbation=perturbation)
 
     @pytest.mark.parametrize("kind", ["sine", "norm_combo", "weight_field"])
-    def test_equal_content_is_computed_once(self, drawn, kind):
-        estimate = nu_FG_estimate(admission_specs(2, 16)[kind], self.G)
-        empirical = empirical_nu_F(admission_specs(2, 16)[kind], GridSpec(n=2, N=2, M=16))
+    def test_a_repeat_with_the_same_spec_is_computed_once(self, drawn, kind):
+        spec = admission_specs(2, 16)[kind]
+        estimate = nu_FG_estimate(spec, self.G)
+        empirical = empirical_nu_F(spec, GridSpec(n=2, N=2, M=16))
         assert sum(drawn) > 0
         drawn.clear()
-        again = admission_specs(2, 16)[kind]
-        assert nu_FG_estimate(again, self.G) is estimate
-        assert empirical_nu_F(again, GridSpec(n=2, N=2, M=16)) == empirical
+        assert nu_FG_estimate(spec, self.G) is estimate
+        assert empirical_nu_F(spec, GridSpec(n=2, N=2, M=16)) == empirical
         assert drawn == []
 
     @pytest.mark.parametrize(
         "base, changed",
         [
+            ({}, {}),
             ({}, {"tensor": SymTensor4(1.25 * identity_tensor(2, 2).entries)}),
             ({}, {"weight": 1.5}),
             ({"weight": weight_field()}, {"weight": weight_field(at_3_5=2.5)}),
@@ -269,9 +271,10 @@ class TestAdmissionMemo:
                 {"perturbation": CustomPerturbation(fn=lambda X: 0.5 * tanh_hook(X), lipschitz=0.1, name="tanh")},
             ),
         ],
-        ids=["tensor", "constant-weight", "weight-field-value", "sine-amplitude", "kind", "custom-hook"],
+        ids=["rebuilt-equal", "tensor", "constant-weight", "weight-field-value", "sine-amplitude", "kind", "custom-hook"],
     )
-    def test_changing_one_part_of_a_spec_recomputes(self, drawn, base, changed):
+    def test_a_new_spec_object_is_computed_and_both_are_kept(self, drawn, base, changed):
+        # a spec built anew, equal or with one part changed, is a new key
         first, second = self.spec(**base), self.spec(**{**base, **changed})
         for compute in (lambda s: nu_FG_estimate(s, self.G), lambda s: empirical_nu_F(s, self.grid)):
             compute(first)
