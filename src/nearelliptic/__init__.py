@@ -71,7 +71,6 @@ from .stability import (
 )
 from .tensors import (
     EllipticityConstant,
-    SphereSearchConfig,
     SymTensor4,
     SymbolMatrix,
     bilinear_form,

@@ -159,16 +159,6 @@ class IterationTrace:
         return buf.getvalue()
 
 
-def _alpha_times(alpha, field_: VectorField) -> VectorField:
-    data = field_.data
-    arr = np.asarray(alpha, dtype=float)
-    if arr.ndim == 0:
-        return VectorField(field_.grid, float(arr) * data, PHYSICAL)
-    if arr.shape != field_.grid.shape:
-        raise InputError(f"alpha field must have grid shape {field_.grid.shape}, got {arr.shape}")
-    return VectorField(field_.grid, arr[None] * data, PHYSICAL)
-
-
 def _at_zero_hessian(spec: NonlinearitySpec, grid) -> np.ndarray:
     """F(., 0) over the grid as an (N, 1, ..., 1) array, from one evaluation at a zero packed point.
 
@@ -197,7 +187,8 @@ def campanato_solve(
 
     ``alpha`` is the scaling of the certificate (constant or a positive grid
     field); a constant that differs from the certificate's own ``alpha`` by
-    more than 1e-12 relative is an InputError.  Every iterate carries the
+    more than 1e-12 relative, or a field not of the grid's shape, is an
+    InputError.  Every iterate carries the
     zero-mean gauge inherited from the linear solver.  Without
     ``initial_guess`` it starts from zero, F(., 0) taken at one point (see
     the module notes).  Returns the final field and the full trace.
@@ -209,6 +200,11 @@ def campanato_solve(
     g = f.grid
     if (spec.N, spec.n) != (g.N, g.n):
         raise InputError("spec dimensions do not match the grid")
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.ndim:
+        if alpha.shape != g.shape:
+            raise InputError(f"alpha field must have grid shape {g.shape}, got {alpha.shape}")
+        alpha = alpha[None]  # broadcast over the components
     f.require_finite("right-hand side")
     if initial_guess is not None:
         initial_guess.require_finite("initial guess")
@@ -232,7 +228,7 @@ def campanato_solve(
 
     trace = IterationTrace()
     for _ in range(config.max_iters):
-        rhs = op_prev - half.forward(_alpha_times(alpha, misfit).data)
+        rhs = op_prev - half.forward(alpha * misfit.data)
         uhat = plan.invert(rhs)
         op_u = plan.apply(uhat)
         misfit = evaluate_field(spec, half.hessian_pairs(uhat, work)) - f_phys

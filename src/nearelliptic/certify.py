@@ -18,9 +18,11 @@ Quantifying over all (x, X, Z) is not decidable at desk scale; the verifier
 and the fitter sample Gaussian (x, X, Z) triples and report the worst
 violation, so every certificate means "certified on samples", never a
 proof.  beta and gamma are global; only alpha may vary with x.  The scale
-sweep probes non-homogeneity: each sample is one ray, (x, X) and a Gaussian
-direction Z0, read at Z = scale * Z0 for every scale, so F(x, X) is
-evaluated once per sample and F(x, X+Z) once per scale.
+sweep :data:`SCALES` probes non-homogeneity: each sample is one ray, (x, X)
+and a Gaussian direction Z0, read at Z = scale * Z0 for every scale, so
+F(x, X) is evaluated once per sample and F(x, X+Z) once per scale.  The
+sweep is one module constant, read at call time; the bound quantifies over
+every Z, and the sweep is only how the sampler probes that.
 
 The samples are packed, component-major (N, n(n+1)/2, count).  X and Z are
 symmetric Gaussian matrices, and only their n(n+1)/2 distinct entries are
@@ -47,21 +49,23 @@ CONSTANT_FLOOR = 1e-6
 SIGMA_CAP = 1e9
 # bound on the round-off absorption steps of fit_k_condition
 ABSORB_STEPS = 64
+# the lengths |Z| / |Z0| at which every sampled ray is read
+SCALES = (1e-2, 1.0, 1e2)
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Gaussian sampling plan: ``count`` rays (x, X, Z0), each read at Z = scale * Z0 for every scale."""
+    """Gaussian sampling plan: ``count`` rays (x, X, Z0) at ``seed``.
+
+    Each ray is read at Z = scale * Z0 for every scale of :data:`SCALES`.
+    """
 
     count: int = 1500
     seed: int = 0
-    scales: tuple[float, ...] = (1e-2, 1.0, 1e2)
 
     def __post_init__(self):
         if finite_number(self.count, "sampler count", integer=True) < 1:
             raise InputError(f"sampler count must be >= 1, got {self.count}")
-        if not self.scales or not all(finite_number(s, "sampler scale") > 0 for s in self.scales):
-            raise InputError(f"sampler scales must be positive numbers, at least one, got {self.scales!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +228,7 @@ def _draw_pairs(sampler: SamplerConfig, *specs: NonlinearitySpec):
     X = symmetric_gaussian(rng, sampler.count, N, n)
     Z0 = symmetric_gaussian(rng, sampler.count, N, n)
     flat, weights = sample_weights(rng, sampler.count, *specs)
-    for scale in sampler.scales:
+    for scale in SCALES:
         yield scale, flat, weights, X, scale * Z0
 
 
@@ -294,7 +298,7 @@ def verify_k_condition(
         worst_sample=candidates[worst // sampler.count],
         sample_count=len(violations),
         violations=violations,
-        scales=np.repeat(np.asarray(sampler.scales, dtype=float), sampler.count),
+        scales=np.repeat(np.asarray(SCALES, dtype=float), sampler.count),
     )
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certify import SCALES
 from .errors import InputError
 from .tensors import SymTensor4, contract_hessian, example2_tensor
 
@@ -275,7 +276,7 @@ def example3_analysis(
     X = 0.5 * (X + np.swapaxes(X, -1, -2))
     Z = rng.standard_normal((sample_count, n, n))
     Z = 0.5 * (Z + np.swapaxes(Z, -1, -2))
-    scales = np.array([1e-2, 1.0, 1e2])[rng.integers(0, 3, size=sample_count)]
+    scales = np.array(SCALES)[rng.integers(0, len(SCALES), size=sample_count)]
     Z = Z * scales[:, None, None]
     trZ = np.trace(Z, axis1=-2, axis2=-1)
     zz = (Z**2).sum(axis=(-2, -1))

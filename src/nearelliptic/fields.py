@@ -99,7 +99,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, lru_cache
 
 import numpy as np
@@ -110,6 +110,7 @@ from .errors import InputError
 PHYSICAL = "physical"
 SPECTRAL = "spectral"
 
+# the one memory budget: GridSpec's guard and the nu search (tensors._sphere_search) read it at call time
 _DEFAULT_BUDGET = 2 * 1024**3  # bytes
 
 # decades a grid's volumes and hessian multipliers may span on either side of 1
@@ -120,16 +121,17 @@ SCALE_DECADES = 100
 class GridSpec:
     """Uniform periodic grid: n axes, M points each, period L, N field components.
 
-    ``memory_budget`` bounds the n^2 physical hessian, ``8 N n^2 M^n`` bytes,
-    that :func:`spectral_hessian` and the stability outer loop build.  It is
-    a guard, not part of the grid: two grids that differ only in it are equal.
+    A grid whose n^2 physical hessian, ``8 N n^2 M^n`` bytes, the array that
+    :func:`spectral_hessian` and the stability outer loop build, exceeds the
+    module budget ``_DEFAULT_BUDGET`` is refused.  The guard counts only that
+    array: the working set of ``campanato_solve``, which never builds it and
+    may need more, is not counted.
     """
 
     n: int
     N: int
     M: int
     L: float = 1.0
-    memory_budget: int = field(default=_DEFAULT_BUDGET, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -141,11 +143,11 @@ class GridSpec:
         if not (math.isfinite(self.L) and self.L > 0):
             raise InputError(f"period must be finite and positive, got {self.L}")
         # logarithms first: past the budget, M^n may be too large to form, and its byte count to print
-        over = self.n > math.log(max(self.memory_budget, 1), self.M)
-        if over or 8 * self.N * self.n**2 * self.M**self.n > self.memory_budget:
+        over = self.n > math.log(max(_DEFAULT_BUDGET, 1), self.M)
+        if over or 8 * self.N * self.n**2 * self.M**self.n > _DEFAULT_BUDGET:
             raise InputError(
                 f"the hessian of a grid with n={self.n}, N={self.N}, M={self.M} exceeds the memory budget "
-                f"{self.memory_budget} bytes"
+                f"{_DEFAULT_BUDGET} bytes"
             )
         # norms weigh by the volumes L^n and (L/M)^n, and the solvers by the hessian multipliers
         # (2 pi k / L)^2, 1 <= |k| <= M/2: each stays within 1e+-SCALE_DECADES, so their products stay finite
@@ -640,7 +642,7 @@ def w22star_norms(u: VectorField) -> NormReport:
     g = u.grid
     phys = u.to_physical()
     half = half_spectrum(g)
-    hess_l2 = half.hessian_pairs(half.forward(phys.data)).norm()
+    hess_l2 = half.hessian_pairs(half.coefficients(u)).norm()
     if g.n < 5:
         return NormReport(
             l2=l2_norm(phys),

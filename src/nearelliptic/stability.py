@@ -121,7 +121,7 @@ def _perturbation_distance_bound(specF: NonlinearitySpec, specG: NonlinearitySpe
 def nu_FG_estimate(specF: NonlinearitySpec, specG: NonlinearitySpec) -> NuFGEstimate:
     """Maximum sampled increment-distance ratio between two nonlinearities.
 
-    2000 Gaussian rays read at the three lengths of the default sweep, at
+    2000 Gaussian rays read at the lengths of ``certify.SCALES``, at
     seed 3, drawn by the certificate sampler: each ray is one (x, X) and a
     direction Z0, with Z = scale * Z0.  Weights are sampled from the grid when
     spatially varying.  The sample maximum is a lower estimate of the true
@@ -216,27 +216,22 @@ def solve_via_nearness(
     certificateF: EllipticityCertificate,
     g: VectorField,
     config: SolveConfig = SolveConfig(),
-    initial_guess: VectorField | None = None,
 ) -> tuple[VectorField, StabilityReport]:
     """Solve G(., D^2 u) = g through the certified F solver.
 
     Refuses (with the report attached to the exception) when the estimated
     increment distance does not fall below the certified lower bound on the
-    modulus of F.  Inner solves warm-start from the current outer iterate;
-    the fixed point does not depend on that.  Without ``initial_guess`` the
-    outer loop starts at u = 0: F(., 0) and G(., 0) are each taken at one
+    modulus of F.  The outer loop starts at u = 0, since it contracts to one
+    fixed point from any start: F(., 0) and G(., 0) are each taken at one
     point and broadcast, and the first inner solve starts cold, so no
-    hessian of zero is built; the result is that of a start from
-    :func:`~nearelliptic.campanato.zero_field`, bit for bit.  The outer
-    loop stops by the rule of the inner one (:meth:`IterationTrace.advance`)
-    in the metric ||F(., D^2 u_k) - F(., D^2 u_{k-1})||: on the residual, on
-    a stall at round-off, or with a ``DivergenceError`` citing
-    ``certificateF`` once it stops contracting; it takes at most 60 outer
-    steps.
+    hessian of zero is built.  Later inner solves warm-start from the
+    current outer iterate.  The outer loop stops by the rule of the inner
+    one (:meth:`IterationTrace.advance`) in the metric
+    ||F(., D^2 u_k) - F(., D^2 u_{k-1})||: on the residual, on a stall at
+    round-off, or with a ``DivergenceError`` citing ``certificateF`` once it
+    stops contracting; it takes at most 60 outer steps.
     """
     g.require_finite("right-hand side")
-    if initial_guess is not None:
-        initial_guess.require_finite("initial guess")
     lower = nu_F_lower_bound(certificateF)
     estimate = nu_FG_estimate(specF, specG)
     grid = g.grid
@@ -263,22 +258,14 @@ def solve_via_nearness(
 
     # F and G of the current iterate, on one packed hessian; the bottom of
     # iteration k computes them for the top of iteration k + 1
-    if initial_guess is None:
-        u = None  # the first inner solve starts cold
-        shape = (grid.N,) + grid.shape
-        F_u, G_u = (VectorField(grid, np.broadcast_to(_at_zero_hessian(s, grid), shape)) for s in (specF, specG))
-    else:
-        u = initial_guess.to_physical()
-        hess = HessianPairs.from_hessian(spectral_hessian(u, PHYSICAL))
-        F_u = evaluate_field(specF, hess)
-        G_u = evaluate_field(specG, hess)
+    u = None  # the first inner solve starts cold
+    shape = (grid.N,) + grid.shape
+    F_u, G_u = (VectorField(grid, np.broadcast_to(_at_zero_hessian(s, grid), shape)) for s in (specF, specG))
     F_prev = F_u
     trace = IterationTrace()
     for _ in range(60):
         rhs = F_u - (G_u - g_phys)
-        u, _ = campanato_solve(
-            specF, alphaF, rhs, certificateF, config=inner_config, initial_guess=u
-        )
+        u, _ = campanato_solve(specF, alphaF, rhs, certificateF, config=inner_config, initial_guess=u)
         hess = HessianPairs.from_hessian(spectral_hessian(u, PHYSICAL))
         F_u = evaluate_field(specF, hess)
         G_u = evaluate_field(specG, hess)

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fields
-from .errors import DegenerateSymbolError, EstimateBreachError, InputError, finite_number
+from .errors import DegenerateSymbolError, EstimateBreachError, InputError
 from .fields import HessianPairs
 
 # Constructor tolerance: asymmetry up to round-off is repaired, more is an error.
@@ -46,6 +46,9 @@ SYMMETRY_TOL = 1e-12
 DET_FLOOR_COEF = 1e-12
 
 POLISH_MAX_STEPS = 500
+
+# Directions of the nu search, read at call time.
+SPHERE_SAMPLES = 20000
 
 # Direction tables kept by _sphere_directions, one per (n, samples).
 DIRECTION_CACHE_SIZE = 4
@@ -397,17 +400,6 @@ def hermitian_form(A: SymTensor4, xi: np.ndarray, a: np.ndarray) -> float:
     return value.real
 
 
-@dataclass(frozen=True)
-class SphereSearchConfig:
-    """Direction-sampling plan for the ellipticity-constant search."""
-
-    samples: int = 20000
-
-    def __post_init__(self):
-        if finite_number(self.samples, "sphere search samples", integer=True) < 1:
-            raise InputError(f"sphere search samples must be >= 1, got {self.samples}")
-
-
 @dataclass(frozen=True, eq=False)
 class EllipticityConstant:
     """Rank-one ellipticity constant with the (approximate) minimizing pair."""
@@ -481,21 +473,23 @@ def _polish(A: SymTensor4, matrix: np.ndarray, dirs: np.ndarray, tol: float) -> 
     return w[:, 0], dirs, step
 
 
-def ellipticity_constant(A: SymTensor4, search: SphereSearchConfig = SphereSearchConfig()) -> EllipticityConstant:
+def ellipticity_constant(A: SymTensor4) -> EllipticityConstant:
     """Minimum over unit directions of the smallest symbol eigenvalue.
 
-    Dense direction sampling followed by the alternating eigen-step polish
-    from the 10 best samples, to a relative change of 1e-13; the minimum of the sampled and polished values is
-    reported together with the attaining direction and eigenvector.  The
-    sampled symbols are one packed matmul; their smallest eigenvalues are in
-    closed form for N = 2 (:func:`lowest_eigenvalues`), and the directions
-    of each (n, samples) are built once and cached.  The result may be <= 0;
-    the caller decides what to do with a non-elliptic tensor.
+    Dense sampling of about ``SPHERE_SAMPLES`` directions (see
+    :func:`_sphere_directions`) followed by the alternating eigen-step polish
+    from the 10 best samples, to a relative change of 1e-13; the minimum of
+    the sampled and polished values is reported together with the attaining
+    direction and eigenvector.  The sampled symbols are one packed matmul;
+    their smallest eigenvalues are in closed form for N = 2
+    (:func:`lowest_eigenvalues`), and the directions of each (n, samples)
+    are built once and cached.  The result may be <= 0; the caller decides
+    what to do with a non-elliptic tensor.
     """
-    return _sphere_search(A, search)[0]
+    return _sphere_search(A)[0]
 
 
-def _sphere_search(A: SymTensor4, search: SphereSearchConfig):
+def _sphere_search(A: SymTensor4):
     """nu(A), with the packed symbols (N(N+1)/2, K) and their smallest eigenvalues at the sampled directions.
 
     The packed stack and its unpacked (K, N, N) form, the stack of
@@ -503,14 +497,14 @@ def _sphere_search(A: SymTensor4, search: SphereSearchConfig):
     of a grid, ``fields._DEFAULT_BUDGET``; a search past it is refused
     before it allocates anything.
     """
-    count = _direction_count(A.n, search.samples)
+    count = _direction_count(A.n, SPHERE_SAMPLES)
     stacks = 8 * count * (A.N * (A.N + 1) // 2 + A.N**2)
     if stacks > fields._DEFAULT_BUDGET:
         raise InputError(
             f"the nu search over {count} directions stacks {stacks} bytes of N={A.N} symbols, "
             f"over the memory budget {fields._DEFAULT_BUDGET} bytes"
         )
-    table = _sphere_directions(A.n, search.samples)
+    table = _sphere_directions(A.n, SPHERE_SAMPLES)
     matrix = packed_symbol_matrix(A.entries)
     packed = matrix @ direction_products(table)
     eigs = lowest_eigenvalues(packed, A.N)
@@ -558,7 +552,7 @@ def check_rank_one_positive(A: SymTensor4) -> RankOneCheck:
     so disagreeing sample directions are counted and reported rather than
     silently accepted.
     """
-    constant, packed, eig_min = _sphere_search(A, SphereSearchConfig())
+    constant, packed, eig_min = _sphere_search(A)
     stack = unpack_symbols(packed, A.N)
     dets = np.linalg.det(stack)
     disagreements = int(np.count_nonzero((eig_min > 0.0) != (dets > 0.0)))

@@ -192,6 +192,14 @@ class TestCampanatoSolve:
         _, trace = campanato_solve(spec, 0.5 * (1 + 1e-13), f, cert)
         assert trace.status == "converged"
 
+    @pytest.mark.parametrize("shape", [(16, 16), (2, 32, 32), (32,)])
+    def test_an_alpha_field_off_the_grid_is_refused_naming_both_shapes(self, grid32, identity22, shape):
+        spec = sine_spec(identity22, 0.3)
+        _, f = manufactured(spec, grid32, band=4, seed=8)
+        expected = rf"alpha field must have grid shape \(32, 32\), got \({', '.join(map(str, shape))},?\)"
+        with pytest.raises(InputError, match=expected):
+            campanato_solve(spec, np.ones(shape), f, fake_certificate())
+
     def test_trace_csv(self, grid32, identity22):
         spec = sine_spec(identity22, 0.3)
         cert = example1_certificate(spec, nu=1.0)

@@ -21,6 +21,7 @@ from nearelliptic import (
     spectral_hessian,
     w22star_norms,
 )
+from nearelliptic import fields as fields_module
 from nearelliptic.errors import InputError
 from nearelliptic.fields import (
     _HEADER,
@@ -65,21 +66,14 @@ class TestGridSpec:
             with pytest.raises(InputError):
                 GridSpec(n=2, N=2, M=4, L=L)
 
-    def test_memory_budget(self):
+    def test_memory_budget(self, monkeypatch):
+        monkeypatch.setattr(fields_module, "_DEFAULT_BUDGET", 1024)
         with pytest.raises(InputError):
-            GridSpec(n=3, N=2, M=64, memory_budget=1024)
+            GridSpec(n=3, N=2, M=64)
 
     def test_volumes(self, grid32):
         assert grid32.cell_volume == pytest.approx((1.0 / 32) ** 2)
         assert grid32.volume == 1.0
-
-    def test_the_budget_is_not_part_of_the_grid(self):
-        plain, roomy = GridSpec(n=2, N=2, M=8), GridSpec(n=2, N=2, M=8, memory_budget=10**6)
-        assert plain == roomy and hash(plain) == hash(roomy)
-        assert half_spectrum(plain) is half_spectrum(roomy)
-        u = single_mode_field(plain)
-        total = u + single_mode_field(roomy)
-        np.testing.assert_array_equal(total.data, 2 * u.data)
 
     @pytest.mark.parametrize("n, M", [(10**6, 64), (2, 10**4000), (10**4000, 4)])
     def test_a_grid_too_large_to_count_is_refused_naming_n_and_m(self, n, M):
@@ -824,6 +818,18 @@ class TestBornWithItsSpectrum:
             expected = half.forward(out.data)
             assert half.norm(kept - expected) <= 1e-14 * half.norm(expected), name
             assert half.norm(kept) == pytest.approx(l2_norm(out), rel=1e-14), name
+
+    @pytest.mark.parametrize("n, M", [(2, 16), (3, 8)])
+    def test_w22star_norms_reads_a_solver_outputs_kept_spectrum(self, monkeypatch, n, M):
+        grid = GridSpec(n=n, N=2, M=M)
+        A, cert = random_rank_one_positive(n, grid.N, seed=80 + n)
+        u = solve_linear(A, white_noise(grid, 82 + n), nu=cert.nu).u
+        half = half_spectrum(grid)
+        transformed = half.hessian_pairs(half.forward(u.data)).norm()
+        calls = count_forward_transforms(monkeypatch)
+        norm = w22star_norms(u).w22star
+        assert calls == []
+        assert norm == pytest.approx(transformed, rel=1e-14)
 
     def count_scans(self, monkeypatch) -> list:
         """Record every ``np.isfinite`` call from here on; returns the list of calls."""

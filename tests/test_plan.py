@@ -6,6 +6,8 @@ the physical field is the real part of its inverse transform.  The plan path
 must reproduce them, Nyquist planes included, to round-off.
 """
 
+import dataclasses
+import inspect
 import sys
 
 import numpy as np
@@ -21,10 +23,12 @@ from nearelliptic import (
     HessianField,
     NonlinearitySpec,
     SinePerturbation,
+    SamplerConfig,
     SolveConfig,
     VectorField,
     apply_operator,
     campanato_solve,
+    ellipticity_constant,
     example1_alpha,
     example1_certificate,
     hessian_estimate_check,
@@ -34,7 +38,6 @@ from nearelliptic import (
     solve_via_nearness,
     spectral_hessian,
 )
-from nearelliptic.campanato import zero_field
 from nearelliptic.errors import DegenerateSymbolError, InputError
 from nearelliptic.fields import PHYSICAL, SPECTRAL, half_spectrum
 from nearelliptic.linear import PLAN_CACHE_SIZE, spectral_plan
@@ -346,11 +349,13 @@ class TestPlan:
 
 
 class TestMemoryGuard:
-    def test_counts_the_real_hessian(self):
+    def test_counts_the_real_hessian(self, monkeypatch):
         # 8 N n^2 M^n bytes: 4096 here
-        GridSpec(n=2, N=2, M=8, memory_budget=4096)
+        monkeypatch.setattr(fields, "_DEFAULT_BUDGET", 4096)
+        GridSpec(n=2, N=2, M=8)
+        monkeypatch.setattr(fields, "_DEFAULT_BUDGET", 4095)
         with pytest.raises(InputError):
-            GridSpec(n=2, N=2, M=8, memory_budget=4095)
+            GridSpec(n=2, N=2, M=8)
 
     def test_refuses_a_hessian_beyond_the_default_budget(self):
         # one complex vector field is 1.07 GB, but the hessian is 13.4 GB
@@ -411,10 +416,31 @@ def test_stability_loop_computes_each_hessian_once(monkeypatch):
         return spectral_hessian(u, representation)
 
     monkeypatch.setattr(stability, "spectral_hessian", counted)
-    # a cold start takes no hessian of zero; a passed initial guess costs one more
-    for initial_guess, extra in ((None, 0), (zero_field(grid), 1)):
-        calls.clear()
-        _, report = solve_via_nearness(specF, specG, alphaF, certF, g, initial_guess=initial_guess)
-        outer = report.outer_trace.iterations
-        assert report.outer_trace.status == "converged" and outer >= 2
-        assert calls.count("solve_via_nearness") == outer + extra
+    # the loop starts at zero and takes no hessian of zero
+    _, report = solve_via_nearness(specF, specG, alphaF, certF, g)
+    outer = report.outer_trace.iterations
+    assert report.outer_trace.status == "converged" and outer >= 2
+    assert calls.count("solve_via_nearness") == outer
+
+
+# --- settings ------------------------------------------------------------------
+
+
+SETTINGS = {
+    GridSpec: {"n", "N", "M", "L"},
+    SamplerConfig: {"count", "seed"},
+    SolveConfig: {"tol_residual", "max_iters"},
+    solve_via_nearness: {"specF", "specG", "alphaF", "certificateF", "g", "config"},
+    campanato_solve: {"spec", "alpha", "f", "certificate", "config", "initial_guess"},
+    ellipticity_constant: {"A"},
+}
+
+
+@pytest.mark.parametrize("owner", list(SETTINGS), ids=lambda owner: owner.__name__)
+def test_the_pipeline_settings_are_pinned(owner):
+    # every value a caller can set; a new one needs callers outside the tests that set it differently
+    if dataclasses.is_dataclass(owner):
+        settable = {f.name for f in dataclasses.fields(owner) if f.init}
+    else:
+        settable = set(inspect.signature(owner).parameters)
+    assert settable == SETTINGS[owner]

@@ -26,7 +26,6 @@ from nearelliptic import fields, tensors
 from nearelliptic.errors import DegenerateSymbolError, InputError
 from nearelliptic.tensors import (
     POLISH_MAX_STEPS,
-    SphereSearchConfig,
     _sphere_search,
     direction_products,
     lowest_eigenvalues,
@@ -237,9 +236,10 @@ class TestEllipticityConstant:
         assert "alternating-eigh" in cert.resolution
 
     @pytest.mark.parametrize("n, N, seed", [(2, 2, 31), (2, 3, 32), (3, 2, 33), (3, 3, 34), (4, 2, 35)])
-    def test_never_above_a_sampled_eigenvalue(self, n, N, seed):
+    def test_never_above_a_sampled_eigenvalue(self, monkeypatch, n, N, seed):
+        monkeypatch.setattr(tensors, "SPHERE_SAMPLES", 4096)
         for A in (random_sym_tensor(n, N, seed), random_rank_one_positive(n, N, seed)[0]):
-            cert, _, eigs = _sphere_search(A, SphereSearchConfig(samples=4096))
+            cert, _, eigs = _sphere_search(A)
             assert cert.nu <= eigs.min()
             S_w = symbol_matrix(A, cert.witness_a).values
             assert np.linalg.eigvalsh(S_w)[0] <= cert.nu + 1e-12 * A.frobenius()
@@ -274,12 +274,14 @@ class TestEllipticityConstant:
         S_w = symbol_matrix(block_m8, cert.witness_a).values
         assert np.linalg.eigvalsh(S_w)[0] <= cert.nu + 1e-9
 
-    def test_three_dimensional_search(self):
-        cert = ellipticity_constant(identity_tensor(3, 2), SphereSearchConfig(samples=4000))
+    def test_three_dimensional_search(self, monkeypatch):
+        monkeypatch.setattr(tensors, "SPHERE_SAMPLES", 4000)
+        cert = ellipticity_constant(identity_tensor(3, 2))
         assert cert.nu == pytest.approx(1.0, abs=1e-10)
 
-    def test_high_dimensional_search(self):
-        cert = ellipticity_constant(identity_tensor(5, 2), SphereSearchConfig(samples=4096))
+    def test_high_dimensional_search(self, monkeypatch):
+        monkeypatch.setattr(tensors, "SPHERE_SAMPLES", 4096)
+        cert = ellipticity_constant(identity_tensor(5, 2))
         assert cert.nu == pytest.approx(1.0, abs=1e-8)
 
 
@@ -402,27 +404,24 @@ class TestSphereSearchCost:
         assert cert.nu == expected.nu
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_direction_table_is_built_once_and_read_only(self, n):
-        search = SphereSearchConfig(samples=3000 + n)
+    def test_direction_table_is_built_once_and_read_only(self, monkeypatch, n):
+        samples = 3000 + n
+        monkeypatch.setattr(tensors, "SPHERE_SAMPLES", samples)
         A = random_sym_tensor(n, 2, seed=n)
         tensors._sphere_directions.cache_clear()
-        first = ellipticity_constant(A, search)
-        second = ellipticity_constant(A, search)
+        first = ellipticity_constant(A)
+        second = ellipticity_constant(A)
         info = tensors._sphere_directions.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         assert second.nu == first.nu
-        table = tensors._sphere_directions(n, search.samples)
-        assert table is tensors._sphere_directions(n, search.samples)
+        table = tensors._sphere_directions(n, samples)
+        assert table is tensors._sphere_directions(n, samples)
         with pytest.raises(ValueError):
             table[0, 0] = 1.0
 
-    @pytest.mark.parametrize("samples", [0, -3, 2.5, True, float("nan"), "100", None])
-    def test_config_refuses_a_sample_count_that_is_not_a_positive_integer(self, samples):
-        with pytest.raises(InputError, match="samples"):
-            SphereSearchConfig(samples=samples)
-
-    def test_config_takes_a_single_sample(self):
-        cert = ellipticity_constant(identity_tensor(2, 2), SphereSearchConfig(samples=1))
+    def test_config_takes_a_single_sample(self, monkeypatch):
+        monkeypatch.setattr(tensors, "SPHERE_SAMPLES", 1)
+        cert = ellipticity_constant(identity_tensor(2, 2))
         assert cert.nu == pytest.approx(1.0, abs=1e-12)
 
 
@@ -432,8 +431,8 @@ class TestSphereSearchCost:
 
     def test_search_stacks_exactly_the_counted_bytes(self, monkeypatch):
         A = identity_tensor(2, 3)
-        count = tensors._direction_count(2, SphereSearchConfig().samples)
-        _, packed, _ = _sphere_search(A, SphereSearchConfig())
+        count = tensors._direction_count(2, tensors.SPHERE_SAMPLES)
+        _, packed, _ = _sphere_search(A)
         stacks = packed.nbytes + unpack_symbols(packed, A.N).nbytes
         assert stacks == 8 * count * (6 + 9)
         monkeypatch.setattr(fields, "_DEFAULT_BUDGET", stacks)
