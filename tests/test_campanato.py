@@ -200,6 +200,20 @@ class TestCampanatoSolve:
         with pytest.raises(InputError, match=expected):
             campanato_solve(spec, np.ones(shape), f, fake_certificate())
 
+    @pytest.mark.parametrize("n, M", [(2, 32), (3, 8)])
+    def test_a_constant_alpha_field_solves_as_its_constant_bit_for_bit(self, n, M):
+        grid = GridSpec(n=n, N=2, M=M)
+        spec = NonlinearitySpec(tensor=identity_tensor(n, 2), weight=2.0, perturbation=SinePerturbation(amplitude=0.3))
+        cert = example1_certificate(spec, nu=1.0)  # alpha = 1/weight = 0.5
+        _, f = manufactured(spec, grid, band=3, seed=9)
+        alpha = np.full(grid.shape, cert.alpha)
+        u_field, trace_field = campanato_solve(spec, alpha, f, cert)
+        u_const, trace_const = campanato_solve(spec, cert.alpha, f, cert)
+        assert trace_const.status == "converged"
+        np.testing.assert_array_equal(u_field.data, u_const.data)
+        assert trace_field.to_csv() == trace_const.to_csv()
+        np.testing.assert_array_equal(alpha, cert.alpha)  # the caller's field is read, not scaled
+
     def test_trace_csv(self, grid32, identity22):
         spec = sine_spec(identity22, 0.3)
         cert = example1_certificate(spec, nu=1.0)

@@ -75,6 +75,17 @@ class TestGridSpec:
         assert grid32.cell_volume == pytest.approx((1.0 / 32) ** 2)
         assert grid32.volume == 1.0
 
+    def test_the_budget_is_not_part_of_the_grid(self, monkeypatch):
+        # the guard reads the module budget at construction; the grid keeps no trace of it
+        plain = GridSpec(n=2, N=2, M=8)
+        monkeypatch.setattr(fields_module, "_DEFAULT_BUDGET", 10**6)
+        roomy = GridSpec(n=2, N=2, M=8)
+        assert plain == roomy and hash(plain) == hash(roomy) and repr(plain) == repr(roomy)
+        assert half_spectrum(plain) is half_spectrum(roomy)
+        u = single_mode_field(plain)
+        total = u + single_mode_field(roomy)
+        np.testing.assert_array_equal(total.data, 2 * u.data)
+
     @pytest.mark.parametrize("n, M", [(10**6, 64), (2, 10**4000), (10**4000, 4)])
     def test_a_grid_too_large_to_count_is_refused_naming_n_and_m(self, n, M):
         with pytest.raises(InputError, match=f"n={n}, N=2, M={M}"):
