@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import EllipticityCertificate
+from .certify import EllipticityCertificate, alpha_bounds_of
 from .errors import DivergenceError, InputError
 from .fields import PHYSICAL, HessianPairs, VectorField, half_spectrum, l2_norm
 from .linear import solve_linear, spectral_plan  # noqa: F401  (solve_linear: perfbench wraps it here)
@@ -187,8 +187,10 @@ def campanato_solve(
 
     ``alpha`` is the scaling of the certificate (constant or a positive grid
     field); a constant that differs from the certificate's own ``alpha`` by
-    more than 1e-12 relative, or a field not of the grid's shape, is an
-    InputError.  Every iterate carries the
+    more than 1e-12 relative, a field not of the grid's shape, and a field
+    that is not finite and positive or whose sup alpha or sup 1/alpha
+    exceeds the certificate's ``alpha_bounds`` by more than 1e-12 relative,
+    are InputErrors.  Every iterate carries the
     zero-mean gauge inherited from the linear solver.  Without
     ``initial_guess`` it starts from zero, F(., 0) taken at one point (see
     the module notes).  Returns the final field and the full trace.
@@ -204,6 +206,10 @@ def campanato_solve(
     if alpha.ndim:
         if alpha.shape != g.shape:
             raise InputError(f"alpha field must have grid shape {g.shape}, got {alpha.shape}")
+        # alpha_bounds_of refuses a field that is not finite and positive
+        for name, sup, bound in zip(("sup alpha", "sup 1/alpha"), alpha_bounds_of(alpha), certificate.alpha_bounds):
+            if sup > bound * (1.0 + 1e-12):
+                raise InputError(f"alpha field has {name} = {sup!r}, above the certificate's bound {name} <= {bound!r}")
         alpha = alpha[None]  # broadcast over the components
     f.require_finite("right-hand side")
     if initial_guess is not None:

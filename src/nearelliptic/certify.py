@@ -32,10 +32,22 @@ independent, which is the law of 0.5 (X + X^T) for a standard Gaussian X
 evaluator, :func:`~nearelliptic.nonlinearity.evaluate_pairs`; verify, fit
 and the stability admission's nu(F, G) read their increments from one
 helper.
+
+Work arrays.  The sampler draws X and Z0 into kept work arrays, forms each
+scale's Z and X + Z in them, and lemma 1 draws and forms its samples in the
+same ones: four (N, n(n+1)/2, count) float64 arrays per (count, N, n), kept
+for the last :data:`WORKSPACE_CACHE_SIZE` keys, so a repeated certificate
+allocates and faults in no sample array.  A caller checks the arrays out for
+the length of its call; a second caller of the same key while they are out
+gets fresh ones.  An array a sampling generator yields is valid until the
+generator advances.  Everything in a report or a certificate, and every
+value the sampler's callers keep, is the caller's own copy.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +63,12 @@ SIGMA_CAP = 1e9
 ABSORB_STEPS = 64
 # the lengths |Z| / |Z0| at which every sampled ray is read
 SCALES = (1e-2, 1.0, 1e2)
+# the most (count, N, n) keys whose work arrays are kept between calls
+WORKSPACE_CACHE_SIZE = 4
+
+# key -> the kept work arrays that no caller has checked out, oldest given back first
+_workspaces: dict[tuple[int, int, int], np.ndarray] = {}
+_workspaces_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -191,9 +209,37 @@ def symmetric_gaussian(rng: np.random.Generator, count: int, N: int, n: int) -> 
     X: diagonal entries N(0, 1), off-diagonal entries N(0, 1/2), all
     independent.
     """
-    X = rng.standard_normal((N, n * (n + 1) // 2, count))
-    X *= np.sqrt(1.0 / HessianPairs.multiplicity(n))[:, None]  # exactly 1 on the diagonal
-    return X
+    return _symmetric_gaussian_into(rng, np.empty((N, n * (n + 1) // 2, count)), n)
+
+
+def _symmetric_gaussian_into(rng: np.random.Generator, out: np.ndarray, n: int) -> np.ndarray:
+    """Fill ``out`` (N, n(n+1)/2, count) with the draw of :func:`symmetric_gaussian`, from the same stream, and return it."""
+    rng.standard_normal(out=out)
+    out *= np.sqrt(1.0 / HessianPairs.multiplicity(n))[:, None]  # exactly 1 on the diagonal
+    return out
+
+
+@contextmanager
+def _workspace(count: int, N: int, n: int):
+    """The (4, N, n(n+1)/2, count) float64 work arrays of the key, checked out for the ``with`` block.
+
+    Kept arrays are handed out when no other caller holds them, fresh ones
+    otherwise; on exit they are given back, and the oldest key past
+    :data:`WORKSPACE_CACHE_SIZE` is dropped.  Their contents on entry are
+    arbitrary.
+    """
+    key = (count, N, n)
+    with _workspaces_lock:
+        work = _workspaces.pop(key, None)
+    if work is None:
+        work = np.empty((4, N, n * (n + 1) // 2, count))
+    try:
+        yield work
+    finally:
+        with _workspaces_lock:
+            _workspaces[key] = work
+            while len(_workspaces) > WORKSPACE_CACHE_SIZE:
+                del _workspaces[next(iter(_workspaces))]
 
 
 def sample_weights(rng: np.random.Generator, count: int, *specs: NonlinearitySpec):
@@ -221,32 +267,43 @@ def _draw_pairs(sampler: SamplerConfig, *specs: NonlinearitySpec):
     order; each scale yields the same x, weights and X, and Z = scale * Z0.
     Z0 is not normalised, so each scale's samples keep the law of an
     independent draw; only the scales are coupled.  The specs share their
-    dimensions; the samplers of verify, fit and nu(F, G) all draw here.
+    dimensions; the samplers of verify, fit and nu(F, G) all draw here.  X
+    and Z are work arrays: Z is valid until the generator advances.
     """
-    N, n = specs[0].N, specs[0].n
+    with _workspace(sampler.count, specs[0].N, specs[0].n) as work:
+        yield from _rays(sampler, specs, work)
+
+
+def _rays(sampler: SamplerConfig, specs: tuple[NonlinearitySpec, ...], work: np.ndarray):
+    """The draws of :func:`_draw_pairs`, X in ``work[0]``, Z0 in ``work[1]`` and each Z in ``work[2]``."""
+    X, Z0, Z = work[:3]
     rng = np.random.default_rng(sampler.seed)
-    X = symmetric_gaussian(rng, sampler.count, N, n)
-    Z0 = symmetric_gaussian(rng, sampler.count, N, n)
+    _symmetric_gaussian_into(rng, X, specs[0].n)
+    _symmetric_gaussian_into(rng, Z0, specs[0].n)
     flat, weights = sample_weights(rng, sampler.count, *specs)
     for scale in SCALES:
-        yield scale, flat, weights, X, scale * Z0
+        yield scale, flat, weights, X, np.multiply(scale, Z0, out=Z)
 
 
 def _increments(sampler: SamplerConfig, *specs: NonlinearitySpec):
     """(scale, x indices, X, Z, A:Z, each spec's F(X+Z) - F(X), |Z|^2, |A:Z|^2) per scale; A of the first spec.
 
     X is the same at every scale, so each spec's F(X) is evaluated once and
-    only F(X+Z) per scale.
+    only F(X+Z) per scale.  X + Z, then Z**2, are formed in ``work[3]``; X and
+    Z are work arrays, as in :func:`_draw_pairs`, and the rest is fresh.
     """
     FX = None
-    for scale, flat, weights, X, Z in _draw_pairs(sampler, *specs):
-        if FX is None:
-            FX = [evaluate_pairs(spec, X, w) for spec, w in zip(specs, weights)]
-        AZ = contract_pairs(specs[0].tensor, Z)
-        Y = X + Z
-        D = [evaluate_pairs(spec, Y, w) - fx for spec, w, fx in zip(specs, weights, FX)]
-        zz = (HessianPairs.multiplicity(specs[0].n) @ Z**2).sum(axis=0)  # off-diagonal slots count twice
-        yield scale, flat, X, Z, AZ, D, zz, (AZ**2).sum(axis=0)
+    with _workspace(sampler.count, specs[0].N, specs[0].n) as work:
+        Y = work[3]
+        for scale, flat, weights, X, Z in _rays(sampler, specs, work):
+            if FX is None:
+                FX = [evaluate_pairs(spec, X, w) for spec, w in zip(specs, weights)]
+            AZ = contract_pairs(specs[0].tensor, Z)
+            np.add(X, Z, out=Y)
+            D = [evaluate_pairs(spec, Y, w) - fx for spec, w, fx in zip(specs, weights, FX)]
+            np.square(Z, out=Y)
+            zz = (HessianPairs.multiplicity(specs[0].n) @ Y).sum(axis=0)  # off-diagonal slots count twice
+            yield scale, flat, X, Z, AZ, D, zz, (AZ**2).sum(axis=0)
 
 
 def _alpha_values(alpha, flat_idx, count):
@@ -490,16 +547,18 @@ def lemma1_check(
         nu = ellipticity_constant(spec.tensor).nu
     alpha_sup, _ = alpha_bounds_of(alpha)
     rng = np.random.default_rng(seed)
-    X = symmetric_gaussian(rng, count, spec.N, spec.n)
-    eta = rng.standard_normal((count, spec.N))
-    a = rng.standard_normal((count, spec.n))
     rows, cols = HessianPairs.components(spec.n)
-    # component-major copies, so every product below runs over contiguous rows
-    eta, a = np.ascontiguousarray(eta.T), np.ascontiguousarray(a.T)
-    Z = eta[:, None] * a[rows] * a[cols]
-    _, (w,) = sample_weights(rng, count, spec)
-    diff = evaluate_pairs(spec, X + Z, w) - evaluate_pairs(spec, X, w)
-    lhs = (diff * contract_pairs(spec.tensor, Z)).sum(axis=0)
+    with _workspace(count, spec.N, spec.n) as (X, Z, Y, _):
+        _symmetric_gaussian_into(rng, X, spec.n)
+        eta = rng.standard_normal((count, spec.N))
+        a = rng.standard_normal((count, spec.n))
+        # component-major copies, so every product below runs over contiguous rows
+        eta, a = np.ascontiguousarray(eta.T), np.ascontiguousarray(a.T)
+        np.multiply(eta[:, None], a[rows], out=Z)
+        Z *= a[cols]
+        _, (w,) = sample_weights(rng, count, spec)
+        diff = evaluate_pairs(spec, np.add(X, Z, out=Y), w) - evaluate_pairs(spec, X, w)
+        lhs = (diff * contract_pairs(spec.tensor, Z)).sum(axis=0)
     rhs = (lam - kappa) * nu**2 / alpha_sup * (eta**2).sum(axis=0) * ((a**2).sum(axis=0)) ** 2
     return float((lhs - rhs).min())
 

@@ -200,6 +200,27 @@ class TestCampanatoSolve:
         with pytest.raises(InputError, match=expected):
             campanato_solve(spec, np.ones(shape), f, fake_certificate())
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (np.nan, "alpha must be finite and strictly positive"),
+            (-1.0, "alpha must be finite and strictly positive"),
+            (0.0, "alpha must be finite and strictly positive"),
+            (1.0 + 1e-9, r"sup alpha = 1.000000001, above the certificate's bound sup alpha <= 1.0"),
+            (1.0 - 1e-9, r"sup 1/alpha = 1.000000001\d*, above the certificate's bound sup 1/alpha <= 1.0"),
+        ],
+    )
+    def test_an_alpha_field_outside_the_certificates_bounds_is_refused_naming_the_bound(self, value, message):
+        # example 1 at weight 1 holds for alpha_bounds (1, 1): sup alpha <= 1 and sup 1/alpha <= 1
+        grid = GridSpec(n=2, N=2, M=16)
+        spec = sine_spec(identity_tensor(2, 2), 0.3)
+        cert = example1_certificate(spec, nu=1.0)
+        _, f = manufactured(spec, grid, band=3, seed=8)
+        with pytest.raises(InputError, match=message):
+            campanato_solve(spec, np.full(grid.shape, value), f, cert)
+        _, trace = campanato_solve(spec, np.full(grid.shape, 1.0 + 1e-13), f, cert)
+        assert trace.status == "converged"
+
     @pytest.mark.parametrize("n, M", [(2, 32), (3, 8)])
     def test_a_constant_alpha_field_solves_as_its_constant_bit_for_bit(self, n, M):
         grid = GridSpec(n=n, N=2, M=M)

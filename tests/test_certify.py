@@ -175,13 +175,15 @@ class TestSampler:
         X0 = symmetric_gaussian(rng, 64, 2, 2)
         Z0 = symmetric_gaussian(rng, 64, 2, 2)
         flat0 = rng.integers(0, weight.size, size=64)
-        draws = list(_draw_pairs(sampler, spec))
-        assert [draw[0] for draw in draws] == list(certify.SCALES) == [1e-2, 1.0, 1e2]
-        for scale, flat, (w,), X, Z in draws:
+        scales = []
+        # a yielded Z is valid until the generator advances, so each draw is checked as it comes
+        for scale, flat, (w,), X, Z in _draw_pairs(sampler, spec):
+            scales.append(scale)
             np.testing.assert_array_equal(X, X0)
             np.testing.assert_array_equal(flat, flat0)
             np.testing.assert_array_equal(w, weight.ravel()[flat0])
             assert Z.tobytes() == (scale * Z0).tobytes()
+        assert scales == list(certify.SCALES) == [1e-2, 1.0, 1e2]
 
     def test_a_verify_evaluates_F_once_at_X_and_once_per_scale(self, identity22, monkeypatch):
         calls = []
@@ -212,6 +214,87 @@ class TestSampler:
         report = verify_k_condition(spec, cert.alpha, cert.beta, cert.gamma, sampler, nu=nu)
         # fit and verify read one set of sampled increments, so they see the same worst sample
         assert report.worst_violation == cert.worst_violation <= 0
+
+
+@pytest.fixture
+def workspaces(monkeypatch):
+    """An empty store of kept work arrays for this test, restored after it."""
+    store = {}
+    monkeypatch.setattr(certify, "_workspaces", store)
+    return store
+
+
+def sine3(amplitude=0.3):
+    return NonlinearitySpec(tensor=identity_tensor(3, 2), perturbation=SinePerturbation(amplitude))
+
+
+class TestWorkspace:
+    def test_a_second_verify_leaves_the_first_reports_arrays_as_they_were(self, workspaces):
+        spec = sine3(0.6)
+        first = verify_k_condition(spec, 1.0, 0.01, 0.01, SamplerConfig(count=500, seed=1), nu=1.0)
+        kept = [first.violations.tobytes(), first.scales.tobytes()] + [x.tobytes() for x in first.worst_sample[1:3]]
+        verify_k_condition(spec, 1.0, 0.01, 0.01, SamplerConfig(count=500, seed=2), nu=1.0)
+        assert (500, 2, 3) in workspaces
+        again = [first.violations.tobytes(), first.scales.tobytes()] + [x.tobytes() for x in first.worst_sample[1:3]]
+        assert again == kept
+
+    def test_no_report_or_increment_shares_memory_with_the_work_arrays(self, workspaces):
+        spec = sine3()
+        sampler = SamplerConfig(count=300, seed=4)
+        report = verify_k_condition(spec, 1.0, 0.09, 0.455, sampler, nu=1.0)
+        kept = [report.violations, report.scales, *report.worst_sample[1:3]]
+        for _, _, _, _, AZ, D, zz, waz in _increments(sampler, spec):
+            kept += [AZ, *D, zz, waz]
+        fit_k_condition(spec, sampler, nu=1.0)
+        work = workspaces[(300, 2, 3)]
+        assert not any(np.shares_memory(array, work) for array in kept)
+
+    def test_a_verify_after_a_lemma1_check_reads_as_in_a_fresh_workspace(self, workspaces):
+        spec = sine3()
+        sampler = SamplerConfig(count=400, seed=6)
+        fresh = verify_k_condition(spec, 1.0, 0.09, 0.455, sampler, nu=1.0)
+        lemma1_check(spec, lam=0.4, kappa=0.1, alpha=1.0, count=400, seed=7, nu=1.0)
+        after = verify_k_condition(spec, 1.0, 0.09, 0.455, sampler, nu=1.0)
+        assert after.violations.tobytes() == fresh.violations.tobytes()
+        assert after.worst_violation == fresh.worst_violation
+        assert [x.tobytes() for x in after.worst_sample[1:3]] == [x.tobytes() for x in fresh.worst_sample[1:3]]
+
+    def test_two_live_generators_of_one_key_yield_distinct_arrays(self, workspaces):
+        spec = sine3()
+        sampler = SamplerConfig(count=200, seed=8)
+        verify_k_condition(spec, 1.0, 0.09, 0.455, sampler, nu=1.0)
+        assert (200, 2, 3) in workspaces  # kept, so the first generator is handed the kept arrays
+        one, two = _increments(sampler, spec), _increments(sampler, spec)
+        for a, b in zip(one, two):
+            X, Z = a[2], a[3]
+            assert not np.shares_memory(X, b[2]) and not np.shares_memory(Z, b[3])
+            np.testing.assert_array_equal(X, b[2])
+            np.testing.assert_array_equal(Z, b[3])
+
+    def test_the_arrays_of_the_last_few_keys_are_kept(self, workspaces):
+        spec = sine3()
+        counts = range(10, 10 + certify.WORKSPACE_CACHE_SIZE + 2)
+        for count in counts:
+            verify_k_condition(spec, 1.0, 0.09, 0.455, SamplerConfig(count=count, seed=1), nu=1.0)
+        assert list(workspaces) == [(count, 2, 3) for count in counts[-certify.WORKSPACE_CACHE_SIZE :]]
+
+    @pytest.mark.parametrize("check", ["verify", "lemma1"])
+    def test_a_warm_call_allocates_under_three_sample_arrays(self, workspaces, check):
+        # count 15000 at N=2, n=3: one (N, n(n+1)/2, count) array is 1.44 MB
+        count = 15000
+        spec = sine3()
+        calls = {
+            "verify": lambda: verify_k_condition(spec, 1.0, 0.09, 0.455, SamplerConfig(count=count, seed=3), nu=1.0),
+            "lemma1": lambda: lemma1_check(spec, lam=0.4, kappa=0.1, alpha=1.0, count=count, seed=3, nu=1.0),
+        }
+        calls[check]()
+        tracemalloc.start()
+        try:
+            calls[check]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (2 * 6 * count * 8)
 
 
 GAMMA_GRID = np.unique(np.concatenate([np.geomspace(CONSTANT_FLOOR, 0.99, 60), np.linspace(0.01, 0.99, 50)]))

@@ -71,7 +71,10 @@ def fresh_admission():
 
 @pytest.fixture
 def drawn(monkeypatch):
-    """Sizes of the standard normal draws of every generator made from here on."""
+    """Sizes of the standard normal draws of every generator made from here on.
+
+    A draw into a caller's array (``out=``) counts that array's size.
+    """
     sizes = []
     default_rng = np.random.default_rng
 
@@ -79,9 +82,9 @@ def drawn(monkeypatch):
         def __init__(self, seed):
             self.rng = default_rng(seed)
 
-        def standard_normal(self, shape):
-            sizes.append(np.prod(shape))
-            return self.rng.standard_normal(shape)
+        def standard_normal(self, size=None, out=None):
+            sizes.append(out.size if out is not None else np.prod(size))
+            return self.rng.standard_normal(size, out=out)
 
         def __getattr__(self, name):
             return getattr(self.rng, name)
