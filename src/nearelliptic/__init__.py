@@ -41,8 +41,6 @@ from .fields import (
     HessianField,
     NormReport,
     VectorField,
-    forward_transform,
-    inverse_transform,
     l2_norm,
     random_band_limited,
     spectral_hessian,
@@ -74,7 +72,6 @@ from .tensors import (
     SymTensor4,
     SymbolMatrix,
     bilinear_form,
-    check_rank_one_positive,
     contract_hessian,
     ellipticity_constant,
     example2_tensor,

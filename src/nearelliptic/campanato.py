@@ -35,8 +35,8 @@ Cold start.  Without an initial guess the iteration starts at u = 0, whose
 hessian is 0: A : 0 = 0 and G does not depend on x, so F(x, 0) = G(0) at
 every point.  F is evaluated once, at one zero packed point, and broadcast;
 no hessian is built or transformed and F is not evaluated over the grid.
-The iterates are those of a start from :func:`zero_field`, bit for bit.
-The stability outer loop starts cold the same way.
+The iterates are those of a start from an all-zero initial guess, bit for
+bit.  The stability outer loop starts cold the same way.
 
 Memory.  The largest array, the complex hessian product (N, n(n+1)/2) +
 half shape, is one work buffer per solve, allocated before the loop; every
@@ -171,10 +171,6 @@ def _at_zero_hessian(spec: NonlinearitySpec, grid) -> np.ndarray:
     return evaluate_pairs(spec, np.zeros((grid.N, slots, 1)), weight).reshape((grid.N,) + (1,) * grid.n)
 
 
-def zero_field(grid) -> VectorField:
-    return VectorField(grid, np.zeros((grid.N,) + grid.shape), PHYSICAL)
-
-
 def campanato_solve(
     spec: NonlinearitySpec,
     alpha,
@@ -277,7 +273,12 @@ def verify_comparison(
     w: VectorField,
     v: VectorField,
 ) -> float:
-    """Margin ||D^2(w - v)|| - C ||F(., D^2 w) - F(., D^2 v)||; <= 0 up to round-off."""
+    """Margin ||D^2(w - v)|| - C ||F(., D^2 w) - F(., D^2 v)||; <= 0 up to round-off.
+
+    The paper's uniqueness (comparison) estimate, with C of
+    :func:`uniqueness_constant`, checked on two given fields.  No solver calls
+    it; it is kept for users.
+    """
     C = uniqueness_constant(certificate)
     if v.grid != w.grid:
         raise InputError("w and v must share a grid")

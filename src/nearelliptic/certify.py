@@ -28,10 +28,15 @@ The samples are packed, component-major (N, n(n+1)/2, count).  X and Z are
 symmetric Gaussian matrices, and only their n(n+1)/2 distinct entries are
 drawn: the diagonal ones N(0, 1), the off-diagonal ones N(0, 1/2), all
 independent, which is the law of 0.5 (X + X^T) for a standard Gaussian X
-(:func:`symmetric_gaussian`).  F is evaluated on them by the solvers' one
+(:func:`_draw_symmetric`).  F is evaluated on them by the solvers' one
 evaluator, :func:`~nearelliptic.nonlinearity.evaluate_pairs`; verify, fit
 and the stability admission's nu(F, G) read their increments from one
-helper.
+helper, :func:`_increments`.
+
+A ``nu`` passed to verify, fit, lemma 1 or the example-1 certificate must be
+finite and positive; without one, nu(A) is searched and must be positive.
+Both rules are :func:`~nearelliptic.tensors._certified_nu`'s, which the
+linear solver shares; anything else is an InputError.
 
 Work arrays.  The sampler draws X and Z0 into kept work arrays, forms each
 scale's Z and X + Z in them, and lemma 1 draws and forms its samples in the
@@ -55,7 +60,7 @@ import numpy as np
 from .errors import InputError, finite_number, report_json
 from .fields import HessianPairs
 from .nonlinearity import NonlinearitySpec, evaluate_pairs
-from .tensors import contract_pairs, ellipticity_constant
+from .tensors import _certified_nu, contract_pairs
 
 CONSTANT_FLOOR = 1e-6
 SIGMA_CAP = 1e9
@@ -200,20 +205,15 @@ class KConditionReport:
         return "\n".join(lines) + "\n"
 
 
-def symmetric_gaussian(rng: np.random.Generator, count: int, N: int, n: int) -> np.ndarray:
-    """``count`` symmetric Gaussian (N, n, n) matrices, packed (N, n(n+1)/2, count), C-contiguous float64.
+def _draw_symmetric(rng: np.random.Generator, out: np.ndarray, n: int) -> np.ndarray:
+    """Fill ``out`` (N, n(n+1)/2, count), C-contiguous float64, with ``count`` packed symmetric Gaussian matrices.
 
-    One draw ``rng.standard_normal((N, n(n+1)/2, count))`` fills the packed
-    slots, and each off-diagonal slot is scaled in place by sqrt(1/2).  That
-    is the law of the upper triangle of 0.5 (X + X^T) for a standard Gaussian
-    X: diagonal entries N(0, 1), off-diagonal entries N(0, 1/2), all
+    One draw ``rng.standard_normal(out=out)`` fills the packed slots, and
+    each off-diagonal slot is scaled in place by sqrt(1/2).  That is the law
+    of the upper triangle of 0.5 (X + X^T) for a standard Gaussian X:
+    diagonal entries N(0, 1), off-diagonal entries N(0, 1/2), all
     independent.
     """
-    return _symmetric_gaussian_into(rng, np.empty((N, n * (n + 1) // 2, count)), n)
-
-
-def _symmetric_gaussian_into(rng: np.random.Generator, out: np.ndarray, n: int) -> np.ndarray:
-    """Fill ``out`` (N, n(n+1)/2, count) with the draw of :func:`symmetric_gaussian`, from the same stream, and return it."""
     rng.standard_normal(out=out)
     out *= np.sqrt(1.0 / HessianPairs.multiplicity(n))[:, None]  # exactly 1 on the diagonal
     return out
@@ -260,49 +260,33 @@ def sample_weights(rng: np.random.Generator, count: int, *specs: NonlinearitySpe
     return flat, weights
 
 
-def _draw_pairs(sampler: SamplerConfig, *specs: NonlinearitySpec):
-    """(scale, x indices, each spec's weights there, X, Z) per scale: one (X, Z0) ray read at every scale.
-
-    X, then one Gaussian Z0, then the grid points x are drawn once, in that
-    order; each scale yields the same x, weights and X, and Z = scale * Z0.
-    Z0 is not normalised, so each scale's samples keep the law of an
-    independent draw; only the scales are coupled.  The specs share their
-    dimensions; the samplers of verify, fit and nu(F, G) all draw here.  X
-    and Z are work arrays: Z is valid until the generator advances.
-    """
-    with _workspace(sampler.count, specs[0].N, specs[0].n) as work:
-        yield from _rays(sampler, specs, work)
-
-
-def _rays(sampler: SamplerConfig, specs: tuple[NonlinearitySpec, ...], work: np.ndarray):
-    """The draws of :func:`_draw_pairs`, X in ``work[0]``, Z0 in ``work[1]`` and each Z in ``work[2]``."""
-    X, Z0, Z = work[:3]
-    rng = np.random.default_rng(sampler.seed)
-    _symmetric_gaussian_into(rng, X, specs[0].n)
-    _symmetric_gaussian_into(rng, Z0, specs[0].n)
-    flat, weights = sample_weights(rng, sampler.count, *specs)
-    for scale in SCALES:
-        yield scale, flat, weights, X, np.multiply(scale, Z0, out=Z)
-
-
 def _increments(sampler: SamplerConfig, *specs: NonlinearitySpec):
     """(scale, x indices, X, Z, A:Z, each spec's F(X+Z) - F(X), |Z|^2, |A:Z|^2) per scale; A of the first spec.
 
-    X is the same at every scale, so each spec's F(X) is evaluated once and
-    only F(X+Z) per scale.  X + Z, then Z**2, are formed in ``work[3]``; X and
-    Z are work arrays, as in :func:`_draw_pairs`, and the rest is fresh.
+    Each sample is one ray: X, then one Gaussian Z0, then the grid points x
+    are drawn once, in that order, and each scale reads Z = scale * Z0.  Z0
+    is not normalised, so each scale's samples keep the law of an
+    independent draw; only the scales are coupled.  The specs share their
+    dimensions and the drawn x; the samplers of verify, fit and nu(F, G) all
+    draw here.  X is the same at every scale, so each spec's F(X) is
+    evaluated once and only F(X+Z) per scale.  X, Z0, Z and X + Z (then
+    Z**2) are the work arrays: X and Z are valid until the generator
+    advances, and the rest is fresh.
     """
-    FX = None
-    with _workspace(sampler.count, specs[0].N, specs[0].n) as work:
-        Y = work[3]
-        for scale, flat, weights, X, Z in _rays(sampler, specs, work):
-            if FX is None:
-                FX = [evaluate_pairs(spec, X, w) for spec, w in zip(specs, weights)]
+    n = specs[0].n
+    rng = np.random.default_rng(sampler.seed)
+    with _workspace(sampler.count, specs[0].N, n) as (X, Z0, Z, Y):
+        _draw_symmetric(rng, X, n)
+        _draw_symmetric(rng, Z0, n)
+        flat, weights = sample_weights(rng, sampler.count, *specs)
+        FX = [evaluate_pairs(spec, X, w) for spec, w in zip(specs, weights)]
+        for scale in SCALES:
+            np.multiply(scale, Z0, out=Z)
             AZ = contract_pairs(specs[0].tensor, Z)
             np.add(X, Z, out=Y)
             D = [evaluate_pairs(spec, Y, w) - fx for spec, w, fx in zip(specs, weights, FX)]
             np.square(Z, out=Y)
-            zz = (HessianPairs.multiplicity(specs[0].n) @ Y).sum(axis=0)  # off-diagonal slots count twice
+            zz = (HessianPairs.multiplicity(n) @ Y).sum(axis=0)  # off-diagonal slots count twice
             yield scale, flat, X, Z, AZ, D, zz, (AZ**2).sum(axis=0)
 
 
@@ -337,8 +321,7 @@ def verify_k_condition(
     """
     if beta <= 0 or gamma <= 0:
         raise InputError("beta and gamma must be positive")
-    if nu is None:
-        nu = ellipticity_constant(spec.tensor).nu
+    nu = _certified_nu(spec.tensor, nu)
     index = HessianPairs.slot_index(spec.n)
     # each scale keeps only its own worst sample, the first argmax like the global one
     candidates, violations = [], []
@@ -373,10 +356,7 @@ def fit_k_condition(
     a linear nonlinearity therefore comes back with the floor pair.
     Infeasibility (best beta + gamma >= 1) is returned, not raised.
     """
-    if nu is None:
-        nu = ellipticity_constant(spec.tensor).nu
-    if nu <= 0:
-        raise InputError(f"anchor tensor is not rank-one positive (nu = {nu})")
+    nu = _certified_nu(spec.tensor, nu)
     alpha_grid = (1.0 / float(np.median(spec.weight))) * np.geomspace(0.1, 10.0, 41)
     gamma_grid = np.unique(np.concatenate([np.geomspace(CONSTANT_FLOOR, 0.99, 60), np.linspace(0.01, 0.99, 50)]))
 
@@ -543,13 +523,12 @@ def lemma1_check(
     """
     if finite_number(count, "lemma-1 sample count", integer=True) < 1:
         raise InputError(f"lemma-1 sample count must be >= 1, got {count!r}")
-    if nu is None:
-        nu = ellipticity_constant(spec.tensor).nu
+    nu = _certified_nu(spec.tensor, nu)
     alpha_sup, _ = alpha_bounds_of(alpha)
     rng = np.random.default_rng(seed)
     rows, cols = HessianPairs.components(spec.n)
     with _workspace(count, spec.N, spec.n) as (X, Z, Y, _):
-        _symmetric_gaussian_into(rng, X, spec.n)
+        _draw_symmetric(rng, X, spec.n)
         eta = rng.standard_normal((count, spec.N))
         a = rng.standard_normal((count, spec.n))
         # component-major copies, so every product below runs over contiguous rows
@@ -570,8 +549,7 @@ def example1_certificate(spec: NonlinearitySpec, nu: float | None = None) -> Ell
     perturbation difference, so beta = rho^2 with rho the declared Lipschitz
     ratio, and any gamma in (0, 1 - beta) works; this takes gamma = (1 - beta)/2.
     """
-    if nu is None:
-        nu = ellipticity_constant(spec.tensor).nu
+    nu = _certified_nu(spec.tensor, nu)
     rho = spec.lipschitz_ratio(nu)
     if rho >= 1:
         raise InputError(f"declared Lipschitz ratio {rho} is not below 1; no certificate")

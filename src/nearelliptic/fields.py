@@ -110,7 +110,7 @@ from .errors import InputError
 PHYSICAL = "physical"
 SPECTRAL = "spectral"
 
-# the one memory budget: GridSpec's guard and the nu search (tensors._sphere_search) read it at call time
+# the one memory budget: GridSpec's guard and the nu search (tensors.ellipticity_constant) read it at call time
 _DEFAULT_BUDGET = 2 * 1024**3  # bytes
 
 # decades a grid's volumes and hessian multipliers may span on either side of 1
@@ -548,20 +548,6 @@ def half_spectrum(grid: GridSpec) -> HalfSpectrum:
     return HalfSpectrum(grid, shape, zsq, laplacian, weights, hessian)
 
 
-def forward_transform(u: VectorField) -> VectorField:
-    """Physical to spectral; errors if already spectral."""
-    if not u.is_physical():
-        raise InputError("forward transform expects a physical-representation field")
-    return u.to_spectral()
-
-
-def inverse_transform(u: VectorField) -> VectorField:
-    """Spectral to physical; errors if already physical."""
-    if u.is_physical():
-        raise InputError("inverse transform expects a spectral-representation field")
-    return u.to_physical()
-
-
 def spectral_hessian(u: VectorField, representation: str = PHYSICAL) -> HessianField:
     """All second derivatives of ``u`` via the diagonal frequency multiplier.
 
@@ -638,7 +624,10 @@ def sobolev_exponents(n: int) -> tuple[float, float]:
 
 
 def w22star_norms(u: VectorField) -> NormReport:
-    """Norm report for a vector field: L2, and for n >= 5 the mixed-exponent surrogates."""
+    """The paper's W^{2,2*} energy norm of a vector field, with its L2 norm and, for n >= 5, its mixed-exponent pieces.
+
+    No solver calls it; it is the norm of the paper's solution space, kept for users.
+    """
     g = u.grid
     phys = u.to_physical()
     half = half_spectrum(g)

@@ -59,7 +59,7 @@ from .fields import (
 )
 from .linear import LinearSolveResult, hessian_estimate_check, solve_linear
 from .nonlinearity import NonlinearitySpec, evaluate_field, perturbation_from_dict
-from .tensors import ellipticity_constant, example2_tensor, identity_tensor
+from .tensors import _certified_nu, ellipticity_constant, example2_tensor, identity_tensor
 
 _DEFAULTS = {
     "grid": {"n": 2, "N": 2, "M": 64, "L": 1.0},
@@ -142,10 +142,7 @@ def build_problem(cfg: dict) -> tuple[GridSpec, NonlinearitySpec, float]:
     """Grid, the spec of ``tensor`` and ``spec``, and the tensor's nu(A), which must be positive."""
     grid = build_grid(cfg)
     spec = NonlinearitySpec.from_dict(dict(cfg["spec"], tensor=cfg["tensor"]), grid)
-    nu = ellipticity_constant(spec.tensor).nu
-    if nu <= 0:
-        raise InputError(f"tensor is not rank-one positive: nu = {nu}")
-    return grid, spec, nu
+    return grid, spec, _certified_nu(spec.tensor, None)
 
 
 def build_solve_config(cfg: dict) -> SolveConfig:

@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import DegenerateSymbolError, EstimateBreachError, InputError
 from .fields import GridSpec, HalfSpectrum, HessianPairs, VectorField, half_spectrum
-from .tensors import SymTensor4, cofactor_transpose, ellipticity_constant, power_of_two_scale, symbol_determinants
+from .tensors import SymTensor4, _certified_nu, cofactor_transpose, power_of_two_scale, symbol_determinants
 
 MEAN_TOLERANCE = 1e-8
 PLAN_CACHE_SIZE = 8
@@ -72,22 +72,6 @@ PLAN_CACHE_SIZE = 8
 def _check_dims(A: SymTensor4, grid: GridSpec) -> None:
     if (A.N, A.n) != (grid.N, grid.n):
         raise InputError(f"tensor (N={A.N}, n={A.n}) does not match grid (N={grid.N}, n={grid.n})")
-
-
-def _require_positive(value: float, what: str) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise InputError(f"{what} must be finite and positive, got {value}")
-
-
-def _certified_nu(A: SymTensor4, nu: float | None) -> float:
-    """``nu`` as passed, which must be finite and positive, or nu(A) searched now, which must be positive."""
-    if nu is not None:
-        _require_positive(nu, "nu")
-        return nu
-    nu = ellipticity_constant(A).nu
-    if nu <= 0:
-        raise InputError(f"tensor is not rank-one positive: nu = {nu}")
-    return nu
 
 
 def _zero_gauge(coef: np.ndarray) -> np.ndarray:
@@ -225,8 +209,8 @@ def solve_linear(
     """
     g = f.grid
     _check_dims(A, g)
-    if epsilon is not None:
-        _require_positive(epsilon, "regularization epsilon")
+    if epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0):
+        raise InputError(f"regularization epsilon must be finite and positive, got {epsilon}")
     f.require_finite("right-hand side")
     nu = _certified_nu(A, nu)
 
@@ -306,17 +290,3 @@ def hessian_estimate_check(A: SymTensor4, u: VectorField, nu: float | None = Non
         )
     return float(nu * hnorm / opnorm)
 
-
-def pairing_spectrum(u: VectorField, f: VectorField) -> np.ndarray:
-    """Per-frequency pairing -f^(k) . conj(u^(k)) on k != 0.
-
-    For a solution of the elliptic system this equals the rank-one hermitian
-    form scaled by 4 pi^2 |z|^2, hence is real and nonnegative mode by mode.
-    """
-    g = u.grid
-    if f.grid != g:
-        raise InputError("u and f must share a grid")
-    uhat = u.to_spectral().data.reshape(g.N, g.points)
-    fhat = f.to_spectral().data.reshape(g.N, g.points)
-    mask = g.zsq().ravel() > 0
-    return -(fhat[:, mask] * np.conj(uhat[:, mask])).sum(axis=0)

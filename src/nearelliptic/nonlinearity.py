@@ -45,9 +45,6 @@ from .errors import EvaluationError, InputError, finite_number
 from .fields import PHYSICAL, GridSpec, HessianField, HessianPairs, VectorField, load_field
 from .tensors import SymTensor4, check_hessian_arg, contract_pairs, read_tensor
 
-_CUSTOM_REGISTRY: dict[str, "CustomPerturbation"] = {}
-
-
 class _PackedFormula:
     """A catalog perturbation whose formula is stated once, on packed X, as ``delta_pairs``."""
 
@@ -143,8 +140,9 @@ class CustomPerturbation:
     a spec for the life of the spec object, so a hook whose output follows
     other state would be admitted on stale values.  ``nu_FG_estimate`` and
     ``empirical_nu_F`` (in :mod:`nearelliptic.stability`) have
-    ``cache_clear()`` to drop them.  Named instances can be registered for
-    config-file round trips.
+    ``cache_clear()`` to drop them.  A hook lives only as a Python object:
+    its :meth:`NonlinearitySpec.to_dict` names it, but no document is read
+    back into one (see :func:`perturbation_from_dict`).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -176,29 +174,21 @@ class CustomPerturbation:
         return {"name": self.name, "lipschitz": self.lipschitz}
 
 
-def register_custom_perturbation(pert: CustomPerturbation) -> None:
-    """Make a named custom hook resolvable from serialized configs."""
-    _CUSTOM_REGISTRY[pert.name] = pert
-
-
 Perturbation = SinePerturbation | NormComboPerturbation | CustomPerturbation
 
 
 def perturbation_from_dict(doc) -> Perturbation:
     """Parse ``{"kind": ..., <params>}``, the inverse of ``{"kind": p.kind, **p.params()}``.
 
-    A custom hook is looked up by name in the registry.  A document that is
-    not a mapping, or lacks the kind or a parameter, or carries a parameter
-    that is not a finite number, is an :class:`InputError`.
+    The kinds are those of the catalog, ``scaled_sine`` and ``norm_combo``; a
+    custom hook is code, not data, so its kind is unknown here.  A document
+    that is not a mapping, or has another kind or lacks a parameter, or
+    carries a parameter that is not a finite number, is an
+    :class:`InputError`.
     """
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InputError(f"perturbation needs a 'kind', got {doc!r}")
     kind = doc["kind"]
-    if kind == CustomPerturbation.kind:
-        name = doc.get("name")
-        if not isinstance(name, str) or name not in _CUSTOM_REGISTRY:
-            raise InputError(f"custom perturbation {name!r} not registered")
-        return _CUSTOM_REGISTRY[name]
     for cls in (SinePerturbation, NormComboPerturbation):
         if kind == cls.kind:
             params = {param.name: doc.get(param.name) for param in fields(cls)}
@@ -357,7 +347,11 @@ def evaluate_pairs(spec: NonlinearitySpec, X: np.ndarray, weight) -> np.ndarray:
 
 
 def evaluate_F(spec: NonlinearitySpec, X: np.ndarray, x: tuple | None = None) -> np.ndarray:
-    """Pointwise value F(x, X) for a single symmetric X of shape (N, n, n)."""
+    """Pointwise value F(x, X) for a single symmetric X of shape (N, n, n).
+
+    The paper's nonlinearity F(x, X) at one point.  No solver calls it, since
+    they evaluate whole batches by :func:`evaluate_pairs`; it is kept for users.
+    """
     return evaluate_pairs(spec, HessianPairs.pack(check_hessian_arg(spec.tensor, X)), spec.weight_at(x))[:, 0]
 
 

@@ -29,6 +29,7 @@ document: a built-in name, a tensor file, or inline entries.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -231,7 +232,12 @@ def contract_hessian(A: SymTensor4, Z: np.ndarray) -> np.ndarray:
 
 
 def bilinear_form(A: SymTensor4, P: np.ndarray, Q: np.ndarray) -> float:
-    """Scalar A : P (x) Q = A[a, b, i, j] P[a, i] Q[b, j]; symmetric in (P, Q)."""
+    """Scalar A : P (x) Q = A[a, b, i, j] P[a, i] Q[b, j]; symmetric in (P, Q).
+
+    The paper's bilinear form of the coefficient tensor, whose rank-one values
+    A : (eta (x) a)(eta (x) a) define nu(A).  No solver calls it; it is kept
+    for users.
+    """
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
     if P.shape != (A.N, A.n) or Q.shape != (A.N, A.n):
@@ -367,7 +373,10 @@ def power_of_two_scale(values: np.ndarray) -> float:
 def symbol_inverse(A: SymTensor4, z: np.ndarray) -> np.ndarray:
     """Inverse symbol cof(S)^T / det(S) at direction z; errors when det is below the scaled floor.
 
-    S is divided by ``power_of_two_scale(S)`` first, so tiny entries cannot underflow.
+    The paper's inverse symbol (A : z (x) z)^{-1} of the Fourier-transform
+    solve, at one direction: the pointwise reference that the spectral plan's
+    degeneracy verdict is tested against.  S is divided by
+    ``power_of_two_scale(S)`` first, so tiny entries cannot underflow.
     """
     S = symbol_matrix(A, z).values
     scale = power_of_two_scale(S)
@@ -382,6 +391,10 @@ def symbol_inverse(A: SymTensor4, z: np.ndarray) -> np.ndarray:
 
 def hermitian_form(A: SymTensor4, xi: np.ndarray, a: np.ndarray) -> float:
     """Hermitian rank-one value A : xi (x) a (x) conj(xi) (x) a for complex xi.
+
+    The paper's Legendre-Hadamard condition for complex amplitudes: the value
+    is at least nu(A) |xi|^2 |a|^2, which is what makes each Fourier mode of
+    the linear solve coercive.  No solver calls it; it is kept for users.
 
     The value is real by the pair symmetry; the imaginary part is checked
     against round-off and dropped.  Equals the sum of the real bilinear forms
@@ -474,7 +487,7 @@ def _polish(A: SymTensor4, matrix: np.ndarray, dirs: np.ndarray, tol: float) -> 
 
 
 def ellipticity_constant(A: SymTensor4) -> EllipticityConstant:
-    """Minimum over unit directions of the smallest symbol eigenvalue.
+    """nu(A), the paper's rank-one (Legendre-Hadamard) constant: the least symbol eigenvalue over unit directions.
 
     Dense sampling of about ``SPHERE_SAMPLES`` directions (see
     :func:`_sphere_directions`) followed by the alternating eigen-step polish
@@ -483,19 +496,12 @@ def ellipticity_constant(A: SymTensor4) -> EllipticityConstant:
     direction and eigenvector.  The sampled symbols are one packed matmul;
     their smallest eigenvalues are in closed form for N = 2
     (:func:`lowest_eigenvalues`), and the directions of each (n, samples)
-    are built once and cached.  The result may be <= 0; the caller decides
-    what to do with a non-elliptic tensor.
-    """
-    return _sphere_search(A)[0]
-
-
-def _sphere_search(A: SymTensor4):
-    """nu(A), with the packed symbols (N(N+1)/2, K) and their smallest eigenvalues at the sampled directions.
-
-    The packed stack and its unpacked (K, N, N) form, the stack of
-    ``eigvalsh`` and of the determinant check, must fit in the memory budget
-    of a grid, ``fields._DEFAULT_BUDGET``; a search past it is refused
-    before it allocates anything.
+    are built once and cached.  The packed stack (N(N+1)/2, K) and its
+    unpacked (K, N, N) form, the stack of ``eigvalsh``, must fit in the
+    memory budget of a grid, ``fields._DEFAULT_BUDGET``; a search past it is
+    refused before it allocates anything.  The result may be <= 0, and
+    ``nu > 0`` is the paper's rank-one positivity; the caller decides what
+    to do with a non-elliptic tensor (see :func:`_certified_nu`).
     """
     count = _direction_count(A.n, SPHERE_SAMPLES)
     stacks = 8 * count * (A.N * (A.N + 1) // 2 + A.N**2)
@@ -506,8 +512,7 @@ def _sphere_search(A: SymTensor4):
         )
     table = _sphere_directions(A.n, SPHERE_SAMPLES)
     matrix = packed_symbol_matrix(A.entries)
-    packed = matrix @ direction_products(table)
-    eigs = lowest_eigenvalues(packed, A.N)
+    eigs = lowest_eigenvalues(matrix @ direction_products(table), A.N)
     count = min(10, len(eigs))
     best = np.argpartition(eigs, count - 1)[:count]
     best = best[np.argsort(eigs[best], kind="stable")]
@@ -520,49 +525,23 @@ def _sphere_search(A: SymTensor4):
         f"directions={len(eigs)} (n={A.n}), polish=alternating-eigh x{len(best)}, "
         f"steps={steps}, tol=1e-13"
     )
-    constant = EllipticityConstant(
+    return EllipticityConstant(
         nu=float(nu),
         witness_a=np.array(witness_a, dtype=float),
         witness_eta=np.asarray(V[:, 0], dtype=float),
         resolution=resolution,
     )
-    return constant, packed, eigs
 
 
-@dataclass(frozen=True, eq=False)
-class RankOneCheck:
-    """Outcome of the rank-one positivity test with the determinant cross-check."""
-
-    positive: bool
-    constant: EllipticityConstant
-    det_min: float
-    disagreements: int
-    sample_count: int
-
-    def __bool__(self) -> bool:
-        return self.positive
-
-
-def check_rank_one_positive(A: SymTensor4) -> RankOneCheck:
-    """True when nu(A) > 0; cross-checks the determinant criterion at all sampled directions.
-
-    Positivity of the smallest symbol eigenvalue and positivity of the symbol
-    determinant agree globally for symmetric tensors; pointwise the
-    determinant can be positive with an even number of negative eigenvalues,
-    so disagreeing sample directions are counted and reported rather than
-    silently accepted.
-    """
-    constant, packed, eig_min = _sphere_search(A)
-    stack = unpack_symbols(packed, A.N)
-    dets = np.linalg.det(stack)
-    disagreements = int(np.count_nonzero((eig_min > 0.0) != (dets > 0.0)))
-    return RankOneCheck(
-        positive=bool(constant.nu > 0.0),
-        constant=constant,
-        det_min=float(dets.min()),
-        disagreements=disagreements,
-        sample_count=len(stack),
-    )
+def _certified_nu(A: SymTensor4, nu: float | None) -> float:
+    """``nu`` as passed, which must be finite and positive, or nu(A) searched now, which must be positive."""
+    if nu is None:
+        nu = ellipticity_constant(A).nu
+        if nu <= 0:
+            raise InputError(f"tensor is not rank-one positive: nu = {nu}")
+    elif not (math.isfinite(nu) and nu > 0):
+        raise InputError(f"nu must be finite and positive, got {nu}")
+    return nu
 
 
 def random_rank_one_positive(n: int, N: int, seed: int) -> tuple[SymTensor4, EllipticityConstant]:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from nearelliptic import GridSpec, HessianField, example2_tensor, identity_tensor
+from nearelliptic import GridSpec, HessianField, VectorField, example2_tensor, identity_tensor
+from nearelliptic.errors import InputError
+from nearelliptic.fields import PHYSICAL
 from nearelliptic.tensors import SymTensor4, _sym_pair_transpose
 
 # every run draws the same examples, so a tier-1 result repeats; for fresh
@@ -46,3 +48,22 @@ def refuse_full_hessian(monkeypatch) -> None:
         raise AssertionError("an n^2 HessianField was built")
 
     monkeypatch.setattr(HessianField, "__post_init__", refuse)
+
+
+def zero_field(grid) -> VectorField:
+    return VectorField(grid, np.zeros((grid.N,) + grid.shape), PHYSICAL)
+
+
+def pairing_spectrum(u: VectorField, f: VectorField) -> np.ndarray:
+    """Per-frequency pairing -f^(k) . conj(u^(k)) on k != 0.
+
+    For a solution of the elliptic system this equals the rank-one hermitian
+    form scaled by 4 pi^2 |z|^2, hence is real and nonnegative mode by mode.
+    """
+    g = u.grid
+    if f.grid != g:
+        raise InputError("u and f must share a grid")
+    uhat = u.to_spectral().data.reshape(g.N, g.points)
+    fhat = f.to_spectral().data.reshape(g.N, g.points)
+    mask = g.zsq().ravel() > 0
+    return -(fhat[:, mask] * np.conj(uhat[:, mask])).sum(axis=0)

@@ -29,12 +29,12 @@ from nearelliptic import (
     verify_comparison,
 )
 import nearelliptic.campanato as campanato_module
-from nearelliptic.campanato import DIVERGENCE_PATIENCE, IterationTrace, zero_field
+from nearelliptic.campanato import DIVERGENCE_PATIENCE, IterationTrace
 from nearelliptic.errors import DivergenceError, InputError
 from nearelliptic.fields import PHYSICAL, HalfSpectrum, VectorField
 from nearelliptic.linear import spectral_plan
 from nearelliptic.nonlinearity import evaluate_field
-from conftest import refuse_full_hessian
+from conftest import refuse_full_hessian, zero_field
 
 
 def sine_spec(tensor, rho):

@@ -23,15 +23,14 @@ from nearelliptic import certify
 from nearelliptic.certify import (
     ABSORB_STEPS,
     CONSTANT_FLOOR,
-    _draw_pairs,
+    _draw_symmetric,
     _increments,
     example1_alpha,
-    symmetric_gaussian,
 )
 from nearelliptic.counterexamples import saturating_witness, window_constants
 from nearelliptic.errors import InputError
 from nearelliptic.nonlinearity import evaluate_F, evaluate_pairs
-from nearelliptic.tensors import ellipticity_constant, random_rank_one_positive
+from nearelliptic.tensors import SymTensor4, ellipticity_constant, random_rank_one_positive
 
 MISSING = object()
 
@@ -147,7 +146,7 @@ class TestSampler:
     @pytest.mark.parametrize("n, N", [(2, 2), (3, 2), (4, 3)])
     def test_packed_draw_is_the_distinct_entries_with_off_diagonal_slots_scaled(self, n, N):
         rng, ref = np.random.default_rng(23), np.random.default_rng(23)
-        got = symmetric_gaussian(rng, 40, N, n)
+        got = _draw_symmetric(rng, np.empty((N, n * (n + 1) // 2, 40)), n)
         want = ref.standard_normal((N, n * (n + 1) // 2, 40))
         rows, cols = np.triu_indices(n)
         want[:, rows != cols] *= np.sqrt(0.5)
@@ -158,7 +157,7 @@ class TestSampler:
 
     def test_packed_draw_has_the_law_of_the_symmetrized_draw(self):
         # upper triangle of 0.5 (X + X^T): diagonal N(0, 1), off-diagonal N(0, 1/2), independent
-        X = symmetric_gaussian(np.random.default_rng(2024), 200_000, 2, 3).reshape(12, -1)
+        X = _draw_symmetric(np.random.default_rng(2024), np.empty((2, 6, 200_000)), 3).reshape(12, -1)
         rows, cols = np.triu_indices(3)
         variance = np.tile(np.where(rows == cols, 1.0, 0.5), 2)
         assert np.abs(X.mean(axis=1)).max() < 0.01
@@ -172,17 +171,19 @@ class TestSampler:
         spec = NonlinearitySpec(tensor=identity22, weight=weight)
         sampler = SamplerConfig(count=64, seed=9)
         rng = np.random.default_rng(9)
-        X0 = symmetric_gaussian(rng, 64, 2, 2)
-        Z0 = symmetric_gaussian(rng, 64, 2, 2)
+        X0 = _draw_symmetric(rng, np.empty((2, 3, 64)), 2)
+        Z0 = _draw_symmetric(rng, np.empty((2, 3, 64)), 2)
         flat0 = rng.integers(0, weight.size, size=64)
+        w = weight.ravel()[flat0]
         scales = []
         # a yielded Z is valid until the generator advances, so each draw is checked as it comes
-        for scale, flat, (w,), X, Z in _draw_pairs(sampler, spec):
+        for scale, flat, X, Z, AZ, (D,), zz, waz in _increments(sampler, spec):
             scales.append(scale)
             np.testing.assert_array_equal(X, X0)
             np.testing.assert_array_equal(flat, flat0)
-            np.testing.assert_array_equal(w, weight.ravel()[flat0])
             assert Z.tobytes() == (scale * Z0).tobytes()
+            # the weight is read at the drawn grid points: F is linear, so its increment is w A:Z
+            np.testing.assert_allclose(D, w * AZ, rtol=1e-12, atol=1e-12 * scale)
         assert scales == list(certify.SCALES) == [1e-2, 1.0, 1e2]
 
     def test_a_verify_evaluates_F_once_at_X_and_once_per_scale(self, identity22, monkeypatch):
@@ -575,3 +576,28 @@ class TestExample1Certificate:
             cert.lam, cert.kappa, M=cert.lipschitz_M, alpha_sup=cert.alpha_sup, nu=cert.nu
         )
         assert conv.beta + conv.gamma < 1
+
+
+CERTIFY_CALLS = {
+    "verify": lambda spec, nu: verify_k_condition(spec, 1.0, 0.09, 0.4, SamplerConfig(count=50), nu=nu),
+    "fit": lambda spec, nu: fit_k_condition(spec, SamplerConfig(count=50), nu=nu),
+    "lemma1": lambda spec, nu: lemma1_check(spec, lam=0.4, kappa=0.1, alpha=1.0, count=50, nu=nu),
+    "example1": lambda spec, nu: example1_certificate(spec, nu=nu),
+}
+
+
+class TestPassedNu:
+    # one rule for every certify function, the linear solver's: a passed nu is finite and positive,
+    # a searched one positive
+    @pytest.mark.parametrize("call", sorted(CERTIFY_CALLS))
+    @pytest.mark.parametrize("nu", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_a_passed_nu_that_is_not_finite_and_positive_is_an_input_error(self, identity22, call, nu):
+        spec = NonlinearitySpec(tensor=identity22, perturbation=SinePerturbation(amplitude=0.3))
+        with pytest.raises(InputError, match="nu must be finite and positive"):
+            CERTIFY_CALLS[call](spec, nu)
+
+    @pytest.mark.parametrize("call", sorted(CERTIFY_CALLS))
+    def test_a_searched_nu_that_is_not_positive_is_an_input_error(self, identity22, call):
+        spec = NonlinearitySpec(tensor=SymTensor4(-identity22.entries), perturbation=SinePerturbation(amplitude=0.3))
+        with pytest.raises(InputError, match="not rank-one positive"):
+            CERTIFY_CALLS[call](spec, None)

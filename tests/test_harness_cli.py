@@ -326,6 +326,8 @@ MALFORMED_PERTURBATIONS = [
     {"amplitude": 0.3},
     {"kind": "scaled_sine"},
     {"kind": "scaled_sine", "amplitude": "x"},
+    # a custom hook is code: no config names one
+    {"kind": "custom_lipschitz", "name": "tanh-sum", "lipschitz": 0.2},
 ]
 
 

@@ -14,10 +14,10 @@ from nearelliptic import (
 )
 from nearelliptic.errors import DegenerateSymbolError, EstimateBreachError, InputError
 from nearelliptic.fields import PHYSICAL, half_spectrum
-from nearelliptic.linear import MEAN_TOLERANCE, pairing_spectrum, spectral_plan
+from nearelliptic.linear import MEAN_TOLERANCE, spectral_plan
 from nearelliptic.tensors import SymTensor4, random_rank_one_positive
 
-from conftest import random_sym_tensor
+from conftest import pairing_spectrum, random_sym_tensor
 
 
 def hessian_error(u, v):

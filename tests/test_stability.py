@@ -22,8 +22,8 @@ from nearelliptic import (
     solve_via_nearness,
     spectral_hessian,
 )
-from nearelliptic.campanato import STAGNATION_FLOOR, IterationTrace, SolveConfig, zero_field
-from nearelliptic.certify import SamplerConfig, _draw_pairs
+from nearelliptic.campanato import STAGNATION_FLOOR, IterationTrace, SolveConfig
+from nearelliptic.certify import SamplerConfig, _increments
 from nearelliptic.errors import DivergenceError, EvaluationError, InputError, NearnessConditionError
 from nearelliptic.fields import (
     PHYSICAL,
@@ -37,6 +37,8 @@ from nearelliptic.fields import (
 from nearelliptic.nonlinearity import evaluate_field
 from nearelliptic.stability import EMPIRICAL_PAIRS, EMPIRICAL_SEED, NuFGEstimate, empirical_nu_F
 from nearelliptic.tensors import SymTensor4, identity_tensor
+
+from conftest import zero_field
 
 
 def outer_loop_from_zero(specF, specG, alphaF, certF, g):
@@ -154,14 +156,17 @@ class TestIncrementDistance:
         specF = NonlinearitySpec(tensor=identity22, weight=weightF)
         specG = NonlinearitySpec(tensor=identity22, weight=weightG)
         sampler = SamplerConfig(count=50, seed=3)
-        for one, two in zip(_draw_pairs(sampler, specF), _draw_pairs(sampler, specF, specG)):
-            scale, flat, (wF,), X, Z = one
+        # each generator checks out its own work arrays, so both may be live at once
+        for one, two in zip(_increments(sampler, specF), _increments(sampler, specF, specG)):
+            scale, flat, X, Z, AZ, (dF,), zz, waz = one
             assert two[0] == scale
             np.testing.assert_array_equal(two[1], flat)
-            np.testing.assert_array_equal(two[3], X)
-            np.testing.assert_array_equal(two[4], Z)
-            np.testing.assert_array_equal(two[2][0], wF)
-            np.testing.assert_array_equal(two[2][1], weightG.ravel()[flat])
+            np.testing.assert_array_equal(two[2], X)
+            np.testing.assert_array_equal(two[3], Z)
+            for got, want in zip((two[4], two[5][0], two[6], two[7]), (AZ, dF, zz, waz)):
+                assert got.tobytes() == want.tobytes()
+            # G's weights are read at F's grid points: the linear increment is weight * A:Z
+            np.testing.assert_allclose(two[5][1], weightG.ravel()[flat] * AZ, rtol=1e-12, atol=1e-12)
 
     def test_empirical_at_least_certified(self, grid32, identity22):
         spec = NonlinearitySpec(tensor=identity22, perturbation=SinePerturbation(amplitude=0.3))

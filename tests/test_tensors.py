@@ -13,7 +13,6 @@ import nearelliptic
 from nearelliptic import (
     SymTensor4,
     bilinear_form,
-    check_rank_one_positive,
     contract_hessian,
     ellipticity_constant,
     example2_tensor,
@@ -26,7 +25,7 @@ from nearelliptic import fields, tensors
 from nearelliptic.errors import DegenerateSymbolError, InputError
 from nearelliptic.tensors import (
     POLISH_MAX_STEPS,
-    _sphere_search,
+    _sphere_directions,
     direction_products,
     lowest_eigenvalues,
     packed_symbol_matrix,
@@ -238,8 +237,10 @@ class TestEllipticityConstant:
     @pytest.mark.parametrize("n, N, seed", [(2, 2, 31), (2, 3, 32), (3, 2, 33), (3, 3, 34), (4, 2, 35)])
     def test_never_above_a_sampled_eigenvalue(self, monkeypatch, n, N, seed):
         monkeypatch.setattr(tensors, "SPHERE_SAMPLES", 4096)
+        table = _sphere_directions(n, tensors.SPHERE_SAMPLES)
         for A in (random_sym_tensor(n, N, seed), random_rank_one_positive(n, N, seed)[0]):
-            cert, _, eigs = _sphere_search(A)
+            eigs = lowest_eigenvalues(packed_symbol_matrix(A.entries) @ direction_products(table), N)
+            cert = ellipticity_constant(A)
             assert cert.nu <= eigs.min()
             S_w = symbol_matrix(A, cert.witness_a).values
             assert np.linalg.eigvalsh(S_w)[0] <= cert.nu + 1e-12 * A.frobenius()
@@ -432,7 +433,9 @@ class TestSphereSearchCost:
     def test_search_stacks_exactly_the_counted_bytes(self, monkeypatch):
         A = identity_tensor(2, 3)
         count = tensors._direction_count(2, tensors.SPHERE_SAMPLES)
-        _, packed, _ = _sphere_search(A)
+        # the search's stacks: the packed symbols at the sampled directions, and their unpacked form for eigvalsh
+        table = _sphere_directions(2, tensors.SPHERE_SAMPLES)
+        packed = packed_symbol_matrix(A.entries) @ direction_products(table)
         stacks = packed.nbytes + unpack_symbols(packed, A.N).nbytes
         assert stacks == 8 * count * (6 + 9)
         monkeypatch.setattr(fields, "_DEFAULT_BUDGET", stacks)
@@ -447,9 +450,8 @@ class TestSphereSearchCost:
         A = identity_tensor(2, 16)
         tracemalloc.start()
         try:
-            for search in (ellipticity_constant, check_rank_one_positive):
-                with pytest.raises(InputError, match="memory budget"):
-                    search(A)
+            with pytest.raises(InputError, match="memory budget"):
+                ellipticity_constant(A)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -542,18 +544,12 @@ class TestHermitianForm:
 
 
 class TestRankOnePositivity:
+    # the paper's rank-one test is nu(A) > 0
     def test_identity_positive(self, identity22):
-        check = check_rank_one_positive(identity22)
-        assert check.positive and check.constant.nu == pytest.approx(1.0, abs=1e-12)
-        assert check.disagreements == 0
+        assert ellipticity_constant(identity22).nu == pytest.approx(1.0, abs=1e-12)
 
     def test_block_positive(self, block_m8):
-        assert check_rank_one_positive(block_m8).positive
+        assert ellipticity_constant(block_m8).nu > 0
 
     def test_zero_not_positive(self):
-        assert not check_rank_one_positive(SymTensor4(np.zeros((2, 2, 2, 2)))).positive
-
-    def test_positive_tensor_has_positive_determinants(self):
-        A, _ = random_rank_one_positive(2, 2, seed=21)
-        check = check_rank_one_positive(A)
-        assert check.positive and check.det_min > 0 and check.disagreements == 0
+        assert not ellipticity_constant(SymTensor4(np.zeros((2, 2, 2, 2)))).nu > 0
