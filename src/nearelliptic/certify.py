@@ -448,8 +448,11 @@ def def2_from_def1(
     beta(sigma) = (2/sigma) (kappa/lambda + (1/(2 sigma)) (M alpha_sup / (lambda nu))^2),
     gamma(sigma) = 1 - 2/sigma, and the rescaled alpha carries the factor
     1/(lambda sigma).  Feasibility for large sigma is guaranteed; failure to
-    bracket below the cap is flagged as an anomaly instead of raising.
+    bracket below the cap is flagged as an anomaly instead of raising.  A
+    constant that is not a finite number is an InputError.
     """
+    for value, name in ((lam, "lambda"), (kappa, "kappa"), (M, "M"), (alpha_sup, "alpha_sup"), (nu, "nu")):
+        finite_number(value, f"conversion constant {name}")
     if not (lam > kappa > 0):
         raise InputError(f"need lambda > kappa > 0, got ({lam}, {kappa})")
     if M < 0 or alpha_sup <= 0 or nu <= 0:

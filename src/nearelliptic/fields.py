@@ -80,7 +80,7 @@ its n(n+1)/2 distinct components (i, j), i <= j, in row-major order: a
 all n^2 components counts each off-diagonal slot twice, and
 :meth:`HessianPairs.contraction` folds a tensor A into the packed slots.
 The n^2 :class:`HessianField` is the view for users (:func:`spectral_hessian`,
-field files); inside the package only the stability outer loop still builds it.
+field files); nothing inside the package builds it.
 
 Nyquist planes.  The mixed multiplier k_i k_j (i != j) is odd in k_i on the
 Nyquist plane k_i = -M/2, where -k mod M is k again, so the full-spectrum
@@ -122,10 +122,10 @@ class GridSpec:
     """Uniform periodic grid: n axes, M points each, period L, N field components.
 
     A grid whose n^2 physical hessian, ``8 N n^2 M^n`` bytes, the array that
-    :func:`spectral_hessian` and the stability outer loop build, exceeds the
-    module budget ``_DEFAULT_BUDGET`` is refused.  The guard counts only that
-    array: the working set of ``campanato_solve``, which never builds it and
-    may need more, is not counted.
+    :func:`spectral_hessian` builds for users, exceeds the module budget
+    ``_DEFAULT_BUDGET`` is refused.  The guard counts only that array: the
+    working sets of ``campanato_solve`` and the stability loop, which never
+    build it and may need more, are not counted.
     """
 
     n: int
@@ -363,10 +363,16 @@ class HessianPairs:
         return index
 
     @staticmethod
+    @cache
     def multiplicity(n: int) -> np.ndarray:
-        """Components per slot: 1 on the diagonal, 2 off it ((i, j) and (j, i))."""
+        """Components per slot: 1 on the diagonal, 2 off it ((i, j) and (j, i)).
+
+        Built once per n; the array is read-only.
+        """
         rows, cols = HessianPairs.components(n)
-        return np.where(rows == cols, 1.0, 2.0)
+        counts = np.where(rows == cols, 1.0, 2.0)
+        counts.setflags(write=False)
+        return counts
 
     def norm(self) -> float:
         """L2 norm of the full hessian: each off-diagonal slot counts for (i, j) and (j, i)."""

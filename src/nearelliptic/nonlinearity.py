@@ -264,8 +264,8 @@ class NonlinearitySpec:
         return self.perturbation.lipschitz_bound(self.n) / self.weight_inf
 
     def lipschitz_ratio(self, nu: float) -> float:
-        """Declared bound divided by the anchor ellipticity constant."""
-        if nu <= 0:
+        """Declared bound divided by the anchor ellipticity constant, which must be a finite positive number."""
+        if finite_number(nu, "ellipticity constant") <= 0:
             raise InputError(f"nonpositive ellipticity constant {nu}")
         return self.declared_lipschitz / nu
 

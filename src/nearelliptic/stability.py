@@ -20,6 +20,16 @@ to it and checks it: the bound is a lower bound on the very ratio sampled,
 so a sample below it (``certificate_suspect``) means the certificate of F,
 or the code, is wrong.
 
+The outer loop runs on the inner solve's own state.  Each inner solve is
+the iteration core of :mod:`nearelliptic.campanato` (``_iterate``), on
+inputs checked once per call; it returns its last iterate's half spectrum,
+packed hessian and F.  F of the outer iterate is that F, G is evaluated on
+that packed hessian, the next inner solve starts from the kept half
+spectrum and F, and u is transformed to physical space once, at the end.
+The loop builds no n^2 hessian and computes no hessian or F twice; every
+inner right-hand side F - (G - g) is still checked finite, since it can
+overflow.
+
 The admission runs on the half spectrum: :func:`empirical_nu_F` draws only
 the band of its band-limited fields, from one generator, and takes their
 packed hessians by one inverse real transform each, made in place in one
@@ -50,21 +60,13 @@ from .campanato import (
     IterationTrace,
     SolveConfig,
     _at_zero_hessian,
+    _checked_alpha,
     _increment_norms,
-    campanato_solve,
+    _iterate,
 )
 from .certify import EllipticityCertificate, SamplerConfig, _increments
 from .errors import InputError, NearnessConditionError
-from .fields import (
-    PHYSICAL,
-    GridSpec,
-    HessianPairs,
-    VectorField,
-    _band_half_spectra,
-    half_spectrum,
-    l2_norm,
-    spectral_hessian,
-)
+from .fields import GridSpec, VectorField, _band_half_spectra, half_spectrum, l2_norm
 from .nonlinearity import NonlinearitySpec, NormComboPerturbation, SinePerturbation, evaluate_field
 
 # relative slack of the empirical check, as for round-off in the sampled ratio
@@ -225,7 +227,9 @@ def solve_via_nearness(
     fixed point from any start: F(., 0) and G(., 0) are each taken at one
     point and broadcast, and the first inner solve starts cold, so no
     hessian of zero is built.  Later inner solves warm-start from the
-    current outer iterate.  The outer loop stops by the rule of the inner
+    current outer iterate's kept half spectrum and F (see the module
+    notes).  ``alphaF`` is checked as by :func:`campanato_solve`, once, after
+    the admission.  The outer loop stops by the rule of the inner
     one (:meth:`IterationTrace.advance`) in the metric
     ||F(., D^2 u_k) - F(., D^2 u_{k-1})||: on the residual, on a stall at
     round-off, or with a ``DivergenceError`` citing ``certificateF`` once it
@@ -251,29 +255,32 @@ def solve_via_nearness(
             report=report,
         )
 
+    alpha = _checked_alpha(specF, alphaF, grid, certificateF)
     g_phys = g.to_physical()
     gnorm = l2_norm(g_phys)
     tol_abs = config.tol_residual * (gnorm if gnorm > 0 else 1.0)
     inner_config = replace(config, tol_residual=0.1 * config.tol_residual)
 
-    # F and G of the current iterate, on one packed hessian; the bottom of
-    # iteration k computes them for the top of iteration k + 1
-    u = None  # the first inner solve starts cold
+    # F and G of the current iterate; each inner solve returns its last
+    # iterate's half spectrum, packed hessian and F, and G is taken on that
+    # hessian, so the bottom of iteration k computes them for the top of k + 1
+    state = None  # the first inner solve starts cold
     shape = (grid.N,) + grid.shape
     F_u, G_u = (VectorField(grid, np.broadcast_to(_at_zero_hessian(s, grid), shape)) for s in (specF, specG))
     F_prev = F_u
     trace = IterationTrace()
     for _ in range(60):
-        rhs = F_u - (G_u - g_phys)
-        u, _ = campanato_solve(specF, alphaF, rhs, certificateF, config=inner_config, initial_guess=u)
-        hess = HessianPairs.from_hessian(spectral_hessian(u, PHYSICAL))
-        F_u = evaluate_field(specF, hess)
+        rhs = (F_u - (G_u - g_phys)).require_finite("right-hand side")
+        uhat, hess, F_u, _ = _iterate(specF, alpha, rhs, certificateF, inner_config, state, keep_hessian=True)
+        state = (uhat, F_u)
         G_u = evaluate_field(specG, hess)
+        del hess  # freed before the next inner solve makes its own
         floor = STAGNATION_FLOOR * max(1.0, l2_norm(F_u), gnorm)
         if trace.advance(l2_norm(F_u - F_prev), l2_norm(G_u - g_phys), tol_abs, floor):
             break
         F_prev = F_u
     trace.finish(certificateF)
+    u = half_spectrum(grid).physical_field(uhat)
 
     report = StabilityReport(
         nu_F_lower=lower,

@@ -145,6 +145,32 @@ class TestCampanatoSolve:
         with pytest.raises(InputError, match="weight field has shape"):
             campanato_solve(spec, 1.0, f, fake_certificate())
 
+    @pytest.mark.parametrize("case", ["sine", "weight_field"])
+    def test_a_warm_start_is_the_cores_kept_state_bit_for_bit(self, case):
+        # the stability loop continues from the core's kept (uhat, F) where it once
+        # warm-started campanato_solve from the field that campanato_solve returns
+        grid = GridSpec(n=2, N=2, M=16)
+        spec, alpha, _ = self.cold_start_cases(grid)[case]
+        cert = example1_certificate(spec, nu=1.0)
+        config = SolveConfig(tol_residual=1e-9)
+        f1, f2 = (manufactured(spec, grid, band=3, seed=seed)[1] for seed in (23, 24))
+        checked = campanato_module._checked_alpha(spec, alpha, grid, cert)
+        half = fields_module.half_spectrum(grid)
+        uhat, hess, F, trace = campanato_module._iterate(spec, checked, f1, cert, config, keep_hessian=True)
+        u, public_trace = campanato_solve(spec, alpha, f1, cert, config)
+        assert half.coefficients(u).tobytes() == uhat.tobytes()
+        assert u.data.tobytes() == half.inverse(uhat).tobytes()
+        assert trace.to_csv() == public_trace.to_csv()
+        # the kept hessian and F are those of the last iterate
+        assert hess.data.tobytes() == half.hessian_pairs(uhat).data.tobytes()
+        assert F.data.tobytes() == evaluate_field(spec, hess).data.tobytes()
+        warm, warm_trace = campanato_solve(spec, alpha, f2, cert, config, initial_guess=u)
+        uhat2, no_hessian, _, trace2 = campanato_module._iterate(spec, checked, f2, cert, config, (uhat, F))
+        assert warm.data.tobytes() == half.inverse(uhat2).tobytes()
+        assert warm_trace.to_csv() == trace2.to_csv()
+        assert trace2.status == "converged" and trace2.iterations >= 2
+        assert no_hessian is None  # kept only on request
+
     def test_gauge_preserved(self, grid32, identity22):
         spec = sine_spec(identity22, 0.3)
         cert = example1_certificate(spec, nu=1.0)

@@ -487,6 +487,15 @@ class TestConversions:
         with pytest.raises(InputError):
             def1_from_def2(0.6, 0.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["lam", "kappa", "M", "alpha_sup", "nu"])
+    def test_def2_refuses_a_constant_that_is_not_finite(self, name, value):
+        # nu = inf once gave a non-anomalous conversion, and nu = nan or M = nan an anomaly
+        args = dict(lam=0.4, kappa=0.1, M=1.0, alpha_sup=1.0, nu=1.0)
+        args[name] = value
+        with pytest.raises(InputError, match="must be a finite number"):
+            def2_from_def1(**args)
+
     def test_def2_m_zero_sigma_floor_is_two(self):
         conv = def2_from_def1(1.0, 0.5, M=0.0, alpha_sup=1.0, nu=1.0)
         assert conv.sigma_floor == 2.0

@@ -644,6 +644,10 @@ class TestHessianPairs:
         np.testing.assert_array_equal(
             HessianPairs.multiplicity(n), np.where(expected_rows == expected_cols, 1.0, 2.0)
         )
+        counts = HessianPairs.multiplicity(n)
+        assert counts is HessianPairs.multiplicity(n)
+        with pytest.raises(ValueError):
+            counts[0] = 3.0
 
     @pytest.mark.parametrize("n, M", [(2, 16), (3, 8)])
     def test_a_reused_work_buffer_gives_the_bytes_of_a_fresh_product(self, n, M):

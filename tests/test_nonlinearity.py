@@ -186,6 +186,13 @@ class TestLipschitz:
         )
         assert spec_w.declared_lipschitz == pytest.approx(0.6)
 
+    @pytest.mark.parametrize("nu", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_lipschitz_ratio_refuses_a_nu_that_is_not_finite_and_positive(self, identity22, nu):
+        # nu = nan once gave a nan ratio
+        spec = NonlinearitySpec(tensor=identity22, perturbation=SinePerturbation(amplitude=0.3))
+        with pytest.raises(InputError, match="ellipticity constant"):
+            spec.lipschitz_ratio(nu)
+
 
 class TestFieldEvaluation:
     def test_matches_pointwise(self, grid32, sine_spec):

@@ -51,7 +51,7 @@ from nearelliptic.tensors import (
     symbol_inverse,
 )
 
-from conftest import random_sym_tensor
+from conftest import random_sym_tensor, refuse_full_hessian
 
 TOL = 1e-12
 GRIDS = {2: 16, 3: 8}  # n -> M
@@ -409,18 +409,30 @@ def test_stability_loop_computes_each_hessian_once(monkeypatch):
     grid = GridSpec(n=2, N=2, M=16)
     specF, specG, alphaF, certF = _stability_problem(grid)
     g = evaluate_field(specG, spectral_hessian(random_band_limited(grid, band=3, seed=31), PHYSICAL))
-    calls = []
+    stability.empirical_nu_F(specF, grid)  # the admission's own hessians are taken before the count
+    calls, inner = [], []
+    hessian_pairs, iterate = fields.HalfSpectrum.hessian_pairs, stability._iterate
 
-    def counted(u, representation=PHYSICAL):
+    def counted(half, coef, work=None):
         calls.append(sys._getframe(1).f_code.co_name)
-        return spectral_hessian(u, representation)
+        return hessian_pairs(half, coef, work)
 
-    monkeypatch.setattr(stability, "spectral_hessian", counted)
-    # the loop starts at zero and takes no hessian of zero
+    def solved(*args, **kwargs):
+        out = iterate(*args, **kwargs)
+        inner.append(out[3].iterations)
+        return out
+
+    monkeypatch.setattr(fields.HalfSpectrum, "hessian_pairs", counted)
+    monkeypatch.setattr(stability, "_iterate", solved)
+    refuse_full_hessian(monkeypatch)
+    # the loop starts at zero and takes no hessian of zero, and no n^2 hessian at all
     _, report = solve_via_nearness(specF, specG, alphaF, certF, g)
     outer = report.outer_trace.iterations
     assert report.outer_trace.status == "converged" and outer >= 2
-    assert calls.count("solve_via_nearness") == outer
+    assert not hasattr(stability, "spectral_hessian")
+    # every hessian is an inner solve's own, one per inner iteration
+    assert len(inner) == outer
+    assert calls == ["_iterate"] * sum(inner)
 
 
 # --- settings ------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+import nearelliptic.campanato as campanato_module
 import nearelliptic.stability as stability
 from nearelliptic import (
     CustomPerturbation,
@@ -28,6 +29,7 @@ from nearelliptic.errors import DivergenceError, EvaluationError, InputError, Ne
 from nearelliptic.fields import (
     PHYSICAL,
     SPECTRAL,
+    HalfSpectrum,
     HessianField,
     HessianPairs,
     VectorField,
@@ -232,7 +234,8 @@ class TestEmpiricalModulus:
         def refuse(*args, **kwargs):
             raise AssertionError("the admission took a full-grid transform or hessian")
 
-        monkeypatch.setattr(stability, "spectral_hessian", refuse)
+        # the module takes no n^2 hessian anywhere, so there is no spectral_hessian of its own to refuse
+        assert not hasattr(stability, "spectral_hessian")
         for name in ("fftn", "ifftn", "rfftn"):
             monkeypatch.setattr(np.fft, name, refuse)
         for name in ("fftn", "ifftn", "rfftn"):
@@ -438,40 +441,85 @@ class TestSolveViaNearness:
         g = evaluate_field(specG, spectral_hessian(random_band_limited(grid, band=3, seed=43), PHYSICAL))
         alphaF = 1.0 / weight
         u_zero, trace_zero = outer_loop_from_zero(specF, specG, alphaF, certF, g)
-        hessians = []
+        empirical_nu_F(specF, grid)  # the admission's own hessians are taken before the count
+        hessians, inner = [], []
+        hessian_pairs, iterate = HalfSpectrum.hessian_pairs, stability._iterate
 
-        def counted(u, representation=PHYSICAL):
-            hessians.append(u)
-            return spectral_hessian(u, representation)
+        def counted(half, coef, work=None):
+            hessians.append(coef)
+            return hessian_pairs(half, coef, work)
 
-        monkeypatch.setattr(stability, "spectral_hessian", counted)
+        def solved(*args, **kwargs):
+            out = iterate(*args, **kwargs)
+            inner.append(out[3].iterations)
+            return out
+
+        monkeypatch.setattr(HalfSpectrum, "hessian_pairs", counted)
+        monkeypatch.setattr(stability, "_iterate", solved)
         u, report = solve_via_nearness(specF, specG, alphaF, certF, g)
         assert report.outer_trace.status == trace_zero.status == "converged"
         assert u.data.tobytes() == u_zero.data.tobytes()
         assert report.outer_trace.to_csv() == trace_zero.to_csv()
-        # no hessian of zero: one per outer step, of that step's inner solution
-        assert len(hessians) == report.outer_trace.iterations
+        # no hessian of zero: one inner solve per outer step, and one hessian per inner
+        # iteration, of that iteration's iterate
+        assert len(inner) == report.outer_trace.iterations
+        assert len(hessians) == sum(inner)
+        assert all(np.any(coef) for coef in hessians)
 
     def test_outer_loop_packs_each_hessian_once(self, monkeypatch, grid32, identity22):
-        # F and G of an outer iterate are evaluated on one packed hessian
+        # F of an outer iterate comes from its inner solve, and G is taken on that solve's last packed hessian
         specF = NonlinearitySpec(tensor=identity22, perturbation=SinePerturbation(amplitude=0.3))
         certF = example1_certificate(specF, nu=1.0)
         amplitude = 0.3 + 0.1 * nu_F_lower_bound(certF)
         specG = NonlinearitySpec(tensor=identity22, perturbation=SinePerturbation(amplitude=amplitude))
         g = evaluate_field(specG, spectral_hessian(random_band_limited(grid32, band=5, seed=0), PHYSICAL))
-        seen = []
+        inner_F, outer_G, solves = [], [], []
+        iterate = stability._iterate
 
-        def spy(spec, hess):
-            seen.append(hess)
-            return evaluate_field(spec, hess)
+        def spy(seen):
+            def evaluated(spec, hess):
+                out = evaluate_field(spec, hess)
+                seen.append((spec, hess, out))
+                return out
 
-        monkeypatch.setattr(stability, "evaluate_field", spy)
+            return evaluated
+
+        def solved(*args, **kwargs):
+            out = iterate(*args, **kwargs)
+            solves.append((out, len(inner_F)))
+            return out
+
+        monkeypatch.setattr(campanato_module, "evaluate_field", spy(inner_F))
+        monkeypatch.setattr(stability, "evaluate_field", spy(outer_G))
+        monkeypatch.setattr(stability, "_iterate", solved)
         # the admission evaluates F on packed values, not through evaluate_field, and the start
         # at zero takes F(., 0) and G(., 0) at one point
         _, report = solve_via_nearness(specF, specG, 1.0, certF, g)
-        assert all(isinstance(hess, HessianPairs) for hess in seen)
-        assert len(seen) == 2 * report.outer_trace.iterations
-        assert all(first is second for first, second in zip(seen[::2], seen[1::2]))
+        outer = report.outer_trace.iterations
+        assert outer >= 2 and len(solves) == len(outer_G) == outer
+        # F once per inner iteration, none again for the next solve's warm start
+        assert len(inner_F) == sum(out[3].iterations for out, _ in solves)
+        for ((_, hess, F, _), seen), (spec, G_hess, _) in zip(solves, outer_G):
+            assert isinstance(hess, HessianPairs) and spec is specG
+            # the solve returns the hessian and F of its last iteration, and G reads that same hessian
+            assert inner_F[seen - 1][1] is hess and inner_F[seen - 1][2] is F
+            assert G_hess is hess
+
+    def test_an_overflowing_inner_right_hand_side_is_refused(self, monkeypatch, grid32, identity22):
+        # F - (G - g) of finite F and G at the edge of the float range overflows to inf
+        specF = NonlinearitySpec(tensor=identity22, perturbation=SinePerturbation(amplitude=0.3))
+        certF = example1_certificate(specF, nu=1.0)
+        amplitude = 0.3 + 0.1 * nu_F_lower_bound(certF)
+        specG = NonlinearitySpec(tensor=identity22, perturbation=SinePerturbation(amplitude=amplitude))
+        g = evaluate_field(specG, spectral_hessian(random_band_limited(grid32, band=5, seed=0), PHYSICAL))
+        at_zero = stability._at_zero_hessian
+
+        def at_the_edge(spec, grid):
+            return np.full_like(at_zero(spec, grid), 1.5e308 if spec is specF else -1.5e308)
+
+        monkeypatch.setattr(stability, "_at_zero_hessian", at_the_edge)
+        with np.errstate(over="ignore"), pytest.raises(InputError, match="right-hand side has non-finite values"):
+            solve_via_nearness(specF, specG, 1.0, certF, g)
 
     def test_consistency_with_direct_solver(self, grid32, identity22):
         specF = NonlinearitySpec(tensor=identity22, perturbation=SinePerturbation(amplitude=0.3))

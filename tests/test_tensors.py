@@ -118,6 +118,14 @@ class TestContractHessian:
         with pytest.raises(InputError):
             contract_hessian(identity22, Z)
 
+    def test_the_packed_contraction_is_built_once_and_read_only(self):
+        A = random_sym_tensor(3, 2, seed=9)
+        packed = A.packed
+        assert packed is A.packed
+        assert packed.tobytes() == fields.HessianPairs.contraction(A.entries).reshape(A.N, -1).tobytes()
+        with pytest.raises(ValueError):
+            packed[0, 0] = 1.0
+
 
 class TestBilinearForm:
     def test_identity_frobenius(self, identity22):
@@ -410,15 +418,23 @@ class TestSphereSearchCost:
         monkeypatch.setattr(tensors, "SPHERE_SAMPLES", samples)
         A = random_sym_tensor(n, 2, seed=n)
         tensors._sphere_directions.cache_clear()
+        tensors._sphere_products.cache_clear()
         first = ellipticity_constant(A)
         second = ellipticity_constant(A)
+        # one table and one product array; building the products reads the table once more
         info = tensors._sphere_directions.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        info = tensors._sphere_products.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         assert second.nu == first.nu
         table = tensors._sphere_directions(n, samples)
         assert table is tensors._sphere_directions(n, samples)
-        with pytest.raises(ValueError):
-            table[0, 0] = 1.0
+        products = tensors._sphere_products(n, samples)
+        assert products is tensors._sphere_products(n, samples)
+        assert products.tobytes() == direction_products(table).tobytes()
+        for arr in (table, products):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
 
     def test_config_takes_a_single_sample(self, monkeypatch):
         monkeypatch.setattr(tensors, "SPHERE_SAMPLES", 1)
