@@ -18,7 +18,11 @@ other pairs it gives each side's median and quartiles of every
 end-to-end metric, the change's relative move of the median in the metric's
 worse direction (``worse_by``, negative when it is better) and whether that
 move exceeds the metric's bound in ``BENCHMARK.json`` (``over_bound``), and,
-for ``op_p50_ms``, how many pairs the change won.  The record is rewritten
+for ``op_p50_ms``, how many pairs the change won and whether a gain may be
+claimed (``claim_holds``): at least ``CLAIM_PAIRS`` finished pairs, the
+change faster in at least nine tenths of them, ties counting for neither,
+and the parent's median above the change's by more than the parent's
+q3 - q1.  The record is rewritten
 after every workload, so an interrupted invocation keeps the workloads it
 finished.
 """
@@ -37,6 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent
 SIDES = ("parent", "change")
 STDERR_LINES = 20
+CLAIM_PAIRS = 10
 
 
 def unpack(rev: str, into: Path) -> Path:
@@ -95,8 +100,15 @@ def summary(pairs: list[dict], end_to_end: list[dict]) -> dict:
         row["worse_by"] = (change - parent) / parent * (1 if m["better"] == "lower" else -1)
         row["over_bound"] = row["worse_by"] > m["bound"]
     parent, change = metric("parent", "op_p50_ms"), metric("change", "op_p50_ms")
-    out["op_p50_ms"]["change_wins"] = sum(c < p for p, c in zip(parent, change))
-    out["op_p50_ms"]["pairs"] = len(pairs)
+    latency = out["op_p50_ms"]
+    latency["change_wins"] = sum(c < p for p, c in zip(parent, change))
+    latency["pairs"] = len(pairs)
+    base = latency["parent"]
+    latency["claim_holds"] = (
+        len(pairs) >= CLAIM_PAIRS
+        and 10 * latency["change_wins"] >= 9 * len(pairs)
+        and base["median"] - latency["change"]["median"] > base["q3"] - base["q1"]
+    )
     out["failed_pairs"] = failed
     out["all_correct"] = not failed and all(p[side]["result"]["correct"] for p in pairs for side in SIDES)
     return out

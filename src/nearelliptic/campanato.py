@@ -216,6 +216,19 @@ def _checked_alpha(spec: NonlinearitySpec, alpha, grid, certificate: Ellipticity
     return alpha
 
 
+def _rhs_norm(f: VectorField) -> float:
+    """||f||_2 of a right-hand side; InputError when it is not finite.
+
+    The solves stop at a tolerance relative to it, and a finite f whose norm
+    overflows would make that tolerance inf: the solve would stop at once
+    as converged, on an infinite residual.
+    """
+    norm = l2_norm(f)
+    if not math.isfinite(norm):
+        raise InputError(f"right-hand side has L2 norm {norm}, past the float range")
+    return norm
+
+
 def _iterate(
     spec: NonlinearitySpec,
     alpha: np.ndarray,
@@ -238,7 +251,7 @@ def _iterate(
     g = f_phys.grid
     plan = spectral_plan(spec.tensor, g)
     half = plan.half
-    fnorm = l2_norm(f_phys)
+    fnorm = _rhs_norm(f_phys)
     tol_abs = config.tol_residual * (fnorm if fnorm > 0 else 1.0)
 
     work = half.work_buffer()
@@ -286,7 +299,8 @@ def campanato_solve(
     more than 1e-12 relative, a field not of the grid's shape, and a field
     that is not finite and positive or whose sup alpha or sup 1/alpha
     exceeds the certificate's ``alpha_bounds`` by more than 1e-12 relative,
-    are InputErrors.  Every iterate carries the
+    are InputErrors, as is an ``f`` whose L2 norm overflows, since the
+    tolerance is relative to it.  Every iterate carries the
     zero-mean gauge inherited from the linear solver.  Without
     ``initial_guess`` it starts from zero, F(., 0) taken at one point (see
     the module notes).  Returns the final field and the full trace.

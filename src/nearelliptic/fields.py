@@ -125,7 +125,9 @@ class GridSpec:
     :func:`spectral_hessian` builds for users, exceeds the module budget
     ``_DEFAULT_BUDGET`` is refused.  The guard counts only that array: the
     working sets of ``campanato_solve`` and the stability loop, which never
-    build it and may need more, are not counted.
+    build it and may need more, are not counted, and neither are the two
+    complex (N, N) stacks of each cached spectral plan of the grid,
+    2 N^2 |half| 16 bytes, |half| = M^(n-1) (M/2 + 1) frequencies.
     """
 
     n: int

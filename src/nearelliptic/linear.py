@@ -33,6 +33,16 @@ is built, in the half spectrum's C order, so a degenerate tensor raises
 the same error, at the same frequency, on every solve through the plan;
 applying the operator needs no inverse and works for any tensor.
 
+Both multipliers are real, but the plan stores them as complex128 with
+imaginary parts exactly 0, the dtype of the coefficients they multiply.
+numpy multiplies a float64 array by a complex one in its complex loop
+anyway, after casting the real operand through a buffer, so the complex
+stacks give the same products bit for bit without that cast on every
+call.  The price is memory: 16 N^2 bytes per half-spectrum frequency and
+stack, 2 x 132 KiB at n = 2, M = 64 and 2 x 1.06 MiB at n = 3, M = 32
+(N = 2), twice a real plan.  The degeneracy rule and the cofactors run on
+the real O, once, when the plan is built.
+
 Checks.  :func:`solve_linear` checks the u it returns on the half
 spectrum, in place: it forms A : D^2 u - f once, zeroes its k = 0 entry
 (flat index 0 of each component) and takes the residual and, for the exact
@@ -93,11 +103,14 @@ class SpectralPlan:
     """Half-spectrum multipliers of one (tensor, grid); build with :func:`spectral_plan`.
 
     ``solve`` and ``operator`` have shape (N, N) + ``half.shape`` and are
-    read-only, because cached plans are shared by every caller.  When the
-    operator is singular at some frequency, ``degenerate`` holds the first
-    such frequency in the half spectrum's C order and ``solve`` is None:
-    the operator still applies, but :meth:`invert` raises
-    DegenerateSymbolError.
+    read-only, because cached plans are shared by every caller.  They are
+    complex128 with imaginary parts exactly 0, so that :meth:`apply` and
+    :meth:`invert` multiply the complex coefficients without casting the
+    plan on each call; each stack takes 16 N^2 bytes per frequency of
+    ``half.shape``.  When the operator is singular at some frequency,
+    ``degenerate`` holds the first such frequency in the half spectrum's C
+    order and ``solve`` is None: the operator still applies, but
+    :meth:`invert` raises DegenerateSymbolError.
     """
 
     half: HalfSpectrum
@@ -137,11 +150,13 @@ def _plan(entries: bytes, grid: GridSpec) -> SpectralPlan:
     contraction = HessianPairs.contraction(np.frombuffer(entries).reshape(N, N, n, n))
     half = half_spectrum(grid)
     operator = np.tensordot(contraction, half.hessian, axes=1)
-    operator.setflags(write=False)
     # the (K, N, N) stack of every frequency but the gauge, flat index 0, in the half spectrum's C order;
     # it is inverted divided by a power of two, exactly, so tiny entries cannot underflow
     scale = power_of_two_scale(contraction)
     O = np.moveaxis(operator.reshape(N, N, -1)[:, :, 1:], -1, 0) / scale
+    # stored complex, as the coefficients are, so that no multiply casts the plan on every call
+    operator = operator.astype(complex)
+    operator.setflags(write=False)
     det, _, degenerate = symbol_determinants(O)
     if np.any(degenerate):
         k = np.unravel_index(1 + np.argmax(degenerate), half.shape)

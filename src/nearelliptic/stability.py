@@ -63,6 +63,7 @@ from .campanato import (
     _checked_alpha,
     _increment_norms,
     _iterate,
+    _rhs_norm,
 )
 from .certify import EllipticityCertificate, SamplerConfig, _increments
 from .errors import InputError, NearnessConditionError
@@ -233,9 +234,13 @@ def solve_via_nearness(
     one (:meth:`IterationTrace.advance`) in the metric
     ||F(., D^2 u_k) - F(., D^2 u_{k-1})||: on the residual, on a stall at
     round-off, or with a ``DivergenceError`` citing ``certificateF`` once it
-    stops contracting; it takes at most 60 outer steps.
+    stops contracting; it takes at most 60 outer steps.  A ``g`` that is
+    not finite or whose L2 norm overflows is an InputError, before the
+    admission; so is an inner right-hand side F - (G - g) that overflows.
     """
     g.require_finite("right-hand side")
+    g_phys = g.to_physical()
+    gnorm = _rhs_norm(g_phys)
     lower = nu_F_lower_bound(certificateF)
     estimate = nu_FG_estimate(specF, specG)
     grid = g.grid
@@ -256,8 +261,6 @@ def solve_via_nearness(
         )
 
     alpha = _checked_alpha(specF, alphaF, grid, certificateF)
-    g_phys = g.to_physical()
-    gnorm = l2_norm(g_phys)
     tol_abs = config.tol_residual * (gnorm if gnorm > 0 else 1.0)
     inner_config = replace(config, tol_residual=0.1 * config.tol_residual)
 

@@ -47,6 +47,24 @@ class TestSummary:
         assert out["op_p50_ms"]["change_wins"] == 2 and out["all_correct"] is False
 
 
+    @pytest.mark.parametrize(
+        "parent, change, holds",
+        [
+            # wins 9 of 10; medians 14.5 and 10.5, parent quartiles 12.25 and 16.75: a gap of 4 < 4.5
+            (list(range(10, 20)), [x - 4 for x in range(10, 19)] + [20], False),
+            # the same wins with a gap of 5 > 4.5
+            (list(range(10, 20)), [x - 5 for x in range(10, 19)] + [20], True),
+            # a gap of 8 but only 8 wins of 10
+            (list(range(10, 20)), [x - 8 for x in range(10, 18)] + [20, 21], False),
+            # 9 wins of 9 pairs: too few pairs to claim anything
+            (list(range(10, 19)), [x - 8 for x in range(10, 19)], False),
+        ],
+    )
+    def test_a_claim_needs_ten_pairs_nine_wins_and_a_gap_past_the_parents_quartiles(self, parent, change, holds):
+        pairs = [{"parent": run(p, 1.0), "change": run(c, 1.0)} for p, c in zip(parent, change)]
+        assert bench_record.summary(pairs, END_TO_END)["op_p50_ms"]["claim_holds"] is holds
+
+
 def perfbench_run(tree, workload, seed, seconds):
     """A stand-in for one perfbench run: the change fails its linear-sweep run at seed 902, stability is cut off."""
     if workload == "stability":

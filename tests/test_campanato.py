@@ -24,6 +24,7 @@ from nearelliptic import (
     l2_norm,
     random_band_limited,
     solve_linear,
+    solve_via_nearness,
     spectral_hessian,
     uniqueness_constant,
     verify_comparison,
@@ -34,6 +35,7 @@ from nearelliptic.errors import DivergenceError, InputError
 from nearelliptic.fields import PHYSICAL, HalfSpectrum, VectorField
 from nearelliptic.linear import spectral_plan
 from nearelliptic.nonlinearity import evaluate_field
+from nearelliptic.stability import nu_F_lower_bound
 from conftest import refuse_full_hessian, zero_field
 
 
@@ -208,6 +210,21 @@ class TestCampanatoSolve:
         _, f = manufactured(spec, grid32, band=4, seed=6)
         with pytest.raises(InputError):
             campanato_solve(spec, 1.0, f, bad)
+
+    def test_a_right_hand_side_whose_norm_overflows_is_refused(self, identity22):
+        # every value finite, but ||f||_2 overflows: a tolerance relative to it would be inf
+        spec = sine_spec(identity22, 0.3)
+        cert = example1_certificate(spec, nu=1.0)
+        grid = GridSpec(n=2, N=2, M=16)
+        data = random_band_limited(grid, band=4, seed=2).data.copy()
+        data[0, 3, 5] = 1e300
+        f = VectorField(grid, data, PHYSICAL)
+        specG = sine_spec(identity22, 0.3 + 0.1 * nu_F_lower_bound(cert))
+        with np.errstate(over="ignore"):
+            with pytest.raises(InputError, match="right-hand side has L2 norm inf"):
+                campanato_solve(spec, 1.0, f, cert)
+            with pytest.raises(InputError, match="right-hand side has L2 norm inf"):
+                solve_via_nearness(spec, specG, 1.0, cert, f)
 
     def test_an_alpha_other_than_the_certificates_is_refused(self, grid32, identity22):
         spec = NonlinearitySpec(tensor=identity22, weight=2.0)

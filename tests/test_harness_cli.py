@@ -372,6 +372,23 @@ class TestConfigPaths:
         u = load_field(tmp_path / "solution.field")
         assert np.abs(u.data - ustar.data).max() <= 1e-10
 
+    @pytest.mark.parametrize("command", ["solve", "solve-stability"])
+    def test_a_right_hand_side_whose_norm_overflows_exits_1(self, tmp_path, command):
+        grid = GridSpec(n=2, N=2, M=16)
+        data = random_band_limited(grid, band=4, seed=2).data.copy()
+        data[0, 3, 5] = 1e300
+        save_field(tmp_path / "rhs.field", VectorField(grid, data, PHYSICAL))
+        doc = {
+            "grid": {"M": 16},
+            "spec": {"perturbation": {"kind": "scaled_sine", "amplitude": 0.3}},
+            "spec_g": {"perturbation": {"kind": "scaled_sine", "amplitude": 0.31}},
+            "rhs": {"kind": "file", "path": str(tmp_path / "rhs.field")},
+        }
+        result = self.invoke(tmp_path, command, doc)
+        assert result.exit_code == 1, result.output
+        assert f"FAIL [{command}]" in result.output
+        assert not (tmp_path / "solution.field").exists()
+
     def test_solve_linear_refuses_a_spatial_weight(self, tmp_path):
         grid = GridSpec(n=2, N=2, M=16)
         weight = 1.5 + 0.5 * np.sin(2 * np.pi * np.arange(16) / 16)[:, None] * np.ones((16, 16))

@@ -40,7 +40,7 @@ from nearelliptic import (
 )
 from nearelliptic.errors import DegenerateSymbolError, InputError
 from nearelliptic.fields import PHYSICAL, SPECTRAL, half_spectrum
-from nearelliptic.linear import PLAN_CACHE_SIZE, spectral_plan
+from nearelliptic.linear import PLAN_CACHE_SIZE, _matvec, spectral_plan
 from nearelliptic.nonlinearity import evaluate_field
 from nearelliptic.stability import nu_F_lower_bound
 from nearelliptic.tensors import (
@@ -342,6 +342,30 @@ class TestPlan:
         for arr in (plan.solve, plan.operator, plan.half.hessian, plan.half.weights, plan.half.zsq):
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
+
+    @pytest.mark.parametrize("n, M", [(2, 64), (3, 32)])
+    def test_plan_stacks_are_complex_with_zero_imaginary_parts(self, n, M):
+        # stored in the coefficients' dtype, a plan multiplies as the real stacks would, bit for bit
+        grid = GridSpec(n=n, N=2, M=M)
+        entries = np.zeros((2, 2, n, n))
+        entries[0, 0] = np.eye(n)
+        entries[1, 1] = np.diag([0.0] + [1.0] * (n - 1))
+        A, _ = random_rank_one_positive(n, 2, seed=77)
+        coef = half_spectrum(grid).coefficients(white_noise(grid, 5))
+        for tensor in (A, SymTensor4(entries)):
+            plan = spectral_plan(tensor, grid)
+            assert spectral_plan(tensor, grid) is plan
+            stacks = [plan.operator] if plan.degenerate else [plan.operator, plan.solve]
+            for m in stacks:
+                assert m.dtype == np.complex128 and not m.flags.writeable
+                assert not m.imag.any()
+            assert plan.apply(coef).tobytes() == _matvec(plan.operator.real, coef).tobytes()
+            if plan.degenerate:
+                with pytest.raises(DegenerateSymbolError):
+                    plan.invert(coef)
+            else:
+                assert plan.invert(coef).tobytes() == _matvec(plan.solve.real, coef).tobytes()
+        assert spectral_plan(SymTensor4(entries), grid).degenerate is not None
 
     def test_tensor_grid_mismatch(self, grid32):
         with pytest.raises(InputError):
