@@ -17,12 +17,18 @@ counts it (``failed_pairs``, and ``all_correct`` is then false); over the
 other pairs it gives each side's median and quartiles of every
 end-to-end metric, the change's relative move of the median in the metric's
 worse direction (``worse_by``, negative when it is better) and whether that
-move exceeds the metric's bound in ``BENCHMARK.json`` (``over_bound``), and,
-for ``op_p50_ms``, how many pairs the change won and whether a gain may be
+move exceeds the metric's bound in ``BENCHMARK.json`` (``over_bound``) and
+whether the record can tell (``unresolved``, below), and, for
+``op_p50_ms``, how many pairs the change won and whether a gain may be
 claimed (``claim_holds``): at least ``CLAIM_PAIRS`` finished pairs, the
 change faster in at least nine tenths of them, ties counting for neither,
 and the parent's median above the change's by more than the parent's
-q3 - q1.  The record is rewritten
+q3 - q1.  A metric is ``unresolved`` when the parent's own spread,
+(q3 - q1) / median, exceeds the metric's bound and the change's median is
+worse: a move inside that spread is neither a regression nor "unchanged".
+A change whose every run beats every parent run has the better median, so
+it is never unresolved.  With one pair there are no quartiles, and
+``unresolved`` is null.  The record is rewritten
 after every workload, so an interrupted invocation keeps the workloads it
 finished.
 """
@@ -99,6 +105,11 @@ def summary(pairs: list[dict], end_to_end: list[dict]) -> dict:
         parent, change = row["parent"]["median"], row["change"]["median"]
         row["worse_by"] = (change - parent) / parent * (1 if m["better"] == "lower" else -1)
         row["over_bound"] = row["worse_by"] > m["bound"]
+        base = row["parent"]
+        if "q1" in base:
+            row["unresolved"] = (base["q3"] - base["q1"]) / parent > m["bound"] and row["worse_by"] > 0
+        else:
+            row["unresolved"] = None
     parent, change = metric("parent", "op_p50_ms"), metric("change", "op_p50_ms")
     latency = out["op_p50_ms"]
     latency["change_wins"] = sum(c < p for p, c in zip(parent, change))

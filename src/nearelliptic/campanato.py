@@ -20,7 +20,7 @@ The iterate is kept as half-spectrum coefficients of the (tensor, grid)
 alpha (F - f), one multiply each for the solve and the operator, and the
 inverse transform of the n(n+1)/2 distinct hessian components, made in the
 work buffer (:meth:`~nearelliptic.fields.HalfSpectrum.hessian_pairs`); the
-metric d and the residual are one ``vdot`` each, d by Plancherel, and u is
+metric d and the residual are one dot product each, d by Plancherel, and u is
 transformed back only on exit, into a field that keeps its half spectrum
 from birth (:meth:`~nearelliptic.fields.HalfSpectrum.physical_field`): a
 later solve warm-started from it, or its hessian, transforms nothing

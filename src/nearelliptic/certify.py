@@ -28,10 +28,15 @@ The samples are packed, component-major (N, n(n+1)/2, count).  X and Z are
 symmetric Gaussian matrices, and only their n(n+1)/2 distinct entries are
 drawn: the diagonal ones N(0, 1), the off-diagonal ones N(0, 1/2), all
 independent, which is the law of 0.5 (X + X^T) for a standard Gaussian X
-(:func:`_draw_symmetric`).  F is evaluated on them by the solvers' one
-evaluator, :func:`~nearelliptic.nonlinearity.evaluate_pairs`; verify, fit
-and the stability admission's nu(F, G) read their increments from one
-helper, :func:`_increments`.
+(:func:`_draw_symmetric`).  Every Gaussian value of the sampler, these and
+lemma 1's eta and a, is drawn by Box–Muller from one ``Generator.random``
+draw (:func:`_standard_normal`), about twice as fast as numpy's ziggurat
+``standard_normal``: the law is N(0, 1) with the tail past about 8.57 sigma
+(mass 1e-17) cut, and a seed gives other values than ``standard_normal``
+would.  F is evaluated on the samples by the solvers' one evaluator,
+:func:`~nearelliptic.nonlinearity.evaluate_pairs`; verify, fit and the
+stability admission's nu(F, G) read their increments from one helper,
+:func:`_increments`.
 
 A ``nu`` passed to verify, fit, lemma 1 or the example-1 certificate must be
 finite and positive; without one, nu(A) is searched and must be positive.
@@ -42,9 +47,11 @@ Work arrays.  The sampler draws X and Z0 into kept work arrays, forms each
 scale's Z and X + Z in them, and lemma 1 draws and forms its samples in the
 same ones: four (N, n(n+1)/2, count) float64 arrays per (count, N, n), kept
 for the last :data:`WORKSPACE_CACHE_SIZE` keys, so a repeated certificate
-allocates and faults in no sample array.  A caller checks the arrays out for
-the length of its call; a second caller of the same key while they are out
-gets fresh ones.  An array a sampling generator yields is valid until the
+allocates and faults in no sample array.  The uniforms of a draw go into the
+arrays that are not formed yet (Z and X + Z; lemma 1's Z, X + Z and the
+fourth), so no draw allocates an array for them.  A caller checks the
+arrays out for the length of its call; a second caller of the same key
+while they are out gets fresh ones.  An array a sampling generator yields is valid until the
 generator advances.  Everything in a report or a certificate, and every
 value the sampler's callers keep, is the caller's own copy.
 """
@@ -205,16 +212,61 @@ class KConditionReport:
         return "\n".join(lines) + "\n"
 
 
-def _draw_symmetric(rng: np.random.Generator, out: np.ndarray, n: int) -> np.ndarray:
+def _standard_normal(rng: np.random.Generator, out: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Fill ``out``, C-contiguous float64, with independent N(0, 1) values by Box–Muller.
+
+    Box and Muller, Ann. Math. Stat. 29 (1958): for the S entries of ``out``
+    and h = ceil(S/2), one draw ``rng.random`` of 2h uniforms goes into the
+    head of ``uniforms`` (C-contiguous float64 with at least 2h entries,
+    contents arbitrary and overwritten).  Pair k takes u0 = the k-th and
+    u1 = the (h + k)-th uniform, r = sqrt(-2 log(1 - u0)) and the angle
+    theta = 2 pi (u1 - 1/2); entry k of ``out`` is r cos theta and entry
+    h + k is r sin theta (the last sine is dropped when S is odd).  cos and
+    sin come from t = tan(theta/2) as (1 - t^2)/(1 + t^2) and
+    2t/(1 + t^2), the idiom of ``SinePerturbation.delta_pairs``: numpy
+    2.4's float64 ``sin`` and ``cos`` each take about six times as long as
+    its ``tan`` (90000 values, an AVX-512 Xeon).  1 - u0 >= 2^-53, so
+    |value| <= sqrt(2 * 53 ln 2), about 8.57: the tail past 8.57 sigma, of
+    mass about 1e-17, is never drawn.
+    """
+    flat = out.reshape(-1)  # a view, since out is C-contiguous
+    size = flat.size
+    half = (size + 1) // 2
+    drawn = uniforms.reshape(-1)[: 2 * half]
+    rng.random(out=drawn)
+    radius, t = drawn[:half], drawn[half:]
+    np.subtract(1.0, radius, out=radius)
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    t -= 0.5
+    t *= np.pi
+    np.tan(t, out=t)
+    # r / (1 + t^2) in the cosine half, the sine half from it, then the cosine half
+    scaled = flat[:half]
+    np.multiply(t, t, out=scaled)
+    scaled += 1.0
+    np.divide(radius, scaled, out=scaled)
+    np.multiply(t[: size - half], scaled[: size - half], out=flat[half:])
+    flat[half:] *= 2.0
+    np.multiply(t, t, out=radius)
+    np.subtract(1.0, radius, out=radius)
+    scaled *= radius
+    return out
+
+
+def _draw_symmetric(rng: np.random.Generator, out: np.ndarray, n: int, uniforms: np.ndarray) -> np.ndarray:
     """Fill ``out`` (N, n(n+1)/2, count), C-contiguous float64, with ``count`` packed symmetric Gaussian matrices.
 
-    One draw ``rng.standard_normal(out=out)`` fills the packed slots, and
-    each off-diagonal slot is scaled in place by sqrt(1/2).  That is the law
-    of the upper triangle of 0.5 (X + X^T) for a standard Gaussian X:
-    diagonal entries N(0, 1), off-diagonal entries N(0, 1/2), all
-    independent.
+    :func:`_standard_normal` fills the packed slots, its uniforms drawn into
+    ``uniforms``, and each off-diagonal slot is scaled in place by
+    sqrt(1/2).  That is the law of the upper triangle of 0.5 (X + X^T) for
+    a standard Gaussian X: diagonal entries N(0, 1), off-diagonal entries
+    N(0, 1/2), all independent.  The values are not those of
+    ``rng.standard_normal`` (numpy's ziggurat) at the same seed: the law is
+    the same, the stream is not.
     """
-    rng.standard_normal(out=out)
+    _standard_normal(rng, out, uniforms)
     out *= np.sqrt(1.0 / HessianPairs.multiplicity(n))[:, None]  # exactly 1 on the diagonal
     return out
 
@@ -275,9 +327,11 @@ def _increments(sampler: SamplerConfig, *specs: NonlinearitySpec):
     """
     n = specs[0].n
     rng = np.random.default_rng(sampler.seed)
-    with _workspace(sampler.count, specs[0].N, n) as (X, Z0, Z, Y):
-        _draw_symmetric(rng, X, n)
-        _draw_symmetric(rng, Z0, n)
+    with _workspace(sampler.count, specs[0].N, n) as work:
+        X, Z0, Z, Y = work
+        # Z and Y are free until the scales, so their memory holds the uniforms
+        _draw_symmetric(rng, X, n, work[2:])
+        _draw_symmetric(rng, Z0, n, work[2:])
         flat, weights = sample_weights(rng, sampler.count, *specs)
         FX = [evaluate_pairs(spec, X, w) for spec, w in zip(specs, weights)]
         for scale in SCALES:
@@ -530,12 +584,13 @@ def lemma1_check(
     alpha_sup, _ = alpha_bounds_of(alpha)
     rng = np.random.default_rng(seed)
     rows, cols = HessianPairs.components(spec.n)
-    with _workspace(count, spec.N, spec.n) as (X, Z, Y, _):
-        _draw_symmetric(rng, X, spec.n)
-        eta = rng.standard_normal((count, spec.N))
-        a = rng.standard_normal((count, spec.n))
-        # component-major copies, so every product below runs over contiguous rows
-        eta, a = np.ascontiguousarray(eta.T), np.ascontiguousarray(a.T)
+    with _workspace(count, spec.N, spec.n) as work:
+        X, Z, Y, _ = work
+        # the uniforms go into Z, Y and the spare array before they are formed
+        _draw_symmetric(rng, X, spec.n, work[1:])
+        # component-major, so every product below runs over contiguous rows
+        eta = _standard_normal(rng, np.empty((spec.N, count)), work[1:])
+        a = _standard_normal(rng, np.empty((spec.n, count)), work[1:])
         np.multiply(eta[:, None], a[rows], out=Z)
         Z *= a[cols]
         _, (w,) = sample_weights(rng, count, spec)

@@ -408,6 +408,12 @@ class HessianPairs:
         return entries[:, :, rows, cols] + np.where(rows < cols, entries[:, :, cols, rows], 0.0)
 
 
+def _power(coef: np.ndarray) -> float:
+    """The sum of |c|^2 over complex128 ``coef``: one real ``dot`` of its float64 view."""
+    flat = coef.reshape(-1).view(np.float64)  # a view of contiguous data, a copy otherwise
+    return np.dot(flat, flat)
+
+
 HALF_SPECTRUM_CACHE_SIZE = 4
 
 # the attribute of a VectorField that holds its kept half spectrum (None after one transform on request)
@@ -490,14 +496,15 @@ class HalfSpectrum:
         """L2 norm of the real field with these coefficients (Plancherel).
 
         Twice the power of every coefficient, less that of the two weight-1
-        planes k_n = 0 and k_n = M/2: one ``vdot`` over the whole spectrum.
-        A power past the float range is summed again elementwise, where
+        planes k_n = 0 and k_n = M/2.  Each power is one real ``dot`` of the
+        float64 view of the coefficients (of a contiguous copy, for the two
+        planes), no slower than the complex ``vdot`` and faster at n=3.  A
+        power past the float range is summed again elementwise, where
         numpy's floating-point error state sees the overflow.
         """
-        total = np.vdot(coef, coef).real
+        total = _power(coef)
         if np.isfinite(total):
-            ends = coef[..., :: self.grid.M // 2]
-            power = 2.0 * total - np.vdot(ends, ends).real
+            power = 2.0 * total - _power(coef[..., :: self.grid.M // 2])
         else:
             power = (self.weights * (coef.real**2 + coef.imag**2)).sum()
         return float(np.sqrt(self.grid.volume * power))

@@ -64,6 +64,26 @@ class TestSummary:
         pairs = [{"parent": run(p, 1.0), "change": run(c, 1.0)} for p, c in zip(parent, change)]
         assert bench_record.summary(pairs, END_TO_END)["op_p50_ms"]["claim_holds"] is holds
 
+    @pytest.mark.parametrize(
+        "parent, change, unresolved",
+        [
+            # parent spread (11.5 - 10.75) / 11 = 0.07 < 0.2: the +5% move is resolved
+            ([10, 11, 11, 13], [11, 11.5, 11.6, 13], False),
+            # a parent that spreads past the bound, (13.5 - 10.75) / 12 = 0.23: the +4% move cannot be told from noise
+            ([10, 11, 13, 15], [11, 12.4, 12.6, 15], True),
+            # the same spread with a better change median: not a regression to resolve
+            ([10, 11, 13, 15], [10, 11, 12.6, 15], False),
+            # one pair has no quartiles
+            ([10], [12], None),
+        ],
+    )
+    def test_a_worse_median_inside_a_parent_spread_past_the_bound_is_unresolved(self, parent, change, unresolved):
+        pairs = [{"parent": run(p, 1.0), "change": run(c, 1.0)} for p, c in zip(parent, change)]
+        out = bench_record.summary(pairs, END_TO_END)
+        assert out["op_p50_ms"]["unresolved"] is unresolved
+        # a constant metric has no spread and no move
+        assert out["ops_per_s"]["unresolved"] is (None if unresolved is None else False)
+
 
 def perfbench_run(tree, workload, seed, seconds):
     """A stand-in for one perfbench run: the change fails its linear-sweep run at seed 902, stability is cut off."""

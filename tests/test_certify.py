@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ from nearelliptic.certify import (
     CONSTANT_FLOOR,
     _draw_symmetric,
     _increments,
+    _standard_normal,
     example1_alpha,
 )
 from nearelliptic.counterexamples import saturating_witness, window_constants
@@ -33,6 +35,15 @@ from nearelliptic.nonlinearity import evaluate_F, evaluate_pairs
 from nearelliptic.tensors import SymTensor4, ellipticity_constant, random_rank_one_positive
 
 MISSING = object()
+
+
+def box_muller(rng, size):
+    """Textbook Box–Muller on one draw of 2 ceil(size/2) uniforms: r cos theta, then r sin theta (the last dropped when size is odd)."""
+    half = (size + 1) // 2
+    u = rng.random(2 * half)
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[:half]))
+    theta = 2.0 * (np.pi * (u[half:] - 0.5))
+    return np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])[:size]
 
 
 class TestVerify:
@@ -146,18 +157,33 @@ class TestSampler:
     @pytest.mark.parametrize("n, N", [(2, 2), (3, 2), (4, 3)])
     def test_packed_draw_is_the_distinct_entries_with_off_diagonal_slots_scaled(self, n, N):
         rng, ref = np.random.default_rng(23), np.random.default_rng(23)
-        got = _draw_symmetric(rng, np.empty((N, n * (n + 1) // 2, 40)), n)
-        want = ref.standard_normal((N, n * (n + 1) // 2, 40))
+        shape = (N, n * (n + 1) // 2, 40)
+        # an even size needs exactly as many uniforms as values
+        got = _draw_symmetric(rng, np.empty(shape), n, np.empty(shape))
+        want = box_muller(ref, got.size).reshape(shape)
         rows, cols = np.triu_indices(n)
         want[:, rows != cols] *= np.sqrt(0.5)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.shape == want.shape and got.dtype == np.float64 and got.flags.c_contiguous
+        # the same uniforms; cos and sin come from a half-angle tangent, so they agree to round-off
+        np.testing.assert_allclose(got, want, rtol=1e-12)
         # the stream goes on where the packed draw left it
-        assert rng.standard_normal() == ref.standard_normal()
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (2, 1999), (3, 1999)])
+    def test_every_entry_of_an_array_of_any_size_is_drawn(self, shape):
+        # lemma 1 draws eta (N, count) and a (n, count), whose sizes may be odd
+        out = np.full(shape, np.nan)
+        _standard_normal(np.random.default_rng(5), out, np.full(out.size + 1, np.nan))
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out.ravel(), box_muller(np.random.default_rng(5), out.size), rtol=1e-12)
+
+    def test_the_draw_passes_a_kolmogorov_smirnov_test_against_the_standard_normal(self):
+        values = _standard_normal(np.random.default_rng(31), np.empty(300_001), np.empty(300_002))
+        assert scipy.stats.kstest(values, "norm").pvalue > 1e-3
 
     def test_packed_draw_has_the_law_of_the_symmetrized_draw(self):
         # upper triangle of 0.5 (X + X^T): diagonal N(0, 1), off-diagonal N(0, 1/2), independent
-        X = _draw_symmetric(np.random.default_rng(2024), np.empty((2, 6, 200_000)), 3).reshape(12, -1)
+        X = _draw_symmetric(np.random.default_rng(2024), np.empty((2, 6, 200_000)), 3, np.empty(2_400_000)).reshape(12, -1)
         rows, cols = np.triu_indices(3)
         variance = np.tile(np.where(rows == cols, 1.0, 0.5), 2)
         assert np.abs(X.mean(axis=1)).max() < 0.01
@@ -171,8 +197,8 @@ class TestSampler:
         spec = NonlinearitySpec(tensor=identity22, weight=weight)
         sampler = SamplerConfig(count=64, seed=9)
         rng = np.random.default_rng(9)
-        X0 = _draw_symmetric(rng, np.empty((2, 3, 64)), 2)
-        Z0 = _draw_symmetric(rng, np.empty((2, 3, 64)), 2)
+        X0 = _draw_symmetric(rng, np.empty((2, 3, 64)), 2, np.empty(384))
+        Z0 = _draw_symmetric(rng, np.empty((2, 3, 64)), 2, np.empty(384))
         flat0 = rng.integers(0, weight.size, size=64)
         w = weight.ravel()[flat0]
         scales = []
@@ -259,6 +285,29 @@ class TestWorkspace:
         assert after.violations.tobytes() == fresh.violations.tobytes()
         assert after.worst_violation == fresh.worst_violation
         assert [x.tobytes() for x in after.worst_sample[1:3]] == [x.tobytes() for x in fresh.worst_sample[1:3]]
+
+    def test_the_uniforms_of_every_draw_go_into_the_work_arrays(self, workspaces, monkeypatch):
+        outs = []
+        default_rng = np.random.default_rng
+
+        class Recording:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def random(self, size=None, dtype=np.float64, out=None):
+                outs.append(out)
+                return self.rng.random(size, dtype, out)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        spec = sine3()
+        verify_k_condition(spec, 1.0, 0.09, 0.455, SamplerConfig(count=301, seed=4), nu=1.0)
+        lemma1_check(spec, lam=0.4, kappa=0.1, alpha=1.0, count=301, seed=5, nu=1.0)
+        work = workspaces[(301, 2, 3)]
+        # verify's X and Z0, then lemma 1's X, eta and a (3 x 301 values, an odd count)
+        assert len(outs) == 5 and all(out is not None and np.shares_memory(out, work) for out in outs)
 
     def test_two_live_generators_of_one_key_yield_distinct_arrays(self, workspaces):
         spec = sine3()

@@ -75,9 +75,10 @@ def fresh_admission():
 
 @pytest.fixture
 def drawn(monkeypatch):
-    """Sizes of the standard normal draws of every generator made from here on.
+    """Sizes of the standard normal and uniform draws of every generator made from here on.
 
-    A draw into a caller's array (``out=``) counts that array's size.
+    A draw into a caller's array (``out=``) counts that array's size.  The
+    certify sampler draws its Gaussian values as uniforms (Box–Muller).
     """
     sizes = []
     default_rng = np.random.default_rng
@@ -89,6 +90,10 @@ def drawn(monkeypatch):
         def standard_normal(self, size=None, out=None):
             sizes.append(out.size if out is not None else np.prod(size))
             return self.rng.standard_normal(size, out=out)
+
+        def random(self, size=None, dtype=np.float64, out=None):
+            sizes.append(out.size if out is not None else np.prod(size))
+            return self.rng.random(size, dtype, out)
 
         def __getattr__(self, name):
             return getattr(self.rng, name)
@@ -247,6 +252,7 @@ class TestEmpiricalModulus:
     def test_a_first_call_draws_only_the_band_and_a_repeat_draws_nothing(self, drawn, n, M):
         grid = GridSpec(n=n, N=2, M=M)
         spec = admission_specs(n, M)["sine"]
+        drawn.clear()  # the specs' weight field is a uniform draw of the set-up, not of the call
         first = empirical_nu_F(spec, grid)
         band = M // 4
         per_call = 2 * 2 * EMPIRICAL_PAIRS * grid.N * (2 * band + 1) ** (n - 1) * (band + 1)
