@@ -11,7 +11,6 @@ from .campanato import (
     IterationTrace,
     SolveConfig,
     campanato_solve,
-    contraction_bound,
     uniqueness_constant,
     verify_comparison,
 )
@@ -38,7 +37,7 @@ from .errors import (
 )
 from .fields import (
     GridSpec,
-    HessianField,
+    HessianPairs,
     NormReport,
     VectorField,
     l2_norm,

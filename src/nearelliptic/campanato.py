@@ -317,12 +317,6 @@ def campanato_solve(
     return half.physical_field(uhat), trace
 
 
-def contraction_bound(certificate: EllipticityCertificate) -> float:
-    """Lipschitz constant sqrt(beta + gamma) of the fixed-point map."""
-    certificate.require_feasible()
-    return certificate.contraction
-
-
 def uniqueness_constant(certificate: EllipticityCertificate) -> float:
     """Constant in the hessian-seminorm comparison estimate.
 

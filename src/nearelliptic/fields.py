@@ -76,11 +76,11 @@ the band and nothing is transformed to physical space and back.
 
 Packed hessian.  The hessian is symmetric in (i, j), so the package keeps only
 its n(n+1)/2 distinct components (i, j), i <= j, in row-major order: a
-:class:`HessianPairs` field has data (N, n(n+1)/2, M, ..., M).  A sum over
-all n^2 components counts each off-diagonal slot twice, and
-:meth:`HessianPairs.contraction` folds a tensor A into the packed slots.
-The n^2 :class:`HessianField` is the view for users (:func:`spectral_hessian`,
-field files); nothing inside the package builds it.
+:class:`HessianPairs` field, data (N, n(n+1)/2, M, ..., M), is the one hessian
+every function takes and returns.  A sum over all n^2 components counts each
+off-diagonal slot twice, and :meth:`HessianPairs.contraction` folds a tensor
+A into the packed slots.  The n^2 :class:`HessianField` is only the layout of
+a hessian file, which :func:`save_field` expands to and :func:`load_field` packs.
 
 Nyquist planes.  The mixed multiplier k_i k_j (i != j) is odd in k_i on the
 Nyquist plane k_i = -M/2, where -k mod M is k again, so the full-spectrum
@@ -116,17 +116,20 @@ _DEFAULT_BUDGET = 2 * 1024**3  # bytes
 # decades a grid's volumes and hessian multipliers may span on either side of 1
 SCALE_DECADES = 100
 
+# relative asymmetry taken as round-off: a tensor's constructor repairs it, a hessian may carry it; more is an error
+SYMMETRY_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic grid: n axes, M points each, period L, N field components.
 
-    A grid whose n^2 physical hessian, ``8 N n^2 M^n`` bytes, the array that
-    :func:`spectral_hessian` builds for users, exceeds the module budget
-    ``_DEFAULT_BUDGET`` is refused.  The guard counts only that array: the
-    working sets of ``campanato_solve`` and the stability loop, which never
-    build it and may need more, are not counted, and neither are the two
-    complex (N, N) stacks of each cached spectral plan of the grid,
+    A grid whose n^2 physical hessian, ``8 N n^2 M^n`` bytes, exceeds the
+    module budget ``_DEFAULT_BUDGET`` is refused.  That array is the layout
+    of a hessian field file, which only :func:`load_field` reads in full; no
+    compute path builds it.  The working sets of ``campanato_solve`` and the
+    stability loop, which may need more, are not counted, and neither are
+    the two complex (N, N) stacks of each cached spectral plan of the grid,
     2 N^2 |half| 16 bytes, |half| = M^(n-1) (M/2 + 1) frequencies.
     """
 
@@ -239,12 +242,12 @@ def _transformed(field):
 
 
 def _combined(field, other, op):
-    """``op`` of the data of two fields of one class, grid and representation."""
-    if not isinstance(other, type(field)):
+    """``op`` of the data of two vector fields of one grid and representation."""
+    if not isinstance(other, VectorField):
         return NotImplemented
     if other.grid != field.grid or other.representation != field.representation:
         raise InputError("field operands must share grid and representation")
-    return type(field)(field.grid, op(field.data, other.data), field.representation)
+    return VectorField(field.grid, op(field.data, other.data), field.representation)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,7 +307,7 @@ class VectorField:
 
 @dataclass(frozen=True, eq=False)
 class HessianField:
-    """Second-derivative field with components (alpha, i, j), symmetric in (i, j)."""
+    """The n^2 layout (alpha, i, j) of a hessian field file, read only by :func:`load_field`."""
 
     grid: GridSpec
     data: np.ndarray
@@ -323,9 +326,6 @@ class HessianField:
 
     def to_spectral(self) -> "HessianField":
         return _transformed(self) if self.is_physical() else self
-
-    def __sub__(self, other):
-        return _combined(self, other, np.subtract)
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,16 +387,6 @@ class HessianPairs:
         """The upper triangle of a batch (..., N, n, n) as packed values (N, n(n+1)/2, K), K the batch size."""
         rows, cols = cls.components(X.shape[-1])
         return X[..., rows, cols].reshape(-1, X.shape[-3], len(rows)).transpose(1, 2, 0)
-
-    @classmethod
-    def from_hessian(cls, hess: HessianField) -> "HessianPairs":
-        """The upper triangle of a hessian field in either representation."""
-        rows, cols = cls.components(hess.grid.n)
-        return cls(hess.grid, hess.to_physical().data[:, rows, cols])
-
-    def to_hessian(self) -> HessianField:
-        """The full physical hessian; component (j, i) is a copy of (i, j)."""
-        return HessianField(self.grid, self.data[:, self.slot_index(self.grid.n)], PHYSICAL)
 
     @classmethod
     def contraction(cls, entries: np.ndarray) -> np.ndarray:
@@ -563,25 +553,17 @@ def half_spectrum(grid: GridSpec) -> HalfSpectrum:
     return HalfSpectrum(grid, shape, zsq, laplacian, weights, hessian)
 
 
-def spectral_hessian(u: VectorField, representation: str = PHYSICAL) -> HessianField:
-    """All second derivatives of ``u`` via the diagonal frequency multiplier.
+def spectral_hessian(u: VectorField, representation: str = PHYSICAL) -> HessianPairs:
+    """The packed physical hessian of ``u``, a field in either representation (:meth:`HalfSpectrum.hessian_pairs`).
 
     Component (alpha, i, j) has coefficients c_alpha(k) (2 pi i k_i / L)
-    (2 pi i k_j / L).  A physical output takes the real path: one rfftn of the
-    physical ``u`` and the inverse transform of the n(n+1)/2 distinct
-    components (:meth:`HalfSpectrum.hessian_pairs`), with the hermitian
-    multipliers of :class:`HalfSpectrum`.  A spectral output is the full
-    complex product, whose physical form is the real part and agrees with the
-    real path.
+    (2 pi i k_j / L), with the hermitian multipliers of :class:`HalfSpectrum`.
+    ``representation``, kept for callers that pass it (perfbench's set-up), must be ``PHYSICAL``.
     """
-    g = u.grid
-    if representation == PHYSICAL:
-        half = half_spectrum(g)
-        return half.hessian_pairs(half.coefficients(u)).to_hessian()
-    if representation != SPECTRAL:
-        raise InputError(f"unknown representation {representation!r}")
-    packed = u.to_spectral().data[:, None] * hessian_multipliers(g)
-    return HessianField(g, packed[:, HessianPairs.slot_index(g.n)], SPECTRAL)
+    if representation != PHYSICAL:
+        raise InputError(f"the hessian is physical, got representation {representation!r}")
+    half = half_spectrum(u.grid)
+    return half.hessian_pairs(half.coefficients(u))
 
 
 def apply_gradient(u: VectorField) -> np.ndarray:
@@ -751,24 +733,31 @@ _REPS = {PHYSICAL: 0, SPECTRAL: 1}
 _HEADER = struct.Struct("<8siiidBB")
 
 
-def save_field(path, field) -> None:
-    """Write a field as flat binary: fixed header, then the raw C-order payload."""
-    kind = "hessian" if isinstance(field, HessianField) else "vector"
+def save_field(path, field: VectorField | HessianPairs) -> None:
+    """Write a field as flat binary: fixed header, then the raw C-order payload.
+
+    A :class:`HessianPairs` is written as a physical hessian file (kind 1) in
+    the n^2 layout (N, n, n) + grid, component (j, i) a copy of (i, j).
+    """
     g = field.grid
-    header = _HEADER.pack(
-        _MAGIC, g.n, g.N, g.M, g.L, _REPS[field.representation], _KINDS[kind]
-    )
+    if isinstance(field, HessianPairs):
+        kind, rep, data = "hessian", PHYSICAL, field.data[:, HessianPairs.slot_index(g.n)]
+    else:
+        kind, rep, data = "vector", field.representation, field.data
+    header = _HEADER.pack(_MAGIC, g.n, g.N, g.M, g.L, _REPS[rep], _KINDS[kind])
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(field.data).tobytes())
+        fh.write(np.ascontiguousarray(data).tobytes())
 
 
-def load_field(path):
-    """Read a field written by :func:`save_field`.
+def load_field(path) -> VectorField | HessianPairs:
+    """Read a field written by :func:`save_field`: a :class:`VectorField`, or the :class:`HessianPairs` of a hessian file.
 
-    A missing or unreadable file, a short, truncated or padded one, an
-    unknown code, a header that does not fit the payload and a non-finite
-    payload all raise InputError.
+    A hessian file in either representation is read as its physical n^2
+    hessian, whose (i, j) and (j, i) must agree to ``SYMMETRY_TOL`` times
+    max(1, its largest entry).  A missing or unreadable file, a short,
+    truncated or padded one, an unknown code, a header that does not fit the
+    payload, a non-finite payload and an asymmetric hessian raise InputError.
     """
     try:
         with open(path, "rb") as fh:
@@ -798,5 +787,21 @@ def load_field(path):
     payload = np.frombuffer(raw, dtype=dtype, offset=_HEADER.size).reshape(shape)
     if not np.all(np.isfinite(payload)):
         raise InputError("field file has non-finite values")
-    cls = VectorField if kind == "vector" else HessianField
-    return cls(grid, payload.copy(), rep)
+    if kind == "vector":
+        return VectorField(grid, payload.copy(), rep)
+    full = HessianField(grid, payload.copy(), rep).to_physical().data
+    asym = np.abs(full - full.swapaxes(1, 2)).max()
+    if asym > SYMMETRY_TOL * max(1.0, np.abs(full).max()):
+        raise InputError(f"hessian field file is asymmetric in (i, j) by {asym:.3e}")
+    rows, cols = HessianPairs.components(n)
+    return HessianPairs(grid, full[:, rows, cols])
+
+
+def _load_vector_field(path, what: str, grid: GridSpec | None = None) -> VectorField:
+    """The vector field of the field file ``path``, on ``grid`` when one is given; InputError naming the file otherwise."""
+    field = load_field(path)
+    if not isinstance(field, VectorField):
+        raise InputError(f"{what} file {str(path)!r} holds a hessian, not a vector field")
+    if grid is not None and field.grid != grid:
+        raise InputError(f"{what} file {str(path)!r} is on {field.grid}, not on the config's {grid}")
+    return field

@@ -14,7 +14,8 @@ come from three families:
 
 Exact hessians are packed (:class:`~nearelliptic.fields.HessianPairs`): the
 closed forms fill the n(n+1)/2 distinct slots directly, and the recovery
-error is a packed norm; the full n^2 view is for users.
+error is a packed norm.  A right-hand-side file must hold a vector field on
+the config's grid; a convergence study, which needs an exact solution, refuses one.
 
 Each concept has one reader: ``tensor`` and ``spec`` go to
 :meth:`~nearelliptic.nonlinearity.NonlinearitySpec.from_dict` with the grid,
@@ -51,9 +52,9 @@ from .fields import (
     GridSpec,
     HessianPairs,
     VectorField,
+    _load_vector_field,
     half_spectrum,
     l2_norm,
-    load_field,
     random_band_limited,
     save_field,
 )
@@ -230,13 +231,13 @@ def analytic_solution(grid: GridSpec, scale: float = 3.0) -> ManufacturedSolutio
 
 
 def build_rhs(cfg: dict, grid: GridSpec, spec: NonlinearitySpec):
-    """Right-hand side and, when manufactured, the exact solution."""
+    """Right-hand side and, when manufactured, the exact solution; a file must hold a vector field on the config's grid."""
     r = cfg["rhs"]
     kind = r["kind"]
     if kind == "file":
         if not isinstance(r["path"], str):
             raise InputError(f"rhs kind 'file' needs a 'path', got {r['path']!r}")
-        return load_field(r["path"]), None
+        return _load_vector_field(r["path"], "right-hand-side", grid), None
     if kind == "random":
         ustar = random_band_limited(grid, int(r["band"]), int(r["seed"]))
         half = half_spectrum(grid)
@@ -362,15 +363,18 @@ def run_manufactured(config: dict, out_dir: str | Path | None = None) -> RunRepo
 
 
 def run_convergence_study(config: dict, m_values: list[int]) -> list[dict]:
-    """Fixed analytic exact solution, increasing M; spectral decay of the recovery error."""
+    """Fixed manufactured exact solution (analytic by default), increasing M; spectral decay of the recovery error."""
     if sorted(m_values) != list(m_values):
         raise InputError("M list must be increasing")
     grid, rhs = (config or {}).get("grid", {}), (config or {}).get("rhs", {})
     if not (isinstance(grid, dict) and isinstance(rhs, dict)):
         raise InputError(f"config 'grid' and 'rhs' must be mappings, got {grid!r} and {rhs!r}")
+    kind = rhs.get("kind", "analytic")
+    if kind == "file":
+        raise InputError("a convergence study needs a manufactured right-hand side, not rhs kind 'file'")
     rows = []
     for M in m_values:
-        doc = dict(config or {}, grid=dict(grid, M=M), rhs=dict(rhs, kind=rhs.get("kind", "analytic")))
+        doc = dict(config or {}, grid=dict(grid, M=M), rhs=dict(rhs, kind=kind))
         report = run_manufactured(doc)
         rows.append(
             {

@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EvaluationError, InputError, finite_number
-from .fields import PHYSICAL, GridSpec, HessianField, HessianPairs, VectorField, load_field
+from .fields import PHYSICAL, GridSpec, HessianPairs, VectorField, _load_vector_field
 from .tensors import SymTensor4, check_hessian_arg, contract_pairs, read_tensor
 
 class _PackedFormula:
@@ -327,7 +327,7 @@ class NonlinearitySpec:
         weight, pert_doc = doc.get("weight", 1.0), doc.get("perturbation")
         return cls(
             tensor=read_tensor(doc["tensor"], grid),
-            weight=load_field(weight).to_physical().data[0] if isinstance(weight, str) else weight,
+            weight=_load_vector_field(weight, "weight").to_physical().data[0] if isinstance(weight, str) else weight,
             perturbation=None if pert_doc is None else perturbation_from_dict(pert_doc),
         )
 
@@ -355,15 +355,8 @@ def evaluate_F(spec: NonlinearitySpec, X: np.ndarray, x: tuple | None = None) ->
     return evaluate_pairs(spec, HessianPairs.pack(check_hessian_arg(spec.tensor, X)), spec.weight_at(x))[:, 0]
 
 
-def evaluate_field(spec: NonlinearitySpec, hess: HessianField | HessianPairs) -> VectorField:
-    """F(x, D^2 u(x)) over the grid: hessian in, physical vector field out.
-
-    ``hess`` is a full hessian field, whose upper triangle is packed here, or
-    an already packed :class:`HessianPairs`.
-    """
+def evaluate_field(spec: NonlinearitySpec, hess: HessianPairs) -> VectorField:
+    """F(x, D^2 u(x)) over the grid: packed hessian in, physical vector field out."""
     g = hess.grid
-    weight = spec.grid_weight(g)
-    if isinstance(hess, HessianField):
-        hess = HessianPairs.from_hessian(hess)
-    values = evaluate_pairs(spec, hess.data.reshape(g.N, -1, g.points), weight)
+    values = evaluate_pairs(spec, hess.data.reshape(g.N, -1, g.points), spec.grid_weight(g))
     return VectorField(g, values.reshape((g.N,) + g.shape), PHYSICAL)

@@ -40,10 +40,7 @@ import numpy as np
 
 from . import fields
 from .errors import DegenerateSymbolError, EstimateBreachError, InputError
-from .fields import HessianPairs
-
-# Constructor tolerance: asymmetry up to round-off is repaired, more is an error.
-SYMMETRY_TOL = 1e-12
+from .fields import SYMMETRY_TOL, HessianPairs
 
 # Relative determinant floor of a degenerate symbol; see symbol_determinants.
 DET_FLOOR_COEF = 1e-12

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from nearelliptic import GridSpec, HessianField, VectorField, example2_tensor, identity_tensor
+from nearelliptic import GridSpec, VectorField, example2_tensor, identity_tensor
 from nearelliptic.errors import InputError
-from nearelliptic.fields import PHYSICAL
+from nearelliptic.fields import PHYSICAL, HessianField
 from nearelliptic.tensors import SymTensor4, _sym_pair_transpose
 
 # every run draws the same examples, so a tier-1 result repeats; for fresh

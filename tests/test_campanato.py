@@ -18,7 +18,6 @@ from nearelliptic import (
     SolveConfig,
     apply_operator,
     campanato_solve,
-    contraction_bound,
     example1_certificate,
     identity_tensor,
     l2_norm,
@@ -32,7 +31,7 @@ from nearelliptic import (
 import nearelliptic.campanato as campanato_module
 from nearelliptic.campanato import DIVERGENCE_PATIENCE, IterationTrace
 from nearelliptic.errors import DivergenceError, InputError
-from nearelliptic.fields import PHYSICAL, HalfSpectrum, VectorField
+from nearelliptic.fields import PHYSICAL, HalfSpectrum, HessianPairs, VectorField
 from nearelliptic.linear import spectral_plan
 from nearelliptic.nonlinearity import evaluate_field
 from nearelliptic.stability import nu_F_lower_bound
@@ -82,7 +81,7 @@ class TestCampanatoSolve:
         u, trace = campanato_solve(spec, 1.0, f, cert)
         assert trace.status == "converged"
         hs = spectral_hessian(ustar, PHYSICAL)
-        rel = l2_norm(spectral_hessian(u, PHYSICAL) - hs) / l2_norm(hs)
+        rel = HessianPairs(grid32, spectral_hessian(u, PHYSICAL).data - hs.data).norm() / hs.norm()
         assert rel <= 1e-8
         K = cert.contraction
         assert all(r <= K + 0.05 for r in trace.ratios)
@@ -345,10 +344,10 @@ class TestCampanatoSolve:
 
 class TestConstants:
     def test_contraction_bound_value(self):
-        assert contraction_bound(fake_certificate(beta=0.04, gamma=0.12)) == pytest.approx(0.4)
+        assert fake_certificate(beta=0.04, gamma=0.12).require_feasible().contraction == pytest.approx(0.4)
 
     def test_contraction_bound_small(self):
-        assert contraction_bound(fake_certificate(beta=1e-6, gamma=1e-6)) <= 2e-3
+        assert fake_certificate(beta=1e-6, gamma=1e-6).require_feasible().contraction <= 2e-3
 
     def test_uniqueness_constant_value(self):
         cert = fake_certificate(beta=0.125, gamma=0.125)  # K = 0.5
@@ -361,7 +360,7 @@ class TestConstants:
 
     def test_infeasible_rejected(self):
         with pytest.raises(InputError):
-            contraction_bound(fake_certificate(beta=0.7, gamma=0.4))
+            fake_certificate(beta=0.7, gamma=0.4).require_feasible()
 
 
 class TestComparison:
@@ -394,7 +393,7 @@ class TestComparison:
             w = random_band_limited(grid32, band=6, seed=100 + seed)
             v = random_band_limited(grid32, band=6, seed=200 + seed)
             margin = verify_comparison(spec, cert, w, v)
-            scale = l2_norm(spectral_hessian(w, PHYSICAL)) + l2_norm(spectral_hessian(v, PHYSICAL))
+            scale = spectral_hessian(w, PHYSICAL).norm() + spectral_hessian(v, PHYSICAL).norm()
             assert margin <= 1e-9 * scale
 
     def test_lipschitz_class_pairs(self, grid32, identity22):
@@ -404,7 +403,7 @@ class TestComparison:
             w = random_band_limited(grid32, band=6, seed=300 + seed)
             v = random_band_limited(grid32, band=6, seed=400 + seed)
             margin = verify_comparison(spec, cert, w, v)
-            scale = l2_norm(spectral_hessian(w, PHYSICAL)) + l2_norm(spectral_hessian(v, PHYSICAL))
+            scale = spectral_hessian(w, PHYSICAL).norm() + spectral_hessian(v, PHYSICAL).norm()
             assert margin <= 1e-9 * scale
 
 

@@ -18,7 +18,7 @@ from nearelliptic.harness import (
     run_manufactured,
     study_csv,
 )
-from nearelliptic.fields import PHYSICAL, GridSpec, HessianPairs, VectorField, load_field, random_band_limited, save_field
+from nearelliptic.fields import PHYSICAL, GridSpec, VectorField, load_field, random_band_limited, save_field
 from nearelliptic.fields import spectral_hessian, l2_norm
 from nearelliptic.tensors import SymTensor4, identity_tensor
 from conftest import refuse_full_hessian
@@ -44,13 +44,13 @@ class TestManufacturedSolutions:
     def test_modes_hessian_matches_spectral(self):
         grid = GridSpec(n=2, N=2, M=32)
         exact = modes_solution(grid, [{"component": 0, "k": [1, 0], "amplitude": 1.0}])
-        spectral = HessianPairs.from_hessian(spectral_hessian(exact.u))
+        spectral = spectral_hessian(exact.u)
         assert np.abs(exact.hessian.data - spectral.data).max() <= 1e-9
 
     def test_analytic_hessian_matches_spectral(self):
         grid = GridSpec(n=2, N=2, M=64)
         exact = analytic_solution(grid, scale=1.0)
-        spectral = HessianPairs.from_hessian(spectral_hessian(exact.u))
+        spectral = spectral_hessian(exact.u)
         rel = np.abs(exact.hessian.data - spectral.data).max() / np.abs(exact.hessian.data).max()
         assert rel <= 1e-9  # closed form vs spectral differentiation
 
@@ -388,6 +388,46 @@ class TestConfigPaths:
         assert result.exit_code == 1, result.output
         assert f"FAIL [{command}]" in result.output
         assert not (tmp_path / "solution.field").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "solve-linear", "solve-stability"])
+    @pytest.mark.parametrize("case", ["hessian", "other-grid"])
+    def test_a_right_hand_side_file_must_be_a_vector_field_on_the_config_grid(self, tmp_path, command, case):
+        # a hessian file once ended in a traceback; a file on another grid was solved on its own grid
+        grid = GridSpec(n=2, N=2, M=16 if case == "hessian" else 32)
+        u = random_band_limited(grid, band=3, seed=4)
+        path = tmp_path / "rhs.field"
+        save_field(path, spectral_hessian(u) if case == "hessian" else u)
+        doc = {
+            "grid": {"M": 16},
+            "spec_g": {"perturbation": {"kind": "scaled_sine", "amplitude": 0.01}},
+            "rhs": {"kind": "file", "path": str(path)},
+        }
+        result = self.invoke(tmp_path, command, doc)
+        assert result.exit_code == 1, result.output
+        assert f"FAIL [{command}]" in result.output and str(path) in result.output
+        assert not (tmp_path / "solution.field").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "solve-linear", "solve-stability", "certify"])
+    def test_a_hessian_weight_file_is_an_input_error_naming_the_file(self, tmp_path, command):
+        path = tmp_path / "weight.field"
+        save_field(path, spectral_hessian(random_band_limited(GridSpec(n=2, N=2, M=16), band=3, seed=5)))
+        result = self.invoke(tmp_path, command, {"grid": {"M": 16}, "spec": {"weight": str(path)}})
+        assert result.exit_code == 1, result.output
+        assert f"FAIL [{command}]" in result.output and str(path) in result.output and "hessian" in result.output
+
+    def test_study_refuses_a_right_hand_side_file(self, tmp_path):
+        # it once solved the file's one grid under every M and then stopped on error_hessian_rel=None
+        path = tmp_path / "rhs.field"
+        save_field(path, random_band_limited(GridSpec(n=2, N=2, M=16), band=3, seed=6))
+        doc = {"grid": {"M": 16}, "rhs": {"kind": "file", "path": str(path)}}
+        with pytest.raises(InputError, match="manufactured right-hand side"):
+            run_convergence_study(doc, [16, 32])
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        args = ["study", "--config", str(tmp_path / "cfg.json"), "--m-list", "16,32", "--out-dir", str(tmp_path)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert "FAIL [study]" in result.output
+        assert not (tmp_path / "study.csv").exists()
 
     def test_solve_linear_refuses_a_spatial_weight(self, tmp_path):
         grid = GridSpec(n=2, N=2, M=16)

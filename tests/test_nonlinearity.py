@@ -9,7 +9,6 @@ import nearelliptic.campanato as campanato
 from nearelliptic import (
     CustomPerturbation,
     GridSpec,
-    HessianField,
     NonlinearitySpec,
     NormComboPerturbation,
     SinePerturbation,
@@ -27,7 +26,7 @@ from nearelliptic.errors import EvaluationError, InputError
 from nearelliptic.fields import PHYSICAL, HessianPairs, save_field
 from nearelliptic.tensors import read_tensor
 
-from conftest import random_sym_tensor, random_symmetric_batch
+from conftest import random_sym_tensor, random_symmetric_batch, refuse_full_hessian
 
 # a hook that reads single components, so a wrong unpacking changes its value
 _COMPONENT_WEIGHTS = np.arange(1.0, 17.0).reshape(4, 4) / 16
@@ -59,11 +58,14 @@ def full_delta(pert, X):
     return pert.fn(X)
 
 
+def full_hessian(hess: HessianPairs) -> np.ndarray:
+    """The n^2 physical hessian (N, n, n) + grid of a packed one: component (j, i) repeats (i, j)."""
+    return hess.data[:, HessianPairs.slot_index(hess.grid.n)]
+
+
 def unpacked_reference(spec, hess):
     """F on the full n^2 hessian: A : X by einsum over all n^2 components, G by full_delta."""
-    if isinstance(hess, HessianPairs):
-        hess = hess.to_hessian()
-    X = hess.to_physical().data
+    X = full_hessian(hess)
     values = spec.weight * np.einsum("abij,bij...->a...", spec.tensor.entries, X)
     if spec.perturbation is not None:
         batch = np.moveaxis(X, (0, 1, 2), (-3, -2, -1))
@@ -72,8 +74,10 @@ def unpacked_reference(spec, hess):
 
 
 def symmetric_hessian(grid, rng, scale=3.0):
+    """The packed upper triangle of a random symmetric (N, n, n) + grid field."""
     raw = rng.standard_normal((grid.N, grid.n, grid.n) + grid.shape) * scale
-    return HessianField(grid, 0.5 * (raw + np.swapaxes(raw, 1, 2)))
+    rows, cols = HessianPairs.components(grid.n)
+    return HessianPairs(grid, 0.5 * (raw + np.swapaxes(raw, 1, 2))[:, rows, cols])
 
 
 @pytest.fixture
@@ -199,11 +203,18 @@ class TestFieldEvaluation:
         u = random_band_limited(grid32, band=4, seed=5)
         hess = spectral_hessian(u)
         field = evaluate_field(sine_spec, hess)
+        full = full_hessian(hess)
         for idx in [(0, 0), (5, 17), (31, 31)]:
-            X = hess.data[(slice(None), slice(None), slice(None)) + idx]
+            X = full[(slice(None), slice(None), slice(None)) + idx]
             np.testing.assert_allclose(
                 field.data[(slice(None),) + idx], evaluate_F(sine_spec, X), rtol=1e-12
             )
+
+    def test_builds_no_full_hessian(self, monkeypatch, grid32, sine_spec):
+        u = random_band_limited(grid32, band=4, seed=6)
+        expected = evaluate_field(sine_spec, spectral_hessian(u)).data
+        refuse_full_hessian(monkeypatch)
+        assert evaluate_field(sine_spec, spectral_hessian(u)).data.tobytes() == expected.tobytes()
 
     def test_spec_serialization_round_trip(self, identity22):
         spec = NonlinearitySpec(tensor=identity22, perturbation=NormComboPerturbation(0.1, 0.2))
@@ -313,9 +324,8 @@ class TestPackedKernel:
         )
         hess = symmetric_hessian(grid, rng)
         want = unpacked_reference(spec, hess).data
-        for arg in (hess, HessianPairs.from_hessian(hess)):
-            got = evaluate_field(spec, arg).data
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        got = evaluate_field(spec, hess).data
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -375,16 +385,14 @@ class TestPackedKernel:
         assert peak < X.nbytes
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("packed", [False, True])
     @pytest.mark.parametrize("kind", sorted(PERTURBATIONS))
-    def test_non_finite_output_is_an_evaluation_error(self, kind, packed):
+    def test_non_finite_output_is_an_evaluation_error(self, kind):
         grid = GridSpec(n=3, N=2, M=4)
         spec = NonlinearitySpec(tensor=identity_tensor(3, 2), perturbation=PERTURBATIONS[kind])
         data = symmetric_hessian(grid, np.random.default_rng(7)).data.copy()
-        data[1, 0, 2, 1, 2, 3] = data[1, 2, 0, 1, 2, 3] = np.inf
-        hess = HessianField(grid, data)
+        data[1, 2, 1, 2, 3] = np.inf  # slot 2 is component (0, 2) and (2, 0)
         with pytest.raises(EvaluationError):
-            evaluate_field(spec, HessianPairs.from_hessian(hess) if packed else hess)
+            evaluate_field(spec, HessianPairs(grid, data))
 
     def test_hook_returning_nan_is_an_evaluation_error(self):
         hook = CustomPerturbation(

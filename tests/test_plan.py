@@ -20,7 +20,6 @@ import nearelliptic.fields as fields
 import nearelliptic.stability as stability
 from nearelliptic import (
     GridSpec,
-    HessianField,
     NonlinearitySpec,
     SinePerturbation,
     SamplerConfig,
@@ -39,7 +38,7 @@ from nearelliptic import (
     spectral_hessian,
 )
 from nearelliptic.errors import DegenerateSymbolError, InputError
-from nearelliptic.fields import PHYSICAL, SPECTRAL, half_spectrum
+from nearelliptic.fields import PHYSICAL, HessianPairs, half_spectrum
 from nearelliptic.linear import PLAN_CACHE_SIZE, _matvec, spectral_plan
 from nearelliptic.nonlinearity import evaluate_field
 from nearelliptic.stability import nu_F_lower_bound
@@ -122,8 +121,11 @@ def ref_campanato(spec, alpha, f, iterations):
     g = f.grid
     A = spec.tensor
 
+    rows, cols = HessianPairs.components(g.n)
+
     def F(data):
-        return evaluate_field(spec, HessianField(g, ref_physical(ref_hessian(VectorField(g, data)), g, 3))).data
+        full = ref_physical(ref_hessian(VectorField(g, data)), g, 3)
+        return evaluate_field(spec, HessianPairs(g, full[:, rows, cols])).data
 
     def norm(data):
         return np.sqrt(g.cell_volume * (data**2).sum())
@@ -167,9 +169,9 @@ class TestParity:
     def test_linear_layer_matches_reference_on_white_noise(self, case):
         A, nu, grid = draw_case(case)
         u = white_noise(grid, case[1])
-        want_hess = ref_physical(ref_hessian(u), grid, 3)
+        rows, cols = HessianPairs.components(grid.n)
+        want_hess = ref_physical(ref_hessian(u), grid, 3)[:, rows, cols]
         assert rel_error(spectral_hessian(u, PHYSICAL).data, want_hess) <= TOL
-        assert rel_error(spectral_hessian(u, SPECTRAL).data, ref_hessian(u)) <= TOL
         assert rel_error(apply_operator(A, u).data, ref_apply(A, u)) <= TOL
         assert rel_error(solve_linear(A, u, nu=nu).u.data, ref_solve(A, u)) <= TOL
         want_ratio = nu * np.sqrt((np.abs(ref_hessian(u)) ** 2).sum()) / np.sqrt((ref_apply(A, u) ** 2).sum() / grid.points)

@@ -27,12 +27,12 @@ PAPER_CONCEPTS = {
 
 
 def _names(tree: ast.AST) -> set[str]:
-    """Every name a subtree loads, as a bare name or as an attribute."""
+    """Every name a subtree loads, as a bare name or as an attribute; a name only stored to does not count."""
     found = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             found.add(node.attr)
     return found
 
