@@ -16,14 +16,20 @@ lives in :meth:`IterationTrace.advance`, which the stability loop of
 :mod:`nearelliptic.stability` shares.
 
 The iterate is kept as half-spectrum coefficients of the (tensor, grid)
-:class:`~nearelliptic.linear.SpectralPlan`.  One iteration costs one rfftn of
-alpha (F - f), one multiply each for the solve and the operator, and the
-inverse transform of the n(n+1)/2 distinct hessian components, made in the
-work buffer (:meth:`~nearelliptic.fields.HalfSpectrum.hessian_pairs`); the
-metric d and the residual are one dot product each, d by Plancherel, and u is
-transformed back only on exit, into a field that keeps its half spectrum
-from birth (:meth:`~nearelliptic.fields.HalfSpectrum.physical_field`): a
-later solve warm-started from it, or its hessian, transforms nothing
+:class:`~nearelliptic.linear.SpectralPlan`.  One iteration costs one forward
+transform of alpha (F - f), one plan multiply, the solve, and the inverse
+transform of the n(n+1)/2 distinct hessian components, made in the work
+buffer (:meth:`~nearelliptic.fields.HalfSpectrum.hessian_pairs`).  The
+operator image A : D^2 u of the new iterate takes no second plan multiply:
+off k = 0 the plan's solve is the inverse of the operator it applies, so
+the image is the right-hand side with its k = 0 entry zeroed
+(:func:`~nearelliptic.linear._zero_gauge`), which the step already holds,
+up to the round-off of the two multiplies.  The operator is applied once
+per call, to the ``uhat`` of a warm start; a cold start's image is 0.  The
+metric d and the residual are one dot product each, d by Plancherel, and
+u is transformed back only on exit, into a field that keeps its half
+spectrum from birth (:meth:`~nearelliptic.fields.HalfSpectrum.physical_field`):
+a later solve warm-started from it, or its hessian, transforms nothing
 forward.  A field transformed on request keeps its spectrum from the
 second request, and an input that passed its finiteness check is not
 scanned again; both marks trust the field's frozen data (see the
@@ -35,8 +41,8 @@ One core.  :func:`campanato_solve` checks its inputs, runs the private
 iteration core :func:`_iterate` and transforms the last iterate back.  The
 core works on checked inputs and half-spectrum coefficients alone: it
 starts cold or from a kept state, the coefficients ``uhat`` of an iterate
-and its F(., D^2 u), and it returns the last iterate's ``uhat``, its F,
-the trace and, on request, its packed hessian.  The stability outer loop
+and its F(., D^2 u), and it returns the last iterate's ``uhat``, its packed
+hessian, its F and the trace.  The stability outer loop
 runs every inner solve through the core: it checks the fixed inputs once
 per call, takes F from the core, evaluates G on the core's own packed
 hessian, warm-starts the next inner solve from the kept ``(uhat, F)`` and
@@ -51,21 +57,30 @@ no hessian is built or transformed and F is not evaluated over the grid.
 The iterates are those of a start from an all-zero initial guess, bit for
 bit.  The stability outer loop starts cold the same way.
 
-Memory.  The largest array, the complex hessian product (N, n(n+1)/2) +
-half shape, is one work buffer per solve, allocated before the loop; every
-hessian is transformed in it in place, with no complex intermediate.  One
-iteration allocates the packed real hessian (N, n(n+1)/2, M, ..., M) that
-the last-axis ``irfft`` returns and F reads, plus arrays of the size of one
-field: alpha (F - f) and its coefficients, the right-hand side, the new
-coefficients, their operator image and its step, F, F - f, and the
-temporaries of evaluating F.  F - f is formed once per iteration: its norm
-is the residual, and it is the right-hand side of the next step.  The core
-keeps the last F to return it, and the last hessian only for a caller that
-asks for it (the stability loop); it drops each step's before the next step
-allocates.  Without that request each hessian is dropped as soon as F is
-taken, so ``campanato_solve`` holds no hessian while it forms F - f and
-takes the norms: holding it there cost an n=3, M=32 solve about 15% more
-minor page faults per solve.
+Memory.  Each call of the core allocates its arrays once, before the
+loop, and every step writes into them: the complex hessian work buffer
+(N, S) + half shape, S = n(n+1)/2, 16 N S |half| bytes for |half| =
+M^(n-1) (M/2 + 1) frequencies; the real packed hessian (N, S, M, ..., M),
+8 N S M^n bytes, into which the last-axis ``irfft`` writes and from which
+F is evaluated; F, F - f and alpha (F - f), 8 N M^n bytes each; and two
+half-spectrum coefficient buffers, 16 N |half| bytes each, which swap
+roles from step to step as the right-hand side (then the operator image)
+and the previous operator image (then the step d is measured on).  At
+n = 3, N = 2, M = 32 that is 3.2 + 3.0 + 3 x 0.5 + 2 x 0.53 MiB, about
+8.8 MiB.  A step still allocates the new coefficients, the output of the
+plan's solve, which the next step reads and the caller keeps, and the
+temporaries of evaluating F (:func:`~nearelliptic.nonlinearity.evaluate_pairs`
+writes F itself into its array).  F - f is formed once per step: its norm
+is the residual, and times alpha it is the right-hand side of the next.
+The arrays are not kept across calls: the call hands its last ``uhat``,
+hessian and F over to the caller (the hessian as a read-only view of its
+array, F as a field on its own), so nothing of the grid's size outlives
+a solve but what it returns, and a later call cannot overwrite them.
+Arrays kept across calls in a bounded workspace (the idiom of
+``certify._workspace``) are refused: in a prototype they took the minor
+page faults of a perfbench solve-3d op from about 2500 to 0, but kept
+about 9.6 MiB alive through the set-up of later workloads and raised
+solve-3d's peak RSS from 84.1 to 91.2 MiB, past its 5% bound.
 """
 
 from __future__ import annotations
@@ -79,8 +94,8 @@ import numpy as np
 
 from .certify import EllipticityCertificate, alpha_bounds_of
 from .errors import DivergenceError, InputError
-from .fields import PHYSICAL, HessianPairs, VectorField, half_spectrum, l2_norm
-from .linear import solve_linear, spectral_plan  # noqa: F401  (solve_linear: perfbench wraps it here)
+from .fields import PHYSICAL, HessianPairs, VectorField, _l2, half_spectrum, l2_norm
+from .linear import _zero_gauge, solve_linear, spectral_plan  # noqa: F401  (solve_linear: perfbench wraps it here)
 from .nonlinearity import NonlinearitySpec, evaluate_field, evaluate_pairs
 
 DIVERGENCE_PATIENCE = 5
@@ -236,8 +251,7 @@ def _iterate(
     certificate: EllipticityCertificate,
     config: SolveConfig,
     start: tuple[np.ndarray, VectorField] | None = None,
-    keep_hessian: bool = False,
-) -> tuple[np.ndarray, HessianPairs | None, VectorField, IterationTrace]:
+) -> tuple[np.ndarray, HessianPairs, VectorField, IterationTrace]:
     """The near-operator iteration on checked inputs, cold or from a kept state.
 
     ``alpha`` is from :func:`_checked_alpha` and ``f_phys`` is physical and
@@ -245,43 +259,46 @@ def _iterate(
     F(., D^2 u), as a previous call returns them; without it the iteration
     starts at zero (see the module notes).  Returns the last iterate's
     ``uhat``, its packed hessian, its F and the closed trace.  The hessian
-    is kept only with ``keep_hessian`` (None otherwise); without it each
-    step drops its hessian once F is taken (see the module notes).
+    and F are the call's own arrays, which the caller takes over (see the
+    module notes).
     """
     g = f_phys.grid
     plan = spectral_plan(spec.tensor, g)
     half = plan.half
     fnorm = _rhs_norm(f_phys)
     tol_abs = config.tol_residual * (fnorm if fnorm > 0 else 1.0)
+    weight = spec.grid_weight(g)
+    f = f_phys.data
 
+    # the call's arrays: every step writes into these (see the module notes)
     work = half.work_buffer()
+    packed = np.empty((g.N, len(half.hessian)) + g.shape)
+    F, misfit, scaled = (np.empty_like(f) for _ in range(3))
+    rhs = np.empty((g.N,) + half.shape, dtype=complex)
+    # misfit is F - f of the current iterate: its norm is the residual of one
+    # step and, times alpha, it is the right-hand side of the next
     if start is None:
-        uhat = np.zeros((g.N,) + half.shape, dtype=complex)
-        F = _at_zero_hessian(spec, g)
+        np.subtract(_at_zero_hessian(spec, g), f, out=misfit)
+        op_prev = np.zeros_like(rhs)  # A : D^2 0
     else:
-        uhat, F = start[0], start[1].data
-    op_prev = plan.apply(uhat)
-    # F - f of the current iterate: its norm is the residual of one step and
-    # it is the right-hand side of the next
-    misfit = VectorField(g, F - f_phys.data, PHYSICAL)
+        np.subtract(start[1].data, f, out=misfit)
+        op_prev = plan.apply(start[0])
 
     trace = IterationTrace()
     for _ in range(config.max_iters):
-        hess = F = None  # the previous step's, freed before this step allocates
-        rhs = op_prev - half.forward(alpha * misfit.data)
-        uhat = plan.invert(rhs)
-        op_u = plan.apply(uhat)
-        hess = half.hessian_pairs(uhat, work)
-        F = evaluate_field(spec, hess)
-        if not keep_hessian:
-            hess = None
-        misfit = F - f_phys
+        half.forward(np.multiply(alpha, misfit, out=scaled), out=rhs)
+        uhat = plan.invert(np.subtract(op_prev, rhs, out=rhs))
+        op_u = _zero_gauge(rhs)  # A : D^2 u, the right-hand side less its mean (see the module notes)
+        hess = half.hessian_pairs(uhat, work, packed)
+        evaluate_pairs(spec, packed.reshape(g.N, -1, g.points), weight, F.reshape(g.N, -1))
+        np.subtract(F, f, out=misfit)
         floor = STAGNATION_FLOOR * max(1.0, half.norm(op_u), fnorm)
-        if trace.advance(half.norm(op_u - op_prev), l2_norm(misfit), tol_abs, floor):
+        metric = half.norm(np.subtract(op_u, op_prev, out=op_prev))
+        if trace.advance(metric, _l2(misfit, g.cell_volume), tol_abs, floor):
             break
-        op_prev = op_u
+        rhs, op_prev = op_prev, op_u
     trace.finish(certificate)
-    return uhat, hess, F, trace
+    return uhat, hess, VectorField(g, F, PHYSICAL), trace
 
 
 def campanato_solve(

@@ -15,10 +15,23 @@ and the hessian acts diagonally, c(k) -> c(k) (2 pi i k_i / L)(2 pi i k_j / L).
 The k = 0 coefficient is the spatial mean; second derivatives annihilate it,
 which is the gauge mode the solvers pin to zero.  M is even.
 
-Every transform is a ``scipy.fft`` call with ``norm="forward"``, on one
-worker: it divides the forward transform by M^n and leaves the inverse
+Every transform has the scaling of ``norm="forward"`` and runs on one
+worker: the forward transform is divided by M^n and the inverse left
 unscaled, so that one normalization holds on the full grid (``fftn`` and
-the real part of ``ifftn``) and on the half spectrum alike.
+the real part of ``ifftn``) and on the half spectrum alike.  Every
+transform is a ``scipy.fft`` call but the last-axis real pair of the half
+spectrum, ``numpy.fft.rfft`` in :meth:`HalfSpectrum.forward` and
+``numpy.fft.irfft`` in :meth:`HalfSpectrum.hessian_pairs`: since numpy 2.0
+these take an ``out`` array, which scipy's do not, so a loop can write
+every step into the same arrays.  Both libraries run pocketfft, and these
+two give scipy's bytes: ``irfft`` those of ``scipy.fft.irfft``, and the
+unscaled ``rfft``, then one multiply by 1/M^n, those of ``scipy.fft.rfftn``,
+which scales in its first pass.  The complex transforms of the leading
+axes stay scipy's, in place: numpy's strided ones were slower at n = 3.
+``overwrite_x`` lets scipy's own backend transform in place, but it is a
+permission, not a promise: a backend set by ``scipy.fft.set_backend`` may
+return a new array, which ``forward`` copies into its ``out`` and
+``hessian_pairs`` takes as the next pass's input.
 
 Half spectrum.  The solvers work on real fields, whose coefficients satisfy
 c(-k) = conj(c(k)), so they keep only the ``rfftn`` half spectrum: the last
@@ -49,16 +62,18 @@ writes into it voids both marks.
 
 A loop that takes many hessians of one grid gives
 :meth:`HalfSpectrum.hessian_pairs` one work buffer
-(:meth:`HalfSpectrum.work_buffer`, complex (N, n(n+1)/2) + shape):
-each call overwrites it with the product of the coefficients and the
-multipliers, transforms its leading axes in place, one ``ifft`` per axis,
-and makes one ``irfft`` of the last axis from there, so the loop allocates
-that product once, not once per hessian, and no complex intermediate
+(:meth:`HalfSpectrum.work_buffer`, complex (N, n(n+1)/2) + shape) and
+one real output array (N, n(n+1)/2, M, ..., M): each call overwrites the
+buffer with the product of the coefficients and the multipliers,
+transforms its leading axes in place, one ``ifft`` per axis, and writes
+one ``irfft`` of the last axis into the output, so the loop allocates
+neither array once per hessian, and no complex intermediate
 (``scipy.fft``'s multi-axis ``irfftn`` would allocate one as large as the
 buffer).  The steps are those of ``irfftn``, and the result is the same
-bit for bit.  The buffer is the only array a call overwrites; the caller's
-coefficients and the inputs of ``forward`` and ``inverse`` are left as
-they were.
+bit for bit.  :meth:`HalfSpectrum.forward` likewise writes into a given
+``out``.  The buffer and the outputs are the only arrays a call
+overwrites; the caller's coefficients and the inputs of ``forward`` and
+``inverse`` are left as they were.
 
 Every hessian multiplier comes from the one frequency table
 :func:`hessian_multipliers`: the half spectrum's ``hessian`` is its
@@ -127,10 +142,15 @@ class GridSpec:
     A grid whose n^2 physical hessian, ``8 N n^2 M^n`` bytes, exceeds the
     module budget ``_DEFAULT_BUDGET`` is refused.  That array is the layout
     of a hessian field file, which only :func:`load_field` reads in full; no
-    compute path builds it.  The working sets of ``campanato_solve`` and the
-    stability loop, which may need more, are not counted, and neither are
-    the two complex (N, N) stacks of each cached spectral plan of the grid,
-    2 N^2 |half| 16 bytes, |half| = M^(n-1) (M/2 + 1) frequencies.
+    compute path builds it.  Not counted are the two complex (N, N) stacks
+    of each cached spectral plan of the grid, 2 N^2 |half| 16 bytes,
+    |half| = M^(n-1) (M/2 + 1) frequencies, and the arrays each call of
+    the near-operator iteration (``campanato_solve``, and every inner solve
+    of the stability loop) allocates for itself: the complex hessian work
+    buffer, 16 N S |half| bytes, S = n(n+1)/2; the real packed hessian,
+    8 N S M^n; F, F - f and alpha (F - f), 8 N M^n each; two coefficient
+    buffers, 16 N |half| each; and, per step, the new coefficients (16 N
+    |half|) and the temporaries of evaluating F.
     """
 
     n: int
@@ -434,9 +454,29 @@ class HalfSpectrum:
     def axes(self) -> tuple[int, ...]:
         return _grid_axes(self.grid)
 
-    def forward(self, data: np.ndarray) -> np.ndarray:
-        """Half-spectrum coefficients of real data (..., M, ..., M)."""
-        return scipy.fft.rfftn(data, axes=self.axes, norm="forward")
+    def forward(self, data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Half-spectrum coefficients of real data (..., M, ..., M), written into ``out`` when given.
+
+        ``out`` is a complex array of shape (...) + ``shape``, a fresh one
+        when none is given, and is returned.  One ``numpy.fft.rfft`` of the
+        last axis writes into it unscaled, one multiply scales it by 1/M^n,
+        and one unscaled ``scipy.fft.fft`` per leading grid axis, in
+        ascending order, transforms it in place.  These are the steps of
+        ``scipy.fft.rfftn(data, norm="forward")``, which scales in its first
+        pass, and the result is the same bit for bit at every M.  ``data``
+        is not written.  ``overwrite_x`` only lets a scipy.fft backend reuse
+        its input; one that returns a new array (a user-set backend may) has
+        its result copied into ``out``.
+        """
+        if out is None:
+            out = np.empty(data.shape[:-1] + self.shape[-1:], dtype=complex)
+        np.fft.rfft(data, axis=-1, out=out)
+        out *= 1.0 / self.grid.points
+        for axis in self.axes[:-1]:
+            res = scipy.fft.fft(out, axis=axis, overwrite_x=True)
+            if not np.may_share_memory(res, out):
+                out[...] = res
+        return out
 
     def inverse(self, coef: np.ndarray) -> np.ndarray:
         """Real data (..., M, ..., M) of half-spectrum coefficients, by ``irfftn``, which leaves them as they were."""
@@ -503,18 +543,25 @@ class HalfSpectrum:
         """A fresh complex (N, n(n+1)/2) + shape buffer for :meth:`hessian_pairs`."""
         return np.empty((self.grid.N, len(self.hessian)) + self.shape, dtype=complex)
 
-    def hessian_pairs(self, coef: np.ndarray, work: np.ndarray | None = None) -> HessianPairs:
+    def hessian_pairs(
+        self, coef: np.ndarray, work: np.ndarray | None = None, out: np.ndarray | None = None
+    ) -> HessianPairs:
         """Packed physical hessian of the field with coefficients (N,) + shape.
 
         The inverse transform of the n(n+1)/2 distinct components, in packed
         order; the (j, i) components are neither transformed nor stored.  The
         product of ``coef`` and the multipliers is written into ``work``, a
         buffer from :meth:`work_buffer` (a fresh one when none is given); its
-        leading grid axes are transformed there in place, one ``ifft`` per
-        axis, and one ``irfft`` of the last axis gives the real hessian.  This
-        is ``irfftn(work)`` bit for bit, without its complex intermediate, so
-        a loop that passes the same buffer on every call allocates only the
-        real result.  The buffer is the only array written; ``coef`` is not.
+        leading grid axes are transformed there in place, one ``scipy.fft``
+        ``ifft`` per axis, and one ``numpy.fft.irfft`` of the last axis writes
+        the real hessian into ``out``, a float (N, n(n+1)/2, M, ..., M) array
+        (a fresh one when none is given).  This is ``irfftn(work)`` bit for
+        bit, without its complex intermediate, so a loop that passes the same
+        two buffers on every call allocates no array of the grid's size.
+        With ``out``, the returned field is a read-only view of it, which
+        leaves ``out`` writable for the caller's next call: that call
+        overwrites the field.  ``work`` and ``out`` are the only arrays
+        written; ``coef`` is not.
         """
         if work is None:
             work = self.work_buffer()
@@ -524,7 +571,8 @@ class HalfSpectrum:
         np.multiply(coef[:, None], self.hessian, out=work)
         for axis in self.axes[:-1]:
             work = scipy.fft.ifft(work, axis=axis, norm="forward", overwrite_x=True)
-        return HessianPairs(self.grid, scipy.fft.irfft(work, n=self.grid.M, axis=-1, norm="forward"))
+        data = np.fft.irfft(work, n=self.grid.M, axis=-1, norm="forward", out=out)
+        return HessianPairs(self.grid, data if out is None else data[...])
 
 
 def hessian_multipliers(grid: GridSpec) -> np.ndarray:
@@ -575,16 +623,21 @@ def apply_gradient(u: VectorField) -> np.ndarray:
 
 
 def l2_norm(field) -> float:
-    """Discrete L2 norm; identical value in either representation (Plancherel).
+    """Discrete L2 norm; identical value in either representation (Plancherel)."""
+    g = field.grid
+    return _l2(field.data, g.cell_volume if field.is_physical() else g.volume)
+
+
+def _l2(data: np.ndarray, volume: float) -> float:
+    """sqrt(volume sum |data|^2), the L2 norm of a field's data with quadrature weight ``volume``.
 
     The power is one ``vdot``; past the float range it is summed again
     elementwise, where numpy's floating-point error state sees the overflow.
     """
-    g = field.grid
-    power = np.vdot(field.data, field.data).real
+    power = np.vdot(data, data).real
     if not np.isfinite(power):
-        power = (np.abs(field.data) ** 2).sum()
-    return float(np.sqrt((g.cell_volume if field.is_physical() else g.volume) * power))
+        power = (np.abs(data) ** 2).sum()
+    return float(np.sqrt(volume * power))
 
 
 def lp_norm(values: np.ndarray, grid: GridSpec, p: float, component_axes: int) -> float:

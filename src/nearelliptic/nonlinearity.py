@@ -336,14 +336,21 @@ class NonlinearitySpec:
         return cls.from_dict(json.loads(text))
 
 
-def evaluate_pairs(spec: NonlinearitySpec, X: np.ndarray, weight) -> np.ndarray:
-    """F = weight * (A : X) + G(X) on packed values X (N, n(n+1)/2, K) -> (N, K), weight a scalar or (K,)."""
-    values = weight * contract_pairs(spec.tensor, X)
+def evaluate_pairs(spec: NonlinearitySpec, X: np.ndarray, weight, out: np.ndarray | None = None) -> np.ndarray:
+    """F = weight * (A : X) + G(X) on packed values X (N, n(n+1)/2, K) -> (N, K), weight a scalar or (K,).
+
+    F is written into ``out``, a C-contiguous float (N, K) array, or into a
+    fresh one, and returned: A : X by :func:`~nearelliptic.tensors.contract_pairs`
+    into it, then the weight and G(X) in place.  Every caller takes this one
+    path, and ``out`` does not change the bits.
+    """
+    out = contract_pairs(spec.tensor, X, out)
+    out *= weight
     if spec.perturbation is not None:
-        values = values + spec.perturbation.delta_pairs(X, spec.n)
-    if not np.all(np.isfinite(values)):
+        out += spec.perturbation.delta_pairs(X, spec.n)
+    if not np.all(np.isfinite(out)):
         raise EvaluationError("nonlinearity produced non-finite values")
-    return values
+    return out
 
 
 def evaluate_F(spec: NonlinearitySpec, X: np.ndarray, x: tuple | None = None) -> np.ndarray:

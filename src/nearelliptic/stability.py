@@ -274,7 +274,7 @@ def solve_via_nearness(
     trace = IterationTrace()
     for _ in range(60):
         rhs = (F_u - (G_u - g_phys)).require_finite("right-hand side")
-        uhat, hess, F_u, _ = _iterate(specF, alpha, rhs, certificateF, inner_config, state, keep_hessian=True)
+        uhat, hess, F_u, _ = _iterate(specF, alpha, rhs, certificateF, inner_config, state)
         state = (uhat, F_u)
         G_u = evaluate_field(specG, hess)
         del hess  # freed before the next inner solve makes its own

@@ -227,9 +227,9 @@ def check_hessian_arg(A: SymTensor4, Z: np.ndarray) -> np.ndarray:
     return Z
 
 
-def contract_pairs(A: SymTensor4, X: np.ndarray) -> np.ndarray:
-    """A : X on packed values X (N, n(n+1)/2, K) -> (N, K); a C-contiguous X is read in place."""
-    return A.packed @ X.reshape(-1, X.shape[-1])
+def contract_pairs(A: SymTensor4, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A : X on packed values X (N, n(n+1)/2, K) -> (N, K), written into ``out`` when given; a C-contiguous X is read in place."""
+    return np.matmul(A.packed, X.reshape(-1, X.shape[-1]), out=out)
 
 
 def contract_hessian(A: SymTensor4, Z: np.ndarray) -> np.ndarray:

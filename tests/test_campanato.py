@@ -127,17 +127,17 @@ class TestCampanatoSolve:
         points = []
         evaluate_pairs = campanato_module.evaluate_pairs
 
-        def record(spec, X, weight):
+        def record(spec, X, weight, out=None):
             points.append(X.shape[-1])
-            return evaluate_pairs(spec, X, weight)
+            return evaluate_pairs(spec, X, weight, out)
 
         monkeypatch.setattr(campanato_module, "evaluate_pairs", record)
         u, trace = campanato_solve(spec, alpha, f, cert)
         assert trace.status == trace_zero.status == ("converged" if scale == 1.0 else "max_iters")
         assert u.data.tobytes() == u_zero.data.tobytes()
         assert trace.to_csv() == trace_zero.to_csv()
-        # F(., 0) is taken at one point, not over the grid
-        assert points == [1]
+        # F(., 0) is taken at one point, not over the grid; then F once per iteration
+        assert points == [1] + [grid.points] * trace.iterations
 
     def test_a_cold_start_checks_the_weight_field_against_the_grid(self):
         spec = self.cold_start_cases(GridSpec(n=2, N=2, M=16))["weight_field"][0]
@@ -157,7 +157,7 @@ class TestCampanatoSolve:
         f1, f2 = (manufactured(spec, grid, band=3, seed=seed)[1] for seed in (23, 24))
         checked = campanato_module._checked_alpha(spec, alpha, grid, cert)
         half = fields_module.half_spectrum(grid)
-        uhat, hess, F, trace = campanato_module._iterate(spec, checked, f1, cert, config, keep_hessian=True)
+        uhat, hess, F, trace = campanato_module._iterate(spec, checked, f1, cert, config)
         u, public_trace = campanato_solve(spec, alpha, f1, cert, config)
         assert half.coefficients(u).tobytes() == uhat.tobytes()
         assert u.data.tobytes() == half.inverse(uhat).tobytes()
@@ -166,11 +166,33 @@ class TestCampanatoSolve:
         assert hess.data.tobytes() == half.hessian_pairs(uhat).data.tobytes()
         assert F.data.tobytes() == evaluate_field(spec, hess).data.tobytes()
         warm, warm_trace = campanato_solve(spec, alpha, f2, cert, config, initial_guess=u)
-        uhat2, no_hessian, _, trace2 = campanato_module._iterate(spec, checked, f2, cert, config, (uhat, F))
+        uhat2, _, _, trace2 = campanato_module._iterate(spec, checked, f2, cert, config, (uhat, F))
         assert warm.data.tobytes() == half.inverse(uhat2).tobytes()
         assert warm_trace.to_csv() == trace2.to_csv()
         assert trace2.status == "converged" and trace2.iterations >= 2
-        assert no_hessian is None  # kept only on request
+
+    def test_a_second_solve_leaves_the_first_solves_outputs_as_they_were(self):
+        # each call allocates its own arrays and hands them over with its outputs
+        grid = GridSpec(n=2, N=2, M=16)
+        spec = sine_spec(identity_tensor(2, 2), 0.4)
+        cert = example1_certificate(spec, nu=1.0)
+        config = SolveConfig()
+        f1, f2 = (manufactured(spec, grid, band=3, seed=seed)[1] for seed in (25, 26))
+        checked = campanato_module._checked_alpha(spec, 1.0, grid, cert)
+        uhat, hess, F, _ = campanato_module._iterate(spec, checked, f1, cert, config)
+        u, _ = campanato_solve(spec, 1.0, f1, cert, config)
+        first = (uhat, hess.data, F.data, u.data)
+        kept = [arr.tobytes() for arr in first]
+        assert not any(arr.flags.writeable for arr in (hess.data, F.data, u.data))
+        later = [
+            campanato_module._iterate(spec, checked, f2, cert, config),
+            campanato_module._iterate(spec, checked, f2, cert, config, (uhat, F)),
+        ]
+        u2, _ = campanato_solve(spec, 1.0, f2, cert, config)
+        assert [arr.tobytes() for arr in first] == kept
+        for uhat2, hess2, F2, _ in later:
+            for a, b in zip(first, (uhat2, hess2.data, F2.data, u2.data)):
+                assert not np.shares_memory(a, b)
 
     def test_gauge_preserved(self, grid32, identity22):
         spec = sine_spec(identity22, 0.3)
@@ -293,9 +315,11 @@ class TestCampanatoSolve:
         _, f = manufactured(spec, grid, band=2, seed=8)
         plan = spectral_plan(spec.tensor, grid)
         # the inputs of the transforms made inside each hessian_pairs call, one list per call
-        transformed, coefs, fields = [], [], []
+        transformed, coefs, outs, fields = [], [], [], []
+        evaluated = []  # (X, out) of each evaluation of F over the grid
         in_hessian = []
         hessian_pairs = HalfSpectrum.hessian_pairs
+        evaluate_pairs = campanato_module.evaluate_pairs
         post_init = VectorField.__post_init__
 
         def recording(transform):
@@ -306,14 +330,20 @@ class TestCampanatoSolve:
 
             return record
 
-        def record_hessian_pairs(self, coef, *args, **kwargs):
+        def record_hessian_pairs(self, coef, work=None, out=None):
             coefs.append(coef)
+            outs.append(out)
             transformed.append([])
             in_hessian.append(True)
             try:
-                return hessian_pairs(self, coef, *args, **kwargs)
+                return hessian_pairs(self, coef, work, out)
             finally:
                 in_hessian.pop()
+
+        def record_evaluate_pairs(spec, X, weight, out=None):
+            if X.shape[-1] == grid.points:
+                evaluated.append((X, out))
+            return evaluate_pairs(spec, X, weight, out)
 
         def record_field(self):
             post_init(self)
@@ -321,7 +351,9 @@ class TestCampanatoSolve:
 
         for name in ("ifft", "irfft", "irfftn"):
             monkeypatch.setattr(fields_module.scipy.fft, name, recording(getattr(fields_module.scipy.fft, name)))
+        monkeypatch.setattr(fields_module.np.fft, "irfft", recording(fields_module.np.fft.irfft))
         monkeypatch.setattr(HalfSpectrum, "hessian_pairs", record_hessian_pairs)
+        monkeypatch.setattr(campanato_module, "evaluate_pairs", record_evaluate_pairs)
         monkeypatch.setattr(VectorField, "__post_init__", record_field)
         u, trace = campanato_solve(spec, 1.0, f, cert)
         assert trace.status == "converged" and trace.iterations >= 3
@@ -332,11 +364,23 @@ class TestCampanatoSolve:
         work = transformed[0][0][1]
         address = work.__array_interface__["data"][0]
         assert all(x.__array_interface__["data"][0] == address for calls in transformed for _, x in calls)
+        # every iteration writes its hessian into one array, and F, from that array, into one other
+        assert len(evaluated) == trace.iterations
+        hessian, F = outs[0], evaluated[0][1]
+        assert isinstance(hessian, np.ndarray) and isinstance(F, np.ndarray)
+        assert all(out is hessian for out in outs)
+        assert all(np.shares_memory(X, hessian) for X, _ in evaluated)
+        assert all(out.__array_interface__["data"][0] == F.__array_interface__["data"][0] for _, out in evaluated)
         half = plan.half
         shared = [f.data, u.data, half.zsq, half.laplacian, half.weights, half.hessian, plan.solve, plan.operator]
-        for arr in shared + coefs + fields:
-            assert not np.shares_memory(work, arr)
-        # a second solve on the same grid starts from a fresh buffer
+        for buffer in (work, hessian, F):
+            for arr in shared + coefs:
+                assert not np.shares_memory(buffer, arr)
+        assert not np.shares_memory(hessian, F)
+        # the one field made on the call's arrays is the F the core returns, once, at the end
+        on_buffers = [data for data in fields if any(np.shares_memory(data, b) for b in (work, hessian, F))]
+        assert len(on_buffers) == 1 and on_buffers[0] is F.base
+        # a second solve on the same grid starts from fresh buffers
         u_again, trace_again = campanato_solve(spec, 1.0, f, cert)
         assert u_again.data.tobytes() == u.data.tobytes()
         assert trace_again.to_csv() == trace.to_csv()

@@ -37,6 +37,7 @@ from nearelliptic.fields import (
     save_field,
 )
 from nearelliptic.linear import apply_operator, solve_linear
+from nearelliptic.nonlinearity import evaluate_field
 from nearelliptic.tensors import identity_tensor, random_rank_one_positive
 from conftest import pairing_spectrum, refuse_full_hessian
 
@@ -143,17 +144,22 @@ class TestTransforms:
 
 
 class TestOneTransformLibrary:
-    def test_the_package_takes_no_numpy_transform(self, monkeypatch, identity22, tmp_path):
+    def test_numpy_fft_serves_only_the_last_axis_real_pair(self, monkeypatch, identity22, tmp_path):
+        # numpy.fft's rfft and irfft write into a given array; every other transform is scipy.fft's
         grid = GridSpec(n=2, N=2, M=16)
         u = random_band_limited(grid, 4, seed=23)
         path = tmp_path / "h.field"
         path.write_bytes(hessian_file(grid, full_hessian(spectral_hessian(u)), SPECTRAL, transform=True))
+        spec = NonlinearitySpec(tensor=identity22, perturbation=SinePerturbation(amplitude=0.3))
+        f = evaluate_field(spec, spectral_hessian(u))
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the package called a numpy.fft transform")
+            raise AssertionError("the package called a numpy.fft transform other than rfft and irfft")
 
         for name in NUMPY_TRANSFORMS:
-            monkeypatch.setattr(np.fft, name, refuse)
+            if name not in ("rfft", "irfft"):
+                monkeypatch.setattr(np.fft, name, refuse)
+        campanato_solve(spec, 1.0, f, example1_certificate(spec, nu=1.0))
         coef = u.to_spectral()
         coef.to_physical()
         for field in (u, coef):
@@ -783,16 +789,88 @@ class TestHessianPairs:
         assert pairs.norm() == pytest.approx(math.sqrt(grid.cell_volume * (full**2).sum()), rel=1e-14)
 
 
-def count_forward_transforms(monkeypatch) -> list:
-    """Record every ``scipy.fft.rfftn`` call from here on; returns the list of calls."""
+class TestOutputArrays:
+    """``forward`` and ``hessian_pairs`` write into a given array the bytes they would return."""
+
+    @pytest.mark.parametrize("M", [4, 6, 8, 32])
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_forward_into_out_is_rfftn_bit_for_bit(self, n, N, M):
+        grid = GridSpec(n=n, N=N, M=M)
+        half = half_spectrum(grid)
+        data = np.random.default_rng(26).standard_normal((N,) + grid.shape)
+        kept = data.copy()
+        expected = scipy.fft.rfftn(data, axes=half.axes, norm="forward")
+        out = np.full((N,) + half.shape, np.nan, dtype=complex)
+        assert half.forward(data, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+        assert half.forward(data).tobytes() == expected.tobytes()
+        assert data.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("M", [4, 6, 8, 32])
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_hessian_pairs_into_out_is_the_one_of_a_fresh_array_bit_for_bit(self, n, N, M):
+        grid = GridSpec(n=n, N=N, M=M)
+        half = half_spectrum(grid)
+        work = half.work_buffer()
+        out = np.full((N, len(half.hessian)) + grid.shape, np.nan)
+        rng = np.random.default_rng(27)
+        for _ in range(2):
+            coef = half.forward(rng.standard_normal((N,) + grid.shape))
+            # the transforms of the hessian before it wrote into a given array, all scipy.fft
+            product = coef[:, None] * half.hessian
+            for axis in half.axes[:-1]:
+                product = scipy.fft.ifft(product, axis=axis, norm="forward")
+            expected = scipy.fft.irfft(product, n=M, axis=-1, norm="forward")
+            hess = half.hessian_pairs(coef, work, out)
+            assert hess.data.tobytes() == out.tobytes() == expected.tobytes()
+            assert half.hessian_pairs(coef).data.tobytes() == expected.tobytes()
+            # the field is a read-only view of out, which stays writable for the next call
+            assert np.shares_memory(hess.data, out) and not hess.data.flags.writeable and out.flags.writeable
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_backend_that_returns_new_arrays_gives_the_same_bytes(self, n):
+        grid = GridSpec(n=n, N=2, M=8)
+        half = half_spectrum(grid)
+        data = np.random.default_rng(28).standard_normal((2,) + grid.shape)
+        expected = scipy.fft.rfftn(data, axes=half.axes, norm="forward")
+        coef = half.forward(data)
+        expected_hess = half.hessian_pairs(coef).data
+        with scipy.fft.set_backend(NewArrayBackend, only=True):
+            out = np.full((2,) + half.shape, np.nan, dtype=complex)
+            assert half.forward(data, out=out) is out
+            hess = half.hessian_pairs(coef, half.work_buffer(), np.empty_like(expected_hess))
+        assert NewArrayBackend.calls
+        assert out.tobytes() == expected.tobytes()
+        assert hess.data.tobytes() == expected_hess.tobytes()
+
+
+class NewArrayBackend:
+    """A scipy.fft backend whose transforms return a new array and, where ``overwrite_x`` allows it, fill their input with NaN."""
+
+    __ua_domain__ = "numpy.scipy.fft"
     calls = []
-    rfftn = scipy.fft.rfftn
+
+    @staticmethod
+    def __ua_function__(method, args, kwargs):
+        NewArrayBackend.calls.append(method.__name__)
+        result = getattr(scipy.fft._pocketfft, method.__name__)(*args, **{**kwargs, "overwrite_x": False})
+        if kwargs.get("overwrite_x"):
+            args[0][...] = np.nan
+        return result
+
+
+def count_forward_transforms(monkeypatch) -> list:
+    """Record every ``numpy.fft.rfft`` call, the first pass of each forward transform, from here on; returns the list of calls."""
+    calls = []
+    rfft = np.fft.rfft
 
     def counted(*args, **kwargs):
         calls.append(args[0])
-        return rfftn(*args, **kwargs)
+        return rfft(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.fft, "rfftn", counted)
+    monkeypatch.setattr(np.fft, "rfft", counted)
     return calls
 
 

@@ -24,7 +24,8 @@ from nearelliptic import (
 )
 from nearelliptic.errors import EvaluationError, InputError
 from nearelliptic.fields import PHYSICAL, HessianPairs, save_field
-from nearelliptic.tensors import read_tensor
+from nearelliptic.nonlinearity import evaluate_pairs
+from nearelliptic.tensors import contract_pairs, read_tensor
 
 from conftest import random_sym_tensor, random_symmetric_batch, refuse_full_hessian
 
@@ -326,6 +327,25 @@ class TestPackedKernel:
         want = unpacked_reference(spec, hess).data
         got = evaluate_field(spec, hess).data
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("spatial", [False, True])
+    @pytest.mark.parametrize("kind", sorted(PERTURBATIONS))
+    @pytest.mark.parametrize("n, N", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_an_output_array_takes_the_bytes_of_a_fresh_one(self, n, N, kind, spatial):
+        grid = GridSpec(n=n, N=N, M=8)
+        rng = np.random.default_rng(13)
+        weight = 0.5 + rng.random(grid.shape) if spatial else 0.5 + rng.random()
+        spec = NonlinearitySpec(tensor=random_sym_tensor(n, N, 14), weight=weight, perturbation=PERTURBATIONS[kind])
+        X = symmetric_hessian(grid, rng).data.reshape(N, -1, grid.points)
+        w = spec.grid_weight(grid)
+        fresh = evaluate_pairs(spec, X, w)
+        # weight times A : X, plus G(X), each formed apart
+        separate = w * contract_pairs(spec.tensor, X)
+        if spec.perturbation is not None:
+            separate = separate + spec.perturbation.delta_pairs(X, n)
+        out = np.full((N, grid.points), np.nan)
+        assert evaluate_pairs(spec, X, w, out) is out
+        assert out.tobytes() == fresh.tobytes() == separate.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -439,9 +439,9 @@ def test_stability_loop_computes_each_hessian_once(monkeypatch):
     calls, inner = [], []
     hessian_pairs, iterate = fields.HalfSpectrum.hessian_pairs, stability._iterate
 
-    def counted(half, coef, work=None):
+    def counted(half, coef, work=None, out=None):
         calls.append(sys._getframe(1).f_code.co_name)
-        return hessian_pairs(half, coef, work)
+        return hessian_pairs(half, coef, work, out)
 
     def solved(*args, **kwargs):
         out = iterate(*args, **kwargs)

@@ -456,9 +456,9 @@ class TestSolveViaNearness:
         hessians, inner = [], []
         hessian_pairs, iterate = HalfSpectrum.hessian_pairs, stability._iterate
 
-        def counted(half, coef, work=None):
+        def counted(half, coef, work=None, out=None):
             hessians.append(coef)
-            return hessian_pairs(half, coef, work)
+            return hessian_pairs(half, coef, work, out)
 
         def solved(*args, **kwargs):
             out = iterate(*args, **kwargs)
@@ -485,26 +485,29 @@ class TestSolveViaNearness:
         specG = NonlinearitySpec(tensor=identity22, perturbation=SinePerturbation(amplitude=amplitude))
         g = evaluate_field(specG, spectral_hessian(random_band_limited(grid32, band=5, seed=0), PHYSICAL))
         inner_F, outer_G, solves = [], [], []
-        iterate = stability._iterate
+        iterate, evaluate_pairs = stability._iterate, campanato_module.evaluate_pairs
 
-        def spy(seen):
-            def evaluated(spec, hess):
-                out = evaluate_field(spec, hess)
-                seen.append((spec, hess, out))
-                return out
+        def inner(spec, X, weight, out=None):
+            values = evaluate_pairs(spec, X, weight, out)
+            if X.shape[-1] == grid32.points:  # not F(., 0), which is taken at one point
+                inner_F.append((spec, X, values))
+            return values
 
-            return evaluated
+        def outer(spec, hess):
+            out = evaluate_field(spec, hess)
+            outer_G.append((spec, hess, out))
+            return out
 
         def solved(*args, **kwargs):
             out = iterate(*args, **kwargs)
             solves.append((out, len(inner_F)))
             return out
 
-        monkeypatch.setattr(campanato_module, "evaluate_field", spy(inner_F))
-        monkeypatch.setattr(stability, "evaluate_field", spy(outer_G))
+        empirical_nu_F(specF, grid32)  # the admission's own evaluations are made before the count
+        monkeypatch.setattr(campanato_module, "evaluate_pairs", inner)
+        monkeypatch.setattr(stability, "evaluate_field", outer)
         monkeypatch.setattr(stability, "_iterate", solved)
-        # the admission evaluates F on packed values, not through evaluate_field, and the start
-        # at zero takes F(., 0) and G(., 0) at one point
+        # the start at zero takes F(., 0) and G(., 0) at one point
         _, report = solve_via_nearness(specF, specG, 1.0, certF, g)
         outer = report.outer_trace.iterations
         assert outer >= 2 and len(solves) == len(outer_G) == outer
@@ -512,8 +515,10 @@ class TestSolveViaNearness:
         assert len(inner_F) == sum(out[3].iterations for out, _ in solves)
         for ((_, hess, F, _), seen), (spec, G_hess, _) in zip(solves, outer_G):
             assert isinstance(hess, HessianPairs) and spec is specG
-            # the solve returns the hessian and F of its last iteration, and G reads that same hessian
-            assert inner_F[seen - 1][1] is hess and inner_F[seen - 1][2] is F
+            # the solve returns the hessian and F its last iteration wrote, and G reads that same hessian
+            F_spec, X, values = inner_F[seen - 1]
+            assert F_spec is specF
+            assert np.shares_memory(X, hess.data) and np.shares_memory(values, F.data)
             assert G_hess is hess
 
     def test_an_overflowing_inner_right_hand_side_is_refused(self, monkeypatch, grid32, identity22):
