@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 output_digest.py [--seeds 901 902] [--size full] [--tree PATH]
+    python3 output_digest.py [--seeds 901 902] [--size full] [--tree PATH] [--against PATH]
 
 Each workload of ``perfbench/workloads.py`` is built at each seed on
 perfbench's own inputs (``--size full`` or ``tiny``) and runs one op per
@@ -22,6 +22,19 @@ written by ``repr`` and so round-trip exactly.  ``--tree`` hashes another
 checkout, such as a parent commit unpacked by ``git archive``, with this
 script: its ``src/`` and ``perfbench/workloads.py`` are imported in place
 of these.  Two trees whose lines match computed the same bits.
+
+``--against PATH`` tells by how much two trees differ where their bits do
+not match.  It runs the workloads that return a solution once more in
+``PATH``, in a child process, and prints one line per workload, seed and
+quantity, ``<workload> <seed> <quantity> <difference>``, instead of the
+hashes.  The quantities are ``u``, every solution field, and ``metric`` and
+``residual``, the columns of the traces (solve-3d's solve, stability's outer
+loop).  The difference is the largest over the ops of
+max |a - b| / max |b| for a field and of max |a - b| / |b| over the rows of a
+trace column, with a from this tree and b from ``PATH``; 0 means the same
+bits, and two arrays of different shapes, such as traces of different
+lengths, differ by inf.  ``--save-values FILE`` writes those arrays to an
+``.npz`` file; the child process of ``--against`` uses it.
 """
 
 from __future__ import annotations
@@ -30,13 +43,17 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import math
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent
 PARTS = ("u", "trace", "report", "certificate", "margin")
+SOLVED = ("solve-3d", "linear-sweep", "stability")  # the workloads that return a solution
 
 
 def load_workloads(tree: Path):
@@ -98,13 +115,80 @@ def digest(workloads, name: str, seed: int, size: str = "full") -> dict[str, str
     return {part: hashes[part].hexdigest() for part in PARTS if part in hashes}
 
 
+def op_values(name: str, out):
+    """(quantity, array) of the solution fields and trace columns of one op of workload ``name``."""
+    if name in ("solve-3d", "stability"):
+        u, second = out
+        trace = second if name == "solve-3d" else second.outer_trace
+        yield "u", u.data
+        yield "metric", np.array([r.metric for r in trace.records])
+        yield "residual", np.array([r.residual for r in trace.records])
+    elif name == "linear-sweep":
+        for result, _ in out:
+            yield "u", result.u.data
+
+
+def values(workloads, name: str, seed: int, size: str = "full") -> dict[str, list[np.ndarray]]:
+    """The arrays of :func:`op_values` of one op per slot of workload ``name`` at ``seed``, in op order."""
+    if name not in SOLVED:
+        return {}
+    wl = workloads.WORKLOADS[name](seed, size)
+    arrays = {}
+    for i in range(wl.slots):
+        for quantity, array in op_values(name, wl.op(i)):
+            arrays.setdefault(quantity, []).append(array)
+    return arrays
+
+
+def relative_difference(quantity: str, a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| / max |b| of a field, max |a - b| / |b| of a trace column; inf when the shapes differ."""
+    if a.shape != b.shape:
+        return math.inf
+    diff = np.abs(a - b)
+    scale = np.abs(b).max(initial=0.0) if quantity == "u" else np.abs(b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.where(diff == 0, 0.0, diff / scale).max(initial=0.0))
+
+
+def compare(workloads, against: Path, seeds: list[int], size: str):
+    """(workload, seed, quantity, difference) of this tree's values against those of the tree ``against``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        saved = Path(tmp) / "values.npz"
+        cmd = [sys.executable, str(Path(__file__).resolve()), "--tree", str(against), "--size", size]
+        subprocess.run(cmd + ["--seeds", *map(str, seeds), "--save-values", str(saved)], check=True)
+        with np.load(saved) as other:
+            theirs = {key: other[key] for key in other.files}
+    for name in workloads.WORKLOADS:
+        for seed in seeds:
+            for quantity, arrays in values(workloads, name, seed, size).items():
+                pairs = ((a, theirs.get(f"{name}/{seed}/{quantity}/{i}")) for i, a in enumerate(arrays))
+                diff = max(math.inf if b is None else relative_difference(quantity, a, b) for a, b in pairs)
+                yield name, seed, quantity, diff
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[901, 902])
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
     parser.add_argument("--tree", type=Path, default=ROOT, help="the checkout to hash (default: this one)")
+    parser.add_argument("--against", type=Path, help="print the largest relative differences from this checkout")
+    parser.add_argument("--save-values", type=Path, metavar="FILE", help="write the fields and trace columns to FILE")
     args = parser.parse_args(argv)
     workloads = load_workloads(args.tree.resolve())
+    if args.save_values is not None:
+        arrays = {
+            f"{name}/{seed}/{quantity}/{i}": array
+            for name in workloads.WORKLOADS
+            for seed in args.seeds
+            for quantity, found in values(workloads, name, seed, args.size).items()
+            for i, array in enumerate(found)
+        }
+        np.savez(args.save_values, **arrays)
+        return 0
+    if args.against is not None:
+        for name, seed, quantity, diff in compare(workloads, args.against.resolve(), args.seeds, args.size):
+            print(name, seed, quantity, f"{diff:.3e}", flush=True)
+        return 0
     for name in workloads.WORKLOADS:
         for seed in args.seeds:
             for part, value in digest(workloads, name, seed, args.size).items():

@@ -15,6 +15,31 @@ iterations raises a divergence error pointing at the certificate.  The rule
 lives in :meth:`IterationTrace.advance`, which the stability loop of
 :mod:`nearelliptic.stability` shares.
 
+A solve also stops as a stall (``max_iters``) once the certificate proves
+the tolerance out of reach.  Write d_k = ||A : D^2(u_k - u_{k-1})|| for the
+step and r_k for the residual of step k, and K = sqrt(beta + gamma).  The
+certificate's K-condition, integrated with the hessian estimate
+nu ||D^2 w|| <= ||A : D^2 w||, gives ||A : D^2 w - alpha (F(., D^2(v + w))
+- F(., D^2 v))|| <= K ||A : D^2 w||, so
+
+    ||F(., D^2 u_j) - F(., D^2 u_k)|| <= sup(1/alpha) (1 + K) ||A : D^2(u_j - u_k)||,
+
+and the steps after k, each at most K times the last, sum to at most
+K/(1 - K) d_k.  So every later residual is at least r_k - B d_k, with
+B = sup(1/alpha) (1 + K) K/(1 - K) (1 + REACH_SLACK) (:func:`_reach`); the
+slack of 1e-6 covers the round-off of r_k and d_k.  When r_k - B d_k >
+tol no later iterate would pass the tolerance, and the loop without the
+rule could only have ended as ``max_iters``, later.  The rule is applied
+only at a step whose observed ratio d_k/d_{k-1} is at most K: a certificate
+that the iteration visibly breaks proves nothing, and such a solve goes on
+to its divergence error.  ``_iterate`` folds the rule into the round-off
+floor it passes to :meth:`IterationTrace.advance`: the floor is
+max(round-off floor, (r_k - tol)/B) at such a step.  A converged solve
+keeps its bits, and a stalled solve's trace is the first rows of the trace
+it had without the rule.  Typical is a right-hand side whose k = 0 mean F
+of no zero-mean iterate matches: its residual levels off at that mean
+while the steps still shrink geometrically towards round-off.
+
 The iterate is kept as half-spectrum coefficients of the (tensor, grid)
 :class:`~nearelliptic.linear.SpectralPlan`.  One iteration costs one forward
 transform of alpha (F - f), one plan multiply, the solve, and the inverse
@@ -100,6 +125,8 @@ from .nonlinearity import NonlinearitySpec, evaluate_field, evaluate_pairs
 
 DIVERGENCE_PATIENCE = 5
 STAGNATION_FLOOR = 1e-13
+# relative slack of the stall rule's bound B, for the round-off of the residual and d
+REACH_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -140,10 +167,14 @@ class IterationTrace:
         """Record one step; True when the loop must stop.
 
         It stops as ``converged`` when the residual passes ``tol_abs``, else as
-        ``max_iters`` when the step is at the round-off ``floor`` (a stall),
-        else as ``diverged`` after DIVERGENCE_PATIENCE ratios above 1 in a
-        row; an undefined ratio neither counts nor breaks the row.  The step's
-        ``seconds`` run from the previous call, or from the trace's creation.
+        ``max_iters`` when the step is at the ``floor`` (a stall), else as
+        ``diverged`` after DIVERGENCE_PATIENCE ratios above 1 in a row; an
+        undefined ratio neither counts nor breaks the row.  The floor is the
+        caller's: the round-off floor, which the near-operator iteration
+        raises to (residual - tol_abs)/B at a step whose ratio is at most
+        the certified K, where no later iterate can pass the tolerance
+        (see the module notes).  The step's ``seconds`` run from the
+        previous call, or from the trace's creation.
         """
         now = time.perf_counter()
         prev = self.records[-1].metric if self.records else float("nan")
@@ -244,6 +275,18 @@ def _rhs_norm(f: VectorField) -> float:
     return norm
 
 
+def _reach(certificate: EllipticityCertificate, alpha: np.ndarray) -> float:
+    """B of the stall rule: no iterate after step k moves the residual by more than B d_k.
+
+    B = sup(1/alpha) (1 + K) K/(1 - K) (1 + REACH_SLACK), with K the
+    certificate's contraction and ``alpha`` as :func:`_checked_alpha` returns
+    it (see the module notes).  1/min(alpha) is sup(1/alpha) exactly, since
+    the rounded division is monotone.
+    """
+    K = certificate.contraction
+    return float(1.0 / np.min(alpha)) * (1.0 + K) * K / (1.0 - K) * (1.0 + REACH_SLACK)
+
+
 def _iterate(
     spec: NonlinearitySpec,
     alpha: np.ndarray,
@@ -269,6 +312,7 @@ def _iterate(
     tol_abs = config.tol_residual * (fnorm if fnorm > 0 else 1.0)
     weight = spec.grid_weight(g)
     f = f_phys.data
+    K, reach = certificate.contraction, _reach(certificate, alpha)
 
     # the call's arrays: every step writes into these (see the module notes)
     work = half.work_buffer()
@@ -292,9 +336,14 @@ def _iterate(
         hess = half.hessian_pairs(uhat, work, packed)
         evaluate_pairs(spec, packed.reshape(g.N, -1, g.points), weight, F.reshape(g.N, -1))
         np.subtract(F, f, out=misfit)
+        residual = _l2(misfit, g.cell_volume)
         floor = STAGNATION_FLOOR * max(1.0, half.norm(op_u), fnorm)
         metric = half.norm(np.subtract(op_u, op_prev, out=op_prev))
-        if trace.advance(metric, _l2(misfit, g.cell_volume), tol_abs, floor):
+        prev = trace.records[-1].metric if trace.records else 0.0
+        if prev > 0 and metric / prev <= K:
+            # no later residual falls below residual - reach * metric (see the module notes)
+            floor = max(floor, (residual - tol_abs) / reach)
+        if trace.advance(metric, residual, tol_abs, floor):
             break
         rhs, op_prev = op_prev, op_u
     trace.finish(certificate)

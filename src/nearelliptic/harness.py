@@ -289,6 +289,7 @@ class RunReport:
     iteration_seconds: list[float] | None  # per fixed-point step; None for a linear solve
     contraction_bound: float | None  # certified K = sqrt(beta + gamma); None for a linear solve
     max_ratio: float | None  # largest finite contraction ratio of the trace; None when there is none
+    status: str | None  # the trace's status, "converged" or "max_iters"; None for a linear solve
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -314,7 +315,7 @@ def run_manufactured(config: dict, out_dir: str | Path | None = None) -> RunRepo
     f, exact = build_rhs(cfg, grid, spec)
 
     outputs: dict = {}
-    cert_dict = seconds = bound = max_ratio = None
+    cert_dict = seconds = bound = max_ratio = status = None
     if cfg["solver"]["mode"] == "linear":
         result = solve_linear_spec(cfg, spec, f, nu)
         u = result.u
@@ -329,6 +330,7 @@ def run_manufactured(config: dict, out_dir: str | Path | None = None) -> RunRepo
         seconds = [r.seconds for r in trace.records]
         bound = certificate.contraction
         max_ratio = max(trace.ratios, default=None)
+        status = trace.status
         if out_dir is not None:
             trace_path = Path(out_dir) / "trace.csv"
             trace_path.write_text(trace.to_csv())
@@ -356,6 +358,7 @@ def run_manufactured(config: dict, out_dir: str | Path | None = None) -> RunRepo
         iteration_seconds=seconds,
         contraction_bound=bound,
         max_ratio=max_ratio,
+        status=status,
     )
     if out_dir is not None:
         (Path(out_dir) / "report.json").write_text(report_json(report.as_dict()))

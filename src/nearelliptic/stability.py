@@ -30,6 +30,17 @@ The loop builds no n^2 hessian and computes no hessian or F twice; every
 inner right-hand side F - (G - g) is still checked finite, since it can
 overflow.
 
+The first inner solve, from u = 0, has the right-hand side
+F(., 0) - G(., 0) + g, which is g for F and G that vanish at 0.  Its k = 0
+mean is that of g = G(., D^2 u*), which F of no zero-mean iterate matches
+in general: the inner residual levels off at the mean's share of it,
+above the inner tolerance, while the steps still shrink.  The inner solve
+stops there as a stall once its certificate proves the tolerance out of
+reach (the rule of :mod:`nearelliptic.campanato`), a few steps after the
+residual levels off rather than at round-off, and the outer loop corrects
+the mean.  The report's ``inner_iterations`` counts the steps of each
+inner solve.
+
 The admission runs on the half spectrum: :func:`empirical_nu_F` draws only
 the band of its band-limited fields, from one generator, and takes their
 packed hessians by one inverse real transform each, made in place in one
@@ -183,6 +194,7 @@ class StabilityReport:
     nu_FG: NuFGEstimate
     condition_met: bool
     outer_trace: IterationTrace | None
+    inner_iterations: tuple[int, ...] | None = None  # of the inner solve of each outer step
 
     @property
     def certificate_suspect(self) -> bool:
@@ -209,6 +221,7 @@ class StabilityReport:
             "admission_margin": self.admission_margin,
             "certificate_suspect": self.certificate_suspect,
             "outer_iterations": None if self.outer_trace is None else self.outer_trace.iterations,
+            "inner_iterations": None if self.inner_iterations is None else list(self.inner_iterations),
         }
 
 
@@ -272,9 +285,11 @@ def solve_via_nearness(
     F_u, G_u = (VectorField(grid, np.broadcast_to(_at_zero_hessian(s, grid), shape)) for s in (specF, specG))
     F_prev = F_u
     trace = IterationTrace()
+    inner = []
     for _ in range(60):
         rhs = (F_u - (G_u - g_phys)).require_finite("right-hand side")
-        uhat, hess, F_u, _ = _iterate(specF, alpha, rhs, certificateF, inner_config, state)
+        uhat, hess, F_u, inner_trace = _iterate(specF, alpha, rhs, certificateF, inner_config, state)
+        inner.append(inner_trace.iterations)
         state = (uhat, F_u)
         G_u = evaluate_field(specG, hess)
         del hess  # freed before the next inner solve makes its own
@@ -291,5 +306,6 @@ def solve_via_nearness(
         nu_FG=estimate,
         condition_met=True,
         outer_trace=trace,
+        inner_iterations=tuple(inner),
     )
     return u, report

@@ -1,6 +1,7 @@
 import math
 import time
 from itertools import takewhile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -384,6 +385,86 @@ class TestCampanatoSolve:
         u_again, trace_again = campanato_solve(spec, 1.0, f, cert)
         assert u_again.data.tobytes() == u.data.tobytes()
         assert trace_again.to_csv() == trace.to_csv()
+
+
+def rows(trace):
+    """The trace's rows as its CSV writes them: by repr, so two nan ratios compare equal."""
+    return trace.to_csv().splitlines()[1:]
+
+
+def without_the_reach_rule():
+    """The stall rule switched off: with B = inf, only the round-off floor stops a stall."""
+    return mock.patch.object(campanato_module, "_reach", lambda certificate, alpha: math.inf)
+
+
+class TestReachStall:
+    """The stall rule of ``_iterate``: stop once no later iterate can pass the tolerance."""
+
+    @staticmethod
+    def g_problem():
+        # F-solve of G(D^2 u*): the k = 0 mean of g is out of reach of the F-iterates
+        grid = GridSpec(n=2, N=2, M=16)
+        A = identity_tensor(2, 2)
+        specF = sine_spec(A, 0.3)
+        cert = example1_certificate(specF)
+        specG = sine_spec(A, 0.3 + 0.1 * nu_F_lower_bound(cert))
+        g = manufactured(specG, grid, band=4, seed=31)[1]
+        return specF, cert, g
+
+    def test_an_out_of_reach_tolerance_stops_at_the_first_step_of_the_rule(self):
+        spec, cert, g = self.g_problem()
+        config = SolveConfig(tol_residual=1e-9)
+        _, trace = campanato_solve(spec, cert.alpha, g, cert, config)
+        with without_the_reach_rule():
+            _, full = campanato_solve(spec, cert.alpha, g, cert, config)
+        assert trace.status == full.status == "max_iters"
+        k = trace.iterations
+        assert k < full.iterations
+        assert rows(trace) == rows(full)[:k]
+        # the rule, applied to the rows of the run without it: its first step is the stop
+        K = cert.contraction
+        B = campanato_module._reach(cert, np.asarray(cert.alpha))
+        tol_abs = config.tol_residual * l2_norm(g)
+        meets = [r.ratio <= K and r.residual - B * r.metric > tol_abs for r in full.records]
+        assert meets.index(True) == k - 1
+        # and what it claims holds: no later step of the run without it gets below that
+        last = full.records[k - 1]
+        assert min(r.residual for r in full.records[k - 1 :]) >= last.residual - B * last.metric
+
+    @staticmethod
+    def offset_sine(offset, amplitude):
+        return CustomPerturbation(
+            fn=lambda X: offset + amplitude * np.sin(X).sum(axis=(-2, -1)), lipschitz=2 * amplitude, name="offset-sine"
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        scale=st.sampled_from([1e-3, 1e-2, 1.0, 30.0]),
+        offset=st.sampled_from([0.0, 1e-15, -1e-15, 1e-14]),
+        rhs_amplitude=st.sampled_from([0.1, 0.1, 0.11]),
+        weighted=st.booleans(),
+        seed=st.integers(0, 3),
+        tol=st.sampled_from([1e-10, 1e-6, 1e-4, 1e-3]),
+    )
+    def test_the_rule_never_stops_a_solve_that_converges(self, scale, offset, rhs_amplitude, weighted, seed, tol):
+        # f is F(D^2 u*), or G(D^2 u*) of a G a little off F, whose mean F cannot match;
+        # scaled, so that a tiny f lets the hook's offset show in its bits
+        grid = GridSpec(n=2, N=2, M=8)
+        A = identity_tensor(2, 2)
+        weight = 1.0 + 0.5 * np.random.default_rng(seed).random(grid.shape) if weighted else 1.0
+        spec = NonlinearitySpec(tensor=A, weight=weight, perturbation=self.offset_sine(offset, 0.1))
+        specG = NonlinearitySpec(tensor=A, weight=weight, perturbation=self.offset_sine(offset, rhs_amplitude))
+        cert = example1_certificate(spec, nu=1.0)
+        alpha = 1.0 / weight
+        f = manufactured(specG, grid, band=3, seed=40 + seed)[1] * scale
+        config = SolveConfig(tol_residual=tol)
+        u, trace = campanato_solve(spec, alpha, f, cert, config)
+        with without_the_reach_rule():
+            u_full, full = campanato_solve(spec, alpha, f, cert, config)
+        if full.status == "converged":
+            assert trace.status == "converged"
+            assert u.data.tobytes() == u_full.data.tobytes()
+        assert rows(trace) == rows(full)[: trace.iterations]
 
 
 class TestConstants:

@@ -114,6 +114,20 @@ class TestRunManufactured:
         assert doc["max_ratio"] == report.max_ratio == max(r for r in ratios if np.isfinite(r))
         assert report.max_ratio < report.contraction_bound
 
+    def test_the_report_tells_a_stalled_solve_from_a_converged_one(self, tmp_path):
+        # a right-hand side of mean 1 is out of reach of F of any zero-mean iterate: the solve stalls
+        grid = GridSpec(n=2, N=2, M=16)
+        save_field(tmp_path / "rhs.field", VectorField(grid, random_band_limited(grid, band=3, seed=8).data + 1.0))
+        sine = {"perturbation": {"kind": "scaled_sine", "amplitude": 0.3}}
+        doc = {"grid": {"M": 16}, "spec": sine, "rhs": {"kind": "file", "path": str(tmp_path / "rhs.field")}}
+        stalled = run_manufactured(doc, out_dir=tmp_path)
+        assert json.loads((tmp_path / "report.json").read_text())["status"] == stalled.status == "max_iters"
+        assert stalled.iterations < stalled.config["solver"]["max_iters"]
+        converged = run_manufactured({"grid": {"M": 16}, "spec": sine, "rhs": {"kind": "random", "band": 3, "seed": 2}})
+        assert converged.status == "converged"
+        linear = run_manufactured({"grid": {"M": 16}, "solver": {"mode": "linear"}})
+        assert linear.status is None
+
     def test_nonlinear_single_mode_tight(self):
         # small-scale manufactured mode at a tight tolerance: the recovered
         # field is exact to 1e-9 and the count respects the contraction bound

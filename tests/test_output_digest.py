@@ -1,6 +1,7 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,3 +42,25 @@ def test_prints_one_line_per_workload_seed_and_part(workloads, capsys):
         [name, str(seed), part] for name in workloads.WORKLOADS for seed in (5, 7) for part in PARTS[name]
     ]
     assert lines[0][3] == output_digest.digest(workloads, lines[0][0], 5, "tiny")[lines[0][2]]
+
+
+def test_against_its_own_tree_every_difference_is_zero(workloads, capsys):
+    assert output_digest.main(["--size", "tiny", "--seeds", "5", "--against", str(ROOT)]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [line[:3] for line in lines] == [
+        ["solve-3d", "5", "u"], ["solve-3d", "5", "metric"], ["solve-3d", "5", "residual"],
+        ["linear-sweep", "5", "u"],
+        ["stability", "5", "u"], ["stability", "5", "metric"], ["stability", "5", "residual"],
+    ]
+    assert all(float(line[3]) == 0.0 for line in lines)
+
+
+def test_a_field_differs_relative_to_its_largest_value_a_trace_column_row_by_row():
+    diff = output_digest.relative_difference
+    b = np.array([4.0, -2.0, 1e-3])
+    a = b + np.array([0.0, 0.0, 1e-3])
+    assert diff("u", a, b) == 1e-3 / 4.0
+    assert diff("residual", a, b) == 1.0
+    assert diff("metric", b.copy(), b) == diff("u", np.zeros(2), np.zeros(2)) == 0.0
+    # traces of different lengths do not compare
+    assert diff("metric", b[:2], b) == np.inf

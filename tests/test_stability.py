@@ -429,7 +429,7 @@ class TestSolveViaNearness:
         doc = report.as_dict()
         assert set(doc) == {
             "nu_F_lower", "nu_F_empirical", "nu_FG_sampled", "nu_FG_analytic",
-            "condition_met", "outer_iterations", "admission_margin", "certificate_suspect",
+            "condition_met", "outer_iterations", "inner_iterations", "admission_margin", "certificate_suspect",
         }
         assert doc["certificate_suspect"] is False
         assert doc["admission_margin"] == report.admission_margin
@@ -604,10 +604,44 @@ class TestOuterStoppingRule:
         assert all(r > 1 for r in trace.ratios)
         assert err.value.certificate is certF
 
+    def test_the_report_counts_the_inner_iterations_of_each_outer_step(self, identity22, monkeypatch):
+        # the first inner solve's right-hand side is g = G(D^2 u*), whose mean no
+        # zero-mean F-iterate matches: it stops as a stall once that is certain
+        grid = GridSpec(n=2, N=2, M=16)
+        specF = NonlinearitySpec(tensor=identity22, perturbation=SinePerturbation(amplitude=0.3))
+        certF = example1_certificate(specF)
+        specG = NonlinearitySpec(
+            tensor=identity22, perturbation=SinePerturbation(amplitude=0.3 + 0.1 * nu_F_lower_bound(certF))
+        )
+        g = evaluate_field(specG, spectral_hessian(random_band_limited(grid, band=4, seed=12), PHYSICAL))
+        traces = []
+        iterate = stability._iterate
+
+        def record(*args):
+            out = iterate(*args)
+            traces.append(out[3])
+            return out
+
+        monkeypatch.setattr(stability, "_iterate", record)
+        _, report = solve_via_nearness(specF, specG, certF.alpha, certF, g)
+        assert report.outer_trace.status == "converged"
+        assert report.inner_iterations == tuple(t.iterations for t in traces)
+        assert len(report.inner_iterations) == report.outer_trace.iterations
+        assert report.as_dict()["inner_iterations"] == list(report.inner_iterations)
+        assert traces[0].status == "max_iters"
+        # without the rule the first inner solve runs on to the round-off floor
+        monkeypatch.setattr(campanato_module, "_reach", lambda certificate, alpha: np.inf)
+        traces.clear()
+        _, full = solve_via_nearness(specF, specG, certF.alpha, certF, g)
+        assert traces[0].status == "max_iters"
+        assert full.inner_iterations[0] > report.inner_iterations[0]
+
     def test_stall_stops_at_round_off(self):
         # the rhs is F(D^2 u*), not G(D^2 u*): its mean is out of G's reach in
         # the zero-mean gauge, so the residual stalls near 3.9e-4 and the step
-        # reaches the round-off floor at outer iteration 5
+        # reaches the round-off floor at outer iteration 6; the inner solves
+        # stop once their own tolerance is out of reach, in 16 iterations in
+        # all where running each to its round-off floor took 23
         grid = GridSpec(3, 2, 16)
         A = identity_tensor(3, 2)
         specF = NonlinearitySpec(tensor=A, perturbation=SinePerturbation(amplitude=0.3))
@@ -619,6 +653,7 @@ class TestOuterStoppingRule:
         _, report = solve_via_nearness(specF, specG, 1.0, certF, g)
         trace = report.outer_trace
         assert trace.status == "max_iters"
-        assert trace.iterations == 5
+        assert trace.iterations == 6
+        assert sum(report.inner_iterations) < 23
         # the residual that 60 outer iterations reach
         assert trace.final_residual == pytest.approx(3.9162646243407834e-4, rel=1e-9)
