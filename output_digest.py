@@ -17,6 +17,11 @@ one line per part as ``<workload> <seed> <part> <sha256>``:
 * ``certificate``: certify's certificates;
 * ``margin``: certify's lemma-1 margins.
 
+After a workload's hashes come its step counts, summed over the ops, which
+do not depend on the machine: ``iterations``, the steps of solve-3d's
+solves, and ``inner_steps`` and ``outer_steps``, the steps of stability's
+inner solves and of its outer loop.
+
 Reports and certificates are hashed as sorted JSON, whose floats are
 written by ``repr`` and so round-trip exactly.  ``--tree`` hashes another
 checkout, such as a parent commit unpacked by ``git archive``, with this
@@ -33,8 +38,10 @@ loop).  The difference is the largest over the ops of
 max |a - b| / max |b| for a field and of max |a - b| / |b| over the rows of a
 trace column, with a from this tree and b from ``PATH``; 0 means the same
 bits, and two arrays of different shapes, such as traces of different
-lengths, differ by inf.  ``--save-values FILE`` writes those arrays to an
-``.npz`` file; the child process of ``--against`` uses it.
+lengths, differ by inf.  The step counts follow as
+``<workload> <seed> <count> <this tree's> <PATH's>``.  ``--save-values
+FILE`` writes those arrays to an ``.npz`` file; the child process of
+``--against`` uses it.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent
 PARTS = ("u", "trace", "report", "certificate", "margin")
+COUNTS = ("iterations", "inner_steps", "outer_steps")
 SOLVED = ("solve-3d", "linear-sweep", "stability")  # the workloads that return a solution
 
 
@@ -99,6 +107,15 @@ def op_parts(name: str, out):
         raise ValueError(f"no digest for workload {name!r}")
 
 
+def op_counts(name: str, out):
+    """(count, value) of the step counts of one op of workload ``name``."""
+    if name == "solve-3d":
+        yield "iterations", out[1].iterations
+    elif name == "stability":
+        yield "inner_steps", sum(out[1].inner_iterations)
+        yield "outer_steps", out[1].outer_trace.iterations
+
+
 def np_bytes(value) -> bytes:
     """The dtype, shape and raw bytes of a number or array."""
     arr = np.asarray(value)
@@ -106,17 +123,25 @@ def np_bytes(value) -> bytes:
 
 
 def digest(workloads, name: str, seed: int, size: str = "full") -> dict[str, str]:
-    """sha256 of each output part of one op per slot of workload ``name`` at ``seed``."""
+    """sha256 of each output part of one op per slot of workload ``name`` at ``seed``, then its step counts.
+
+    A count is the decimal sum over the ops.
+    """
     wl = workloads.WORKLOADS[name](seed, size)
-    hashes = {}
+    hashes, counts = {}, {}
     for i in range(wl.slots):
-        for part, data in op_parts(name, wl.op(i)):
+        out = wl.op(i)
+        for part, data in op_parts(name, out):
             hashes.setdefault(part, hashlib.sha256()).update(data)
-    return {part: hashes[part].hexdigest() for part in PARTS if part in hashes}
+        for count, value in op_counts(name, out):
+            counts[count] = counts.get(count, 0) + value
+    return {part: hashes[part].hexdigest() for part in PARTS if part in hashes} | {
+        count: str(total) for count, total in counts.items()
+    }
 
 
 def op_values(name: str, out):
-    """(quantity, array) of the solution fields and trace columns of one op of workload ``name``."""
+    """(quantity, array) of the solution fields, trace columns and step counts of one op of workload ``name``."""
     if name in ("solve-3d", "stability"):
         u, second = out
         trace = second if name == "solve-3d" else second.outer_trace
@@ -126,6 +151,8 @@ def op_values(name: str, out):
     elif name == "linear-sweep":
         for result, _ in out:
             yield "u", result.u.data
+    for count, value in op_counts(name, out):
+        yield count, np.array(value)
 
 
 def values(workloads, name: str, seed: int, size: str = "full") -> dict[str, list[np.ndarray]]:
@@ -151,7 +178,11 @@ def relative_difference(quantity: str, a: np.ndarray, b: np.ndarray) -> float:
 
 
 def compare(workloads, against: Path, seeds: list[int], size: str):
-    """(workload, seed, quantity, difference) of this tree's values against those of the tree ``against``."""
+    """(workload, seed, quantity, text) of this tree's values against those of the tree ``against``.
+
+    The text is the largest relative difference of a field or trace column,
+    and both trees' sums over the ops of a step count.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         saved = Path(tmp) / "values.npz"
         cmd = [sys.executable, str(Path(__file__).resolve()), "--tree", str(against), "--size", size]
@@ -161,9 +192,14 @@ def compare(workloads, against: Path, seeds: list[int], size: str):
     for name in workloads.WORKLOADS:
         for seed in seeds:
             for quantity, arrays in values(workloads, name, seed, size).items():
-                pairs = ((a, theirs.get(f"{name}/{seed}/{quantity}/{i}")) for i, a in enumerate(arrays))
+                others = [theirs.get(f"{name}/{seed}/{quantity}/{i}") for i in range(len(arrays))]
+                if quantity in COUNTS:
+                    total = "missing" if None in others else int(sum(others))
+                    yield name, seed, quantity, f"{int(sum(arrays))} {total}"
+                    continue
+                pairs = zip(arrays, others)
                 diff = max(math.inf if b is None else relative_difference(quantity, a, b) for a, b in pairs)
-                yield name, seed, quantity, diff
+                yield name, seed, quantity, f"{diff:.3e}"
 
 
 def main(argv=None) -> int:
@@ -186,8 +222,8 @@ def main(argv=None) -> int:
         np.savez(args.save_values, **arrays)
         return 0
     if args.against is not None:
-        for name, seed, quantity, diff in compare(workloads, args.against.resolve(), args.seeds, args.size):
-            print(name, seed, quantity, f"{diff:.3e}", flush=True)
+        for name, seed, quantity, text in compare(workloads, args.against.resolve(), args.seeds, args.size):
+            print(name, seed, quantity, text, flush=True)
         return 0
     for name in workloads.WORKLOADS:
         for seed in args.seeds:

@@ -16,43 +16,68 @@ lives in :meth:`IterationTrace.advance`, which the stability loop of
 :mod:`nearelliptic.stability` shares.
 
 A solve also stops as a stall (``max_iters``) once the certificate proves
-the tolerance out of reach.  Write d_k = ||A : D^2(u_k - u_{k-1})|| for the
-step and r_k for the residual of step k, and K = sqrt(beta + gamma).  The
-certificate's K-condition, integrated with the hessian estimate
+the tolerance out of reach, by either of two lower bounds on every later
+residual.  Write d_k = ||A : D^2(u_k - u_{k-1})|| for the step and r_k for
+the residual of step k, and K = sqrt(beta + gamma).  The certificate's
+K-condition, integrated with the hessian estimate
 nu ||D^2 w|| <= ||A : D^2 w||, gives ||A : D^2 w - alpha (F(., D^2(v + w))
-- F(., D^2 v))|| <= K ||A : D^2 w||, so
+- F(., D^2 v))|| <= K ||A : D^2 w||, and the steps after step k, each at
+most K times the last, sum to at most K/(1 - K) d_k.  For every j > k:
 
-    ||F(., D^2 u_j) - F(., D^2 u_k)|| <= sup(1/alpha) (1 + K) ||A : D^2(u_j - u_k)||,
+* the step bound: ||F(., D^2 u_j) - F(., D^2 u_k)|| <= sup(1/alpha) (1 + K)
+  ||A : D^2(u_j - u_k)||, so r_j >= r_k - B d_k with
+  B = sup(1/alpha) (1 + K) K/(1 - K) (1 + REACH_SLACK);
+* the mean bound: A : D^2 w has zero mean, so with P_0 the projection on
+  the k = 0 mean the K-condition gives ||P_0 alpha (F(., D^2 u_j) -
+  F(., D^2 u_k))|| <= K ||A : D^2(u_j - u_k)|| <= K/(1 - K) d_{k+1}, and
+  Cauchy-Schwarz gives r_j >= ||P_0 alpha (F(., D^2 u_j) - f)|| / abar,
+  abar = ||alpha||_2 / sqrt(L^n) (alpha itself when it is a constant).  So
+  r_j >= (p_k - T d_{k+1}) / abar, with p_k = ||P_0 alpha (F(., D^2 u_k)
+  - f)|| and T = K/(1 - K) (1 + REACH_SLACK).
 
-and the steps after k, each at most K times the last, sum to at most
-K/(1 - K) d_k.  So every later residual is at least r_k - B d_k, with
-B = sup(1/alpha) (1 + K) K/(1 - K) (1 + REACH_SLACK) (:func:`_reach`); the
-slack of 1e-6 covers the round-off of r_k and d_k.  When r_k - B d_k >
-tol no later iterate would pass the tolerance, and the loop without the
-rule could only have ended as ``max_iters``, later.  The rule is applied
-only at a step whose observed ratio d_k/d_{k-1} is at most K: a certificate
-that the iteration visibly breaks proves nothing, and such a solve goes on
-to its divergence error.  ``_iterate`` folds the rule into the round-off
-floor it passes to :meth:`IterationTrace.advance`: the floor is
-max(round-off floor, (r_k - tol)/B) at such a step.  A converged solve
-keeps its bits, and a stalled solve's trace is the first rows of the trace
-it had without the rule.  Typical is a right-hand side whose k = 0 mean F
-of no zero-mean iterate matches: its residual levels off at that mean
-while the steps still shrink geometrically towards round-off.
+:func:`_reach` gives B and T; the slack of 1e-6 covers the round-off of
+the residual and the steps.  When either bound exceeds tol no later
+iterate would pass the tolerance, and the loop without the rules could
+only have ended as ``max_iters``, later.  The rules apply only at a step
+whose observed ratio d_k/d_{k-1} is at most K, and the mean bound only
+when d_{k+1} <= K d_k too: a certificate that the iteration visibly breaks
+proves nothing, and such a solve goes on to its divergence error.  Both
+read only the certificate's K and alpha, not the declared Lipschitz bound.
+``_iterate`` folds them into the round-off floor it passes to
+:meth:`IterationTrace.advance`: at such a step the floor is
+max(round-off floor, (r_k - tol)/B), and inf when the mean bound holds.
+A solve that converges without the rules converges with them, bit for
+bit, and a stalled solve's trace is the first rows of the trace it had
+without them.  Typical is a right-hand side whose k = 0 mean F of no
+zero-mean iterate matches, as in the first inner solve of the stability
+loop: its residual levels off at that mean while the steps still shrink
+geometrically towards round-off.  There the mean bound holds first: T
+multiplies the next step, which the observed ratio (about 0.15 in
+perfbench's stability solves) makes a fraction of d_k, while B (about 4.9
+there, with K = 0.74) multiplies d_k itself.
 
 The iterate is kept as half-spectrum coefficients of the (tensor, grid)
 :class:`~nearelliptic.linear.SpectralPlan`.  One iteration costs one forward
 transform of alpha (F - f), one plan multiply, the solve, and the inverse
 transform of the n(n+1)/2 distinct hessian components, made in the work
 buffer (:meth:`~nearelliptic.fields.HalfSpectrum.hessian_pairs`).  The
-operator image A : D^2 u of the new iterate takes no second plan multiply:
-off k = 0 the plan's solve is the inverse of the operator it applies, so
-the image is the right-hand side with its k = 0 entry zeroed
-(:func:`~nearelliptic.linear._zero_gauge`), which the step already holds,
-up to the round-off of the two multiplies.  The operator is applied once
-per call, to the ``uhat`` of a warm start; a cold start's image is 0.  The
-metric d and the residual are one dot product each, d by Plancherel, and
-u is transformed back only on exit, into a field that keeps its half
+transform belongs to the next step and is made at the end of this one,
+only when the residual has not passed the tolerance: its k = 0 entries,
+the component means, give p_k, and with them zeroed
+(:func:`~nearelliptic.linear._zero_gauge`) it is Q alpha (F(., D^2 u_k)
+- f), Q = 1 - P_0.  Since A : D^2(u_{k+1} - u_k) = -Q alpha (F(., D^2 u_k)
+- f), its norm is d_{k+1}, the next step's metric, and the next step
+subtracts it from the operator image A : D^2 u_k to get the image of
+u_{k+1}, which the plan's solve takes to u_{k+1}: off k = 0 the solve is
+the inverse of the operator it applies, so the image needs no second plan
+multiply, up to the round-off of the two multiplies.  The operator is
+applied once per call, to the ``uhat`` of a warm start; a cold start's
+image is 0.  A step takes two norms: the residual, and d by Plancherel
+on the transform.  The round-off floor STAGNATION_FLOOR max(1,
+||A : D^2 u_k||, ||f||) takes no third: the norm of the start's image
+(once per call) plus the steps so far bounds ||A : D^2 u_k|| from above,
+by the triangle inequality, and stands in for it.  u is transformed back
+only on exit, into a field that keeps its half
 spectrum from birth (:meth:`~nearelliptic.fields.HalfSpectrum.physical_field`):
 a later solve warm-started from it, or its hessian, transforms nothing
 forward.  A field transformed on request keeps its spectrum from the
@@ -88,15 +113,16 @@ loop, and every step writes into them: the complex hessian work buffer
 M^(n-1) (M/2 + 1) frequencies; the real packed hessian (N, S, M, ..., M),
 8 N S M^n bytes, into which the last-axis ``irfft`` writes and from which
 F is evaluated; F, F - f and alpha (F - f), 8 N M^n bytes each; and two
-half-spectrum coefficient buffers, 16 N |half| bytes each, which swap
-roles from step to step as the right-hand side (then the operator image)
-and the previous operator image (then the step d is measured on).  At
+half-spectrum coefficient buffers, 16 N |half| bytes each: the operator
+image, which each step updates in place, and the step Q alpha (F - f),
+into which the transform writes.  At
 n = 3, N = 2, M = 32 that is 3.2 + 3.0 + 3 x 0.5 + 2 x 0.53 MiB, about
 8.8 MiB.  A step still allocates the new coefficients, the output of the
 plan's solve, which the next step reads and the caller keeps, and the
 temporaries of evaluating F (:func:`~nearelliptic.nonlinearity.evaluate_pairs`
 writes F itself into its array).  F - f is formed once per step: its norm
-is the residual, and times alpha it is the right-hand side of the next.
+is the residual, and times alpha, transformed and gauged, it is the next
+step.
 The arrays are not kept across calls: the call hands its last ``uhat``,
 hessian and F over to the caller (the hessian as a read-only view of its
 array, F as a field on its own), so nothing of the grid's size outlives
@@ -118,8 +144,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certify import EllipticityCertificate, alpha_bounds_of
-from .errors import DivergenceError, InputError
-from .fields import PHYSICAL, HessianPairs, VectorField, _l2, half_spectrum, l2_norm
+from .errors import DivergenceError, InputError, finite_number
+from .fields import PHYSICAL, HalfSpectrum, HessianPairs, VectorField, _l2, half_spectrum, l2_norm
 from .linear import _zero_gauge, solve_linear, spectral_plan  # noqa: F401  (solve_linear: perfbench wraps it here)
 from .nonlinearity import NonlinearitySpec, evaluate_field, evaluate_pairs
 
@@ -131,15 +157,21 @@ REACH_SLACK = 1e-6
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Iteration policy; the residual tolerance is relative to ||f||."""
+    """Iteration policy; the residual tolerance is relative to ||f||.
+
+    ``tol_residual`` must be a finite positive number and ``max_iters`` an
+    integer of at least 1 (a bool is neither): a nan tolerance would never
+    pass, an infinite one would pass at once, and a fractional count would
+    fail mid-solve.
+    """
 
     tol_residual: float = 1e-8
     max_iters: int = 200
 
     def __post_init__(self):
-        if self.tol_residual <= 0:
+        if finite_number(self.tol_residual, "tol_residual") <= 0:
             raise InputError("tol_residual must be positive")
-        if self.max_iters < 1:
+        if finite_number(self.max_iters, "max_iters", integer=True) < 1:
             raise InputError("max_iters must be >= 1")
 
 
@@ -171,10 +203,11 @@ class IterationTrace:
         ``diverged`` after DIVERGENCE_PATIENCE ratios above 1 in a row; an
         undefined ratio neither counts nor breaks the row.  The floor is the
         caller's: the round-off floor, which the near-operator iteration
-        raises to (residual - tol_abs)/B at a step whose ratio is at most
-        the certified K, where no later iterate can pass the tolerance
-        (see the module notes).  The step's ``seconds`` run from the
-        previous call, or from the trace's creation.
+        raises at a step whose ratio is at most the certified K, to
+        (residual - tol_abs)/B, and to inf where the mean bound holds:
+        there no later iterate can pass the tolerance (see the module
+        notes).  The step's ``seconds`` run from the previous call, or
+        from the trace's creation.
         """
         now = time.perf_counter()
         prev = self.records[-1].metric if self.records else float("nan")
@@ -275,16 +308,34 @@ def _rhs_norm(f: VectorField) -> float:
     return norm
 
 
-def _reach(certificate: EllipticityCertificate, alpha: np.ndarray) -> float:
-    """B of the stall rule: no iterate after step k moves the residual by more than B d_k.
+def _reach(certificate: EllipticityCertificate, alpha: np.ndarray) -> tuple[float, float]:
+    """(B, T) of the stall bounds: no residual after step k is below r_k - B d_k or (p_k - T d_{k+1})/abar.
 
-    B = sup(1/alpha) (1 + K) K/(1 - K) (1 + REACH_SLACK), with K the
-    certificate's contraction and ``alpha`` as :func:`_checked_alpha` returns
-    it (see the module notes).  1/min(alpha) is sup(1/alpha) exactly, since
-    the rounded division is monotone.
+    B = sup(1/alpha) (1 + K) K/(1 - K) (1 + REACH_SLACK) and
+    T = K/(1 - K) (1 + REACH_SLACK), with K the certificate's contraction
+    and ``alpha`` as :func:`_checked_alpha` returns it (see the module
+    notes).  1/min(alpha) is sup(1/alpha) exactly, since the rounded
+    division is monotone.
     """
     K = certificate.contraction
-    return float(1.0 / np.min(alpha)) * (1.0 + K) * K / (1.0 - K) * (1.0 + REACH_SLACK)
+    B = float(1.0 / np.min(alpha)) * (1.0 + K) * K / (1.0 - K) * (1.0 + REACH_SLACK)
+    return B, K / (1.0 - K) * (1.0 + REACH_SLACK)
+
+
+def _gauged_step(
+    half: HalfSpectrum, alpha: np.ndarray, misfit: np.ndarray, scaled: np.ndarray, out: np.ndarray
+) -> tuple[float, float]:
+    """(||P_0 alpha (F - f)||, ||Q alpha (F - f)||) of ``misfit`` = F - f; ``out`` is left holding Q alpha (F - f).
+
+    alpha (F - f) is formed in ``scaled`` and transformed into ``out``; its
+    k = 0 entries, the component means, give the mean part and are then
+    zeroed (:func:`~nearelliptic.linear._zero_gauge`), so that ``out``
+    holds the coefficients of the gauged part, whose norm is the next step d.
+    """
+    half.forward(np.multiply(alpha, misfit, out=scaled), out=out)
+    means = out.reshape(out.shape[0], -1)[:, 0]
+    mean = math.sqrt(half.grid.volume * float(np.vdot(means, means).real))
+    return mean, half.norm(_zero_gauge(out))
 
 
 def _iterate(
@@ -312,40 +363,48 @@ def _iterate(
     tol_abs = config.tol_residual * (fnorm if fnorm > 0 else 1.0)
     weight = spec.grid_weight(g)
     f = f_phys.data
-    K, reach = certificate.contraction, _reach(certificate, alpha)
+    K, (B, T) = certificate.contraction, _reach(certificate, alpha)
+    alpha_rms = math.sqrt(float(np.mean(np.square(alpha))))  # ||alpha||_2 / sqrt(L^n)
 
     # the call's arrays: every step writes into these (see the module notes)
     work = half.work_buffer()
     packed = np.empty((g.N, len(half.hessian)) + g.shape)
     F, misfit, scaled = (np.empty_like(f) for _ in range(3))
-    rhs = np.empty((g.N,) + half.shape, dtype=complex)
+    step = np.empty((g.N,) + half.shape, dtype=complex)
     # misfit is F - f of the current iterate: its norm is the residual of one
-    # step and, times alpha, it is the right-hand side of the next
+    # step and, times alpha and gauged, the step of the next
     if start is None:
         np.subtract(_at_zero_hessian(spec, g), f, out=misfit)
-        op_prev = np.zeros_like(rhs)  # A : D^2 0
+        op = np.zeros_like(step)  # A : D^2 0
     else:
         np.subtract(start[1].data, f, out=misfit)
-        op_prev = plan.apply(start[0])
+        op = plan.apply(start[0])
+    # a bound from above on ||A : D^2 u|| of the current iterate, for the round-off floor (see the module notes)
+    image = half.norm(op)
+    _, metric = _gauged_step(half, alpha, misfit, scaled, step)
 
     trace = IterationTrace()
     for _ in range(config.max_iters):
-        half.forward(np.multiply(alpha, misfit, out=scaled), out=rhs)
-        uhat = plan.invert(np.subtract(op_prev, rhs, out=rhs))
-        op_u = _zero_gauge(rhs)  # A : D^2 u, the right-hand side less its mean (see the module notes)
+        # the image A : D^2 u_k = A : D^2 u_{k-1} - Q alpha (F_{k-1} - f), and u_k solves it (see the module notes)
+        uhat = plan.invert(np.subtract(op, step, out=op))
         hess = half.hessian_pairs(uhat, work, packed)
         evaluate_pairs(spec, packed.reshape(g.N, -1, g.points), weight, F.reshape(g.N, -1))
         np.subtract(F, f, out=misfit)
         residual = _l2(misfit, g.cell_volume)
-        floor = STAGNATION_FLOOR * max(1.0, half.norm(op_u), fnorm)
-        metric = half.norm(np.subtract(op_u, op_prev, out=op_prev))
-        prev = trace.records[-1].metric if trace.records else 0.0
-        if prev > 0 and metric / prev <= K:
-            # no later residual falls below residual - reach * metric (see the module notes)
-            floor = max(floor, (residual - tol_abs) / reach)
+        image += metric
+        floor = STAGNATION_FLOOR * max(1.0, image, fnorm)
+        if not residual <= tol_abs:
+            # the next step's transform, made here: its mean part bounds every later residual
+            mean, following = _gauged_step(half, alpha, misfit, scaled, step)
+            prev = trace.records[-1].metric if trace.records else 0.0
+            if prev > 0 and metric / prev <= K:
+                # no later residual falls below residual - B metric (see the module notes)
+                floor = max(floor, (residual - tol_abs) / B)
+                if following <= K * metric and mean - T * following > alpha_rms * tol_abs:
+                    floor = math.inf  # nor below (mean - T following)/alpha_rms
         if trace.advance(metric, residual, tol_abs, floor):
             break
-        rhs, op_prev = op_prev, op_u
+        metric = following
     trace.finish(certificate)
     return uhat, hess, VectorField(g, F, PHYSICAL), trace
 

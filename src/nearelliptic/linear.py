@@ -20,8 +20,8 @@ entries and the grid.  The plan holds two (N, N) matrix multipliers:
     solve     cof(O)^T / det(O), its pointwise inverse (0 at k = 0)
 
 O is the packed tensor of :meth:`~nearelliptic.fields.HessianPairs.contraction`
-contracted with the hessian multipliers of
-:class:`~nearelliptic.fields.HalfSpectrum`, the hermitian parts
+contracted with the real part of the hessian multipliers of
+:class:`~nearelliptic.fields.HalfSpectrum` (stored complex), the hermitian parts
 (m(k) + m(kbar)) / 2 of the full-grid ones (see the ``fields`` module
 docstring), which reproduce the real part of the full complex transform
 that defines the physical fields.  ``solve`` inverts that same O at every
@@ -149,7 +149,7 @@ def _plan(entries: bytes, grid: GridSpec) -> SpectralPlan:
     N, n = grid.N, grid.n
     contraction = HessianPairs.contraction(np.frombuffer(entries).reshape(N, N, n, n))
     half = half_spectrum(grid)
-    operator = np.tensordot(contraction, half.hessian, axes=1)
+    operator = np.tensordot(contraction, half.hessian.real, axes=1)
     # the (K, N, N) stack of every frequency but the gauge, flat index 0, in the half spectrum's C order;
     # it is inverted divided by a power of two, exactly, so tiny entries cannot underflow
     scale = power_of_two_scale(contraction)

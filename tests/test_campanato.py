@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 from itertools import takewhile
 from unittest import mock
 
@@ -393,8 +394,18 @@ def rows(trace):
 
 
 def without_the_reach_rule():
-    """The stall rule switched off: with B = inf, only the round-off floor stops a stall."""
-    return mock.patch.object(campanato_module, "_reach", lambda certificate, alpha: math.inf)
+    """Both stall bounds switched off: with B = T = inf, only the round-off floor stops a stall."""
+    return mock.patch.object(campanato_module, "_reach", lambda certificate, alpha: (math.inf, math.inf))
+
+
+def with_the_step_bound_alone():
+    """The mean bound switched off (T = inf), the step bound r_k - B d_k as it is."""
+    reach = campanato_module._reach
+
+    def step_bound_alone(certificate, alpha):
+        return reach(certificate, alpha)[0], math.inf
+
+    return mock.patch.object(campanato_module, "_reach", step_bound_alone)
 
 
 class TestReachStall:
@@ -411,10 +422,24 @@ class TestReachStall:
         g = manufactured(specG, grid, band=4, seed=31)[1]
         return specF, cert, g
 
+    @staticmethod
+    def weighted_problem():
+        # the same kind of problem with a weight field, and alpha = 1/weight
+        grid = GridSpec(n=2, N=2, M=16)
+        A = identity_tensor(2, 2)
+        weight = 1.0 + 0.5 * np.random.default_rng(3).random(grid.shape)
+        spec, specG = (
+            NonlinearitySpec(tensor=A, weight=weight, perturbation=SinePerturbation(amplitude=rho))
+            for rho in (0.1, 0.12)
+        )
+        cert = example1_certificate(spec, nu=1.0)
+        return spec, 1.0 / weight, cert, manufactured(specG, grid, band=4, seed=31)[1]
+
     def test_an_out_of_reach_tolerance_stops_at_the_first_step_of_the_rule(self):
         spec, cert, g = self.g_problem()
         config = SolveConfig(tol_residual=1e-9)
-        _, trace = campanato_solve(spec, cert.alpha, g, cert, config)
+        with with_the_step_bound_alone():
+            _, trace = campanato_solve(spec, cert.alpha, g, cert, config)
         with without_the_reach_rule():
             _, full = campanato_solve(spec, cert.alpha, g, cert, config)
         assert trace.status == full.status == "max_iters"
@@ -423,13 +448,57 @@ class TestReachStall:
         assert rows(trace) == rows(full)[:k]
         # the rule, applied to the rows of the run without it: its first step is the stop
         K = cert.contraction
-        B = campanato_module._reach(cert, np.asarray(cert.alpha))
+        B, _ = campanato_module._reach(cert, np.asarray(cert.alpha))
         tol_abs = config.tol_residual * l2_norm(g)
         meets = [r.ratio <= K and r.residual - B * r.metric > tol_abs for r in full.records]
         assert meets.index(True) == k - 1
         # and what it claims holds: no later step of the run without it gets below that
         last = full.records[k - 1]
         assert min(r.residual for r in full.records[k - 1 :]) >= last.residual - B * last.metric
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_the_mean_bound_stops_at_its_first_step(self, weighted):
+        if weighted:
+            spec, alpha, cert, f = self.weighted_problem()
+        else:
+            spec, cert, f = self.g_problem()
+            alpha = cert.alpha
+        config = SolveConfig(tol_residual=1e-9)
+        _, trace = campanato_solve(spec, alpha, f, cert, config)
+        checked = campanato_module._checked_alpha(spec, alpha, f.grid, cert)
+        with without_the_reach_rule():
+            _, full = campanato_solve(spec, alpha, f, cert, config)
+            # F of iterate j, from the same run cut at step j
+            Fs = [
+                campanato_module._iterate(spec, checked, f, cert, replace(config, max_iters=j))[2]
+                for j in range(1, full.iterations + 1)
+            ]
+        assert trace.status == full.status == "max_iters"
+        k = trace.iterations
+        assert k < full.iterations
+        assert rows(trace) == rows(full)[:k]
+        grid, records = f.grid, full.records
+        K = cert.contraction
+        alpha_rms = np.sqrt(np.mean(np.square(alpha)))  # ||alpha||_2 / sqrt(L^n)
+        tol_abs = config.tol_residual * l2_norm(f)
+
+        def lower(j, tail):
+            # (p_j - tail d_{j+1}) / alpha_rms, p_j the norm of the mean part of alpha (F_j - f)
+            mean = VectorField(grid, alpha * (Fs[j - 1].data - f.data)).mean()
+            return (np.sqrt(grid.volume * np.sum(mean**2)) - tail * records[j].metric) / alpha_rms
+
+        # the bound, applied to the rows of the run without the rules: its first step is the stop
+        tail = K / (1 - K) * (1 + campanato_module.REACH_SLACK)
+        meets = [
+            records[j - 1].ratio <= K and records[j].metric <= K * records[j - 1].metric and lower(j, tail) > tol_abs
+            for j in range(1, len(records))
+        ]
+        assert meets.index(True) == k - 1
+        # the step bound held at none of those steps: the mean bound made the stop
+        B, _ = campanato_module._reach(cert, checked)
+        assert not any(r.ratio <= K and r.residual - B * r.metric > tol_abs for r in records[:k])
+        # and what it claims holds: no later residual of the run without the rules falls below it
+        assert min(r.residual for r in records[k - 1 :]) >= lower(k, K / (1 - K)) > tol_abs
 
     @staticmethod
     def offset_sine(offset, amplitude):
@@ -465,6 +534,28 @@ class TestReachStall:
             assert trace.status == "converged"
             assert u.data.tobytes() == u_full.data.tobytes()
         assert rows(trace) == rows(full)[: trace.iterations]
+
+
+class TestSolveConfig:
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"max_iters": 2.5}, "max_iters must be a non-negative integer"),
+            ({"max_iters": True}, "max_iters must be a non-negative integer"),
+            ({"max_iters": 0}, "max_iters must be >= 1"),
+            ({"tol_residual": math.nan}, "tol_residual must be a finite number"),
+            ({"tol_residual": math.inf}, "tol_residual must be a finite number"),
+            ({"tol_residual": 0.0}, "tol_residual must be positive"),
+        ],
+    )
+    def test_a_value_that_breaks_the_stopping_rule_is_an_input_error(self, kwargs, match):
+        # 2.5 used to fail mid-solve, nan to run to max_iters and inf to stop at once as converged
+        with pytest.raises(InputError, match=match):
+            SolveConfig(**kwargs)
+
+    def test_numpy_scalars_are_numbers(self):
+        config = SolveConfig(tol_residual=np.float64(1e-6), max_iters=np.int64(3))
+        assert (config.tol_residual, config.max_iters) == (1e-6, 3)
 
 
 class TestConstants:

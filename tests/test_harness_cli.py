@@ -11,6 +11,8 @@ from nearelliptic.cli import main
 from nearelliptic.errors import InputError, report_json
 from nearelliptic.harness import (
     analytic_solution,
+    build_problem,
+    build_rhs,
     example_suite,
     modes_solution,
     resolve_config,
@@ -20,6 +22,7 @@ from nearelliptic.harness import (
 )
 from nearelliptic.fields import PHYSICAL, GridSpec, VectorField, load_field, random_band_limited, save_field
 from nearelliptic.fields import spectral_hessian, l2_norm
+from nearelliptic.linear import apply_operator
 from nearelliptic.tensors import SymTensor4, identity_tensor
 from conftest import refuse_full_hessian
 
@@ -127,6 +130,23 @@ class TestRunManufactured:
         assert converged.status == "converged"
         linear = run_manufactured({"grid": {"M": 16}, "solver": {"mode": "linear"}})
         assert linear.status is None
+
+    def test_the_distance_bound_holds_for_the_returned_iterate(self, tmp_path):
+        # the manufactured u* is the fixed point: ||A : D^2(u* - u)|| is at most K/(1 - K) d_last
+        sine = {"perturbation": {"kind": "scaled_sine", "amplitude": 0.3}}
+        config = {"grid": {"M": 16}, "spec": sine, "rhs": {"kind": "random", "band": 3, "seed": 2}}
+        config["solver"] = {"tol_residual": 1e-4}
+        report = run_manufactured(config, out_dir=tmp_path)
+        last = float((tmp_path / "trace.csv").read_text().splitlines()[-1].split(",")[1])
+        K = report.contraction_bound
+        assert json.loads((tmp_path / "report.json").read_text())["distance_bound"] == report.distance_bound
+        assert report.distance_bound == K / (1 - K) * last
+        cfg = resolve_config(config)
+        grid, spec, _ = build_problem(cfg)
+        _, exact = build_rhs(cfg, grid, spec)
+        distance = l2_norm(apply_operator(spec.tensor, exact.u - load_field(tmp_path / "solution.field")))
+        assert 0 < distance <= report.distance_bound
+        assert run_manufactured({"grid": {"M": 16}, "solver": {"mode": "linear"}}).distance_bound is None
 
     def test_nonlinear_single_mode_tight(self):
         # small-scale manufactured mode at a tight tolerance: the recovered

@@ -10,9 +10,9 @@ output_digest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(output_digest)
 
 PARTS = {
-    "solve-3d": ["u", "trace"],
+    "solve-3d": ["u", "trace", "iterations"],
     "linear-sweep": ["u", "report"],
-    "stability": ["u", "trace", "report"],
+    "stability": ["u", "trace", "report", "inner_steps", "outer_steps"],
     "certify": ["report", "certificate", "margin"],
 }
 
@@ -26,7 +26,8 @@ def workloads():
 def test_two_runs_give_one_digest(workloads, name):
     first = output_digest.digest(workloads, name, seed=5, size="tiny")
     assert list(first) == PARTS[name]
-    assert all(len(value) == 64 for value in first.values())
+    assert all(len(first[part]) == 64 for part in PARTS[name] if part in output_digest.PARTS)
+    assert all(int(first[count]) > 0 for count in PARTS[name] if count in output_digest.COUNTS)
     assert output_digest.digest(workloads, name, seed=5, size="tiny") == first
 
 
@@ -49,10 +50,18 @@ def test_against_its_own_tree_every_difference_is_zero(workloads, capsys):
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert [line[:3] for line in lines] == [
         ["solve-3d", "5", "u"], ["solve-3d", "5", "metric"], ["solve-3d", "5", "residual"],
+        ["solve-3d", "5", "iterations"],
         ["linear-sweep", "5", "u"],
         ["stability", "5", "u"], ["stability", "5", "metric"], ["stability", "5", "residual"],
+        ["stability", "5", "inner_steps"], ["stability", "5", "outer_steps"],
     ]
-    assert all(float(line[3]) == 0.0 for line in lines)
+    counts = [line for line in lines if line[2] in output_digest.COUNTS]
+    # both trees' step counts, each the sum over the ops that the digest prints
+    assert all(len(line) == 5 and line[3] == line[4] for line in counts)
+    assert [line[3] for line in counts] == [
+        output_digest.digest(workloads, name, 5, "tiny")[count] for name, _, count in (line[:3] for line in counts)
+    ]
+    assert all(float(line[3]) == 0.0 for line in lines if line not in counts)
 
 
 def test_a_field_differs_relative_to_its_largest_value_a_trace_column_row_by_row():

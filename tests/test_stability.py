@@ -629,8 +629,8 @@ class TestOuterStoppingRule:
         assert len(report.inner_iterations) == report.outer_trace.iterations
         assert report.as_dict()["inner_iterations"] == list(report.inner_iterations)
         assert traces[0].status == "max_iters"
-        # without the rule the first inner solve runs on to the round-off floor
-        monkeypatch.setattr(campanato_module, "_reach", lambda certificate, alpha: np.inf)
+        # without the stall bounds the first inner solve runs on to the round-off floor
+        monkeypatch.setattr(campanato_module, "_reach", lambda certificate, alpha: (np.inf, np.inf))
         traces.clear()
         _, full = solve_via_nearness(specF, specG, certF.alpha, certF, g)
         assert traces[0].status == "max_iters"
@@ -640,7 +640,7 @@ class TestOuterStoppingRule:
         # the rhs is F(D^2 u*), not G(D^2 u*): its mean is out of G's reach in
         # the zero-mean gauge, so the residual stalls near 3.9e-4 and the step
         # reaches the round-off floor at outer iteration 6; the inner solves
-        # stop once their own tolerance is out of reach, in 16 iterations in
+        # stop once their own tolerance is out of reach, in 14 iterations in
         # all where running each to its round-off floor took 23
         grid = GridSpec(3, 2, 16)
         A = identity_tensor(3, 2)
