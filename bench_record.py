@@ -5,8 +5,10 @@ Run from the repository root:
     python3 bench_record.py --parent <rev> --out BENCH_<pr>.json \
         [--pairs certify=10] [--pairs-default 1] [--seed 901]
 
-The parent tree is ``git archive <rev>`` unpacked into a temporary directory
-(or ``--workdir``); the change is this checkout's working tree.  For every
+The parent tree is ``git archive <rev>`` unpacked into a temporary directory,
+made inside ``--workdir`` when it is given (the directory and its parents are
+created first when they do not exist); the change is this checkout's working
+tree.  For every
 workload of ``BENCHMARK.json`` the two trees run ``perfbench/run.py`` (untraced)
 for its ``run_seconds`` in interleaved pairs, the side that goes first
 alternating from pair to pair, pair k of every workload at seed ``seed + k``.
@@ -137,7 +139,9 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", action="append", default=[], metavar="WORKLOAD=K", help="pairs for one workload")
     parser.add_argument("--pairs-default", type=int, default=1, help="pairs for every other workload, 0 to skip them")
     parser.add_argument("--seed", type=int, default=901, help="seed of the first pair")
-    parser.add_argument("--workdir", type=Path, default=None, help="where to unpack the parent (default: a temp dir)")
+    parser.add_argument(
+        "--workdir", type=Path, default=None, help="where to unpack the parent, created if missing (default: a temp dir)"
+    )
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -150,6 +154,8 @@ def main(argv=None) -> int:
             parser.error(f"--pairs wants WORKLOAD=K with K >= 1 and WORKLOAD one of {workloads}, got {item!r}")
         counts[name] = int(k)
 
+    if args.workdir is not None:
+        args.workdir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         sides = {"parent": unpack(args.parent, Path(tmp)), "change": ROOT}
         record = {"parent": args.parent, "seconds": seconds, "workloads": {}}

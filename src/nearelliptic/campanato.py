@@ -16,45 +16,41 @@ lives in :meth:`IterationTrace.advance`, which the stability loop of
 :mod:`nearelliptic.stability` shares.
 
 A solve also stops as a stall (``max_iters``) once the certificate proves
-the tolerance out of reach, by either of two lower bounds on every later
-residual.  Write d_k = ||A : D^2(u_k - u_{k-1})|| for the step and r_k for
-the residual of step k, and K = sqrt(beta + gamma).  The certificate's
+the tolerance out of reach, by a lower bound on every later residual.
+Write d_k = ||A : D^2(u_k - u_{k-1})|| for the step and r_k for the
+residual of step k, and K = sqrt(beta + gamma).  The certificate's
 K-condition, integrated with the hessian estimate
 nu ||D^2 w|| <= ||A : D^2 w||, gives ||A : D^2 w - alpha (F(., D^2(v + w))
-- F(., D^2 v))|| <= K ||A : D^2 w||, and the steps after step k, each at
-most K times the last, sum to at most K/(1 - K) d_k.  For every j > k:
+- F(., D^2 v))|| <= K ||A : D^2 w||, and the steps after step k + 1, each
+at most K times the last, sum with it to at most d_{k+1}/(1 - K).
+A : D^2 w has zero mean, so with P_0 the projection on the k = 0 mean the
+K-condition gives, for every j > k, ||P_0 alpha (F(., D^2 u_j) -
+F(., D^2 u_k))|| <= K ||A : D^2(u_j - u_k)|| <= K/(1 - K) d_{k+1}, and
+Cauchy-Schwarz gives r_j >= ||P_0 alpha (F(., D^2 u_j) - f)|| / abar,
+abar = ||alpha||_2 / sqrt(L^n) (alpha itself when it is a constant).  So
+r_j >= (p_k - T d_{k+1}) / abar, the mean bound, with p_k =
+||P_0 alpha (F(., D^2 u_k) - f)|| and T = K/(1 - K) (1 + REACH_SLACK).
 
-* the step bound: ||F(., D^2 u_j) - F(., D^2 u_k)|| <= sup(1/alpha) (1 + K)
-  ||A : D^2(u_j - u_k)||, so r_j >= r_k - B d_k with
-  B = sup(1/alpha) (1 + K) K/(1 - K) (1 + REACH_SLACK);
-* the mean bound: A : D^2 w has zero mean, so with P_0 the projection on
-  the k = 0 mean the K-condition gives ||P_0 alpha (F(., D^2 u_j) -
-  F(., D^2 u_k))|| <= K ||A : D^2(u_j - u_k)|| <= K/(1 - K) d_{k+1}, and
-  Cauchy-Schwarz gives r_j >= ||P_0 alpha (F(., D^2 u_j) - f)|| / abar,
-  abar = ||alpha||_2 / sqrt(L^n) (alpha itself when it is a constant).  So
-  r_j >= (p_k - T d_{k+1}) / abar, with p_k = ||P_0 alpha (F(., D^2 u_k)
-  - f)|| and T = K/(1 - K) (1 + REACH_SLACK).
-
-:func:`_reach` gives B and T; the slack of 1e-6 covers the round-off of
-the residual and the steps.  When either bound exceeds tol no later
-iterate would pass the tolerance, and the loop without the rules could
-only have ended as ``max_iters``, later.  The rules apply only at a step
-whose observed ratio d_k/d_{k-1} is at most K, and the mean bound only
-when d_{k+1} <= K d_k too: a certificate that the iteration visibly breaks
-proves nothing, and such a solve goes on to its divergence error.  Both
-read only the certificate's K and alpha, not the declared Lipschitz bound.
-``_iterate`` folds them into the round-off floor it passes to
-:meth:`IterationTrace.advance`: at such a step the floor is
-max(round-off floor, (r_k - tol)/B), and inf when the mean bound holds.
-A solve that converges without the rules converges with them, bit for
-bit, and a stalled solve's trace is the first rows of the trace it had
-without them.  Typical is a right-hand side whose k = 0 mean F of no
+:func:`_reach` gives T; the slack of 1e-6 covers the round-off of the
+residual and the steps.  When the bound exceeds tol no later iterate would
+pass the tolerance, and the loop without the rule could only have ended
+as ``max_iters``, later.  The rule applies only at a step whose observed
+ratios d_k/d_{k-1} and d_{k+1}/d_k are both at most K: a certificate that
+the iteration visibly breaks proves nothing, and such a solve goes on to
+its divergence error.  It reads only the certificate's K and alpha, not
+the declared Lipschitz bound.  ``_iterate`` folds it into the round-off
+floor it passes to :meth:`IterationTrace.advance`, as inf where the bound
+holds.  A solve that converges without the rule converges with it, bit
+for bit, and a stalled solve's trace is the first rows of the trace it had
+without it.  Typical is a right-hand side whose k = 0 mean F of no
 zero-mean iterate matches, as in the first inner solve of the stability
 loop: its residual levels off at that mean while the steps still shrink
-geometrically towards round-off.  There the mean bound holds first: T
-multiplies the next step, which the observed ratio (about 0.15 in
-perfbench's stability solves) makes a fraction of d_k, while B (about 4.9
-there, with K = 0.74) multiplies d_k itself.
+geometrically towards round-off.
+
+The same tail gives the distance to the fixed point u* that
+``_iterate`` puts on the trace it closes: ||A : D^2(u* - u_k)|| is at most
+d_{k+1}/(1 - K) for a solve that stopped without converging, whose next
+step the loop has made, and K/(1 - K) d_k for a converged one.
 
 The iterate is kept as half-spectrum coefficients of the (tensor, grid)
 :class:`~nearelliptic.linear.SpectralPlan`.  One iteration costs one forward
@@ -151,7 +147,7 @@ from .nonlinearity import NonlinearitySpec, evaluate_field, evaluate_pairs
 
 DIVERGENCE_PATIENCE = 5
 STAGNATION_FLOOR = 1e-13
-# relative slack of the stall rule's bound B, for the round-off of the residual and d
+# relative slack of the stall rule's bound T, for the round-off of the residual and d
 REACH_SLACK = 1e-6
 
 
@@ -194,6 +190,8 @@ class IterationTrace:
     clock: float = field(default_factory=time.perf_counter, init=False, repr=False, compare=False)
     # finite ratios above 1 since the last finite ratio at or below 1
     rising: int = field(default=0, init=False, repr=False, compare=False)
+    # certified bound on ||A : D^2(u* - u)|| of the last iterate, set by the near-operator iteration (module notes)
+    distance_bound: float = field(default=math.nan, init=False, compare=False)
 
     def advance(self, metric: float, residual: float, tol_abs: float, floor: float) -> bool:
         """Record one step; True when the loop must stop.
@@ -203,11 +201,10 @@ class IterationTrace:
         ``diverged`` after DIVERGENCE_PATIENCE ratios above 1 in a row; an
         undefined ratio neither counts nor breaks the row.  The floor is the
         caller's: the round-off floor, which the near-operator iteration
-        raises at a step whose ratio is at most the certified K, to
-        (residual - tol_abs)/B, and to inf where the mean bound holds:
-        there no later iterate can pass the tolerance (see the module
-        notes).  The step's ``seconds`` run from the previous call, or
-        from the trace's creation.
+        raises to inf where the mean bound holds: there no later iterate
+        can pass the tolerance (see the module notes).  The step's
+        ``seconds`` run from the previous call, or from the trace's
+        creation.
         """
         now = time.perf_counter()
         prev = self.records[-1].metric if self.records else float("nan")
@@ -308,18 +305,14 @@ def _rhs_norm(f: VectorField) -> float:
     return norm
 
 
-def _reach(certificate: EllipticityCertificate, alpha: np.ndarray) -> tuple[float, float]:
-    """(B, T) of the stall bounds: no residual after step k is below r_k - B d_k or (p_k - T d_{k+1})/abar.
+def _reach(certificate: EllipticityCertificate) -> float:
+    """T of the mean bound: no residual after step k is below (p_k - T d_{k+1})/abar.
 
-    B = sup(1/alpha) (1 + K) K/(1 - K) (1 + REACH_SLACK) and
     T = K/(1 - K) (1 + REACH_SLACK), with K the certificate's contraction
-    and ``alpha`` as :func:`_checked_alpha` returns it (see the module
-    notes).  1/min(alpha) is sup(1/alpha) exactly, since the rounded
-    division is monotone.
+    (see the module notes).
     """
     K = certificate.contraction
-    B = float(1.0 / np.min(alpha)) * (1.0 + K) * K / (1.0 - K) * (1.0 + REACH_SLACK)
-    return B, K / (1.0 - K) * (1.0 + REACH_SLACK)
+    return K / (1.0 - K) * (1.0 + REACH_SLACK)
 
 
 def _gauged_step(
@@ -352,9 +345,9 @@ def _iterate(
     finite.  ``start`` is the half spectrum ``uhat`` of an iterate and its
     F(., D^2 u), as a previous call returns them; without it the iteration
     starts at zero (see the module notes).  Returns the last iterate's
-    ``uhat``, its packed hessian, its F and the closed trace.  The hessian
-    and F are the call's own arrays, which the caller takes over (see the
-    module notes).
+    ``uhat``, its packed hessian, its F and the closed trace, which
+    carries the distance bound.  The hessian and F are the call's own
+    arrays, which the caller takes over (see the module notes).
     """
     g = f_phys.grid
     plan = spectral_plan(spec.tensor, g)
@@ -363,7 +356,7 @@ def _iterate(
     tol_abs = config.tol_residual * (fnorm if fnorm > 0 else 1.0)
     weight = spec.grid_weight(g)
     f = f_phys.data
-    K, (B, T) = certificate.contraction, _reach(certificate, alpha)
+    K, T = certificate.contraction, _reach(certificate)
     alpha_rms = math.sqrt(float(np.mean(np.square(alpha))))  # ||alpha||_2 / sqrt(L^n)
 
     # the call's arrays: every step writes into these (see the module notes)
@@ -397,14 +390,14 @@ def _iterate(
             # the next step's transform, made here: its mean part bounds every later residual
             mean, following = _gauged_step(half, alpha, misfit, scaled, step)
             prev = trace.records[-1].metric if trace.records else 0.0
-            if prev > 0 and metric / prev <= K:
-                # no later residual falls below residual - B metric (see the module notes)
-                floor = max(floor, (residual - tol_abs) / B)
-                if following <= K * metric and mean - T * following > alpha_rms * tol_abs:
-                    floor = math.inf  # nor below (mean - T following)/alpha_rms
+            kept_to_K = prev > 0 and metric / prev <= K and following <= K * metric  # both observed ratios
+            if kept_to_K and mean - T * following > alpha_rms * tol_abs:
+                floor = math.inf  # no later residual falls below (mean - T following)/alpha_rms (see the module notes)
         if trace.advance(metric, residual, tol_abs, floor):
             break
         metric = following
+    # the steps after the last sum to at most K/(1 - K) times it, or to 1/(1 - K) times the next one, when made
+    trace.distance_bound = K / (1.0 - K) * metric if trace.status == "converged" else following / (1.0 - K)
     trace.finish(certificate)
     return uhat, hess, VectorField(g, F, PHYSICAL), trace
 

@@ -196,24 +196,6 @@ class Example3Report:
         }
 
 
-def _constant_sum(alpha: float, b: float, c: float) -> float:
-    gamma, beta = window_constants(alpha, b, c)
-    return gamma + beta
-
-
-def _bisect_crossing(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    flo, fhi = f(lo), f(hi)
-    if flo * fhi > 0:
-        raise InputError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(lo) * f(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def default_parameters(n: int) -> tuple[float, float]:
     """The standard admissible choice c = 1/sqrt(n), b = 1/(10 + sqrt(n))."""
     return 1.0 / (10.0 + np.sqrt(n)), 1.0 / np.sqrt(n)
@@ -242,10 +224,13 @@ def example3_analysis(
 ) -> Example3Report:
     """Window analysis of the two-term bound for the scalar norm-combination map.
 
-    (i) locates both crossings of gamma(alpha) + beta(alpha) = 1 by bisection
-    (the sum is strictly monotone on each side of 1 and below 1 there); the
-    window radius alpha0 is the distance to the farther crossing, the left
-    one, since the sum grows faster to the right.
+    (i) locates both crossings of gamma(alpha) + beta(alpha) = 1 in closed
+    form: with |1 - alpha| + alpha c = |1 - t alpha|, t = 1 - c below
+    alpha = 1 and t = 1 + c above, each is a root of
+    2(t^2 + b^2) alpha^2 - 4 t alpha + 1, the smaller one for t = 1 - c and
+    the larger one for t = 1 + c (the sum is 2(b^2 + c^2) < 1 at
+    alpha = 1); the window radius alpha0 is the distance to the farther
+    crossing, the left one, since the sum grows faster to the right.
     (ii) inside the true window (alpha_lo, alpha_hi), random (X, Z) samples
     confirm the bound with the alpha-dependent constants.
     (iii) outside, the saturating witness makes the bound an equality while
@@ -261,14 +246,12 @@ def example3_analysis(
         c = dc if c is None else c
     validate_parameters(n, b, c)
 
-    sum_at_one = _constant_sum(1.0, b, c)
-    if sum_at_one >= 1:
-        raise InputError(f"constants at alpha=1 sum to {sum_at_one} >= 1; parameters inadmissible")
-    alpha_lo = _bisect_crossing(lambda a: _constant_sum(a, b, c) - 1.0, 1e-9, 1.0)
-    hi_bracket = 2.0
-    while _constant_sum(hi_bracket, b, c) < 1.0:
-        hi_bracket *= 2.0
-    alpha_hi = _bisect_crossing(lambda a: _constant_sum(a, b, c) - 1.0, 1.0, hi_bracket)
+    sum_at_one = sum(window_constants(1.0, b, c))
+    # the roots are (t -+ s)/(t^2 + b^2), s = sqrt((t^2 - b^2)/2), and b + c < 1 makes them real; the
+    # smaller one is taken as their product 1/(2(t^2 + b^2)) over the larger, 1/(2(t + s)), free of cancellation
+    t_lo, t_hi = 1.0 - c, 1.0 + c
+    alpha_lo = float(0.5 / (t_lo + np.sqrt(0.5 * (t_lo**2 - b**2))))
+    alpha_hi = float((t_hi + np.sqrt(0.5 * (t_hi**2 - b**2))) / (t_hi**2 + b**2))
     alpha0 = 1.0 - alpha_lo
 
     rng = np.random.default_rng(seed)

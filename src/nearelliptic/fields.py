@@ -39,7 +39,7 @@ axis holds k_n = 0, ..., M/2 (shape (M, ..., M, M/2 + 1)).  Norms follow
 from Plancherel with weight 1 on the k_n = 0 and k_n = M/2 planes, whose
 conjugate partners lie in the half spectrum, and weight 2 elsewhere.
 :class:`HalfSpectrum` holds this layout for one grid, its |z|^2 and
-4 pi^2 |z|^2, its weights, and the n(n+1)/2 distinct hessian multipliers;
+4 pi^2 |z|^2, and the n(n+1)/2 distinct hessian multipliers;
 :func:`half_spectrum` memoizes it.
 
 :meth:`HalfSpectrum.coefficients` returns read-only coefficients.  A field
@@ -419,10 +419,15 @@ class HessianPairs:
         return entries[:, :, rows, cols] + np.where(rows < cols, entries[:, :, cols, rows], 0.0)
 
 
-def _power(coef: np.ndarray) -> float:
-    """The sum of |c|^2 over complex128 ``coef``: one real ``dot`` of its float64 view."""
-    flat = coef.reshape(-1).view(np.float64)  # a view of contiguous data, a copy otherwise
-    return np.dot(flat, flat)
+def _power(data: np.ndarray) -> float:
+    """The sum of |x|^2 over float64 or complex128 ``data``: one real ``dot`` of its float64 view.
+
+    A ``dot`` past the float range is summed again elementwise, where
+    numpy's floating-point error state sees the overflow; it is then inf.
+    """
+    flat = data.reshape(-1).view(np.float64)  # a view of contiguous data, a copy otherwise
+    power = np.dot(flat, flat)
+    return power if math.isfinite(power) else np.square(flat).sum()
 
 
 HALF_SPECTRUM_CACHE_SIZE = 4
@@ -453,7 +458,6 @@ class HalfSpectrum:
     shape: tuple[int, ...]
     zsq: np.ndarray
     laplacian: np.ndarray
-    weights: np.ndarray
     hessian: np.ndarray
 
     @property
@@ -535,14 +539,12 @@ class HalfSpectrum:
         planes k_n = 0 and k_n = M/2.  Each power is one real ``dot`` of the
         float64 view of the coefficients (of a contiguous copy, for the two
         planes), no slower than the complex ``vdot`` and faster at n=3.  A
-        power past the float range is summed again elementwise, where
-        numpy's floating-point error state sees the overflow.
+        power past the float range is inf (see :func:`_power`), and so is
+        the norm.
         """
-        total = _power(coef)
-        if np.isfinite(total):
-            power = 2.0 * total - _power(coef[..., :: self.grid.M // 2])
-        else:
-            power = (self.weights * (coef.real**2 + coef.imag**2)).sum()
+        power = _power(coef)
+        if math.isfinite(power):
+            power = 2.0 * power - _power(coef[..., :: self.grid.M // 2])
         return float(np.sqrt(self.grid.volume * power))
 
     def work_buffer(self) -> np.ndarray:
@@ -595,17 +597,15 @@ def half_spectrum(grid: GridSpec) -> HalfSpectrum:
     """The memoized :class:`HalfSpectrum` of ``grid``."""
     M = grid.M
     shape = grid.shape[:-1] + (M // 2 + 1,)
-    weights = np.full(shape, 2.0)
-    weights[..., 0] = weights[..., M // 2] = 1.0
     zsq = np.ascontiguousarray(grid.zsq()[..., : M // 2 + 1])
     laplacian = 4 * np.pi**2 * zsq
     # the hermitian part (m(k) + m(kbar)) / 2 of each full-grid multiplier
     full = hessian_multipliers(grid)
     # complex, as the coefficients it multiplies are, with imaginary parts exactly 0 (see HalfSpectrum)
     hessian = (0.5 * (full + _conjugate_reflect(full, 1, grid.n)))[..., : M // 2 + 1].astype(complex)
-    for arr in (weights, zsq, laplacian, hessian):
+    for arr in (zsq, laplacian, hessian):
         arr.setflags(write=False)
-    return HalfSpectrum(grid, shape, zsq, laplacian, weights, hessian)
+    return HalfSpectrum(grid, shape, zsq, laplacian, hessian)
 
 
 def spectral_hessian(u: VectorField, representation: str = PHYSICAL) -> HessianPairs:
@@ -638,13 +638,10 @@ def l2_norm(field) -> float:
 def _l2(data: np.ndarray, volume: float) -> float:
     """sqrt(volume sum |data|^2), the L2 norm of a field's data with quadrature weight ``volume``.
 
-    The power is one ``vdot``; past the float range it is summed again
-    elementwise, where numpy's floating-point error state sees the overflow.
+    The power is :func:`_power`'s: past the float range it is inf, and
+    numpy's floating-point error state sees the overflow.
     """
-    power = np.vdot(data, data).real
-    if not np.isfinite(power):
-        power = (np.abs(data) ** 2).sum()
-    return float(np.sqrt(volume * power))
+    return float(np.sqrt(volume * _power(data)))
 
 
 def lp_norm(values: np.ndarray, grid: GridSpec, p: float, component_axes: int) -> float:

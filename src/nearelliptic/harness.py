@@ -290,7 +290,8 @@ class RunReport:
     contraction_bound: float | None  # certified K = sqrt(beta + gamma); None for a linear solve
     max_ratio: float | None  # largest finite contraction ratio of the trace; None when there is none
     status: str | None  # the trace's status, "converged" or "max_iters"; None for a linear solve
-    # certified bound K/(1 - K) d_last on ||A : D^2(u_fixed - u)||, u_fixed the fixed point; None for a linear solve
+    # certified bound on ||A : D^2(u_fixed - u)||, u_fixed the fixed point: the trace's (see campanato's
+    # module notes); None for a linear solve
     distance_bound: float | None
 
     def as_dict(self) -> dict:
@@ -333,8 +334,7 @@ def run_manufactured(config: dict, out_dir: str | Path | None = None) -> RunRepo
         bound = certificate.contraction
         max_ratio = max(trace.ratios, default=None)
         status = trace.status
-        # the steps after the last one sum to at most K/(1 - K) times it
-        distance = bound / (1.0 - bound) * trace.records[-1].metric
+        distance = trace.distance_bound
         if out_dir is not None:
             trace_path = Path(out_dir) / "trace.csv"
             trace_path.write_text(trace.to_csv())

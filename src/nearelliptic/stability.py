@@ -37,13 +37,13 @@ in general: the inner residual levels off at the mean's share of it,
 above the inner tolerance, while the steps still shrink.  The inner solve
 stops there as a stall once its certificate proves the tolerance out of
 reach, rather than at round-off, and the outer loop corrects the mean.
-The proof is the mean bound of :mod:`nearelliptic.campanato`: the norm
-of the mean part of alpha (F - rhs), less K/(1 - K) times the next step,
-over the root mean square of alpha, bounds every later residual from
-below.  It holds about where the residual levels
-off: on perfbench's stability inputs at seeds 901 and 902 that solve takes
-5-6 steps, against 6-7 under the step bound alone.  The report's
-``inner_iterations`` counts the steps of each inner solve.
+The proof is the one stall bound of :mod:`nearelliptic.campanato`, the
+mean bound: the norm of the mean part of alpha (F - rhs), less K/(1 - K)
+times the next step, over the root mean square of alpha, bounds every
+later residual from below.  It holds about where the residual levels off:
+on perfbench's stability inputs at seeds 901 and 902 that solve takes 5-6
+steps.  The report's ``inner_iterations`` counts the steps of each inner
+solve.
 
 The admission runs on the half spectrum: :func:`empirical_nu_F` draws only
 the band of its band-limited fields, from one generator, and takes their

@@ -113,6 +113,22 @@ class TestRecord:
         # the medians are over the two finished pairs, seeds 901 and 903
         assert summary["op_p50_ms"]["parent"]["median"] == 11.0
 
+    def test_a_fresh_nested_workdir_is_created_before_the_parent_is_unpacked(self, tmp_path, monkeypatch):
+        workdir = tmp_path / "fresh" / "nested"
+        unpacked = []
+
+        def unpack(rev, into):
+            unpacked.append(into)
+            return into / "parent"
+
+        monkeypatch.setattr(bench_record, "unpack", unpack)
+        monkeypatch.setattr(bench_record, "run", perfbench_run)
+        out = tmp_path / "bench.json"
+        args = ["--parent", "HEAD", "--out", str(out), "--pairs-default", "0", "--pairs", "linear-sweep=1"]
+        assert bench_record.main(args + ["--workdir", str(workdir)]) == 0
+        assert workdir.is_dir() and len(unpacked) == 1 and unpacked[0].parent == workdir
+        assert list(json.loads(out.read_text())["workloads"]) == ["linear-sweep"]
+
     def test_a_workload_with_no_finished_pair(self):
         failed = {"seed": 1, "exit_code": 2, "stderr": []}
         out = bench_record.summary([{"parent": failed, "change": run(1.0, 1.0)}], END_TO_END)

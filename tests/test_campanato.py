@@ -227,6 +227,14 @@ class TestCampanatoSolve:
         late = [r for r in err.value.trace.ratios][-3:]
         assert all(r > 1 for r in late)
 
+    @pytest.mark.parametrize("n, N", [(3, 2), (2, 3)])
+    def test_a_spec_of_other_dimensions_than_the_grid_is_refused(self, identity22, n, N):
+        spec = sine_spec(identity22, 0.3)
+        cert = example1_certificate(spec)
+        f = random_band_limited(GridSpec(n=n, N=N, M=8), band=2, seed=1)
+        with pytest.raises(InputError, match="spec dimensions do not match the grid"):
+            campanato_solve(spec, cert.alpha, f, cert)
+
     def test_infeasible_certificate_rejected(self, grid32, identity22):
         spec = sine_spec(identity22, 0.3)
         bad = fake_certificate(beta=0.6, gamma=0.5)
@@ -374,7 +382,7 @@ class TestCampanatoSolve:
         assert all(np.shares_memory(X, hessian) for X, _ in evaluated)
         assert all(out.__array_interface__["data"][0] == F.__array_interface__["data"][0] for _, out in evaluated)
         half = plan.half
-        shared = [f.data, u.data, half.zsq, half.laplacian, half.weights, half.hessian, plan.solve, plan.operator]
+        shared = [f.data, u.data, half.zsq, half.laplacian, half.hessian, plan.solve, plan.operator]
         for buffer in (work, hessian, F):
             for arr in shared + coefs:
                 assert not np.shares_memory(buffer, arr)
@@ -394,18 +402,8 @@ def rows(trace):
 
 
 def without_the_reach_rule():
-    """Both stall bounds switched off: with B = T = inf, only the round-off floor stops a stall."""
-    return mock.patch.object(campanato_module, "_reach", lambda certificate, alpha: (math.inf, math.inf))
-
-
-def with_the_step_bound_alone():
-    """The mean bound switched off (T = inf), the step bound r_k - B d_k as it is."""
-    reach = campanato_module._reach
-
-    def step_bound_alone(certificate, alpha):
-        return reach(certificate, alpha)[0], math.inf
-
-    return mock.patch.object(campanato_module, "_reach", step_bound_alone)
+    """The stall bound switched off: with T = inf, only the round-off floor stops a stall."""
+    return mock.patch.object(campanato_module, "_reach", lambda certificate: math.inf)
 
 
 class TestReachStall:
@@ -434,27 +432,6 @@ class TestReachStall:
         )
         cert = example1_certificate(spec, nu=1.0)
         return spec, 1.0 / weight, cert, manufactured(specG, grid, band=4, seed=31)[1]
-
-    def test_an_out_of_reach_tolerance_stops_at_the_first_step_of_the_rule(self):
-        spec, cert, g = self.g_problem()
-        config = SolveConfig(tol_residual=1e-9)
-        with with_the_step_bound_alone():
-            _, trace = campanato_solve(spec, cert.alpha, g, cert, config)
-        with without_the_reach_rule():
-            _, full = campanato_solve(spec, cert.alpha, g, cert, config)
-        assert trace.status == full.status == "max_iters"
-        k = trace.iterations
-        assert k < full.iterations
-        assert rows(trace) == rows(full)[:k]
-        # the rule, applied to the rows of the run without it: its first step is the stop
-        K = cert.contraction
-        B, _ = campanato_module._reach(cert, np.asarray(cert.alpha))
-        tol_abs = config.tol_residual * l2_norm(g)
-        meets = [r.ratio <= K and r.residual - B * r.metric > tol_abs for r in full.records]
-        assert meets.index(True) == k - 1
-        # and what it claims holds: no later step of the run without it gets below that
-        last = full.records[k - 1]
-        assert min(r.residual for r in full.records[k - 1 :]) >= last.residual - B * last.metric
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_the_mean_bound_stops_at_its_first_step(self, weighted):
@@ -487,18 +464,32 @@ class TestReachStall:
             mean = VectorField(grid, alpha * (Fs[j - 1].data - f.data)).mean()
             return (np.sqrt(grid.volume * np.sum(mean**2)) - tail * records[j].metric) / alpha_rms
 
-        # the bound, applied to the rows of the run without the rules: its first step is the stop
+        # the bound, applied to the rows of the run without the rule: its first step is the stop
         tail = K / (1 - K) * (1 + campanato_module.REACH_SLACK)
         meets = [
             records[j - 1].ratio <= K and records[j].metric <= K * records[j - 1].metric and lower(j, tail) > tol_abs
             for j in range(1, len(records))
         ]
         assert meets.index(True) == k - 1
-        # the step bound held at none of those steps: the mean bound made the stop
-        B, _ = campanato_module._reach(cert, checked)
+        # r_k - B d_k > tol, a bound on the residual's own moves, holds at none of those steps: the stop needs the mean
+        B = float(1.0 / np.min(checked)) * (1 + K) * K / (1 - K) * (1 + campanato_module.REACH_SLACK)
         assert not any(r.ratio <= K and r.residual - B * r.metric > tol_abs for r in records[:k])
-        # and what it claims holds: no later residual of the run without the rules falls below it
+        # and what it claims holds: no later residual of the run without the rule falls below it
         assert min(r.residual for r in records[k - 1 :]) >= lower(k, K / (1 - K)) > tol_abs
+
+    def test_a_stalled_solve_bounds_its_distance_by_the_next_step(self):
+        # d_{k+1}/(1 - K), from the next step the loop made, is below K/(1 - K) d_k and bounds
+        # ||A : D^2(u* - u)||, u* taken as where the run without the rule stops, at the round-off floor
+        spec, cert, g = self.g_problem()
+        config = SolveConfig(tol_residual=1e-9)
+        u, trace = campanato_solve(spec, cert.alpha, g, cert, config)
+        with without_the_reach_rule():
+            u_full, full = campanato_solve(spec, cert.alpha, g, cert, config)
+        assert trace.status == "max_iters" and trace.iterations < full.iterations
+        K = cert.contraction
+        assert trace.distance_bound == full.records[trace.iterations].metric / (1 - K)
+        assert trace.distance_bound < K / (1 - K) * trace.records[-1].metric
+        assert 0 < l2_norm(apply_operator(spec.tensor, u_full - u)) <= trace.distance_bound
 
     @staticmethod
     def offset_sine(offset, amplitude):

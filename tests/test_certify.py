@@ -144,6 +144,12 @@ class TestVerify:
         with pytest.raises(InputError):
             verify_k_condition(spec, 1.0, beta=0.0, gamma=0.5, nu=1.0)
 
+    def test_an_alpha_field_needs_a_weight_field(self, identity22):
+        # the samples draw grid points only for a spatially varying weight; with none, an alpha field has no points
+        spec = NonlinearitySpec(tensor=identity22, perturbation=SinePerturbation(amplitude=0.3))
+        with pytest.raises(InputError, match="spatially varying alpha requires a spatially varying weight grid"):
+            verify_k_condition(spec, np.ones((8, 8)), 0.09, 0.455, SamplerConfig(count=50, seed=1), nu=1.0)
+
 
 class TestSampler:
     @pytest.mark.parametrize(

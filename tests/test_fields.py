@@ -343,6 +343,14 @@ class TestNorms:
             with np.errstate(over="raise"), pytest.raises(FloatingPointError):
                 norm()
 
+    def test_a_norm_past_the_float_range_is_inf(self):
+        # the half-spectrum norm takes two powers; past the float range it must not form inf - inf
+        grid = GridSpec(n=2, N=2, M=8)
+        half = half_spectrum(grid)
+        u = VectorField(grid, np.full((2,) + grid.shape, 1e200), PHYSICAL)
+        with np.errstate(over="ignore"):
+            assert l2_norm(u) == l2_norm(u.to_spectral()) == half.norm(half.coefficients(u)) == math.inf
+
     def test_high_dimension_surrogates(self):
         grid = GridSpec(n=5, N=2, M=6)
         u = random_band_limited(grid, band=1, seed=8)

@@ -341,7 +341,7 @@ class TestPlan:
 
     def test_plan_arrays_are_read_only(self, grid32, identity22):
         plan = spectral_plan(identity22, grid32)
-        for arr in (plan.solve, plan.operator, plan.half.hessian, plan.half.weights, plan.half.zsq):
+        for arr in (plan.solve, plan.operator, plan.half.hessian, plan.half.zsq):
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
 

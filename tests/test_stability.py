@@ -138,6 +138,20 @@ class TestIncrementDistance:
         assert est.sampled <= est.analytic + 1e-9
         assert est.sampled > 0
 
+    def test_norm_combo_pair_bounded_by_coefficient_gaps(self, identity22):
+        # same kind: |b_F - b_G| + sqrt(n) |c_F - c_G|, and the sample stays at or below it
+        specF = NonlinearitySpec(tensor=identity22, perturbation=NormComboPerturbation(b=0.2, c=0.1))
+        specG = NonlinearitySpec(tensor=identity22, perturbation=NormComboPerturbation(b=0.25, c=0.05))
+        est = nu_FG_estimate(specF, specG)
+        assert est.analytic == pytest.approx(abs(0.2 - 0.25) + np.sqrt(2) * abs(0.1 - 0.05), rel=1e-15)
+        assert 0 < est.sampled <= est.analytic
+
+    def test_specs_of_different_dimensions_are_an_input_error(self, identity22):
+        specF = NonlinearitySpec(tensor=identity22)
+        specG = NonlinearitySpec(tensor=identity_tensor(3, 2))
+        with pytest.raises(InputError, match="specs must share dimensions"):
+            nu_FG_estimate(specF, specG)
+
     def test_linear_part_difference(self, identity22):
         # tensors differ by c * identity: increment distance is c |Z:I| / |Z|
         c = 0.2
@@ -629,8 +643,8 @@ class TestOuterStoppingRule:
         assert len(report.inner_iterations) == report.outer_trace.iterations
         assert report.as_dict()["inner_iterations"] == list(report.inner_iterations)
         assert traces[0].status == "max_iters"
-        # without the stall bounds the first inner solve runs on to the round-off floor
-        monkeypatch.setattr(campanato_module, "_reach", lambda certificate, alpha: (np.inf, np.inf))
+        # without the stall bound the first inner solve runs on to the round-off floor
+        monkeypatch.setattr(campanato_module, "_reach", lambda certificate: np.inf)
         traces.clear()
         _, full = solve_via_nearness(specF, specG, certF.alpha, certF, g)
         assert traces[0].status == "max_iters"
