@@ -32,13 +32,17 @@ A change whose every run beats every parent run has the better median, so
 it is never unresolved.  With one pair there are no quartiles, and
 ``unresolved`` is null.  The record is rewritten
 after every workload, so an interrupted invocation keeps the workloads it
-finished.
+finished.  An invocation with nothing to run (every workload at 0 pairs) is
+refused before the parent is unpacked.  SIGTERM ends a recording as Ctrl-C
+does: the unpacked parent is removed and the finished workloads stay in
+``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -132,6 +136,11 @@ def op_p50(one: dict):
     return one["result"]["metrics"]["op_p50_ms"]["value"] if "result" in one else f"exit {one['exit_code']}"
 
 
+def _exit_on_sigterm(signum, frame):
+    """SIGTERM as ``SystemExit``, so that the ``with`` blocks it unwinds clean up."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -153,23 +162,29 @@ def main(argv=None) -> int:
         if name not in counts or not k.isdigit() or int(k) < 1:
             parser.error(f"--pairs wants WORKLOAD=K with K >= 1 and WORKLOAD one of {workloads}, got {item!r}")
         counts[name] = int(k)
+    if all(k < 1 for k in counts.values()):
+        parser.error("nothing to run: every workload has 0 pairs; give --pairs or --pairs-default >= 1")
 
     if args.workdir is not None:
         args.workdir.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
-        sides = {"parent": unpack(args.parent, Path(tmp)), "change": ROOT}
-        record = {"parent": args.parent, "seconds": seconds, "workloads": {}}
-        for workload, k in counts.items():
-            if k < 1:
-                continue
-            pairs = []
-            for i in range(k):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                pair = {side: run(sides[side], workload, args.seed + i, seconds) for side in order}
-                pairs.append(pair)
-                print(workload, args.seed + i, {s: op_p50(pair[s]) for s in order})
-            record["workloads"][workload] = {"summary": summary(pairs, benchmark["end_to_end"]), "pairs": pairs}
-            args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
+            sides = {"parent": unpack(args.parent, Path(tmp)), "change": ROOT}
+            record = {"parent": args.parent, "seconds": seconds, "workloads": {}}
+            for workload, k in counts.items():
+                if k < 1:
+                    continue
+                pairs = []
+                for i in range(k):
+                    order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                    pair = {side: run(sides[side], workload, args.seed + i, seconds) for side in order}
+                    pairs.append(pair)
+                    print(workload, args.seed + i, {s: op_p50(pair[s]) for s in order})
+                record["workloads"][workload] = {"summary": summary(pairs, benchmark["end_to_end"]), "pairs": pairs}
+                args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 

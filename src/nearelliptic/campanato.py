@@ -108,14 +108,14 @@ loop, and every step writes into them: the complex hessian work buffer
 (N, S) + half shape, S = n(n+1)/2, 16 N S |half| bytes for |half| =
 M^(n-1) (M/2 + 1) frequencies; the real packed hessian (N, S, M, ..., M),
 8 N S M^n bytes, into which the last-axis ``irfft`` writes and from which
-F is evaluated; F, F - f and alpha (F - f), 8 N M^n bytes each; and two
-half-spectrum coefficient buffers, 16 N |half| bytes each: the operator
-image, which each step updates in place, and the step Q alpha (F - f),
-into which the transform writes.  At
-n = 3, N = 2, M = 32 that is 3.2 + 3.0 + 3 x 0.5 + 2 x 0.53 MiB, about
-8.8 MiB.  A step still allocates the new coefficients, the output of the
-plan's solve, which the next step reads and the caller keeps, and the
-temporaries of evaluating F (:func:`~nearelliptic.nonlinearity.evaluate_pairs`
+F is evaluated; F and F - f, 8 N M^n bytes each, the second scaled by
+alpha in place once its norm is taken; and two half-spectrum coefficient
+buffers, 16 N |half| bytes each: the operator image, which each step
+updates in place, and the step Q alpha (F - f), into which the transform
+writes.  At n = 3, N = 2, M = 32 that is 3.2 + 3.0 + 2 x 0.5 + 2 x 0.53
+MiB, about 8.3 MiB.  A step still allocates the new coefficients, the
+output of the plan's solve, which the next step reads and the caller
+keeps, and the temporaries of evaluating F (:func:`~nearelliptic.nonlinearity.evaluate_pairs`
 writes F itself into its array).  F - f is formed once per step: its norm
 is the residual, and times alpha, transformed and gauged, it is the next
 step.
@@ -315,17 +315,16 @@ def _reach(certificate: EllipticityCertificate) -> float:
     return K / (1.0 - K) * (1.0 + REACH_SLACK)
 
 
-def _gauged_step(
-    half: HalfSpectrum, alpha: np.ndarray, misfit: np.ndarray, scaled: np.ndarray, out: np.ndarray
-) -> tuple[float, float]:
+def _gauged_step(half: HalfSpectrum, alpha: np.ndarray, misfit: np.ndarray, out: np.ndarray) -> tuple[float, float]:
     """(||P_0 alpha (F - f)||, ||Q alpha (F - f)||) of ``misfit`` = F - f; ``out`` is left holding Q alpha (F - f).
 
-    alpha (F - f) is formed in ``scaled`` and transformed into ``out``; its
-    k = 0 entries, the component means, give the mean part and are then
-    zeroed (:func:`~nearelliptic.linear._zero_gauge`), so that ``out``
-    holds the coefficients of the gauged part, whose norm is the next step d.
+    alpha (F - f) is formed in ``misfit``, in place, and transformed into
+    ``out``; its k = 0 entries, the component means, give the mean part and
+    are then zeroed (:func:`~nearelliptic.linear._zero_gauge`), so that
+    ``out`` holds the coefficients of the gauged part, whose norm is the
+    next step d.
     """
-    half.forward(np.multiply(alpha, misfit, out=scaled), out=out)
+    half.forward(np.multiply(alpha, misfit, out=misfit), out=out)
     means = out.reshape(out.shape[0], -1)[:, 0]
     mean = math.sqrt(half.grid.volume * float(np.vdot(means, means).real))
     return mean, half.norm(_zero_gauge(out))
@@ -362,10 +361,11 @@ def _iterate(
     # the call's arrays: every step writes into these (see the module notes)
     work = half.work_buffer()
     packed = np.empty((g.N, len(half.hessian)) + g.shape)
-    F, misfit, scaled = (np.empty_like(f) for _ in range(3))
+    F, misfit = np.empty_like(f), np.empty_like(f)
     step = np.empty((g.N,) + half.shape, dtype=complex)
     # misfit is F - f of the current iterate: its norm is the residual of one
-    # step and, times alpha and gauged, the step of the next
+    # step and, once that is taken, it is scaled by alpha in place and gauged
+    # into the step of the next
     if start is None:
         np.subtract(_at_zero_hessian(spec, g), f, out=misfit)
         op = np.zeros_like(step)  # A : D^2 0
@@ -374,7 +374,7 @@ def _iterate(
         op = plan.apply(start[0])
     # a bound from above on ||A : D^2 u|| of the current iterate, for the round-off floor (see the module notes)
     image = half.norm(op)
-    _, metric = _gauged_step(half, alpha, misfit, scaled, step)
+    _, metric = _gauged_step(half, alpha, misfit, step)
 
     trace = IterationTrace()
     for _ in range(config.max_iters):
@@ -388,7 +388,7 @@ def _iterate(
         floor = STAGNATION_FLOOR * max(1.0, image, fnorm)
         if not residual <= tol_abs:
             # the next step's transform, made here: its mean part bounds every later residual
-            mean, following = _gauged_step(half, alpha, misfit, scaled, step)
+            mean, following = _gauged_step(half, alpha, misfit, step)
             prev = trace.records[-1].metric if trace.records else 0.0
             kept_to_K = prev > 0 and metric / prev <= K and following <= K * metric  # both observed ratios
             if kept_to_K and mean - T * following > alpha_rms * tol_abs:

@@ -58,6 +58,7 @@ value the sampler's callers keep, is the caller's own copy.
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -70,7 +71,8 @@ from .nonlinearity import NonlinearitySpec, evaluate_pairs
 from .tensors import _certified_nu, contract_pairs
 
 CONSTANT_FLOOR = 1e-6
-SIGMA_CAP = 1e9
+# the margin 1 - (beta + gamma) at which def2_from_def1 takes its sigma
+MARGIN_FLOOR = 2.0 * np.finfo(float).eps
 # bound on the round-off absorption steps of fit_k_condition
 ABSORB_STEPS = 64
 # the lengths |Z| / |Z0| at which every sampled ray is read
@@ -483,7 +485,7 @@ def def1_from_def2(beta: float, gamma: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class Def2Conversion:
-    """Outcome of the sigma search converting signed-form constants to the quadratic bound."""
+    """Outcome of converting signed-form constants to the quadratic bound; NaNs and ``anomaly`` when it fails."""
 
     sigma: float
     beta: float
@@ -497,13 +499,19 @@ class Def2Conversion:
 def def2_from_def1(
     lam: float, kappa: float, M: float, alpha_sup: float, nu: float
 ) -> Def2Conversion:
-    """Smallest sigma > 2 making the quadratic-bound pair feasible.
+    """The smallest sigma > 2 whose quadratic-bound pair keeps a margin of MARGIN_FLOOR.
 
     beta(sigma) = (2/sigma) (kappa/lambda + (1/(2 sigma)) (M alpha_sup / (lambda nu))^2),
     gamma(sigma) = 1 - 2/sigma, and the rescaled alpha carries the factor
-    1/(lambda sigma).  Feasibility for large sigma is guaranteed; failure to
-    bracket below the cap is flagged as an anomaly instead of raising.  A
-    constant that is not a finite number is an InputError.
+    1/(lambda sigma).  With q = (M alpha_sup / (lambda nu))^2 and
+    d = 1 - kappa/lambda the margin 1 - (beta + gamma) is 2d/sigma - q/sigma^2,
+    so it first reaches tau = MARGIN_FLOOR at the smaller root of
+    tau sigma^2 - 2 d sigma + q = 0, q / (d + sqrt(d^2 - tau q)); when
+    d^2 < tau q no sigma reaches tau (the largest margin, at sigma = q/d, is
+    d^2/q).  sigma is that root, but at least 2 (1 + 1e-9).  A pair that is
+    not feasible in floating point, beta + gamma < 1, is flagged as an
+    anomaly instead of raising.  A constant that is not a finite number is
+    an InputError.
     """
     for value, name in ((lam, "lambda"), (kappa, "kappa"), (M, "M"), (alpha_sup, "alpha_sup"), (nu, "nu")):
         finite_number(value, f"conversion constant {name}")
@@ -513,45 +521,16 @@ def def2_from_def1(
         raise InputError("need M >= 0, alpha_sup > 0, nu > 0")
 
     q = (M * alpha_sup / (lam * nu)) ** 2
-
-    def pair(sigma: float) -> tuple[float, float]:
-        beta = (2.0 / sigma) * (kappa / lam + q / (2.0 * sigma))
-        gamma = 1.0 - 2.0 / sigma
-        return beta, gamma
-
-    def feasible(sigma: float) -> bool:
-        if sigma <= 2.0:
-            return False
-        beta, gamma = pair(sigma)
-        return beta + gamma < 1.0
-
-    sigma_floor = max(2.0, q / (2.0 * (1.0 - kappa / lam)))
-    lo = 2.0
-    hi = max(4.0, 2.0 * sigma_floor)
-    anomaly = False
-    while not feasible(hi):
-        hi *= 2.0
-        if hi > SIGMA_CAP:
-            anomaly = True
-            break
-    if anomaly:
-        return Def2Conversion(
-            sigma=float("nan"),
-            beta=float("nan"),
-            gamma=float("nan"),
-            alpha_scale=float("nan"),
-            margin=float("nan"),
-            sigma_floor=sigma_floor,
-            anomaly=True,
-        )
-    while hi - lo > 1e-9 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    sigma = hi
-    beta, gamma = pair(sigma)
+    d = 1.0 - kappa / lam
+    sigma_floor = max(2.0, q / (2.0 * d))
+    radicand = d * d - MARGIN_FLOOR * q
+    sigma_tau = q / (d + math.sqrt(radicand)) if radicand >= 0 else math.inf
+    sigma = max(sigma_tau, 2.0 * (1.0 + 1e-9))
+    beta = (2.0 / sigma) * (kappa / lam + q / (2.0 * sigma))
+    gamma = 1.0 - 2.0 / sigma
+    if not beta + gamma < 1.0:
+        nan = float("nan")
+        return Def2Conversion(nan, nan, nan, nan, nan, sigma_floor=sigma_floor, anomaly=True)
     return Def2Conversion(
         sigma=sigma,
         beta=beta,

@@ -474,7 +474,7 @@ def example_suite(seed: int = 0) -> list[SuiteCheck]:
         kappa = lam * rng.uniform(0.05, 0.95)
         M = rng.uniform(0.0, 3.0)
         conv = def2_from_def1(lam, kappa, M, alpha_sup=1.0, nu=1.0)
-        if conv.anomaly or not (conv.beta + conv.gamma < 1.0):
+        if conv.anomaly:
             ok_conv = False
             break
         lam2, kap2 = def1_from_def2(conv.beta, conv.gamma)

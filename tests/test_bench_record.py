@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import os
+import signal
 from pathlib import Path
 
 import pytest
@@ -133,3 +135,44 @@ class TestRecord:
         failed = {"seed": 1, "exit_code": 2, "stderr": []}
         out = bench_record.summary([{"parent": failed, "change": run(1.0, 1.0)}], END_TO_END)
         assert out == {"failed_pairs": 1, "all_correct": False}
+
+    def test_nothing_to_run_is_refused_before_the_parent_is_unpacked(self, tmp_path, monkeypatch, capsys):
+        unpacked = []
+        monkeypatch.setattr(bench_record, "unpack", lambda rev, into: unpacked.append(into))
+        out = tmp_path / "bench.json"
+        with pytest.raises(SystemExit) as stop:
+            bench_record.main(["--parent", "HEAD", "--out", str(out), "--pairs-default", "0", "--workdir", str(tmp_path / "w")])
+        assert stop.value.code == 2
+        assert "nothing to run" in capsys.readouterr().err
+        assert not unpacked and not out.exists() and not (tmp_path / "w").exists()
+
+    def test_sigterm_removes_the_unpacked_parent_and_keeps_the_finished_workloads(self, tmp_path, monkeypatch):
+        def unpack(rev, into):
+            (into / "parent").mkdir()
+            (into / "parent" / "BENCHMARK.json").write_text("{}")
+            return into / "parent"
+
+        def terminated_run(tree, workload, seed, seconds):
+            if workload == "stability":
+                os.kill(os.getpid(), signal.SIGTERM)
+            return perfbench_run(tree, workload, seed, seconds)
+
+        monkeypatch.setattr(bench_record, "unpack", unpack)
+        monkeypatch.setattr(bench_record, "run", terminated_run)
+        def unhandled(signum, frame):
+            pytest.fail("SIGTERM reached the handler that main should have replaced")
+
+        # a handler of the test's own, so a main that installs none fails the test instead of ending the run
+        original = signal.signal(signal.SIGTERM, unhandled)
+        workdir, out = tmp_path / "work", tmp_path / "bench.json"
+        args = ["--parent", "HEAD", "--out", str(out), "--pairs-default", "0", "--workdir", str(workdir)]
+        try:
+            with pytest.raises(SystemExit) as stop:
+                bench_record.main(args + ["--pairs", "linear-sweep=1", "--pairs", "stability=1"])
+            restored = signal.getsignal(signal.SIGTERM)
+        finally:
+            signal.signal(signal.SIGTERM, original)
+        assert stop.value.code == 128 + signal.SIGTERM
+        assert not list(workdir.glob("tmp*"))
+        assert list(json.loads(out.read_text())["workloads"]) == ["linear-sweep"]
+        assert restored is unhandled

@@ -1,9 +1,10 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nearelliptic import (
@@ -585,6 +586,66 @@ class TestConversions:
             conv = def2_from_def1(lam, kappa, M=rng.uniform(0, 2), alpha_sup=1.0, nu=1.0)
             assert not conv.anomaly
             assert conv.beta + conv.gamma < 1
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (dict(lam=0.4, kappa=0.4), "need lambda > kappa > 0"),
+            (dict(lam=0.3, kappa=0.4), "need lambda > kappa > 0"),
+            (dict(kappa=0.0), "need lambda > kappa > 0"),
+            (dict(kappa=-0.1), "need lambda > kappa > 0"),
+            (dict(M=-1.0), "need M >= 0, alpha_sup > 0, nu > 0"),
+            (dict(alpha_sup=0.0), "need M >= 0, alpha_sup > 0, nu > 0"),
+            (dict(nu=0.0), "need M >= 0, alpha_sup > 0, nu > 0"),
+            (dict(nu=-1.0), "need M >= 0, alpha_sup > 0, nu > 0"),
+        ],
+    )
+    def test_def2_refuses_constants_out_of_range(self, args, message):
+        with pytest.raises(InputError, match=message):
+            def2_from_def1(**dict(dict(lam=0.4, kappa=0.1, M=1.0, alpha_sup=1.0, nu=1.0), **args))
+
+    @pytest.mark.parametrize("M, kappa, sigma_floor", [(1.0, 1 - 1e-9, 5e8), (1.0, 1 - 1e-12, 5e11), (1e9, 0.5, 1e18)])
+    def test_def2_without_a_feasible_float_pair_is_an_anomaly(self, M, kappa, sigma_floor):
+        # every margin 2d/sigma - q/sigma^2 is below 2 eps here, at most d^2/q: no float pair has beta + gamma < 1
+        conv = def2_from_def1(1.0, kappa, M=M, alpha_sup=1.0, nu=1.0)
+        assert conv.anomaly
+        assert np.isnan([conv.sigma, conv.beta, conv.gamma, conv.alpha_scale, conv.margin]).all()
+        assert conv.sigma_floor == pytest.approx(sigma_floor, rel=1e-3)
+
+    @pytest.mark.parametrize("lam, kappa, M", [(1.0, 0.5, 3.0), (2.0, 1.9, 1.0), (0.3, 0.01, 5.0), (1.0, 1 - 1e-6, 1.0)])
+    def test_def2_sigma_is_where_the_exact_margin_first_reaches_the_floor(self, lam, kappa, M):
+        # the margin of real arithmetic, 2d/sigma - q/sigma^2, from the float inputs; the root is
+        # computed in floating point, so the margin at it is the floor up to that rounding
+        conv = def2_from_def1(lam, kappa, M=M, alpha_sup=1.0, nu=1.0)
+        q, d = (Fraction(M) / Fraction(lam)) ** 2, 1 - Fraction(kappa) / Fraction(lam)
+
+        def margin(sigma):
+            return 2 * d / Fraction(sigma) - q / Fraction(sigma) ** 2
+
+        assert conv.sigma > conv.sigma_floor > 2
+        assert 0.5 * certify.MARGIN_FLOOR < margin(conv.sigma) < 1.5 * certify.MARGIN_FLOOR
+        assert margin(conv.sigma * (1 - 1e-6)) < certify.MARGIN_FLOOR
+        assert conv.margin > 0 and conv.beta + conv.gamma < 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lam=st.floats(1e-3, 1e3),
+        ratio=st.floats(1e-6, 1.0, exclude_max=True),
+        M=st.floats(0.0, 1e6),
+        alpha_sup=st.floats(1e-3, 1e3),
+        nu=st.floats(1e-3, 1e3),
+    )
+    def test_def2_is_an_anomaly_or_a_feasible_pair(self, lam, ratio, M, alpha_sup, nu):
+        kappa = lam * ratio
+        assume(lam > kappa > 0)
+        conv = def2_from_def1(lam, kappa, M, alpha_sup=alpha_sup, nu=nu)
+        if conv.anomaly:
+            assert np.isnan([conv.sigma, conv.beta, conv.gamma]).all()
+            return
+        assert conv.sigma >= conv.sigma_floor
+        assert conv.beta + conv.gamma < 1
+        lam2, kappa2 = def1_from_def2(conv.beta, conv.gamma)
+        assert lam2 > kappa2 > 0
 
 
 class TestLemma1:

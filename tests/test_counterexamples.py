@@ -156,3 +156,19 @@ class TestWindowAnalysis:
             assert report.sum_at_one < 1
             for rec in report.inside:
                 assert rec.pi_rel_error <= 1e-9
+
+
+class TestInputErrors:
+    # each raise site that no analysis reaches, with its message
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: saturating_witness(3, 1.0, 0.1, 0.5), "needs alpha != 1"),
+            (lambda: equality_witness(3, 1.0, 0.1, 0.1), r"witness undefined at alpha=1.0: radicand -0.78"),
+            (lambda: validate_parameters(9, 0.45, 0.6), "need b \\+ c < 1, got 1.05"),
+            (lambda: validate_parameters(9, 0.1, 0.8), r"need b\^2 \+ c\^2 < 1/2, got 0.65"),
+        ],
+    )
+    def test_a_bad_input_is_refused_with_its_message(self, build, message):
+        with pytest.raises(InputError, match=message):
+            build()

@@ -1055,3 +1055,23 @@ class TestBornWithItsSpectrum:
         buffer[1, 3, 4] = np.nan
         with pytest.raises(InputError):
             u.require_finite("field")
+
+
+def _zeros(grid, representation=PHYSICAL):
+    return VectorField(grid, np.zeros((grid.N,) + grid.shape), representation)
+
+
+class TestInputErrors:
+    # each raise site of the module that a public call reaches, with its message
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: _zeros(GridSpec(n=2, N=2, M=8), "wavelet"), "unknown representation 'wavelet'"),
+            (lambda: _zeros(GridSpec(n=2, N=2, M=8)) + _zeros(GridSpec(n=2, N=2, M=8, L=2.0)), "must share grid and representation"),
+            (lambda: _zeros(GridSpec(n=2, N=2, M=8)) - _zeros(GridSpec(n=2, N=2, M=8), SPECTRAL), "must share grid and representation"),
+            (lambda: fields_module.sobolev_exponents(4), "need n >= 5, got n=4"),
+        ],
+    )
+    def test_a_bad_input_is_refused_with_its_message(self, build, message):
+        with pytest.raises(InputError, match=message):
+            build()

@@ -10,6 +10,7 @@ from nearelliptic.certify import EllipticityCertificate
 from nearelliptic.cli import main
 from nearelliptic.errors import InputError, report_json
 from nearelliptic.harness import (
+    SuiteCheck,
     analytic_solution,
     build_problem,
     build_rhs,
@@ -218,6 +219,25 @@ class TestExampleSuite:
         assert len(checks) >= 5
         for check in checks:
             assert check.passed, f"{check.name}: {check.detail}"
+
+    def test_a_failed_check_exits_1_and_is_counted(self, monkeypatch):
+        checks = [SuiteCheck("one", True, "fine"), SuiteCheck("two", False, "off"), SuiteCheck("three", False, "off")]
+        monkeypatch.setattr(cli, "example_suite", lambda seed: checks)
+        result = CliRunner().invoke(main, ["example-suite"])
+        assert result.exit_code == 1, result.output
+        assert "PASS one: fine" in result.output and "FAIL two: off" in result.output
+        assert "2 check(s) failed" in result.stderr
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("certificate", ["exact", 1.0, ["analytic"]])
+    def test_a_certificate_that_is_no_name_and_no_mapping_is_refused(self, certificate):
+        with pytest.raises(InputError, match="'certificate' must be 'analytic', 'fitted' or a mapping"):
+            resolve_config({"certificate": certificate})
+
+    def test_a_mode_frequency_that_is_not_numeric_is_refused(self):
+        with pytest.raises(InputError, match="mode frequency must be numbers"):
+            modes_solution(GridSpec(n=2, N=2, M=8), [{"k": ["one", "two"]}])
 
 
 class TestCli:

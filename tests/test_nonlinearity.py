@@ -446,3 +446,38 @@ class TestPackedKernel:
         assert (np.abs(got - want) <= 1e-12 * scale).all()
         np.testing.assert_allclose(trace.ratios, ref.ratios, rtol=1e-9)
         assert np.abs(u.data - u_ref.data).max() <= 1e-12 * np.abs(u_ref.data).max()
+
+
+def _wrong_shape_hook(X):
+    return np.zeros(3)
+
+
+class TestInputErrors:
+    # each raise site of the module that a public call reaches, with its error type and message
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: SinePerturbation(amplitude=-0.1), InputError, "amplitude must be >= 0"),
+            (lambda: NormComboPerturbation(b=-0.1, c=0.2), InputError, "coefficients must be >= 0"),
+            (lambda: NormComboPerturbation(b=0.1, c=-0.2), InputError, "coefficients must be >= 0"),
+            (lambda: CustomPerturbation(_component_hook, lipschitz=-1.0, name="h"), InputError, "Lipschitz bound must be >= 0"),
+            (
+                lambda: CustomPerturbation(_wrong_shape_hook, lipschitz=1.0, name="h").delta(np.zeros((2, 2, 2))),
+                EvaluationError,
+                r"custom hook returned shape \(3,\), expected \(2,\)",
+            ),
+            (
+                lambda: NonlinearitySpec(identity_tensor(2, 2), perturbation=CustomPerturbation(_wrong_shape_hook, 1.0, "h")),
+                EvaluationError,
+                "custom hook returned shape",
+            ),
+            (lambda: NonlinearitySpec(identity_tensor(2, 2), weight=np.full((4, 4), np.nan)), InputError, "finite and strictly positive"),
+            (lambda: NonlinearitySpec(identity_tensor(2, 2), weight=np.zeros((4, 4))), InputError, "finite and strictly positive"),
+            (lambda: NonlinearitySpec(identity_tensor(2, 2), weight=0.0), InputError, "constant weight must be strictly positive"),
+            (lambda: NonlinearitySpec(identity_tensor(2, 2), weight=-2.0), InputError, "constant weight must be strictly positive"),
+            (lambda: NonlinearitySpec(identity_tensor(2, 2), weight=np.ones((4, 4))).weight_at(None), InputError, "needs a grid point"),
+        ],
+    )
+    def test_a_bad_input_is_refused_with_its_message(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()

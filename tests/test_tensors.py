@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 import nearelliptic
 from nearelliptic import (
+    SymbolMatrix,
     SymTensor4,
     bilinear_form,
     contract_hessian,
@@ -569,3 +570,33 @@ class TestRankOnePositivity:
 
     def test_zero_not_positive(self):
         assert not ellipticity_constant(SymTensor4(np.zeros((2, 2, 2, 2)))).nu > 0
+
+
+def _short_document():
+    # the header of a (2, 2) tensor with one entry missing
+    return "\n".join(identity_tensor(2, 2).to_text().splitlines()[:-1])
+
+
+class TestInputErrors:
+    # each raise site of the module that a public call reaches, with its message
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: SymTensor4(np.eye(2)), "must have 4 axes, got 2"),
+            (lambda: SymTensor4(np.zeros((1, 1, 2, 2))), "need N >= 2 and n >= 2, got N=1, n=2"),
+            (lambda: SymTensor4(np.zeros((2, 2, 1, 1))), "need N >= 2 and n >= 2, got N=2, n=1"),
+            (lambda: SymTensor4(np.full((2, 2, 2, 2), np.inf)), "entries must be finite"),
+            (lambda: SymTensor4.from_text('{"kind": "identity"}'), "not a symtensor4 v1 document"),
+            (lambda: SymTensor4.from_text(_short_document()), "expected 16 entries, got 15"),
+            (lambda: example2_tensor(0.5), "m must be >= 1, got 0.5"),
+            (lambda: contract_hessian(identity_tensor(2, 2), np.zeros((2, 3, 3))), r"must have shape \(2, 2, 2\)"),
+            (lambda: bilinear_form(identity_tensor(2, 2), np.zeros((2, 2)), np.zeros((3, 2))), r"must have shape \(2, 2\)"),
+            (lambda: symbol_matrix(identity_tensor(3, 2), np.ones(2)), r"direction must have shape \(3,\), got \(2,\)"),
+            (lambda: hermitian_form(identity_tensor(2, 3), np.ones(2), np.ones(2)), r"expected xi of shape \(3,\)"),
+            (lambda: hermitian_form(identity_tensor(2, 3), np.ones(3), np.ones(3)), r"a of shape \(2,\)"),
+            (lambda: SymbolMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 0.0])), "symbol matrix asymmetric by 5.000e-01"),
+        ],
+    )
+    def test_a_bad_input_is_refused_with_its_message(self, build, message):
+        with pytest.raises(InputError, match=message):
+            build()
