@@ -12,13 +12,15 @@ tree.  For every
 workload of ``BENCHMARK.json`` the two trees run ``perfbench/run.py`` (untraced)
 for its ``run_seconds`` in interleaved pairs, the side that goes first
 alternating from pair to pair, pair k of every workload at seed ``seed + k``.
-Each run keeps its ``env:`` and ``speed factor`` lines and its final JSON
-line; a run that exits non-zero keeps its exit code and the last lines of
-its stderr instead.  The summary leaves a pair with a failed run out and
-counts it (``failed_pairs``, and ``all_correct`` is then false); over the
-other pairs it gives each side's median and quartiles of every
-end-to-end metric, the change's relative move of the median in the metric's
-worse direction (``worse_by``, negative when it is better) and whether that
+Each run keeps its ``env:``, ``speed factor`` and ``working set`` lines and
+its final JSON line; a run that exits non-zero keeps its exit code and the
+last lines of its stderr instead.  The summary leaves a pair with a failed
+run out and counts it (``failed_pairs``, and ``all_correct`` is then false);
+over the other pairs it gives each side's median working set in MiB
+(``working_set_mib``, perfbench's tracemalloc peak of one op), each side's
+median and quartiles of every end-to-end metric, the change's relative
+move of the median in the metric's worse direction (``worse_by``,
+negative when it is better) and whether that
 move exceeds the metric's bound in ``BENCHMARK.json`` (``over_bound``) and
 whether the record can tell (``unresolved``, below), and, for
 ``op_p50_ms``, how many pairs the change won and whether a gain may be
@@ -69,7 +71,7 @@ def unpack(rev: str, into: Path) -> Path:
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run: its env and speed-factor lines and its final JSON line, or its exit code and last stderr lines."""
+    """One perfbench run: its env, speed-factor and working-set lines and final JSON line, or its exit code and stderr tail."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
@@ -79,6 +81,7 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         "seed": seed,
         "env": next(line for line in out if line.startswith("env:")),
         "speed_factor": next(line for line in out if line.startswith("speed factor")),
+        "working_set": next(line for line in out if line.startswith("working set")),
         "result": json.loads(out[-1]),
     }
 
@@ -89,6 +92,11 @@ def spread(values: list[float]) -> dict:
         return {"median": values[0]}
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": q2, "q1": q1, "q3": q3}
+
+
+def working_set_mib(one: dict) -> float:
+    """A finished run's working set in MiB, from perfbench's ``working set (...): <x> MiB = ...`` line."""
+    return float(one["working_set"].split(": ", 1)[1].split(" MiB", 1)[0])
 
 
 def summary(pairs: list[dict], end_to_end: list[dict]) -> dict:
@@ -106,6 +114,7 @@ def summary(pairs: list[dict], end_to_end: list[dict]) -> dict:
 
     names = pairs[0]["parent"]["result"]["metrics"]
     out = {name: {side: spread(metric(side, name)) for side in SIDES} for name in names}
+    out["working_set_mib"] = {side: statistics.median(working_set_mib(p[side]) for p in pairs) for side in SIDES}
     for m in end_to_end:
         row = out[m["name"]]
         parent, change = row["parent"]["median"], row["change"]["median"]

@@ -105,20 +105,23 @@ bit.  The stability outer loop starts cold the same way.
 
 Memory.  Each call of the core allocates its arrays once, before the
 loop, and every step writes into them: the complex hessian work buffer
-(N, S) + half shape, S = n(n+1)/2, 16 N S |half| bytes for |half| =
+(S,) + half shape, S = n(n+1)/2, the slots of one component, in which the
+N components are transformed in turn, 16 S |half| bytes for |half| =
 M^(n-1) (M/2 + 1) frequencies; the real packed hessian (N, S, M, ..., M),
-8 N S M^n bytes, into which the last-axis ``irfft`` writes and from which
-F is evaluated; F and F - f, 8 N M^n bytes each, the second scaled by
-alpha in place once its norm is taken; and two half-spectrum coefficient
-buffers, 16 N |half| bytes each: the operator image, which each step
-updates in place, and the step Q alpha (F - f), into which the transform
-writes.  At n = 3, N = 2, M = 32 that is 3.2 + 3.0 + 2 x 0.5 + 2 x 0.53
-MiB, about 8.3 MiB.  A step still allocates the new coefficients, the
-output of the plan's solve, which the next step reads and the caller
-keeps, and the temporaries of evaluating F (:func:`~nearelliptic.nonlinearity.evaluate_pairs`
-writes F itself into its array).  F - f is formed once per step: its norm
-is the residual, and times alpha, transformed and gauged, it is the next
-step.
+8 N S M^n bytes, into whose rows the last-axis ``irfft`` writes and from
+which F is evaluated; F and F - f, 8 N M^n bytes each, the second scaled
+by alpha in place once its norm is taken; and two half-spectrum
+coefficient buffers, 16 N |half| bytes each: the operator image, which
+each step updates in place, and the step Q alpha (F - f), into which the
+transform writes.  At n = 3, N = 2, M = 32 that is 1.6 + 3.0 + 2 x 0.5 +
+2 x 0.53 MiB, about 6.7 MiB (8.3 MiB with a work buffer of all N
+components, (N, S) + half shape).  A step still allocates the new
+coefficients, the output of the plan's solve, which the next step reads
+and the caller keeps, and the temporaries of evaluating F
+(:func:`~nearelliptic.nonlinearity.evaluate_pairs` writes F itself into
+its array; the sine perturbation takes three (N, M^n) work arrays).  F - f
+is formed once per step: its norm is the residual, and times alpha,
+transformed and gauged, it is the next step.
 The arrays are not kept across calls: the call hands its last ``uhat``,
 hessian and F over to the caller (the hessian as a read-only view of its
 array, F as a field on its own), so nothing of the grid's size outlives
@@ -127,7 +130,10 @@ Arrays kept across calls in a bounded workspace (the idiom of
 ``certify._workspace``) are refused: in a prototype they took the minor
 page faults of a perfbench solve-3d op from about 2500 to 0, but kept
 about 9.6 MiB alive through the set-up of later workloads and raised
-solve-3d's peak RSS from 84.1 to 91.2 MiB, past its 5% bound.
+solve-3d's peak RSS from 84.1 to 91.2 MiB, past its 5% bound.  The
+one-component work buffer took those faults to 0 with nothing kept: in
+perfbench's solve-3d loop at seeds 301 and 303, 2080 minor faults per op
+became 0, and peak RSS fell from 84.8 to 82.8-83.0 MiB.
 """
 
 from __future__ import annotations

@@ -509,9 +509,10 @@ def def2_from_def1(
     tau sigma^2 - 2 d sigma + q = 0, q / (d + sqrt(d^2 - tau q)); when
     d^2 < tau q no sigma reaches tau (the largest margin, at sigma = q/d, is
     d^2/q).  sigma is that root, but at least 2 (1 + 1e-9).  A pair that is
-    not feasible in floating point, beta + gamma < 1, is flagged as an
-    anomaly instead of raising.  A constant that is not a finite number is
-    an InputError.
+    not feasible in floating point, beta + gamma < 1 with beta / 2 > 0 (the
+    kappa of :func:`def1_from_def2`), is flagged as an anomaly instead of
+    raising: q may overflow to inf, and kappa/lambda underflow to 0.  A
+    constant that is not a finite number is an InputError.
     """
     for value, name in ((lam, "lambda"), (kappa, "kappa"), (M, "M"), (alpha_sup, "alpha_sup"), (nu, "nu")):
         finite_number(value, f"conversion constant {name}")
@@ -520,7 +521,9 @@ def def2_from_def1(
     if M < 0 or alpha_sup <= 0 or nu <= 0:
         raise InputError("need M >= 0, alpha_sup > 0, nu > 0")
 
-    q = (M * alpha_sup / (lam * nu)) ** 2
+    # float * and / overflow to inf where ** raises; dividing in turn keeps lam * nu from underflowing to 0
+    r = M * alpha_sup / lam / nu
+    q = r * r
     d = 1.0 - kappa / lam
     sigma_floor = max(2.0, q / (2.0 * d))
     radicand = d * d - MARGIN_FLOOR * q
@@ -528,7 +531,8 @@ def def2_from_def1(
     sigma = max(sigma_tau, 2.0 * (1.0 + 1e-9))
     beta = (2.0 / sigma) * (kappa / lam + q / (2.0 * sigma))
     gamma = 1.0 - 2.0 / sigma
-    if not beta + gamma < 1.0:
+    # beta / 2 is the pair's kappa (def1_from_def2): kappa / lambda may underflow to 0, and a subnormal beta halves to 0
+    if not (beta / 2.0 > 0 and beta + gamma < 1.0):
         nan = float("nan")
         return Def2Conversion(nan, nan, nan, nan, nan, sigma_floor=sigma_floor, anomaly=True)
     return Def2Conversion(

@@ -62,18 +62,21 @@ writes into it voids both marks.
 
 A loop that takes many hessians of one grid gives
 :meth:`HalfSpectrum.hessian_pairs` one work buffer
-(:meth:`HalfSpectrum.work_buffer`, complex (N, n(n+1)/2) + shape) and
-one real output array (N, n(n+1)/2, M, ..., M): each call overwrites the
-buffer with the product of the coefficients and the multipliers,
+(:meth:`HalfSpectrum.work_buffer`, complex (n(n+1)/2,) + shape, the slots
+of one component) and one real output array (N, n(n+1)/2, M, ..., M).
+Each call transforms the N components in turn: it overwrites the buffer
+with the product of one component's coefficients and the multipliers,
 transforms its leading axes in place, one ``ifft`` per axis, and writes
-one ``irfft`` of the last axis into the output, so the loop allocates
-neither array once per hessian, and no complex intermediate
-(``scipy.fft``'s multi-axis ``irfftn`` would allocate one as large as the
-buffer).  The steps are those of ``irfftn``, and the result is the same
-bit for bit.  :meth:`HalfSpectrum.forward` likewise writes into a given
-``out``.  The buffer and the outputs are the only arrays a call
-overwrites; the caller's coefficients and the inputs of ``forward`` and
-``inverse`` are left as they were.
+one ``irfft`` of the last axis into that component's contiguous row of
+the output.  So the loop allocates neither array once per hessian, and no
+complex intermediate (``scipy.fft``'s multi-axis ``irfftn`` would allocate
+one as large as the product of every component), and the buffer is half
+the size of the real hessian it produces.  The steps are those of
+``irfftn``, which pocketfft makes line by line whatever the batch, and the
+result is the same bit for bit.  :meth:`HalfSpectrum.forward` likewise
+writes into a given ``out``.  The buffer and the outputs are the only
+arrays a call overwrites; the caller's coefficients and the inputs of
+``forward`` and ``inverse`` are left as they were.
 
 Every hessian multiplier comes from the one frequency table
 :func:`hessian_multipliers`: the half spectrum's ``hessian`` is its
@@ -145,13 +148,14 @@ class GridSpec:
     compute path builds it.  Not counted are the two complex (N, N) stacks
     of each cached spectral plan of the grid, 2 N^2 |half| 16 bytes,
     |half| = M^(n-1) (M/2 + 1) frequencies, the cached half spectrum's
-    complex hessian multipliers, 16 S |half| bytes, and the arrays each call of
-    the near-operator iteration (``campanato_solve``, and every inner solve
-    of the stability loop) allocates for itself: the complex hessian work
-    buffer, 16 N S |half| bytes, S = n(n+1)/2; the real packed hessian,
-    8 N S M^n; F, F - f and alpha (F - f), 8 N M^n each; two coefficient
-    buffers, 16 N |half| each; and, per step, the new coefficients (16 N
-    |half|) and the temporaries of evaluating F.
+    complex hessian multipliers, 16 S |half| bytes, S = n(n+1)/2, and the
+    arrays each call of the near-operator iteration (``campanato_solve``,
+    and every inner solve of the stability loop) allocates for itself: the
+    complex hessian work buffer, one component's slots, 16 S |half| bytes;
+    the real packed hessian, 8 N S M^n; F and F - f, 8 N M^n each (alpha
+    (F - f) is formed in the second); two coefficient buffers, 16 N |half|
+    each; and, per step, the new coefficients (16 N |half|) and the
+    temporaries of evaluating F.
     """
 
     n: int
@@ -548,8 +552,8 @@ class HalfSpectrum:
         return float(np.sqrt(self.grid.volume * power))
 
     def work_buffer(self) -> np.ndarray:
-        """A fresh complex (N, n(n+1)/2) + shape buffer for :meth:`hessian_pairs`."""
-        return np.empty((self.grid.N, len(self.hessian)) + self.shape, dtype=complex)
+        """A fresh complex (n(n+1)/2,) + shape buffer for :meth:`hessian_pairs`: one component's slots."""
+        return np.empty(self.hessian.shape, dtype=complex)
 
     def hessian_pairs(
         self, coef: np.ndarray, work: np.ndarray | None = None, out: np.ndarray | None = None
@@ -558,29 +562,40 @@ class HalfSpectrum:
 
         The inverse transform of the n(n+1)/2 distinct components, in packed
         order; the (j, i) components are neither transformed nor stored.  The
-        product of ``coef`` and the multipliers is written into ``work``, a
-        buffer from :meth:`work_buffer` (a fresh one when none is given); its
-        leading grid axes are transformed there in place, one ``scipy.fft``
-        ``ifft`` per axis, and one ``numpy.fft.irfft`` of the last axis writes
-        the real hessian into ``out``, a float (N, n(n+1)/2, M, ..., M) array
-        (a fresh one when none is given).  This is ``irfftn(work)`` bit for
-        bit, without its complex intermediate, so a loop that passes the same
-        two buffers on every call allocates no array of the grid's size.
-        With ``out``, the returned field is a read-only view of it, which
-        leaves ``out`` writable for the caller's next call: that call
-        overwrites the field.  ``work`` and ``out`` are the only arrays
-        written; ``coef`` is not.
+        field components are transformed one at a time in ``work``, a buffer
+        from :meth:`work_buffer` (a fresh one when none is given): for each
+        alpha, the product of ``coef[alpha]`` and the multipliers is written
+        into it, its leading grid axes are transformed there in place, one
+        ``scipy.fft`` ``ifft`` per axis, and one ``numpy.fft.irfft`` of the
+        last axis writes the real hessian of that component into the
+        contiguous row ``out[alpha]`` of ``out``, a float (N, n(n+1)/2, M,
+        ..., M) array (a fresh one when none is given).  pocketfft
+        transforms a batch line by line, so this is ``irfftn`` of the
+        product of all N components bit for bit, without its complex
+        intermediate, and a loop that passes the same two buffers on every
+        call allocates no array of the grid's size.  With ``out``, the
+        returned field is a read-only view of it, which leaves ``out``
+        writable for the caller's next call: that call overwrites the field.
+        ``work`` and ``out`` are the only arrays written; ``coef`` is not.
+        Coefficients or a work buffer of the wrong shape are an InputError.
         """
+        expected = (self.grid.N,) + self.shape
+        if coef.shape != expected:
+            raise InputError(f"half-spectrum coefficients must have shape {expected}, got {coef.shape}")
         if work is None:
             work = self.work_buffer()
-        expected = (self.grid.N, len(self.hessian)) + self.shape
-        if work.shape != expected or work.dtype != complex:
-            raise InputError(f"hessian work buffer must be complex {expected}, got {work.dtype} {work.shape}")
-        np.multiply(coef[:, None], self.hessian, out=work)
-        for axis in self.axes[:-1]:
-            work = scipy.fft.ifft(work, axis=axis, norm="forward", overwrite_x=True)
-        data = np.fft.irfft(work, n=self.grid.M, axis=-1, norm="forward", out=out)
-        return HessianPairs(self.grid, data if out is None else data[...])
+        if work.shape != self.hessian.shape or work.dtype != complex:
+            raise InputError(f"hessian work buffer must be complex {self.hessian.shape}, got {work.dtype} {work.shape}")
+        fresh = out is None
+        if fresh:
+            out = np.empty((self.grid.N, len(self.hessian)) + self.grid.shape)
+        for component, row in zip(coef, out, strict=True):
+            np.multiply(component, self.hessian, out=work)
+            product = work
+            for axis in self.axes[:-1]:
+                product = scipy.fft.ifft(product, axis=axis, norm="forward", overwrite_x=True)
+            np.fft.irfft(product, n=self.grid.M, axis=-1, norm="forward", out=row)
+        return HessianPairs(self.grid, out if fresh else out[...])
 
 
 def hessian_multipliers(grid: GridSpec) -> np.ndarray:

@@ -48,8 +48,8 @@ solve.
 The admission runs on the half spectrum: :func:`empirical_nu_F` draws only
 the band of its band-limited fields, from one generator, and takes their
 packed hessians by one inverse real transform each, made in place in one
-work buffer, so it makes no full complex transform, no forward transform
-and no n^2 hessian.
+work buffer one component at a time, so it makes no full complex
+transform, no forward transform and no n^2 hessian.
 
 The admission belongs to the operator pair and the grid, not to the data g,
 and both of its sampled estimates are seeded, so each is computed once per
@@ -170,8 +170,9 @@ def empirical_nu_F(spec: NonlinearitySpec, grid: GridSpec) -> float:
     :func:`~nearelliptic.fields.band_limited_coefficients` but only over the
     band (``fields._band_half_spectra``).  Each field goes from its
     half-spectrum coefficients straight to the packed hessian (the inverse
-    transform of its n(n+1)/2 distinct components, made in one shared work
-    buffer: :meth:`~nearelliptic.fields.HalfSpectrum.hessian_pairs`), and F
+    transform of its n(n+1)/2 distinct components, made one field component
+    at a time in one shared work buffer of that component's slots:
+    :meth:`~nearelliptic.fields.HalfSpectrum.hessian_pairs`), and F
     and both norms are taken on those slots as in ``verify_comparison``; no
     field is transformed to physical space first and no n^2 hessian is
     built.  The value is computed once per (F, grid): it is kept in a

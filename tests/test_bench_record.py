@@ -2,6 +2,7 @@ import importlib.util
 import json
 import os
 import signal
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -17,9 +18,13 @@ END_TO_END = [
 ]
 
 
-def run(op_p50_ms, ops_per_s, correct=True):
+def working_set_line(mib):
+    return f"working set (tracemalloc peak of one op): {mib:.2f} MiB = 0.50x L2, 0.02x L3"
+
+
+def run(op_p50_ms, ops_per_s, correct=True, working_set_mib=1.0):
     metrics = {"op_p50_ms": {"value": op_p50_ms}, "ops_per_s": {"value": ops_per_s}}
-    return {"result": {"correct": correct, "metrics": metrics}}
+    return {"working_set": working_set_line(working_set_mib), "result": {"correct": correct, "metrics": metrics}}
 
 
 class TestSummary:
@@ -48,6 +53,15 @@ class TestSummary:
         assert not out["op_p50_ms"]["over_bound"] and not out["ops_per_s"]["over_bound"]
         assert out["op_p50_ms"]["change_wins"] == 2 and out["all_correct"] is False
 
+
+    def test_gives_each_sides_median_working_set_in_mib(self):
+        sizes = [(10.29, 8.69), (10.31, 8.70), (10.27, 8.71), (10.30, 12.0)]
+        pairs = [{"parent": run(1.0, 1.0, working_set_mib=p), "change": run(1.0, 1.0, working_set_mib=c)} for p, c in sizes]
+        # a pair with a failed run is left out of the medians
+        failed = {"seed": 1, "exit_code": 1, "stderr": []}
+        pairs.append({"parent": run(1.0, 1.0, working_set_mib=99.0), "change": failed})
+        out = bench_record.summary(pairs, END_TO_END)
+        assert out["working_set_mib"] == {"parent": pytest.approx(10.295), "change": pytest.approx(8.705)}
 
     @pytest.mark.parametrize(
         "parent, change, holds",
@@ -95,10 +109,30 @@ def perfbench_run(tree, workload, seed, seconds):
         return {"seed": seed, "exit_code": 1, "stderr": ["Traceback (most recent call last):", "ValueError: boom"]}
     metrics = {m["name"]: {"value": 100.0} for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     metrics["op_p50_ms"] = {"value": 10.0 + seed - 901}
-    return {"seed": seed, "env": "env: stub", "speed_factor": "speed factor 1", "result": {"correct": True, "metrics": metrics}}
+    lines = {"env": "env: stub", "speed_factor": "speed factor 1", "working_set": working_set_line(2.0)}
+    return {"seed": seed, **lines, "result": {"correct": True, "metrics": metrics}}
 
 
 class TestRecord:
+    def test_a_run_keeps_its_env_speed_factor_and_working_set_lines(self, monkeypatch):
+        final = {"correct": True, "attempted": 2, "failed": 0, "metrics": {}}
+        lines = ["workload solve-3d seed 901 seconds 1.0 trace 0", "env: stub", "speed factor 1.01 (...)"]
+        lines += [working_set_line(8.69), "op_p50_ms 84 ms", json.dumps(final)]
+
+        def perfbench(cmd, cwd, capture_output, text):
+            return subprocess.CompletedProcess(cmd, 0, stdout="\n".join(lines) + "\n", stderr="")
+
+        monkeypatch.setattr(bench_record.subprocess, "run", perfbench)
+        one = bench_record.run(ROOT, "solve-3d", 901, 1.0)
+        assert one == {
+            "seed": 901,
+            "env": "env: stub",
+            "speed_factor": "speed factor 1.01 (...)",
+            "working_set": working_set_line(8.69),
+            "result": final,
+        }
+        assert bench_record.working_set_mib(one) == 8.69
+
     def test_keeps_failed_runs_and_finished_workloads(self, tmp_path, monkeypatch):
         monkeypatch.setattr(bench_record, "unpack", lambda rev, into: into / "parent")
         monkeypatch.setattr(bench_record, "run", perfbench_run)

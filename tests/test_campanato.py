@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from dataclasses import replace
 from itertools import takewhile
 from unittest import mock
@@ -367,10 +368,12 @@ class TestCampanatoSolve:
         monkeypatch.setattr(VectorField, "__post_init__", record_field)
         u, trace = campanato_solve(spec, 1.0, f, cert)
         assert trace.status == "converged" and trace.iterations >= 3
-        # one hessian transform per iteration, each of the one work buffer: an
-        # ifft of each leading grid axis in place, then one irfft of the last
+        # one hessian transform per iteration, each of the one work buffer, one
+        # component at a time: an ifft of each leading grid axis in place, then
+        # one irfft of the last
         assert len(transformed) == len(coefs) == trace.iterations
-        assert all([name for name, _ in calls] == ["ifft"] * (grid.n - 1) + ["irfft"] for calls in transformed)
+        per_component = ["ifft"] * (grid.n - 1) + ["irfft"]
+        assert all([name for name, _ in calls] == per_component * grid.N for calls in transformed)
         work = transformed[0][0][1]
         address = work.__array_interface__["data"][0]
         assert all(x.__array_interface__["data"][0] == address for calls in transformed for _, x in calls)
@@ -394,6 +397,35 @@ class TestCampanatoSolve:
         u_again, trace_again = campanato_solve(spec, 1.0, f, cert)
         assert u_again.data.tobytes() == u.data.tobytes()
         assert trace_again.to_csv() == trace.to_csv()
+
+    def test_a_cold_solve_holds_the_calls_arrays_and_one_steps_temporaries(self, monkeypatch):
+        n, N, M = 3, 2, 16
+        grid = GridSpec(n=n, N=N, M=M)
+        spec = sine_spec(identity_tensor(n, N), 0.5)
+        cert = example1_certificate(spec, nu=1.0)
+        _, f = manufactured(spec, grid, band=3, seed=8)
+        campanato_solve(spec, 1.0, f, cert)  # builds the plan and the half spectrum, which outlive a solve
+
+        def peak():
+            tracemalloc.start()
+            try:
+                campanato_solve(spec, 1.0, f, cert)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        S, half, points = n * (n + 1) // 2, M ** (n - 1) * (M // 2 + 1), M**n
+        # the campanato Memory notes: the work buffer, the packed hessian, F and F - f, the image and the step
+        per_call = 16 * S * half + 8 * N * S * points + 2 * 8 * N * points + 2 * 16 * N * half
+        # one step: its new coefficients and the three (N, M^n) work arrays of the sine perturbation's F
+        step = 16 * N * half + 3 * 8 * N * points
+        # numpy's ufunc iteration buffers (a broadcast multiply's is about 110 KiB) and the trace's rows
+        slack = 128 * 1024
+        assert peak() <= per_call + step + slack
+        # a work buffer as large as (N, S) + half shape, the one of every component, fails the pin
+        work_buffer = HalfSpectrum.work_buffer
+        monkeypatch.setattr(HalfSpectrum, "work_buffer", lambda half: np.stack([work_buffer(half)] * N)[0])
+        assert peak() > per_call + step + slack
 
 
 def rows(trace):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nearelliptic import (
@@ -36,6 +36,8 @@ from nearelliptic.nonlinearity import evaluate_F, evaluate_pairs
 from nearelliptic.tensors import SymTensor4, ellipticity_constant, random_rank_one_positive
 
 MISSING = object()
+# every positive finite float, subnormals included
+POSITIVE_FLOATS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 def box_muller(rng, size):
@@ -627,17 +629,33 @@ class TestConversions:
         assert margin(conv.sigma * (1 - 1e-6)) < certify.MARGIN_FLOOR
         assert conv.margin > 0 and conv.beta + conv.gamma < 1
 
+    @pytest.mark.parametrize(
+        "lam, kappa, M, alpha_sup, nu",
+        [
+            (1.0, 0.5, 1e200, 1.0, 1.0),  # q = (M alpha_sup / (lambda nu))^2 past the float range
+            (1e-200, 1e-201, 1.0, 1.0, 1e-200),  # lambda nu below it
+            (1e10, 1e-320, 0.0, 1.0, 1.0),  # kappa / lambda below it: beta would be 0
+            (1.0, 5e-324, 0.0, 1.0, 1.0),  # beta the least subnormal, whose half, def1_from_def2's kappa, is 0
+        ],
+    )
+    def test_def2_past_the_float_range_is_an_anomaly(self, lam, kappa, M, alpha_sup, nu):
+        conv = def2_from_def1(lam, kappa, M, alpha_sup=alpha_sup, nu=nu)
+        assert conv.anomaly
+        assert np.isnan([conv.sigma, conv.beta, conv.gamma, conv.alpha_scale, conv.margin]).all()
+
     @settings(max_examples=300, deadline=None)
     @given(
-        lam=st.floats(1e-3, 1e3),
-        ratio=st.floats(1e-6, 1.0, exclude_max=True),
-        M=st.floats(0.0, 1e6),
-        alpha_sup=st.floats(1e-3, 1e3),
-        nu=st.floats(1e-3, 1e3),
+        pair=st.lists(POSITIVE_FLOATS, min_size=2, max_size=2, unique=True),
+        M=st.one_of(st.just(0.0), POSITIVE_FLOATS),
+        alpha_sup=POSITIVE_FLOATS,
+        nu=POSITIVE_FLOATS,
     )
-    def test_def2_is_an_anomaly_or_a_feasible_pair(self, lam, ratio, M, alpha_sup, nu):
-        kappa = lam * ratio
-        assume(lam > kappa > 0)
+    @example(pair=[1.0, 0.5], M=1e200, alpha_sup=1.0, nu=1.0)
+    @example(pair=[1e-200, 1e-201], M=1.0, alpha_sup=1.0, nu=1e-200)
+    @example(pair=[1e10, 1e-320], M=0.0, alpha_sup=1.0, nu=1.0)
+    @example(pair=[1.0, 5e-324], M=0.0, alpha_sup=1.0, nu=1.0)
+    def test_def2_is_an_anomaly_or_a_feasible_pair(self, pair, M, alpha_sup, nu):
+        kappa, lam = sorted(pair)
         conv = def2_from_def1(lam, kappa, M, alpha_sup=alpha_sup, nu=nu)
         if conv.anomaly:
             assert np.isnan([conv.sigma, conv.beta, conv.gamma]).all()

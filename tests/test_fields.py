@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -767,13 +768,19 @@ class TestHessianPairs:
 
     @pytest.mark.parametrize("n, M", [(2, 16), (2, 64), (3, 8), (3, 32), (4, 8)])
     def test_the_in_place_transform_is_irfftn_bit_for_bit(self, n, M):
-        grid = GridSpec(n=n, N=2, M=M)
-        half = half_spectrum(grid)
-        coef = half.coefficients(random_band_limited(grid, M // 4, seed=24))
-        kept = coef.copy()
-        expected = scipy.fft.irfftn(coef[:, None] * half.hessian, s=grid.shape, axes=half.axes, norm="forward")
-        assert half.hessian_pairs(coef).data.tobytes() == expected.tobytes()
-        assert coef.tobytes() == kept.tobytes()
+        for N in (2, 3):
+            grid = GridSpec(n=n, N=N, M=M)
+            half = half_spectrum(grid)
+            coef = half.coefficients(random_band_limited(grid, M // 4, seed=24))
+            kept = coef.copy()
+            expected = scipy.fft.irfftn(coef[:, None] * half.hessian, s=grid.shape, axes=half.axes, norm="forward")
+            # the work buffer holds one component's slots: the components are transformed one at a time
+            work = half.work_buffer()
+            assert work.dtype == complex and work.shape == (n * (n + 1) // 2,) + half.shape
+            out = np.full(expected.shape, np.nan)
+            for given in ({}, {"work": work}, {"out": out}, {"work": work, "out": out}):
+                assert half.hessian_pairs(coef, **given).data.tobytes() == expected.tobytes()
+            assert coef.tobytes() == kept.tobytes()
 
     def test_a_work_buffer_of_the_wrong_shape_or_dtype_is_an_input_error(self):
         grid = GridSpec(n=2, N=2, M=16)
@@ -781,14 +788,25 @@ class TestHessianPairs:
         coef = half.coefficients(random_band_limited(grid, 4, seed=20))
         good = half.work_buffer()
         for work in (
+            np.empty((2, 3) + half.shape, dtype=complex),  # the (N, n(n+1)/2) + shape buffer of every component
             np.empty((2, 2) + half.shape, dtype=complex),
             np.empty((2, 3) + grid.shape, dtype=complex),
+            np.empty((2,) + half.shape, dtype=complex),
+            np.empty((3,) + grid.shape, dtype=complex),
             np.empty((3, 3) + half.shape, dtype=complex),
             np.empty(good.shape),
             np.empty(good.shape, dtype=np.complex64),
         ):
-            with pytest.raises(InputError):
+            with pytest.raises(InputError, match=rf"must be complex \(3, 16, 9\), got .* {re.escape(str(work.shape))}"):
                 half.hessian_pairs(coef, work)
+
+    def test_coefficients_of_the_wrong_shape_are_an_input_error(self):
+        grid = GridSpec(n=2, N=2, M=16)
+        half = half_spectrum(grid)
+        coef = half.coefficients(random_band_limited(grid, 4, seed=20))
+        for bad in (coef[:1], np.concatenate([coef, coef]), coef[..., :-1]):
+            with pytest.raises(InputError, match=r"shape \(2, 16, 9\)"):
+                half.hessian_pairs(bad)
 
     def test_norm_is_the_norm_of_the_full_hessian(self):
         grid = GridSpec(n=3, N=2, M=8)
