@@ -65,6 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fields
 from .errors import InputError, finite_number, report_json
 from .fields import HessianPairs
 from .nonlinearity import NonlinearitySpec, evaluate_pairs
@@ -160,7 +161,8 @@ class EllipticityCertificate:
 
         ``nu``, ``beta``, ``gamma``, ``lambda``, ``kappa``, ``lipschitz_M`` and
         the pair ``alpha_bounds`` must be finite numbers, the pair positive,
-        and ``alpha`` and ``worst_violation`` finite too when given; anything
+        ``alpha`` and ``worst_violation`` finite too when given, and
+        ``sample_count``, 0 when absent, a non-negative integer; anything
         else is an InputError.
         """
         if not isinstance(doc, dict):
@@ -174,6 +176,7 @@ class EllipticityCertificate:
         given = tuple(key for key in ("alpha", "worst_violation") if doc.get(key) is not None)
         for key in ("nu", "beta", "gamma", "lambda", "kappa", "lipschitz_M") + given:
             finite_number(doc.get(key), f"certificate {key!r}")
+        sample_count = finite_number(doc.get("sample_count", 0), "certificate 'sample_count'", integer=True)
         return cls(
             nu=doc["nu"],
             beta=doc["beta"],
@@ -183,7 +186,7 @@ class EllipticityCertificate:
             alpha=doc.get("alpha"),
             alpha_bounds=tuple(bounds),
             lipschitz_M=doc["lipschitz_M"],
-            sample_count=doc.get("sample_count", 0),
+            sample_count=sample_count,
             worst_violation=doc.get("worst_violation"),
         )
 
@@ -280,8 +283,15 @@ def _workspace(count: int, N: int, n: int):
     Kept arrays are handed out when no other caller holds them, fresh ones
     otherwise; on exit they are given back, and the oldest key past
     :data:`WORKSPACE_CACHE_SIZE` is dropped.  Their contents on entry are
-    arbitrary.
+    arbitrary.  A block of 32 N n(n+1)/2 ``count`` bytes past the memory
+    budget ``fields._DEFAULT_BUDGET`` is an InputError, raised before
+    anything is allocated.
     """
+    block = 32 * N * (n * (n + 1) // 2) * count
+    if block > fields._DEFAULT_BUDGET:
+        raise InputError(
+            f"{count} samples need a {block}-byte work block, over the memory budget {fields._DEFAULT_BUDGET} bytes"
+        )
     key = (count, N, n)
     with _workspaces_lock:
         work = _workspaces.pop(key, None)

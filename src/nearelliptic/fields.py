@@ -39,8 +39,9 @@ axis holds k_n = 0, ..., M/2 (shape (M, ..., M, M/2 + 1)).  Norms follow
 from Plancherel with weight 1 on the k_n = 0 and k_n = M/2 planes, whose
 conjugate partners lie in the half spectrum, and weight 2 elsewhere.
 :class:`HalfSpectrum` holds this layout for one grid, its |z|^2 and
-4 pi^2 |z|^2, and the n(n+1)/2 distinct hessian multipliers;
-:func:`half_spectrum` memoizes it.
+4 pi^2 |z|^2, and the hermitian parts of the n(n+1)/2 distinct hessian
+multipliers (see Nyquist planes below); :func:`half_spectrum` builds it
+on the half shape and memoizes it.
 
 :meth:`HalfSpectrum.coefficients` returns read-only coefficients.  A field
 made from its half spectrum (:meth:`HalfSpectrum.physical_field`, which
@@ -78,10 +79,6 @@ writes into a given ``out``.  The buffer and the outputs are the only
 arrays a call overwrites; the caller's coefficients and the inputs of
 ``forward`` and ``inverse`` are left as they were.
 
-Every hessian multiplier comes from the one frequency table
-:func:`hessian_multipliers`: the half spectrum's ``hessian`` is its
-hermitian part, and the linear solver's plan is built from that alone.
-
 Random fields.  :func:`band_limited_coefficients` builds the exactly
 hermitian coefficients of a seeded band-limited field, and
 :func:`random_band_limited` is their physical field; both draw over the
@@ -108,9 +105,13 @@ hermitian part (m(k) + m(kbar)) / 2, kbar = -k mod M in fft layout (the
 Nyquist value is -M/2 on every axis, the last rfft axis included); this is
 exactly what taking the real part of the full complex inverse transform
 does, so both paths solve the same discrete problem.  Away from the Nyquist
-planes m(kbar) = m(k) and the multiplier is unchanged.  The linear
-solver's plan builds its operator from these hermitian parts and inverts
-that operator, so its solve inverts exactly what its ``apply`` applies.
+planes m(kbar) = m(k) and the multiplier is unchanged.  kbar is read per
+axis: its frequency is k at the mirror index -i mod M (:func:`_mirror`),
+which is -k except on the Nyquist plane, where it is -M/2 again.
+:func:`half_spectrum` builds every hessian multiplier from these per-axis
+k and kbar on the half shape, with no full-grid table, and the linear
+solver's plan builds its operator from that table alone and inverts it,
+so its solve inverts exactly what its ``apply`` applies.
 """
 
 from __future__ import annotations
@@ -128,7 +129,8 @@ from .errors import InputError
 PHYSICAL = "physical"
 SPECTRAL = "spectral"
 
-# the one memory budget: GridSpec's guard and the nu search (tensors.ellipticity_constant) read it at call time
+# the one memory budget: GridSpec's guard, the nu search (tensors.ellipticity_constant) and the certify sampler's
+# work block (certify._workspace) read it at call time
 _DEFAULT_BUDGET = 2 * 1024**3  # bytes
 
 # decades a grid's volumes and hessian multipliers may span on either side of 1
@@ -228,13 +230,6 @@ class GridSpec:
             shape[axis] = self.M
             out.append(k.reshape(shape))
         return out
-
-    def zsq(self) -> np.ndarray:
-        """|z|^2 = |k/L|^2 over the full grid."""
-        total = np.zeros(self.shape)
-        for ka in self.freq_axes():
-            total = total + (ka / self.L) ** 2
-        return total
 
 
 def _grid_axes(grid: GridSpec) -> tuple[int, ...]:
@@ -446,7 +441,8 @@ class HalfSpectrum:
 
     Arrays are read-only and shaped ``shape`` = (M, ..., M, M/2 + 1), except
     ``hessian``, which stacks the multipliers of the n(n+1)/2 distinct pairs
-    (i, j), i <= j, in the slot order of :class:`HessianPairs`.  ``laplacian``
+    (i, j), i <= j, in the slot order of :class:`HessianPairs`, each the
+    hermitian part (m(k) + m(kbar)) / 2 of -(2 pi / L)^2 k_i k_j.  ``laplacian``
     is 4 pi^2 |z|^2, the symbol of -Delta and the Frobenius norm of the
     hessian multiplier at each frequency.  The gauge mode k = 0 is flat
     index 0.  Coefficients of an (N,)-component field have shape (N,) +
@@ -598,26 +594,35 @@ class HalfSpectrum:
         return HessianPairs(self.grid, out if fresh else out[...])
 
 
-def hessian_multipliers(grid: GridSpec) -> np.ndarray:
-    """Full-grid hessian multipliers -(2 pi / L)^2 k_i k_j, (n(n+1)/2, M, ..., M) in packed slot order."""
-    freq = grid.freq_axes()
-    factor = -((2 * np.pi / grid.L) ** 2)
-    return np.stack(
-        [np.broadcast_to(factor * freq[i] * freq[j], grid.shape) for i, j in zip(*HessianPairs.components(grid.n))]
-    )
+def _mirror(m: int) -> np.ndarray:
+    """The fft-layout index of -k mod m along an axis of m points: 0, m - 1, ..., 1."""
+    return -np.arange(m) % m
 
 
 @lru_cache(maxsize=HALF_SPECTRUM_CACHE_SIZE)
 def half_spectrum(grid: GridSpec) -> HalfSpectrum:
-    """The memoized :class:`HalfSpectrum` of ``grid``."""
+    """The memoized :class:`HalfSpectrum` of ``grid``, built on the half shape from per-axis frequencies.
+
+    Each axis contributes its frequencies k and their mirrors kbar, shaped
+    to broadcast; ``zsq`` sums (k_a / L)^2 over the axes, and hessian slot
+    (i, j) is 0.5 (f k_i k_j + f kbar_i kbar_j), f = -(2 pi / L)^2, written
+    into the complex table one slot at a time.  No array of the full grid
+    is formed.
+    """
     M = grid.M
     shape = grid.shape[:-1] + (M // 2 + 1,)
-    zsq = np.ascontiguousarray(grid.zsq()[..., : M // 2 + 1])
+    k = grid.integer_freqs()
+    pair = np.stack([k, k[_mirror(M)]])
+    # per axis a: its frequencies k (row 0) and their mirrors kbar (row 1), shaped to broadcast along axis a
+    axes = [pair[:, :size].reshape((2,) + (1,) * a + (size,) + (1,) * (grid.n - 1 - a)) for a, size in enumerate(shape)]
+    zsq = sum((ka[0] / grid.L) ** 2 for ka in axes)
     laplacian = 4 * np.pi**2 * zsq
-    # the hermitian part (m(k) + m(kbar)) / 2 of each full-grid multiplier
-    full = hessian_multipliers(grid)
+    factor = -((2 * np.pi / grid.L) ** 2)
     # complex, as the coefficients it multiplies are, with imaginary parts exactly 0 (see HalfSpectrum)
-    hessian = (0.5 * (full + _conjugate_reflect(full, 1, grid.n)))[..., : M // 2 + 1].astype(complex)
+    hessian = np.empty((grid.n * (grid.n + 1) // 2,) + shape, dtype=complex)
+    for slot, i, j in zip(hessian, *HessianPairs.components(grid.n)):
+        both = factor * axes[i] * axes[j]
+        slot[...] = 0.5 * (both[0] + both[1])
     for arr in (zsq, laplacian, hessian):
         arr.setflags(write=False)
     return HalfSpectrum(grid, shape, zsq, laplacian, hessian)
@@ -721,10 +726,16 @@ def w22star_norms(u: VectorField) -> NormReport:
 
 
 def _conjugate_reflect(coef: np.ndarray, n_axes_offset: int, n: int) -> np.ndarray:
-    out = np.conj(coef)
-    for ax in range(n_axes_offset, n_axes_offset + n):
-        out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
-    return out
+    """conj(c(-k)) over the n axes of ``coef`` from ``n_axes_offset``: one gather at their mirror index, conjugated.
+
+    The n axes are flattened to one, and a single ``take`` reads each entry
+    at the flat index of -k mod m on every axis.
+    """
+    axes = coef.shape[n_axes_offset : n_axes_offset + n]
+    mirror = np.ravel_multi_index(np.ix_(*map(_mirror, axes)), axes).ravel()
+    flat = coef.reshape(coef.shape[:n_axes_offset] + (-1,) + coef.shape[n_axes_offset + n :])
+    out = np.take(flat, mirror, axis=n_axes_offset).reshape(coef.shape)
+    return np.conj(out, out=out)
 
 
 def _check_band(grid: GridSpec, band: int) -> None:

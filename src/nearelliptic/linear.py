@@ -22,8 +22,9 @@ entries and the grid.  The plan holds two (N, N) matrix multipliers:
 O is the packed tensor of :meth:`~nearelliptic.fields.HessianPairs.contraction`
 contracted with the real part of the hessian multipliers of
 :class:`~nearelliptic.fields.HalfSpectrum` (stored complex), the hermitian parts
-(m(k) + m(kbar)) / 2 of the full-grid ones (see the ``fields`` module
-docstring), which reproduce the real part of the full complex transform
+(m(k) + m(kbar)) / 2 of m(k) = -4 pi^2 z_i z_j, built from per-axis
+frequencies on the half shape (see the ``fields`` module docstring), which
+reproduce the real part of the full complex transform
 that defines the physical fields.  ``solve`` inverts that same O at every
 half-spectrum frequency but k = 0, so it is the exact inverse of what the
 plan applies, Nyquist planes included, and no full-grid array is built.

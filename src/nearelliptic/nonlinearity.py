@@ -333,7 +333,12 @@ class NonlinearitySpec:
 
     @classmethod
     def from_text(cls, text: str) -> "NonlinearitySpec":
-        return cls.from_dict(json.loads(text))
+        """The spec of JSON ``text`` (:meth:`from_dict`); text that is not JSON is an InputError."""
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise InputError(f"nonlinearity spec is not JSON: {exc}") from exc
+        return cls.from_dict(doc)
 
 
 def evaluate_pairs(spec: NonlinearitySpec, X: np.ndarray, weight, out: np.ndarray | None = None) -> np.ndarray:

@@ -46,6 +46,8 @@ from .fields import SYMMETRY_TOL, HessianPairs
 DET_FLOOR_COEF = 1e-12
 
 POLISH_MAX_STEPS = 500
+# relative change of the polished values at which the polish stops
+POLISH_TOL = 1e-13
 
 # Directions of the nu search, read at call time.
 SPHERE_SAMPLES = 20000
@@ -482,13 +484,13 @@ def _sphere_products(n: int, samples: int) -> np.ndarray:
     return products
 
 
-def _polish(A: SymTensor4, matrix: np.ndarray, dirs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+def _polish(A: SymTensor4, matrix: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Alternating eigen-steps from (K, n) directions eta; returns values, directions and steps.
 
     With eta fixed the best a is the lowest eigenvector of S(eta); with a fixed
     the best eta is the lowest eigenvector of B(a)_ij = A[alpha, beta, i, j]
     a_alpha a_beta.  Neither step raises A : (a (x) eta)(a (x) eta), so the
-    values fall until each changes by at most ``tol`` relative, or for at most
+    values fall until each changes by at most POLISH_TOL relative, or for at most
     POLISH_MAX_STEPS steps.  B(a) is the symbol at a of the tensor with its
     index pairs swapped.  ``matrix`` is :func:`packed_symbol_matrix` of A; the
     swapped one is formed once here, so a step is two matmuls and two ``eigh``.
@@ -499,7 +501,7 @@ def _polish(A: SymTensor4, matrix: np.ndarray, dirs: np.ndarray, tol: float) -> 
         dirs = np.linalg.eigh(symbol_stack(swapped, V[..., 0], A.n))[1][..., 0]
         prev = w[:, 0]
         w, V = np.linalg.eigh(symbol_stack(matrix, dirs, A.N))
-        if np.all(np.abs(prev - w[:, 0]) <= tol * np.abs(prev)):
+        if np.all(np.abs(prev - w[:, 0]) <= POLISH_TOL * np.abs(prev)):
             break
     return w[:, 0], dirs, step
 
@@ -509,7 +511,7 @@ def ellipticity_constant(A: SymTensor4) -> EllipticityConstant:
 
     Dense sampling of about ``SPHERE_SAMPLES`` directions (see
     :func:`_sphere_directions`) followed by the alternating eigen-step polish
-    from the 10 best samples, to a relative change of 1e-13; the minimum of
+    from the 10 best samples, to a relative change of POLISH_TOL; the minimum of
     the sampled and polished values is reported together with the attaining
     direction and eigenvector.  The sampled symbols are one packed matmul;
     their smallest eigenvalues are in closed form for N = 2
@@ -535,14 +537,14 @@ def ellipticity_constant(A: SymTensor4) -> EllipticityConstant:
     count = min(10, len(eigs))
     best = np.argpartition(eigs, count - 1)[:count]
     best = best[np.argsort(eigs[best], kind="stable")]
-    values, polished, steps = _polish(A, matrix, table[:, best].T, 1e-13)
+    values, polished, steps = _polish(A, matrix, table[:, best].T)
     candidates = [(float(eigs[k]), table[:, k]) for k in best] + list(zip(values.tolist(), polished))
     nu, witness_a = min(candidates, key=lambda item: item[0])
     S = symbol_matrix(A, witness_a).values
     w, V = np.linalg.eigh(S)
     resolution = (
         f"directions={len(eigs)} (n={A.n}), polish=alternating-eigh x{len(best)}, "
-        f"steps={steps}, tol=1e-13"
+        f"steps={steps}, tol={POLISH_TOL:g}"
     )
     return EllipticityConstant(
         nu=float(nu),

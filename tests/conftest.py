@@ -4,7 +4,7 @@ from hypothesis import settings
 
 from nearelliptic import GridSpec, VectorField, example2_tensor, identity_tensor
 from nearelliptic.errors import InputError
-from nearelliptic.fields import PHYSICAL, HessianField
+from nearelliptic.fields import PHYSICAL, HessianField, HessianPairs
 from nearelliptic.tensors import SymTensor4, _sym_pair_transpose
 
 # every run draws the same examples, so a tier-1 result repeats; for fresh
@@ -65,5 +65,35 @@ def pairing_spectrum(u: VectorField, f: VectorField) -> np.ndarray:
         raise InputError("u and f must share a grid")
     uhat = u.to_spectral().data.reshape(g.N, g.points)
     fhat = f.to_spectral().data.reshape(g.N, g.points)
-    mask = g.zsq().ravel() > 0
+    zsq = sum((ka / g.L) ** 2 for ka in g.freq_axes())  # |z|^2 = |k / L|^2 over the full grid
+    mask = zsq.ravel() > 0
     return -(fhat[:, mask] * np.conj(uhat[:, mask])).sum(axis=0)
+
+
+def flip_roll_reflect(coef: np.ndarray, n_axes_offset: int, n: int) -> np.ndarray:
+    """conj(c(-k)) over n axes from ``n_axes_offset`` by one flip and one roll per axis: the reference of the gather."""
+    out = np.conj(coef)
+    for ax in range(n_axes_offset, n_axes_offset + n):
+        out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
+    return out
+
+
+def full_grid_half_spectrum_tables(grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``zsq``, ``laplacian`` and ``hessian`` of a half spectrum, built from full-grid tables: the reference.
+
+    |z|^2 and the stack of multipliers -(2 pi / L)^2 k_i k_j over the whole
+    grid; the stack is reflected to kbar = -k mod M by a flip and a roll per
+    axis and averaged with itself, and every table is cut to the half
+    spectrum's M/2 + 1 planes of the last axis.
+    """
+    cut = (Ellipsis, slice(0, grid.M // 2 + 1))
+    freq = grid.freq_axes()
+    total = np.zeros(grid.shape)
+    for ka in freq:
+        total = total + (ka / grid.L) ** 2
+    zsq = np.ascontiguousarray(total[cut])
+    factor = -((2 * np.pi / grid.L) ** 2)
+    rows, cols = HessianPairs.components(grid.n)
+    full = np.stack([np.broadcast_to(factor * freq[i] * freq[j], grid.shape) for i, j in zip(rows, cols)])
+    hessian = (0.5 * (full + flip_roll_reflect(full, 1, grid.n)))[cut].astype(complex)
+    return zsq, 4 * np.pi**2 * zsq, hessian

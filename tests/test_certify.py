@@ -21,7 +21,7 @@ from nearelliptic import (
     lemma1_check,
     verify_k_condition,
 )
-from nearelliptic import certify
+from nearelliptic import certify, fields
 from nearelliptic.certify import (
     ABSORB_STEPS,
     CONSTANT_FLOOR,
@@ -338,6 +338,34 @@ class TestWorkspace:
         assert list(workspaces) == [(count, 2, 3) for count in counts[-certify.WORKSPACE_CACHE_SIZE :]]
 
     @pytest.mark.parametrize("check", ["verify", "lemma1"])
+    def test_the_work_block_is_held_to_the_memory_budget(self, workspaces, monkeypatch, check):
+        # the four (N, n(n+1)/2, count) float64 arrays at N=2, n=3: 32 * 2 * 6 * count bytes
+        count = 300
+        block = 32 * 2 * 6 * count
+        call = {
+            "verify": lambda: verify_k_condition(sine3(), 1.0, 0.09, 0.455, SamplerConfig(count=count), nu=1.0),
+            "lemma1": lambda: lemma1_check(sine3(), lam=0.4, kappa=0.1, alpha=1.0, count=count, nu=1.0),
+        }[check]
+        monkeypatch.setattr(fields, "_DEFAULT_BUDGET", block)
+        call()
+        assert workspaces[(count, 2, 3)].nbytes == block
+        workspaces.clear()
+        monkeypatch.setattr(fields, "_DEFAULT_BUDGET", block - 1)
+        with pytest.raises(InputError, match=f"^{count} samples need a {block}-byte work block, over the memory"):
+            call()
+        assert not workspaces
+
+    def test_a_count_past_the_budget_is_an_input_error_not_a_memory_error(self, workspaces):
+        # 10**14 samples would need a 1.92e17-byte block: refused before it is allocated
+        spec, count = sine3(), 10**14
+        with pytest.raises(InputError, match="memory budget"):
+            verify_k_condition(spec, 1.0, 0.09, 0.455, SamplerConfig(count=count), nu=1.0)
+        with pytest.raises(InputError, match="memory budget"):
+            lemma1_check(spec, lam=0.4, kappa=0.1, alpha=1.0, count=count, nu=1.0)
+        with pytest.raises(InputError, match="memory budget"):
+            fit_k_condition(spec, SamplerConfig(count=count), nu=1.0)
+
+    @pytest.mark.parametrize("check", ["verify", "lemma1"])
     def test_a_warm_call_allocates_under_three_sample_arrays(self, workspaces, check):
         # count 15000 at N=2, n=3: one (N, n(n+1)/2, count) array is 1.44 MB
         count = 15000
@@ -497,6 +525,12 @@ class TestFit:
             {"alpha_bounds": [0.0, 1.0]},
             {"alpha_bounds": [-2, 1]},
             {"worst_violation": "x"},
+            {"sample_count": "abc"},
+            {"sample_count": -5},
+            {"sample_count": 2.5},
+            {"sample_count": float("nan")},
+            {"sample_count": [1]},
+            {"sample_count": True},
         ],
     )
     def test_malformed_certificate_is_an_input_error(self, identity22, edit):
@@ -504,6 +538,12 @@ class TestFit:
         doc = {key: value for key, value in doc.items() if value is not MISSING}
         with pytest.raises(InputError):
             EllipticityCertificate.from_dict(doc)
+
+    @pytest.mark.parametrize("count, expected", [(MISSING, 0), (0, 0), (1500, 1500)])
+    def test_sample_count_reads_as_given_and_as_0_when_absent(self, identity22, count, expected):
+        doc = dict(example1_certificate(NonlinearitySpec(tensor=identity22)).as_dict(), sample_count=count)
+        doc = {key: value for key, value in doc.items() if value is not MISSING}
+        assert EllipticityCertificate.from_dict(doc).sample_count == expected
 
     def test_certificate_document_must_be_a_mapping(self):
         with pytest.raises(InputError):

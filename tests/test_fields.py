@@ -1,6 +1,7 @@
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from nearelliptic.fields import (
 from nearelliptic.linear import apply_operator, solve_linear
 from nearelliptic.nonlinearity import evaluate_field
 from nearelliptic.tensors import identity_tensor, random_rank_one_positive
-from conftest import pairing_spectrum, refuse_full_hessian
+from conftest import flip_roll_reflect, full_grid_half_spectrum_tables, pairing_spectrum, refuse_full_hessian
 
 NUMPY_TRANSFORMS = (
     "fft", "ifft", "rfft", "irfft", "hfft", "ihfft", "fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"
@@ -405,6 +406,19 @@ class TestRandomBandLimited:
         expected = VectorField(grid, coef, SPECTRAL).to_physical().data
         np.testing.assert_array_equal(band_limited_coefficients(grid, band, seed), coef)
         np.testing.assert_array_equal(random_band_limited(grid, band, seed).data, expected)
+
+    @pytest.mark.parametrize(
+        "shape, offset, n",
+        [((2, 32, 32), 1, 2), ((2, 8, 8, 8), 1, 3), ((6, 2, 9, 9), 2, 2), ((2, 17), 1, 1), ((2, 5, 3), 1, 1)],
+    )
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_conjugate_reflect_is_the_flip_and_roll_byte_for_byte(self, shape, offset, n, dtype):
+        rng = np.random.default_rng(41)
+        coef = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if dtype is complex else 0.0)
+        coef[..., 0] = -0.0  # signed zeros pass through unchanged
+        got = _conjugate_reflect(coef, offset, n)
+        want = flip_roll_reflect(coef, offset, n)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_coefficients_restrict_to_the_half_spectrum(self, grid32):
         # exactly hermitian, so the first M/2 + 1 planes of the last axis are the rfftn of the field
@@ -976,6 +990,43 @@ class TestKeptHalfSpectrum:
             half = half_spectrum(grid)
             assert half.laplacian.tobytes() == (4 * np.pi**2 * half.zsq).tobytes()
             assert not half.laplacian.flags.writeable
+
+
+HALF_SPECTRUM_GRIDS = [(n, M) for n in (2, 3, 4) for M in (4, 6, 8, 16, 32, 64) if n < 4 or M <= 16]
+
+
+class TestHalfSpectrumTables:
+    """The half spectrum's tables are built on the half shape from per-axis frequencies and their mirrors."""
+
+    @pytest.mark.parametrize("n, M", HALF_SPECTRUM_GRIDS)
+    def test_tables_are_the_full_grid_ones_byte_for_byte(self, n, M):
+        # signed zeros included: the reference averages the full-grid stack with its flip-and-roll reflection
+        for L in (1.0, 0.37, 2 * np.pi, 1e3):
+            grid = GridSpec(n=n, N=2, M=M, L=L)
+            half = half_spectrum.__wrapped__(grid)
+            for got, want in zip((half.zsq, half.laplacian, half.hessian), full_grid_half_spectrum_tables(grid)):
+                assert got.dtype == want.dtype and got.shape == want.shape and got.shape[-n:] == half.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_a_cold_build_forms_no_full_grid_table(self, monkeypatch):
+        def full_grid_table(*args):
+            raise AssertionError("the half spectrum built a full-grid table")
+
+        monkeypatch.setattr(GridSpec, "freq_axes", full_grid_table)
+        monkeypatch.setattr(fields_module, "_conjugate_reflect", full_grid_table)
+        for grid in (GridSpec(n=2, N=2, M=16), GridSpec(n=3, N=2, M=8, L=0.37)):
+            half_spectrum.__wrapped__(grid)
+
+    def test_a_cold_build_peaks_at_its_tables_and_one_slot(self):
+        grid = GridSpec(n=3, N=2, M=64)
+        tracemalloc.start()
+        try:
+            half = half_spectrum.__wrapped__(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = half.zsq.nbytes + half.laplacian.nbytes + half.hessian.nbytes
+        assert peak <= kept + half.zsq.nbytes
 
 
 def white_noise(grid, seed):

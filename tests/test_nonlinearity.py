@@ -139,6 +139,11 @@ class TestEvaluate:
         with pytest.raises(InputError, match="unknown perturbation kind 'custom_lipschitz'"):
             NonlinearitySpec.from_text(text)
 
+    @pytest.mark.parametrize("text", ["{", "", "not json", '{"tensor": }'])
+    def test_text_that_is_not_json_is_an_input_error(self, text):
+        with pytest.raises(InputError, match="nonlinearity spec is not JSON"):
+            NonlinearitySpec.from_text(text)
+
 
 class TestLipschitz:
     def test_sine_declared_bound_is_tight_enough(self, sine_spec):

@@ -302,8 +302,8 @@ class TestPlan:
         def full_grid_table(*args):
             raise AssertionError("the plan built a full-grid table")
 
-        monkeypatch.setattr(GridSpec, "zsq", full_grid_table)
-        monkeypatch.setattr(fields, "hessian_multipliers", full_grid_table)
+        monkeypatch.setattr(GridSpec, "freq_axes", full_grid_table)
+        monkeypatch.setattr(fields, "_conjugate_reflect", full_grid_table)
         A, _ = random_rank_one_positive(n, 2, seed=4321)
         plan = spectral_plan(A, grid)
         stacks = [np.moveaxis(m.reshape(2, 2, -1), -1, 0) for m in (plan.operator, plan.solve)]

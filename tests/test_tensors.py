@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from nearelliptic import fields, tensors
 from nearelliptic.errors import DegenerateSymbolError, InputError
 from nearelliptic.tensors import (
     POLISH_MAX_STEPS,
+    POLISH_TOL,
     _sphere_directions,
     direction_products,
     lowest_eigenvalues,
@@ -318,12 +320,17 @@ class TestPolish:
         As = [random_sym_tensor(n, N, seed) for seed in (40, 41, 42)]
         As += [random_rank_one_positive(n, N, seed)[0] for seed in (40, 41, 42)]
         got = [ellipticity_constant(A) for A in As]
-        monkeypatch.setattr(tensors, "_polish", lambda A, matrix, dirs, tol: polish_rebuilding_symbols(A, dirs, tol))
+        monkeypatch.setattr(tensors, "_polish", lambda A, matrix, dirs: polish_rebuilding_symbols(A, dirs, POLISH_TOL))
         for mine, ref in zip(got, map(ellipticity_constant, As)):
             assert mine.nu.hex() == ref.nu.hex()
             assert list(map(float.hex, mine.witness_a)) == list(map(float.hex, ref.witness_a))
             assert list(map(float.hex, mine.witness_eta)) == list(map(float.hex, ref.witness_eta))
             assert mine.resolution == ref.resolution
+
+    def test_stops_at_the_one_tolerance_the_resolution_reports(self):
+        assert list(inspect.signature(tensors._polish).parameters) == ["A", "matrix", "dirs"]
+        assert POLISH_TOL == 1e-13
+        assert ellipticity_constant(identity_tensor(3, 2)).resolution.endswith(", tol=1e-13")
 
 
 def einsum_symbols(entries, directions):
