@@ -15,7 +15,10 @@ one line per part as ``<workload> <seed> <part> <sha256>``:
   the stability reports, and certify's verification reports (worst
   violation, sample count, every sampled gap and scale, the worst sample);
 * ``certificate``: certify's certificates;
-* ``margin``: certify's lemma-1 margins.
+* ``margin``: certify's lemma-1 margins;
+* ``fit``: for each certify op's spec, the certificate of
+  ``fit_k_condition``, which no workload runs, at :data:`FIT_COUNT` samples
+  (``--size tiny``: the workload's own count) and the op's verify seed.
 
 After a workload's hashes come its step counts, summed over the ops, which
 do not depend on the machine: ``iterations``, the steps of solve-3d's
@@ -59,7 +62,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent
-PARTS = ("u", "trace", "report", "certificate", "margin")
+PARTS = ("u", "trace", "report", "certificate", "margin", "fit")
+# the samples of the fit part at --size full
+FIT_COUNT = 1500
 COUNTS = ("iterations", "inner_steps", "outer_steps")
 SOLVED = ("solve-3d", "linear-sweep", "stability")  # the workloads that return a solution
 
@@ -107,6 +112,16 @@ def op_parts(name: str, out):
         raise ValueError(f"no digest for workload {name!r}")
 
 
+def fit_part(workloads, wl, i: int, out, size: str) -> bytes:
+    """The certificate of ``fit_k_condition`` on the spec of op ``i`` of the certify workload ``wl``, as sorted JSON."""
+    ne = workloads.ne
+    nu = out[0].nu
+    spec = ne.NonlinearitySpec(tensor=wl.tensors[i % wl.slots], perturbation=ne.SinePerturbation(0.3 * nu))
+    count = FIT_COUNT if size == "full" else wl.count
+    sampler = ne.SamplerConfig(count=count, seed=workloads.derive_seed(wl.seed, 6, i))
+    return _json(ne.fit_k_condition(spec, sampler, nu=nu).as_dict())
+
+
 def op_counts(name: str, out):
     """(count, value) of the step counts of one op of workload ``name``."""
     if name == "solve-3d":
@@ -133,6 +148,8 @@ def digest(workloads, name: str, seed: int, size: str = "full") -> dict[str, str
         out = wl.op(i)
         for part, data in op_parts(name, out):
             hashes.setdefault(part, hashlib.sha256()).update(data)
+        if name == "certify":
+            hashes.setdefault("fit", hashlib.sha256()).update(fit_part(workloads, wl, i, out, size))
         for count, value in op_counts(name, out):
             counts[count] = counts.get(count, 0) + value
     return {part: hashes[part].hexdigest() for part in PARTS if part in hashes} | {

@@ -127,9 +127,10 @@ hessian and F over to the caller (the hessian as a read-only view of its
 array, F as a field on its own), so nothing of the grid's size outlives
 a solve but what it returns, and a later call cannot overwrite them.
 Arrays kept across calls in a bounded workspace (the idiom of
-``certify._workspace``) are refused: in a prototype they took the minor
-page faults of a perfbench solve-3d op from about 2500 to 0, but kept
-about 9.6 MiB alive through the set-up of later workloads and raised
+``certify._workspace``, which keeps the sampler's three sample arrays per
+key and forms every scale in them) are refused: in a prototype they took
+the minor page faults of a perfbench solve-3d op from about 2500 to 0, but
+kept about 9.6 MiB alive through the set-up of later workloads and raised
 solve-3d's peak RSS from 84.1 to 91.2 MiB, past its 5% bound.  The
 one-component work buffer took those faults to 0 with nothing kept: in
 perfbench's solve-3d loop at seeds 301 and 303, 2080 minor faults per op
@@ -147,7 +148,7 @@ import numpy as np
 
 from .certify import EllipticityCertificate, alpha_bounds_of
 from .errors import DivergenceError, InputError, finite_number
-from .fields import PHYSICAL, HalfSpectrum, HessianPairs, VectorField, _l2, half_spectrum, l2_norm
+from .fields import PHYSICAL, HalfSpectrum, HessianPairs, VectorField, _l2, _readonly, half_spectrum, l2_norm
 from .linear import _zero_gauge, solve_linear, spectral_plan  # noqa: F401  (solve_linear: perfbench wraps it here)
 from .nonlinearity import NonlinearitySpec, evaluate_field, evaluate_pairs
 
@@ -405,7 +406,7 @@ def _iterate(
     # the steps after the last sum to at most K/(1 - K) times it, or to 1/(1 - K) times the next one, when made
     trace.distance_bound = K / (1.0 - K) * metric if trace.status == "converged" else following / (1.0 - K)
     trace.finish(certificate)
-    return uhat, hess, VectorField(g, F, PHYSICAL), trace
+    return uhat, hess, VectorField(g, _readonly(F), PHYSICAL), trace
 
 
 def campanato_solve(
@@ -457,7 +458,7 @@ def _increment_norms(spec: NonlinearitySpec, hw: HessianPairs, hv: HessianPairs)
     g = hw.grid
     weight = spec.grid_weight(g)
     Fw, Fv = (evaluate_pairs(spec, h.data.reshape(g.N, -1, g.points), weight) for h in (hw, hv))
-    return HessianPairs(g, hw.data - hv.data).norm(), float(np.sqrt(g.cell_volume * ((Fw - Fv) ** 2).sum()))
+    return HessianPairs(g, _readonly(hw.data - hv.data)).norm(), float(np.sqrt(g.cell_volume * ((Fw - Fv) ** 2).sum()))
 
 
 def verify_comparison(

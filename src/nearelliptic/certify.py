@@ -29,8 +29,8 @@ symmetric Gaussian matrices, and only their n(n+1)/2 distinct entries are
 drawn: the diagonal ones N(0, 1), the off-diagonal ones N(0, 1/2), all
 independent, which is the law of 0.5 (X + X^T) for a standard Gaussian X
 (:func:`_draw_symmetric`).  Every Gaussian value of the sampler, these and
-lemma 1's eta and a, is drawn by Box–Muller from one ``Generator.random``
-draw (:func:`_standard_normal`), about twice as fast as numpy's ziggurat
+lemma 1's eta and a, is drawn by Box–Muller from ``Generator.random``
+uniforms (:func:`_standard_normal`), about twice as fast as numpy's ziggurat
 ``standard_normal``: the law is N(0, 1) with the tail past about 8.57 sigma
 (mass 1e-17) cut, and a seed gives other values than ``standard_normal``
 would.  F is evaluated on the samples by the solvers' one evaluator,
@@ -43,17 +43,21 @@ finite and positive; without one, nu(A) is searched and must be positive.
 Both rules are :func:`~nearelliptic.tensors._certified_nu`'s, which the
 linear solver shares; anything else is an InputError.
 
-Work arrays.  The sampler draws X and Z0 into kept work arrays, forms each
-scale's Z and X + Z in them, and lemma 1 draws and forms its samples in the
-same ones: four (N, n(n+1)/2, count) float64 arrays per (count, N, n), kept
-for the last :data:`WORKSPACE_CACHE_SIZE` keys, so a repeated certificate
-allocates and faults in no sample array.  The uniforms of a draw go into the
-arrays that are not formed yet (Z and X + Z; lemma 1's Z, X + Z and the
-fourth), so no draw allocates an array for them.  A caller checks the
-arrays out for the length of its call; a second caller of the same key
-while they are out gets fresh ones.  An array a sampling generator yields is valid until the
-generator advances.  Everything in a report or a certificate, and every
-value the sampler's callers keep, is the caller's own copy.
+Work arrays.  The sampler keeps three (N, n(n+1)/2, count) float64 arrays
+per (count, N, n), X, Z0 and W, for the last :data:`WORKSPACE_CACHE_SIZE`
+keys, so a repeated certificate allocates and faults in no sample array.
+A draw needs no array for its uniforms: Box–Muller draws the radius
+uniforms into the head of the array it fills and turns them into radii
+there, and streams the angle uniforms through a small tile.  Each scale
+forms Z = scale * Z0 in W, takes A:Z and |Z|^2 from it, forms Z there
+again and adds X, so W holds X + Z for F.  Lemma 1 forms Z and then X + Z
+in W, and draws eta and a into Z0's array, which it leaves free.  A caller
+checks the arrays out for the length of its call; a second caller of the
+same key while they are out gets fresh ones.  Of a sampling generator's
+yield, X and Z0 are work arrays, valid until the generator finishes;
+everything else it yields is fresh.  Everything in a report or a
+certificate, and every value the sampler's callers keep, is the caller's
+own copy.
 """
 
 from __future__ import annotations
@@ -80,6 +84,8 @@ ABSORB_STEPS = 64
 SCALES = (1e-2, 1.0, 1e2)
 # the most (count, N, n) keys whose work arrays are kept between calls
 WORKSPACE_CACHE_SIZE = 4
+# the angle uniforms of a Box–Muller draw taken at a time (_standard_normal)
+NORMAL_TILE = 8192
 
 # key -> the kept work arrays that no caller has checked out, oldest given back first
 _workspaces: dict[tuple[int, int, int], np.ndarray] = {}
@@ -217,77 +223,85 @@ class KConditionReport:
         return "\n".join(lines) + "\n"
 
 
-def _standard_normal(rng: np.random.Generator, out: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+def _standard_normal(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """Fill ``out``, C-contiguous float64, with independent N(0, 1) values by Box–Muller.
 
     Box and Muller, Ann. Math. Stat. 29 (1958): for the S entries of ``out``
-    and h = ceil(S/2), one draw ``rng.random`` of 2h uniforms goes into the
-    head of ``uniforms`` (C-contiguous float64 with at least 2h entries,
-    contents arbitrary and overwritten).  Pair k takes u0 = the k-th and
-    u1 = the (h + k)-th uniform, r = sqrt(-2 log(1 - u0)) and the angle
-    theta = 2 pi (u1 - 1/2); entry k of ``out`` is r cos theta and entry
-    h + k is r sin theta (the last sine is dropped when S is odd).  cos and
-    sin come from t = tan(theta/2) as (1 - t^2)/(1 + t^2) and
-    2t/(1 + t^2), the idiom of ``SinePerturbation.delta_pairs``: numpy
-    2.4's float64 ``sin`` and ``cos`` each take about six times as long as
-    its ``tan`` (90000 values, an AVX-512 Xeon).  1 - u0 >= 2^-53, so
-    |value| <= sqrt(2 * 53 ln 2), about 8.57: the tail past 8.57 sigma, of
-    mass about 1e-17, is never drawn.
+    and h = ceil(S/2), the first h uniforms of ``rng.random`` go straight
+    into the head of ``out`` and become the radii r = sqrt(-2 log(1 - u0))
+    there; the next h, the angle uniforms u1, are drawn in order
+    :data:`NORMAL_TILE` at a time into a small tile, theta = 2 pi (u1 - 1/2).
+    Pair k takes the k-th of each, and entry k of ``out`` is r cos theta and
+    entry h + k is r sin theta (the last sine is dropped when S is odd);
+    entry h + k is written before the radius at entry k is overwritten, and
+    nothing of the sample's size is allocated.  ``rng.random`` goes on with
+    one stream across calls, so the values and the generator's final state
+    are those of one draw of 2h uniforms.  cos and sin come from
+    t = tan(theta/2) as (1 - t^2)/(1 + t^2) and 2t/(1 + t^2), the idiom of
+    ``SinePerturbation.delta_pairs``: numpy 2.4's float64 ``sin`` and
+    ``cos`` each take about six times as long as its ``tan`` (90000 values,
+    an AVX-512 Xeon).  1 - u0 >= 2^-53, so |value| <= sqrt(2 * 53 ln 2),
+    about 8.57: the tail past 8.57 sigma, of mass about 1e-17, is never
+    drawn.
     """
     flat = out.reshape(-1)  # a view, since out is C-contiguous
     size = flat.size
     half = (size + 1) // 2
-    drawn = uniforms.reshape(-1)[: 2 * half]
-    rng.random(out=drawn)
-    radius, t = drawn[:half], drawn[half:]
+    radius = flat[:half]
+    rng.random(out=radius)
     np.subtract(1.0, radius, out=radius)
     np.log(radius, out=radius)
     radius *= -2.0
     np.sqrt(radius, out=radius)
-    t -= 0.5
-    t *= np.pi
-    np.tan(t, out=t)
-    # r / (1 + t^2) in the cosine half, the sine half from it, then the cosine half
-    scaled = flat[:half]
-    np.multiply(t, t, out=scaled)
-    scaled += 1.0
-    np.divide(radius, scaled, out=scaled)
-    np.multiply(t[: size - half], scaled[: size - half], out=flat[half:])
-    flat[half:] *= 2.0
-    np.multiply(t, t, out=radius)
-    np.subtract(1.0, radius, out=radius)
-    scaled *= radius
+    # two tile arrays, each under glibc's default mmap threshold of 128 KiB
+    angles, quotients = np.empty(min(NORMAL_TILE, half)), np.empty(min(NORMAL_TILE, half))
+    for start in range(0, half, NORMAL_TILE):
+        stop = min(start + NORMAL_TILE, half)
+        t, scaled = angles[: stop - start], quotients[: stop - start]
+        rng.random(out=t)
+        t -= 0.5
+        t *= np.pi
+        np.tan(t, out=t)
+        # r / (1 + t^2), the sine entries from it, then the cosine entries over the radii
+        np.multiply(t, t, out=scaled)
+        scaled += 1.0
+        np.divide(radius[start:stop], scaled, out=scaled)
+        sine = flat[half + start : half + stop]  # one short at the end when S is odd
+        np.multiply(t[: len(sine)], scaled[: len(sine)], out=sine)
+        sine *= 2.0
+        np.multiply(t, t, out=t)
+        np.subtract(1.0, t, out=t)
+        np.multiply(scaled, t, out=radius[start:stop])
     return out
 
 
-def _draw_symmetric(rng: np.random.Generator, out: np.ndarray, n: int, uniforms: np.ndarray) -> np.ndarray:
+def _draw_symmetric(rng: np.random.Generator, out: np.ndarray, n: int) -> np.ndarray:
     """Fill ``out`` (N, n(n+1)/2, count), C-contiguous float64, with ``count`` packed symmetric Gaussian matrices.
 
-    :func:`_standard_normal` fills the packed slots, its uniforms drawn into
-    ``uniforms``, and each off-diagonal slot is scaled in place by
-    sqrt(1/2).  That is the law of the upper triangle of 0.5 (X + X^T) for
-    a standard Gaussian X: diagonal entries N(0, 1), off-diagonal entries
-    N(0, 1/2), all independent.  The values are not those of
-    ``rng.standard_normal`` (numpy's ziggurat) at the same seed: the law is
-    the same, the stream is not.
+    :func:`_standard_normal` fills the packed slots in place, and each
+    off-diagonal slot is scaled in place by sqrt(1/2).  That is the law of
+    the upper triangle of 0.5 (X + X^T) for a standard Gaussian X: diagonal
+    entries N(0, 1), off-diagonal entries N(0, 1/2), all independent.  The
+    values are not those of ``rng.standard_normal`` (numpy's ziggurat) at
+    the same seed: the law is the same, the stream is not.
     """
-    _standard_normal(rng, out, uniforms)
+    _standard_normal(rng, out)
     out *= np.sqrt(1.0 / HessianPairs.multiplicity(n))[:, None]  # exactly 1 on the diagonal
     return out
 
 
 @contextmanager
 def _workspace(count: int, N: int, n: int):
-    """The (4, N, n(n+1)/2, count) float64 work arrays of the key, checked out for the ``with`` block.
+    """The (3, N, n(n+1)/2, count) float64 work arrays of the key, checked out for the ``with`` block.
 
     Kept arrays are handed out when no other caller holds them, fresh ones
     otherwise; on exit they are given back, and the oldest key past
     :data:`WORKSPACE_CACHE_SIZE` is dropped.  Their contents on entry are
-    arbitrary.  A block of 32 N n(n+1)/2 ``count`` bytes past the memory
-    budget ``fields._DEFAULT_BUDGET`` is an InputError, raised before
-    anything is allocated.
+    arbitrary.  A block of 24 N n(n+1)/2 ``count`` bytes, the three arrays,
+    past the memory budget ``fields._DEFAULT_BUDGET`` is an InputError,
+    raised before anything is allocated.
     """
-    block = 32 * N * (n * (n + 1) // 2) * count
+    block = 24 * N * (n * (n + 1) // 2) * count
     if block > fields._DEFAULT_BUDGET:
         raise InputError(
             f"{count} samples need a {block}-byte work block, over the memory budget {fields._DEFAULT_BUDGET} bytes"
@@ -296,7 +310,7 @@ def _workspace(count: int, N: int, n: int):
     with _workspaces_lock:
         work = _workspaces.pop(key, None)
     if work is None:
-        work = np.empty((4, N, n * (n + 1) // 2, count))
+        work = np.empty((3, N, n * (n + 1) // 2, count))
     try:
         yield work
     finally:
@@ -325,7 +339,7 @@ def sample_weights(rng: np.random.Generator, count: int, *specs: NonlinearitySpe
 
 
 def _increments(sampler: SamplerConfig, *specs: NonlinearitySpec):
-    """(scale, x indices, X, Z, A:Z, each spec's F(X+Z) - F(X), |Z|^2, |A:Z|^2) per scale; A of the first spec.
+    """(scale, x indices, X, Z0, A:Z, each spec's F(X+Z) - F(X), |Z|^2, |A:Z|^2) per scale; A of the first spec.
 
     Each sample is one ray: X, then one Gaussian Z0, then the grid points x
     are drawn once, in that order, and each scale reads Z = scale * Z0.  Z0
@@ -333,35 +347,41 @@ def _increments(sampler: SamplerConfig, *specs: NonlinearitySpec):
     independent draw; only the scales are coupled.  The specs share their
     dimensions and the drawn x; the samplers of verify, fit and nu(F, G) all
     draw here.  X is the same at every scale, so each spec's F(X) is
-    evaluated once and only F(X+Z) per scale.  X, Z0, Z and X + Z (then
-    Z**2) are the work arrays: X and Z are valid until the generator
-    advances, and the rest is fresh.
+    evaluated once and only F(X+Z) per scale.  Each scale forms Z in the
+    third work array, takes A:Z and then |Z|^2 from it (squared in place),
+    forms Z there again and adds X, and evaluates F(X+Z) into the array of
+    its increment, from which F(X) is subtracted in place.  X and Z0 are
+    work arrays, valid until the generator finishes; a caller that needs a
+    sample's Z forms scale * Z0 there.  The rest is fresh.
     """
     n = specs[0].n
     rng = np.random.default_rng(sampler.seed)
-    with _workspace(sampler.count, specs[0].N, n) as work:
-        X, Z0, Z, Y = work
-        # Z and Y are free until the scales, so their memory holds the uniforms
-        _draw_symmetric(rng, X, n, work[2:])
-        _draw_symmetric(rng, Z0, n, work[2:])
+    with _workspace(sampler.count, specs[0].N, n) as (X, Z0, W):
+        _draw_symmetric(rng, X, n)
+        _draw_symmetric(rng, Z0, n)
         flat, weights = sample_weights(rng, sampler.count, *specs)
         FX = [evaluate_pairs(spec, X, w) for spec, w in zip(specs, weights)]
         for scale in SCALES:
-            np.multiply(scale, Z0, out=Z)
-            AZ = contract_pairs(specs[0].tensor, Z)
-            np.add(X, Z, out=Y)
-            D = [evaluate_pairs(spec, Y, w) - fx for spec, w, fx in zip(specs, weights, FX)]
-            np.square(Z, out=Y)
-            zz = (HessianPairs.multiplicity(n) @ Y).sum(axis=0)  # off-diagonal slots count twice
-            yield scale, flat, X, Z, AZ, D, zz, (AZ**2).sum(axis=0)
+            np.multiply(scale, Z0, out=W)
+            AZ = contract_pairs(specs[0].tensor, W)
+            np.square(W, out=W)
+            zz = (HessianPairs.multiplicity(n) @ W).sum(axis=0)  # off-diagonal slots count twice
+            np.multiply(scale, Z0, out=W)
+            W += X
+            D = [evaluate_pairs(spec, W, w, np.empty_like(fx)) for spec, w, fx in zip(specs, weights, FX)]
+            for d, fx in zip(D, FX):
+                d -= fx
+            yield scale, flat, X, Z0, AZ, D, zz, (AZ**2).sum(axis=0)
+            del AZ, D, zz  # the caller holds this scale's arrays for as long as it needs them
 
 
-def _alpha_values(alpha, flat_idx, count):
+def _alpha_values(alpha, flat_idx):
+    """alpha at the drawn grid points of a field, or the constant itself as a float."""
     if isinstance(alpha, np.ndarray):
         if flat_idx is None:
             raise InputError("spatially varying alpha requires a spatially varying weight grid")
         return alpha.ravel()[flat_idx]
-    return np.full(count, float(alpha))
+    return float(alpha)
 
 
 def alpha_bounds_of(alpha) -> tuple[float, float]:
@@ -391,12 +411,17 @@ def verify_k_condition(
     index = HessianPairs.slot_index(spec.n)
     # each scale keeps only its own worst sample, the first argmax like the global one
     candidates, violations = [], []
-    for scale, flat, X, Z, AZ, (D,), zz, waz in _increments(sampler, spec):
-        al = _alpha_values(alpha, flat, sampler.count)
-        lhs = ((AZ - al * D) ** 2).sum(axis=0)
-        violations.append(lhs - beta * nu**2 * zz - gamma * waz)
+    for scale, flat, X, Z0, AZ, (D,), zz, waz in _increments(sampler, spec):
+        al = _alpha_values(alpha, flat)
+        # the gap (A:Z - alpha D)^2, formed in D's own array
+        D *= al
+        np.subtract(AZ, D, out=D)
+        np.square(D, out=D)
+        violations.append(D.sum(axis=0) - beta * nu**2 * zz - gamma * waz)
         k = int(np.argmax(violations[-1]))
-        candidates.append((scale, X[:, index, k], Z[:, index, k], float(al[k])))
+        at = al[k] if isinstance(al, np.ndarray) else al
+        candidates.append((scale, X[:, index, k], scale * Z0[:, index, k], float(at)))
+        del AZ, D, zz, waz  # freed before the next scale forms its own
     violations = np.concatenate(violations)
     worst = int(np.argmax(violations))
     return KConditionReport(
@@ -577,19 +602,23 @@ def lemma1_check(
     alpha_sup, _ = alpha_bounds_of(alpha)
     rng = np.random.default_rng(seed)
     rows, cols = HessianPairs.components(spec.n)
-    with _workspace(count, spec.N, spec.n) as work:
-        X, Z, Y, _ = work
-        # the uniforms go into Z, Y and the spare array before they are formed
-        _draw_symmetric(rng, X, spec.n, work[1:])
-        # component-major, so every product below runs over contiguous rows
-        eta = _standard_normal(rng, np.empty((spec.N, count)), work[1:])
-        a = _standard_normal(rng, np.empty((spec.n, count)), work[1:])
-        np.multiply(eta[:, None], a[rows], out=Z)
-        Z *= a[cols]
+    with _workspace(count, spec.N, spec.n) as (X, spare, W):
+        _draw_symmetric(rng, X, spec.n)
+        # eta and a, component-major so every product below runs over contiguous rows, are drawn
+        # into the middle array, which lemma 1 leaves free: N + n <= N n(n+1)/2 rows of count
+        free = spare.reshape(-1, count)
+        eta = _standard_normal(rng, free[: spec.N])
+        a = _standard_normal(rng, free[spec.N : spec.N + spec.n])
+        np.multiply(eta[:, None], a[rows], out=W)
+        W *= a[cols]  # Z
+        AZ = contract_pairs(spec.tensor, W)
+        W += X
         _, (w,) = sample_weights(rng, count, spec)
-        diff = evaluate_pairs(spec, np.add(X, Z, out=Y), w) - evaluate_pairs(spec, X, w)
-        lhs = (diff * contract_pairs(spec.tensor, Z)).sum(axis=0)
-    rhs = (lam - kappa) * nu**2 / alpha_sup * (eta**2).sum(axis=0) * ((a**2).sum(axis=0)) ** 2
+        diff = evaluate_pairs(spec, W, w)
+        diff -= evaluate_pairs(spec, X, w)
+        diff *= AZ
+        lhs = diff.sum(axis=0)
+        rhs = (lam - kappa) * nu**2 / alpha_sup * (eta**2).sum(axis=0) * ((a**2).sum(axis=0)) ** 2
     return float((lhs - rhs).min())
 
 

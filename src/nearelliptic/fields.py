@@ -57,9 +57,11 @@ once: a field that passes is marked, and later checks skip the scan; one
 that fails is scanned again on every call.  Only a field whose ``data``
 owns its memory keeps a spectrum or a finite mark: a field built on a view
 may alias a buffer that its caller can still write.  Both marks trust the
-field's frozen data.  A field built on its caller's own contiguous array
-freezes that array in place; a caller who makes it writable again and
-writes into it voids both marks.
+field's frozen data.  A field never freezes its caller's array: an array
+that the caller can still write is copied, and a read-only one is taken
+as it is.  Every path of the package that builds a field or a hessian from
+an array it has just made freezes that array first (:func:`_readonly`),
+so the field takes it without a copy.
 
 A loop that takes many hessians of one grid gives
 :meth:`HalfSpectrum.hessian_pairs` one work buffer
@@ -238,15 +240,30 @@ def _grid_axes(grid: GridSpec) -> tuple[int, ...]:
 
 
 def _frozen_data(data, expected: tuple[int, ...], representation: str, what: str) -> np.ndarray:
-    """``data`` checked for shape and representation, as a read-only contiguous float or complex array."""
+    """``data`` checked for shape and representation, as a read-only contiguous float or complex array.
+
+    An array that shares the memory of ``data`` and is still writable is
+    copied, so the caller's array stays writable and later writes to it do
+    not reach the field; a read-only array, or the new one of a conversion,
+    is taken as it is.
+    """
+    given = data
     data = np.asarray(data)
     if data.shape != expected:
         raise InputError(f"{what} data must have shape {expected}, got {data.shape}")
     if representation not in (PHYSICAL, SPECTRAL):
         raise InputError(f"unknown representation {representation!r}")
     data = np.ascontiguousarray(data, dtype=float if representation == PHYSICAL else complex)
+    if data.flags.writeable and np.may_share_memory(data, given):
+        data = data.copy()
     data.setflags(write=False)
     return data
+
+
+def _readonly(array: np.ndarray) -> np.ndarray:
+    """``array``, just made by its caller, made read-only in place: a field then takes it without a copy."""
+    array.setflags(write=False)
+    return array
 
 
 # the attribute of a VectorField set once its data passed require_finite
@@ -257,7 +274,7 @@ def _transformed(field):
     """The field in its other representation: c(k) = fftn(u) / M^n, or the real part of the inverse."""
     axes = _grid_axes(field.grid)
     if field.is_physical():
-        return type(field)(field.grid, scipy.fft.fftn(field.data, axes=axes, norm="forward"), SPECTRAL)
+        return type(field)(field.grid, _readonly(scipy.fft.fftn(field.data, axes=axes, norm="forward")), SPECTRAL)
     return type(field)(field.grid, scipy.fft.ifftn(field.data, axes=axes, norm="forward").real, PHYSICAL)
 
 
@@ -267,7 +284,7 @@ def _combined(field, other, op):
         return NotImplemented
     if other.grid != field.grid or other.representation != field.representation:
         raise InputError("field operands must share grid and representation")
-    return VectorField(field.grid, op(field.data, other.data), field.representation)
+    return VectorField(field.grid, _readonly(op(field.data, other.data)), field.representation)
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,7 +337,7 @@ class VectorField:
         return _combined(self, other, np.subtract)
 
     def __mul__(self, scalar):
-        return VectorField(self.grid, self.data * float(scalar), self.representation)
+        return VectorField(self.grid, _readonly(self.data * float(scalar)), self.representation)
 
     __rmul__ = __mul__
 
@@ -528,7 +545,7 @@ class HalfSpectrum:
         if not coef.flags.owndata:
             coef = coef.copy()
         coef.setflags(write=False)
-        u = VectorField(self.grid, self.inverse(coef), PHYSICAL)
+        u = VectorField(self.grid, _readonly(self.inverse(coef)), PHYSICAL)
         object.__setattr__(u, _KEPT_SPECTRUM, coef)
         return u
 
@@ -591,7 +608,7 @@ class HalfSpectrum:
             for axis in self.axes[:-1]:
                 product = scipy.fft.ifft(product, axis=axis, norm="forward", overwrite_x=True)
             np.fft.irfft(product, n=self.grid.M, axis=-1, norm="forward", out=row)
-        return HessianPairs(self.grid, out if fresh else out[...])
+        return HessianPairs(self.grid, _readonly(out if fresh else out[...]))
 
 
 def _mirror(m: int) -> np.ndarray:
@@ -766,7 +783,7 @@ def band_limited_coefficients(grid: GridSpec, band: int, seed: int) -> np.ndarra
 
 def random_band_limited(grid: GridSpec, band: int, seed: int) -> VectorField:
     """Seeded real zero-mean field with spectral support in max_i |k_i| <= band."""
-    return VectorField(grid, band_limited_coefficients(grid, band, seed), SPECTRAL).to_physical()
+    return VectorField(grid, _readonly(band_limited_coefficients(grid, band, seed)), SPECTRAL).to_physical()
 
 
 def _band_half_spectra(grid: GridSpec, band: int, count: int, seed: int):
@@ -871,13 +888,13 @@ def load_field(path) -> VectorField | HessianPairs:
     if not np.all(np.isfinite(payload)):
         raise InputError("field file has non-finite values")
     if kind == "vector":
-        return VectorField(grid, payload.copy(), rep)
-    full = HessianField(grid, payload.copy(), rep).to_physical().data
+        return VectorField(grid, _readonly(payload.copy()), rep)
+    full = HessianField(grid, _readonly(payload.copy()), rep).to_physical().data
     asym = np.abs(full - full.swapaxes(1, 2)).max()
     if asym > SYMMETRY_TOL * max(1.0, np.abs(full).max()):
         raise InputError(f"hessian field file is asymmetric in (i, j) by {asym:.3e}")
     rows, cols = HessianPairs.components(n)
-    return HessianPairs(grid, full[:, rows, cols])
+    return HessianPairs(grid, _readonly(full[:, rows, cols]))
 
 
 def _load_vector_field(path, what: str, grid: GridSpec | None = None) -> VectorField:

@@ -53,6 +53,7 @@ from .fields import (
     HessianPairs,
     VectorField,
     _load_vector_field,
+    _readonly,
     half_spectrum,
     l2_norm,
     random_band_limited,
@@ -167,6 +168,11 @@ class ManufacturedSolution:
     hessian: HessianPairs
 
 
+def _manufactured(grid: GridSpec, u: np.ndarray, hess: np.ndarray) -> ManufacturedSolution:
+    """The solution of the arrays ``u`` and ``hess`` just made, which its fields take over without a copy."""
+    return ManufacturedSolution(u=VectorField(grid, _readonly(u), PHYSICAL), hessian=HessianPairs(grid, _readonly(hess)))
+
+
 def modes_solution(grid: GridSpec, modes: list[dict]) -> ManufacturedSolution:
     """Sum of sin/cos lattice modes; the hessian multiplier is exact.
 
@@ -199,7 +205,7 @@ def modes_solution(grid: GridSpec, modes: list[dict]) -> ManufacturedSolution:
         u[comp] += amp * wave
         factor = -((2 * np.pi / grid.L) ** 2)
         hess[comp] += (amp * factor * k[rows] * k[cols]).reshape((-1,) + (1,) * grid.n) * wave
-    return ManufacturedSolution(u=VectorField(grid, u, PHYSICAL), hessian=HessianPairs(grid, hess))
+    return _manufactured(grid, u, hess)
 
 
 def analytic_solution(grid: GridSpec, scale: float = 3.0) -> ManufacturedSolution:
@@ -227,7 +233,7 @@ def analytic_solution(grid: GridSpec, scale: float = 3.0) -> ManufacturedSolutio
             hess[a, p] = value * g[i] * g[j]
             if i == j:
                 hess[a, p] += value * gp[i]
-    return ManufacturedSolution(u=VectorField(grid, u, PHYSICAL), hessian=HessianPairs(grid, hess))
+    return _manufactured(grid, u, hess)
 
 
 def build_rhs(cfg: dict, grid: GridSpec, spec: NonlinearitySpec):
@@ -303,9 +309,9 @@ def _gauge_comparison(u: VectorField, exact: ManufacturedSolution):
     grid = u.grid
     mean = exact.u.mean()
     shift = exact.u.data - mean.reshape((grid.N,) + (1,) * grid.n)
-    err = VectorField(grid, u.to_physical().data - shift, PHYSICAL)
+    err = VectorField(grid, _readonly(u.to_physical().data - shift), PHYSICAL)
     half = half_spectrum(grid)
-    hess_diff = HessianPairs(grid, half.hessian_pairs(half.coefficients(u)).data - exact.hessian.data).norm()
+    hess_diff = HessianPairs(grid, _readonly(half.hessian_pairs(half.coefficients(u)).data - exact.hessian.data)).norm()
     denom = exact.hessian.norm()
     return l2_norm(err), (hess_diff / denom if denom > 0 else hess_diff)
 

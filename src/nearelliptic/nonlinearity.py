@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EvaluationError, InputError, finite_number
-from .fields import PHYSICAL, GridSpec, HessianPairs, VectorField, _load_vector_field
+from .fields import PHYSICAL, GridSpec, HessianPairs, VectorField, _load_vector_field, _readonly
 from .tensors import SymTensor4, check_hessian_arg, contract_pairs, read_tensor
 
 class _PackedFormula:
@@ -371,4 +371,4 @@ def evaluate_field(spec: NonlinearitySpec, hess: HessianPairs) -> VectorField:
     """F(x, D^2 u(x)) over the grid: packed hessian in, physical vector field out."""
     g = hess.grid
     values = evaluate_pairs(spec, hess.data.reshape(g.N, -1, g.points), spec.grid_weight(g))
-    return VectorField(g, values.reshape((g.N,) + g.shape), PHYSICAL)
+    return VectorField(g, _readonly(values.reshape((g.N,) + g.shape)), PHYSICAL)

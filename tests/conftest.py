@@ -36,6 +36,27 @@ def random_sym_tensor(n: int, N: int, seed: int, scale: float = 1.0) -> SymTenso
     return SymTensor4(0.5 * (raw + _sym_pair_transpose(raw)))
 
 
+def one_draw_box_muller(rng, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` by Box–Muller from one ``rng.random`` draw of all 2 ceil(S/2) uniforms: the oracle of the streamed draw.
+
+    The radius uniforms are the first half of the draw, the angle uniforms
+    the second; cos and sin come from the half-angle tangent, in the order
+    of operations of ``certify._standard_normal``, so the two agree bit for
+    bit.
+    """
+    flat = out.reshape(-1)
+    size = flat.size
+    half = (size + 1) // 2
+    drawn = rng.random(2 * half)
+    radius, t = drawn[:half], drawn[half:]
+    radius = np.sqrt(-2.0 * np.log(1.0 - radius))
+    t = np.tan((t - 0.5) * np.pi)
+    scaled = radius / (t * t + 1.0)
+    flat[half:] = (t[: size - half] * scaled[: size - half]) * 2.0
+    flat[:half] = scaled * (1.0 - t * t)
+    return out
+
+
 def random_symmetric_batch(rng, count: int, N: int, n: int) -> np.ndarray:
     raw = rng.standard_normal((count, N, n, n))
     return 0.5 * (raw + np.swapaxes(raw, -1, -2))

@@ -33,7 +33,9 @@ from nearelliptic.certify import (
 from nearelliptic.counterexamples import saturating_witness, window_constants
 from nearelliptic.errors import InputError
 from nearelliptic.nonlinearity import evaluate_F, evaluate_pairs
-from nearelliptic.tensors import SymTensor4, ellipticity_constant, random_rank_one_positive
+from nearelliptic.tensors import SymTensor4, contract_pairs, ellipticity_constant, random_rank_one_positive
+
+from conftest import one_draw_box_muller
 
 MISSING = object()
 # every positive finite float, subnormals included
@@ -167,8 +169,7 @@ class TestSampler:
     def test_packed_draw_is_the_distinct_entries_with_off_diagonal_slots_scaled(self, n, N):
         rng, ref = np.random.default_rng(23), np.random.default_rng(23)
         shape = (N, n * (n + 1) // 2, 40)
-        # an even size needs exactly as many uniforms as values
-        got = _draw_symmetric(rng, np.empty(shape), n, np.empty(shape))
+        got = _draw_symmetric(rng, np.empty(shape), n)
         want = box_muller(ref, got.size).reshape(shape)
         rows, cols = np.triu_indices(n)
         want[:, rows != cols] *= np.sqrt(0.5)
@@ -182,17 +183,29 @@ class TestSampler:
     def test_every_entry_of_an_array_of_any_size_is_drawn(self, shape):
         # lemma 1 draws eta (N, count) and a (n, count), whose sizes may be odd
         out = np.full(shape, np.nan)
-        _standard_normal(np.random.default_rng(5), out, np.full(out.size + 1, np.nan))
+        _standard_normal(np.random.default_rng(5), out)
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out.ravel(), box_muller(np.random.default_rng(5), out.size), rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "size",
+        [1, 2, 3] + [certify.NORMAL_TILE + d for d in (-1, 0, 1)] + [2 * certify.NORMAL_TILE + d for d in (-1, 0, 1, 3)],
+    )
+    def test_the_streamed_draw_is_the_one_draw_bit_for_bit(self, size):
+        # the angle uniforms go through the tile in order, so values and stream are those of one draw of them all;
+        # sizes 2 tile - 1 on take ceil(size/2) >= tile angles, so the tile wraps
+        rng, ref = np.random.default_rng(size), np.random.default_rng(size)
+        got = _standard_normal(rng, np.full(size, np.nan))
+        assert got.tobytes() == one_draw_box_muller(ref, np.empty(size)).tobytes()
+        assert rng.random() == ref.random()
+
     def test_the_draw_passes_a_kolmogorov_smirnov_test_against_the_standard_normal(self):
-        values = _standard_normal(np.random.default_rng(31), np.empty(300_001), np.empty(300_002))
+        values = _standard_normal(np.random.default_rng(31), np.empty(300_001))
         assert scipy.stats.kstest(values, "norm").pvalue > 1e-3
 
     def test_packed_draw_has_the_law_of_the_symmetrized_draw(self):
         # upper triangle of 0.5 (X + X^T): diagonal N(0, 1), off-diagonal N(0, 1/2), independent
-        X = _draw_symmetric(np.random.default_rng(2024), np.empty((2, 6, 200_000)), 3, np.empty(2_400_000)).reshape(12, -1)
+        X = _draw_symmetric(np.random.default_rng(2024), np.empty((2, 6, 200_000)), 3).reshape(12, -1)
         rows, cols = np.triu_indices(3)
         variance = np.tile(np.where(rows == cols, 1.0, 0.5), 2)
         assert np.abs(X.mean(axis=1)).max() < 0.01
@@ -201,22 +214,27 @@ class TestSampler:
         assert np.abs(correlation[~np.eye(12, dtype=bool)]).max() < 0.01
 
     def test_every_scale_reads_one_ray(self, identity22):
-        # X, then Z0, then the grid points, each drawn once; scale s yields s * Z0
+        # X, then Z0, then the grid points, each drawn once; scale s reads Z = s * Z0
         weight = 1.0 + np.random.default_rng(4).random((6, 6))
         spec = NonlinearitySpec(tensor=identity22, weight=weight)
         sampler = SamplerConfig(count=64, seed=9)
         rng = np.random.default_rng(9)
-        X0 = _draw_symmetric(rng, np.empty((2, 3, 64)), 2, np.empty(384))
-        Z0 = _draw_symmetric(rng, np.empty((2, 3, 64)), 2, np.empty(384))
+        X0 = _draw_symmetric(rng, np.empty((2, 3, 64)), 2)
+        Z0 = _draw_symmetric(rng, np.empty((2, 3, 64)), 2)
         flat0 = rng.integers(0, weight.size, size=64)
         w = weight.ravel()[flat0]
+        multiplicity = np.array([1.0, 2.0, 1.0])  # slots (0, 0), (0, 1), (1, 1)
         scales = []
-        # a yielded Z is valid until the generator advances, so each draw is checked as it comes
-        for scale, flat, X, Z, AZ, (D,), zz, waz in _increments(sampler, spec):
+        # the yielded X and Z0 are work arrays, valid until the generator finishes, so each is checked as it comes
+        for scale, flat, X, direction, AZ, (D,), zz, waz in _increments(sampler, spec):
             scales.append(scale)
             np.testing.assert_array_equal(X, X0)
             np.testing.assert_array_equal(flat, flat0)
-            assert Z.tobytes() == (scale * Z0).tobytes()
+            assert direction.tobytes() == Z0.tobytes()
+            # A:Z, |Z|^2 and |A:Z|^2 are those of Z = s * Z0, bit for bit
+            assert AZ.tobytes() == contract_pairs(identity22, scale * Z0).tobytes()
+            assert zz.tobytes() == (multiplicity @ (scale * Z0) ** 2).sum(axis=0).tobytes()
+            assert waz.tobytes() == (AZ**2).sum(axis=0).tobytes()
             # the weight is read at the drawn grid points: F is linear, so its increment is w A:Z
             np.testing.assert_allclose(D, w * AZ, rtol=1e-12, atol=1e-12 * scale)
         assert scales == list(certify.SCALES) == [1e-2, 1.0, 1e2]
@@ -224,9 +242,9 @@ class TestSampler:
     def test_a_verify_evaluates_F_once_at_X_and_once_per_scale(self, identity22, monkeypatch):
         calls = []
 
-        def counted(spec, X, weight):
+        def counted(spec, X, weight, out=None):
             calls.append(X.shape)
-            return evaluate_pairs(spec, X, weight)
+            return evaluate_pairs(spec, X, weight, out)
 
         monkeypatch.setattr(certify, "evaluate_pairs", counted)
         spec = NonlinearitySpec(tensor=identity22, perturbation=SinePerturbation(amplitude=0.3))
@@ -295,7 +313,7 @@ class TestWorkspace:
         assert after.worst_violation == fresh.worst_violation
         assert [x.tobytes() for x in after.worst_sample[1:3]] == [x.tobytes() for x in fresh.worst_sample[1:3]]
 
-    def test_the_uniforms_of_every_draw_go_into_the_work_arrays(self, workspaces, monkeypatch):
+    def test_every_uniform_is_drawn_into_the_work_arrays_or_one_small_tile(self, workspaces, monkeypatch):
         outs = []
         default_rng = np.random.default_rng
 
@@ -315,8 +333,17 @@ class TestWorkspace:
         verify_k_condition(spec, 1.0, 0.09, 0.455, SamplerConfig(count=301, seed=4), nu=1.0)
         lemma1_check(spec, lam=0.4, kappa=0.1, alpha=1.0, count=301, seed=5, nu=1.0)
         work = workspaces[(301, 2, 3)]
-        # verify's X and Z0, then lemma 1's X, eta and a (3 x 301 values, an odd count)
-        assert len(outs) == 5 and all(out is not None and np.shares_memory(out, work) for out in outs)
+        # verify's X and Z0, then lemma 1's X, eta and a (3 x 301 values, an odd count): each draws its radius
+        # uniforms into the work block and its angle uniforms, fewer than a tile here, into the tile
+        assert all(out is not None for out in outs)
+        assert [np.shares_memory(out, work) for out in outs] == [True, False] * 5
+        assert all(out.size <= certify.NORMAL_TILE for out in outs[1::2])
+
+    def test_the_kept_block_is_three_sample_arrays(self, workspaces):
+        verify_k_condition(sine3(), 1.0, 0.09, 0.455, SamplerConfig(count=300, seed=1), nu=1.0)
+        lemma1_check(NonlinearitySpec(tensor=identity_tensor(2, 3)), lam=0.4, kappa=0.1, alpha=1.0, count=70, nu=1.0)
+        # X, Z0 and the array each scale forms Z and X + Z in
+        assert {key: work.shape for key, work in workspaces.items()} == {(300, 2, 3): (3, 2, 6, 300), (70, 3, 2): (3, 3, 3, 70)}
 
     def test_two_live_generators_of_one_key_yield_distinct_arrays(self, workspaces):
         spec = sine3()
@@ -339,9 +366,9 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("check", ["verify", "lemma1"])
     def test_the_work_block_is_held_to_the_memory_budget(self, workspaces, monkeypatch, check):
-        # the four (N, n(n+1)/2, count) float64 arrays at N=2, n=3: 32 * 2 * 6 * count bytes
+        # the three (N, n(n+1)/2, count) float64 arrays at N=2, n=3: 24 * 2 * 6 * count bytes
         count = 300
-        block = 32 * 2 * 6 * count
+        block = 24 * 2 * 6 * count
         call = {
             "verify": lambda: verify_k_condition(sine3(), 1.0, 0.09, 0.455, SamplerConfig(count=count), nu=1.0),
             "lemma1": lambda: lemma1_check(sine3(), lam=0.4, kappa=0.1, alpha=1.0, count=count, nu=1.0),
@@ -356,7 +383,7 @@ class TestWorkspace:
         assert not workspaces
 
     def test_a_count_past_the_budget_is_an_input_error_not_a_memory_error(self, workspaces):
-        # 10**14 samples would need a 1.92e17-byte block: refused before it is allocated
+        # 10**14 samples would need a 2.88e16-byte block: refused before it is allocated
         spec, count = sine3(), 10**14
         with pytest.raises(InputError, match="memory budget"):
             verify_k_condition(spec, 1.0, 0.09, 0.455, SamplerConfig(count=count), nu=1.0)
@@ -382,6 +409,19 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 3 * (2 * 6 * count * 8)
+
+    def test_a_warm_verify_forms_each_scale_in_place(self, workspaces):
+        # a sampler that drew into a fourth array and formed each scale's F(X + Z) - F(X) and gap out of place
+        # peaked at 2.64 MiB (2768696 bytes) here; this one holds each scale's arrays once, in place
+        spec, sampler = sine3(), SamplerConfig(count=15000, seed=3)
+        verify_k_condition(spec, 1.0, 0.09, 0.455, sampler, nu=1.0)
+        tracemalloc.start()
+        try:
+            verify_k_condition(spec, 1.0, 0.09, 0.455, sampler, nu=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.64 * 2**20
 
 
 GAMMA_GRID = np.unique(np.concatenate([np.geomspace(CONSTANT_FLOOR, 0.99, 60), np.linspace(0.01, 0.99, 50)]))

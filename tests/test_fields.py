@@ -38,6 +38,7 @@ from nearelliptic.fields import (
     load_field,
     save_field,
 )
+from nearelliptic.harness import analytic_solution, modes_solution
 from nearelliptic.linear import apply_operator, solve_linear
 from nearelliptic.nonlinearity import evaluate_field
 from nearelliptic.tensors import identity_tensor, random_rank_one_positive
@@ -948,7 +949,10 @@ class TestKeptHalfSpectrum:
         grid = GridSpec(n=2, N=2, M=16)
         half = half_spectrum(grid)
         buffer = np.array(random_band_limited(GridSpec(n=2, N=3, M=16), 4, seed=32).data)
-        u = VectorField(grid, buffer[:2], PHYSICAL)
+        # a read-only view is taken as it is, and its base stays writable (a writable view would be copied)
+        view = buffer[:2]
+        view.setflags(write=False)
+        u = VectorField(grid, view, PHYSICAL)
         assert not u.data.flags.owndata and buffer.flags.writeable
         calls = count_forward_transforms(monkeypatch)
         for _ in range(3):
@@ -1115,7 +1119,10 @@ class TestBornWithItsSpectrum:
     def test_a_field_on_a_view_is_scanned_on_every_call(self, monkeypatch):
         grid = GridSpec(n=2, N=2, M=16)
         buffer = np.array(white_noise(GridSpec(n=2, N=3, M=16), seed=82).data)
-        u = VectorField(grid, buffer[:2], PHYSICAL)
+        # a read-only view is taken as it is, and its base stays writable (a writable view would be copied)
+        view = buffer[:2]
+        view.setflags(write=False)
+        u = VectorField(grid, view, PHYSICAL)
         assert not u.data.flags.owndata and buffer.flags.writeable
         calls = self.count_scans(monkeypatch)
         for _ in range(3):
@@ -1124,6 +1131,84 @@ class TestBornWithItsSpectrum:
         buffer[1, 3, 4] = np.nan
         with pytest.raises(InputError):
             u.require_finite("field")
+
+
+class TestTheCallersArray:
+    """A field never freezes its caller's array, and no package path copies an array it has just made."""
+
+    @pytest.mark.parametrize("representation", [PHYSICAL, SPECTRAL])
+    def test_the_callers_array_stays_writable_and_its_writes_do_not_reach_the_field(self, representation):
+        grid = GridSpec(n=2, N=2, M=16)
+        data = np.random.default_rng(90).standard_normal((2,) + grid.shape)
+        data = data if representation == PHYSICAL else data.astype(complex)
+        u = VectorField(grid, data, representation).require_finite("field")
+        assert data.flags.writeable and not u.data.flags.writeable and not np.shares_memory(u.data, data)
+        kept = u.data.tobytes()
+        data[0, 3, 4] = np.nan
+        assert u.data.tobytes() == kept
+        assert u.require_finite("field") is u and np.all(np.isfinite(u.data))
+
+    def test_a_packed_hessian_leaves_its_callers_array_writable(self):
+        grid = GridSpec(n=2, N=2, M=8)
+        data = np.zeros((2, 3) + grid.shape)
+        hess = HessianPairs(grid, data)
+        assert data.flags.writeable and not np.shares_memory(hess.data, data)
+
+    def test_a_read_only_array_is_taken_as_it_is(self):
+        grid = GridSpec(n=2, N=2, M=8)
+        data = np.zeros((2,) + grid.shape)
+        data.setflags(write=False)
+        assert VectorField(grid, data, PHYSICAL).data is data
+
+    @staticmethod
+    def record_copies(monkeypatch) -> list:
+        """For every field or hessian built from here on on a contiguous array of its dtype, whether that array was copied."""
+        copied = []
+        frozen_data = fields_module._frozen_data
+
+        def recording(data, *args):
+            frozen = frozen_data(data, *args)
+            if isinstance(data, np.ndarray) and data.flags.c_contiguous and data.dtype == frozen.dtype:
+                copied.append(not np.shares_memory(frozen, data))
+            return frozen
+
+        monkeypatch.setattr(fields_module, "_frozen_data", recording)
+        return copied
+
+    @pytest.mark.parametrize(
+        "path",
+        ["physical_field", "hessian_pairs", "evaluate_field", "arithmetic", "load_field", "manufactured", "campanato_solve"],
+    )
+    def test_no_package_path_copies_an_array_it_built(self, monkeypatch, tmp_path, path):
+        grid = GridSpec(n=2, N=2, M=16)
+        half = half_spectrum(grid)
+        u, f = white_noise(grid, 91), white_noise(grid, 92)
+        coef = np.array(half.coefficients(u))
+        spec = NonlinearitySpec(tensor=identity_tensor(2, 2), perturbation=SinePerturbation(0.3))
+        hess = half.hessian_pairs(coef)
+        out = np.empty_like(hess.data)
+        for name, field in (("u", u), ("spectral", u.to_spectral()), ("hess", hess)):
+            save_field(tmp_path / name, field)
+        copied = self.record_copies(monkeypatch)
+        if path == "physical_field":
+            born = half.physical_field(coef)
+            assert half.coefficients(born) is coef and born.data.flags.owndata
+        elif path == "hessian_pairs":
+            assert not np.shares_memory(half.hessian_pairs(coef).data, coef)
+            assert np.shares_memory(half.hessian_pairs(coef, out=out).data, out) and out.flags.writeable
+        elif path == "evaluate_field":
+            evaluate_field(spec, hess)
+        elif path == "arithmetic":
+            u + f, u - f, 2.0 * u, u.to_spectral()
+        elif path == "load_field":
+            for name in ("u", "spectral", "hess"):
+                load_field(tmp_path / name)
+        elif path == "manufactured":
+            modes_solution(grid, [{"k": [1, 2], "component": 1}])
+            analytic_solution(grid)
+        else:
+            campanato_solve(spec, 1.0, f, example1_certificate(spec, nu=1.0), SolveConfig(tol_residual=1e-8, max_iters=30))
+        assert copied and not any(copied)
 
 
 def _zeros(grid, representation=PHYSICAL):

@@ -13,7 +13,7 @@ PARTS = {
     "solve-3d": ["u", "trace", "iterations"],
     "linear-sweep": ["u", "report"],
     "stability": ["u", "trace", "report", "inner_steps", "outer_steps"],
-    "certify": ["report", "certificate", "margin"],
+    "certify": ["report", "certificate", "margin", "fit"],
 }
 
 
